@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import re
-import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Sentence
+from .corpus import Sentence, _nfc
 
 # Tab(s) or runs of 2+ spaces separate fields; a single space never does,
 # since wordforms themselves may contain one.
@@ -34,10 +33,6 @@ _NEAR = 1
 _GAP = -1
 
 PREDICTION_FORMAT = "lemmabench-predictions/1"
-
-
-def _nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
 
 
 def _strip_quotes(field: str) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 
-from .errors import CorpusFormatError, EmptyCorpusError, SplitError
+from .errors import CorpusFormatError, EmptyCorpusError, MissingLemmaError, SplitError
 
 # Syntactic-word IDs are plain integers; "3-4" is a multiword-token range
 # line and "5.1" an empty node, neither of which carries a scorable lemma.
@@ -50,6 +50,15 @@ class Sentence:
     def lemmas(self) -> list[str | None]:
         return [t.lemma for t in self.tokens]
 
+    def gold_pairs(self) -> tuple[tuple[str, str], ...]:
+        """(wordform, lemma) per token; MissingLemmaError if any token lacks a lemma."""
+        for token in self.tokens:
+            if token.lemma is None:
+                raise MissingLemmaError(
+                    f"token {token.index} ({token.wordform!r}) of {self.id} has no lemma"
+                )
+        return tuple((t.wordform, t.lemma) for t in self.tokens)
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -69,15 +78,6 @@ class Corpus:
                 return sentence
         raise KeyError(sentence_id)
 
-    def token_pairs(self) -> list[tuple[str, str]]:
-        """All (wordform, lemma) pairs of lemma-annotated tokens."""
-        return [
-            (t.wordform, t.lemma)
-            for s in self.sentences
-            for t in s.tokens
-            if t.lemma is not None
-        ]
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -94,61 +94,14 @@ class SplitSpec:
             raise SplitError(f"unknown selection rule: {self.selection_rule!r}")
 
 
-def _sentence(corpus_name: str, ordinal: int, tokens: list[Token]) -> Sentence:
-    return Sentence(id=f"{corpus_name}-{ordinal:04d}", tokens=tuple(tokens))
+def _read_corpus(
+    path: str | Path, name: str | None, language: str, parse_row, use_sent_ids: bool
+) -> Corpus:
+    """The one sentence-building loop behind ingest_conllu and ingest_tsv.
 
-
-def ingest_conllu(path: str | Path, name: str | None = None, language: str = "und") -> Corpus:
-    """Read a CoNLL-U file into a Corpus.
-
-    Keeps FORM as wordform and LEMMA as lemma ("_" maps to no lemma).
-    Multiword-token range lines and empty-node lines are dropped; comments
-    are ignored.  Raises CorpusFormatError on a token line that does not
-    have exactly 10 tab-separated columns, EmptyCorpusError if no sentence
-    survives.
-    """
-    path = Path(path)
-    corpus_name = name or path.stem
-    sentences: list[Sentence] = []
-    tokens: list[Token] = []
-
-    with open(path, encoding="utf-8-sig") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                if tokens:
-                    sentences.append(_sentence(corpus_name, len(sentences), tokens))
-                    tokens = []
-                continue
-            if line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            if len(columns) != 10:
-                raise CorpusFormatError(
-                    path, line_no, f"expected 10 columns, found {len(columns)}"
-                )
-            token_id = columns[0]
-            if _RANGE_ID.match(token_id) or _EMPTY_NODE_ID.match(token_id):
-                continue
-            if not _WORD_ID.match(token_id):
-                raise CorpusFormatError(path, line_no, f"unrecognized token ID {token_id!r}")
-            form = _nfc(columns[1])
-            if not form:
-                raise CorpusFormatError(path, line_no, "empty FORM column")
-            lemma = None if columns[2] == "_" else _nfc(columns[2])
-            tokens.append(Token(index=len(tokens) + 1, wordform=form, lemma=lemma))
-    if tokens:
-        sentences.append(_sentence(corpus_name, len(sentences), tokens))
-    if not sentences:
-        raise EmptyCorpusError(f"{path}: no sentences found")
-    return Corpus(name=corpus_name, language=language, sentences=tuple(sentences))
-
-
-def ingest_tsv(path: str | Path, name: str | None = None, language: str = "und") -> Corpus:
-    """Read a two-column ``wordform<TAB>lemma`` file, blank line between sentences.
-
-    An empty lemma field means the token is unannotated.  A line with any
-    other field count is a CorpusFormatError naming the line.
+    parse_row(fields, path, line_no) returns (form, lemma-or-None) for a
+    token line, or None for a line without a token.  With use_sent_ids a
+    ``# sent_id = X`` comment names the next sentence; others get ordinal ids.
     """
     path = Path(path)
     corpus_name = name or path.stem
@@ -159,10 +112,9 @@ def ingest_tsv(path: str | Path, name: str | None = None, language: str = "und")
     def close_sentence():
         nonlocal pending_id
         if tokens:
-            if pending_id is not None:
-                sentences.append(Sentence(id=pending_id, tokens=tuple(tokens)))
-            else:
-                sentences.append(_sentence(corpus_name, len(sentences), tokens))
+            if pending_id is None:
+                pending_id = f"{corpus_name}-{len(sentences):04d}"
+            sentences.append(Sentence(id=pending_id, tokens=tuple(tokens)))
             tokens.clear()
             pending_id = None
 
@@ -174,24 +126,65 @@ def ingest_tsv(path: str | Path, name: str | None = None, language: str = "und")
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
-                if body.startswith("sent_id") and "=" in body:
+                if use_sent_ids and body.startswith("sent_id") and "=" in body:
                     close_sentence()
                     pending_id = body.split("=", 1)[1].strip()
                 continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise CorpusFormatError(
-                    path, line_no, f"expected 2 tab-separated fields, found {len(fields)}"
-                )
-            form = _nfc(fields[0])
-            if not form:
-                raise CorpusFormatError(path, line_no, "empty wordform field")
-            lemma = _nfc(fields[1]) if fields[1] else None
-            tokens.append(Token(index=len(tokens) + 1, wordform=form, lemma=lemma))
+            row = parse_row(line.split("\t"), path, line_no)
+            if row is None:
+                continue
+            form, lemma = row
+            lemma = None if lemma is None else _nfc(lemma)
+            tokens.append(Token(index=len(tokens) + 1, wordform=_nfc(form), lemma=lemma))
     close_sentence()
     if not sentences:
         raise EmptyCorpusError(f"{path}: no sentences found")
     return Corpus(name=corpus_name, language=language, sentences=tuple(sentences))
+
+
+def _conllu_row(columns: list[str], path: Path, line_no: int) -> tuple[str, str | None] | None:
+    if len(columns) != 10:
+        raise CorpusFormatError(path, line_no, f"expected 10 columns, found {len(columns)}")
+    token_id = columns[0]
+    if _RANGE_ID.match(token_id) or _EMPTY_NODE_ID.match(token_id):
+        return None
+    if not _WORD_ID.match(token_id):
+        raise CorpusFormatError(path, line_no, f"unrecognized token ID {token_id!r}")
+    if not columns[1]:
+        raise CorpusFormatError(path, line_no, "empty FORM column")
+    return columns[1], None if columns[2] == "_" else columns[2]
+
+
+def ingest_conllu(path: str | Path, name: str | None = None, language: str = "und") -> Corpus:
+    """Read a CoNLL-U file into a Corpus.
+
+    Keeps FORM as wordform and LEMMA as lemma ("_" maps to no lemma).
+    Multiword-token range lines and empty-node lines are dropped; comments,
+    sent_id included, are ignored, so sentence ids are ordinal.  Raises
+    CorpusFormatError on a token line that does not have exactly 10
+    tab-separated columns, EmptyCorpusError if no sentence survives.
+    """
+    return _read_corpus(path, name, language, _conllu_row, use_sent_ids=False)
+
+
+def _tsv_row(fields: list[str], path: Path, line_no: int) -> tuple[str, str | None]:
+    if len(fields) != 2:
+        raise CorpusFormatError(
+            path, line_no, f"expected 2 tab-separated fields, found {len(fields)}"
+        )
+    if not fields[0]:
+        raise CorpusFormatError(path, line_no, "empty wordform field")
+    return fields[0], fields[1] or None
+
+
+def ingest_tsv(path: str | Path, name: str | None = None, language: str = "und") -> Corpus:
+    """Read a two-column ``wordform<TAB>lemma`` file, blank line between sentences.
+
+    An empty lemma field means the token is unannotated.  A line with any
+    other field count is a CorpusFormatError naming the line.  A
+    ``# sent_id = X`` comment names the sentence that follows it.
+    """
+    return _read_corpus(path, name, language, _tsv_row, use_sent_ids=True)
 
 
 def write_tsv(

@@ -13,6 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import Corpus
 from .errors import InapplicableScriptError, LemmabenchError, MissingLemmaError
@@ -174,19 +175,21 @@ class LabelInventory:
         return [(i, s, self._freq[s]) for i, s in enumerate(self._scripts)]
 
 
+def token_scripts(train: Corpus) -> Iterator[tuple[str, EditScript]]:
+    """(wordform, induced script) for every training token, in corpus order.
+
+    The one place scripts are induced from gold pairs; a token without a
+    gold lemma raises MissingLemmaError.
+    """
+    for sentence in train.sentences:
+        for wordform, lemma in sentence.gold_pairs():
+            yield wordform, induce(wordform, lemma)
+
+
 def build_inventory(train: Corpus) -> LabelInventory:
     """Induce a script for every training token and tabulate the label set."""
-    counts: Counter[EditScript] = Counter()
-    saw_token = False
-    for sentence in train.sentences:
-        for token in sentence.tokens:
-            if token.lemma is None:
-                raise MissingLemmaError(
-                    f"token {token.index} ({token.wordform!r}) of {sentence.id} has no lemma"
-                )
-            counts[induce(token.wordform, token.lemma)] += 1
-            saw_token = True
-    if not saw_token:
+    counts = Counter(script for _, script in token_scripts(train))
+    if not counts:
         raise MissingLemmaError(f"corpus {train.name} has no tokens to induce labels from")
     return LabelInventory(counts)
 

@@ -22,13 +22,16 @@ from .errors import ScoringError
 
 STRICT = "strict"
 RENORMALIZE = "renormalize"
+POLICIES = (STRICT, RENORMALIZE)
 
 EXACT_THRESHOLD = 25  # discordant pairs below this use the exact binomial
 
 LemmaSlots = Mapping[str, Sequence[str | None]]
 
 
-def _check_coverage(predictions: LemmaSlots, gold: Corpus):
+def _token_outcomes(predictions: LemmaSlots, gold: Corpus) -> list[list[bool | None]]:
+    """Per gold sentence, one entry per token: True/False, None = missing."""
+    outcomes: list[list[bool | None]] = []
     for sentence in gold.sentences:
         if sentence.id not in predictions:
             raise ScoringError(f"no prediction for sentence {sentence.id}")
@@ -37,47 +40,28 @@ def _check_coverage(predictions: LemmaSlots, gold: Corpus):
             raise ScoringError(
                 f"{sentence.id}: {len(slots)} lemma slots for {len(sentence.tokens)} tokens"
             )
-
-
-def _token_outcomes(predictions: LemmaSlots, gold: Corpus) -> list[bool | None]:
-    """One entry per gold token in corpus order: True/False, None = missing."""
-    _check_coverage(predictions, gold)
-    outcomes: list[bool | None] = []
-    for sentence in gold.sentences:
-        slots = predictions[sentence.id]
+        row: list[bool | None] = []
         for token, predicted in zip(sentence.tokens, slots):
             if token.lemma is None:
                 raise ScoringError(f"gold token {token.wordform!r} in {sentence.id} has no lemma")
-            outcomes.append(None if predicted is None else predicted == token.lemma)
+            row.append(None if predicted is None else predicted == token.lemma)
+        outcomes.append(row)
     return outcomes
 
 
 def word_accuracy(predictions: LemmaSlots, gold: Corpus, policy: str = STRICT) -> float:
     """Fraction of gold tokens whose predicted lemma matches exactly."""
-    if policy not in (STRICT, RENORMALIZE):
-        raise ScoringError(f"unknown missing-word policy {policy!r}")
-    outcomes = _token_outcomes(predictions, gold)
-    if policy == RENORMALIZE:
-        outcomes = [o for o in outcomes if o is not None]
-    if not outcomes:
-        return 0.0
-    return sum(o is True for o in outcomes) / len(outcomes)
+    return score_run(predictions, gold, policy).word_accuracy
 
 
 def sentence_accuracy(predictions: LemmaSlots, gold: Corpus) -> float:
     """Fraction of sentences with every token lemma correct (all-or-nothing)."""
-    _check_coverage(predictions, gold)
-    correct = 0
-    for sentence in gold.sentences:
-        slots = predictions[sentence.id]
-        if all(p == t.lemma for p, t in zip(slots, sentence.tokens)):
-            correct += 1
-    return correct / len(gold.sentences) if gold.sentences else 0.0
+    return score_run(predictions, gold).sentence_accuracy
 
 
 def correctness_vector(predictions: LemmaSlots, gold: Corpus) -> list[bool]:
     """Strict per-word correctness in corpus order (missing counts as wrong)."""
-    return [o is True for o in _token_outcomes(predictions, gold)]
+    return [o is True for row in _token_outcomes(predictions, gold) for o in row]
 
 
 def aggregate_runs(values: Sequence[float]) -> tuple[float, float]:
@@ -159,14 +143,18 @@ def score_run(
     policy: str = STRICT,
     diagnostics: Mapping[str, Mapping[str, int]] | None = None,
 ) -> RunScore:
-    """Score one run; wrong/random tallies come from alignment diagnostics."""
-    outcomes = _token_outcomes(predictions, gold)
+    """Score one run; the only place word and sentence accuracy are computed.
+
+    wrong/random tallies come from alignment diagnostics.
+    """
+    if policy not in POLICIES:
+        raise ScoringError(f"unknown missing-word policy {policy!r}")
+    by_sentence = _token_outcomes(predictions, gold)
+    outcomes = [o for row in by_sentence for o in row]
     scored = [o for o in outcomes if o is not None] if policy == RENORMALIZE else outcomes
     correct = sum(o is True for o in scored)
     total = len(scored)
-    correct_sentences = sum(
-        all(p == t.lemma for p, t in zip(predictions[s.id], s.tokens)) for s in gold.sentences
-    )
+    correct_sentences = sum(all(o is True for o in row) for row in by_sentence)
     wrong = rand = 0
     if diagnostics:
         wrong = sum(int(d.get("wrong", 0)) for d in diagnostics.values())

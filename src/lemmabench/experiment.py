@@ -163,6 +163,9 @@ def load_config(
 
     provider = gateway_mod.ProviderConfig(**raw.get("provider", {}))
     scoring = raw.get("scoring", {})
+    policy = scoring.get("policy", eval_mod.STRICT)
+    if policy not in eval_mod.POLICIES:
+        raise ConfigError(f"unknown scoring policy {policy!r}; use one of {eval_mod.POLICIES}")
     comparisons_raw = raw.get("comparisons", "all-pairs")
     if comparisons_raw == "all-pairs":
         comparisons = tuple(itertools.combinations([s.name for s in systems], 2))
@@ -192,7 +195,7 @@ def load_config(
         cache_dir=str(base / raw.get("cache_dir", "cache")),
         cache_mode=mode,
         out_dir=str(Path(out_dir) if out_dir else base / raw.get("out_dir", "out")),
-        policy=scoring.get("policy", eval_mod.STRICT),
+        policy=policy,
         alpha=float(scoring.get("alpha", 0.05)),
         mcnemar_run=int(scoring.get("mcnemar_run", 0)),
         comparisons=comparisons,
@@ -348,9 +351,10 @@ def _default_dev_diagnostics(cfg: ExperimentConfig) -> Path:
     return Layout(cfg).diagnostics(BASELINE, f"{cfg.corpus_name}-dev", 0)
 
 
-def _select_examples(
+def select_system_examples(
     cfg: ExperimentConfig, system: SystemSpec, dev: corpus_mod.Corpus
 ) -> list[prompt_mod.FewShotExample]:
+    """A system's worked examples, so callers can reproduce its exact prompts."""
     spec = system.prompt
     diagnostics = None
     if spec.shots and spec.selection == prompt_mod.MOST_ERRORS:
@@ -366,13 +370,6 @@ def _select_examples(
     )
 
 
-def select_system_examples(
-    cfg: ExperimentConfig, system: SystemSpec, dev: corpus_mod.Corpus
-) -> list[prompt_mod.FewShotExample]:
-    """Public wrapper so callers can reproduce a system's exact prompts."""
-    return _select_examples(cfg, system, dev)
-
-
 def _run_llm_system(
     cfg: ExperimentConfig,
     system: SystemSpec,
@@ -380,7 +377,7 @@ def _run_llm_system(
     dev: corpus_mod.Corpus,
     gateway: gateway_mod.LlmGateway,
 ):
-    examples = _select_examples(cfg, system, dev)
+    examples = select_system_examples(cfg, system, dev)
     prompts = [
         prompt_mod.render_prompt(system.prompt, examples, sentence)
         for sentence in test.sentences
@@ -448,19 +445,33 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
 def blocks_to_slots(
     blocks: list[PredictionBlock], gold: corpus_mod.Corpus
 ) -> dict[str, tuple[str | None, ...]]:
-    """Map prediction blocks onto gold sentences by id, else by order."""
+    """Map prediction blocks onto gold sentences by id, else by order.
+
+    A block must repeat its gold sentence's wordforms, and no sent_id may
+    appear twice; either fault is a ScoringError naming the sentence.
+    """
     with_ids = [b for b in blocks if b.sentence_id is not None]
     if with_ids and len(with_ids) != len(blocks):
         raise ScoringError("prediction file mixes sent_id blocks with anonymous blocks")
     if with_ids:
-        return {b.sentence_id: tuple(l for _, l in b.pairs) for b in blocks}
-    if len(blocks) != len(gold.sentences):
+        by_id: dict[str, PredictionBlock] = {}
+        for block in blocks:
+            if block.sentence_id in by_id:
+                raise ScoringError(f"prediction file repeats sent_id {block.sentence_id}")
+            by_id[block.sentence_id] = block
+    elif len(blocks) != len(gold.sentences):
         raise ScoringError(
             f"{len(blocks)} anonymous prediction blocks for {len(gold.sentences)} sentences"
         )
-    return {
-        s.id: tuple(l for _, l in b.pairs) for s, b in zip(gold.sentences, blocks)
-    }
+    else:
+        by_id = {s.id: b for s, b in zip(gold.sentences, blocks)}
+    for sentence in gold.sentences:
+        block = by_id.get(sentence.id)
+        if block is not None and [w for w, _ in block.pairs] != sentence.wordforms():
+            raise ScoringError(
+                f"prediction block for {sentence.id} does not repeat its gold wordforms"
+            )
+    return {sentence_id: tuple(l for _, l in b.pairs) for sentence_id, b in by_id.items()}
 
 
 def _load_run(

@@ -227,9 +227,10 @@ class LlmGateway:
     def run_batch(self, prompts: list[str], runs: int = 1, parallelism: int = 4) -> BatchResult:
         """Complete every prompt for every run index, preserving order.
 
-        Network failures for individual items are collected in the result
-        rather than raised, so one bad sentence cannot sink a batch; replay
-        cache misses are real configuration errors and do propagate.
+        Transport failures for individual items are collected in the result
+        rather than raised, so one bad sentence cannot sink a batch.  Every
+        other exception propagates: a replay cache miss is a configuration
+        error, anything else a bug that must not be scored as missing words.
         """
         if runs < 1:
             raise ConfigError("runs must be >= 1")
@@ -249,9 +250,7 @@ class LlmGateway:
                 run, item = jobs[job]
                 try:
                     responses[run][item] = job.result()
-                except CacheMissError:
-                    raise
-                except (TransportError, Exception) as exc:  # noqa: BLE001
+                except TransportError as exc:
                     failures.append((run, item, str(exc)))
         failures.sort()
         return BatchResult(responses=responses, failures=failures)

@@ -16,7 +16,7 @@ from random import Random
 from typing import Mapping
 
 from .corpus import Corpus, Sentence
-from .errors import MissingLemmaError, PromptError
+from .errors import PromptError
 
 BASIC = "basic"
 FULL = "full"
@@ -78,14 +78,7 @@ class FewShotExample:
 
     @classmethod
     def from_sentence(cls, sentence: Sentence) -> "FewShotExample":
-        pairs = []
-        for token in sentence.tokens:
-            if token.lemma is None:
-                raise MissingLemmaError(
-                    f"token {token.index} ({token.wordform!r}) of {sentence.id} has no lemma"
-                )
-            pairs.append((token.wordform, token.lemma))
-        return cls(sentence=sentence, gold_pairs=tuple(pairs))
+        return cls(sentence=sentence, gold_pairs=sentence.gold_pairs())
 
 
 def _quote_word(word: str) -> str:

@@ -128,6 +128,52 @@ def test_tsv_wrong_field_count_names_line(tmp_path):
     assert ":2:" in str(err.value)
 
 
+# Precomposed letters, so drawn words are NFC and several change under NFD.
+_WORD = st.text(st.sampled_from("abnñeéuüAÅcçßö"), min_size=1, max_size=5)
+
+
+@given(
+    drafts=st.lists(
+        st.tuples(
+            st.booleans(),  # sentence carries a "# sent_id" comment
+            st.lists(st.tuples(_WORD, st.none() | _WORD), min_size=1, max_size=4),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    nfd=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_readers_round_trip_both_formats(tmp_path_factory, drafts, nfd):
+    def on_disk(text):
+        return unicodedata.normalize("NFD", text) if nfd else text
+
+    tsv, conllu, expected = [], [], []
+    for ordinal, (with_id, pairs) in enumerate(drafts):
+        sentence_id = f"s{ordinal}" if with_id else f"rt-{ordinal:04d}"
+        if with_id:
+            tsv.append(f"# sent_id = {sentence_id}")
+            conllu.append(f"# sent_id = {sentence_id}")
+        conllu.append("# text = " + " ".join(on_disk(w) for w, _ in pairs))
+        for index, (form, lemma) in enumerate(pairs, start=1):
+            tsv.append(f"{on_disk(form)}\t{on_disk(lemma or '')}")
+            conllu.append(
+                f"{index}\t{on_disk(form)}\t{on_disk(lemma or '_')}\tX\t_\t_\t0\troot\t_\t_"
+            )
+        tsv.append("")
+        conllu.append("")
+        expected.append(sentence(sentence_id, *pairs))
+
+    directory = tmp_path_factory.mktemp("round-trip")
+    (directory / "rt.tsv").write_text("\n".join(tsv), "utf-8")
+    (directory / "rt.conllu").write_text("\n".join(conllu), "utf-8")
+
+    assert ingest_tsv(directory / "rt.tsv") == corpus("rt", *expected)
+    from_conllu = ingest_conllu(directory / "rt.conllu")
+    assert [s.id for s in from_conllu.sentences] == [f"rt-{i:04d}" for i in range(len(drafts))]
+    assert [s.tokens for s in from_conllu.sentences] == [s.tokens for s in expected]
+
+
 def _toy(n: int):
     return corpus("toy", *(sentence(f"toy-{i:04d}", (f"w{i}", f"l{i}")) for i in range(n)))
 

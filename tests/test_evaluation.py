@@ -101,6 +101,8 @@ def test_scoring_errors():
     unannotated = corpus("u", sentence("u-0000", ("word", None)))
     with pytest.raises(ScoringError):
         word_accuracy({"u-0000": ["word"]}, unannotated)
+    with pytest.raises(ScoringError):
+        sentence_accuracy({"u-0000": ["word"]}, unannotated)
 
 
 # --- aggregation --------------------------------------------------------------

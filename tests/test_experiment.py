@@ -99,6 +99,7 @@ def _minimal_raw(**overrides):
             runs=3,
             systems=[{"name": "x", "kind": "external", "predictions": ["a.tsv", "b.tsv"]}],
         ),
+        lambda raw: raw.update(scoring={"policy": "renormalise"}),
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, mutate):
@@ -168,6 +169,24 @@ def test_blocks_to_slots_rejects_mixed_and_miscounted():
         )
     with pytest.raises(ScoringError):
         blocks_to_slots([PredictionBlock(None, (("a", "y"),))], gold)
+
+
+@pytest.mark.parametrize("sentence_id", ["d-0000", None])
+def test_blocks_to_slots_rejects_wordforms_that_differ_from_gold(sentence_id):
+    gold = corpus("d", sentence("d-0000", ("perro", "perro"), ("ladra", "ladrar")))
+    block = PredictionBlock(sentence_id, (("gato", "gato"), ("come", "comer")))
+    with pytest.raises(ScoringError, match="d-0000"):
+        blocks_to_slots([block], gold)
+
+
+def test_blocks_to_slots_rejects_repeated_sent_id():
+    blocks = [
+        PredictionBlock("g-0000", (("a", "A"), ("b", "B"))),
+        PredictionBlock("g-0001", (("c", "C"),)),
+        PredictionBlock("g-0000", (("a", "x"), ("b", "x"))),
+    ]
+    with pytest.raises(ScoringError, match="g-0000"):
+        blocks_to_slots(blocks, _two_sentence_gold())
 
 
 # --- full pipeline on the replay fixture ----------------------------------------

@@ -240,6 +240,16 @@ def test_run_batch_collects_per_item_failures(tmp_path):
     assert result.responses[1][0].raw_text == "fine"
 
 
+def test_run_batch_propagates_programming_errors(tmp_path):
+    def transport(config, prompt):
+        raise TypeError("transport bug")
+
+    cache = ResponseCache(tmp_path / "cache")
+    gateway = LlmGateway(_config(max_retries=0), cache=cache, mode=RECORD, transport=transport)
+    with pytest.raises(TypeError, match="transport bug"):
+        gateway.run_batch(["one", "two"], runs=1, parallelism=2)
+
+
 def test_run_batch_propagates_replay_misses(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     gateway = LlmGateway(_config(), cache=cache, mode=REPLAY, transport=forbidden_transport)
