@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Sentence, _nfc
+from .errors import ScoringError
 
 # Tab(s) or runs of 2+ spaces separate fields; a single space never does,
 # since wordforms themselves may contain one.
@@ -198,7 +199,9 @@ def read_predictions(path: str | Path) -> tuple[dict[str, str], list[PredictionB
 
     Accepts externally produced files too: blocks are separated by blank
     lines, and sent_id comments are optional (identity then falls back to
-    corpus order at scoring time).
+    corpus order at scoring time).  Every other non-comment row must be
+    wordform<TAB>lemma, the lemma possibly empty; any other row is a
+    ScoringError naming the file and line.
     """
     metadata: dict[str, str] = {}
     blocks: list[PredictionBlock] = []
@@ -213,7 +216,7 @@ def read_predictions(path: str | Path) -> tuple[dict[str, str], list[PredictionB
         current_id, current_pairs, seen_block = None, [], False
 
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 flush()
@@ -231,8 +234,13 @@ def read_predictions(path: str | Path) -> tuple[dict[str, str], list[PredictionB
                         metadata[key] = value
                 continue
             fields = line.split("\t")
+            if len(fields) != 2:
+                raise ScoringError(
+                    f"{path}:{line_no}: prediction row has {len(fields)} tab-separated "
+                    "fields, expected wordform<TAB>lemma"
+                )
             wordform = _nfc(fields[0])
-            lemma = _nfc(fields[1]) if len(fields) > 1 and fields[1] != "" else None
+            lemma = _nfc(fields[1]) if fields[1] != "" else None
             current_pairs.append((wordform, lemma))
             seen_block = True
     flush()

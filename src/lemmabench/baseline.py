@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus, Sentence
-from .editscript import IDENTITY, EditScript, LabelInventory, apply, token_scripts
+from .editscript import IDENTITY, EditScript, LabelInventory, apply, pair_scripts
 # Not called here: baseline.induce stays bound because perfbench's tracer
 # test checks that binding site.
 from .editscript import induce  # noqa: F401
@@ -40,11 +40,11 @@ def train(
 
     form_counts: dict[str, Counter[EditScript]] = defaultdict(Counter)
     suffix_counts: dict[str, Counter[EditScript]] = defaultdict(Counter)
-    for wordform, script in token_scripts(train_corpus):
+    for wordform, script, count in pair_scripts(train_corpus):
         key = wordform.casefold()
-        form_counts[key][script] += 1
+        form_counts[key][script] += count
         for length in range(1, min(max_suffix_len, len(key)) + 1):
-            suffix_counts[key[-length:]][script] += 1
+            suffix_counts[key[-length:]][script] += count
 
     def majority(counter: Counter[EditScript]) -> EditScript:
         # highest count wins; ties go to the lower (more frequent) label id

@@ -121,8 +121,15 @@ def induce(wordform: str, lemma: str) -> EditScript:
 
     best_key = None
     best_script = None
+    scanned: list[str] = []
     for flag_rank, flag in enumerate(_CASE_FLAGS):
         recased = _recase(flag, wordform)
+        # A flag that leaves the word as an earlier flag did (uncased first
+        # character, or already in that case) offers the same candidates
+        # with a worse flag_rank, so it can never win.
+        if recased in scanned:
+            continue
+        scanned.append(recased)
         for word_start, lemma_start, length in _common_cores(recased, lemma):
             prefix_drop = word_start
             prefix_add = lemma[:lemma_start]
@@ -175,20 +182,25 @@ class LabelInventory:
         return [(i, s, self._freq[s]) for i, s in enumerate(self._scripts)]
 
 
-def token_scripts(train: Corpus) -> Iterator[tuple[str, EditScript]]:
-    """(wordform, induced script) for every training token, in corpus order.
+def pair_scripts(train: Corpus) -> Iterator[tuple[str, EditScript, int]]:
+    """(wordform, induced script, token count) per distinct gold pair.
 
-    The one place scripts are induced from gold pairs; a token without a
-    gold lemma raises MissingLemmaError.
+    The one place scripts are induced from gold pairs.  All gold pairs are
+    counted first, so a token without a gold lemma raises MissingLemmaError
+    before any induction, and each distinct (wordform, lemma) pair is then
+    induced once, in order of first occurrence.
     """
-    for sentence in train.sentences:
-        for wordform, lemma in sentence.gold_pairs():
-            yield wordform, induce(wordform, lemma)
+    pairs = Counter(pair for sentence in train.sentences for pair in sentence.gold_pairs())
+    for (wordform, lemma), count in pairs.items():
+        yield wordform, induce(wordform, lemma), count
 
 
 def build_inventory(train: Corpus) -> LabelInventory:
-    """Induce a script for every training token and tabulate the label set."""
-    counts = Counter(script for _, script in token_scripts(train))
+    """Induce a script once per distinct training pair and tabulate the label
+    set, each script weighted by the tokens that carry it."""
+    counts: Counter[EditScript] = Counter()
+    for _, script, count in pair_scripts(train):
+        counts[script] += count
     if not counts:
         raise MissingLemmaError(f"corpus {train.name} has no tokens to induce labels from")
     return LabelInventory(counts)

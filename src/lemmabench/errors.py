@@ -46,6 +46,10 @@ class CacheMissError(LemmabenchError):
     """Replay-only mode found no cached response for a fingerprint."""
 
 
+class CacheFormatError(LemmabenchError):
+    """A response-cache index line is malformed (message names file and line)."""
+
+
 class ScoringError(LemmabenchError):
     """Prediction set and gold corpus disagree (missing sentences, length mismatch)."""
 

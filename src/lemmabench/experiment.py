@@ -447,8 +447,9 @@ def blocks_to_slots(
 ) -> dict[str, tuple[str | None, ...]]:
     """Map prediction blocks onto gold sentences by id, else by order.
 
-    A block must repeat its gold sentence's wordforms, and no sent_id may
-    appear twice; either fault is a ScoringError naming the sentence.
+    Every gold sentence needs a block that repeats its wordforms, and no
+    sent_id may appear twice; each fault is a ScoringError naming the
+    sentence.
     """
     with_ids = [b for b in blocks if b.sentence_id is not None]
     if with_ids and len(with_ids) != len(blocks):
@@ -467,7 +468,9 @@ def blocks_to_slots(
         by_id = {s.id: b for s, b in zip(gold.sentences, blocks)}
     for sentence in gold.sentences:
         block = by_id.get(sentence.id)
-        if block is not None and [w for w, _ in block.pairs] != sentence.wordforms():
+        if block is None:
+            raise ScoringError(f"prediction file has no block for {sentence.id}")
+        if [w for w, _ in block.pairs] != sentence.wordforms():
             raise ScoringError(
                 f"prediction block for {sentence.id} does not repeat its gold wordforms"
             )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import CacheMissError, ConfigError, TransportError
+from .errors import CacheFormatError, CacheMissError, ConfigError, TransportError
 
 LIVE = "live"
 RECORD = "record"
@@ -94,6 +94,7 @@ class ResponseCache:
         self.root = Path(root)
         self._lock = threading.Lock()
         self._index: dict[str, str] = {}
+        self._torn_tail = 0  # bytes of an unfinished last index line
         self._load()
 
     @property
@@ -106,13 +107,19 @@ class ResponseCache:
     def _load(self):
         if not self.index_path.exists():
             return
-        with open(self.index_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
+        lines = self.index_path.read_text("utf-8").split("\n")
+        for line_no, line in enumerate(lines, start=1):
+            if not line or line.startswith("#"):
+                continue
+            if "\t" not in line:
+                if line_no == len(lines):
+                    # No newline yet: an append cut short, whose record was
+                    # never indexed.  put() cuts it off before appending.
+                    self._torn_tail = len(line.encode("utf-8"))
                     continue
-                fingerprint, model = line.split("\t", 1)
-                self._index[fingerprint] = model
+                raise CacheFormatError(f"{self.index_path}:{line_no}: index line has no tab")
+            fingerprint, model = line.split("\t", 1)
+            self._index[fingerprint] = model
 
     def __len__(self) -> int:
         return len(self._index)
@@ -133,6 +140,9 @@ class ResponseCache:
             (self.root / "records").mkdir(exist_ok=True)
             record = self._record_path(fingerprint)
             record.write_text(raw_text, "utf-8")
+            if self._torn_tail:
+                os.truncate(self.index_path, self.index_path.stat().st_size - self._torn_tail)
+                self._torn_tail = 0
             fresh_index = not self.index_path.exists()
             with open(self.index_path, "a", encoding="utf-8") as fh:
                 if fresh_index:

@@ -1,14 +1,17 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Each is deliberately written with plain loops and exact arithmetic —
-no code under test is reused — so agreement is real evidence.
+no code under test is reused beyond the EditScript value type — so
+agreement is real evidence.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from lemmabench.editscript import LOWER_FIRST, PRESERVE, UPPER_FIRST
+from hypothesis import strategies as st
+
+from lemmabench.editscript import LOWER_FIRST, PRESERVE, UPPER_FIRST, EditScript
 
 from conftest import corpus, sentence
 
@@ -40,6 +43,106 @@ def oracle_min_edit_size(word: str, lemma: str) -> int:
                     best = cost if best is None else min(best, cost)
                     pos = lemma.find(core, pos + 1)
     return best
+
+
+def oracle_induce(word: str, lemma: str) -> EditScript:
+    """The three-flag minimum-edit search with induce's tie-break key, by
+    brute force: every case flag (none skipped), prefix cut, suffix cut and
+    placement of the kept core in the lemma."""
+    best_key = None
+    for flag_rank, flag in enumerate((PRESERVE, LOWER_FIRST, UPPER_FIRST)):
+        w = _oracle_recase(flag, word)
+        for p in range(len(w) + 1):
+            for s in range(len(w) - p + 1):
+                core = w[p : len(w) - s]
+                for pos in range(len(lemma) - len(core) + 1):
+                    if lemma[pos : pos + len(core)] != core:
+                        continue
+                    prefix_add, suffix_add = lemma[:pos], lemma[pos + len(core) :]
+                    key = (
+                        p + len(prefix_add) + s + len(suffix_add),
+                        flag_rank,
+                        p + len(prefix_add),
+                        len(prefix_add) + len(suffix_add),
+                        (p, prefix_add, s, suffix_add),
+                    )
+                    if best_key is None or key < best_key:
+                        best_key, best = key, EditScript(flag, p, prefix_add, s, suffix_add)
+    return best
+
+
+def _oracle_token_scripts(c):
+    """One (wordform, script) per training token, inducing every token anew."""
+    out = []
+    for sent in c.sentences:
+        for token in sent.tokens:
+            out.append((token.wordform, oracle_induce(token.wordform, token.lemma)))
+    return out
+
+
+def oracle_inventory_items(c):
+    """(id, script, frequency) rows: token counts, ids by frequency then encoding."""
+    freq = {}
+    for _, script in _oracle_token_scripts(c):
+        freq[script] = freq.get(script, 0) + 1
+    ordered = sorted(freq, key=lambda script: (-freq[script], script.encode()))
+    return [(i, script, freq[script]) for i, script in enumerate(ordered)]
+
+
+def oracle_train_tables(c, max_suffix_len):
+    """(form table, suffix table): per case-folded form and per suffix, the
+    script seen on most tokens, ties to the lower inventory id."""
+    ids = {script: i for i, script, _ in oracle_inventory_items(c)}
+    form_counts, suffix_counts = {}, {}
+    for wordform, script in _oracle_token_scripts(c):
+        key = wordform.casefold()
+        keys = [(form_counts, key)]
+        for length in range(1, min(max_suffix_len, len(key)) + 1):
+            keys.append((suffix_counts, key[-length:]))
+        for table, k in keys:
+            table.setdefault(k, {})
+            table[k][script] = table[k].get(script, 0) + 1
+
+    def majority(counts):
+        return min(counts, key=lambda script: (-counts[script], ids[script]))
+
+    return (
+        {k: majority(v) for k, v in form_counts.items()},
+        {k: majority(v) for k, v in suffix_counts.items()},
+    )
+
+
+# Letters whose case mapping is awkward (ß upper-cases to SS, İ lower-cases to
+# two code points), uncased first characters (digits, punctuation) and plain
+# Spanish-like letters.
+_GOLD_CHARS = st.sampled_from(list("aesonrlmíñßİIE1,."))
+
+
+_RECASINGS = (str, str.upper, str.lower, lambda w: w[:1].upper() + w[1:], lambda w: w[:1].lower() + w[1:])
+
+
+@st.composite
+def related_pairs(draw):
+    """(wordform, lemma) sharing a stem, each side recased on its own."""
+    stem = draw(st.text(_GOLD_CHARS, min_size=1, max_size=6))
+    suffix = draw(st.sampled_from(["", "s", "es", "ß", "1"]))
+    form_case, lemma_case = draw(st.sampled_from(_RECASINGS)), draw(st.sampled_from(_RECASINGS))
+    return form_case(stem + suffix), lemma_case(stem)
+
+
+@st.composite
+def gold_corpora(draw):
+    """Small annotated corpora with repeated pairs, capitalised sentence
+    starts and all-caps words."""
+    pool = draw(st.lists(related_pairs(), min_size=1, max_size=6))
+    sentences = []
+    for n in range(draw(st.integers(1, 5))):
+        pairs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        if draw(st.booleans()):
+            form, lemma = pairs[0]
+            pairs[0] = (form[:1].upper() + form[1:], lemma)
+        sentences.append(sentence(f"g-{n:04d}", *pairs))
+    return corpus("gold", *sentences)
 
 
 def exact_mcnemar_p(b01: int, b10: int) -> float:

@@ -15,6 +15,7 @@ from lemmabench.align import (
     write_diagnostics,
     write_predictions,
 )
+from lemmabench.errors import ScoringError
 
 from conftest import sentence
 from synthgen import make_case
@@ -238,6 +239,14 @@ def test_read_predictions_accepts_anonymous_blocks(tmp_path):
     assert [b.sentence_id for b in blocks] == [None, None]
     assert blocks[0].pairs == (("Los", "el"), ("perros", "perro"))
     assert blocks[1].pairs == (("ladran", "ladrar"),)
+
+
+@pytest.mark.parametrize("row", ["perro\tperro\tNOUN", "ladra"])
+def test_read_predictions_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "external.tsv"
+    path.write_text(f"# sent_id = s-0\nLos\tel\n{row}\nmuy\t\n", "utf-8")
+    with pytest.raises(ScoringError, match=r"external\.tsv:3:"):
+        read_predictions(path)
 
 
 def test_prediction_round_trip_is_byte_stable(tmp_path):

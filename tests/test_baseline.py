@@ -16,6 +16,7 @@ from lemmabench.editscript import IDENTITY, PRESERVE, EditScript, build_inventor
 from lemmabench.errors import EmptyCorpusError, MissingLemmaError
 
 from conftest import corpus, sentence
+from oracles import gold_corpora, oracle_train_tables
 
 
 def _train_corpus():
@@ -105,6 +106,13 @@ def test_train_rejects_empty_and_unannotated():
     bad = corpus("toy", sentence("toy-0000", ("word", None)))
     with pytest.raises(MissingLemmaError):
         train(bad, build_inventory(_train_corpus()))
+
+
+@given(c=gold_corpora(), max_suffix_len=st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_train_matches_per_token_oracle(c, max_suffix_len):
+    model = train(c, build_inventory(c), max_suffix_len=max_suffix_len)
+    assert (model.form_table, model.suffix_table) == oracle_train_tables(c, max_suffix_len)
 
 
 def test_predict_identity_copies_forms():

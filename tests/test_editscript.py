@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmabench import editscript
+from lemmabench.baseline import train
 from lemmabench.editscript import (
     IDENTITY,
     LOWER_FIRST,
@@ -24,7 +26,13 @@ from lemmabench.errors import (
 )
 
 from conftest import corpus, sentence
-from oracles import oracle_min_edit_size
+from oracles import (
+    gold_corpora,
+    oracle_induce,
+    oracle_inventory_items,
+    oracle_min_edit_size,
+    related_pairs,
+)
 
 
 WORDS = st.text(
@@ -94,6 +102,12 @@ def test_induce_is_minimal_against_oracle(word, lemma):
     assert induce(word, lemma).edit_size == oracle_min_edit_size(word, lemma)
 
 
+@given(pair=related_pairs() | st.tuples(WORDS, WORDS))
+@settings(max_examples=300, deadline=None)
+def test_induce_matches_three_flag_oracle(pair):
+    assert induce(*pair) == oracle_induce(*pair)
+
+
 @given(word=WORDS, lemma=WORDS)
 @settings(max_examples=100, deadline=None)
 def test_induce_deterministic(word, lemma):
@@ -126,6 +140,34 @@ def test_inventory_orders_by_frequency_then_encoding():
     assert inventory.id_of(IDENTITY) == 1
     assert len(inventory) == 2
     assert strip_s in inventory
+
+
+@given(c=gold_corpora())
+@settings(max_examples=150, deadline=None)
+def test_inventory_matches_per_token_oracle(c):
+    assert build_inventory(c).items() == oracle_inventory_items(c)
+
+
+def test_each_stage_induces_each_distinct_pair_once(monkeypatch):
+    c = corpus(
+        "toy",
+        sentence("toy-0000", ("Perros", "perro"), ("perros", "perro"), ("1", "1")),
+        sentence("toy-0001", ("perros", "perro"), ("ladran", "ladrar"), ("1", "1")),
+    )
+    calls = []
+    real_induce = editscript.induce
+
+    def counting_induce(wordform, lemma):
+        calls.append((wordform, lemma))
+        return real_induce(wordform, lemma)
+
+    monkeypatch.setattr(editscript, "induce", counting_induce)
+    distinct = {("Perros", "perro"), ("perros", "perro"), ("1", "1"), ("ladran", "ladrar")}
+    inventory = build_inventory(c)
+    assert sorted(calls) == sorted(distinct)
+    calls.clear()
+    train(c, inventory)
+    assert sorted(calls) == sorted(distinct)
 
 
 def test_inventory_requires_lemmas():

@@ -179,6 +179,12 @@ def test_blocks_to_slots_rejects_wordforms_that_differ_from_gold(sentence_id):
         blocks_to_slots([block], gold)
 
 
+def test_blocks_to_slots_rejects_missing_gold_sentence():
+    blocks = [PredictionBlock("g-0001", (("c", "C"),))]
+    with pytest.raises(ScoringError, match="g-0000"):
+        blocks_to_slots(blocks, _two_sentence_gold())
+
+
 def test_blocks_to_slots_rejects_repeated_sent_id():
     blocks = [
         PredictionBlock("g-0000", (("a", "A"), ("b", "B"))),

@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from lemmabench.errors import CacheMissError, ConfigError, TransportError
+from lemmabench.errors import CacheFormatError, CacheMissError, ConfigError, TransportError
 from lemmabench.gateway import (
     LIVE,
     RECORD,
@@ -112,6 +112,30 @@ def test_cache_is_append_only(tmp_path):
     lines = cache.index_path.read_text("utf-8").splitlines()
     assert lines[0] == "# cache-format = lemmabench-cache/1"
     assert len(lines) == 2
+
+
+def test_cache_skips_torn_final_index_line(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("a" * 64, "m", "first")
+    with open(cache.index_path, "a", encoding="utf-8") as fh:
+        fh.write("b" * 20)  # an append cut short: no tab, no newline
+    reloaded = ResponseCache(tmp_path / "cache")
+    assert len(reloaded) == 1 and reloaded.get("a" * 64) == "first"
+    reloaded.put("c" * 64, "m", "third")
+    assert cache.index_path.read_text("utf-8").splitlines()[1:] == [
+        "a" * 64 + "\tm",
+        "c" * 64 + "\tm",
+    ]
+    assert len(ResponseCache(tmp_path / "cache")) == 2
+
+
+def test_cache_rejects_tabless_index_line_before_the_end(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("a" * 64, "m", "first")
+    with open(cache.index_path, "a", encoding="utf-8") as fh:
+        fh.write("b" * 20 + "\n")
+    with pytest.raises(CacheFormatError, match=r"index\.tsv:3:"):
+        ResponseCache(tmp_path / "cache")
 
 
 def test_cache_miss_raises(tmp_path):
