@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,6 @@ _QUOTE_PAIRS = {('"', '"'), ("'", "'"), ("`", "`"), ("“", "”"), ("‘", "’
 
 _MATCH = 2
 _NEAR = 1
-_GAP = -1
 
 PREDICTION_FORMAT = "lemmabench-predictions/1"
 
@@ -87,35 +87,91 @@ def _pair_score(out_word: str, in_word: str) -> int | None:
     return None
 
 
+def _match_keys(word: str) -> set[str]:
+    """Strings that two words both produce whenever _pair_score pairs them:
+    the word itself (exact), its case fold (case change) and every string
+    one deletion away (one edit)."""
+    return {word, word.casefold(), *[word[:k] + word[k + 1 :] for k in range(len(word))]}
+
+
+def _candidate_cells(out_words: list[str], in_words: list[str]) -> list[dict[int, int]]:
+    """Per output row, {input index: weight} for every input token the row
+    can match, in ascending index order; the weight is the pair score + 2.
+
+    Each distinct word of either side is filed under its match keys; words
+    sharing a key are candidates, confirmed with _pair_score.  Rows with the
+    same word share one dict, so repeated words and duplicated blocks cost
+    one lookup.
+    """
+    positions: dict[str, list[int]] = {}
+    for j, word in enumerate(in_words):
+        positions.setdefault(word, []).append(j)
+    groups: dict[str, list[str]] = {}
+    shared: set[str] = set()
+    for word in {*positions, *out_words}:
+        for key in _match_keys(word):
+            if key in groups:
+                groups[key].append(word)
+                shared.add(key)
+            else:
+                groups[key] = [word]
+    related: dict[str, set[str]] = {}
+    for key in shared:
+        for word in groups[key]:
+            related.setdefault(word, set()).update(groups[key])
+
+    cells: dict[str, dict[int, int]] = {}
+    for word in out_words:
+        if word in cells:
+            continue
+        found = []
+        for in_word in related.get(word, (word,)):
+            if in_word in positions:
+                s = _pair_score(word, in_word)
+                if s is not None:
+                    found.extend((j, s + 2) for j in positions[in_word])
+        cells[word] = dict(sorted(found))
+    return [cells[word] for word in out_words]
+
+
 def align_sequences(out_words: list[str], in_words: list[str]) -> list[tuple[int, int]]:
     """Globally align output words to input words, preserving order.
 
     Returns matched (output_index, input_index) pairs, ascending in both.
     Ties prefer leaving later output rows unmatched, so a duplicated
     answer block matches on its first copy and the copy counts as noise.
+
+    The score of an alignment is the sum of its pair scores minus one per
+    unmatched word on either side.  W[i][j] = score[i][j] + i + j turns that
+    into a weighted LCS: a gap adds 0 and a match adds its pair score + 2,
+    so every row of W is nondecreasing.  Row i starts as a copy of row i-1
+    and only its candidate cells raise it, each with one slice assignment
+    up to the first cell already as high.  The traceback keeps the full
+    DP's preference order on W: skip the output row, else match, else skip
+    the input token.
     """
     n, m = len(out_words), len(in_words)
-    neg = float("-inf")
-    score = [[0.0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        score[i][0] = i * _GAP
-    for j in range(1, m + 1):
-        score[0][j] = j * _GAP
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            s = _pair_score(out_words[i - 1], in_words[j - 1])
-            diag = score[i - 1][j - 1] + s if s is not None else neg
-            score[i][j] = max(diag, score[i - 1][j] + _GAP, score[i][j - 1] + _GAP)
+    candidates = _candidate_cells(out_words, in_words)
+    rows = [[0] * (m + 1)]
+    for cells in candidates:
+        prev = rows[-1]
+        cur = prev[:] if cells else prev  # a row without candidates is never written
+        for j, weight in cells.items():
+            val = prev[j] + weight
+            if val > cur[j + 1]:
+                k = bisect_left(cur, val, j + 1)
+                cur[j + 1 : k] = [val] * (k - j - 1)
+        rows.append(cur)
 
     matched: list[tuple[int, int]] = []
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and score[i][j] == score[i - 1][j] + _GAP:
+        if i > 0 and rows[i][j] == rows[i - 1][j]:
             i -= 1  # output row left unmatched
             continue
         if i > 0 and j > 0:
-            s = _pair_score(out_words[i - 1], in_words[j - 1])
-            if s is not None and score[i][j] == score[i - 1][j - 1] + s:
+            weight = candidates[i - 1].get(j - 1)
+            if weight is not None and rows[i][j] == rows[i - 1][j - 1] + weight:
                 matched.append((i - 1, j - 1))
                 i, j = i - 1, j - 1
                 continue

@@ -97,9 +97,12 @@ def write_model(model: BaselineModel, path: str | Path) -> None:
         handle.write(f"# format = {MODEL_FORMAT}\n")
         handle.write(f"# max_suffix_len = {model.max_suffix_len}\n")
         handle.write("# columns = table\tkey\tscript\n")
-        for table_name, table in (("form", model.form_table), ("suffix", model.suffix_table)):
+        tables = (("form", model.form_table), ("suffix", model.suffix_table))
+        scripts = {script for _, table in tables for script in table.values()}
+        encoded = {script: script.encode() for script in scripts}  # once per distinct script
+        for table_name, table in tables:
             for key in sorted(table):
-                handle.write(f"{table_name}\t{key}\t{table[key].encode()}\n")
+                handle.write(f"{table_name}\t{key}\t{encoded[table[key]]}\n")
 
 
 def read_model(path: str | Path) -> BaselineModel:

@@ -95,6 +95,7 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._index: dict[str, str] = {}
         self._torn_tail = 0  # bytes of an unfinished last index line
+        self._prepared = False  # directories and index header exist
         self._load()
 
     @property
@@ -136,17 +137,16 @@ class ResponseCache:
         with self._lock:
             if fingerprint in self._index:
                 return
-            self.root.mkdir(parents=True, exist_ok=True)
-            (self.root / "records").mkdir(exist_ok=True)
-            record = self._record_path(fingerprint)
-            record.write_text(raw_text, "utf-8")
+            if not self._prepared:
+                (self.root / "records").mkdir(parents=True, exist_ok=True)
+                if not self.index_path.exists():
+                    self.index_path.write_text(f"# cache-format = {CACHE_FORMAT}\n", "utf-8")
+                self._prepared = True
+            self._record_path(fingerprint).write_text(raw_text, "utf-8")
             if self._torn_tail:
                 os.truncate(self.index_path, self.index_path.stat().st_size - self._torn_tail)
                 self._torn_tail = 0
-            fresh_index = not self.index_path.exists()
             with open(self.index_path, "a", encoding="utf-8") as fh:
-                if fresh_index:
-                    fh.write(f"# cache-format = {CACHE_FORMAT}\n")
                 fh.write(f"{fingerprint}\t{model}\n")
             self._index[fingerprint] = model
 

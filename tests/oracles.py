@@ -1,8 +1,9 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Each is deliberately written with plain loops and exact arithmetic —
-no code under test is reused beyond the EditScript value type — so
-agreement is real evidence.
+no code under test is reused beyond the EditScript value type and the
+alignment's word-pair score (itself checked against a textbook
+Levenshtein DP) — so agreement is real evidence.
 """
 
 import math
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from lemmabench.align import _pair_score
 from lemmabench.editscript import LOWER_FIRST, PRESERVE, UPPER_FIRST, EditScript
 
 from conftest import corpus, sentence
@@ -143,6 +145,53 @@ def gold_corpora(draw):
             pairs[0] = (form[:1].upper() + form[1:], lemma)
         sentences.append(sentence(f"g-{n:04d}", *pairs))
     return corpus("gold", *sentences)
+
+
+def oracle_levenshtein(a: str, b: str) -> int:
+    """Textbook edit distance: insertions, deletions and substitutions cost 1."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+_GAP = -1
+
+
+def oracle_align_sequences(out_words, in_words):
+    """The full n*m alignment DP: it fills every cell, calling the pair
+    score in each, and align_sequences must return the same pairs."""
+    n, m = len(out_words), len(in_words)
+    neg = float("-inf")
+    score = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        score[i][0] = i * _GAP
+    for j in range(1, m + 1):
+        score[0][j] = j * _GAP
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            s = _pair_score(out_words[i - 1], in_words[j - 1])
+            diag = score[i - 1][j - 1] + s if s is not None else neg
+            score[i][j] = max(diag, score[i - 1][j] + _GAP, score[i][j - 1] + _GAP)
+
+    matched = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and score[i][j] == score[i - 1][j] + _GAP:
+            i -= 1  # output row left unmatched
+            continue
+        if i > 0 and j > 0:
+            s = _pair_score(out_words[i - 1], in_words[j - 1])
+            if s is not None and score[i][j] == score[i - 1][j - 1] + s:
+                matched.append((i - 1, j - 1))
+                i, j = i - 1, j - 1
+                continue
+        j -= 1  # input token left unmatched
+    matched.reverse()
+    return matched
 
 
 def exact_mcnemar_p(b01: int, b10: int) -> float:

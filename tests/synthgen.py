@@ -18,9 +18,10 @@ def _wordform(i: int) -> str:
     return f"tok{i}{i}end"  # doubled index keeps any two forms >= 2 edits apart
 
 
-def make_case(rng: random.Random, sentence_id: str = "synth-0"):
-    """Build (sentence, raw_text, expected_counts, expected_slots)."""
-    n = rng.randint(5, 12)
+def make_case(rng: random.Random, sentence_id: str = "synth-0", n_tokens: int | None = None):
+    """Build (sentence, raw_text, expected_counts, expected_slots); the
+    sentence has n_tokens tokens, or 5-12 drawn from rng."""
+    n = n_tokens or rng.randint(5, 12)
     words = [_wordform(i) for i in range(n)]
     golds = [f"lemma{i}" for i in range(n)]
     sentence = Sentence(

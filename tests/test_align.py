@@ -4,9 +4,15 @@ import random
 import unicodedata
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lemmabench.align import (
     AlignedPrediction,
+    _candidate_cells,
+    _distance_is_one,
+    _match_keys,
+    _pair_score,
     align,
     align_sequences,
     parse_output,
@@ -18,6 +24,7 @@ from lemmabench.align import (
 from lemmabench.errors import ScoringError
 
 from conftest import sentence
+from oracles import oracle_align_sequences, oracle_levenshtein
 from synthgen import make_case
 
 
@@ -192,6 +199,89 @@ def test_align_sequences_is_monotonic():
         matched = align_sequences(out_words, in_words)
         for (o1, i1), (o2, i2) in zip(matched, matched[1:]):
             assert o1 < o2 and i1 < i2
+
+
+def test_align_duplicated_long_block_matches_first_copy():
+    function_words = ["la", "de", "el"]
+    pairs = []
+    for k in range(120):
+        word = function_words[k % 3] if k % 2 else f"palabra{k}"
+        pairs.append((word, word.upper()))
+    raw = "\n".join(f"{w}\t{l}" for w, l in pairs)
+    words = [w for w, _ in pairs]
+    assert align_sequences(words + words, words) == [(k, k) for k in range(120)]
+    result = _aligned(raw + "\n" + raw, *pairs)
+    assert result.lemmas == tuple(l for _, l in pairs)
+    assert result.counts() == {"missing": 0, "wrong": 0, "random": 120}
+
+
+def test_align_duplicate_row_matches_first_copy_not_a_common_suffix():
+    # Trimming the common suffix first would pair the second "a".
+    assert align_sequences(["a", "a"], ["a"]) == [(0, 0)]
+
+
+# --- sparse alignment against the full DP --------------------------------------
+
+# Case variants, one-edit neighbours, an inner space, the empty word and
+# letters whose case mapping changes length.
+_ALIGN_WORDS = st.sampled_from(["a", "A", "ab", "ba", "abc", "b a", "", "la", "de", "el", "ß", "SS", "é"])
+_ALIGN_LISTS = st.lists(_ALIGN_WORDS | st.text("abAé ", max_size=3), max_size=12)
+
+
+@st.composite
+def word_list_pairs(draw):
+    """(out_words, in_words): independent lists or the input itself, the
+    output block optionally repeated."""
+    in_words = draw(_ALIGN_LISTS)
+    out_words = draw(_ALIGN_LISTS | st.just(list(in_words)))
+    return out_words * draw(st.integers(1, 3)), in_words
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_list_pairs())
+def test_align_sequences_matches_full_dp(words):
+    out_words, in_words = words
+    assert align_sequences(out_words, in_words) == oracle_align_sequences(out_words, in_words)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tokens=st.integers(1, 150), copies=st.integers(1, 2))
+@example(seed=11, n_tokens=150, copies=2)
+@example(seed=12, n_tokens=150, copies=1)
+def test_align_sequences_matches_full_dp_on_long_synthetic_output(seed, n_tokens, copies):
+    sent, raw, _, _ = make_case(random.Random(seed), n_tokens=n_tokens)
+    out_words = [w for w, _ in parse_output(raw).pairs] * copies
+    in_words = sent.wordforms()
+    assert align_sequences(out_words, in_words) == oracle_align_sequences(out_words, in_words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_list_pairs())
+def test_candidate_cells_are_exactly_the_scored_cells(words):
+    out_words, in_words = words
+    cells = _candidate_cells(out_words, in_words)
+    assert all(list(row) == sorted(row) for row in cells)
+    found = {(i, j, weight) for i, row in enumerate(cells) for j, weight in row.items()}
+    scored = {
+        (i, j, s + 2)
+        for i, out_word in enumerate(out_words)
+        for j, in_word in enumerate(in_words)
+        if (s := _pair_score(out_word, in_word)) is not None
+    }
+    assert found == scored
+
+
+_SHORT_TEXT = st.text(st.sampled_from("abAsSéÉßİı "), max_size=5) | st.text(max_size=4)
+
+
+@settings(max_examples=500)
+@given(_SHORT_TEXT, _SHORT_TEXT)
+@example("ß", "SS")  # equal case folds, two edits apart
+def test_distance_is_one_matches_levenshtein(a, b):
+    distance = oracle_levenshtein(a, b)
+    assert _distance_is_one(a, b) == (distance == 1)
+    if distance <= 1 or a.casefold() == b.casefold():
+        assert _match_keys(a) & _match_keys(b)
 
 
 # --- synthetic taxonomy property ---------------------------------------------

@@ -146,6 +146,16 @@ def test_model_round_trip(tmp_path):
     assert back.max_suffix_len == 3
 
 
+def test_write_model_encodes_each_script_once(tmp_path, es_corpus, monkeypatch):
+    model = train(es_corpus, build_inventory(es_corpus))
+    distinct = set(model.form_table.values()) | set(model.suffix_table.values())
+    calls = []
+    encode = EditScript.encode
+    monkeypatch.setattr(EditScript, "encode", lambda self: calls.append(self) or encode(self))
+    write_model(model, tmp_path / "model.tsv")
+    assert len(calls) == len(distinct) < len(model.form_table) + len(model.suffix_table)
+
+
 def test_baseline_beats_identity_on_fixture(es_corpus):
     from lemmabench.corpus import SplitSpec, make_splits
     from lemmabench.evaluation import word_accuracy

@@ -114,6 +114,20 @@ def test_cache_is_append_only(tmp_path):
     assert len(lines) == 2
 
 
+def test_cache_prepares_its_directories_once(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("a" * 64, "m", "a")
+    mkdirs = []
+    mkdir = type(tmp_path).mkdir
+    monkeypatch.setattr(type(tmp_path), "mkdir", lambda self, *a, **k: mkdirs.append(self) or mkdir(self, *a, **k))
+    for c in "bc":
+        cache.put(c * 64, "m", c)
+    assert mkdirs == []
+    lines = cache.index_path.read_text("utf-8").splitlines()
+    assert lines == ["# cache-format = lemmabench-cache/1"] + [c * 64 + "\tm" for c in "abc"]
+    assert [ResponseCache(tmp_path / "cache").get(c * 64) for c in "abc"] == ["a", "b", "c"]
+
+
 def test_cache_skips_torn_final_index_line(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     cache.put("a" * 64, "m", "first")
