@@ -11,7 +11,7 @@ a training corpus so the whole transformation space becomes a label set.
 from pathlib import Path
 
 from lemmabench.corpus import SplitSpec, ingest_conllu, make_splits
-from lemmabench.editscript import apply, build_inventory, induce
+from lemmabench.editscript import apply, build_inventory, induce, pair_scripts
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -37,7 +37,7 @@ for other in ("gatos", "libros", "caminos"):
 # low ids; this ordering also breaks frequency ties downstream.
 corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", name="es_fix", language="es")
 train, _, _ = make_splits(corpus, SplitSpec(40, 15, 25))
-inventory = build_inventory(train)
+inventory = build_inventory(pair_scripts(train))
 total = sum(freq for _, _, freq in inventory.items())
 print(f"\n{len(inventory)} distinct scripts cover {total} training tokens")
 print("most frequent:")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from lemmabench.baseline import predict, predict_identity, train
 from lemmabench.corpus import SplitSpec, ingest_conllu, make_splits
-from lemmabench.editscript import build_inventory
+from lemmabench.editscript import build_inventory, pair_scripts
 from lemmabench.evaluation import word_accuracy
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -20,8 +20,11 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", name="es_fix", language="es")
 train_part, dev, _ = make_splits(corpus, SplitSpec(40, 15, 25))
 
-inventory = build_inventory(train_part)
-model = train(train_part, inventory, max_suffix_len=5)
+# Induce one script per distinct (wordform, lemma) pair; the inventory and
+# the model both count them by the tokens that carry them.
+pairs = pair_scripts(train_part)
+inventory = build_inventory(pairs)
+model = train(pairs, inventory, max_suffix_len=5)
 print(f"learned {len(model.form_table)} forms and {len(model.suffix_table)} suffixes")
 
 # Predict one dev sentence.  Lookup is casefolded, but the chosen script

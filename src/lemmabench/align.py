@@ -255,9 +255,9 @@ def read_predictions(path: str | Path) -> tuple[dict[str, str], list[PredictionB
 
     Accepts externally produced files too: blocks are separated by blank
     lines, and sent_id comments are optional (identity then falls back to
-    corpus order at scoring time).  Every other non-comment row must be
-    wordform<TAB>lemma, the lemma possibly empty; any other row is a
-    ScoringError naming the file and line.
+    corpus order at scoring time).  A ``#`` line is a comment only when it
+    holds no tab.  Every other row must be wordform<TAB>lemma, the lemma
+    possibly empty; any other row is a ScoringError naming the file and line.
     """
     metadata: dict[str, str] = {}
     blocks: list[PredictionBlock] = []
@@ -277,7 +277,7 @@ def read_predictions(path: str | Path) -> tuple[dict[str, str], list[PredictionB
             if not line.strip():
                 flush()
                 continue
-            if line.startswith("#"):
+            if line.startswith("#") and "\t" not in line:  # "#nlp<TAB>nlp" is a row
                 body = line[1:].strip()
                 if "=" in body:
                     key, value = body.split("=", 1)

@@ -12,8 +12,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Corpus, Sentence
-from .editscript import IDENTITY, EditScript, LabelInventory, apply, pair_scripts
+from .corpus import Sentence
+from .editscript import IDENTITY, EditScript, LabelInventory, PairScript, apply
 # Not called here: baseline.induce stays bound because perfbench's tracer
 # test checks that binding site.
 from .editscript import induce  # noqa: F401
@@ -30,17 +30,22 @@ class BaselineModel:
 
 
 def train(
-    train_corpus: Corpus,
+    pairs: list[PairScript],
     inventory: LabelInventory,
     max_suffix_len: int = DEFAULT_MAX_SUFFIX,
 ) -> BaselineModel:
-    """Count scripts per case-folded form and per suffix, keep the majority."""
-    if len(train_corpus) == 0:
-        raise EmptyCorpusError(f"cannot train on empty corpus {train_corpus.name}")
+    """Count scripts per case-folded form and per suffix, keep the majority.
+
+    pairs are the (wordform, script, token count) triples of
+    editscript.pair_scripts, or the same triples read back with
+    editscript.read_pair_labels.
+    """
+    if not pairs:
+        raise EmptyCorpusError("cannot train on an empty training set")
 
     form_counts: dict[str, Counter[EditScript]] = defaultdict(Counter)
     suffix_counts: dict[str, Counter[EditScript]] = defaultdict(Counter)
-    for wordform, script, count in pair_scripts(train_corpus):
+    for wordform, script, count in pairs:
         key = wordform.casefold()
         form_counts[key][script] += count
         for length in range(1, min(max_suffix_len, len(key)) + 1):

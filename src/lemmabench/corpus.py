@@ -95,13 +95,16 @@ class SplitSpec:
 
 
 def _read_corpus(
-    path: str | Path, name: str | None, language: str, parse_row, use_sent_ids: bool
+    path: str | Path, name: str | None, language: str, parse_row, tsv: bool
 ) -> Corpus:
     """The one sentence-building loop behind ingest_conllu and ingest_tsv.
 
     parse_row(fields, path, line_no) returns (form, lemma-or-None) for a
-    token line, or None for a line without a token.  With use_sent_ids a
-    ``# sent_id = X`` comment names the next sentence; others get ordinal ids.
+    token line, or None for a line without a token.  In a TSV file a
+    ``# sent_id = X`` comment names the next sentence (others get ordinal
+    ids), and a ``#`` line is a comment only when it holds no tab, so a
+    token such as ``#nlp`` is kept.  In CoNLL-U every ``#`` line is a
+    comment and ids are ordinal.
     """
     path = Path(path)
     corpus_name = name or path.stem
@@ -124,9 +127,9 @@ def _read_corpus(
             if not line.strip():
                 close_sentence()
                 continue
-            if line.startswith("#"):
+            if line.startswith("#") and not (tsv and "\t" in line):
                 body = line[1:].strip()
-                if use_sent_ids and body.startswith("sent_id") and "=" in body:
+                if tsv and body.startswith("sent_id") and "=" in body:
                     close_sentence()
                     pending_id = body.split("=", 1)[1].strip()
                 continue
@@ -164,7 +167,7 @@ def ingest_conllu(path: str | Path, name: str | None = None, language: str = "un
     CorpusFormatError on a token line that does not have exactly 10
     tab-separated columns, EmptyCorpusError if no sentence survives.
     """
-    return _read_corpus(path, name, language, _conllu_row, use_sent_ids=False)
+    return _read_corpus(path, name, language, _conllu_row, tsv=False)
 
 
 def _tsv_row(fields: list[str], path: Path, line_no: int) -> tuple[str, str | None]:
@@ -181,10 +184,11 @@ def ingest_tsv(path: str | Path, name: str | None = None, language: str = "und")
     """Read a two-column ``wordform<TAB>lemma`` file, blank line between sentences.
 
     An empty lemma field means the token is unannotated.  A line with any
-    other field count is a CorpusFormatError naming the line.  A
-    ``# sent_id = X`` comment names the sentence that follows it.
+    other field count is a CorpusFormatError naming the line.  A ``#`` line
+    without a tab is a comment, and a ``# sent_id = X`` comment names the
+    sentence that follows it; a ``#`` line with a tab is a token row.
     """
-    return _read_corpus(path, name, language, _tsv_row, use_sent_ids=True)
+    return _read_corpus(path, name, language, _tsv_row, tsv=True)
 
 
 def write_tsv(

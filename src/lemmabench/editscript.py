@@ -13,10 +13,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from .corpus import Corpus
-from .errors import InapplicableScriptError, LemmabenchError, MissingLemmaError
+from .errors import (
+    InapplicableScriptError,
+    InventoryFormatError,
+    LemmabenchError,
+    MissingLemmaError,
+)
 
 PRESERVE = "preserve"
 LOWER_FIRST = "lowercase-first"
@@ -182,7 +186,10 @@ class LabelInventory:
         return [(i, s, self._freq[s]) for i, s in enumerate(self._scripts)]
 
 
-def pair_scripts(train: Corpus) -> Iterator[tuple[str, EditScript, int]]:
+PairScript = tuple[str, EditScript, int]  # (wordform, induced script, token count)
+
+
+def pair_scripts(train: Corpus) -> list[PairScript]:
     """(wordform, induced script, token count) per distinct gold pair.
 
     The one place scripts are induced from gold pairs.  All gold pairs are
@@ -191,18 +198,19 @@ def pair_scripts(train: Corpus) -> Iterator[tuple[str, EditScript, int]]:
     induced once, in order of first occurrence.
     """
     pairs = Counter(pair for sentence in train.sentences for pair in sentence.gold_pairs())
-    for (wordform, lemma), count in pairs.items():
-        yield wordform, induce(wordform, lemma), count
+    return [
+        (wordform, induce(wordform, lemma), count) for (wordform, lemma), count in pairs.items()
+    ]
 
 
-def build_inventory(train: Corpus) -> LabelInventory:
-    """Induce a script once per distinct training pair and tabulate the label
-    set, each script weighted by the tokens that carry it."""
+def build_inventory(pairs: list[PairScript]) -> LabelInventory:
+    """Tabulate the label set of pair_scripts' triples, each script weighted
+    by the tokens that carry it."""
     counts: Counter[EditScript] = Counter()
-    for _, script, count in pair_scripts(train):
+    for _, script, count in pairs:
         counts[script] += count
     if not counts:
-        raise MissingLemmaError(f"corpus {train.name} has no tokens to induce labels from")
+        raise MissingLemmaError("no training tokens to induce labels from")
     return LabelInventory(counts)
 
 
@@ -220,12 +228,75 @@ def write_inventory(inventory: LabelInventory, path: str | Path) -> None:
 
 
 def read_inventory(path: str | Path) -> LabelInventory:
+    """A row that is not id<TAB>script<TAB>frequency is an
+    InventoryFormatError naming the file and line."""
     frequencies: dict[EditScript, int] = {}
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
+        for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            _, encoded, freq = line.split("\t")
-            frequencies[EditScript.decode(encoded)] = int(freq)
+            try:
+                _, encoded, freq = line.split("\t")
+                frequencies[EditScript.decode(encoded)] = int(freq)
+            except (ValueError, TypeError) as exc:
+                raise InventoryFormatError(
+                    path, line_no, f"expected id<TAB>script<TAB>frequency: {exc}"
+                ) from exc
     return LabelInventory(frequencies)
+
+
+PAIR_LABELS_FORMAT = "lemmabench-pair-labels/1"
+
+
+def write_pair_labels(
+    pairs: list[PairScript], inventory: LabelInventory, path: str | Path
+) -> None:
+    """One wordform<TAB>label id<TAB>token count row per distinct training
+    pair, in pair_scripts order, so training needs neither the train split
+    nor induce.  Header lines hold no tab; every row holds two."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"# format = {PAIR_LABELS_FORMAT}\n")
+        handle.write("# columns = wordform, label id, token count\n")
+        for wordform, script, count in pairs:
+            handle.write(f"{wordform}\t{inventory.id_of(script)}\t{count}\n")
+
+
+def _natural(field: str) -> int | None:
+    return int(field) if field.isascii() and field.isdigit() else None
+
+
+def read_pair_labels(path: str | Path, inventory: LabelInventory) -> list[PairScript]:
+    """The triples write_pair_labels stored, scripts looked up in the
+    inventory the same stage wrote.
+
+    A line starting with # is a header only when it holds no tab, so a
+    wordform such as #nlp reads back as a row.  A row without three fields,
+    with a label id outside the inventory or with a count that is not a
+    positive integer is an InventoryFormatError naming the file and line.
+    """
+    pairs: list[PairScript] = []
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not line or (line.startswith("#") and "\t" not in line):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise InventoryFormatError(
+                    path, line_no, f"expected wordform, label id, count; found {len(fields)} fields"
+                )
+            wordform, label_field, count_field = fields
+            label_id, count = _natural(label_field), _natural(count_field)
+            if label_id is None or label_id >= len(inventory):
+                raise InventoryFormatError(
+                    path, line_no, f"label id {label_field!r} is not one of {len(inventory)} labels"
+                )
+            if not count:
+                raise InventoryFormatError(
+                    path, line_no, f"count {count_field!r} is not a positive integer"
+                )
+            pairs.append((wordform, inventory.script_of(label_id), count))
+    return pairs

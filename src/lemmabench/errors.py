@@ -14,6 +14,15 @@ class CorpusFormatError(LemmabenchError):
         super().__init__(f"{self.path}:{line_no}: {message}")
 
 
+class InventoryFormatError(LemmabenchError):
+    """An induce-stage artifact violates its format; carries path and 1-based line number."""
+
+    def __init__(self, path, line_no, message):
+        self.path = str(path)
+        self.line_no = line_no
+        super().__init__(f"{self.path}:{line_no}: {message}")
+
+
 class EmptyCorpusError(LemmabenchError):
     """A corpus file contained no sentences."""
 

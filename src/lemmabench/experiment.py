@@ -5,7 +5,9 @@ the output directory, so any stage can be rerun in isolation:
 
     corpora/      canonical two-column TSV of the ingested corpus
     splits/       train/dev/test TSVs plus a membership manifest
-    inventory/    edit-script label inventory induced from train
+    inventory/    edit-script label inventory induced from train, plus
+                  {corpus}.pairs.tsv: the label id and token count of each
+                  distinct training pair, which train-baseline learns from
     models/       frequency-table baseline model (+ its dev diagnostics)
     predictions/  per system: {corpus}.run{r}.tsv and .diag.json
     reports/      scores.tsv, mcnemar.tsv, report.txt
@@ -176,13 +178,29 @@ def load_config(
         if a not in known or b not in known:
             raise ConfigError(f"comparison ({a}, {b}) names an unknown system")
 
+    name = raw.get("name", path.stem)
+    corpus_name = corpus_raw.get("name", Path(corpus_raw["path"]).stem)
+    # These values land in "# key = value" artifact headers, where a tab
+    # would turn the line into a row and a line break would end it early.
+    for label, value in (
+        ("name", name),
+        ("language", language),
+        ("corpus file name", Path(corpus_raw["path"]).name),
+        ("corpus name", corpus_name),
+        ("split seed", split.seed),
+        ("provider model", provider.model),
+        *(("system name", s.name) for s in systems),
+    ):
+        if any(c in str(value) for c in "\t\n\r"):
+            raise ConfigError(f"{label} {value!r} holds a tab or a line break")
+
     mode = cache_mode or raw.get("cache_mode", gateway_mod.REPLAY)
     return ExperimentConfig(
-        name=raw.get("name", path.stem),
+        name=name,
         language=language,
         corpus_path=str(base / corpus_raw["path"]),
         corpus_format=corpus_format,
-        corpus_name=corpus_raw.get("name", Path(corpus_raw["path"]).stem),
+        corpus_name=corpus_name,
         split=split,
         reduce_to=reduce_raw.get("max_sentences"),
         reduce_rule=reduce_raw.get("rule", corpus_mod.FIRST_N),
@@ -221,6 +239,9 @@ class Layout:
 
     def inventory(self) -> Path:
         return self.root / "inventory" / f"{self.cfg.corpus_name}.tsv"
+
+    def pair_labels(self) -> Path:
+        return self.root / "inventory" / f"{self.cfg.corpus_name}.pairs.tsv"
 
     def model(self) -> Path:
         return self.root / "models" / "baseline.tsv"
@@ -292,9 +313,13 @@ def run_split(cfg: ExperimentConfig) -> dict[str, corpus_mod.Corpus]:
 
 
 def run_induce(cfg: ExperimentConfig) -> editscript_mod.LabelInventory:
-    train = _load_split(cfg, "train")
-    inventory = editscript_mod.build_inventory(train)
-    editscript_mod.write_inventory(inventory, Layout(cfg).inventory())
+    """Induce each distinct training pair once; write the label inventory and
+    each pair's label, which is all train-baseline needs of the train split."""
+    layout = Layout(cfg)
+    pairs = editscript_mod.pair_scripts(_load_split(cfg, "train"))
+    inventory = editscript_mod.build_inventory(pairs)
+    editscript_mod.write_inventory(inventory, layout.inventory())
+    editscript_mod.write_pair_labels(pairs, inventory, layout.pair_labels())
     return inventory
 
 
@@ -333,12 +358,13 @@ def _write_system_run(
 
 
 def run_train_baseline(cfg: ExperimentConfig) -> baseline_mod.BaselineModel:
-    """Train the baseline and score it on dev for later example selection."""
+    """Train the baseline from the induce stage's pair labels and score it on
+    dev for later example selection."""
     layout = Layout(cfg)
-    train = _load_split(cfg, "train")
-    dev = _load_split(cfg, "dev")
     inventory = editscript_mod.read_inventory(layout.inventory())
-    model = baseline_mod.train(train, inventory, cfg.max_suffix_len)
+    pairs = editscript_mod.read_pair_labels(layout.pair_labels(), inventory)
+    model = baseline_mod.train(pairs, inventory, cfg.max_suffix_len)
+    dev = _load_split(cfg, "dev")
     baseline_mod.write_model(model, layout.model())
     lemmas = {
         s.id: tuple(baseline_mod.predict(model, s)) for s in dev.sentences
@@ -420,8 +446,7 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
     """Produce prediction files for every configured system and run."""
     layout = Layout(cfg)
     test = _load_split(cfg, "test")
-    dev = _load_split(cfg, "dev")
-    gateway = None
+    gateway = dev = None
     for system in cfg.systems:
         if system.kind == BASELINE:
             model = baseline_mod.read_model(layout.model())
@@ -432,11 +457,12 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
         elif system.kind == EXTERNAL:
             _run_external_system(cfg, system, test)
         elif system.kind == LLM:
-            if gateway is None:
+            if gateway is None:  # only LLM systems need the cache and the dev split
                 cache = gateway_mod.ResponseCache(cfg.cache_dir)
                 gateway = gateway_mod.LlmGateway(
                     cfg.provider, cache, cfg.cache_mode, transport=transport
                 )
+                dev = _load_split(cfg, "dev")
             _run_llm_system(cfg, system, test, dev, gateway)
         else:  # pragma: no cover - rejected at config load
             raise ConfigError(f"unknown system kind {system.kind!r}")
@@ -477,26 +503,37 @@ def blocks_to_slots(
     return {sentence_id: tuple(l for _, l in b.pairs) for sentence_id, b in by_id.items()}
 
 
-def _load_run(
-    cfg: ExperimentConfig, system: str, gold: corpus_mod.Corpus, run: int
-) -> tuple[dict[str, tuple[str | None, ...]], dict[str, dict]]:
+def _evaluate(
+    cfg: ExperimentConfig, test: corpus_mod.Corpus, score_runs: range, mcnemar_run: int | None
+) -> tuple[dict[str, list[eval_mod.RunScore]], dict[str, list[bool]]]:
+    """Each system's scores on score_runs and its McNemar correctness vector
+    on mcnemar_run (None for none).  Each prediction file is read once, and
+    only what is derived from it is kept."""
     layout = Layout(cfg)
-    _, blocks = read_predictions(layout.predictions(system, gold.name, run))
-    slots = blocks_to_slots(blocks, gold)
-    diag_path = layout.diagnostics(system, gold.name, run)
-    diag = read_diagnostics(diag_path)[1] if diag_path.exists() else {}
-    return slots, diag
-
-
-def run_score(cfg: ExperimentConfig) -> list[eval_mod.EvalReport]:
-    test = _load_split(cfg, "test")
-    reports = []
+    runs = sorted({*score_runs, *([] if mcnemar_run is None else [mcnemar_run])})
+    scores: dict[str, list[eval_mod.RunScore]] = {}
+    vectors: dict[str, list[bool]] = {}
     for system in cfg.systems:
-        runs = []
-        for run in range(cfg.runs):
-            slots, diag = _load_run(cfg, system.name, test, run)
-            runs.append(eval_mod.score_run(slots, test, cfg.policy, diag))
-        reports.append(eval_mod.EvalReport(system.name, test.name, tuple(runs)))
+        scores[system.name] = []
+        for run in runs:
+            _, blocks = read_predictions(layout.predictions(system.name, test.name, run))
+            slots = blocks_to_slots(blocks, test)
+            if run in score_runs:
+                diag_path = layout.diagnostics(system.name, test.name, run)
+                diag = read_diagnostics(diag_path)[1] if diag_path.exists() else {}
+                scores[system.name].append(eval_mod.score_run(slots, test, cfg.policy, diag))
+            if run == mcnemar_run:
+                vectors[system.name] = eval_mod.correctness_vector(slots, test)
+    return scores, vectors
+
+
+def _write_scores(
+    cfg: ExperimentConfig, test: corpus_mod.Corpus, scores: dict[str, list[eval_mod.RunScore]]
+) -> list[eval_mod.EvalReport]:
+    reports = [
+        eval_mod.EvalReport(system.name, test.name, tuple(scores[system.name]))
+        for system in cfg.systems
+    ]
     layout = Layout(cfg)
     layout.scores().parent.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, policy=cfg.policy, runs=str(cfg.runs))
@@ -504,13 +541,9 @@ def run_score(cfg: ExperimentConfig) -> list[eval_mod.EvalReport]:
     return reports
 
 
-def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McNemarResult]]:
-    """McNemar's test over configured system pairs, on one agreed run."""
-    test = _load_split(cfg, "test")
-    vectors: dict[str, list[bool]] = {}
-    for system in cfg.systems:
-        slots, _ = _load_run(cfg, system.name, test, cfg.mcnemar_run)
-        vectors[system.name] = eval_mod.correctness_vector(slots, test)
+def _write_mcnemar(
+    cfg: ExperimentConfig, test: corpus_mod.Corpus, vectors: dict[str, list[bool]]
+) -> list[tuple[str, str, str, eval_mod.McNemarResult]]:
     rows = [
         (test.name, a, b, eval_mod.mcnemar(vectors[a], vectors[b]))
         for a, b in cfg.comparisons
@@ -522,9 +555,26 @@ def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McN
     return rows
 
 
+def run_score(cfg: ExperimentConfig) -> list[eval_mod.EvalReport]:
+    test = _load_split(cfg, "test")
+    scores, _ = _evaluate(cfg, test, range(cfg.runs), None)
+    return _write_scores(cfg, test, scores)
+
+
+def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McNemarResult]]:
+    """McNemar's test over configured system pairs, on one agreed run."""
+    test = _load_split(cfg, "test")
+    _, vectors = _evaluate(cfg, test, range(0), cfg.mcnemar_run)
+    return _write_mcnemar(cfg, test, vectors)
+
+
 def run_report(cfg: ExperimentConfig) -> str:
-    reports = run_score(cfg)
-    rows = run_compare(cfg) if cfg.comparisons else []
+    """Write scores.tsv, mcnemar.tsv and report.txt from one read of each run."""
+    test = _load_split(cfg, "test")
+    mcnemar_run = cfg.mcnemar_run if cfg.comparisons else None
+    scores, vectors = _evaluate(cfg, test, range(cfg.runs), mcnemar_run)
+    reports = _write_scores(cfg, test, scores)
+    rows = _write_mcnemar(cfg, test, vectors) if cfg.comparisons else []
     meta = _meta(cfg, corpus=cfg.corpus_name, language=cfg.language, policy=cfg.policy)
     text = eval_mod.render_report_text(reports, rows, meta, cfg.alpha)
     layout = Layout(cfg)

@@ -16,7 +16,7 @@ import lemmabench.evaluation as eval_mod
 from lemmabench.align import align, parse_output
 from lemmabench.baseline import predict, predict_identity, read_model, train
 from lemmabench.corpus import SplitSpec, corpus_stats, ingest_conllu, make_splits, reduce_corpus
-from lemmabench.editscript import apply, build_inventory, induce
+from lemmabench.editscript import apply, build_inventory, induce, pair_scripts
 from lemmabench.evaluation import mcnemar, sentence_accuracy, word_accuracy
 from lemmabench.experiment import (
     Layout,
@@ -363,7 +363,8 @@ def test_criterion_9_baseline_sanity(es_corpus, en_corpus, eu_corpus):
     splits = {"es_fix": (40, 15, 25), "en_fix": (15, 7, 8), "eu_fix": (20, 10, 10)}
     for corpus in (es_corpus, en_corpus, eu_corpus):
         train_part, dev, _ = make_splits(corpus, SplitSpec(*splits[corpus.name]))
-        model = train(train_part, build_inventory(train_part))
+        pairs = pair_scripts(train_part)
+        model = train(pairs, build_inventory(pairs))
         length_ok = True
         baseline_slots, identity_slots = {}, {}
         for sent in dev.sentences:

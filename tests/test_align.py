@@ -314,6 +314,13 @@ def test_prediction_file_round_trip(tmp_path):
     assert read[1].pairs == (("ladran", "ladrar"), (".", "."))
 
 
+def test_prediction_file_keeps_hash_initial_wordforms(tmp_path):
+    path = tmp_path / "run0.tsv"
+    write_predictions(path, [("s-0", ["Love", "#nlp", "#", "!"], ["love", "#nlp", None, "!"])])
+    _, read = read_predictions(path)
+    assert read[0].pairs == (("Love", "love"), ("#nlp", "#nlp"), ("#", None), ("!", "!"))
+
+
 def test_prediction_missing_lemma_is_empty_field(tmp_path):
     path = tmp_path / "run0.tsv"
     write_predictions(path, [("s-0", ["a", "b"], ["x", None])])

@@ -1,5 +1,8 @@
 """Frequency-table baseline: training, lookup order, fallbacks."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +15,26 @@ from lemmabench.baseline import (
     train,
     write_model,
 )
-from lemmabench.editscript import IDENTITY, PRESERVE, EditScript, build_inventory
+from lemmabench.editscript import (
+    IDENTITY,
+    PRESERVE,
+    EditScript,
+    build_inventory,
+    pair_scripts,
+    read_inventory,
+    read_pair_labels,
+    write_inventory,
+    write_pair_labels,
+)
 from lemmabench.errors import EmptyCorpusError, MissingLemmaError
 
 from conftest import corpus, sentence
 from oracles import gold_corpora, oracle_train_tables
+
+
+def _fit(c, **kwargs):
+    pairs = pair_scripts(c)
+    return train(pairs, build_inventory(pairs), **kwargs)
 
 
 def _train_corpus():
@@ -29,7 +47,7 @@ def _train_corpus():
 
 def test_train_learns_form_and_suffix_tables():
     c = _train_corpus()
-    model = train(c, build_inventory(c))
+    model = _fit(c)
     strip_s = EditScript(PRESERVE, 0, "", 1, "")
     assert model.form_table["dogs"] == strip_s
     assert model.suffix_table["s"] == strip_s  # majority of s-final tokens
@@ -61,7 +79,7 @@ def test_predict_unknown_word_falls_back_to_identity():
 
 def test_predict_lookup_is_case_insensitive_but_applies_to_original():
     c = corpus("toy", sentence("toy-0000", ("perros", "perro"), ("perros", "perro")))
-    model = train(c, build_inventory(c))
+    model = _fit(c)
     # "Perros" hits the casefolded form entry; the script runs on the
     # original form, so the capital P survives.
     assert predict(model, sentence("s-0", ("Perros", None))) == ["Perro"]
@@ -79,7 +97,7 @@ def test_casefold_length_change_is_survivable():
     # "ß".casefold() == "ss": the table key is longer than the wordform, and
     # a script induced for the casefolded key may not apply to the original.
     c = corpus("toy", sentence("toy-0000", ("straße", "straße")))
-    model = train(c, build_inventory(c))
+    model = _fit(c)
     out = predict(model, sentence("s-0", ("STRASSE", None), ("straße", None)))
     assert len(out) == 2
 
@@ -91,8 +109,9 @@ def test_majority_ties_break_by_inventory_id():
         "toy",
         sentence("toy-0000", ("casas", "casa"), ("rojas", "rojo")),
     )
-    inventory = build_inventory(c)
-    model = train(c, inventory)
+    pairs = pair_scripts(c)
+    inventory = build_inventory(pairs)
+    model = train(pairs, inventory)
     winner = min(
         [EditScript(PRESERVE, 0, "", 1, ""), EditScript(PRESERVE, 0, "", 2, "o")],
         key=inventory.id_of,
@@ -101,17 +120,35 @@ def test_majority_ties_break_by_inventory_id():
 
 
 def test_train_rejects_empty_and_unannotated():
+    inventory = build_inventory(pair_scripts(_train_corpus()))
     with pytest.raises(EmptyCorpusError):
-        train(corpus("toy"), build_inventory(_train_corpus()))
+        train(pair_scripts(corpus("toy")), inventory)
     bad = corpus("toy", sentence("toy-0000", ("word", None)))
     with pytest.raises(MissingLemmaError):
-        train(bad, build_inventory(_train_corpus()))
+        train(pair_scripts(bad), inventory)
 
 
 @given(c=gold_corpora(), max_suffix_len=st.integers(1, 6))
 @settings(max_examples=150, deadline=None)
 def test_train_matches_per_token_oracle(c, max_suffix_len):
-    model = train(c, build_inventory(c), max_suffix_len=max_suffix_len)
+    model = _fit(c, max_suffix_len=max_suffix_len)
+    assert (model.form_table, model.suffix_table) == oracle_train_tables(c, max_suffix_len)
+
+
+@given(c=gold_corpora(), max_suffix_len=st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_train_from_pair_labels_file_matches_per_token_oracle(c, max_suffix_len):
+    # The induce stage writes the inventory and the pair labels; the
+    # train-baseline stage reads both back and trains on them alone.
+    pairs = pair_scripts(c)
+    built = build_inventory(pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inventory(built, Path(tmp) / "inventory.tsv")
+        write_pair_labels(pairs, built, Path(tmp) / "pairs.tsv")
+        inventory = read_inventory(Path(tmp) / "inventory.tsv")
+        back = read_pair_labels(Path(tmp) / "pairs.tsv", inventory)
+    assert back == pairs
+    model = train(back, inventory, max_suffix_len=max_suffix_len)
     assert (model.form_table, model.suffix_table) == oracle_train_tables(c, max_suffix_len)
 
 
@@ -130,14 +167,14 @@ def test_predict_identity_copies_forms():
 @settings(max_examples=100, deadline=None)
 def test_predict_always_yields_one_lemma_per_token(words):
     c = _train_corpus()
-    model = train(c, build_inventory(c))
+    model = _fit(c)
     s = sentence("s-0", *[(w, None) for w in words])
     assert len(predict(model, s)) == len(words)
 
 
 def test_model_round_trip(tmp_path):
     c = _train_corpus()
-    model = train(c, build_inventory(c), max_suffix_len=3)
+    model = _fit(c, max_suffix_len=3)
     path = tmp_path / "model.tsv"
     write_model(model, path)
     back = read_model(path)
@@ -147,7 +184,7 @@ def test_model_round_trip(tmp_path):
 
 
 def test_write_model_encodes_each_script_once(tmp_path, es_corpus, monkeypatch):
-    model = train(es_corpus, build_inventory(es_corpus))
+    model = _fit(es_corpus)
     distinct = set(model.form_table.values()) | set(model.suffix_table.values())
     calls = []
     encode = EditScript.encode
@@ -161,7 +198,7 @@ def test_baseline_beats_identity_on_fixture(es_corpus):
     from lemmabench.evaluation import word_accuracy
 
     train_c, dev_c, _ = make_splits(es_corpus, SplitSpec(40, 15, 25))
-    model = train(train_c, build_inventory(train_c))
+    model = _fit(train_c)
     learned = {s.id: predict(model, s) for s in dev_c.sentences}
     identity = {s.id: predict_identity(s) for s in dev_c.sentences}
     assert word_accuracy(learned, dev_c) >= word_accuracy(identity, dev_c)

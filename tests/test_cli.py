@@ -87,3 +87,28 @@ def test_run_rejects_bad_cache_mode(cli_out):
     config, out = cli_out
     with pytest.raises(SystemExit):
         main(["run", "--config", config, "--cache-mode", "offline"])
+
+
+def test_train_baseline_without_pair_labels_exits_2(cli_out, tmp_path, capsys):
+    config, _ = cli_out
+    out = tmp_path / "out"
+    for command in ("ingest", "split", "induce"):
+        assert _run(config, out, command) == 0
+    (out / "inventory" / "es_fix.pairs.tsv").unlink()
+    capsys.readouterr()
+    assert _run(config, out, "train-baseline") == 2
+    err = capsys.readouterr().err
+    assert "es_fix.pairs.tsv" in err and "have the earlier stages been run?" in err
+
+
+def test_train_baseline_names_a_bad_pair_labels_line(cli_out, tmp_path, capsys):
+    config, _ = cli_out
+    out = tmp_path / "out"
+    for command in ("ingest", "split", "induce"):
+        assert _run(config, out, command) == 0
+    pairs = out / "inventory" / "es_fix.pairs.tsv"
+    pairs.write_text(pairs.read_text("utf-8") + "perros\t999\t1\n", "utf-8")
+    line_no = len(pairs.read_text("utf-8").splitlines())
+    capsys.readouterr()
+    assert _run(config, out, "train-baseline") == 2
+    assert f"es_fix.pairs.tsv:{line_no}: label id '999'" in capsys.readouterr().err

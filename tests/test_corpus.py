@@ -113,6 +113,21 @@ def test_tsv_round_trip_preserves_ids(tmp_path):
     assert back.sentences[1].lemmas() == ["María", "cantar"]
 
 
+def test_tsv_round_trip_keeps_hash_initial_wordforms(tmp_path):
+    c = corpus("toy", sentence("toy-0000", ("Love", "love"), ("#nlp", "#nlp"), ("!", "!")))
+    path = tmp_path / "toy.tsv"
+    write_tsv(c, path, header_lines=["origin = unit-test"])
+    back = ingest_tsv(path, name="toy")
+    assert back.sentences == c.sentences
+
+
+def test_conllu_hash_lines_stay_comments_even_with_tabs(tmp_path):
+    plain, tabbed = tmp_path / "plain.conllu", tmp_path / "tabbed.conllu"
+    plain.write_text(CONLLU_SAMPLE, "utf-8")
+    tabbed.write_text("# text = Love\t#nlp\n" + CONLLU_SAMPLE, "utf-8")
+    assert ingest_conllu(tabbed, name="x") == ingest_conllu(plain, name="x")
+
+
 def test_tsv_empty_lemma_field_means_unannotated(tmp_path):
     path = tmp_path / "partial.tsv"
     path.write_text("word\t\nother\tlemma\n", "utf-8")

@@ -1,11 +1,11 @@
 """Edit-script induction, application, and the label inventory."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lemmabench import editscript
-from lemmabench.baseline import train
 from lemmabench.editscript import (
     IDENTITY,
     LOWER_FIRST,
@@ -16,11 +16,15 @@ from lemmabench.editscript import (
     apply,
     build_inventory,
     induce,
+    pair_scripts,
     read_inventory,
+    read_pair_labels,
     write_inventory,
+    write_pair_labels,
 )
 from lemmabench.errors import (
     InapplicableScriptError,
+    InventoryFormatError,
     LemmabenchError,
     MissingLemmaError,
 )
@@ -132,7 +136,7 @@ def test_inventory_orders_by_frequency_then_encoding():
         sentence("toy-0000", ("dogs", "dog"), ("cats", "cat"), ("runs", "run")),
         sentence("toy-0001", ("walk", "walk")),
     )
-    inventory = build_inventory(c)
+    inventory = build_inventory(pair_scripts(c))
     # strip-s occurs three times -> id 0; identity once -> id 1
     strip_s = EditScript(PRESERVE, 0, "", 1, "")
     assert inventory.id_of(strip_s) == 0
@@ -145,35 +149,13 @@ def test_inventory_orders_by_frequency_then_encoding():
 @given(c=gold_corpora())
 @settings(max_examples=150, deadline=None)
 def test_inventory_matches_per_token_oracle(c):
-    assert build_inventory(c).items() == oracle_inventory_items(c)
-
-
-def test_each_stage_induces_each_distinct_pair_once(monkeypatch):
-    c = corpus(
-        "toy",
-        sentence("toy-0000", ("Perros", "perro"), ("perros", "perro"), ("1", "1")),
-        sentence("toy-0001", ("perros", "perro"), ("ladran", "ladrar"), ("1", "1")),
-    )
-    calls = []
-    real_induce = editscript.induce
-
-    def counting_induce(wordform, lemma):
-        calls.append((wordform, lemma))
-        return real_induce(wordform, lemma)
-
-    monkeypatch.setattr(editscript, "induce", counting_induce)
-    distinct = {("Perros", "perro"), ("perros", "perro"), ("1", "1"), ("ladran", "ladrar")}
-    inventory = build_inventory(c)
-    assert sorted(calls) == sorted(distinct)
-    calls.clear()
-    train(c, inventory)
-    assert sorted(calls) == sorted(distinct)
+    assert build_inventory(pair_scripts(c)).items() == oracle_inventory_items(c)
 
 
 def test_inventory_requires_lemmas():
     c = corpus("toy", sentence("toy-0000", ("word", None)))
     with pytest.raises(MissingLemmaError):
-        build_inventory(c)
+        build_inventory(pair_scripts(c))
 
 
 def test_inventory_round_trip(tmp_path):
@@ -181,11 +163,66 @@ def test_inventory_round_trip(tmp_path):
         "toy",
         sentence("toy-0000", ("Perros", "perro"), ("comieron", "comer"), (".", ".")),
     )
-    inventory = build_inventory(c)
+    inventory = build_inventory(pair_scripts(c))
     path = tmp_path / "inventory.tsv"
     write_inventory(inventory, path)
     back = read_inventory(path)
     assert list(back.items()) == list(inventory.items())
+
+
+@pytest.mark.parametrize(
+    "row",
+    ['7\t["preserve",0,"",1,""]', "bogus", '0\t["preserve",0]\t3', "0\tnot json\t3", "0\t5\t3"],
+)
+def test_read_inventory_names_a_malformed_row(tmp_path, row):
+    path = tmp_path / "inventory.tsv"
+    write_inventory(LabelInventory({IDENTITY: 5}), path)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(row + "\n")
+    with pytest.raises(InventoryFormatError, match=re.escape(f"{path}:4: ")):
+        read_inventory(path)
+
+
+def test_pair_labels_round_trip_keeps_hash_initial_wordforms(tmp_path):
+    c = corpus(
+        "toy",
+        sentence("toy-0000", ("Love", "love"), ("#nlp", "#nlp"), ("#", "#"), ("perros", "perro")),
+        sentence("toy-0001", ("#nlp", "#nlp"), ("!", "!")),
+    )
+    pairs = pair_scripts(c)
+    inventory = build_inventory(pairs)
+    path = tmp_path / "toy.pairs.tsv"
+    write_pair_labels(pairs, inventory, path)
+    lines = path.read_text("utf-8").splitlines()
+    assert lines[0] == "# format = lemmabench-pair-labels/1"
+    assert [line for line in lines if "\t" not in line] == lines[:2]  # headers hold no tab
+    assert "#nlp\t0\t2" in lines
+    assert read_pair_labels(path, inventory) == pairs
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("perros\t0", "found 2 fields"),
+        ("perros", "found 1 fields"),
+        ("perros\t0\t1\tNOUN", "found 4 fields"),
+        ("perros\t2\t1", "label id '2'"),
+        ("perros\t-1\t1", "label id '-1'"),
+        ("perros\tx\t1", "label id 'x'"),
+        ("perros\t0\t0", "count '0'"),
+        ("perros\t0\t-3", "count '-3'"),
+        ("perros\t0\t1.5", "count '1.5'"),
+        ("perros\t0\t", "count ''"),
+    ],
+)
+def test_read_pair_labels_rejects_bad_rows(tmp_path, row, problem):
+    inventory = LabelInventory({IDENTITY: 5, EditScript(PRESERVE, 0, "", 1, ""): 2})
+    path = tmp_path / "toy.pairs.tsv"
+    path.write_text(f"# format = lemmabench-pair-labels/1\nperro\t0\t3\n{row}\n", "utf-8")
+    where = re.escape(f"{path}:3: ")
+    with pytest.raises(InventoryFormatError, match=where + ".*" + re.escape(problem)) as info:
+        read_pair_labels(path, inventory)
+    assert info.value.line_no == 3
 
 
 def test_inventory_script_of_is_inverse_of_id_of():

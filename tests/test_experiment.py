@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from lemmabench.align import PredictionBlock
-from lemmabench.corpus import write_tsv
+from lemmabench import baseline, editscript, experiment
+from lemmabench.align import PredictionBlock, read_predictions
+from lemmabench.corpus import ingest_tsv, write_tsv
 from lemmabench.errors import ConfigError, ScoringError, TransportError
 from lemmabench.experiment import (
     Layout,
@@ -100,6 +101,13 @@ def _minimal_raw(**overrides):
             systems=[{"name": "x", "kind": "external", "predictions": ["a.tsv", "b.tsv"]}],
         ),
         lambda raw: raw.update(scoring={"policy": "renormalise"}),
+        # Values that land in "# key = value" artifact headers.
+        lambda raw: raw.update(name="tab\tname"),
+        lambda raw: raw.update(language="Eng\nlish"),
+        lambda raw: raw["corpus"].update(path="cor\tpus.tsv"),
+        lambda raw: raw["corpus"].update(name="two\nlines"),
+        lambda raw: raw.update(systems=[{"name": "base\tline", "kind": "baseline"}]),
+        lambda raw: raw.update(provider={"model": "stub\r"}),
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, mutate):
@@ -220,6 +228,7 @@ def test_pipeline_writes_every_artifact(replay_out):
         assert layout.split_tsv(part).exists()
     assert layout.manifest().exists()
     assert layout.inventory().exists()
+    assert layout.pair_labels().exists()
     assert layout.model().exists()
     for system in cfg.systems:
         for run in range(cfg.runs):
@@ -252,6 +261,18 @@ def test_scoring_stages_are_deterministic(replay_out):
     run_score(cfg)
     run_compare(cfg)
     assert (layout.scores().read_bytes(), layout.mcnemar().read_bytes()) == before
+
+
+def test_report_reads_each_run_once(replay_out, fixtures_dir, monkeypatch):
+    cfg, layout = replay_out
+    reads = []
+    real = experiment.read_predictions
+    monkeypatch.setattr(experiment, "read_predictions", lambda p: reads.append(p) or real(p))
+    run_report(cfg)
+    assert len(reads) == len(set(reads)) == len(cfg.systems) * cfg.runs
+    expected = fixtures_dir / "replay" / "expected"
+    for name in ("scores.tsv", "mcnemar.tsv", "report.txt"):
+        assert (layout.root / "reports" / name).read_bytes() == (expected / name).read_bytes()
 
 
 def test_baseline_runs_are_identical(replay_out):
@@ -362,3 +383,93 @@ def test_report_stage_returns_rendered_text(tiny_experiment):
     text = run_report(cfg)
     assert "llm-identity" in text and "external-ref" in text
     assert Layout(cfg).report().read_text("utf-8") == text
+
+
+# --- the baseline path: induce once, train from the pair labels -----------------
+
+
+@pytest.fixture()
+def baseline_experiment(tmp_path):
+    toy = corpus(
+        "toy",
+        sentence("toy-0000", ("Perros", "perro"), ("perros", "perro"), ("1", "1")),
+        sentence("toy-0001", ("perros", "perro"), ("ladran", "ladrar"), ("1", "1")),
+        sentence("toy-0002", ("gatos", "gato"), ("comen", "comer")),
+        sentence("toy-0003", ("perros", "perro"), ("comen", "comer")),
+    )
+    write_tsv(toy, tmp_path / "corpus.tsv")
+    raw = _minimal_raw(split={"train": 2, "dev": 1, "test": 1})
+    cfg = load_config(_write_config(tmp_path, raw))
+    run_ingest(cfg)
+    run_split(cfg)
+    return cfg
+
+
+def test_pipeline_induces_each_distinct_pair_once(baseline_experiment, monkeypatch):
+    cfg = baseline_experiment
+    layout = Layout(cfg)
+    train = ingest_tsv(layout.split_tsv("train"))
+    calls = []
+    real_induce = editscript.induce
+
+    def counting_induce(wordform, lemma):
+        calls.append((wordform, lemma))
+        return real_induce(wordform, lemma)
+
+    monkeypatch.setattr(editscript, "induce", counting_induce)
+    run_induce(cfg)
+    assert sorted(calls) == sorted(
+        {("Perros", "perro"), ("perros", "perro"), ("1", "1"), ("ladran", "ladrar")}
+    )
+    calls.clear()
+    # train-baseline neither reads the train split nor induces anything.
+    layout.split_tsv("train").unlink()
+    model = run_train_baseline(cfg)
+    assert calls == []
+    pairs = editscript.pair_scripts(train)
+    assert model == baseline.train(pairs, editscript.build_inventory(pairs), cfg.max_suffix_len)
+
+
+def test_baseline_only_run_leaves_the_dev_split_unread(baseline_experiment):
+    cfg = baseline_experiment
+    run_induce(cfg)
+    run_train_baseline(cfg)
+    Layout(cfg).split_tsv("dev").unlink()
+    run_predictions(cfg, transport=forbidden_transport)
+    assert run_score(cfg)[0].runs[0].total == 2
+
+
+def test_hash_initial_wordform_survives_ingest_to_score(tmp_path):
+    # A hashtag token (as in UD EWT) is a row, not a comment, in every TSV
+    # artifact between ingest and score.
+    def conllu_sentence(*forms):
+        return "".join(
+            f"{i}\t{form}\t{form.lower()}\t_\t_\t_\t_\t_\t_\t_\n"
+            for i, form in enumerate(forms, start=1)
+        ) + "\n"
+
+    (tmp_path / "tweets.conllu").write_text(
+        "# sent_id = 1\n# text = Love #nlp !\n"
+        + conllu_sentence("Love", "#nlp", "!")
+        + conllu_sentence("#nlp", "rocks")
+        + conllu_sentence("#nlp", "!")
+        + conllu_sentence("We", "love", "#nlp", "!"),
+        "utf-8",
+    )
+    raw = _minimal_raw(
+        corpus={"path": "tweets.conllu", "format": "conllu"},
+        split={"train": 2, "dev": 1, "test": 1},
+    )
+    cfg = load_config(_write_config(tmp_path, raw))
+    run_ingest(cfg)
+    splits = run_split(cfg)
+    layout = Layout(cfg)
+    test = ingest_tsv(layout.split_tsv("test"))
+    assert test.sentences[0].wordforms() == ["We", "love", "#nlp", "!"]
+    assert test.sentences == splits["test"].sentences
+    run_induce(cfg)
+    run_train_baseline(cfg)
+    run_predictions(cfg, transport=forbidden_transport)
+    _, blocks = read_predictions(layout.predictions("baseline", "tweets-test", 0))
+    assert blocks[0].pairs[2] == ("#nlp", "#nlp")
+    assert run_score(cfg)[0].runs[0].total == 4
