@@ -17,7 +17,7 @@ from .editscript import IDENTITY, EditScript, LabelInventory, PairScript, apply
 # Not called here: baseline.induce stays bound because perfbench's tracer
 # test checks that binding site.
 from .editscript import induce  # noqa: F401
-from .errors import EmptyCorpusError, InapplicableScriptError
+from .errors import EmptyCorpusError, InapplicableScriptError, ModelFormatError
 
 DEFAULT_MAX_SUFFIX = 5
 
@@ -111,16 +111,28 @@ def write_model(model: BaselineModel, path: str | Path) -> None:
 
 
 def read_model(path: str | Path) -> BaselineModel:
+    """A row that is not form|suffix<TAB>key<TAB>script, or a
+    max_suffix_len header that is not an integer, is a ModelFormatError
+    naming the file and line."""
     model = BaselineModel()
+    tables = {"form": model.form_table, "suffix": model.suffix_table}
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
+        for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if line.startswith("# max_suffix_len = "):
-                model.max_suffix_len = int(line.rsplit(" ", 1)[1])
+                value = line.rsplit(" ", 1)[1]
+                if not (value.isascii() and value.isdigit()):
+                    raise ModelFormatError(path, line_no, f"max_suffix_len {value!r} is not an integer")
+                model.max_suffix_len = int(value)
                 continue
             if not line or line.startswith("#"):
                 continue
-            table_name, key, encoded = line.split("\t")
-            table = model.form_table if table_name == "form" else model.suffix_table
-            table[key] = EditScript.decode(encoded)
+            fields = line.split("\t")
+            if len(fields) != 3 or fields[0] not in tables:
+                raise ModelFormatError(path, line_no, "expected form|suffix<TAB>key<TAB>script")
+            table_name, key, encoded = fields
+            try:
+                tables[table_name][key] = EditScript.decode(encoded)
+            except (ValueError, TypeError) as exc:
+                raise ModelFormatError(path, line_no, f"script does not decode: {exc}") from exc
     return model

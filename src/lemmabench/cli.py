@@ -11,6 +11,9 @@ output directory, so a full experiment is just the stages in order:
     lemmabench score --config exp.json
     lemmabench compare --config exp.json
     lemmabench report --config exp.json
+
+``lemmabench verify-cache --config exp.json`` re-hashes every record of the
+configured response cache.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ _STAGES = {
     "score": "compute word/sentence accuracy per system",
     "compare": "McNemar's test between system pairs",
     "report": "write the combined human-readable report",
+    "verify-cache": "re-hash every record of the response cache",
 }
 
 
@@ -95,6 +99,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"-> {layout.mcnemar()}")
         elif args.command == "report":
             print(experiment.run_report(cfg), end="")
+        elif args.command == "verify-cache":
+            cache = gateway.ResponseCache(cfg.cache_dir)  # loading checks every digest
+            cache.close()
+            print(f"{len(cache)} records sound -> {cache.log_path}")
     except LemmabenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -203,12 +203,17 @@ def pair_scripts(train: Corpus) -> list[PairScript]:
     ]
 
 
-def build_inventory(pairs: list[PairScript]) -> LabelInventory:
-    """Tabulate the label set of pair_scripts' triples, each script weighted
-    by the tokens that carry it."""
+def _token_counts(pairs: list[PairScript]) -> Counter[EditScript]:
     counts: Counter[EditScript] = Counter()
     for _, script, count in pairs:
         counts[script] += count
+    return counts
+
+
+def build_inventory(pairs: list[PairScript]) -> LabelInventory:
+    """Tabulate the label set of pair_scripts' triples, each script weighted
+    by the tokens that carry it."""
+    counts = _token_counts(pairs)
     if not counts:
         raise MissingLemmaError("no training tokens to induce labels from")
     return LabelInventory(counts)
@@ -275,7 +280,9 @@ def read_pair_labels(path: str | Path, inventory: LabelInventory) -> list[PairSc
     A line starting with # is a header only when it holds no tab, so a
     wordform such as #nlp reads back as a row.  A row without three fields,
     with a label id outside the inventory or with a count that is not a
-    positive integer is an InventoryFormatError naming the file and line.
+    positive integer is an InventoryFormatError naming the file and line;
+    so is a file whose counts do not sum to each label's inventory
+    frequency, which names the first label that disagrees.
     """
     pairs: list[PairScript] = []
     with open(path, encoding="utf-8") as handle:
@@ -299,4 +306,11 @@ def read_pair_labels(path: str | Path, inventory: LabelInventory) -> list[PairSc
                     path, line_no, f"count {count_field!r} is not a positive integer"
                 )
             pairs.append((wordform, inventory.script_of(label_id), count))
+    counts = _token_counts(pairs)
+    for label_id, script, frequency in inventory.items():
+        if counts[script] != frequency:
+            raise InventoryFormatError(
+                path, None, f"label {label_id} covers {counts[script]} tokens here but "
+                f"{frequency} in the inventory: the pairs file is from another induce run"
+            )
     return pairs

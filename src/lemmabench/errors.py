@@ -5,22 +5,27 @@ class LemmabenchError(Exception):
     """Base class for all toolkit errors."""
 
 
-class CorpusFormatError(LemmabenchError):
-    """A corpus file violates its format; carries path and 1-based line number."""
+class FileFormatError(LemmabenchError):
+    """A file violates its format; carries path and 1-based line number
+    (None when the fault is the file as a whole)."""
 
     def __init__(self, path, line_no, message):
         self.path = str(path)
         self.line_no = line_no
-        super().__init__(f"{self.path}:{line_no}: {message}")
+        where = self.path if line_no is None else f"{self.path}:{line_no}"
+        super().__init__(f"{where}: {message}")
 
 
-class InventoryFormatError(LemmabenchError):
-    """An induce-stage artifact violates its format; carries path and 1-based line number."""
+class CorpusFormatError(FileFormatError):
+    """A corpus file violates its format."""
 
-    def __init__(self, path, line_no, message):
-        self.path = str(path)
-        self.line_no = line_no
-        super().__init__(f"{self.path}:{line_no}: {message}")
+
+class InventoryFormatError(FileFormatError):
+    """An induce-stage artifact violates its format or disagrees with its inventory."""
+
+
+class ModelFormatError(FileFormatError):
+    """A baseline model file violates its format."""
 
 
 class EmptyCorpusError(LemmabenchError):
@@ -56,7 +61,8 @@ class CacheMissError(LemmabenchError):
 
 
 class CacheFormatError(LemmabenchError):
-    """A response-cache index line is malformed (message names file and line)."""
+    """A response-cache log is malformed or was written in another format
+    (message names the file and byte offset)."""
 
 
 class ScoringError(LemmabenchError):

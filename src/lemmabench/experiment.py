@@ -447,25 +447,30 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
     layout = Layout(cfg)
     test = _load_split(cfg, "test")
     gateway = dev = None
-    for system in cfg.systems:
-        if system.kind == BASELINE:
-            model = baseline_mod.read_model(layout.model())
-            lemmas = {s.id: tuple(baseline_mod.predict(model, s)) for s in test.sentences}
-            for run in range(cfg.runs):
-                # Deterministic system: every run is the same honest pass.
-                _write_system_run(cfg, system.name, test, run, lemmas, {})
-        elif system.kind == EXTERNAL:
-            _run_external_system(cfg, system, test)
-        elif system.kind == LLM:
-            if gateway is None:  # only LLM systems need the cache and the dev split
-                cache = gateway_mod.ResponseCache(cfg.cache_dir)
-                gateway = gateway_mod.LlmGateway(
-                    cfg.provider, cache, cfg.cache_mode, transport=transport
-                )
-                dev = _load_split(cfg, "dev")
-            _run_llm_system(cfg, system, test, dev, gateway)
-        else:  # pragma: no cover - rejected at config load
-            raise ConfigError(f"unknown system kind {system.kind!r}")
+    try:
+        for system in cfg.systems:
+            if system.kind == BASELINE:
+                model = baseline_mod.read_model(layout.model())
+                lemmas = {s.id: tuple(baseline_mod.predict(model, s)) for s in test.sentences}
+                for run in range(cfg.runs):
+                    # Deterministic system: every run is the same honest pass.
+                    _write_system_run(cfg, system.name, test, run, lemmas, {})
+            elif system.kind == EXTERNAL:
+                _run_external_system(cfg, system, test)
+            elif system.kind == LLM:
+                if gateway is None:  # only LLM systems need the cache and the dev split
+                    live = cfg.cache_mode == gateway_mod.LIVE  # live mode opens no cache
+                    cache = None if live else gateway_mod.ResponseCache(cfg.cache_dir)
+                    gateway = gateway_mod.LlmGateway(
+                        cfg.provider, cache, cfg.cache_mode, transport=transport
+                    )
+                    dev = _load_split(cfg, "dev")
+                _run_llm_system(cfg, system, test, dev, gateway)
+            else:  # pragma: no cover - rejected at config load
+                raise ConfigError(f"unknown system kind {system.kind!r}")
+    finally:
+        if gateway is not None and gateway.cache is not None:
+            gateway.cache.close()
 
 
 def blocks_to_slots(

@@ -12,10 +12,12 @@ can substitute a stub without any network or monkeypatching.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import random
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +31,10 @@ LIVE = "live"
 RECORD = "record"
 REPLAY = "replay"
 
-CACHE_FORMAT = "lemmabench-cache/1"
+CACHE_FORMAT = "lemmabench-cache/2"
+_LOG_HEADER = f"# cache-format = {CACHE_FORMAT}\n".encode("utf-8")
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
+_RECORD_HEADER = re.compile(rb"([0-9a-f]{64})\t[^\t\n]*\t([0-9a-f]{64})\t([0-9]{1,12})\n")
 
 # HTTP statuses worth retrying: rate limits and transient server errors.
 _RETRY_STATUSES = {429, 500, 502, 503, 504}
@@ -88,39 +93,76 @@ def request_fingerprint(config: ProviderConfig, prompt: str, run_index: int) -> 
 
 
 class ResponseCache:
-    """Append-only store: an index TSV plus one text file per response."""
+    """Append-only log of responses: cache/log.tsv, format lemmabench-cache/2.
+
+    After a format line, each record is a header line
+    fingerprint<TAB>model<TAB>sha256<TAB>byte length, then the response's
+    UTF-8 bytes and a newline.  Loading reads the log once and keeps only
+    {fingerprint: (offset, length, digest)}; get() reads one record back
+    and checks its digest.  The first record of a fingerprint wins, and a
+    last record cut short (by its length or its digest) is skipped on load
+    and cut off by the next put().  put() appends under an advisory flock,
+    so several processes can record into one cache.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._lock = threading.Lock()
-        self._index: dict[str, str] = {}
-        self._torn_tail = 0  # bytes of an unfinished last index line
-        self._prepared = False  # directories and index header exist
-        self._load()
+        self._index: dict[str, tuple[int, int, str]] = {}
+        self._end = 0  # where the sound records read so far end
+        self._reader = None  # read-only handle for get()
+        self._writer = None  # append handle, opened by the first put()
+        if self.log_path.exists():
+            self._scan(self.log_path.stat().st_size)
+            self._reader = open(self.log_path, "rb", buffering=0)
+        elif (self.root / "index.tsv").exists():
+            raise CacheFormatError(
+                f"{self.root}: holds a lemmabench-cache/1 index.tsv; re-record it "
+                f"into a {CACHE_FORMAT} log"
+            )
 
     @property
-    def index_path(self) -> Path:
-        return self.root / "index.tsv"
+    def log_path(self) -> Path:
+        return self.root / "log.tsv"
 
-    def _record_path(self, fingerprint: str) -> Path:
-        return self.root / "records" / f"{fingerprint}.txt"
+    def _scan(self, stop: int):
+        """Index the records between self._end and byte stop of the log."""
+        with open(self.log_path, "rb") as fh:
+            fh.seek(self._end)
+            if self._end == 0:
+                line = fh.readline(stop)
+                if len(line) < len(_LOG_HEADER) and _LOG_HEADER.startswith(line):
+                    return  # a format line cut short: the log holds nothing yet
+                if line != _LOG_HEADER:
+                    raise CacheFormatError(f"{self.log_path}: byte 0: not a {CACHE_FORMAT} log")
+                self._end = len(line)
+            while self._end < stop:
+                offset = self._end
+                line = fh.readline(stop - offset)
+                if not line.endswith(b"\n"):
+                    return  # torn inside a header line
+                match = _RECORD_HEADER.fullmatch(line)
+                if match is None:
+                    raise CacheFormatError(f"{self.log_path}: byte {offset}: bad record header")
+                fingerprint, digest, length = match[1].decode(), match[2].decode(), int(match[3])
+                start, end = offset + len(line), offset + len(line) + length + 1
+                if end > stop:
+                    return  # torn inside the text
+                body = fh.read(length + 1)
+                if body[-1:] != b"\n" or hashlib.sha256(body[:-1]).hexdigest() != digest:
+                    if end == stop:
+                        return  # the last record, torn
+                    raise CacheFormatError(
+                        f"{self.log_path}: byte {offset}: record does not match its sha256"
+                    )
+                self._index.setdefault(fingerprint, (start, length, digest))
+                self._end = end
 
-    def _load(self):
-        if not self.index_path.exists():
-            return
-        lines = self.index_path.read_text("utf-8").split("\n")
-        for line_no, line in enumerate(lines, start=1):
-            if not line or line.startswith("#"):
-                continue
-            if "\t" not in line:
-                if line_no == len(lines):
-                    # No newline yet: an append cut short, whose record was
-                    # never indexed.  put() cuts it off before appending.
-                    self._torn_tail = len(line.encode("utf-8"))
-                    continue
-                raise CacheFormatError(f"{self.index_path}:{line_no}: index line has no tab")
-            fingerprint, model = line.split("\t", 1)
-            self._index[fingerprint] = model
+    def close(self):
+        """Close the log's handles; the cache cannot be used afterwards."""
+        for handle in (self._reader, self._writer):
+            if handle is not None:
+                handle.close()
 
     def __len__(self) -> int:
         return len(self._index)
@@ -131,24 +173,45 @@ class ResponseCache:
     def get(self, fingerprint: str) -> str:
         if fingerprint not in self._index:
             raise CacheMissError(f"no cached response for {fingerprint}")
-        return self._record_path(fingerprint).read_text("utf-8")
+        offset, length, digest = self._index[fingerprint]
+        data = os.pread(self._reader.fileno(), length, offset)
+        if hashlib.sha256(data).hexdigest() != digest:
+            raise CacheFormatError(f"{self.log_path}: byte {offset}: record changed since load")
+        return data.decode("utf-8")
 
     def put(self, fingerprint: str, model: str, raw_text: str):
+        if not _FINGERPRINT.fullmatch(fingerprint) or "\t" in model or "\n" in model:
+            raise ValueError(f"cannot log fingerprint {fingerprint!r} with model {model!r}")
+        data = raw_text.encode("utf-8")
         with self._lock:
             if fingerprint in self._index:
                 return
-            if not self._prepared:
-                (self.root / "records").mkdir(parents=True, exist_ok=True)
-                if not self.index_path.exists():
-                    self.index_path.write_text(f"# cache-format = {CACHE_FORMAT}\n", "utf-8")
-                self._prepared = True
-            self._record_path(fingerprint).write_text(raw_text, "utf-8")
-            if self._torn_tail:
-                os.truncate(self.index_path, self.index_path.stat().st_size - self._torn_tail)
-                self._torn_tail = 0
-            with open(self.index_path, "a", encoding="utf-8") as fh:
-                fh.write(f"{fingerprint}\t{model}\n")
-            self._index[fingerprint] = model
+            if self._writer is None:
+                self.root.mkdir(parents=True, exist_ok=True)
+                self._writer = open(self.log_path, "ab")
+                if self._reader is None:
+                    self._reader = open(self.log_path, "rb", buffering=0)
+            fcntl.flock(self._writer, fcntl.LOCK_EX)
+            try:
+                size = os.fstat(self._writer.fileno()).st_size
+                if size != self._end:
+                    # Another process appended, or a torn record ends the log.
+                    self._scan(size)
+                    if self._end < size:
+                        os.ftruncate(self._writer.fileno(), self._end)
+                if fingerprint in self._index:
+                    return
+                digest = hashlib.sha256(data).hexdigest()
+                header = f"{fingerprint}\t{model}\t{digest}\t{len(data)}\n".encode("utf-8")
+                if self._end == 0:
+                    header = _LOG_HEADER + header
+                self._writer.write(header + data + b"\n")
+                self._writer.flush()
+                start = self._end + len(header)
+                self._index[fingerprint] = (start, len(data), digest)
+                self._end = start + len(data) + 1
+            finally:
+                fcntl.flock(self._writer, fcntl.LOCK_UN)
 
 
 def http_transport(config: ProviderConfig, prompt: str) -> str:

@@ -26,7 +26,7 @@ from lemmabench.editscript import (
     write_inventory,
     write_pair_labels,
 )
-from lemmabench.errors import EmptyCorpusError, MissingLemmaError
+from lemmabench.errors import EmptyCorpusError, MissingLemmaError, ModelFormatError
 
 from conftest import corpus, sentence
 from oracles import gold_corpora, oracle_train_tables
@@ -181,6 +181,33 @@ def test_model_round_trip(tmp_path):
     assert back.form_table == model.form_table
     assert back.suffix_table == model.suffix_table
     assert back.max_suffix_len == 3
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "form\tcasas",  # two fields
+        "form\tcasas\t" + IDENTITY.encode() + "\textra",  # four fields
+        "frm\tcasas\t" + IDENTITY.encode(),  # no such table
+        "suffix\tas\t[\"preserve\",0,",  # script is not JSON
+        "suffix\tas\t7",  # script is not a list
+    ],
+)
+def test_read_model_names_a_bad_row(tmp_path, row):
+    path = tmp_path / "model.tsv"
+    write_model(_fit(_train_corpus()), path)
+    line_no = len(path.read_text("utf-8").splitlines()) + 1
+    path.write_text(path.read_text("utf-8") + row + "\n", "utf-8")
+    with pytest.raises(ModelFormatError, match=rf"model\.tsv:{line_no}: "):
+        read_model(path)
+
+
+def test_read_model_names_a_bad_max_suffix_len(tmp_path):
+    path = tmp_path / "model.tsv"
+    write_model(_fit(_train_corpus()), path)
+    path.write_text(path.read_text("utf-8").replace("max_suffix_len = 5", "max_suffix_len = five"), "utf-8")
+    with pytest.raises(ModelFormatError, match=r"model\.tsv:2: max_suffix_len 'five'"):
+        read_model(path)
 
 
 def test_write_model_encodes_each_script_once(tmp_path, es_corpus, monkeypatch):

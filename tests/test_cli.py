@@ -112,3 +112,23 @@ def test_train_baseline_names_a_bad_pair_labels_line(cli_out, tmp_path, capsys):
     capsys.readouterr()
     assert _run(config, out, "train-baseline") == 2
     assert f"es_fix.pairs.tsv:{line_no}: label id '999'" in capsys.readouterr().err
+
+
+def test_verify_cache_counts_sound_records(cli_out, capsys):
+    config, _ = cli_out
+    assert main(["verify-cache", "--config", config]) == 0
+    assert capsys.readouterr().out.startswith("150 records sound -> ")
+
+
+def test_verify_cache_exits_2_on_a_damaged_record(fixtures_dir, tmp_path, capsys):
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    raw["cache_dir"] = str(tmp_path / "cache")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), "utf-8")
+    (tmp_path / "cache").mkdir()
+    log = bytearray((fixtures_dir / "replay" / "cache" / "log.tsv").read_bytes())
+    header = log.index(b"\tsim-chat-1\t", len(log) // 2)
+    log[log.index(b"\n", header) + 1] ^= 0x20  # first byte of a middle record's text
+    (tmp_path / "cache" / "log.tsv").write_bytes(log)
+    assert main(["verify-cache", "--config", str(config)]) == 2
+    assert "record does not match its sha256" in capsys.readouterr().err

@@ -1,14 +1,16 @@
 """Config loading, the staged pipeline, and its failure policy."""
 
 import ast
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from lemmabench import baseline, editscript, experiment
 from lemmabench.align import PredictionBlock, read_predictions
 from lemmabench.corpus import ingest_tsv, write_tsv
-from lemmabench.errors import ConfigError, ScoringError, TransportError
+from lemmabench.errors import ConfigError, InventoryFormatError, ScoringError, TransportError
 from lemmabench.experiment import (
     Layout,
     blocks_to_slots,
@@ -221,6 +223,25 @@ def replay_out(fixtures_dir, tmp_path_factory):
     return cfg, Layout(cfg)
 
 
+def test_train_baseline_refuses_pairs_file_of_another_induce_run(fixtures_dir, tmp_path):
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    raw["corpus"]["path"] = str(fixtures_dir / "corpora" / "es_fix.conllu")
+    raw["split"]["train"] = 20
+    small = load_config(_write_config(tmp_path, raw), out_dir=tmp_path / "small")
+    full = load_config(fixtures_dir / "replay" / "config.json", out_dir=tmp_path / "full")
+    for cfg in (small, full):
+        run_ingest(cfg)
+        run_split(cfg)
+        run_induce(cfg)
+    assert len(editscript.read_inventory(Layout(small).inventory())) == len(
+        editscript.read_inventory(Layout(full).inventory())
+    )  # every label id of the copied file is in range: only the counts tell
+    Layout(full).pair_labels().write_bytes(Layout(small).pair_labels().read_bytes())
+    with pytest.raises(InventoryFormatError, match=r"es_fix\.pairs\.tsv: label \d+ covers"):
+        run_train_baseline(full)
+    assert not Layout(full).model().exists()
+
+
 def test_pipeline_writes_every_artifact(replay_out):
     cfg, layout = replay_out
     assert layout.corpus_tsv().exists()
@@ -365,6 +386,16 @@ def test_failed_request_scores_as_all_missing(tiny_experiment):
     scores = {r.system: r for r in reports}
     assert scores["llm-identity"].runs[0].word_accuracy == 0.5
     assert scores["external-ref"].runs[0].word_accuracy == 0.75  # one WRONG lemma
+
+
+def test_live_mode_opens_no_cache(tiny_experiment):
+    cfg = dataclasses.replace(tiny_experiment, cache_mode="live")
+    cache_dir = Path(cfg.cache_dir)
+    cache_dir.mkdir()
+    (cache_dir / "index.tsv").write_text("# cache-format = lemmabench-cache/1\n", "utf-8")  # refused if opened
+    run_predictions(cfg, transport=identity_transport)
+    assert Layout(cfg).predictions("llm-identity", "tiny-test", 0).exists()
+    assert [p.name for p in cache_dir.iterdir()] == ["index.tsv"]
 
 
 def test_external_predictions_are_normalized_with_ids(tiny_experiment):

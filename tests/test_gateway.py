@@ -1,11 +1,20 @@
 """Gateway behaviour: fingerprints, cache discipline, retries, batching."""
 
 import ast
+import hashlib
+import io
 import json
+import sys
+import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lemmabench.errors import CacheFormatError, CacheMissError, ConfigError, TransportError
 from lemmabench.gateway import (
@@ -104,52 +113,238 @@ def test_cache_round_trip_and_reload(tmp_path):
     assert reloaded.get("f" * 64) == "line one\nline two"
 
 
+LOG_HEADER = b"# cache-format = lemmabench-cache/2\n"
+
+
+@pytest.fixture(autouse=True)
+def _close_caches(monkeypatch):
+    """Close the log handles of every cache a test opened."""
+    opened = []
+    init = ResponseCache.__init__
+    monkeypatch.setattr(ResponseCache, "__init__", lambda self, *a: opened.append(self) or init(self, *a))
+    yield
+    for cache in opened:
+        cache.close()
+
+
+def _fp(n: int) -> str:
+    return f"{n:064x}"
+
+
+def _record(fingerprint, model, text):
+    data = text.encode("utf-8")
+    return f"{fingerprint}\t{model}\t{hashlib.sha256(data).hexdigest()}\t{len(data)}\n".encode() + data + b"\n"
+
+
 def test_cache_is_append_only(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     cache.put("a" * 64, "m", "first")
     cache.put("a" * 64, "m", "second attempt is ignored")
     assert cache.get("a" * 64) == "first"
-    lines = cache.index_path.read_text("utf-8").splitlines()
-    assert lines[0] == "# cache-format = lemmabench-cache/1"
-    assert len(lines) == 2
+    assert cache.log_path.read_bytes() == LOG_HEADER + _record("a" * 64, "m", "first")
+    assert sorted(p.name for p in cache.root.iterdir()) == ["log.tsv"]
 
 
 def test_cache_prepares_its_directories_once(tmp_path, monkeypatch):
     cache = ResponseCache(tmp_path / "cache")
     cache.put("a" * 64, "m", "a")
-    mkdirs = []
+    mkdirs, opens = [], []
     mkdir = type(tmp_path).mkdir
-    monkeypatch.setattr(type(tmp_path), "mkdir", lambda self, *a, **k: mkdirs.append(self) or mkdir(self, *a, **k))
-    for c in "bc":
-        cache.put(c * 64, "m", c)
-    assert mkdirs == []
-    lines = cache.index_path.read_text("utf-8").splitlines()
-    assert lines == ["# cache-format = lemmabench-cache/1"] + [c * 64 + "\tm" for c in "abc"]
+    with monkeypatch.context() as patch:
+        patch.setattr(type(tmp_path), "mkdir", lambda self, *a, **k: mkdirs.append(self) or mkdir(self, *a, **k))
+        patch.setattr("builtins.open", lambda *a, **k: opens.append(a) or io.open(*a, **k))
+        for c in "bc":
+            cache.put(c * 64, "m", c)
+    assert mkdirs == [] and opens == []  # one append handle, kept open
+    assert cache.log_path.read_bytes() == LOG_HEADER + b"".join(_record(c * 64, "m", c) for c in "abc")
     assert [ResponseCache(tmp_path / "cache").get(c * 64) for c in "abc"] == ["a", "b", "c"]
 
 
-def test_cache_skips_torn_final_index_line(tmp_path):
+def test_cache_skips_torn_final_record(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     cache.put("a" * 64, "m", "first")
-    with open(cache.index_path, "a", encoding="utf-8") as fh:
-        fh.write("b" * 20)  # an append cut short: no tab, no newline
-    reloaded = ResponseCache(tmp_path / "cache")
-    assert len(reloaded) == 1 and reloaded.get("a" * 64) == "first"
+    whole = cache.log_path.read_bytes()
+    for torn in (_record("b" * 64, "m", "second")[:-3], _record("b" * 64, "m", "second")[:70]):
+        cache.log_path.write_bytes(whole + torn)  # an append cut short
+        reloaded = ResponseCache(tmp_path / "cache")
+        assert len(reloaded) == 1 and reloaded.get("a" * 64) == "first"
+        assert "b" * 64 not in reloaded
     reloaded.put("c" * 64, "m", "third")
-    assert cache.index_path.read_text("utf-8").splitlines()[1:] == [
-        "a" * 64 + "\tm",
-        "c" * 64 + "\tm",
-    ]
+    assert cache.log_path.read_bytes() == whole + _record("c" * 64, "m", "third")
     assert len(ResponseCache(tmp_path / "cache")) == 2
 
 
-def test_cache_rejects_tabless_index_line_before_the_end(tmp_path):
+def test_cache_skips_final_record_whose_digest_fails(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     cache.put("a" * 64, "m", "first")
-    with open(cache.index_path, "a", encoding="utf-8") as fh:
-        fh.write("b" * 20 + "\n")
-    with pytest.raises(CacheFormatError, match=r"index\.tsv:3:"):
+    whole = cache.log_path.read_bytes()
+    zeroed = _record("b" * 64, "m", "second").replace(b"second", b"\0" * 6)  # length right, data never written
+    cache.log_path.write_bytes(whole + zeroed)
+    reloaded = ResponseCache(tmp_path / "cache")
+    assert len(reloaded) == 1
+    reloaded.put("b" * 64, "m", "again")
+    assert cache.log_path.read_bytes() == whole + _record("b" * 64, "m", "again")
+
+
+def test_cache_rejects_bad_record_header_before_the_end(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("a" * 64, "m", "first")
+    offset = cache.log_path.stat().st_size
+    with open(cache.log_path, "ab") as fh:
+        fh.write(b"b" * 20 + b"\n" + _record("c" * 64, "m", "third"))
+    with pytest.raises(CacheFormatError, match=rf"log\.tsv: byte {offset}: bad record header"):
         ResponseCache(tmp_path / "cache")
+
+
+def test_cache_rejects_bad_final_record_header(tmp_path):
+    # a whole header line is no torn append, even at the end of the log
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("a" * 64, "m", "first")
+    offset = cache.log_path.stat().st_size
+    with open(cache.log_path, "ab") as fh:
+        fh.write(_record("b" * 64, "m", "x").replace(b"\t1\n", b"\tone\n"))
+    with pytest.raises(CacheFormatError, match=rf"byte {offset}: bad record header"):
+        ResponseCache(tmp_path / "cache")
+
+
+def test_cache_rejects_flipped_byte_in_middle_record(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    for n, text in enumerate(["first", "second", "third"]):
+        cache.put(_fp(n), "m", text)
+    data = bytearray(cache.log_path.read_bytes())
+    offset = len(LOG_HEADER) + len(_record(_fp(0), "m", "first"))
+    data[data.index(b"second")] ^= 0x01
+    cache.log_path.write_bytes(bytes(data))
+    with pytest.raises(CacheFormatError, match=rf"log\.tsv: byte {offset}: record does not match its sha256"):
+        ResponseCache(tmp_path / "cache")
+
+
+def test_cache_rejects_a_log_in_another_format(tmp_path):
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "log.tsv").write_bytes(LOG_HEADER.replace(b"/2", b"/3"))
+    with pytest.raises(CacheFormatError, match=r"byte 0: not a lemmabench-cache/2 log"):
+        ResponseCache(tmp_path / "cache")
+
+
+def test_cache_refuses_a_v1_directory(tmp_path):
+    root = tmp_path / "cache"
+    (root / "records").mkdir(parents=True)
+    (root / "index.tsv").write_text("# cache-format = lemmabench-cache/1\n" + "a" * 64 + "\tm\n", "utf-8")
+    (root / "records" / ("a" * 64 + ".txt")).write_text("first", "utf-8")
+    with pytest.raises(CacheFormatError, match="lemmabench-cache/1.*re-record"):
+        ResponseCache(root)
+    assert sorted(p.name for p in root.iterdir()) == ["index.tsv", "records"]
+
+
+def test_cache_get_checks_the_digest(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("a" * 64, "m", "first")
+    data = cache.log_path.read_bytes()
+    cache.log_path.write_bytes(data.replace(b"first", b"fIrst"))
+    with pytest.raises(CacheFormatError, match="changed since load"):
+        cache.get("a" * 64)
+
+
+def test_cache_get_returns_exactly_what_put_stored(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("a" * 64, "m", "x\r\ny\rz\n")
+    assert cache.get("a" * 64) == "x\r\ny\rz\n"
+    assert ResponseCache(tmp_path / "cache").get("a" * 64) == "x\r\ny\rz\n"
+
+
+@pytest.mark.parametrize("fingerprint, model", [("short", "m"), ("A" * 64, "m"), ("a" * 64, "m\tx"), ("a" * 64, "m\n")])
+def test_cache_put_refuses_what_a_header_cannot_hold(tmp_path, fingerprint, model):
+    cache = ResponseCache(tmp_path / "cache")
+    with pytest.raises(ValueError):
+        cache.put(fingerprint, model, "text")
+    assert not cache.log_path.exists()
+
+
+def test_two_caches_on_one_directory_share_the_log(tmp_path):
+    first, second = ResponseCache(tmp_path / "cache"), ResponseCache(tmp_path / "cache")
+    expected = {}
+    for n in range(6):
+        writer = (first, second)[n % 2]
+        writer.put(_fp(n), "m", f"text {n}")
+        expected[_fp(n)] = f"text {n}"
+    second.put(_fp(0), "m", "a later text for a logged fingerprint")  # first record wins
+    first.put(_fp(6), "m", "after the other's")
+    expected[_fp(6)] = "after the other's"
+    reloaded = ResponseCache(tmp_path / "cache")
+    assert {fp: reloaded.get(fp) for fp in expected} == expected and len(reloaded) == 7
+    assert first.get(_fp(5)) == "text 5"  # read in when first appended after it
+
+
+def test_cache_stress_many_threads_on_two_instances(tmp_path):
+    caches = [ResponseCache(tmp_path / "cache") for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            jobs = [pool.submit(caches[n % 2].put, _fp(n % 40), "m", f"text {n % 40}") for n in range(400)]
+            for job in jobs:
+                job.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    expected = {_fp(n): f"text {n}" for n in range(40)}
+    reloaded = ResponseCache(tmp_path / "cache")
+    assert {fp: reloaded.get(fp) for fp in expected} == expected and len(reloaded) == 40
+    # each fingerprint logged once: each instance reads the other's records in before it appends
+    size = len(LOG_HEADER) + sum(len(_record(fp, "m", text)) for fp, text in expected.items())
+    assert reloaded.log_path.stat().st_size == size
+
+
+_TEXT = st.one_of(st.text(st.sampled_from("a\t\r\n é€😀")), st.text())
+_OPS = st.lists(
+    st.one_of(st.tuples(st.integers(0, 4), _TEXT), st.just("reload")), max_size=12
+)
+
+
+_EACH_EXAMPLE_CLOSES = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(max_examples=60, **_EACH_EXAMPLE_CLOSES)
+@given(_OPS)
+def test_cache_behaves_like_a_dict_across_reloads(ops):
+    with tempfile.TemporaryDirectory() as tmp, ExitStack() as caches:
+        cache, model = caches.enter_context(closing(ResponseCache(tmp))), {}
+        for op in ops:
+            if op == "reload":
+                cache = caches.enter_context(closing(ResponseCache(tmp)))
+            else:
+                n, text = op
+                cache.put(_fp(n), "m", text)
+                model.setdefault(_fp(n), text)
+            assert len(cache) == len(model)
+            assert {fp: cache.get(fp) for fp in model} == model
+            assert all(_fp(n) in cache for n in range(5) if _fp(n) in model)
+            assert not any(_fp(n) in cache for n in range(5) if _fp(n) not in model)
+
+
+@settings(max_examples=8, **_EACH_EXAMPLE_CLOSES)
+@given(st.lists(_TEXT.filter(lambda t: len(t) < 12), min_size=1, max_size=3))
+def test_cache_cut_at_every_byte_keeps_exactly_the_complete_records(texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        with closing(ResponseCache(root / "whole")) as cache:
+            ends = [len(LOG_HEADER)]
+            for n, text in enumerate(texts):
+                cache.put(_fp(n), "m", text)
+                ends.append(cache.log_path.stat().st_size)
+        data = cache.log_path.read_bytes()
+        for cut in range(len(data) + 1):
+            (root / "cut").mkdir(exist_ok=True)
+            (root / "cut" / "log.tsv").write_bytes(data[:cut])
+            with closing(ResponseCache(root / "cut")) as torn:
+                complete = sum(1 for end in ends[1:] if end <= cut)
+                assert len(torn) == complete
+                assert [torn.get(_fp(n)) for n in range(complete)] == texts[:complete]
+                assert _fp(complete) not in torn
+                torn.put(_fp(9), "m", "appended")
+            kept = max((end for end in ends if end <= cut), default=0)
+            assert torn.log_path.read_bytes() == (data[:kept] or LOG_HEADER) + _record(_fp(9), "m", "appended")
+            with closing(ResponseCache(root / "cut")) as reloaded:
+                assert len(reloaded) == complete + 1 and reloaded.get(_fp(9)) == "appended"
 
 
 def test_cache_miss_raises(tmp_path):

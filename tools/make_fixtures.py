@@ -462,6 +462,7 @@ def make_replay_fixture():
                 sim.run = run
                 for p in prompts:
                     recorder.complete(p, run_index=run)
+        cache.close()
         print(f"recorded {len(cache)} responses ({sim.calls} simulated calls)")
 
         # Replay through the real pipeline to freeze the expected reports.
