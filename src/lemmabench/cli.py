@@ -31,9 +31,9 @@ _STAGES = {
     "induce": "build the edit-script label inventory from train",
     "train-baseline": "train the frequency baseline and score it on dev",
     "run": "produce predictions for every configured system and run",
-    "score": "compute word/sentence accuracy per system",
+    "score": "compute word/sentence accuracy per system and run",
     "compare": "McNemar's test between system pairs",
-    "report": "write the combined human-readable report",
+    "report": "render the human-readable report from the score and compare tables",
     "verify-cache": "re-hash every record of the response cache",
 }
 
@@ -90,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
             for report in reports:
                 mean, std = report.word_stats()
                 print(f"{report.system} on {report.corpus}: word accuracy {mean:.4f} ± {std:.4f}")
-            print(f"-> {layout.scores()}")
+            print(f"-> {layout.runs()}, {layout.scores()}")
         elif args.command == "compare":
             rows = experiment.run_compare(cfg)
             for corpus, sys_a, sys_b, res in rows:

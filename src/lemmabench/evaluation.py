@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import Corpus
-from .errors import ScoringError
+from .errors import FileFormatError, ScoringError
 
 STRICT = "strict"
 RENORMALIZE = "renormalize"
@@ -91,6 +92,12 @@ def mcnemar(first_correct: Sequence[bool], second_correct: Sequence[bool]) -> Mc
         )
     b01 = sum(1 for a, b in zip(first_correct, second_correct) if not a and b)
     b10 = sum(1 for a, b in zip(first_correct, second_correct) if a and not b)
+    return mcnemar_counts(b01, b10)
+
+
+def mcnemar_counts(b01: int, b10: int) -> McNemarResult:
+    """McNemar's test from the discordant counts alone; the only place the
+    statistic and p-value are computed."""
     n = b01 + b10
     if n == 0:
         return McNemarResult(0, 0, 0.0, 1.0, "exact")
@@ -116,6 +123,17 @@ class RunScore:
     missing: int
     wrong: int
     random: int
+
+    @classmethod
+    def from_counts(cls, *counts: int) -> RunScore:
+        """A run from its tallies, in field order from correct to random; the
+        only place word and sentence accuracy are derived."""
+        correct, total, correct_sentences, sentences = counts[:4]
+        return cls(
+            correct / total if total else 0.0,
+            correct_sentences / sentences if sentences else 0.0,
+            *counts,
+        )
 
 
 @dataclass(frozen=True)
@@ -143,7 +161,7 @@ def score_run(
     policy: str = STRICT,
     diagnostics: Mapping[str, Mapping[str, int]] | None = None,
 ) -> RunScore:
-    """Score one run; the only place word and sentence accuracy are computed.
+    """Score one run: count correct words and sentences against the gold.
 
     wrong/random tallies come from alignment diagnostics.
     """
@@ -159,16 +177,9 @@ def score_run(
     if diagnostics:
         wrong = sum(int(d.get("wrong", 0)) for d in diagnostics.values())
         rand = sum(int(d.get("random", 0)) for d in diagnostics.values())
-    return RunScore(
-        word_accuracy=correct / total if total else 0.0,
-        sentence_accuracy=correct_sentences / len(gold.sentences) if gold.sentences else 0.0,
-        correct=correct,
-        total=total,
-        correct_sentences=correct_sentences,
-        sentences=len(gold.sentences),
-        missing=sum(o is None for o in outcomes),
-        wrong=wrong,
-        random=rand,
+    missing = sum(o is None for o in outcomes)
+    return RunScore.from_counts(
+        correct, total, correct_sentences, len(gold.sentences), missing, wrong, rand
     )
 
 
@@ -176,21 +187,33 @@ SCORES_COLUMNS = (
     "system\tcorpus\truns\tword_acc_mean\tword_acc_std\tsent_acc_mean\tsent_acc_std"
     "\tmissing_mean\twrong_mean\trandom_mean"
 )
+RUNS_COLUMNS = "\t".join(("system", "corpus", "run", *(f.name for f in fields(RunScore)[2:])))
+MCNEMAR_COLUMNS = "corpus\tsystem_a\tsystem_b\tb01\tb10\tmethod\tstatistic\tp_value\tsignificant"
+
+
+def _render_table(metadata: Mapping[str, str], columns: str, rows) -> str:
+    lines = [f"# {k} = {v}" for k, v in metadata.items()]
+    lines.append(columns)
+    lines.extend("\t".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def render_scores_tsv(reports: Sequence[EvalReport], metadata: Mapping[str, str]) -> str:
-    lines = [f"# {k} = {v}" for k, v in metadata.items()]
-    lines.append(SCORES_COLUMNS)
-    for report in reports:
-        w_mean, w_std = report.word_stats()
-        s_mean, s_std = report.sentence_stats()
-        miss, wrong, rand = report.mean_errors()
-        lines.append(
-            f"{report.system}\t{report.corpus}\t{len(report.runs)}"
-            f"\t{w_mean:.4f}\t{w_std:.4f}\t{s_mean:.4f}\t{s_std:.4f}"
-            f"\t{miss:.1f}\t{wrong:.1f}\t{rand:.1f}"
-        )
-    return "\n".join(lines) + "\n"
+    return _render_table(metadata, SCORES_COLUMNS, (
+        (r.system, r.corpus, len(r.runs),
+         *(f"{x:.4f}" for x in (*r.word_stats(), *r.sentence_stats())),
+         *(f"{x:.1f}" for x in r.mean_errors()))
+        for r in reports
+    ))
+
+
+def render_runs_tsv(reports: Sequence[EvalReport], metadata: Mapping[str, str]) -> str:
+    """One row of exact tallies per (system, run), correct to random; every
+    mean and std of scores.tsv and report.txt is a function of them."""
+    return _render_table(metadata, RUNS_COLUMNS, (
+        (r.system, r.corpus, run, *astuple(score)[2:])
+        for r in reports for run, score in enumerate(r.runs)
+    ))
 
 
 def render_mcnemar_tsv(
@@ -199,15 +222,35 @@ def render_mcnemar_tsv(
     alpha: float = 0.05,
 ) -> str:
     """Rows are (corpus, system_a, system_b, result)."""
-    lines = [f"# {k} = {v}" for k, v in metadata.items()]
-    lines.append("corpus\tsystem_a\tsystem_b\tb01\tb10\tmethod\tstatistic\tp_value\tsignificant")
-    for corpus, sys_a, sys_b, res in rows:
-        flag = "yes" if res.significant(alpha) else "no"
-        lines.append(
-            f"{corpus}\t{sys_a}\t{sys_b}\t{res.b01}\t{res.b10}"
-            f"\t{res.method}\t{res.statistic:.6f}\t{res.p_value:.6g}\t{flag}"
-        )
-    return "\n".join(lines) + "\n"
+    return _render_table(metadata, MCNEMAR_COLUMNS, (
+        (corpus, sys_a, sys_b, res.b01, res.b10, res.method, f"{res.statistic:.6f}",
+         f"{res.p_value:.6g}", "yes" if res.significant(alpha) else "no")
+        for corpus, sys_a, sys_b, res in rows
+    ))
+
+
+def read_counts(
+    path: str | Path, columns: str, width: int | None = None
+) -> tuple[dict[str, str], dict[tuple[str, ...], list[int]]]:
+    """Metadata and rows of a runs.tsv or mcnemar.tsv whose column line is
+    `columns`: the first three fields of a row key the next `width` fields
+    (default: all the rest), non-negative integers.  A `#` line without a
+    tab is a header."""
+    meta: dict[str, str] = {}
+    rows = {}
+    for line_no, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+        parts = line.split("\t")
+        if line.startswith("#") and len(parts) == 1:
+            key, _, value = line[2:].partition(" = ")
+            meta[key] = value
+        elif len(parts) != columns.count("\t") + 1:
+            raise FileFormatError(path, line_no, f"expected the fields {columns!r}")
+        elif line != columns:
+            counts = parts[3:] if width is None else parts[3 : 3 + width]
+            if not all(c.isascii() and c.isdigit() for c in counts):
+                raise FileFormatError(path, line_no, "a count is not a non-negative integer")
+            rows[tuple(parts[:3])] = [int(c) for c in counts]
+    return meta, rows
 
 
 def render_report_text(

@@ -10,7 +10,9 @@ the output directory, so any stage can be rerun in isolation:
                   distinct training pair, which train-baseline learns from
     models/       frequency-table baseline model (+ its dev diagnostics)
     predictions/  per system: {corpus}.run{r}.tsv and .diag.json
-    reports/      scores.tsv, mcnemar.tsv, report.txt
+    reports/      runs.tsv (each run's exact tallies) and scores.tsv, both
+                  written by score; mcnemar.tsv, written by compare; and
+                  report.txt, which report renders from those two alone
 
 No artifact embeds a timestamp or an absolute path, so rerunning an
 experiment from the same inputs reproduces every file byte for byte.
@@ -194,6 +196,10 @@ def load_config(
         if any(c in str(value) for c in "\t\n\r"):
             raise ConfigError(f"{label} {value!r} holds a tab or a line break")
 
+    mcnemar_run = int(scoring.get("mcnemar_run", 0))
+    if not 0 <= mcnemar_run < runs:
+        raise ConfigError(f"scoring.mcnemar_run {mcnemar_run} is not a run in 0..{runs - 1}")
+
     mode = cache_mode or raw.get("cache_mode", gateway_mod.REPLAY)
     return ExperimentConfig(
         name=name,
@@ -215,7 +221,7 @@ def load_config(
         out_dir=str(Path(out_dir) if out_dir else base / raw.get("out_dir", "out")),
         policy=policy,
         alpha=float(scoring.get("alpha", 0.05)),
-        mcnemar_run=int(scoring.get("mcnemar_run", 0)),
+        mcnemar_run=mcnemar_run,
         comparisons=comparisons,
         config_hash=_hash_config(raw),
     )
@@ -251,6 +257,9 @@ class Layout:
 
     def diagnostics(self, system: str, corpus: str, run: int) -> Path:
         return self.root / "predictions" / system / f"{corpus}.run{run}.diag.json"
+
+    def runs(self) -> Path:
+        return self.root / "reports" / "runs.tsv"
 
     def scores(self) -> Path:
         return self.root / "reports" / "scores.tsv"
@@ -437,9 +446,7 @@ def _run_llm_system(
 def _run_external_system(cfg: ExperimentConfig, system: SystemSpec, test: corpus_mod.Corpus):
     for run in range(cfg.runs):
         source = system.predictions[run if len(system.predictions) > 1 else 0]
-        _, blocks = read_predictions(source)
-        slots = blocks_to_slots(blocks, test)
-        _write_system_run(cfg, system.name, test, run, slots, {})
+        _write_system_run(cfg, system.name, test, run, _read_slots(source, test), {})
 
 
 def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | None = None) -> None:
@@ -508,81 +515,88 @@ def blocks_to_slots(
     return {sentence_id: tuple(l for _, l in b.pairs) for sentence_id, b in by_id.items()}
 
 
-def _evaluate(
-    cfg: ExperimentConfig, test: corpus_mod.Corpus, score_runs: range, mcnemar_run: int | None
-) -> tuple[dict[str, list[eval_mod.RunScore]], dict[str, list[bool]]]:
-    """Each system's scores on score_runs and its McNemar correctness vector
-    on mcnemar_run (None for none).  Each prediction file is read once, and
-    only what is derived from it is kept."""
+def _read_slots(path: Path, gold: corpus_mod.Corpus) -> dict[str, tuple[str | None, ...]]:
+    return blocks_to_slots(read_predictions(path)[1], gold)
+
+
+def run_score(cfg: ExperimentConfig) -> list[eval_mod.EvalReport]:
+    """Score every run of every system; write each run's exact tallies to
+    runs.tsv and their means and stds to scores.tsv."""
     layout = Layout(cfg)
-    runs = sorted({*score_runs, *([] if mcnemar_run is None else [mcnemar_run])})
-    scores: dict[str, list[eval_mod.RunScore]] = {}
-    vectors: dict[str, list[bool]] = {}
+    test = _load_split(cfg, "test")
+    reports = []
     for system in cfg.systems:
-        scores[system.name] = []
-        for run in runs:
-            _, blocks = read_predictions(layout.predictions(system.name, test.name, run))
-            slots = blocks_to_slots(blocks, test)
-            if run in score_runs:
-                diag_path = layout.diagnostics(system.name, test.name, run)
-                diag = read_diagnostics(diag_path)[1] if diag_path.exists() else {}
-                scores[system.name].append(eval_mod.score_run(slots, test, cfg.policy, diag))
-            if run == mcnemar_run:
-                vectors[system.name] = eval_mod.correctness_vector(slots, test)
-    return scores, vectors
-
-
-def _write_scores(
-    cfg: ExperimentConfig, test: corpus_mod.Corpus, scores: dict[str, list[eval_mod.RunScore]]
-) -> list[eval_mod.EvalReport]:
-    reports = [
-        eval_mod.EvalReport(system.name, test.name, tuple(scores[system.name]))
-        for system in cfg.systems
-    ]
-    layout = Layout(cfg)
+        scores = []
+        for run in range(cfg.runs):
+            slots = _read_slots(layout.predictions(system.name, test.name, run), test)
+            _, diag = read_diagnostics(layout.diagnostics(system.name, test.name, run))
+            scores.append(eval_mod.score_run(slots, test, cfg.policy, diag))
+        reports.append(eval_mod.EvalReport(system.name, test.name, tuple(scores)))
     layout.scores().parent.mkdir(parents=True, exist_ok=True)
-    meta = _meta(cfg, policy=cfg.policy, runs=str(cfg.runs))
+    meta = _meta(cfg, policy=cfg.policy)
+    layout.runs().write_text(eval_mod.render_runs_tsv(reports, meta), "utf-8")
+    meta["runs"] = str(cfg.runs)
     layout.scores().write_text(eval_mod.render_scores_tsv(reports, meta), "utf-8")
     return reports
 
 
-def _write_mcnemar(
-    cfg: ExperimentConfig, test: corpus_mod.Corpus, vectors: dict[str, list[bool]]
-) -> list[tuple[str, str, str, eval_mod.McNemarResult]]:
+def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McNemarResult]]:
+    """McNemar's test over configured system pairs, on one agreed run."""
+    layout = Layout(cfg)
+    test = _load_split(cfg, "test")
+    vectors = {
+        s.name: eval_mod.correctness_vector(
+            _read_slots(layout.predictions(s.name, test.name, cfg.mcnemar_run), test), test
+        )
+        for s in cfg.systems
+    }
     rows = [
         (test.name, a, b, eval_mod.mcnemar(vectors[a], vectors[b]))
         for a, b in cfg.comparisons
     ]
-    layout = Layout(cfg)
     layout.mcnemar().parent.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, run=str(cfg.mcnemar_run), alpha=str(cfg.alpha))
     layout.mcnemar().write_text(eval_mod.render_mcnemar_tsv(rows, meta, cfg.alpha), "utf-8")
     return rows
 
 
-def run_score(cfg: ExperimentConfig) -> list[eval_mod.EvalReport]:
-    test = _load_split(cfg, "test")
-    scores, _ = _evaluate(cfg, test, range(cfg.runs), None)
-    return _write_scores(cfg, test, scores)
-
-
-def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McNemarResult]]:
-    """McNemar's test over configured system pairs, on one agreed run."""
-    test = _load_split(cfg, "test")
-    _, vectors = _evaluate(cfg, test, range(0), cfg.mcnemar_run)
-    return _write_mcnemar(cfg, test, vectors)
+def _read_current(cfg: ExperimentConfig, stage: str, path: Path, columns: str, keys, width=None):
+    """The rows of a report table, refused unless `stage` wrote it under the
+    current config and it holds a row for each of keys."""
+    meta, rows = eval_mod.read_counts(path, columns, width)
+    if meta.get("config_hash") != cfg.config_hash:
+        raise ConfigError(
+            f"{path} was written under config_hash {meta.get('config_hash')}, "
+            f"not {cfg.config_hash}: re-run `{stage}`"
+        )
+    for key in keys:
+        if key not in rows:
+            raise ConfigError(f"{path} has no row for {' '.join(key)}: re-run `{stage}`")
+    return rows
 
 
 def run_report(cfg: ExperimentConfig) -> str:
-    """Write scores.tsv, mcnemar.tsv and report.txt from one read of each run."""
-    test = _load_split(cfg, "test")
-    mcnemar_run = cfg.mcnemar_run if cfg.comparisons else None
-    scores, vectors = _evaluate(cfg, test, range(cfg.runs), mcnemar_run)
-    reports = _write_scores(cfg, test, scores)
-    rows = _write_mcnemar(cfg, test, vectors) if cfg.comparisons else []
+    """Write report.txt from the tallies score and compare wrote; reads no
+    prediction, diagnostics or split file."""
+    layout = Layout(cfg)
+    corpus = f"{cfg.corpus_name}-test"
+    keys = [(s.name, corpus, str(run)) for s in cfg.systems for run in range(cfg.runs)]
+    tallies = _read_current(cfg, "score", layout.runs(), eval_mod.RUNS_COLUMNS, keys)
+    reports = [
+        eval_mod.EvalReport(s.name, corpus, tuple(
+            eval_mod.RunScore.from_counts(*tallies[s.name, corpus, str(run)])
+            for run in range(cfg.runs)
+        ))
+        for s in cfg.systems
+    ]
+    rows = []
+    if cfg.comparisons:
+        pairs = [(corpus, a, b) for a, b in cfg.comparisons]
+        counts = _read_current(
+            cfg, "compare", layout.mcnemar(), eval_mod.MCNEMAR_COLUMNS, pairs, width=2
+        )
+        rows = [(*pair, eval_mod.mcnemar_counts(*counts[pair])) for pair in pairs]
     meta = _meta(cfg, corpus=cfg.corpus_name, language=cfg.language, policy=cfg.policy)
     text = eval_mod.render_report_text(reports, rows, meta, cfg.alpha)
-    layout = Layout(cfg)
-    layout.report().parent.mkdir(parents=True, exist_ok=True)
-    layout.report().write_text(text, "utf-8")
+    layout.report().write_text(text, "utf-8")  # beside runs.tsv
     return text

@@ -3,7 +3,10 @@
 Each is deliberately written with plain loops and exact arithmetic —
 no code under test is reused beyond the EditScript value type and the
 alignment's word-pair score (itself checked against a textbook
-Levenshtein DP) — so agreement is real evidence.
+Levenshtein DP) — so agreement is real evidence.  The exception is
+oracle_report_text: it is the earlier `report` stage, which re-scored
+every prediction file, kept as a differential oracle for the stage that
+now reads only the tallies `score` and `compare` wrote.
 """
 
 import math
@@ -12,8 +15,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from lemmabench.align import _pair_score
+from lemmabench import evaluation as eval_mod
+from lemmabench.align import _pair_score, read_diagnostics, read_predictions
 from lemmabench.editscript import LOWER_FIRST, PRESERVE, UPPER_FIRST, EditScript
+from lemmabench.experiment import Layout, _load_split, _meta, blocks_to_slots
 
 from conftest import corpus, sentence
 
@@ -224,3 +229,62 @@ def random_eval_case(rng: random.Random, n_sentences=None):
                 slots.append(gold_lemma)
         predictions[f"r-{s:04d}"] = slots
     return corpus("rand", *sentences), predictions
+
+
+def _oracle_evaluate(cfg, test, score_runs, mcnemar_run):
+    """Each system's scores on score_runs and its McNemar correctness vector
+    on mcnemar_run (None for none).  Each prediction file is read once, and
+    only what is derived from it is kept."""
+    layout = Layout(cfg)
+    runs = sorted({*score_runs, *([] if mcnemar_run is None else [mcnemar_run])})
+    scores = {}
+    vectors = {}
+    for system in cfg.systems:
+        scores[system.name] = []
+        for run in runs:
+            _, blocks = read_predictions(layout.predictions(system.name, test.name, run))
+            slots = blocks_to_slots(blocks, test)
+            if run in score_runs:
+                diag_path = layout.diagnostics(system.name, test.name, run)
+                diag = read_diagnostics(diag_path)[1] if diag_path.exists() else {}
+                scores[system.name].append(eval_mod.score_run(slots, test, cfg.policy, diag))
+            if run == mcnemar_run:
+                vectors[system.name] = eval_mod.correctness_vector(slots, test)
+    return scores, vectors
+
+
+def oracle_report_text(cfg):
+    """report.txt as the earlier `report` stage rendered it: by scoring every
+    run again from the prediction files and the test split.  (That stage also
+    rewrote scores.tsv and mcnemar.tsv; this oracle writes nothing.)"""
+    test = _load_split(cfg, "test")
+    mcnemar_run = cfg.mcnemar_run if cfg.comparisons else None
+    scores, vectors = _oracle_evaluate(cfg, test, range(cfg.runs), mcnemar_run)
+    reports = [
+        eval_mod.EvalReport(system.name, test.name, tuple(scores[system.name]))
+        for system in cfg.systems
+    ]
+    rows = [
+        (test.name, a, b, eval_mod.mcnemar(vectors[a], vectors[b]))
+        for a, b in cfg.comparisons
+    ]
+    meta = _meta(cfg, corpus=cfg.corpus_name, language=cfg.language, policy=cfg.policy)
+    return eval_mod.render_report_text(reports, rows, meta, cfg.alpha)
+
+
+def oracle_run_score(correct, total, correct_sentences, sentences, missing, wrong, random):
+    """A RunScore whose accuracies are the exact ratios of its tallies, each
+    rounded once to the nearest float."""
+    return eval_mod.RunScore(
+        float(Fraction(correct, total)) if total else 0.0,
+        float(Fraction(correct_sentences, sentences)) if sentences else 0.0,
+        correct, total, correct_sentences, sentences, missing, wrong, random,
+    )
+
+
+def oracle_mcnemar(b01, b10, agree=3):
+    """McNemar's test run on correctness vectors with b01 and b10 discordant
+    words, plus `agree` words both systems got right."""
+    first = [False] * b01 + [True] * b10 + [True] * agree
+    second = [True] * b01 + [False] * b10 + [True] * agree
+    return eval_mod.mcnemar(first, second)

@@ -132,3 +132,53 @@ def test_verify_cache_exits_2_on_a_damaged_record(fixtures_dir, tmp_path, capsys
     (tmp_path / "cache" / "log.tsv").write_bytes(log)
     assert main(["verify-cache", "--config", str(config)]) == 2
     assert "record does not match its sha256" in capsys.readouterr().err
+
+
+def _replay_config(fixtures_dir, tmp_path, **changes):
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    raw["corpus"]["path"] = str(fixtures_dir / "corpora" / "es_fix.conllu")
+    raw["cache_dir"] = str(fixtures_dir / "replay" / "cache")
+    raw["scoring"].update(changes)
+    config = tmp_path / f"config-{len(list(tmp_path.glob('config-*')))}.json"
+    config.write_text(json.dumps(raw), "utf-8")
+    return str(config)
+
+
+def test_mcnemar_run_outside_the_runs_exits_2_at_every_stage(fixtures_dir, tmp_path, capsys):
+    config = _replay_config(fixtures_dir, tmp_path, mcnemar_run=7)
+    for command in ("ingest", "run", "score", "compare", "report"):
+        assert _run(config, tmp_path / "out", command) == 2
+        assert "scoring.mcnemar_run 7 is not a run in 0..2" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def scored_out(fixtures_dir, tmp_path):
+    config, out = _replay_config(fixtures_dir, tmp_path), tmp_path / "out"
+    for command in ("ingest", "split", "induce", "train-baseline", "run", "score", "compare"):
+        assert _run(config, out, command) == 0
+    return config, out
+
+
+def test_score_without_a_diagnostics_file_exits_2(scored_out, capsys):
+    config, out = scored_out
+    (out / "predictions" / "llm-basic-4shot" / "es_fix-test.run1.diag.json").unlink()
+    capsys.readouterr()
+    assert _run(config, out, "score") == 2
+    err = capsys.readouterr().err
+    assert "es_fix-test.run1.diag.json" in err and "have the earlier stages been run?" in err
+
+
+def test_report_after_a_config_change_exits_2_naming_the_stage(
+    scored_out, fixtures_dir, tmp_path, capsys
+):
+    _, out = scored_out
+    changed = _replay_config(fixtures_dir, tmp_path, alpha=0.01)
+    capsys.readouterr()
+    assert _run(changed, out, "report") == 2
+    assert "re-run `score`" in capsys.readouterr().err
+    assert _run(changed, out, "score") == 0
+    assert _run(changed, out, "report") == 2
+    assert "re-run `compare`" in capsys.readouterr().err
+    assert _run(changed, out, "compare") == 0
+    assert _run(changed, out, "report") == 0
+    assert "McNemar's test (alpha = 0.01)" in (out / "reports" / "report.txt").read_text("utf-8")

@@ -3,14 +3,25 @@
 import ast
 import dataclasses
 import json
+import math
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lemmabench import baseline, editscript, experiment
+from lemmabench import baseline, corpus as corpus_mod, editscript, evaluation, experiment
 from lemmabench.align import PredictionBlock, read_predictions
 from lemmabench.corpus import ingest_tsv, write_tsv
-from lemmabench.errors import ConfigError, InventoryFormatError, ScoringError, TransportError
+from lemmabench.errors import (
+    ConfigError,
+    FileFormatError,
+    InventoryFormatError,
+    ScoringError,
+    TransportError,
+)
 from lemmabench.experiment import (
     Layout,
     blocks_to_slots,
@@ -26,6 +37,7 @@ from lemmabench.experiment import (
 )
 
 from conftest import corpus, sentence
+from oracles import oracle_mcnemar, oracle_report_text, oracle_run_score
 
 
 def forbidden_transport(config, prompt):
@@ -103,6 +115,10 @@ def _minimal_raw(**overrides):
             systems=[{"name": "x", "kind": "external", "predictions": ["a.tsv", "b.tsv"]}],
         ),
         lambda raw: raw.update(scoring={"policy": "renormalise"}),
+        # mcnemar_run must name one of the runs 0..runs-1.
+        lambda raw: raw.update(runs=3, scoring={"mcnemar_run": 7}),
+        lambda raw: raw.update(runs=3, scoring={"mcnemar_run": 3}),
+        lambda raw: raw.update(scoring={"mcnemar_run": -1}),
         # Values that land in "# key = value" artifact headers.
         lambda raw: raw.update(name="tab\tname"),
         lambda raw: raw.update(language="Eng\nlish"),
@@ -117,6 +133,11 @@ def test_load_config_rejects_bad_input(tmp_path, mutate):
     mutate(raw)
     with pytest.raises(ConfigError):
         load_config(_write_config(tmp_path, raw))
+
+
+def test_load_config_accepts_the_last_run_for_mcnemar(tmp_path):
+    raw = _minimal_raw(runs=3, scoring={"mcnemar_run": 2})
+    assert load_config(_write_config(tmp_path, raw)).mcnemar_run == 2
 
 
 def test_config_hash_ignores_key_order_but_not_content(tmp_path):
@@ -255,6 +276,7 @@ def test_pipeline_writes_every_artifact(replay_out):
         for run in range(cfg.runs):
             assert layout.predictions(system.name, "es_fix-test", run).exists()
             assert layout.diagnostics(system.name, "es_fix-test", run).exists()
+    assert layout.runs().exists()
     assert layout.scores().exists()
     assert layout.mcnemar().exists()
     assert layout.report().exists()
@@ -263,6 +285,7 @@ def test_pipeline_writes_every_artifact(replay_out):
 def test_pipeline_reports_match_frozen_expectations(replay_out, fixtures_dir):
     _, layout = replay_out
     expected = fixtures_dir / "replay" / "expected"
+    assert layout.runs().read_bytes() == (expected / "runs.tsv").read_bytes()
     assert layout.scores().read_bytes() == (expected / "scores.tsv").read_bytes()
     assert layout.mcnemar().read_bytes() == (expected / "mcnemar.tsv").read_bytes()
     assert layout.report().read_bytes() == (expected / "report.txt").read_bytes()
@@ -270,7 +293,8 @@ def test_pipeline_reports_match_frozen_expectations(replay_out, fixtures_dir):
 
 def test_artifacts_carry_no_absolute_paths_or_timestamps(replay_out):
     cfg, layout = replay_out
-    for path in (layout.corpus_tsv(), layout.scores(), layout.mcnemar(), layout.report()):
+    reports = (layout.runs(), layout.scores(), layout.mcnemar(), layout.report())
+    for path in (layout.corpus_tsv(), *reports):
         text = path.read_text("utf-8")
         assert str(layout.root) not in text
         assert "20" + "26-" not in text  # no dates sneak into headers
@@ -278,22 +302,220 @@ def test_artifacts_carry_no_absolute_paths_or_timestamps(replay_out):
 
 def test_scoring_stages_are_deterministic(replay_out):
     cfg, layout = replay_out
-    before = layout.scores().read_bytes(), layout.mcnemar().read_bytes()
+    artifacts = (layout.runs(), layout.scores(), layout.mcnemar())
+    before = [path.read_bytes() for path in artifacts]
     run_score(cfg)
     run_compare(cfg)
-    assert (layout.scores().read_bytes(), layout.mcnemar().read_bytes()) == before
+    assert [path.read_bytes() for path in artifacts] == before
 
 
 def test_report_reads_each_run_once(replay_out, fixtures_dir, monkeypatch):
+    # report renders from runs.tsv and mcnemar.tsv alone: it reads no
+    # prediction, diagnostics or split file.
     cfg, layout = replay_out
     reads = []
-    real = experiment.read_predictions
-    monkeypatch.setattr(experiment, "read_predictions", lambda p: reads.append(p) or real(p))
+    for module, name in (
+        (experiment, "read_predictions"),
+        (experiment, "read_diagnostics"),
+        (corpus_mod, "ingest_tsv"),
+    ):
+        real = getattr(module, name)
+        spy = lambda *a, real=real, **k: reads.append(a) or real(*a, **k)  # noqa: E731
+        monkeypatch.setattr(module, name, spy)
     run_report(cfg)
-    assert len(reads) == len(set(reads)) == len(cfg.systems) * cfg.runs
+    assert reads == []
     expected = fixtures_dir / "replay" / "expected"
-    for name in ("scores.tsv", "mcnemar.tsv", "report.txt"):
-        assert (layout.root / "reports" / name).read_bytes() == (expected / name).read_bytes()
+    assert layout.report().read_bytes() == (expected / "report.txt").read_bytes()
+
+
+def test_report_matches_the_rescoring_oracle(replay_out, fixtures_dir):
+    cfg, layout = replay_out
+    text = oracle_report_text(cfg)
+    assert text == layout.report().read_text("utf-8")
+    expected = fixtures_dir / "replay" / "expected" / "report.txt"
+    assert text.encode("utf-8") == expected.read_bytes()
+
+
+def test_each_report_artifact_has_one_writer(replay_out, tmp_path, monkeypatch):
+    cfg, layout = replay_out
+    shutil.copytree(layout.root, tmp_path / "out")
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
+    written = []
+    real = Path.write_text
+    spy = lambda path, *a, **k: written.append(path.name) or real(path, *a, **k)  # noqa: E731
+    monkeypatch.setattr(Path, "write_text", spy)
+    for stage, names in (
+        (run_score, ["runs.tsv", "scores.tsv"]),
+        (run_compare, ["mcnemar.tsv"]),
+        (run_report, ["report.txt"]),
+    ):
+        stage(cfg)
+        assert written == names
+        written.clear()
+
+
+@pytest.fixture()
+def report_inputs(replay_out, tmp_path):
+    """A copy of the replay fixture's reports/, for report to read."""
+    cfg, layout = replay_out
+    shutil.copytree(layout.root / "reports", tmp_path / "reports")
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path))
+    Layout(cfg).report().unlink()
+    return cfg, Layout(cfg)
+
+
+def _edit(path, old, new):
+    text = path.read_text("utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), "utf-8")
+
+
+@pytest.mark.parametrize("table, stage", [("runs.tsv", "score"), ("mcnemar.tsv", "compare")])
+def test_report_refuses_a_table_of_another_config(report_inputs, table, stage):
+    cfg, layout = report_inputs
+    path = layout.root / "reports" / table
+    _edit(path, f"# config_hash = {cfg.config_hash}\n", "# config_hash = 957dc2e0216e\n")
+    stale = f"957dc2e0216e, not {cfg.config_hash}: re-run `{stage}`"
+    with pytest.raises(ConfigError, match=stale):
+        run_report(cfg)
+    assert not layout.report().exists()
+
+
+def test_report_refuses_tallies_when_the_config_changed(report_inputs):
+    cfg, layout = report_inputs
+    changed = dataclasses.replace(cfg, alpha=0.01, config_hash="0123456789ab")
+    with pytest.raises(ConfigError, match=r"runs\.tsv .*: re-run `score`"):
+        run_report(changed)
+
+
+def test_report_refuses_runs_without_a_configured_run(report_inputs):
+    cfg, layout = report_inputs
+    lines = layout.runs().read_text("utf-8").splitlines(keepends=True)
+    assert lines[-1].startswith("llm-full-0shot\tes_fix-test\t2\t")
+    layout.runs().write_text("".join(lines[:-1]), "utf-8")
+    missing = "no row for llm-full-0shot es_fix-test 2: re-run `score`"
+    with pytest.raises(ConfigError, match=missing):
+        run_report(cfg)
+
+
+def test_report_refuses_mcnemar_without_a_configured_comparison(report_inputs):
+    cfg, layout = report_inputs
+    lines = layout.mcnemar().read_text("utf-8").splitlines(keepends=True)
+    assert lines[-2].startswith("es_fix-test\tbaseline\tllm-full-0shot\t")
+    layout.mcnemar().write_text("".join(lines[:-2] + lines[-1:]), "utf-8")
+    with pytest.raises(
+        ConfigError, match="no row for es_fix-test baseline llm-full-0shot: re-run `compare`"
+    ):
+        run_report(cfg)
+
+
+def test_report_names_a_bad_tally(report_inputs):
+    cfg, layout = report_inputs
+    _edit(layout.runs(), "baseline\tes_fix-test\t1\t184\t", "baseline\tes_fix-test\t1\t-184\t")
+    with pytest.raises(FileFormatError, match=r"runs\.tsv:6: a count is not"):
+        run_report(cfg)
+
+
+def test_score_refuses_a_run_without_diagnostics(replay_out, tmp_path, capsys):
+    # run always writes a .diag.json beside each prediction file; a run
+    # without one is an error, not a run with no wrong or random words.
+    cfg, layout = replay_out
+    shutil.copytree(layout.root, tmp_path / "out", ignore=shutil.ignore_patterns("reports"))
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
+    Layout(cfg).diagnostics("llm-basic-4shot", "es_fix-test", 1).unlink()
+    with pytest.raises(FileNotFoundError, match=r"llm-basic-4shot/es_fix-test\.run1\.diag"):
+        run_score(cfg)
+    assert not Layout(cfg).runs().exists() and not Layout(cfg).scores().exists()
+
+
+# --- report against the re-scoring oracle on random tallies -----------------------
+
+_SYSTEMS = ("sys-a", "sys-b", "sys-c")
+
+
+@st.composite
+def _tallies(draw):
+    """(correct, total, correct sentences, sentences, missing, wrong, random)."""
+    total = draw(st.integers(0, 30000))
+    sentences = draw(st.integers(0, 1500))
+    return (
+        draw(st.integers(0, total)), total,
+        draw(st.integers(0, sentences)), sentences,
+        draw(st.integers(0, total)), draw(st.integers(0, 99)), draw(st.integers(0, 99)),
+    )
+
+
+def _report_from_tallies(tallies, tests):
+    """run_report on a runs.tsv and mcnemar.tsv holding the given per-system
+    run tallies and per-pair discordant counts, next to the oracle's text."""
+    raw = _minimal_raw(
+        systems=[{"name": name, "kind": "baseline"} for name in tallies],
+        runs=len(next(iter(tallies.values()))),
+        comparisons=[list(pair) for pair in tests],
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = load_config(_write_config(Path(tmp), raw))
+        test_name = f"{cfg.corpus_name}-test"
+        reports = [
+            evaluation.EvalReport(name, test_name, tuple(oracle_run_score(*t) for t in runs))
+            for name, runs in tallies.items()
+        ]
+        rows = [(test_name, a, b, oracle_mcnemar(*counts)) for (a, b), counts in tests.items()]
+        layout = Layout(cfg)
+        layout.runs().parent.mkdir(parents=True)
+        meta = {"experiment": cfg.name, "config_hash": cfg.config_hash}
+        layout.runs().write_text(evaluation.render_runs_tsv(reports, meta), "utf-8")
+        layout.mcnemar().write_text(evaluation.render_mcnemar_tsv(rows, meta, cfg.alpha), "utf-8")
+        text = run_report(cfg)
+    meta.update(corpus=cfg.corpus_name, language=cfg.language, policy=cfg.policy)
+    return text, evaluation.render_report_text(reports, rows, meta, cfg.alpha)
+
+
+def _starred(text):
+    return [line.split()[0] for line in text.splitlines() if line.split()[1:2] == ["*"]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda runs: st.lists(
+            st.lists(_tallies(), min_size=runs, max_size=runs), min_size=1, max_size=3
+        )
+    ),
+    st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), min_size=3, max_size=3),
+)
+def test_report_matches_the_oracle_on_random_tallies(per_system, discordant):
+    tallies = dict(zip(_SYSTEMS, per_system))
+    pairs = [(a, b) for i, a in enumerate(tallies) for b in list(tallies)[i + 1 :]]
+    text, oracle = _report_from_tallies(tallies, dict(zip(pairs, discordant)))
+    assert text == oracle
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_tallies(), min_size=1, max_size=3), st.permutations(range(3)))
+def test_report_stars_both_systems_whose_means_tie_exactly(runs, order):
+    # sys-b repeats sys-a's runs in another order: the means are equal floats.
+    tallies = {"sys-a": runs, "sys-b": [runs[i] for i in order if i < len(runs)]}
+    text, oracle = _report_from_tallies(tallies, {})
+    assert text == oracle
+    assert _starred(text) == ["sys-a", "sys-b"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(20000, 60000), st.floats(0.01, 0.99), st.booleans())
+def test_report_stars_one_of_two_means_equal_to_four_decimals(total, share, swap):
+    # Farey neighbours: other/other_total exceeds correct/total by exactly
+    # 1/(total*other_total), as little as 1e-9 apart.
+    correct = round(total * share)
+    assume(math.gcd(correct, total) == 1)
+    other_total = -pow(correct, -1, total) % total
+    other = (1 + correct * other_total) // total
+    assume(f"{correct / total:.4f}" == f"{other / other_total:.4f}")
+    runs = [[(correct, total, 0, 10, 0, 0, 0)], [(other, other_total, 0, 10, 0, 0, 0)]]
+    tallies = dict(zip(("sys-a", "sys-b"), runs[::-1] if swap else runs))
+    text, oracle = _report_from_tallies(tallies, {})
+    assert text == oracle
+    assert _starred(text) == ["sys-a" if swap else "sys-b"]
 
 
 def test_baseline_runs_are_identical(replay_out):
@@ -411,6 +633,8 @@ def test_external_predictions_are_normalized_with_ids(tiny_experiment):
 def test_report_stage_returns_rendered_text(tiny_experiment):
     cfg = tiny_experiment
     run_predictions(cfg, transport=identity_transport)
+    run_score(cfg)
+    run_compare(cfg)
     text = run_report(cfg)
     assert "llm-identity" in text and "external-ref" in text
     assert Layout(cfg).report().read_text("utf-8") == text

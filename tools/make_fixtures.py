@@ -473,7 +473,7 @@ def make_replay_fixture():
 
         expected = replay_dir / "expected"
         expected.mkdir()
-        for name in ("scores.tsv", "mcnemar.tsv", "report.txt"):
+        for name in ("runs.tsv", "scores.tsv", "mcnemar.tsv", "report.txt"):
             shutil.copyfile(Path(tmp) / "reports" / name, expected / name)
 
         diag_dir = FIXTURES / "diagnostics"
