@@ -232,24 +232,30 @@ def render_mcnemar_tsv(
 def read_counts(
     path: str | Path, columns: str, width: int | None = None
 ) -> tuple[dict[str, str], dict[tuple[str, ...], list[int]]]:
-    """Metadata and rows of a runs.tsv or mcnemar.tsv whose column line is
-    `columns`: the first three fields of a row key the next `width` fields
-    (default: all the rest), non-negative integers.  A `#` line without a
-    tab is a header."""
+    """Metadata and rows of a runs.tsv or mcnemar.tsv: `#` header lines
+    without a tab, the column line `columns`, then rows whose first three
+    fields key the next `width` fields (default: all the rest), which must
+    be non-negative integers."""
+    lines = Path(path).read_text("utf-8").splitlines()
     meta: dict[str, str] = {}
+    n = 0  # header lines
+    while n < len(lines) and lines[n].startswith("#") and "\t" not in lines[n]:
+        key, _, value = lines[n][2:].partition(" = ")
+        meta[key] = value
+        n += 1
+    if lines[n : n + 1] != [columns]:
+        raise FileFormatError(path, n + 1, f"expected the column line {columns!r}")
     rows = {}
-    for line_no, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(lines[n + 1 :], start=n + 2):
         parts = line.split("\t")
-        if line.startswith("#") and len(parts) == 1:
-            key, _, value = line[2:].partition(" = ")
-            meta[key] = value
-        elif len(parts) != columns.count("\t") + 1:
+        counts = parts[3:] if width is None else parts[3 : 3 + width]
+        if len(parts) != columns.count("\t") + 1:
             raise FileFormatError(path, line_no, f"expected the fields {columns!r}")
-        elif line != columns:
-            counts = parts[3:] if width is None else parts[3 : 3 + width]
-            if not all(c.isascii() and c.isdigit() for c in counts):
-                raise FileFormatError(path, line_no, "a count is not a non-negative integer")
-            rows[tuple(parts[:3])] = [int(c) for c in counts]
+        if not all(c.isascii() and c.isdigit() for c in counts):
+            raise FileFormatError(path, line_no, "a count is not a non-negative integer")
+        if tuple(parts[:3]) in rows:
+            raise FileFormatError(path, line_no, f"repeats the row for {' '.join(parts[:3])}")
+        rows[tuple(parts[:3])] = [int(c) for c in counts]
     return meta, rows
 
 

@@ -560,7 +560,14 @@ def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McN
     return rows
 
 
-def _read_current(cfg: ExperimentConfig, stage: str, path: Path, columns: str, keys, width=None):
+def _read_current(
+    cfg: ExperimentConfig,
+    stage: str,
+    path: Path,
+    columns: str,
+    keys: list[tuple[str, ...]],
+    width: int | None = None,
+) -> dict[tuple[str, ...], list[int]]:
     """The rows of a report table, refused unless `stage` wrote it under the
     current config and it holds a row for each of keys."""
     meta, rows = eval_mod.read_counts(path, columns, width)

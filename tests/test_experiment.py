@@ -409,10 +409,26 @@ def test_report_refuses_mcnemar_without_a_configured_comparison(report_inputs):
         run_report(cfg)
 
 
-def test_report_names_a_bad_tally(report_inputs):
+_LAST_TEST = "es_fix-test\tllm-basic-4shot\tllm-full-0shot\t7\t7\texact\t7.000000\t1\tno\n"
+
+
+@pytest.mark.parametrize(
+    "table, old, new, error",
+    [
+        ("runs.tsv", "baseline\tes_fix-test\t1\t184\t", "baseline\tes_fix-test\t1\t-184\t",
+         r"runs\.tsv:6: a count is not a non-negative integer"),
+        ("runs.tsv", "\tcorrect_sentences\t", "\tcorrect_sents\t",
+         r"runs\.tsv:4: expected the column line"),
+        ("mcnemar.tsv", _LAST_TEST, _LAST_TEST.replace("\t1\tno", ""),
+         r"mcnemar\.tsv:8: expected the fields"),
+        ("mcnemar.tsv", _LAST_TEST, _LAST_TEST * 2,
+         r"mcnemar\.tsv:9: repeats the row for es_fix-test llm-basic-4shot llm-full-0shot"),
+    ],
+)
+def test_report_names_a_bad_line(report_inputs, table, old, new, error):
     cfg, layout = report_inputs
-    _edit(layout.runs(), "baseline\tes_fix-test\t1\t184\t", "baseline\tes_fix-test\t1\t-184\t")
-    with pytest.raises(FileFormatError, match=r"runs\.tsv:6: a count is not"):
+    _edit(layout.root / "reports" / table, old, new)
+    with pytest.raises(FileFormatError, match=error):
         run_report(cfg)
 
 
