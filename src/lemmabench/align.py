@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import unicodedata
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,7 @@ from .errors import ScoringError
 # since wordforms themselves may contain one.
 _SEPARATOR = re.compile(r"\t+| {2,}")
 _QUOTE_PAIRS = {('"', '"'), ("'", "'"), ("`", "`"), ("“", "”"), ("‘", "’")}
+_OPENING_QUOTES = {opening for opening, _ in _QUOTE_PAIRS}
 
 _MATCH = 2
 _NEAR = 1
@@ -52,14 +54,20 @@ def parse_output(raw_text: str) -> ParsedOutput:
     """Extract candidate wordform/lemma rows from a raw completion."""
     pairs: list[tuple[str, str]] = []
     rejects: list[str] = []
+    split, normalize = _SEPARATOR.split, unicodedata.normalize
     for line in raw_text.splitlines():
         line = line.strip()
         if not line:
             continue
-        fields = [_strip_quotes(f.strip()) for f in _SEPARATOR.split(line)]
-        fields = [f for f in fields if f]
+        fields = []
+        for field in split(line):
+            field = field.strip()
+            if field[:1] in _OPENING_QUOTES:  # else _strip_quotes has nothing to strip
+                field = _strip_quotes(field)
+            if field:
+                fields.append(field)
         if len(fields) == 2:
-            pairs.append((_nfc(fields[0]), _nfc(fields[1])))
+            pairs.append((normalize("NFC", fields[0]), normalize("NFC", fields[1])))
         else:
             rejects.append(line)
     return ParsedOutput(pairs=tuple(pairs), rejects=tuple(rejects))
@@ -149,7 +157,15 @@ def align_sequences(out_words: list[str], in_words: list[str]) -> list[tuple[int
     up to the first cell already as high.  The traceback keeps the full
     DP's preference order on W: skip the output row, else match, else skip
     the input token.
+
+    An output that echoes its input word for word skips all of this: the
+    diagonal scores 2n, an alignment with k < n matches scores at most
+    2k - 2(n - k) < 2n, and the only order-preserving pairing of all n
+    words of two lists of length n is the diagonal.  So the diagonal is the
+    unique optimum, and the traceback would return exactly it.
     """
+    if out_words == in_words:
+        return [(k, k) for k in range(len(in_words))]
     n, m = len(out_words), len(in_words)
     candidates = _candidate_cells(out_words, in_words)
     rows = [[0] * (m + 1)]

@@ -20,6 +20,7 @@ experiment from the same inputs reproduces every file byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -94,6 +95,32 @@ def _hash_config(raw: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+def _section(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def _integer(value, name: str, nullable: bool = False) -> int | None:
+    """value when it is a JSON integer (true and false are not), or null
+    where that is allowed."""
+    if type(value) is int or (value is None and nullable):
+        return value
+    raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
+
+
+def _build(cls, values, name: str, integers: tuple[str, ...]):
+    """cls(**values), refusing a key that is not one of cls's fields and a
+    non-integer value of a key in integers (null where the default is None)."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key, value in _section(values, name).items():
+        if key not in fields:
+            raise ConfigError(f"{name}.{key} is not a known key; use one of {', '.join(fields)}")
+        if key in integers:
+            _integer(value, f"{name}.{key}", nullable=fields[key].default is None)
+    return cls(**values)
+
+
 def _parse_system(entry: dict, base: Path, runs: int, language: str) -> SystemSpec:
     try:
         name, kind = entry["name"], entry["kind"]
@@ -102,7 +129,8 @@ def _parse_system(entry: dict, base: Path, runs: int, language: str) -> SystemSp
     if kind == BASELINE:
         return SystemSpec(name=name, kind=kind)
     if kind == LLM:
-        spec = prompt_mod.PromptSpec(**{"language_name": language, **entry.get("prompt", {})})
+        prompt = {"language_name": language, **_section(entry.get("prompt", {}), "prompt")}
+        spec = _build(prompt_mod.PromptSpec, prompt, "prompt", integers=("shots", "seed"))
         diag = entry.get("dev_diagnostics")
         return SystemSpec(
             name=name,
@@ -137,10 +165,11 @@ def load_config(
         raw = json.loads(path.read_text("utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    _section(raw, "the config")
 
     try:
-        corpus_raw = raw["corpus"]
-        split_raw = raw["split"]
+        corpus_raw = _section(raw["corpus"], "corpus")
+        split_raw = _section(raw["split"], "split")
     except KeyError as exc:
         raise ConfigError(f"config missing section {exc}") from exc
 
@@ -149,14 +178,14 @@ def load_config(
         raise ConfigError(f"unknown corpus format {corpus_format!r}")
 
     split = corpus_mod.SplitSpec(
-        train_count=split_raw["train"],
-        dev_count=split_raw["dev"],
-        test_count=split_raw["test"],
+        train_count=_integer(split_raw.get("train"), "split.train"),
+        dev_count=_integer(split_raw.get("dev"), "split.dev"),
+        test_count=_integer(split_raw.get("test"), "split.test"),
         selection_rule=split_raw.get("rule", corpus_mod.FIRST_N),
-        seed=split_raw.get("seed", 0),
+        seed=_integer(split_raw.get("seed", 0), "split.seed"),
     )
-    reduce_raw = raw.get("reduce", {})
-    runs = int(raw.get("runs", 1))
+    reduce_raw = _section(raw.get("reduce", {}), "reduce")
+    runs = _integer(raw.get("runs", 1), "runs")
     if runs < 1:
         raise ConfigError("runs must be >= 1")
 
@@ -165,8 +194,13 @@ def load_config(
     if len({s.name for s in systems}) != len(systems):
         raise ConfigError("system names must be unique")
 
-    provider = gateway_mod.ProviderConfig(**raw.get("provider", {}))
-    scoring = raw.get("scoring", {})
+    provider = _build(
+        gateway_mod.ProviderConfig,
+        raw.get("provider", {}),
+        "provider",
+        integers=("max_tokens", "max_retries"),
+    )
+    scoring = _section(raw.get("scoring", {}), "scoring")
     policy = scoring.get("policy", eval_mod.STRICT)
     if policy not in eval_mod.POLICIES:
         raise ConfigError(f"unknown scoring policy {policy!r}; use one of {eval_mod.POLICIES}")
@@ -189,17 +223,19 @@ def load_config(
         ("language", language),
         ("corpus file name", Path(corpus_raw["path"]).name),
         ("corpus name", corpus_name),
-        ("split seed", split.seed),
         ("provider model", provider.model),
         *(("system name", s.name) for s in systems),
     ):
         if any(c in str(value) for c in "\t\n\r"):
             raise ConfigError(f"{label} {value!r} holds a tab or a line break")
 
-    mcnemar_run = int(scoring.get("mcnemar_run", 0))
+    mcnemar_run = _integer(scoring.get("mcnemar_run", 0), "scoring.mcnemar_run")
     if not 0 <= mcnemar_run < runs:
         raise ConfigError(f"scoring.mcnemar_run {mcnemar_run} is not a run in 0..{runs - 1}")
 
+    alpha = scoring.get("alpha", 0.05)
+    if type(alpha) not in (int, float):
+        raise ConfigError(f"scoring.alpha must be a number, got {json.dumps(alpha)}")
     mode = cache_mode or raw.get("cache_mode", gateway_mod.REPLAY)
     return ExperimentConfig(
         name=name,
@@ -208,19 +244,22 @@ def load_config(
         corpus_format=corpus_format,
         corpus_name=corpus_name,
         split=split,
-        reduce_to=reduce_raw.get("max_sentences"),
+        reduce_to=_integer(reduce_raw.get("max_sentences"), "reduce.max_sentences", nullable=True),
         reduce_rule=reduce_raw.get("rule", corpus_mod.FIRST_N),
-        reduce_seed=reduce_raw.get("seed", 0),
-        max_suffix_len=int(raw.get("baseline", {}).get("max_suffix_len", 5)),
+        reduce_seed=_integer(reduce_raw.get("seed", 0), "reduce.seed"),
+        max_suffix_len=_integer(
+            _section(raw.get("baseline", {}), "baseline").get("max_suffix_len", 5),
+            "baseline.max_suffix_len",
+        ),
         systems=systems,
         provider=provider,
         runs=runs,
-        parallelism=int(raw.get("parallelism", 4)),
+        parallelism=_integer(raw.get("parallelism", 4), "parallelism"),
         cache_dir=str(base / raw.get("cache_dir", "cache")),
         cache_mode=mode,
         out_dir=str(Path(out_dir) if out_dir else base / raw.get("out_dir", "out")),
         policy=policy,
-        alpha=float(scoring.get("alpha", 0.05)),
+        alpha=float(alpha),
         mcnemar_run=mcnemar_run,
         comparisons=comparisons,
         config_hash=_hash_config(raw),

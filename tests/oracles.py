@@ -6,17 +6,20 @@ alignment's word-pair score (itself checked against a textbook
 Levenshtein DP) — so agreement is real evidence.  The exception is
 oracle_report_text: it is the earlier `report` stage, which re-scored
 every prediction file, kept as a differential oracle for the stage that
-now reads only the tallies `score` and `compare` wrote.
+now reads only the tallies `score` and `compare` wrote; likewise
+oracle_parse_output is the parser before it skipped per-field calls.
 """
 
 import math
 import random
+import re
+import unicodedata
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from lemmabench import evaluation as eval_mod
-from lemmabench.align import _pair_score, read_diagnostics, read_predictions
+from lemmabench.align import ParsedOutput, _pair_score, read_diagnostics, read_predictions
 from lemmabench.editscript import LOWER_FIRST, PRESERVE, UPPER_FIRST, EditScript
 from lemmabench.experiment import Layout, _load_split, _meta, blocks_to_slots
 
@@ -161,6 +164,38 @@ def oracle_levenshtein(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+_ORACLE_SEPARATOR = re.compile(r"\t+| {2,}")
+_ORACLE_QUOTE_PAIRS = {('"', '"'), ("'", "'"), ("`", "`"), ("“", "”"), ("‘", "’")}
+
+
+def _oracle_strip_quotes(field: str) -> str:
+    while len(field) >= 2 and (field[0], field[-1]) in _ORACLE_QUOTE_PAIRS:
+        field = field[1:-1]
+    return field
+
+
+def oracle_parse_output(raw_text: str) -> ParsedOutput:
+    """The parser as it was before it skipped per-field calls: it strips
+    quotes from and NFC-normalises every field through a function call."""
+    pairs: list[tuple[str, str]] = []
+    rejects: list[str] = []
+    for line in raw_text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        fields = [_oracle_strip_quotes(f.strip()) for f in _ORACLE_SEPARATOR.split(line)]
+        fields = [f for f in fields if f]
+        if len(fields) == 2:
+            pairs.append((_oracle_nfc(fields[0]), _oracle_nfc(fields[1])))
+        else:
+            rejects.append(line)
+    return ParsedOutput(pairs=tuple(pairs), rejects=tuple(rejects))
+
+
+def _oracle_nfc(text: str) -> str:
+    return unicodedata.normalize("NFC", text)
 
 
 _GAP = -1

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lemmabench.align import (
+    _QUOTE_PAIRS,
     AlignedPrediction,
     _candidate_cells,
     _distance_is_one,
@@ -24,7 +25,7 @@ from lemmabench.align import (
 from lemmabench.errors import ScoringError
 
 from conftest import sentence
-from oracles import oracle_align_sequences, oracle_levenshtein
+from oracles import oracle_align_sequences, oracle_levenshtein, oracle_parse_output
 from synthgen import make_case
 
 
@@ -97,6 +98,67 @@ def test_parse_normalizes_to_nfc():
     composed = unicodedata.normalize("NFC", decomposed)
     assert parsed.pairs == ((composed, composed),)
     assert len(parsed.pairs[0][0]) == 4
+
+
+# --- parsing against the per-field-call parser -----------------------------------
+
+_NFD = ["cafe\u0301", "n\u0303o", "A\u030a"]
+# Every str.splitlines boundary, "\r\n" included.
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_FIELD_SEPARATORS = ["\t", "\t\t", "  ", "   ", " \t ", " "]  # a single space separates nothing
+_QUOTES = sorted({q for pair in _QUOTE_PAIRS for q in pair})
+_PARSE_WORDS = st.sampled_from(["dogs", "dog", "l'eau", "b a", "Los", "", *_NFD, *_QUOTES]) | st.text(
+    st.sampled_from("ab é'\"`“”‘’\t"), max_size=4
+)
+
+
+@st.composite
+def _quoted_fields(draw):
+    """A word in up to three quote layers, each a full pair or only one side of one."""
+    field = draw(_PARSE_WORDS)
+    for _ in range(draw(st.integers(0, 3))):
+        opening, closing = draw(st.sampled_from(sorted(_QUOTE_PAIRS)))
+        sides = draw(st.sampled_from(["both", "opening", "closing"]))
+        field = (opening if sides != "closing" else "") + field + (closing if sides != "opening" else "")
+    return field
+
+
+@st.composite
+def _response_lines(draw):
+    fields = draw(st.lists(_quoted_fields(), max_size=4))
+    line = ""
+    for field in fields:
+        line += draw(st.sampled_from(_FIELD_SEPARATORS)) if line else ""
+        line += field
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    return draw(pad) + line + draw(pad)
+
+
+# Responses built from rows of quoted fields, or fragments thrown together.
+_RESPONSES = st.one_of(
+    st.builds(
+        "".join,
+        st.lists(
+            st.tuples(_response_lines(), st.sampled_from(_LINE_BREAKS)).map("".join)
+            | st.sampled_from(["\n", "   \n", "\t\r\n", "\u2028"]),
+            max_size=8,
+        ),
+    ),
+    st.builds(
+        "".join,
+        st.lists(
+            st.sampled_from(_LINE_BREAKS + _FIELD_SEPARATORS + _QUOTES + _NFD + ["dogs", "l'eau", "\u0301"]),
+            max_size=20,
+        ),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_RESPONSES)
+@example('""\t\'\n"\t“x”\r\n‘’  ‘a’\x1cb\u2028\t \n')  # only-quote fields, a lone quote
+def test_parse_output_matches_the_per_field_parser(raw_text):
+    assert parse_output(raw_text) == oracle_parse_output(raw_text)
 
 
 # --- alignment hand cases ----------------------------------------------------
@@ -218,6 +280,35 @@ def test_align_duplicated_long_block_matches_first_copy():
 def test_align_duplicate_row_matches_first_copy_not_a_common_suffix():
     # Trimming the common suffix first would pair the second "a".
     assert align_sequences(["a", "a"], ["a"]) == [(0, 0)]
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        [],
+        ["a"],
+        ["la", "de", "la", "la", "el", "de"],  # repeated words
+        ["a", "A", "a", "A"],  # case twins
+        ["ab", "a", "b", "ab", "ba"],  # one-edit neighbours
+        ["ß", "SS", "ss", "ß"],  # equal case folds, two edits apart
+        ["", "a", "", ""],  # the empty word
+    ],
+)
+def test_align_sequences_of_an_echo_is_the_full_dp_diagonal(words):
+    expected = oracle_align_sequences(words, words)
+    assert expected == [(k, k) for k in range(len(words))]
+    assert align_sequences(words, words) == expected
+
+
+def test_align_echo_with_an_explanation_and_a_quoted_field():
+    pairs = [("Los", "el"), ("perros", "perro"), ("ladran", "ladrar")]
+    raw = 'Here are the lemmas:\nLos\tel\n"perros"\t"perro"\nladran\tladrar'
+    parsed = parse_output(raw)
+    assert [w for w, _ in parsed.pairs] == [w for w, _ in pairs]
+    result = align(parsed, sentence("s-0", *pairs))
+    assert result.lemmas == ("el", "perro", "ladrar")
+    assert result.counts() == {"missing": 0, "wrong": 0, "random": len(parsed.rejects)}
+    assert len(parsed.rejects) == 1
 
 
 # --- sparse alignment against the full DP --------------------------------------

@@ -151,6 +151,19 @@ def test_mcnemar_run_outside_the_runs_exits_2_at_every_stage(fixtures_dir, tmp_p
         assert "scoring.mcnemar_run 7 is not a run in 0..2" in capsys.readouterr().err
 
 
+def test_config_value_of_the_wrong_type_exits_2_naming_the_key(fixtures_dir, tmp_path, capsys):
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    for key, change in (
+        ("runs", {"runs": "x"}),
+        ("split.train", {"split": {**raw["split"], "train": "40"}}),
+        ("provider.temprature", {"provider": {**raw["provider"], "temprature": 0.5}}),
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**raw, **change}), "utf-8")
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+
 @pytest.fixture()
 def scored_out(fixtures_dir, tmp_path):
     config, out = _replay_config(fixtures_dir, tmp_path), tmp_path / "out"

@@ -99,6 +99,38 @@ def _minimal_raw(**overrides):
     return raw
 
 
+def _llm_system(**prompt):
+    return {"systems": [{"name": "llm", "kind": "llm", "prompt": prompt}]}
+
+
+# (the key the error must name, a change that gives it a wrong value): an
+# integer field accepts only a JSON integer, so no float, string or bool,
+# and an unknown key is refused rather than passed to a constructor.
+_WRONG_VALUES = [
+    ("runs", lambda raw: raw.update(runs=True)),
+    ("runs", lambda raw: raw.update(runs="x")),
+    ("runs", lambda raw: raw.update(runs=2.0)),
+    ("parallelism", lambda raw: raw.update(parallelism="4")),
+    ("baseline.max_suffix_len", lambda raw: raw.update(baseline={"max_suffix_len": 2.9})),
+    ("scoring.mcnemar_run", lambda raw: raw.update(runs=3, scoring={"mcnemar_run": 1.7})),
+    ("scoring.mcnemar_run", lambda raw: raw.update(runs=3, scoring={"mcnemar_run": False})),
+    ("scoring.alpha", lambda raw: raw.update(scoring={"alpha": "x"})),
+    ("split.train", lambda raw: raw["split"].update(train="40")),
+    ("split.test", lambda raw: raw["split"].pop("test")),
+    ("split.seed", lambda raw: raw["split"].update(seed=0.5)),
+    ("reduce.max_sentences", lambda raw: raw.update(reduce={"max_sentences": "10"})),
+    ("reduce.seed", lambda raw: raw.update(reduce={"max_sentences": 10, "seed": None})),
+    ("provider.temprature", lambda raw: raw.update(provider={"temprature": 0.5})),
+    ("provider.max_retries", lambda raw: raw.update(provider={"max_retries": 2.5})),
+    ("provider.max_tokens", lambda raw: raw.update(provider={"max_tokens": "256"})),
+    ("provider", lambda raw: raw.update(provider=["model"])),
+    ("split", lambda raw: raw.update(split=3)),
+    ("prompt.shot", lambda raw: raw.update(_llm_system(shot=4))),
+    ("prompt.shots", lambda raw: raw.update(_llm_system(shots="4"))),
+    ("prompt.seed", lambda raw: raw.update(_llm_system(seed=True))),
+]
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -126,12 +158,21 @@ def _minimal_raw(**overrides):
         lambda raw: raw["corpus"].update(name="two\nlines"),
         lambda raw: raw.update(systems=[{"name": "base\tline", "kind": "baseline"}]),
         lambda raw: raw.update(provider={"model": "stub\r"}),
+        *[mutate for _, mutate in _WRONG_VALUES],
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, mutate):
     raw = _minimal_raw()
     mutate(raw)
     with pytest.raises(ConfigError):
+        load_config(_write_config(tmp_path, raw))
+
+
+@pytest.mark.parametrize("key, mutate", _WRONG_VALUES, ids=[key for key, _ in _WRONG_VALUES])
+def test_load_config_names_the_key_of_a_wrong_value(tmp_path, key, mutate):
+    raw = _minimal_raw()
+    mutate(raw)
+    with pytest.raises(ConfigError, match=key):
         load_config(_write_config(tmp_path, raw))
 
 
