@@ -122,6 +122,7 @@ def _build(cls, values, name: str, integers: tuple[str, ...]):
 
 
 def _parse_system(entry: dict, base: Path, runs: int, language: str) -> SystemSpec:
+    entry = _section(entry, "systems entry")
     try:
         name, kind = entry["name"], entry["kind"]
     except KeyError as exc:

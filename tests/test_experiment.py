@@ -125,6 +125,7 @@ _WRONG_VALUES = [
     ("provider.max_tokens", lambda raw: raw.update(provider={"max_tokens": "256"})),
     ("provider", lambda raw: raw.update(provider=["model"])),
     ("split", lambda raw: raw.update(split=3)),
+    ("systems", lambda raw: raw.update(systems=["baseline"])),
     ("prompt.shot", lambda raw: raw.update(_llm_system(shot=4))),
     ("prompt.shots", lambda raw: raw.update(_llm_system(shots="4"))),
     ("prompt.seed", lambda raw: raw.update(_llm_system(seed=True))),
