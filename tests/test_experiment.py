@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import json
 import math
 import shutil
@@ -331,6 +332,61 @@ def test_pipeline_reports_match_frozen_expectations(replay_out, fixtures_dir):
     assert layout.scores().read_bytes() == (expected / "scores.tsv").read_bytes()
     assert layout.mcnemar().read_bytes() == (expected / "mcnemar.tsv").read_bytes()
     assert layout.report().read_bytes() == (expected / "report.txt").read_bytes()
+
+
+# The sha256 of every file the replay pipeline writes.  The frozen reports
+# under fixtures/replay/expected/ pin only reports/; these pin the corpus,
+# split, induce, model and prediction artifacts too, so a change to any
+# reader or writer that alters a byte shows here.
+PINNED_ARTIFACTS = {
+    "corpora/es_fix.tsv": "5508657b0915c70a6e30926a13bee77e3417b021302070dd9f211957f85b2a84",
+    "inventory/es_fix.pairs.tsv": "93fb818a4630780cec41c67d1c69be4c3e699824e65aba1240ffd3e6f6694dd4",
+    "inventory/es_fix.tsv": "68f8cb6a77e7ba38800eb1f9410db2fee03761b22616229225989b2c159b93e6",
+    "models/baseline.tsv": "c3697fa72e1eb84bfb338519f6573a647b02662c6f24f184d65ae2c4f5463f07",
+    "predictions/baseline/es_fix-dev.run0.diag.json": "27296d572300124221208b10fc539c1edfcd3e527f2a34ef0e5409c92d961c54",
+    "predictions/baseline/es_fix-dev.run0.tsv": "8563704656233e10c4f39c5b63f76bb6cf709665f23c160d7e99a6748b0c3785",
+    "predictions/baseline/es_fix-test.run0.diag.json": "cb195fd0728f10672ae89df47cb18ce5f57597596c40c20f0aa74925af0924b1",
+    "predictions/baseline/es_fix-test.run0.tsv": "b57543f9aa9f3e3ecd77e98d5e87825b1b9ce9a8399c2e40018f2ff93117af1c",
+    "predictions/baseline/es_fix-test.run1.diag.json": "fe3c14a9811e9f0e11f4dc6ded89ece66dbc0fa792b6a90971b62f9ee6c17ca5",
+    "predictions/baseline/es_fix-test.run1.tsv": "0516a76491c6f1c4de666c27a33bc2262454e3e5608aa4684267d164294b4a6b",
+    "predictions/baseline/es_fix-test.run2.diag.json": "6d04f01efddf5f39f782b385681d7353f694482a9a5cc53bf4a2e2b5ed17cb32",
+    "predictions/baseline/es_fix-test.run2.tsv": "22c4a8dcd46217309f794f858116087c0a46da6f5e51057a3c59a630cd9d265f",
+    "predictions/llm-basic-4shot/es_fix-test.run0.diag.json": "ac7b288be2c572bb1939e1e764cbd1815e32d930e38bff391ea1e895f2357e60",
+    "predictions/llm-basic-4shot/es_fix-test.run0.tsv": "cc3fbd245fa950cc254b8eb7d8b204c1c08db9be97d05d33569fb536b591b929",
+    "predictions/llm-basic-4shot/es_fix-test.run1.diag.json": "f7bec685af347ccd3a96fbfbec9beb50bd07371c8f0f9375ffc255ce4530b0ed",
+    "predictions/llm-basic-4shot/es_fix-test.run1.tsv": "e47c62b8b93e412bbdf9bbe9e2f547b844d359841422de9f5929a1ccad0d4909",
+    "predictions/llm-basic-4shot/es_fix-test.run2.diag.json": "b0cbef486094ed0ed29bf326afd19f88521f2a48e6a14ad323d5631addc830b0",
+    "predictions/llm-basic-4shot/es_fix-test.run2.tsv": "91b29aa09211adc0679196e2ae762a4e9ad7ba2acf1a37636f40ba3b09dd27f8",
+    "predictions/llm-full-0shot/es_fix-test.run0.diag.json": "bf4506f441686c205f36955149a71a5ee79bcad8c3297c154362dff672cc57c4",
+    "predictions/llm-full-0shot/es_fix-test.run0.tsv": "c7a148cbf625f3e11852b2539f4157518963f36831c9788ba4b55c41262a6444",
+    "predictions/llm-full-0shot/es_fix-test.run1.diag.json": "adcf6ec82c15ab8fb51f68a76cbc40a6d0050741920556723a3799373ce49e9f",
+    "predictions/llm-full-0shot/es_fix-test.run1.tsv": "6ecd5b9eb3f068c2a77d1c38f54650854cbe76485c7c3a801fd9156d04d040d3",
+    "predictions/llm-full-0shot/es_fix-test.run2.diag.json": "9a7b263e53bc843acaa8de4e0f9a7b691dc7380e47567c075ee3c17c6ff029a0",
+    "predictions/llm-full-0shot/es_fix-test.run2.tsv": "4c41603a5794775836ec2f7555b28a558506d9f3a811f63346ba26ed169ec896",
+    "reports/mcnemar.tsv": "82bc16fbae2b70ce9c3f03c6b1723b7633912d082a92e43a1e8f92f6d94bb1f4",
+    "reports/report.txt": "1ef16b821a6d3e4778f321ea91da487000f97fbee020113a7b4e0ba468a3496c",
+    "reports/runs.tsv": "aca05140c38b42d7b95c88f00e734141e6ae239f7fe22592d78bc24355f91de8",
+    "reports/scores.tsv": "5164902bbb0c7968bc5f4c9ced0eaa93f7c64b75d6db82e6b1c7db01c139def5",
+    "splits/es_fix-dev.tsv": "72732d8f5c785bf6c34e87395233c9cea18b5188ac949920ef215d57dd79e41d",
+    "splits/es_fix-test.tsv": "4d9038875b688f57d2cd7a3cada095f4ba5b46adf73ab776b126be2ae58e5ad5",
+    "splits/es_fix-train.tsv": "a195ba3c59a0016fe82f97e899ece95870325699de2da717e69d5b22c9604667",
+    "splits/manifest.tsv": "74f9e4b96d4e9fe88abbe05a21d8adafb53a15667cee0b2df781502728e70f06",
+}
+
+
+def test_replay_pipeline_writes_the_pinned_bytes_of_every_artifact(fixtures_dir, tmp_path):
+    cfg = load_config(fixtures_dir / "replay" / "config.json", out_dir=tmp_path / "out")
+    for stage in (run_ingest, run_split, run_induce, run_train_baseline):
+        stage(cfg)
+    run_predictions(cfg, transport=forbidden_transport)
+    for stage in (run_score, run_compare, run_report):
+        stage(cfg)
+    root = Path(cfg.out_dir)
+    written = {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+    assert written == PINNED_ARTIFACTS
 
 
 def test_artifacts_carry_no_absolute_paths_or_timestamps(replay_out):
