@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Sentence, _nfc
+from .corpus import Sentence, _read_corpus, _write_blocks
 from .errors import ScoringError
 
 # Tab(s) or runs of 2+ spaces separate fields; a single space never does,
@@ -250,73 +250,28 @@ def write_predictions(
     blocks: list[tuple[str, list[str], list[str | None]]],
     metadata: dict[str, str] | None = None,
 ):
-    """Write sentence-per-block prediction TSV.
+    """Write sentence-per-block prediction TSV; each block is (sentence_id,
+    wordforms, lemma slots), and a missing lemma an empty second field."""
+    meta = {"format": PREDICTION_FORMAT, **(metadata or {})}
+    _write_blocks(path, meta, ((sid, zip(forms, lemmas)) for sid, forms, lemmas in blocks))
 
-    Each block is (sentence_id, wordforms, lemma slots); a missing lemma
-    becomes an empty second field so token counts stay intact on disk.
-    """
-    lines = [f"# format = {PREDICTION_FORMAT}"]
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key} = {value}")
-    for sentence_id, wordforms, lemmas in blocks:
-        lines.append(f"# sent_id = {sentence_id}")
-        for wordform, lemma in zip(wordforms, lemmas):
-            lines.append(f"{wordform}\t{lemma if lemma is not None else ''}")
-        lines.append("")
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+
+def _prediction_row(fields: list[str], path, line_no: int) -> tuple[str, str | None]:
+    if len(fields) != 2:
+        raise ScoringError(
+            f"{path}:{line_no}: prediction row has {len(fields)} tab-separated "
+            "fields, expected wordform<TAB>lemma"
+        )
+    return fields[0], fields[1] or None
 
 
 def read_predictions(path: str | Path) -> tuple[dict[str, str], list[PredictionBlock]]:
-    """Read a prediction file back into metadata plus ordered blocks.
-
-    Accepts externally produced files too: blocks are separated by blank
-    lines, and sent_id comments are optional (identity then falls back to
-    corpus order at scoring time).  A ``#`` line is a comment only when it
-    holds no tab.  Every other row must be wordform<TAB>lemma, the lemma
-    possibly empty; any other row is a ScoringError naming the file and line.
-    """
-    metadata: dict[str, str] = {}
-    blocks: list[PredictionBlock] = []
-    current_id: str | None = None
-    current_pairs: list[tuple[str, str | None]] = []
-    seen_block = False
-
-    def flush():
-        nonlocal current_id, current_pairs, seen_block
-        if seen_block and (current_pairs or current_id is not None):
-            blocks.append(PredictionBlock(current_id, tuple(current_pairs)))
-        current_id, current_pairs, seen_block = None, [], False
-
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            if line.startswith("#") and "\t" not in line:  # "#nlp<TAB>nlp" is a row
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    key, value = key.strip(), value.strip()
-                    if key == "sent_id":
-                        flush()
-                        current_id = value
-                        seen_block = True
-                    else:
-                        metadata[key] = value
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ScoringError(
-                    f"{path}:{line_no}: prediction row has {len(fields)} tab-separated "
-                    "fields, expected wordform<TAB>lemma"
-                )
-            wordform = _nfc(fields[0])
-            lemma = _nfc(fields[1]) if fields[1] != "" else None
-            current_pairs.append((wordform, lemma))
-            seen_block = True
-    flush()
-    return metadata, blocks
+    """Metadata plus ordered blocks of a prediction file, external ones too:
+    sent_id headers are optional (scoring then matches blocks to sentences
+    by order), and a row that is not wordform<TAB>lemma, the lemma possibly
+    empty, is a ScoringError naming the file and line."""
+    metadata, blocks = _read_corpus(path, _prediction_row, tsv=True)
+    return metadata, [PredictionBlock(block_id, tuple(rows)) for block_id, rows in blocks]
 
 
 def write_diagnostics(path: str | Path, metadata: dict, sentences: dict[str, dict]):

@@ -12,6 +12,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import artifact
 from .corpus import Sentence
 from .editscript import IDENTITY, EditScript, LabelInventory, PairScript, apply
 # Not called here: baseline.induce stays bound because perfbench's tracer
@@ -93,21 +94,20 @@ def predict_identity(sentence: Sentence) -> list[str]:
 
 
 MODEL_FORMAT = "lemmabench-baseline/1"
+MODEL_COLUMNS = ("table", "key", "script")
 
 
 def write_model(model: BaselineModel, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# format = {MODEL_FORMAT}\n")
-        handle.write(f"# max_suffix_len = {model.max_suffix_len}\n")
-        handle.write("# columns = table\tkey\tscript\n")
-        tables = (("form", model.form_table), ("suffix", model.suffix_table))
-        scripts = {script for _, table in tables for script in table.values()}
-        encoded = {script: script.encode() for script in scripts}  # once per distinct script
-        for table_name, table in tables:
-            for key in sorted(table):
-                handle.write(f"{table_name}\t{key}\t{encoded[table[key]]}\n")
+    tables = (("form", model.form_table), ("suffix", model.suffix_table))
+    scripts = {script for _, table in tables for script in table.values()}
+    encoded = {script: script.encode() for script in scripts}  # once per distinct script
+    meta = {
+        "format": MODEL_FORMAT,
+        "max_suffix_len": model.max_suffix_len,
+        "columns": "\t".join(MODEL_COLUMNS),
+    }
+    rows = ((name, key, encoded[table[key]]) for name, table in tables for key in sorted(table))
+    artifact.write(path, meta, rows)
 
 
 def read_model(path: str | Path) -> BaselineModel:
@@ -116,23 +116,14 @@ def read_model(path: str | Path) -> BaselineModel:
     naming the file and line."""
     model = BaselineModel()
     tables = {"form": model.form_table, "suffix": model.suffix_table}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if line.startswith("# max_suffix_len = "):
-                value = line.rsplit(" ", 1)[1]
-                if not (value.isascii() and value.isdigit()):
-                    raise ModelFormatError(path, line_no, f"max_suffix_len {value!r} is not an integer")
-                model.max_suffix_len = int(value)
-                continue
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or fields[0] not in tables:
-                raise ModelFormatError(path, line_no, "expected form|suffix<TAB>key<TAB>script")
-            table_name, key, encoded = fields
-            try:
-                tables[table_name][key] = EditScript.decode(encoded)
-            except (ValueError, TypeError) as exc:
-                raise ModelFormatError(path, line_no, f"script does not decode: {exc}") from exc
+
+    def decode(fields: list[str]) -> None:
+        table, key, encoded = fields
+        if table not in tables:
+            raise ValueError(f"table {table!r} is not form or suffix")
+        tables[table][key] = EditScript.decode(encoded)
+
+    headers = {"max_suffix_len": lambda value: artifact.natural(value, "max_suffix_len")}
+    meta, _ = artifact.read(path, MODEL_COLUMNS, ModelFormatError, decode, headers)
+    model.max_suffix_len = meta.get("max_suffix_len", model.max_suffix_len)
     return model

@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "run":
             stage.add_argument(
                 "--cache-mode",
-                choices=[gateway.LIVE, gateway.RECORD, gateway.REPLAY],
+                choices=gateway.CACHE_MODES,
                 help="override the configured response-cache mode",
             )
     return parser

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
+from typing import Iterable
 
+from . import artifact
 from .errors import CorpusFormatError, EmptyCorpusError, MissingLemmaError, SplitError
 
 # Syntactic-word IDs are plain integers; "3-4" is a multiword-token range
@@ -94,52 +96,48 @@ class SplitSpec:
             raise SplitError(f"unknown selection rule: {self.selection_rule!r}")
 
 
-def _read_corpus(
-    path: str | Path, name: str | None, language: str, parse_row, tsv: bool
-) -> Corpus:
-    """The one sentence-building loop behind ingest_conllu and ingest_tsv.
+def _read_corpus(path: str | Path, parse_row, tsv: bool):
+    """The one sentence-block loop, behind ingest_conllu, ingest_tsv and
+    align.read_predictions.
 
-    parse_row(fields, path, line_no) returns (form, lemma-or-None) for a
-    token line, or None for a line without a token.  In a TSV file a
-    ``# sent_id = X`` comment names the next sentence (others get ordinal
-    ids), and a ``#`` line is a comment only when it holds no tab, so a
-    token such as ``#nlp`` is kept.  In CoNLL-U every ``#`` line is a
-    comment and ids are ordinal.
+    Returns the file's ``# key = value`` headers and its blocks, each a
+    (sent_id or None, rows) pair.  parse_row(fields, path, line_no) gives a
+    (form, lemma-or-None) row, NFC-normalized here, or None for a line
+    without a token.  A ``# sent_id = X`` header starts a block named X,
+    which may end without rows; a blank line ends a block that has rows.
+    TSV files follow artifact.is_header; in CoNLL-U every ``#`` line is a
+    comment, and no header or sent_id is kept.
     """
-    path = Path(path)
-    corpus_name = name or path.stem
-    sentences: list[Sentence] = []
-    tokens: list[Token] = []
-    pending_id: str | None = None  # explicit id from a "# sent_id = ..." comment
-
-    def close_sentence():
-        nonlocal pending_id
-        if tokens:
-            if pending_id is None:
-                pending_id = f"{corpus_name}-{len(sentences):04d}"
-            sentences.append(Sentence(id=pending_id, tokens=tuple(tokens)))
-            tokens.clear()
-            pending_id = None
-
-    with open(path, encoding="utf-8-sig") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                close_sentence()
-                continue
-            if line.startswith("#") and not (tsv and "\t" in line):
-                body = line[1:].strip()
-                if tsv and body.startswith("sent_id") and "=" in body:
-                    close_sentence()
-                    pending_id = body.split("=", 1)[1].strip()
-                continue
+    meta: dict[str, str] = {}
+    blocks: list[tuple[str | None, list]] = [(None, [])]  # the last one is open
+    for line_no, line in artifact.lines(path):
+        rows = blocks[-1][1]
+        if not line.strip():
+            if rows:
+                blocks.append((None, []))
+        elif artifact.is_header(line) if tsv else line.startswith("#"):
+            key, value = (artifact.header(line) if tsv else None) or (None, None)
+            if key == "sent_id":
+                blocks.append((value, []))
+            elif key is not None:
+                meta[key] = value
+        else:
             row = parse_row(line.split("\t"), path, line_no)
-            if row is None:
-                continue
-            form, lemma = row
-            lemma = None if lemma is None else _nfc(lemma)
-            tokens.append(Token(index=len(tokens) + 1, wordform=_nfc(form), lemma=lemma))
-    close_sentence()
+            if row is not None:
+                rows.append((_nfc(row[0]), None if row[1] is None else _nfc(row[1])))
+    return meta, [(block_id, rows) for block_id, rows in blocks if rows or block_id is not None]
+
+
+def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: bool) -> Corpus:
+    """The sentences of a block file: blocks without rows are dropped, and a
+    block without a sent_id is named by its position."""
+    corpus_name = name or Path(path).stem
+    sentences: list[Sentence] = []
+    for block_id, rows in _read_corpus(path, parse_row, tsv)[1]:
+        if rows:
+            tokens = tuple(Token(i, form, lemma) for i, (form, lemma) in enumerate(rows, start=1))
+            sentence_id = f"{corpus_name}-{len(sentences):04d}" if block_id is None else block_id
+            sentences.append(Sentence(sentence_id, tokens))
     if not sentences:
         raise EmptyCorpusError(f"{path}: no sentences found")
     return Corpus(name=corpus_name, language=language, sentences=tuple(sentences))
@@ -167,7 +165,7 @@ def ingest_conllu(path: str | Path, name: str | None = None, language: str = "un
     CorpusFormatError on a token line that does not have exactly 10
     tab-separated columns, EmptyCorpusError if no sentence survives.
     """
-    return _read_corpus(path, name, language, _conllu_row, tsv=False)
+    return _corpus(path, name, language, _conllu_row, tsv=False)
 
 
 def _tsv_row(fields: list[str], path: Path, line_no: int) -> tuple[str, str | None]:
@@ -184,35 +182,33 @@ def ingest_tsv(path: str | Path, name: str | None = None, language: str = "und")
     """Read a two-column ``wordform<TAB>lemma`` file, blank line between sentences.
 
     An empty lemma field means the token is unannotated.  A line with any
-    other field count is a CorpusFormatError naming the line.  A ``#`` line
-    without a tab is a comment, and a ``# sent_id = X`` comment names the
-    sentence that follows it; a ``#`` line with a tab is a token row.
+    other field count is a CorpusFormatError naming the line.  A ``#``
+    header line (artifact.is_header) is not a token, and a
+    ``# sent_id = X`` header names the sentence that follows it.
     """
-    return _read_corpus(path, name, language, _tsv_row, tsv=True)
+    return _corpus(path, name, language, _tsv_row, tsv=True)
 
 
-def write_tsv(
-    corpus: Corpus,
-    path: str | Path,
-    header_lines: list[str] | None = None,
-    include_ids: bool = True,
-) -> None:
-    """Serialize a corpus in the two-column TSV format ingest_tsv reads back.
+def _write_blocks(path: str | Path, meta: dict[str, str], blocks: Iterable) -> None:
+    """The one writer of sentence-block files (corpus, splits, predictions):
+    per (sent_id, (wordform, lemma-or-None) pairs) block a ``# sent_id``
+    line, a row per pair (a missing lemma is an empty field), a blank line."""
 
-    With include_ids, sentence ids ride along as sent_id comments and
-    survive the round trip, which keeps split members traceable on disk.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in header_lines or []:
-            handle.write(f"# {line}\n")
-        for sentence in corpus.sentences:
-            if include_ids:
-                handle.write(f"# sent_id = {sentence.id}\n")
-            for token in sentence.tokens:
-                handle.write(f"{token.wordform}\t{token.lemma or ''}\n")
-            handle.write("\n")
+    def rows():
+        for sentence_id, pairs in blocks:
+            yield (f"# sent_id = {sentence_id}",)
+            yield from ((form, "" if lemma is None else lemma) for form, lemma in pairs)
+            yield ()
+
+    artifact.write(path, meta, rows())
+
+
+def write_tsv(corpus: Corpus, path: str | Path, meta: dict[str, str] | None = None) -> None:
+    """Serialize a corpus in the two-column TSV format ingest_tsv reads back;
+    sentence ids survive the round trip as sent_id headers, which keeps
+    split members traceable on disk."""
+    blocks = ((s.id, ((t.wordform, t.lemma) for t in s.tokens)) for s in corpus.sentences)
+    _write_blocks(path, meta or {}, blocks)
 
 
 def corpus_stats(corpus: Corpus) -> tuple[int, int]:
@@ -270,26 +266,8 @@ def make_splits(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus
 
 
 def write_split_manifest(
-    splits: dict[str, Corpus], path: str | Path, header_lines: list[str] | None = None
+    splits: dict[str, Corpus], path: str | Path, meta: dict[str, str] | None = None
 ) -> None:
     """Record which sentence ids landed in which split (split<TAB>sentence_id)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in header_lines or []:
-            handle.write(f"# {line}\n")
-        for split_name, part in splits.items():
-            for sentence in part.sentences:
-                handle.write(f"{split_name}\t{sentence.id}\n")
-
-
-def read_split_manifest(path: str | Path) -> dict[str, list[str]]:
-    manifest: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            split_name, sentence_id = line.split("\t")
-            manifest.setdefault(split_name, []).append(sentence_id)
-    return manifest
+    rows = ((name, s.id) for name, part in splits.items() for s in part.sentences)
+    artifact.write(path, meta or {}, rows)

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import artifact
 from .corpus import Corpus
 from .errors import (
     InapplicableScriptError,
@@ -55,7 +56,11 @@ class EditScript:
 
     @classmethod
     def decode(cls, encoded: str) -> "EditScript":
-        case_flag, prefix_drop, prefix_add, suffix_drop, suffix_add = json.loads(encoded)
+        """The script encode wrote; ValueError for any other text."""
+        try:
+            case_flag, prefix_drop, prefix_add, suffix_drop, suffix_add = json.loads(encoded)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"script {encoded!r} does not decode: {exc}") from exc
         return cls(case_flag, prefix_drop, prefix_add, suffix_drop, suffix_add)
 
 
@@ -220,38 +225,43 @@ def build_inventory(pairs: list[PairScript]) -> LabelInventory:
 
 
 INVENTORY_FORMAT = "lemmabench-inventory/1"
+INVENTORY_COLUMNS = ("id", "script", "frequency")
 
 
 def write_inventory(inventory: LabelInventory, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# format = {INVENTORY_FORMAT}\n")
-        handle.write("# columns = id\tscript\tfrequency\n")
-        for label_id, script, freq in inventory.items():
-            handle.write(f"{label_id}\t{script.encode()}\t{freq}\n")
+    meta = {"format": INVENTORY_FORMAT, "columns": "\t".join(INVENTORY_COLUMNS)}
+    artifact.write(path, meta, ((i, s.encode(), f) for i, s, f in inventory.items()))
 
 
 def read_inventory(path: str | Path) -> LabelInventory:
-    """A row that is not id<TAB>script<TAB>frequency is an
-    InventoryFormatError naming the file and line."""
+    """The inventory write_inventory stored.  A row that is not
+    id<TAB>script<TAB>frequency, whose id is not its 0-based position,
+    whose script repeats an earlier row's, or which breaks the inventory's
+    order (frequency descending, then script) and so would be renumbered,
+    is an InventoryFormatError naming the file and line."""
     frequencies: dict[EditScript, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            try:
-                _, encoded, freq = line.split("\t")
-                frequencies[EditScript.decode(encoded)] = int(freq)
-            except (ValueError, TypeError) as exc:
-                raise InventoryFormatError(
-                    path, line_no, f"expected id<TAB>script<TAB>frequency: {exc}"
-                ) from exc
+    last_key = None
+
+    def decode(fields: list[str]) -> None:
+        nonlocal last_key
+        label_id, encoded, frequency = fields
+        script = EditScript.decode(encoded)
+        if label_id != str(len(frequencies)):
+            raise ValueError(f"id {label_id!r} is not the row's position {len(frequencies)}")
+        if script in frequencies:
+            raise ValueError(f"script {encoded} repeats an earlier row")
+        key = (-int(frequency), script.encode())
+        if last_key is not None and key < last_key:
+            raise ValueError("row is out of frequency order, so its id would change")
+        frequencies[script] = int(frequency)
+        last_key = key
+
+    artifact.read(path, INVENTORY_COLUMNS, InventoryFormatError, decode)
     return LabelInventory(frequencies)
 
 
 PAIR_LABELS_FORMAT = "lemmabench-pair-labels/1"
+PAIR_LABELS_COLUMNS = ("wordform", "label id", "token count")
 
 
 def write_pair_labels(
@@ -259,53 +269,33 @@ def write_pair_labels(
 ) -> None:
     """One wordform<TAB>label id<TAB>token count row per distinct training
     pair, in pair_scripts order, so training needs neither the train split
-    nor induce.  Header lines hold no tab; every row holds two."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# format = {PAIR_LABELS_FORMAT}\n")
-        handle.write("# columns = wordform, label id, token count\n")
-        for wordform, script, count in pairs:
-            handle.write(f"{wordform}\t{inventory.id_of(script)}\t{count}\n")
-
-
-def _natural(field: str) -> int | None:
-    return int(field) if field.isascii() and field.isdigit() else None
+    nor induce."""
+    meta = {"format": PAIR_LABELS_FORMAT, "columns": ", ".join(PAIR_LABELS_COLUMNS)}
+    rows = ((wordform, inventory.id_of(script), count) for wordform, script, count in pairs)
+    artifact.write(path, meta, rows)
 
 
 def read_pair_labels(path: str | Path, inventory: LabelInventory) -> list[PairScript]:
     """The triples write_pair_labels stored, scripts looked up in the
     inventory the same stage wrote.
 
-    A line starting with # is a header only when it holds no tab, so a
-    wordform such as #nlp reads back as a row.  A row without three fields,
-    with a label id outside the inventory or with a count that is not a
-    positive integer is an InventoryFormatError naming the file and line;
-    so is a file whose counts do not sum to each label's inventory
-    frequency, which names the first label that disagrees.
+    A row without three fields, with a label id outside the inventory or
+    with a count that is not a positive integer is an InventoryFormatError
+    naming the file and line; so is a file whose counts do not sum to each
+    label's inventory frequency, which names the first label that disagrees.
     """
-    pairs: list[PairScript] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line or (line.startswith("#") and "\t" not in line):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise InventoryFormatError(
-                    path, line_no, f"expected wordform, label id, count; found {len(fields)} fields"
-                )
-            wordform, label_field, count_field = fields
-            label_id, count = _natural(label_field), _natural(count_field)
-            if label_id is None or label_id >= len(inventory):
-                raise InventoryFormatError(
-                    path, line_no, f"label id {label_field!r} is not one of {len(inventory)} labels"
-                )
-            if not count:
-                raise InventoryFormatError(
-                    path, line_no, f"count {count_field!r} is not a positive integer"
-                )
-            pairs.append((wordform, inventory.script_of(label_id), count))
+
+    def decode(fields: list[str]) -> PairScript:
+        wordform, label_field, count_field = fields
+        label_id = artifact.natural(label_field, "label id")
+        if label_id >= len(inventory):
+            raise ValueError(f"label id {label_field!r} is not one of {len(inventory)} labels")
+        count = artifact.natural(count_field, "count")
+        if not count:
+            raise ValueError(f"count {count_field!r} is not a positive integer")
+        return wordform, inventory.script_of(label_id), count
+
+    _, pairs = artifact.read(path, PAIR_LABELS_COLUMNS, InventoryFormatError, decode)
     counts = _token_counts(pairs)
     for label_id, script, frequency in inventory.items():
         if counts[script] != frequency:

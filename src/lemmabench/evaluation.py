@@ -18,6 +18,7 @@ from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import artifact
 from .corpus import Corpus
 from .errors import FileFormatError, ScoringError
 
@@ -183,37 +184,32 @@ def score_run(
     )
 
 
-SCORES_COLUMNS = (
-    "system\tcorpus\truns\tword_acc_mean\tword_acc_std\tsent_acc_mean\tsent_acc_std"
-    "\tmissing_mean\twrong_mean\trandom_mean"
+SCORES_COLUMNS = tuple(
+    "system corpus runs word_acc_mean word_acc_std sent_acc_mean sent_acc_std"
+    " missing_mean wrong_mean random_mean".split()
 )
-RUNS_COLUMNS = "\t".join(("system", "corpus", "run", *(f.name for f in fields(RunScore)[2:])))
-MCNEMAR_COLUMNS = "corpus\tsystem_a\tsystem_b\tb01\tb10\tmethod\tstatistic\tp_value\tsignificant"
-
-
-def _render_table(metadata: Mapping[str, str], columns: str, rows) -> str:
-    lines = [f"# {k} = {v}" for k, v in metadata.items()]
-    lines.append(columns)
-    lines.extend("\t".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+RUNS_COLUMNS = ("system", "corpus", "run", *(f.name for f in fields(RunScore)[2:]))
+MCNEMAR_COLUMNS = tuple(
+    "corpus system_a system_b b01 b10 method statistic p_value significant".split()
+)
 
 
 def render_scores_tsv(reports: Sequence[EvalReport], metadata: Mapping[str, str]) -> str:
-    return _render_table(metadata, SCORES_COLUMNS, (
+    return artifact.render(metadata, (SCORES_COLUMNS, *(
         (r.system, r.corpus, len(r.runs),
          *(f"{x:.4f}" for x in (*r.word_stats(), *r.sentence_stats())),
          *(f"{x:.1f}" for x in r.mean_errors()))
         for r in reports
-    ))
+    )))
 
 
 def render_runs_tsv(reports: Sequence[EvalReport], metadata: Mapping[str, str]) -> str:
     """One row of exact tallies per (system, run), correct to random; every
     mean and std of scores.tsv and report.txt is a function of them."""
-    return _render_table(metadata, RUNS_COLUMNS, (
+    return artifact.render(metadata, (RUNS_COLUMNS, *(
         (r.system, r.corpus, run, *astuple(score)[2:])
         for r in reports for run, score in enumerate(r.runs)
-    ))
+    )))
 
 
 def render_mcnemar_tsv(
@@ -222,40 +218,40 @@ def render_mcnemar_tsv(
     alpha: float = 0.05,
 ) -> str:
     """Rows are (corpus, system_a, system_b, result)."""
-    return _render_table(metadata, MCNEMAR_COLUMNS, (
+    return artifact.render(metadata, (MCNEMAR_COLUMNS, *(
         (corpus, sys_a, sys_b, res.b01, res.b10, res.method, f"{res.statistic:.6f}",
          f"{res.p_value:.6g}", "yes" if res.significant(alpha) else "no")
         for corpus, sys_a, sys_b, res in rows
-    ))
+    )))
 
 
 def read_counts(
-    path: str | Path, columns: str, width: int | None = None
+    path: str | Path, columns: tuple[str, ...], width: int | None = None
 ) -> tuple[dict[str, str], dict[tuple[str, ...], list[int]]]:
-    """Metadata and rows of a runs.tsv or mcnemar.tsv: `#` header lines
-    without a tab, the column line `columns`, then rows whose first three
-    fields key the next `width` fields (default: all the rest), which must
-    be non-negative integers."""
-    lines = Path(path).read_text("utf-8").splitlines()
-    meta: dict[str, str] = {}
-    n = 0  # header lines
-    while n < len(lines) and lines[n].startswith("#") and "\t" not in lines[n]:
-        key, _, value = lines[n][2:].partition(" = ")
-        meta[key] = value
-        n += 1
-    if lines[n : n + 1] != [columns]:
-        raise FileFormatError(path, n + 1, f"expected the column line {columns!r}")
-    rows = {}
-    for line_no, line in enumerate(lines[n + 1 :], start=n + 2):
-        parts = line.split("\t")
-        counts = parts[3:] if width is None else parts[3 : 3 + width]
-        if len(parts) != columns.count("\t") + 1:
-            raise FileFormatError(path, line_no, f"expected the fields {columns!r}")
+    """Metadata and rows of a runs.tsv or mcnemar.tsv: the column row
+    `columns` first, then rows whose first three fields key the next
+    `width` fields (default: all the rest), which must be non-negative
+    integers."""
+    column_line = "\t".join(columns)
+    rows: dict[tuple[str, ...], list[int]] | None = None
+
+    def decode(fields: list[str]) -> None:
+        nonlocal rows
+        if rows is None:
+            if tuple(fields) != columns:
+                raise ValueError(f"expected the column line {column_line!r}")
+            rows = {}
+            return
+        counts = fields[3:] if width is None else fields[3 : 3 + width]
         if not all(c.isascii() and c.isdigit() for c in counts):
-            raise FileFormatError(path, line_no, "a count is not a non-negative integer")
-        if tuple(parts[:3]) in rows:
-            raise FileFormatError(path, line_no, f"repeats the row for {' '.join(parts[:3])}")
-        rows[tuple(parts[:3])] = [int(c) for c in counts]
+            raise ValueError("a count is not a non-negative integer")
+        if tuple(fields[:3]) in rows:
+            raise ValueError(f"repeats the row for {' '.join(fields[:3])}")
+        rows[tuple(fields[:3])] = [int(c) for c in counts]
+
+    meta, _ = artifact.read(path, columns, FileFormatError, decode)
+    if rows is None:
+        raise FileFormatError(path, None, f"has no column line {column_line!r}")
     return meta, rows
 
 

@@ -1,15 +1,18 @@
 """Experiment orchestration: staged pipeline over a JSON configuration.
 
 Stages mirror the CLI subcommands and communicate only through files in
-the output directory, so any stage can be rerun in isolation:
+the output directory, so any stage can be rerun in isolation.  Every .tsv
+file is in lemmabench.artifact's format:
 
-    corpora/      canonical two-column TSV of the ingested corpus
-    splits/       train/dev/test TSVs plus a membership manifest
-    inventory/    edit-script label inventory induced from train, plus
+    corpora/      {corpus}.tsv: the ingested corpus, one block per sentence
+    splits/       {corpus}-{train,dev,test}.tsv, and manifest.tsv: split<TAB>id
+    inventory/    {corpus}.tsv: the edit-script labels induced from train, and
                   {corpus}.pairs.tsv: the label id and token count of each
                   distinct training pair, which train-baseline learns from
-    models/       frequency-table baseline model (+ its dev diagnostics)
-    predictions/  per system: {corpus}.run{r}.tsv and .diag.json
+    models/       baseline.tsv: the frequency-table baseline model
+    predictions/  {system}/{corpus}.run{r}.tsv and .diag.json per run; the
+                  baseline's run on dev ({corpus}-dev.run0) ranks few-shot
+                  examples for the most-errors selection
     reports/      runs.tsv (each run's exact tallies) and scores.tsv, both
                   written by score; mcnemar.tsv, written by compare; and
                   report.txt, which report renders from those two alone
@@ -95,29 +98,41 @@ def _hash_config(raw: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+def _expect(ok: bool, name: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+
+
 def _section(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {json.dumps(value)}")
+    _expect(isinstance(value, dict), name, "a JSON object", value)
     return value
 
 
 def _integer(value, name: str, nullable: bool = False) -> int | None:
     """value when it is a JSON integer (true and false are not), or null
     where that is allowed."""
-    if type(value) is int or (value is None and nullable):
-        return value
-    raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
+    _expect(type(value) is int or (value is None and nullable), name, "an integer", value)
+    return value
 
 
-def _build(cls, values, name: str, integers: tuple[str, ...]):
-    """cls(**values), refusing a key that is not one of cls's fields and a
-    non-integer value of a key in integers (null where the default is None)."""
+def _number(value, name: str) -> float:
+    """value when it is a JSON number, integer or not (true and false are not)."""
+    _expect(type(value) in (int, float), name, "a number", value)
+    return value
+
+
+def _build(cls, values, name: str, integers: tuple[str, ...], numbers: tuple[str, ...] = ()):
+    """cls(**values), refusing a key that is not one of cls's fields, a
+    non-integer value of a key in integers (null where the default is None)
+    and a non-number value of a key in numbers."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, value in _section(values, name).items():
         if key not in fields:
             raise ConfigError(f"{name}.{key} is not a known key; use one of {', '.join(fields)}")
         if key in integers:
             _integer(value, f"{name}.{key}", nullable=fields[key].default is None)
+        if key in numbers:
+            _number(value, f"{name}.{key}")
     return cls(**values)
 
 
@@ -133,11 +148,14 @@ def _parse_system(entry: dict, base: Path, runs: int, language: str) -> SystemSp
         prompt = {"language_name": language, **_section(entry.get("prompt", {}), "prompt")}
         spec = _build(prompt_mod.PromptSpec, prompt, "prompt", integers=("shots", "seed"))
         diag = entry.get("dev_diagnostics")
+        manual_ids = entry.get("manual_ids", [])
+        ids_ok = isinstance(manual_ids, list) and all(isinstance(i, str) for i in manual_ids)
+        _expect(ids_ok, f"system {name}: manual_ids", "a list of sentence ids", manual_ids)
         return SystemSpec(
             name=name,
             kind=kind,
             prompt=spec,
-            manual_ids=tuple(entry.get("manual_ids", [])),
+            manual_ids=tuple(manual_ids),
             dev_diagnostics=str(base / diag) if diag else None,
         )
     if kind == EXTERNAL:
@@ -174,9 +192,10 @@ def load_config(
     except KeyError as exc:
         raise ConfigError(f"config missing section {exc}") from exc
 
+    corpus_path = corpus_raw.get("path")
+    _expect(isinstance(corpus_path, str), "corpus.path", "a file path", corpus_path)
     corpus_format = corpus_raw.get("format", CONLLU)
-    if corpus_format not in (CONLLU, TSV):
-        raise ConfigError(f"unknown corpus format {corpus_format!r}")
+    _expect(corpus_format in (CONLLU, TSV), "corpus.format", f"{CONLLU} or {TSV}", corpus_format)
 
     split = corpus_mod.SplitSpec(
         train_count=_integer(split_raw.get("train"), "split.train"),
@@ -187,8 +206,7 @@ def load_config(
     )
     reduce_raw = _section(raw.get("reduce", {}), "reduce")
     runs = _integer(raw.get("runs", 1), "runs")
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
+    _expect(runs >= 1, "runs", "at least 1", runs)
 
     language = raw.get("language", "English")
     systems = tuple(_parse_system(e, base, runs, language) for e in raw.get("systems", []))
@@ -200,29 +218,33 @@ def load_config(
         raw.get("provider", {}),
         "provider",
         integers=("max_tokens", "max_retries"),
+        numbers=("temperature", "top_p", "timeout", "retry_backoff"),
     )
     scoring = _section(raw.get("scoring", {}), "scoring")
     policy = scoring.get("policy", eval_mod.STRICT)
-    if policy not in eval_mod.POLICIES:
-        raise ConfigError(f"unknown scoring policy {policy!r}; use one of {eval_mod.POLICIES}")
+    _expect(policy in eval_mod.POLICIES, "scoring.policy", " or ".join(eval_mod.POLICIES), policy)
     comparisons_raw = raw.get("comparisons", "all-pairs")
     if comparisons_raw == "all-pairs":
         comparisons = tuple(itertools.combinations([s.name for s in systems], 2))
     else:
+        pairs_ok = isinstance(comparisons_raw, list) and all(
+            isinstance(p, list) and len(p) == 2 for p in comparisons_raw
+        )
+        _expect(pairs_ok, "comparisons", '"all-pairs" or a list of name pairs', comparisons_raw)
         comparisons = tuple((a, b) for a, b in comparisons_raw)
-    known = {s.name for s in systems}
+    known = [s.name for s in systems]  # a list: a name that is not a string is unknown too
     for a, b in comparisons:
         if a not in known or b not in known:
             raise ConfigError(f"comparison ({a}, {b}) names an unknown system")
 
     name = raw.get("name", path.stem)
-    corpus_name = corpus_raw.get("name", Path(corpus_raw["path"]).stem)
+    corpus_name = corpus_raw.get("name", Path(corpus_path).stem)
     # These values land in "# key = value" artifact headers, where a tab
     # would turn the line into a row and a line break would end it early.
     for label, value in (
         ("name", name),
         ("language", language),
-        ("corpus file name", Path(corpus_raw["path"]).name),
+        ("corpus file name", Path(corpus_path).name),
         ("corpus name", corpus_name),
         ("provider model", provider.model),
         *(("system name", s.name) for s in systems),
@@ -234,14 +256,13 @@ def load_config(
     if not 0 <= mcnemar_run < runs:
         raise ConfigError(f"scoring.mcnemar_run {mcnemar_run} is not a run in 0..{runs - 1}")
 
-    alpha = scoring.get("alpha", 0.05)
-    if type(alpha) not in (int, float):
-        raise ConfigError(f"scoring.alpha must be a number, got {json.dumps(alpha)}")
+    alpha = _number(scoring.get("alpha", 0.05), "scoring.alpha")
     mode = cache_mode or raw.get("cache_mode", gateway_mod.REPLAY)
+    _expect(mode in gateway_mod.CACHE_MODES, "cache_mode", " or ".join(gateway_mod.CACHE_MODES), mode)
     return ExperimentConfig(
         name=name,
         language=language,
-        corpus_path=str(base / corpus_raw["path"]),
+        corpus_path=str(base / corpus_path),
         corpus_format=corpus_format,
         corpus_name=corpus_name,
         split=split,
@@ -317,10 +338,6 @@ def _meta(cfg: ExperimentConfig, **extra: str) -> dict[str, str]:
     return meta
 
 
-def _header_lines(meta: dict[str, str]) -> list[str]:
-    return [f"{k} = {v}" for k, v in meta.items()]
-
-
 def run_ingest(cfg: ExperimentConfig) -> corpus_mod.Corpus:
     """Read the source corpus, optionally cap its size, write canonical TSV."""
     if cfg.corpus_format == CONLLU:
@@ -331,12 +348,8 @@ def run_ingest(cfg: ExperimentConfig) -> corpus_mod.Corpus:
         corpus = corpus_mod.reduce_corpus(corpus, cfg.reduce_to, cfg.reduce_rule, cfg.reduce_seed)
     layout = Layout(cfg)
     meta = _meta(cfg, source=Path(cfg.corpus_path).name, language=cfg.language)
-    corpus_mod.write_tsv(corpus, layout.corpus_tsv(), header_lines=_header_lines(meta))
+    corpus_mod.write_tsv(corpus, layout.corpus_tsv(), meta)
     return corpus
-
-
-def _load_corpus(cfg: ExperimentConfig) -> corpus_mod.Corpus:
-    return corpus_mod.ingest_tsv(Layout(cfg).corpus_tsv(), cfg.corpus_name, cfg.language)
 
 
 def _load_split(cfg: ExperimentConfig, part: str) -> corpus_mod.Corpus:
@@ -346,18 +359,15 @@ def _load_split(cfg: ExperimentConfig, part: str) -> corpus_mod.Corpus:
 
 
 def run_split(cfg: ExperimentConfig) -> dict[str, corpus_mod.Corpus]:
-    corpus = _load_corpus(cfg)
-    train, dev, test = corpus_mod.make_splits(corpus, cfg.split)
     layout = Layout(cfg)
+    corpus = corpus_mod.ingest_tsv(layout.corpus_tsv(), cfg.corpus_name, cfg.language)
+    train, dev, test = corpus_mod.make_splits(corpus, cfg.split)
     splits = {"train": train, "dev": dev, "test": test}
     for part, sub in splits.items():
         meta = _meta(cfg, split=part, rule=cfg.split.selection_rule, seed=str(cfg.split.seed))
-        corpus_mod.write_tsv(sub, layout.split_tsv(part), header_lines=_header_lines(meta))
-    corpus_mod.write_split_manifest(
-        {s.name: s for s in (train, dev, test)},
-        layout.manifest(),
-        header_lines=_header_lines(_meta(cfg)),
-    )
+        corpus_mod.write_tsv(sub, layout.split_tsv(part), meta)
+    manifest = {s.name: s for s in (train, dev, test)}
+    corpus_mod.write_split_manifest(manifest, layout.manifest(), _meta(cfg))
     return splits
 
 
@@ -400,9 +410,7 @@ def _write_system_run(
         counts["incorrect"] = incorrect
         sentences[sentence.id] = counts
     meta = _meta(cfg, system=system, corpus=gold.name, run=str(run), **(extra_meta or {}))
-    path = layout.predictions(system, gold.name, run)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_predictions(path, blocks, metadata=meta)
+    write_predictions(layout.predictions(system, gold.name, run), blocks, metadata=meta)
     write_diagnostics(layout.diagnostics(system, gold.name, run), meta, sentences)
 
 
@@ -422,10 +430,6 @@ def run_train_baseline(cfg: ExperimentConfig) -> baseline_mod.BaselineModel:
     return model
 
 
-def _default_dev_diagnostics(cfg: ExperimentConfig) -> Path:
-    return Layout(cfg).diagnostics(BASELINE, f"{cfg.corpus_name}-dev", 0)
-
-
 def select_system_examples(
     cfg: ExperimentConfig, system: SystemSpec, dev: corpus_mod.Corpus
 ) -> list[prompt_mod.FewShotExample]:
@@ -433,8 +437,8 @@ def select_system_examples(
     spec = system.prompt
     diagnostics = None
     if spec.shots and spec.selection == prompt_mod.MOST_ERRORS:
-        diag_path = system.dev_diagnostics or _default_dev_diagnostics(cfg)
-        _, diagnostics = read_diagnostics(diag_path)
+        default = Layout(cfg).diagnostics(BASELINE, f"{cfg.corpus_name}-dev", 0)
+        _, diagnostics = read_diagnostics(system.dev_diagnostics or default)
     return prompt_mod.select_examples(
         spec.selection,
         spec.shots,
@@ -604,7 +608,7 @@ def _read_current(
     cfg: ExperimentConfig,
     stage: str,
     path: Path,
-    columns: str,
+    columns: tuple[str, ...],
     keys: list[tuple[str, ...]],
     width: int | None = None,
 ) -> dict[tuple[str, ...], list[int]]:

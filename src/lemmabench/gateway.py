@@ -30,6 +30,7 @@ from .errors import CacheFormatError, CacheMissError, ConfigError, TransportErro
 LIVE = "live"
 RECORD = "record"
 REPLAY = "replay"
+CACHE_MODES = (LIVE, RECORD, REPLAY)
 
 CACHE_FORMAT = "lemmabench-cache/2"
 _LOG_HEADER = f"# cache-format = {CACHE_FORMAT}\n".encode("utf-8")
@@ -259,7 +260,7 @@ class LlmGateway:
         transport: Transport | None = None,
         rng: random.Random | None = None,
     ):
-        if mode not in (LIVE, RECORD, REPLAY):
+        if mode not in CACHE_MODES:
             raise ConfigError(f"unknown gateway mode {mode!r}")
         if mode in (RECORD, REPLAY) and cache is None:
             raise ConfigError(f"{mode} mode requires a response cache")

@@ -7,7 +7,9 @@ Levenshtein DP) — so agreement is real evidence.  The exception is
 oracle_report_text: it is the earlier `report` stage, which re-scored
 every prediction file, kept as a differential oracle for the stage that
 now reads only the tallies `score` and `compare` wrote; likewise
-oracle_parse_output is the parser before it skipped per-field calls.
+oracle_parse_output is the parser before it skipped per-field calls, and
+the oracle_read_* / oracle_ingest_tsv functions are the TSV artifact
+readers as they were before lemmabench.artifact, each with its own loop.
 """
 
 import math
@@ -15,12 +17,37 @@ import random
 import re
 import unicodedata
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from lemmabench import evaluation as eval_mod
-from lemmabench.align import ParsedOutput, _pair_score, read_diagnostics, read_predictions
-from lemmabench.editscript import LOWER_FIRST, PRESERVE, UPPER_FIRST, EditScript
+from lemmabench.align import (
+    ParsedOutput,
+    PredictionBlock,
+    _pair_score,
+    read_diagnostics,
+    read_predictions,
+)
+from lemmabench.baseline import BaselineModel
+from lemmabench.corpus import Corpus, Sentence, Token, _nfc
+from lemmabench.editscript import (
+    LOWER_FIRST,
+    PRESERVE,
+    UPPER_FIRST,
+    EditScript,
+    LabelInventory,
+    PairScript,
+    _token_counts,
+)
+from lemmabench.errors import (
+    CorpusFormatError,
+    EmptyCorpusError,
+    FileFormatError,
+    InventoryFormatError,
+    ModelFormatError,
+    ScoringError,
+)
 from lemmabench.experiment import Layout, _load_split, _meta, blocks_to_slots
 
 from conftest import corpus, sentence
@@ -323,3 +350,208 @@ def oracle_mcnemar(b01, b10, agree=3):
     first = [False] * b01 + [True] * b10 + [True] * agree
     second = [True] * b01 + [False] * b10 + [True] * agree
     return eval_mod.mcnemar(first, second)
+
+
+# --- the TSV artifact readers before lemmabench.artifact ------------------------
+
+
+def oracle_read_predictions(path):
+    metadata: dict[str, str] = {}
+    blocks: list[PredictionBlock] = []
+    current_id: str | None = None
+    current_pairs: list[tuple[str, str | None]] = []
+    seen_block = False
+
+    def flush():
+        nonlocal current_id, current_pairs, seen_block
+        if seen_block and (current_pairs or current_id is not None):
+            blocks.append(PredictionBlock(current_id, tuple(current_pairs)))
+        current_id, current_pairs, seen_block = None, [], False
+
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                flush()
+                continue
+            if line.startswith("#") and "\t" not in line:  # "#nlp<TAB>nlp" is a row
+                body = line[1:].strip()
+                if "=" in body:
+                    key, value = body.split("=", 1)
+                    key, value = key.strip(), value.strip()
+                    if key == "sent_id":
+                        flush()
+                        current_id = value
+                        seen_block = True
+                    else:
+                        metadata[key] = value
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ScoringError(
+                    f"{path}:{line_no}: prediction row has {len(fields)} tab-separated "
+                    "fields, expected wordform<TAB>lemma"
+                )
+            wordform = _nfc(fields[0])
+            lemma = _nfc(fields[1]) if fields[1] != "" else None
+            current_pairs.append((wordform, lemma))
+            seen_block = True
+    flush()
+    return metadata, blocks
+
+
+def _oracle_read_corpus(path, name, language, parse_row, tsv):
+    path = Path(path)
+    corpus_name = name or path.stem
+    sentences: list[Sentence] = []
+    tokens: list[Token] = []
+    pending_id: str | None = None  # explicit id from a "# sent_id = ..." comment
+
+    def close_sentence():
+        nonlocal pending_id
+        if tokens:
+            if pending_id is None:
+                pending_id = f"{corpus_name}-{len(sentences):04d}"
+            sentences.append(Sentence(id=pending_id, tokens=tuple(tokens)))
+            tokens.clear()
+            pending_id = None
+
+    with open(path, encoding="utf-8-sig") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                close_sentence()
+                continue
+            if line.startswith("#") and not (tsv and "\t" in line):
+                body = line[1:].strip()
+                if tsv and body.startswith("sent_id") and "=" in body:
+                    close_sentence()
+                    pending_id = body.split("=", 1)[1].strip()
+                continue
+            row = parse_row(line.split("\t"), path, line_no)
+            if row is None:
+                continue
+            form, lemma = row
+            lemma = None if lemma is None else _nfc(lemma)
+            tokens.append(Token(index=len(tokens) + 1, wordform=_nfc(form), lemma=lemma))
+    close_sentence()
+    if not sentences:
+        raise EmptyCorpusError(f"{path}: no sentences found")
+    return Corpus(name=corpus_name, language=language, sentences=tuple(sentences))
+
+
+def _oracle_tsv_row(fields, path, line_no):
+    if len(fields) != 2:
+        raise CorpusFormatError(
+            path, line_no, f"expected 2 tab-separated fields, found {len(fields)}"
+        )
+    if not fields[0]:
+        raise CorpusFormatError(path, line_no, "empty wordform field")
+    return fields[0], fields[1] or None
+
+
+def oracle_ingest_tsv(path, name=None, language="und"):
+    return _oracle_read_corpus(path, name, language, _oracle_tsv_row, tsv=True)
+
+
+def oracle_read_inventory(path):
+    frequencies: dict[EditScript, int] = {}
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            try:
+                _, encoded, freq = line.split("\t")
+                frequencies[EditScript.decode(encoded)] = int(freq)
+            except (ValueError, TypeError) as exc:
+                raise InventoryFormatError(
+                    path, line_no, f"expected id<TAB>script<TAB>frequency: {exc}"
+                ) from exc
+    return LabelInventory(frequencies)
+
+
+def _oracle_natural(field):
+    return int(field) if field.isascii() and field.isdigit() else None
+
+
+def oracle_read_pair_labels(path, inventory):
+    pairs: list[PairScript] = []
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not line or (line.startswith("#") and "\t" not in line):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise InventoryFormatError(
+                    path, line_no, f"expected wordform, label id, count; found {len(fields)} fields"
+                )
+            wordform, label_field, count_field = fields
+            label_id, count = _oracle_natural(label_field), _oracle_natural(count_field)
+            if label_id is None or label_id >= len(inventory):
+                raise InventoryFormatError(
+                    path, line_no, f"label id {label_field!r} is not one of {len(inventory)} labels"
+                )
+            if not count:
+                raise InventoryFormatError(
+                    path, line_no, f"count {count_field!r} is not a positive integer"
+                )
+            pairs.append((wordform, inventory.script_of(label_id), count))
+    counts = _token_counts(pairs)
+    for label_id, script, frequency in inventory.items():
+        if counts[script] != frequency:
+            raise InventoryFormatError(
+                path, None, f"label {label_id} covers {counts[script]} tokens here but "
+                f"{frequency} in the inventory: the pairs file is from another induce run"
+            )
+    return pairs
+
+
+def oracle_read_model(path):
+    model = BaselineModel()
+    tables = {"form": model.form_table, "suffix": model.suffix_table}
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if line.startswith("# max_suffix_len = "):
+                value = line.rsplit(" ", 1)[1]
+                if not (value.isascii() and value.isdigit()):
+                    raise ModelFormatError(path, line_no, f"max_suffix_len {value!r} is not an integer")
+                model.max_suffix_len = int(value)
+                continue
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3 or fields[0] not in tables:
+                raise ModelFormatError(path, line_no, "expected form|suffix<TAB>key<TAB>script")
+            table_name, key, encoded = fields
+            try:
+                tables[table_name][key] = EditScript.decode(encoded)
+            except (ValueError, TypeError) as exc:
+                raise ModelFormatError(path, line_no, f"script does not decode: {exc}") from exc
+    return model
+
+
+def oracle_read_counts(path, columns, width=None):
+    lines = Path(path).read_text("utf-8").splitlines()
+    meta: dict[str, str] = {}
+    n = 0  # header lines
+    while n < len(lines) and lines[n].startswith("#") and "\t" not in lines[n]:
+        key, _, value = lines[n][2:].partition(" = ")
+        meta[key] = value
+        n += 1
+    if lines[n : n + 1] != [columns]:
+        raise FileFormatError(path, n + 1, f"expected the column line {columns!r}")
+    rows = {}
+    for line_no, line in enumerate(lines[n + 1 :], start=n + 2):
+        parts = line.split("\t")
+        counts = parts[3:] if width is None else parts[3 : 3 + width]
+        if len(parts) != columns.count("\t") + 1:
+            raise FileFormatError(path, line_no, f"expected the fields {columns!r}")
+        if not all(c.isascii() and c.isdigit() for c in counts):
+            raise FileFormatError(path, line_no, "a count is not a non-negative integer")
+        if tuple(parts[:3]) in rows:
+            raise FileFormatError(path, line_no, f"repeats the row for {' '.join(parts[:3])}")
+        rows[tuple(parts[:3])] = [int(c) for c in counts]
+    return meta, rows

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmabench import artifact
 from lemmabench.corpus import (
     FIRST_N,
     SEEDED_RANDOM,
@@ -14,12 +15,11 @@ from lemmabench.corpus import (
     ingest_conllu,
     ingest_tsv,
     make_splits,
-    read_split_manifest,
     reduce_corpus,
     write_split_manifest,
     write_tsv,
 )
-from lemmabench.errors import CorpusFormatError, EmptyCorpusError, SplitError
+from lemmabench.errors import CorpusFormatError, EmptyCorpusError, FileFormatError, SplitError
 
 from conftest import corpus, sentence
 
@@ -106,7 +106,7 @@ def test_tsv_round_trip_preserves_ids(tmp_path):
         sentence("toy-0001", ("María", "María"), ("canta", "cantar")),
     )
     path = tmp_path / "toy.tsv"
-    write_tsv(c, path, header_lines=["origin = unit-test"])
+    write_tsv(c, path, {"origin": "unit-test"})
     back = ingest_tsv(path, name="toy")
     assert [s.id for s in back.sentences] == ["toy-0000", "toy-0001"]
     assert back.sentences[0].wordforms() == ["Perros", "."]
@@ -116,7 +116,7 @@ def test_tsv_round_trip_preserves_ids(tmp_path):
 def test_tsv_round_trip_keeps_hash_initial_wordforms(tmp_path):
     c = corpus("toy", sentence("toy-0000", ("Love", "love"), ("#nlp", "#nlp"), ("!", "!")))
     path = tmp_path / "toy.tsv"
-    write_tsv(c, path, header_lines=["origin = unit-test"])
+    write_tsv(c, path, {"origin": "unit-test"})
     back = ingest_tsv(path, name="toy")
     assert back.sentences == c.sentences
 
@@ -263,7 +263,10 @@ def test_corpus_stats_counts_tokens_and_sentences():
 def test_split_manifest_round_trip(tmp_path):
     train, dev, test = make_splits(_toy(6), SplitSpec(3, 2, 1))
     path = tmp_path / "manifest.tsv"
-    write_split_manifest({p.name: p for p in (train, dev, test)}, path)
-    manifest = read_split_manifest(path)
-    assert manifest["toy-train"] == ["toy-0000", "toy-0001", "toy-0002"]
-    assert manifest["toy-test"] == ["toy-0005"]
+    write_split_manifest({p.name: p for p in (train, dev, test)}, path, {"experiment": "toy"})
+    meta, rows = artifact.read(path, ("split", "sentence id"), FileFormatError)
+    assert meta == {"experiment": "toy"}
+    assert rows == [
+        ["toy-train", "toy-0000"], ["toy-train", "toy-0001"], ["toy-train", "toy-0002"],
+        ["toy-dev", "toy-0003"], ["toy-dev", "toy-0004"], ["toy-test", "toy-0005"],
+    ]

@@ -172,7 +172,10 @@ def test_inventory_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "row",
-    ['7\t["preserve",0,"",1,""]', "bogus", '0\t["preserve",0]\t3', "0\tnot json\t3", "0\t5\t3"],
+    ['7\t["preserve",0,"",1,""]', "bogus", '0\t["preserve",0]\t3', "0\tnot json\t3", "0\t5\t3",
+     '1\t["preserve",0,"",0,""]\t2',  # repeats row 0's script
+     '2\t["preserve",0,"",1,""]\t2',  # id is not the row's position
+     '1\t["preserve",0,"",1,""]\t9'],  # more frequent than row 0: would be renumbered
 )
 def test_read_inventory_names_a_malformed_row(tmp_path, row):
     path = tmp_path / "inventory.tsv"

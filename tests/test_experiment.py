@@ -130,6 +130,16 @@ _WRONG_VALUES = [
     ("prompt.shot", lambda raw: raw.update(_llm_system(shot=4))),
     ("prompt.shots", lambda raw: raw.update(_llm_system(shots="4"))),
     ("prompt.seed", lambda raw: raw.update(_llm_system(seed=True))),
+    ("provider.temperature", lambda raw: raw.update(provider={"temperature": "hot"})),
+    ("provider.top_p", lambda raw: raw.update(provider={"top_p": None})),
+    ("provider.timeout", lambda raw: raw.update(provider={"timeout": "60"})),
+    ("provider.retry_backoff", lambda raw: raw.update(provider={"retry_backoff": False})),
+    ("manual_ids", lambda raw: raw.update(
+        systems=[{"name": "llm", "kind": "llm", "manual_ids": 5}])),
+    ("comparisons", lambda raw: raw.update(comparisons=[["baseline"]])),
+    ("comparisons", lambda raw: raw.update(comparisons="none")),
+    ("corpus.path", lambda raw: raw["corpus"].pop("path")),
+    ("cache_mode", lambda raw: raw.update(cache_mode="bogus")),
 ]
 
 
