@@ -42,12 +42,12 @@ def natural(field: str, name: str) -> int:
 
 
 def render(meta: dict, rows) -> str:
-    """A ``# key = value`` line per meta item, then each row's fields joined
-    by tabs.  A block file's ``# sent_id`` line is a one-field row, and its
-    blank line a row of no fields."""
-    text = [f"# {key} = {value}\n" for key, value in meta.items()]
-    text.extend("\t".join(map(str, row)) + "\n" for row in rows)
-    return "".join(text)
+    """A ``# key = value`` line per meta item, then each row's fields (str)
+    joined by tabs.  A block file's ``# sent_id`` line is a one-field row,
+    and its blank line a row of no fields."""
+    lines = [f"# {key} = {value}" for key, value in meta.items()]
+    lines.extend(map("\t".join, rows))
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def write(path: str | Path, meta: dict, rows) -> None:

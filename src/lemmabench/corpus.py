@@ -115,7 +115,7 @@ def _read_corpus(path: str | Path, parse_row, tsv: bool):
         if not line.strip():
             if rows:
                 blocks.append((None, []))
-        elif artifact.is_header(line) if tsv else line.startswith("#"):
+        elif line.startswith("#") and (not tsv or artifact.is_header(line)):
             key, value = (artifact.header(line) if tsv else None) or (None, None)
             if key == "sent_id":
                 blocks.append((value, []))
@@ -135,7 +135,7 @@ def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: b
     sentences: list[Sentence] = []
     for block_id, rows in _read_corpus(path, parse_row, tsv)[1]:
         if rows:
-            tokens = tuple(Token(i, form, lemma) for i, (form, lemma) in enumerate(rows, start=1))
+            tokens = tuple([Token(i, form, lemma) for i, (form, lemma) in enumerate(rows, start=1)])
             sentence_id = f"{corpus_name}-{len(sentences):04d}" if block_id is None else block_id
             sentences.append(Sentence(sentence_id, tokens))
     if not sentences:
@@ -197,7 +197,7 @@ def _write_blocks(path: str | Path, meta: dict[str, str], blocks: Iterable) -> N
     def rows():
         for sentence_id, pairs in blocks:
             yield (f"# sent_id = {sentence_id}",)
-            yield from ((form, "" if lemma is None else lemma) for form, lemma in pairs)
+            yield from [(form, "" if lemma is None else lemma) for form, lemma in pairs]
             yield ()
 
     artifact.write(path, meta, rows())

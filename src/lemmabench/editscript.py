@@ -230,7 +230,7 @@ INVENTORY_COLUMNS = ("id", "script", "frequency")
 
 def write_inventory(inventory: LabelInventory, path: str | Path) -> None:
     meta = {"format": INVENTORY_FORMAT, "columns": "\t".join(INVENTORY_COLUMNS)}
-    artifact.write(path, meta, ((i, s.encode(), f) for i, s, f in inventory.items()))
+    artifact.write(path, meta, ((str(i), s.encode(), str(f)) for i, s, f in inventory.items()))
 
 
 def read_inventory(path: str | Path) -> LabelInventory:
@@ -271,7 +271,7 @@ def write_pair_labels(
     pair, in pair_scripts order, so training needs neither the train split
     nor induce."""
     meta = {"format": PAIR_LABELS_FORMAT, "columns": ", ".join(PAIR_LABELS_COLUMNS)}
-    rows = ((wordform, inventory.id_of(script), count) for wordform, script, count in pairs)
+    rows = ((form, str(inventory.id_of(script)), str(n)) for form, script, n in pairs)
     artifact.write(path, meta, rows)
 
 

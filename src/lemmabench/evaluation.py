@@ -194,22 +194,26 @@ MCNEMAR_COLUMNS = tuple(
 )
 
 
+def _render_table(metadata: Mapping[str, str], columns: tuple[str, ...], rows) -> str:
+    return artifact.render(metadata, (columns, *(map(str, row) for row in rows)))
+
+
 def render_scores_tsv(reports: Sequence[EvalReport], metadata: Mapping[str, str]) -> str:
-    return artifact.render(metadata, (SCORES_COLUMNS, *(
+    return _render_table(metadata, SCORES_COLUMNS, (
         (r.system, r.corpus, len(r.runs),
          *(f"{x:.4f}" for x in (*r.word_stats(), *r.sentence_stats())),
          *(f"{x:.1f}" for x in r.mean_errors()))
         for r in reports
-    )))
+    ))
 
 
 def render_runs_tsv(reports: Sequence[EvalReport], metadata: Mapping[str, str]) -> str:
     """One row of exact tallies per (system, run), correct to random; every
     mean and std of scores.tsv and report.txt is a function of them."""
-    return artifact.render(metadata, (RUNS_COLUMNS, *(
+    return _render_table(metadata, RUNS_COLUMNS, (
         (r.system, r.corpus, run, *astuple(score)[2:])
         for r in reports for run, score in enumerate(r.runs)
-    )))
+    ))
 
 
 def render_mcnemar_tsv(
@@ -218,11 +222,11 @@ def render_mcnemar_tsv(
     alpha: float = 0.05,
 ) -> str:
     """Rows are (corpus, system_a, system_b, result)."""
-    return artifact.render(metadata, (MCNEMAR_COLUMNS, *(
+    return _render_table(metadata, MCNEMAR_COLUMNS, (
         (corpus, sys_a, sys_b, res.b01, res.b10, res.method, f"{res.statistic:.6f}",
          f"{res.p_value:.6g}", "yes" if res.significant(alpha) else "no")
         for corpus, sys_a, sys_b, res in rows
-    )))
+    ))
 
 
 def read_counts(

@@ -374,7 +374,7 @@ def test_intended_change(scratch, reader, lines, check):
 
 def test_write_renders_headers_then_tab_joined_rows(scratch):
     path = scratch / "out" / "table.tsv"
-    artifact.write(path, {"format": "x/1", "columns": "a\tb"}, [("#nlp", 1), (), ("# sent_id = s",)])
+    artifact.write(path, {"format": "x/1", "columns": "a\tb"}, [("#nlp", "1"), (), ("# sent_id = s",)])
     assert path.read_bytes() == b"# format = x/1\n# columns = a\tb\n#nlp\t1\n\n# sent_id = s\n"
     assert artifact.read(path, ("a", "b"), FileFormatError) == (
         {"format": "x/1", "columns": "a\tb", "sent_id": "s"}, [["#nlp", "1"]]
