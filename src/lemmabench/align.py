@@ -270,7 +270,8 @@ def read_predictions(path: str | Path) -> tuple[dict[str, str], list[PredictionB
     sent_id headers are optional (scoring then matches blocks to sentences
     by order), and a row that is not wordform<TAB>lemma, the lemma possibly
     empty, is a ScoringError naming the file and line."""
-    metadata, blocks = _read_corpus(path, _prediction_row, tsv=True)
+    metadata: dict[str, str] = {}
+    blocks = _read_corpus(path, _prediction_row, True, metadata)
     return metadata, [PredictionBlock(block_id, tuple(rows)) for block_id, rows in blocks]
 
 

@@ -6,9 +6,9 @@ UTF-8 text: ``# key = value`` header lines, then rows of tab-separated
 fields.  A ``#`` line is a header when it holds no tab or starts with
 ``# columns = `` (the inventory and the model list their columns with
 tabs), so a row such as ``#nlp<TAB>nlp`` stays a row.  Reading accepts a
-leading byte-order mark.  Flat tables go through read and write; the
-sentence-block files are read by corpus._read_corpus, on top of lines,
-is_header and header.
+leading byte-order mark.  Every file is written through write; flat
+tables are read by read, and sentence-block files by corpus._read_corpus
+on top of lines, is_header and header.
 """
 
 from __future__ import annotations
@@ -34,25 +34,26 @@ def lines(path):
 
 
 def natural(field: str, name: str) -> int:
-    """field as a non-negative integer written in ASCII digits, else a
-    ValueError that names it."""
+    """field as a non-negative integer in ASCII digits; ValueError otherwise."""
     if not (field.isascii() and field.isdigit()):
         raise ValueError(f"{name} {field!r} is not a non-negative integer")
     return int(field)
 
 
-def render(meta: dict, rows) -> str:
-    """A ``# key = value`` line per meta item, then each row's fields (str)
-    joined by tabs.  A block file's ``# sent_id`` line is a one-field row,
-    and its blank line a row of no fields."""
-    lines = [f"# {key} = {value}" for key, value in meta.items()]
-    lines.extend(map("\t".join, rows))
-    return "\n".join(lines) + "\n" if lines else ""
+def text(meta: dict, rows):
+    """The lines of an artifact: a ``# key = value`` line per meta item, then
+    each row's fields (str) joined by tabs.  A block file's ``# sent_id``
+    line is a one-field row, and its blank line a row of no fields."""
+    for key, value in meta.items():
+        yield f"# {key} = {value}\n"
+    for line in map("\t".join, rows):
+        yield line + "\n"
 
 
 def write(path: str | Path, meta: dict, rows) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(render(meta, rows), "utf-8")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(text(meta, rows))
 
 
 def read(path: str | Path, columns: tuple[str, ...], error, decode=list, headers=None):

@@ -96,36 +96,37 @@ class SplitSpec:
             raise SplitError(f"unknown selection rule: {self.selection_rule!r}")
 
 
-def _read_corpus(path: str | Path, parse_row, tsv: bool):
+def _read_corpus(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
     """The one sentence-block loop, behind ingest_conllu, ingest_tsv and
     align.read_predictions.
 
-    Returns the file's ``# key = value`` headers and its blocks, each a
-    (sent_id or None, rows) pair.  parse_row(fields, path, line_no) gives a
-    (form, lemma-or-None) row, NFC-normalized here, or None for a line
-    without a token.  A ``# sent_id = X`` header starts a block named X,
-    which may end without rows; a blank line ends a block that has rows.
-    TSV files follow artifact.is_header; in CoNLL-U every ``#`` line is a
-    comment, and no header or sent_id is kept.
+    Yields each block as it ends, a (sent_id or None, rows) pair, and puts
+    the other ``# key = value`` headers into meta.  parse_row(fields, path,
+    line_no) gives a (form, lemma-or-None) row, NFC-normalized here, or
+    None for a line without a token.  A ``# sent_id = X`` header starts a
+    block named X, which may end without rows; a blank line ends a block
+    that has rows.  In CoNLL-U every ``#`` line is a comment.
     """
-    meta: dict[str, str] = {}
-    blocks: list[tuple[str | None, list]] = [(None, [])]  # the last one is open
+    block_id, rows = None, []
     for line_no, line in artifact.lines(path):
-        rows = blocks[-1][1]
         if not line.strip():
             if rows:
-                blocks.append((None, []))
+                yield block_id, rows
+                block_id, rows = None, []
         elif line.startswith("#") and (not tsv or artifact.is_header(line)):
             key, value = (artifact.header(line) if tsv else None) or (None, None)
             if key == "sent_id":
-                blocks.append((value, []))
+                if rows or block_id is not None:
+                    yield block_id, rows
+                block_id, rows = value, []
             elif key is not None:
                 meta[key] = value
         else:
             row = parse_row(line.split("\t"), path, line_no)
             if row is not None:
                 rows.append((_nfc(row[0]), None if row[1] is None else _nfc(row[1])))
-    return meta, [(block_id, rows) for block_id, rows in blocks if rows or block_id is not None]
+    if rows or block_id is not None:
+        yield block_id, rows
 
 
 def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: bool) -> Corpus:
@@ -133,7 +134,7 @@ def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: b
     block without a sent_id is named by its position."""
     corpus_name = name or Path(path).stem
     sentences: list[Sentence] = []
-    for block_id, rows in _read_corpus(path, parse_row, tsv)[1]:
+    for block_id, rows in _read_corpus(path, parse_row, tsv, {}):
         if rows:
             tokens = tuple([Token(i, form, lemma) for i, (form, lemma) in enumerate(rows, start=1)])
             sentence_id = f"{corpus_name}-{len(sentences):04d}" if block_id is None else block_id
@@ -179,13 +180,9 @@ def _tsv_row(fields: list[str], path: Path, line_no: int) -> tuple[str, str | No
 
 
 def ingest_tsv(path: str | Path, name: str | None = None, language: str = "und") -> Corpus:
-    """Read a two-column ``wordform<TAB>lemma`` file, blank line between sentences.
-
-    An empty lemma field means the token is unannotated.  A line with any
-    other field count is a CorpusFormatError naming the line.  A ``#``
-    header line (artifact.is_header) is not a token, and a
-    ``# sent_id = X`` header names the sentence that follows it.
-    """
+    """Read a two-column ``wordform<TAB>lemma`` file, blank line between
+    sentences; an empty lemma field means the token is unannotated, and a
+    row with another field count is a CorpusFormatError naming the line."""
     return _corpus(path, name, language, _tsv_row, tsv=True)
 
 

@@ -195,7 +195,7 @@ MCNEMAR_COLUMNS = tuple(
 
 
 def _render_table(metadata: Mapping[str, str], columns: tuple[str, ...], rows) -> str:
-    return artifact.render(metadata, (columns, *(map(str, row) for row in rows)))
+    return "".join(artifact.text(metadata, (columns, *(map(str, row) for row in rows))))
 
 
 def render_scores_tsv(reports: Sequence[EvalReport], metadata: Mapping[str, str]) -> str:
