@@ -28,10 +28,6 @@ FIRST_N = "first-n"
 SEEDED_RANDOM = "seeded-random"
 
 
-def _nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
-
-
 @dataclass(frozen=True)
 class Token:
     """One surface wordform with its gold lemma and 1-based position."""
@@ -108,6 +104,7 @@ def _read_corpus(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
     that has rows.  In CoNLL-U every ``#`` line is a comment.
     """
     block_id, rows = None, []
+    normalize = unicodedata.normalize
     for line_no, line in artifact.lines(path):
         if not line.strip():
             if rows:
@@ -124,7 +121,8 @@ def _read_corpus(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
         else:
             row = parse_row(line.split("\t"), path, line_no)
             if row is not None:
-                rows.append((_nfc(row[0]), None if row[1] is None else _nfc(row[1])))
+                form, lemma = row
+                rows.append((normalize("NFC", form), lemma and normalize("NFC", lemma)))
     if rows or block_id is not None:
         yield block_id, rows
 

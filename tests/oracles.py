@@ -30,7 +30,7 @@ from lemmabench.align import (
     read_predictions,
 )
 from lemmabench.baseline import BaselineModel
-from lemmabench.corpus import Corpus, Sentence, Token, _nfc
+from lemmabench.corpus import Corpus, Sentence, Token
 from lemmabench.editscript import (
     LOWER_FIRST,
     PRESERVE,
@@ -353,6 +353,10 @@ def oracle_mcnemar(b01, b10, agree=3):
 
 
 # --- the TSV artifact readers before lemmabench.artifact ------------------------
+
+
+def _nfc(text):
+    return unicodedata.normalize("NFC", text)
 
 
 def oracle_read_predictions(path):
