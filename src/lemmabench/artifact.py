@@ -56,7 +56,7 @@ def write(path: str | Path, meta: dict, rows) -> None:
         handle.writelines(text(meta, rows))
 
 
-def read(path: str | Path, columns: tuple[str, ...], error, decode=list, headers=None):
+def read(path: str | Path, columns: tuple[str, ...], error, decode, headers=None):
     """(meta, rows) of a flat table: each header's value by key, passed
     through headers[key] where given, and decode(fields) of each row, in
     file order; empty lines are skipped.  A row without one field per

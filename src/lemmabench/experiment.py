@@ -258,7 +258,8 @@ def load_config(
 
     alpha = _number(scoring.get("alpha", 0.05), "scoring.alpha")
     mode = cache_mode or raw.get("cache_mode", gateway_mod.REPLAY)
-    _expect(mode in gateway_mod.CACHE_MODES, "cache_mode", " or ".join(gateway_mod.CACHE_MODES), mode)
+    modes = gateway_mod.CACHE_MODES
+    _expect(mode in modes, "cache_mode", " or ".join(modes), mode)
     return ExperimentConfig(
         name=name,
         language=language,

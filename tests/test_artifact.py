@@ -22,8 +22,9 @@ one in test_intended_change:
   rule, whatever its spacing;
 - in runs.tsv and mcnemar.tsv, empty lines are skipped, headers may follow
   the column line, a bare ``#`` comment adds no metadata key, a table with
-  no column line is refused naming the file rather than a line, and only ``\\n``, ``\\r`` and ``\\r\\n`` end a line (not
-  every str.splitlines boundary);
+  no column line is refused naming the file rather than a line, and only
+  ``\\n``, ``\\r`` and ``\\r\\n`` end a line (not every str.splitlines
+  boundary);
 - the inventory refuses a row whose id is not its position, whose script
   repeats, or which breaks the frequency order (it renumbered them).
 """
@@ -374,14 +375,16 @@ def test_intended_change(scratch, reader, lines, check):
 
 def test_write_renders_headers_then_tab_joined_rows(scratch):
     path = scratch / "out" / "table.tsv"
-    artifact.write(path, {"format": "x/1", "columns": "a\tb"}, [("#nlp", "1"), (), ("# sent_id = s",)])
+    rows = [("#nlp", "1"), (), ("# sent_id = s",)]
+    artifact.write(path, {"format": "x/1", "columns": "a\tb"}, rows)
     assert path.read_bytes() == b"# format = x/1\n# columns = a\tb\n#nlp\t1\n\n# sent_id = s\n"
-    assert artifact.read(path, ("a", "b"), FileFormatError) == (
+    assert artifact.read(path, ("a", "b"), FileFormatError, list) == (
         {"format": "x/1", "columns": "a\tb", "sent_id": "s"}, [["#nlp", "1"]]
     )
 
 
 def test_read_names_the_line_of_a_row_with_the_wrong_field_count(scratch):
     path = _file(scratch, ["# k = v", "a\tb", "", "a\tb\tc"])
-    with pytest.raises(FileFormatError, match=re.escape(f"{path}:4: expected the fields a, b; found 3")):
-        artifact.read(path, ("a", "b"), FileFormatError)
+    expected = re.escape(f"{path}:4: expected the fields a, b; found 3 fields")
+    with pytest.raises(FileFormatError, match=expected):
+        artifact.read(path, ("a", "b"), FileFormatError, list)

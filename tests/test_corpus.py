@@ -264,7 +264,7 @@ def test_split_manifest_round_trip(tmp_path):
     train, dev, test = make_splits(_toy(6), SplitSpec(3, 2, 1))
     path = tmp_path / "manifest.tsv"
     write_split_manifest({p.name: p for p in (train, dev, test)}, path, {"experiment": "toy"})
-    meta, rows = artifact.read(path, ("split", "sentence id"), FileFormatError)
+    meta, rows = artifact.read(path, ("split", "sentence id"), FileFormatError, list)
     assert meta == {"experiment": "toy"}
     assert rows == [
         ["toy-train", "toy-0000"], ["toy-train", "toy-0001"], ["toy-train", "toy-0002"],
