@@ -253,7 +253,7 @@ def write_predictions(
     """Write sentence-per-block prediction TSV; each block is (sentence_id,
     wordforms, lemma slots), and a missing lemma an empty second field."""
     meta = {"format": PREDICTION_FORMAT, **(metadata or {})}
-    _write_blocks(path, meta, ((sid, zip(forms, lemmas)) for sid, forms, lemmas in blocks))
+    _write_blocks(path, meta, blocks)
 
 
 def _prediction_row(fields: list[str], path, line_no: int) -> tuple[str, str | None]:

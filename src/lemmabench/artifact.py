@@ -13,6 +13,7 @@ on top of lines, is_header and header.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 
 
@@ -41,13 +42,13 @@ def natural(field: str, name: str) -> int:
 
 
 def text(meta: dict, rows):
-    """The lines of an artifact: a ``# key = value`` line per meta item, then
-    each row's fields (str) joined by tabs.  A block file's ``# sent_id``
-    line is a one-field row, and its blank line a row of no fields."""
-    for key, value in meta.items():
-        yield f"# {key} = {value}\n"
-    for line in map("\t".join, rows):
-        yield line + "\n"
+    """An artifact's text in pieces: a ``# key = value`` line per meta item,
+    then a line per row of tab-joined str fields (a block file's ``# sent_id``
+    line is a one-field row, its blank line a row of no fields)."""
+    yield "".join(f"# {key} = {value}\n" for key, value in meta.items())
+    lines = map("\t".join, rows)
+    while chunk := list(islice(lines, 4096)):  # a piece per 4096 rows bounds memory
+        yield "\n".join(chunk) + "\n"
 
 
 def write(path: str | Path, meta: dict, rows) -> None:

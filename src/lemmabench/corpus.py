@@ -186,13 +186,13 @@ def ingest_tsv(path: str | Path, name: str | None = None, language: str = "und")
 
 def _write_blocks(path: str | Path, meta: dict[str, str], blocks: Iterable) -> None:
     """The one writer of sentence-block files (corpus, splits, predictions):
-    per (sent_id, (wordform, lemma-or-None) pairs) block a ``# sent_id``
-    line, a row per pair (a missing lemma is an empty field), a blank line."""
+    per (sent_id, wordforms, lemmas) block a ``# sent_id`` line, a row per
+    token (a missing lemma is an empty field), then a blank line."""
 
     def rows():
-        for sentence_id, pairs in blocks:
+        for sentence_id, forms, lemmas in blocks:
             yield (f"# sent_id = {sentence_id}",)
-            yield from [(form, "" if lemma is None else lemma) for form, lemma in pairs]
+            yield from zip(forms, ["" if lemma is None else lemma for lemma in lemmas])
             yield ()
 
     artifact.write(path, meta, rows())
@@ -202,7 +202,7 @@ def write_tsv(corpus: Corpus, path: str | Path, meta: dict[str, str] | None = No
     """Serialize a corpus in the two-column TSV format ingest_tsv reads back;
     sentence ids survive the round trip as sent_id headers, which keeps
     split members traceable on disk."""
-    blocks = ((s.id, ((t.wordform, t.lemma) for t in s.tokens)) for s in corpus.sentences)
+    blocks = ((s.id, s.wordforms(), s.lemmas()) for s in corpus.sentences)
     _write_blocks(path, meta or {}, blocks)
 
 
