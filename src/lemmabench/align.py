@@ -216,7 +216,7 @@ class AlignedPrediction:
 
 def align(parsed: ParsedOutput, sentence: Sentence) -> AlignedPrediction:
     """Assign each parsed row to an input token and classify the errors."""
-    in_words = sentence.wordforms()
+    in_words = list(sentence.wordforms)  # a list, as out_words, or the echo shortcut never fires
     out_words = [w for w, _ in parsed.pairs]
     matched = align_sequences(out_words, in_words)
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from itertools import islice
 from pathlib import Path
 
+from .errors import FileFormatError
+
 
 def is_header(line: str) -> bool:
     return line.startswith("#") and ("\t" not in line or line.startswith("# columns = "))
@@ -28,10 +30,16 @@ def header(line: str) -> tuple[str, str] | None:
 
 
 def lines(path):
-    """(1-based number, text without its line break) of each line of path."""
+    """(1-based number, text without its line break) of each line of path;
+    a FileFormatError names the first line that is not UTF-8."""
     with open(path, encoding="utf-8-sig") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            yield line_no, line.rstrip("\n")
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                yield line_no, line.rstrip("\n")
+        except UnicodeDecodeError as exc:  # bytes.splitlines splits where text mode does
+            rows = enumerate(Path(path).read_bytes().splitlines(), start=1)
+            bad = next((n for n, b in rows if b.decode("utf-8", "replace").encode() != b), None)
+            raise FileFormatError(path, bad, f"not UTF-8 text: {exc.reason}") from exc
 
 
 def natural(field: str, name: str) -> int:

@@ -77,11 +77,10 @@ def _candidate_scripts(model: BaselineModel, key: str):
 def predict(model: BaselineModel, sentence: Sentence) -> list[str]:
     """One lemma per input token, never skipping or reordering."""
     lemmas = []
-    for token in sentence.tokens:
-        key = token.wordform.casefold()
-        for script in _candidate_scripts(model, key):
+    for wordform in sentence.wordforms:
+        for script in _candidate_scripts(model, wordform.casefold()):
             try:
-                lemmas.append(apply(script, token.wordform))
+                lemmas.append(apply(script, wordform))
                 break
             except InapplicableScriptError:
                 continue  # script induced from a longer word; fall back
@@ -90,7 +89,7 @@ def predict(model: BaselineModel, sentence: Sentence) -> list[str]:
 
 def predict_identity(sentence: Sentence) -> list[str]:
     """The do-nothing lemmatizer every trained model has to beat."""
-    return [token.wordform for token in sentence.tokens]
+    return list(sentence.wordforms)
 
 
 MODEL_FORMAT = "lemmabench-baseline/1"

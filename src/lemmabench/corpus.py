@@ -39,26 +39,27 @@ class Token:
 
 @dataclass(frozen=True)
 class Sentence:
+    """Two columns with an entry per token: wordforms and gold lemmas (None: unannotated)."""
+
     id: str
-    tokens: tuple[Token, ...]
+    wordforms: tuple[str, ...]
+    lemmas: tuple[str | None, ...]
 
-    def wordforms(self) -> list[str]:
-        return [t.wordform for t in self.tokens]
-
-    def lemmas(self) -> list[str | None]:
-        return [t.lemma for t in self.tokens]
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """The columns as Tokens, built on each call."""
+        return tuple(Token(i, *pair) for i, pair in enumerate(zip(self.wordforms, self.lemmas), 1))
 
     def gold_pairs(self) -> tuple[tuple[str, str], ...]:
         """(wordform, lemma) per token; MissingLemmaError if any token lacks a lemma."""
-        for token in self.tokens:
-            if token.lemma is None:
-                raise MissingLemmaError(
-                    f"token {token.index} ({token.wordform!r}) of {self.id} has no lemma"
-                )
-        return tuple((t.wordform, t.lemma) for t in self.tokens)
+        if None in self.lemmas:
+            i = self.lemmas.index(None)
+            form = self.wordforms[i]
+            raise MissingLemmaError(f"token {i + 1} ({form!r}) of {self.id} has no lemma")
+        return tuple(zip(self.wordforms, self.lemmas))
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.wordforms)
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,8 @@ def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: b
     sentences: list[Sentence] = []
     for block_id, rows in _read_corpus(path, parse_row, tsv, {}):
         if rows:
-            tokens = tuple([Token(i, form, lemma) for i, (form, lemma) in enumerate(rows, start=1)])
             sentence_id = f"{corpus_name}-{len(sentences):04d}" if block_id is None else block_id
-            sentences.append(Sentence(sentence_id, tokens))
+            sentences.append(Sentence(sentence_id, *zip(*rows)))
     if not sentences:
         raise EmptyCorpusError(f"{path}: no sentences found")
     return Corpus(name=corpus_name, language=language, sentences=tuple(sentences))
@@ -202,7 +202,7 @@ def write_tsv(corpus: Corpus, path: str | Path, meta: dict[str, str] | None = No
     """Serialize a corpus in the two-column TSV format ingest_tsv reads back;
     sentence ids survive the round trip as sent_id headers, which keeps
     split members traceable on disk."""
-    blocks = ((s.id, s.wordforms(), s.lemmas()) for s in corpus.sentences)
+    blocks = ((s.id, s.wordforms, s.lemmas) for s in corpus.sentences)
     _write_blocks(path, meta or {}, blocks)
 
 

@@ -56,12 +56,17 @@ class EditScript:
 
     @classmethod
     def decode(cls, encoded: str) -> "EditScript":
-        """The script encode wrote; ValueError for any other text."""
+        """The script encode wrote; ValueError for any other text or field type."""
         try:
             case_flag, prefix_drop, prefix_add, suffix_drop, suffix_add = json.loads(encoded)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"script {encoded!r} does not decode: {exc}") from exc
-        return cls(case_flag, prefix_drop, prefix_add, suffix_drop, suffix_add)
+        fields = (prefix_drop, prefix_add, suffix_drop, suffix_add)
+        if case_flag not in _CASE_FLAGS or tuple(map(type, fields)) != (int, str, int, str):
+            raise ValueError(f"script {encoded!r} is not [case flag, int, str, int, str]")
+        if min(prefix_drop, suffix_drop) < 0:
+            raise ValueError(f"script {encoded!r} drops a negative count")
+        return cls(case_flag, *fields)
 
 
 IDENTITY = EditScript()
@@ -235,10 +240,10 @@ def write_inventory(inventory: LabelInventory, path: str | Path) -> None:
 
 def read_inventory(path: str | Path) -> LabelInventory:
     """The inventory write_inventory stored.  A row that is not
-    id<TAB>script<TAB>frequency, whose id is not its 0-based position,
-    whose script repeats an earlier row's, or which breaks the inventory's
-    order (frequency descending, then script) and so would be renumbered,
-    is an InventoryFormatError naming the file and line."""
+    id<TAB>script<TAB>positive frequency, whose id is not its 0-based
+    position, whose script repeats an earlier row's, or which breaks the
+    inventory's order (frequency descending, then script) and so would be
+    renumbered, is an InventoryFormatError naming the file and line."""
     frequencies: dict[EditScript, int] = {}
     last_key = None
 
@@ -250,10 +255,13 @@ def read_inventory(path: str | Path) -> LabelInventory:
             raise ValueError(f"id {label_id!r} is not the row's position {len(frequencies)}")
         if script in frequencies:
             raise ValueError(f"script {encoded} repeats an earlier row")
-        key = (-int(frequency), script.encode())
+        count = artifact.natural(frequency, "frequency")
+        if not count:
+            raise ValueError(f"frequency {frequency!r} is not a positive integer")
+        key = (-count, script.encode())
         if last_key is not None and key < last_key:
             raise ValueError("row is out of frequency order, so its id would change")
-        frequencies[script] = int(frequency)
+        frequencies[script] = count
         last_key = key
 
     artifact.read(path, INVENTORY_COLUMNS, InventoryFormatError, decode)

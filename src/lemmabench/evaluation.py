@@ -38,15 +38,15 @@ def _token_outcomes(predictions: LemmaSlots, gold: Corpus) -> list[list[bool | N
         if sentence.id not in predictions:
             raise ScoringError(f"no prediction for sentence {sentence.id}")
         slots = predictions[sentence.id]
-        if len(slots) != len(sentence.tokens):
+        if len(slots) != len(sentence):
             raise ScoringError(
-                f"{sentence.id}: {len(slots)} lemma slots for {len(sentence.tokens)} tokens"
+                f"{sentence.id}: {len(slots)} lemma slots for {len(sentence)} tokens"
             )
         row: list[bool | None] = []
-        for token, predicted in zip(sentence.tokens, slots):
-            if token.lemma is None:
-                raise ScoringError(f"gold token {token.wordform!r} in {sentence.id} has no lemma")
-            row.append(None if predicted is None else predicted == token.lemma)
+        for form, lemma, predicted in zip(sentence.wordforms, sentence.lemmas, slots):
+            if lemma is None:
+                raise ScoringError(f"gold token {form!r} in {sentence.id} has no lemma")
+            row.append(None if predicted is None else predicted == lemma)
         outcomes.append(row)
     return outcomes
 

@@ -334,9 +334,7 @@ class Layout:
 
 
 def _meta(cfg: ExperimentConfig, **extra: str) -> dict[str, str]:
-    meta = {"experiment": cfg.name, "config_hash": cfg.config_hash}
-    meta.update(extra)
-    return meta
+    return {"experiment": cfg.name, "config_hash": cfg.config_hash, **extra}
 
 
 def run_ingest(cfg: ExperimentConfig) -> corpus_mod.Corpus:
@@ -398,17 +396,10 @@ def _write_system_run(
     sentences: dict[str, dict[str, int]] = {}
     for sentence in gold.sentences:
         slots = lemmas_by_id[sentence.id]
-        blocks.append((sentence.id, sentence.wordforms(), list(slots)))
-        counts = dict(counts_by_id.get(sentence.id, {}))
-        incorrect = sum(
-            1
-            for predicted, token in zip(slots, sentence.tokens)
-            if predicted is not None and predicted != token.lemma
-        )
-        counts.setdefault("missing", sum(s is None for s in slots))
-        counts.setdefault("wrong", 0)
-        counts.setdefault("random", 0)
-        counts["incorrect"] = incorrect
+        blocks.append((sentence.id, sentence.wordforms, slots))
+        counts = {"missing": slots.count(None), "wrong": 0, "random": 0}
+        counts.update(counts_by_id.get(sentence.id, {}))
+        counts["incorrect"] = sum(p is not None and p != g for p, g in zip(slots, sentence.lemmas))
         sentences[sentence.id] = counts
     meta = _meta(cfg, system=system, corpus=gold.name, run=str(run), **(extra_meta or {}))
     write_predictions(layout.predictions(system, gold.name, run), blocks, metadata=meta)
@@ -471,10 +462,7 @@ def _run_llm_system(
             if idx in failed:
                 # A sentence whose request failed scores as all missing
                 # rather than silently vanishing from the denominator.
-                lemmas_by_id[sentence.id] = tuple([None] * len(sentence.tokens))
-                counts_by_id[sentence.id] = {
-                    "missing": len(sentence.tokens), "wrong": 0, "random": 0,
-                }
+                lemmas_by_id[sentence.id] = (None,) * len(sentence)
                 continue
             response = batch.responses[run][idx]
             aligned = align_prediction(parse_output(response.raw_text), sentence)
@@ -553,7 +541,7 @@ def blocks_to_slots(
         block = by_id.get(sentence.id)
         if block is None:
             raise ScoringError(f"prediction file has no block for {sentence.id}")
-        if [w for w, _ in block.pairs] != sentence.wordforms():
+        if tuple(w for w, _ in block.pairs) != sentence.wordforms:  # a tuple, as wordforms
             raise ScoringError(
                 f"prediction block for {sentence.id} does not repeat its gold wordforms"
             )
@@ -595,10 +583,7 @@ def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McN
         )
         for s in cfg.systems
     }
-    rows = [
-        (test.name, a, b, eval_mod.mcnemar(vectors[a], vectors[b]))
-        for a, b in cfg.comparisons
-    ]
+    rows = [(test.name, a, b, eval_mod.mcnemar(vectors[a], vectors[b])) for a, b in cfg.comparisons]
     layout.mcnemar().parent.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, run=str(cfg.mcnemar_run), alpha=str(cfg.alpha))
     layout.mcnemar().write_text(eval_mod.render_mcnemar_tsv(rows, meta, cfg.alpha), "utf-8")

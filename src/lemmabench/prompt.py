@@ -70,10 +70,10 @@ class FewShotExample:
     gold_pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        if len(self.gold_pairs) != len(self.sentence.tokens):
+        if len(self.gold_pairs) != len(self.sentence):
             raise PromptError(
                 f"example {self.sentence.id}: {len(self.gold_pairs)} pairs "
-                f"for {len(self.sentence.tokens)} tokens"
+                f"for {len(self.sentence)} tokens"
             )
 
     @classmethod
@@ -86,7 +86,7 @@ def _quote_word(word: str) -> str:
 
 
 def _sentence_block(mode: str, sentence: Sentence) -> str:
-    words = sentence.wordforms()
+    words = sentence.wordforms
     if mode == SENTENCE_STRING:
         return f'Sentence: "{" ".join(words)}"'
     listed = ", ".join(_quote_word(w) for w in words)

@@ -4,18 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from lemmabench.corpus import Corpus, Sentence, Token
+from lemmabench.corpus import Corpus, Sentence
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def sentence(sid: str, *pairs: tuple[str, str | None]) -> Sentence:
-    return Sentence(
-        id=sid,
-        tokens=tuple(
-            Token(index=i, wordform=w, lemma=l) for i, (w, l) in enumerate(pairs, start=1)
-        ),
-    )
+    return Sentence(id=sid, wordforms=tuple(w for w, _ in pairs), lemmas=tuple(l for _, l in pairs))
 
 
 def corpus(name: str, *sentences: Sentence, language: str = "und") -> Corpus:

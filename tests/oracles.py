@@ -8,14 +8,17 @@ oracle_report_text: it is the earlier `report` stage, which re-scored
 every prediction file, kept as a differential oracle for the stage that
 now reads only the tallies `score` and `compare` wrote; likewise
 oracle_parse_output is the parser before it skipped per-field calls, and
-the oracle_read_* / oracle_ingest_tsv functions are the TSV artifact
-readers as they were before lemmabench.artifact, each with its own loop.
+the oracle_read_* / oracle_ingest_* functions are the TSV artifact
+readers as they were before lemmabench.artifact, each with its own loop;
+the corpus ones still build one Token per token, as the reader did before
+a Sentence stored its wordforms and lemmas as two columns.
 """
 
 import math
 import random
 import re
 import unicodedata
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from lemmabench.align import (
     read_predictions,
 )
 from lemmabench.baseline import BaselineModel
-from lemmabench.corpus import Corpus, Sentence, Token
+from lemmabench.corpus import Corpus, Token
 from lemmabench.editscript import (
     LOWER_FIRST,
     PRESERVE,
@@ -404,10 +407,34 @@ def oracle_read_predictions(path):
     return metadata, blocks
 
 
+@dataclass(frozen=True)
+class TokenSentence:
+    """A sentence as the corpus reader built it before it stored columns:
+    one frozen Token per token."""
+
+    id: str
+    tokens: tuple[Token, ...]
+
+    def __len__(self):
+        return len(self.tokens)
+
+
+def token_sentences(c: Corpus) -> Corpus:
+    """c with each Sentence as the TokenSentence of its tokens property,
+    once the property has been checked against both columns token by token,
+    so that it compares equal to what _oracle_read_corpus reads."""
+    for s in c.sentences:
+        assert len(s.wordforms) == len(s.lemmas)
+        expected = [Token(i, *pair) for i, pair in enumerate(zip(s.wordforms, s.lemmas), 1)]
+        assert list(s.tokens) == expected
+    return Corpus(c.name, c.language, tuple(TokenSentence(s.id, s.tokens) for s in c.sentences))
+
+
 def _oracle_read_corpus(path, name, language, parse_row, tsv):
+    """The corpus reader before columns: a Corpus of TokenSentences."""
     path = Path(path)
     corpus_name = name or path.stem
-    sentences: list[Sentence] = []
+    sentences: list[TokenSentence] = []
     tokens: list[Token] = []
     pending_id: str | None = None  # explicit id from a "# sent_id = ..." comment
 
@@ -416,7 +443,7 @@ def _oracle_read_corpus(path, name, language, parse_row, tsv):
         if tokens:
             if pending_id is None:
                 pending_id = f"{corpus_name}-{len(sentences):04d}"
-            sentences.append(Sentence(id=pending_id, tokens=tuple(tokens)))
+            sentences.append(TokenSentence(id=pending_id, tokens=tuple(tokens)))
             tokens.clear()
             pending_id = None
 
@@ -456,6 +483,22 @@ def _oracle_tsv_row(fields, path, line_no):
 
 def oracle_ingest_tsv(path, name=None, language="und"):
     return _oracle_read_corpus(path, name, language, _oracle_tsv_row, tsv=True)
+
+
+def _oracle_conllu_row(fields, path, line_no):
+    if len(fields) != 10:
+        raise CorpusFormatError(path, line_no, f"expected 10 columns, found {len(fields)}")
+    if re.fullmatch(r"\d+[-.]\d+", fields[0]):  # a multiword range or an empty node
+        return None
+    if not re.fullmatch(r"\d+", fields[0]):
+        raise CorpusFormatError(path, line_no, f"unrecognized token ID {fields[0]!r}")
+    if not fields[1]:
+        raise CorpusFormatError(path, line_no, "empty FORM column")
+    return fields[1], None if fields[2] == "_" else fields[2]
+
+
+def oracle_ingest_conllu(path, name=None, language="und"):
+    return _oracle_read_corpus(path, name, language, _oracle_conllu_row, tsv=False)
 
 
 def oracle_read_inventory(path):

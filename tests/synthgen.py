@@ -11,7 +11,7 @@ variants), so every perturbation lands in a predictable category:
 
 import random
 
-from lemmabench.corpus import Sentence, Token
+from lemmabench.corpus import Sentence
 
 
 def _wordform(i: int) -> str:
@@ -24,10 +24,7 @@ def make_case(rng: random.Random, sentence_id: str = "synth-0", n_tokens: int | 
     n = n_tokens or rng.randint(5, 12)
     words = [_wordform(i) for i in range(n)]
     golds = [f"lemma{i}" for i in range(n)]
-    sentence = Sentence(
-        id=sentence_id,
-        tokens=tuple(Token(i + 1, w, g) for i, (w, g) in enumerate(zip(words, golds))),
-    )
+    sentence = Sentence(id=sentence_id, wordforms=tuple(words), lemmas=tuple(golds))
 
     lines: list[str] = []
     slots: list[str | None] = [None] * n

@@ -1,5 +1,6 @@
 """Output parsing, alignment taxonomy, and prediction file round trips."""
 
+import importlib
 import random
 import unicodedata
 
@@ -311,6 +312,23 @@ def test_align_echo_with_an_explanation_and_a_quoted_field():
     assert len(parsed.rejects) == 1
 
 
+def test_align_takes_the_echo_shortcut_on_sentences_read_from_disk(es_corpus, monkeypatch):
+    """A sentence read from disk keeps its wordforms as a tuple and a parsed
+    output is a list of rows; align still sees an echo as one, so no echoed
+    sentence reaches the sparse alignment."""
+
+    def refuse(out_words, in_words):
+        raise AssertionError("an echoed sentence reached _candidate_cells")
+
+    # the package binds the name align to the function, so look the module up
+    monkeypatch.setattr(importlib.import_module("lemmabench.align"), "_candidate_cells", refuse)
+    for sent in es_corpus.sentences:
+        raw = "\n".join(f"{w}\t{l}" for w, l in zip(sent.wordforms, sent.lemmas))
+        result = align(parse_output(raw), sent)
+        assert result.lemmas == sent.lemmas
+        assert result.counts() == {"missing": 0, "wrong": 0, "random": 0}
+
+
 # --- sparse alignment against the full DP --------------------------------------
 
 # Case variants, one-edit neighbours, an inner space, the empty word and
@@ -342,7 +360,7 @@ def test_align_sequences_matches_full_dp(words):
 def test_align_sequences_matches_full_dp_on_long_synthetic_output(seed, n_tokens, copies):
     sent, raw, _, _ = make_case(random.Random(seed), n_tokens=n_tokens)
     out_words = [w for w, _ in parse_output(raw).pairs] * copies
-    in_words = sent.wordforms()
+    in_words = list(sent.wordforms)
     assert align_sequences(out_words, in_words) == oracle_align_sequences(out_words, in_words)
 
 

@@ -26,7 +26,8 @@ one in test_intended_change:
   ``\\n``, ``\\r`` and ``\\r\\n`` end a line (not every str.splitlines
   boundary);
 - the inventory refuses a row whose id is not its position, whose script
-  repeats, or which breaks the frequency order (it renumbered them).
+  repeats, or which breaks the frequency order (it renumbered them), and a
+  frequency that is not a positive integer (it read -3 back).
 """
 
 import re
@@ -61,6 +62,7 @@ from oracles import (
     oracle_read_model,
     oracle_read_pair_labels,
     oracle_read_predictions,
+    token_sentences,
 )
 
 
@@ -147,7 +149,9 @@ def _names_rows_across_a_blank(lines):
 @settings(max_examples=400, deadline=None)
 def test_ingest_tsv_matches_the_old_corpus_loop(scratch, lines, crlf, final_newline):
     path = _file(scratch, lines, crlf, final_newline)
-    _agree(lambda p: ingest_tsv(p, "c"), lambda p: oracle_ingest_tsv(p, "c"), path)
+    _agree(
+        lambda p: token_sentences(ingest_tsv(p, "c")), lambda p: oracle_ingest_tsv(p, "c"), path
+    )
 
 
 @given(lines=_block_lines(), **_layout)
@@ -309,6 +313,15 @@ def test_every_reader_accepts_a_byte_order_mark(scratch, reader, lines):
     assert read(_file(scratch, lines, bom=True)) == plain
 
 
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_every_reader_names_the_line_that_is_not_utf8(scratch, reader):
+    head = "# k = v\r\n# k = v\r# k = v\n" * 1000  # 3000 lines, past the first decoded piece
+    path = scratch / "latin1.tsv"
+    path.write_bytes(head.encode() + "caf\xe9\tcaf\xe9\n".encode("latin-1") + b"a\tb\n")
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}:3001: not UTF-8 text")):
+        _READERS[reader](path)
+
+
 def _ok(value):
     return lambda new, old: new == value and old != value
 
@@ -320,7 +333,7 @@ def _refused(cls, line):
 @pytest.mark.parametrize("reader, lines, check", [
     # a "# columns = " line is a header even when it holds a tab
     ("corpus", ["# columns = wordform\tlemma", "a\tb"],
-     lambda new, old: new.sentences[0].wordforms() == ["a"] and len(old.sentences[0]) == 2),
+     lambda new, old: new.sentences[0].wordforms == ("a",) and len(old.sentences[0]) == 2),
     ("predictions", ["# columns = wordform\tlemma", "a\tb"],
      _ok(({"columns": "wordform\tlemma"}, [PredictionBlock(None, (("a", "b"),))]))),
     ("pairs", [*_PAIRS, "# columns = wordform\tlabel id\ttoken count"],
@@ -356,6 +369,11 @@ def _refused(cls, line):
      _refused(InventoryFormatError, 5)),
     ("inventory", [*_INVENTORY[:3], f"1\t{_SCRIPTS[1].encode()}\t9"],
      _refused(InventoryFormatError, 4)),
+    # a frequency is a positive integer
+    ("inventory", [*_INVENTORY, f"2\t{_SCRIPTS[2].encode()}\t-3"],
+     _refused(InventoryFormatError, 5)),
+    ("inventory", [*_INVENTORY, f"2\t{_SCRIPTS[2].encode()}\t0"],
+     _refused(InventoryFormatError, 5)),
 ])
 def test_intended_change(scratch, reader, lines, check):
     path = _file(scratch, lines)

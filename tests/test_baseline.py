@@ -191,6 +191,12 @@ def test_model_round_trip(tmp_path):
         "frm\tcasas\t" + IDENTITY.encode(),  # no such table
         "suffix\tas\t[\"preserve\",0,",  # script is not JSON
         "suffix\tas\t7",  # script is not a list
+        'form\t,\t["preserve","0","",0,""]',  # a drop that is a str
+        'suffix\tas\t["keep",0,"",0,""]',  # no such case flag
+        'suffix\tas\t["preserve",0,"",-1,""]',  # a negative drop
+        'suffix\tas\t["preserve",true,"",0,""]',  # a drop that is a bool
+        'suffix\tas\t["preserve",0,"",1.0,""]',  # a drop that is a float
+        'suffix\tas\t["preserve",0,null,0,""]',  # an add that is not a str
     ],
 )
 def test_read_model_names_a_bad_row(tmp_path, row):

@@ -134,6 +134,34 @@ def test_verify_cache_exits_2_on_a_damaged_record(fixtures_dir, tmp_path, capsys
     assert "record does not match its sha256" in capsys.readouterr().err
 
 
+def test_run_names_a_model_row_whose_script_has_a_field_of_the_wrong_type(
+    cli_out, tmp_path, capsys
+):
+    config, _ = cli_out
+    out = tmp_path / "out"
+    for command in ("ingest", "split", "induce", "train-baseline"):
+        assert _run(config, out, command) == 0
+    model = out / "models" / "baseline.tsv"
+    model.write_text(model.read_text("utf-8") + 'form\t,\t["preserve","0","",0,""]\n', "utf-8")
+    line_no = len(model.read_text("utf-8").splitlines())
+    capsys.readouterr()
+    assert _run(config, out, "run") == 2
+    assert f"baseline.tsv:{line_no}: script" in capsys.readouterr().err
+
+
+def test_ingest_of_a_corpus_that_is_not_utf8_exits_2_naming_the_line(
+    fixtures_dir, tmp_path, capsys
+):
+    corpus = tmp_path / "latin1.tsv"
+    corpus.write_bytes("Perros\tperro\n\ncaf\xe9\tcaf\xe9\n".encode("latin-1"))
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    raw["corpus"].update(path=str(corpus), format="tsv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), "utf-8")
+    assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"{corpus}:3: not UTF-8 text" in capsys.readouterr().err
+
+
 def _replay_config(fixtures_dir, tmp_path, **changes):
     raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
     raw["corpus"]["path"] = str(fixtures_dir / "corpora" / "es_fix.conllu")

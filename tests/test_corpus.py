@@ -22,6 +22,7 @@ from lemmabench.corpus import (
 from lemmabench.errors import CorpusFormatError, EmptyCorpusError, FileFormatError, SplitError
 
 from conftest import corpus, sentence
+from oracles import oracle_ingest_conllu, oracle_ingest_tsv, token_sentences
 
 CONLLU_SAMPLE = """\
 # sent_id = demo-1
@@ -47,8 +48,8 @@ def test_conllu_parses_words_only(tmp_path):
     assert len(c) == 2
     first = c.sentences[0]
     # Range line 3-4 and empty node 5.1 carry no scorable tokens.
-    assert first.wordforms() == ["The", "dogs", "do", "n't", "run", "."]
-    assert first.lemmas() == ["the", "dog", "do", "not", "run", "."]
+    assert first.wordforms == ("The", "dogs", "do", "n't", "run", ".")
+    assert first.lemmas == ("the", "dog", "do", "not", "run", ".")
     assert [t.index for t in first.tokens] == [1, 2, 3, 4, 5, 6]
 
 
@@ -56,7 +57,7 @@ def test_conllu_underscore_lemma_is_unannotated(tmp_path):
     path = tmp_path / "demo.conllu"
     path.write_text(CONLLU_SAMPLE, "utf-8")
     c = ingest_conllu(path)
-    assert c.sentences[1].lemmas() == [None, "."]
+    assert c.sentences[1].lemmas == (None, ".")
 
 
 def test_conllu_sentence_ids_are_ordinal(tmp_path):
@@ -64,7 +65,7 @@ def test_conllu_sentence_ids_are_ordinal(tmp_path):
     path.write_text(CONLLU_SAMPLE, "utf-8")
     c = ingest_conllu(path, name="demo")
     assert [s.id for s in c.sentences] == ["demo-0000", "demo-0001"]
-    assert c.sentence_by_id("demo-0001").wordforms() == ["Unknown", "."]
+    assert c.sentence_by_id("demo-0001").wordforms == ("Unknown", ".")
 
 
 def test_conllu_bad_column_count_names_line(tmp_path):
@@ -89,14 +90,14 @@ def test_conllu_nfc_normalization(tmp_path):
     path = tmp_path / "nfd.conllu"
     path.write_text(f"1\t{decomposed}\t{decomposed}\tNOUN\t_\t_\t0\troot\t_\t_\n", "utf-8")
     c = ingest_conllu(path)
-    assert c.sentences[0].wordforms() == ["café"]
-    assert len(c.sentences[0].wordforms()[0]) == 4
+    assert c.sentences[0].wordforms == ("café",)
+    assert len(c.sentences[0].wordforms[0]) == 4
 
 
 def test_conllu_bom_tolerated(tmp_path):
     path = tmp_path / "bom.conllu"
     path.write_bytes("﻿1\tword\tlemma\tX\t_\t_\t0\troot\t_\t_\n".encode("utf-8"))
-    assert ingest_conllu(path).sentences[0].wordforms() == ["word"]
+    assert ingest_conllu(path).sentences[0].wordforms == ("word",)
 
 
 def test_tsv_round_trip_preserves_ids(tmp_path):
@@ -109,8 +110,8 @@ def test_tsv_round_trip_preserves_ids(tmp_path):
     write_tsv(c, path, {"origin": "unit-test"})
     back = ingest_tsv(path, name="toy")
     assert [s.id for s in back.sentences] == ["toy-0000", "toy-0001"]
-    assert back.sentences[0].wordforms() == ["Perros", "."]
-    assert back.sentences[1].lemmas() == ["María", "cantar"]
+    assert back.sentences[0].wordforms == ("Perros", ".")
+    assert back.sentences[1].lemmas == ("María", "cantar")
 
 
 def test_tsv_round_trip_keeps_hash_initial_wordforms(tmp_path):
@@ -132,7 +133,7 @@ def test_tsv_empty_lemma_field_means_unannotated(tmp_path):
     path = tmp_path / "partial.tsv"
     path.write_text("word\t\nother\tlemma\n", "utf-8")
     c = ingest_tsv(path)
-    assert c.sentences[0].lemmas() == [None, "lemma"]
+    assert c.sentences[0].lemmas == (None, "lemma")
 
 
 def test_tsv_wrong_field_count_names_line(tmp_path):
@@ -187,6 +188,16 @@ def test_readers_round_trip_both_formats(tmp_path_factory, drafts, nfd):
     from_conllu = ingest_conllu(directory / "rt.conllu")
     assert [s.id for s in from_conllu.sentences] == [f"rt-{i:04d}" for i in range(len(drafts))]
     assert [s.tokens for s in from_conllu.sentences] == [s.tokens for s in expected]
+
+
+@pytest.mark.parametrize("file_name, ingest, oracle", [
+    ("es_fix.conllu", ingest_conllu, oracle_ingest_conllu),
+    ("en_fix.conllu", ingest_conllu, oracle_ingest_conllu),
+    ("eu_fix.tsv", ingest_tsv, oracle_ingest_tsv),
+])
+def test_fixture_columns_match_the_token_oracle(fixtures_dir, file_name, ingest, oracle):
+    path = fixtures_dir / "corpora" / file_name
+    assert token_sentences(ingest(path)) == oracle(path)
 
 
 def _toy(n: int):

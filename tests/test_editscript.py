@@ -175,7 +175,14 @@ def test_inventory_round_trip(tmp_path):
     ['7\t["preserve",0,"",1,""]', "bogus", '0\t["preserve",0]\t3', "0\tnot json\t3", "0\t5\t3",
      '1\t["preserve",0,"",0,""]\t2',  # repeats row 0's script
      '2\t["preserve",0,"",1,""]\t2',  # id is not the row's position
-     '1\t["preserve",0,"",1,""]\t9'],  # more frequent than row 0: would be renumbered
+     '1\t["preserve",0,"",1,""]\t9',  # more frequent than row 0: would be renumbered
+     '1\t["preserve","0","",0,""]\t2',  # a drop that is a str
+     '1\t["upper",0,"",0,""]\t2',  # no such case flag
+     '1\t["preserve",false,"",1,""]\t2',  # a drop that is a bool
+     '1\t["preserve",0,"",1,3]\t2',  # an add that is not a str
+     '1\t["preserve",0,"",1,""]\t-3',  # a negative frequency
+     '1\t["preserve",0,"",1,""]\t0',  # a zero frequency
+     '1\t["preserve",0,"",1,""]\t+2'],  # a frequency that is not in plain digits
 )
 def test_read_inventory_names_a_malformed_row(tmp_path, row):
     path = tmp_path / "inventory.tsv"

@@ -384,19 +384,33 @@ PINNED_ARTIFACTS = {
 }
 
 
-def test_replay_pipeline_writes_the_pinned_bytes_of_every_artifact(fixtures_dir, tmp_path):
-    cfg = load_config(fixtures_dir / "replay" / "config.json", out_dir=tmp_path / "out")
+def _replay_digests(fixtures_dir, out_dir):
+    """The sha256 of every file a replay of the fixture experiment writes."""
+    cfg = load_config(fixtures_dir / "replay" / "config.json", out_dir=out_dir)
     for stage in (run_ingest, run_split, run_induce, run_train_baseline):
         stage(cfg)
     run_predictions(cfg, transport=forbidden_transport)
     for stage in (run_score, run_compare, run_report):
         stage(cfg)
-    root = Path(cfg.out_dir)
-    written = {
-        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(root.rglob("*")) if path.is_file()
+    return {
+        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.rglob("*")) if path.is_file()
     }
-    assert written == PINNED_ARTIFACTS
+
+
+def test_replay_pipeline_writes_the_pinned_bytes_of_every_artifact(fixtures_dir, tmp_path):
+    assert _replay_digests(fixtures_dir, tmp_path / "out") == PINNED_ARTIFACTS
+
+
+def test_no_stage_builds_tokens(fixtures_dir, tmp_path, monkeypatch):
+    """Every stage reads a sentence's two columns; Sentence.tokens, which
+    builds one Token per token, is there for demos and tools only."""
+
+    def refuse(sentence):
+        raise AssertionError(f"a stage built the tokens of {sentence.id}")
+
+    monkeypatch.setattr(corpus_mod.Sentence, "tokens", property(refuse))
+    assert _replay_digests(fixtures_dir, tmp_path / "out") == PINNED_ARTIFACTS
 
 
 def test_artifacts_carry_no_absolute_paths_or_timestamps(replay_out):
@@ -844,7 +858,7 @@ def test_hash_initial_wordform_survives_ingest_to_score(tmp_path):
     splits = run_split(cfg)
     layout = Layout(cfg)
     test = ingest_tsv(layout.split_tsv("test"))
-    assert test.sentences[0].wordforms() == ["We", "love", "#nlp", "!"]
+    assert test.sentences[0].wordforms == ("We", "love", "#nlp", "!")
     assert test.sentences == splits["test"].sentences
     run_induce(cfg)
     run_train_baseline(cfg)

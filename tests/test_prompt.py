@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lemmabench.corpus import Sentence, Token
+from lemmabench.corpus import Sentence
 from lemmabench.errors import MissingLemmaError, PromptError
 from lemmabench.prompt import (
     BASIC,
@@ -24,19 +24,12 @@ from conftest import corpus, sentence
 
 
 def _plain_sentence(sid, words):
-    return Sentence(
-        id=sid, tokens=tuple(Token(i, w) for i, w in enumerate(words, start=1))
-    )
+    return Sentence(id=sid, wordforms=tuple(words), lemmas=(None,) * len(words))
 
 
 def _example(sid, words, lemmas):
     return FewShotExample.from_sentence(
-        Sentence(
-            id=sid,
-            tokens=tuple(
-                Token(i, w, l) for i, (w, l) in enumerate(zip(words, lemmas), start=1)
-            ),
-        )
+        Sentence(id=sid, wordforms=tuple(words), lemmas=tuple(lemmas))
     )
 
 

@@ -438,7 +438,7 @@ def make_replay_fixture():
                            "utf-8")
 
     gold_corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", "es_fix", "Spanish")
-    gold_map = {tuple(s.wordforms()): tuple(s.lemmas()) for s in gold_corpus.sentences}
+    gold_map = {s.wordforms: s.lemmas for s in gold_corpus.sentences}
     sim = SimulatedChatModel(gold_map)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -515,11 +515,11 @@ def main():
     parsed_es = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu")
     parsed_en = ingest_conllu(FIXTURES / "corpora" / "en_fix.conllu")
     parsed_eu = ingest_tsv(FIXTURES / "corpora" / "eu_fix.tsv")
-    assert (sum(len(s.tokens) for s in parsed_es.sentences), len(parsed_es)) == \
+    assert (sum(len(s) for s in parsed_es.sentences), len(parsed_es)) == \
         (pin_rows[0][2], pin_rows[0][1])
-    assert (sum(len(s.tokens) for s in parsed_en.sentences), len(parsed_en)) == \
+    assert (sum(len(s) for s in parsed_en.sentences), len(parsed_en)) == \
         (pin_rows[4][2], pin_rows[4][1])
-    assert (sum(len(s.tokens) for s in parsed_eu.sentences), len(parsed_eu)) == \
+    assert (sum(len(s) for s in parsed_eu.sentences), len(parsed_eu)) == \
         (pin_rows[5][2], pin_rows[5][1])
 
     prompts_dir = FIXTURES / "prompts"
