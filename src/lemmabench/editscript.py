@@ -62,10 +62,9 @@ class EditScript:
         except (ValueError, TypeError) as exc:
             raise ValueError(f"script {encoded!r} does not decode: {exc}") from exc
         fields = (prefix_drop, prefix_add, suffix_drop, suffix_add)
-        if case_flag not in _CASE_FLAGS or tuple(map(type, fields)) != (int, str, int, str):
-            raise ValueError(f"script {encoded!r} is not [case flag, int, str, int, str]")
-        if min(prefix_drop, suffix_drop) < 0:
-            raise ValueError(f"script {encoded!r} drops a negative count")
+        types = tuple(map(type, fields))
+        if case_flag not in _CASE_FLAGS or types != (int, str, int, str) or min(fields[::2]) < 0:
+            raise ValueError(f"script {encoded!r} is not [case flag, int >= 0, str, int >= 0, str]")
         return cls(case_flag, *fields)
 
 

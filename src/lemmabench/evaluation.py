@@ -42,12 +42,10 @@ def _token_outcomes(predictions: LemmaSlots, gold: Corpus) -> list[list[bool | N
             raise ScoringError(
                 f"{sentence.id}: {len(slots)} lemma slots for {len(sentence)} tokens"
             )
-        row: list[bool | None] = []
-        for form, lemma, predicted in zip(sentence.wordforms, sentence.lemmas, slots):
-            if lemma is None:
-                raise ScoringError(f"gold token {form!r} in {sentence.id} has no lemma")
-            row.append(None if predicted is None else predicted == lemma)
-        outcomes.append(row)
+        if None in sentence.lemmas:
+            form = sentence.wordforms[sentence.lemmas.index(None)]
+            raise ScoringError(f"gold token {form!r} in {sentence.id} has no lemma")
+        outcomes.append([None if p is None else p == g for p, g in zip(slots, sentence.lemmas)])
     return outcomes
 
 

@@ -334,7 +334,9 @@ class Layout:
 
 
 def _meta(cfg: ExperimentConfig, **extra: str) -> dict[str, str]:
-    return {"experiment": cfg.name, "config_hash": cfg.config_hash, **extra}
+    meta = {"experiment": cfg.name, "config_hash": cfg.config_hash}
+    meta.update(extra)
+    return meta
 
 
 def run_ingest(cfg: ExperimentConfig) -> corpus_mod.Corpus:
@@ -583,7 +585,10 @@ def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McN
         )
         for s in cfg.systems
     }
-    rows = [(test.name, a, b, eval_mod.mcnemar(vectors[a], vectors[b])) for a, b in cfg.comparisons]
+    rows = [
+        (test.name, a, b, eval_mod.mcnemar(vectors[a], vectors[b]))
+        for a, b in cfg.comparisons
+    ]
     layout.mcnemar().parent.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, run=str(cfg.mcnemar_run), alpha=str(cfg.alpha))
     layout.mcnemar().write_text(eval_mod.render_mcnemar_tsv(rows, meta, cfg.alpha), "utf-8")
