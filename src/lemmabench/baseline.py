@@ -115,12 +115,15 @@ def read_model(path: str | Path) -> BaselineModel:
     naming the file and line."""
     model = BaselineModel()
     tables = {"form": model.form_table, "suffix": model.suffix_table}
+    scripts: dict[str, EditScript] = {}  # each distinct script is decoded once
 
     def decode(fields: list[str]) -> None:
         table, key, encoded = fields
         if table not in tables:
             raise ValueError(f"table {table!r} is not form or suffix")
-        tables[table][key] = EditScript.decode(encoded)
+        if encoded not in scripts:
+            scripts[encoded] = EditScript.decode(encoded)
+        tables[table][key] = scripts[encoded]
 
     headers = {"max_suffix_len": lambda value: artifact.natural(value, "max_suffix_len")}
     meta, _ = artifact.read(path, MODEL_COLUMNS, ModelFormatError, decode, headers)

@@ -226,6 +226,18 @@ def test_write_model_encodes_each_script_once(tmp_path, es_corpus, monkeypatch):
     assert len(calls) == len(distinct) < len(model.form_table) + len(model.suffix_table)
 
 
+def test_read_model_decodes_each_script_once(tmp_path, es_corpus, monkeypatch):
+    model = _fit(es_corpus)
+    write_model(model, tmp_path / "model.tsv")
+    calls = []
+    decode = EditScript.decode
+    monkeypatch.setattr(EditScript, "decode", lambda text: calls.append(text) or decode(text))
+    back = read_model(tmp_path / "model.tsv")
+    assert (back.form_table, back.suffix_table) == (model.form_table, model.suffix_table)
+    distinct = set(model.form_table.values()) | set(model.suffix_table.values())
+    assert sorted(calls) == sorted(script.encode() for script in distinct)
+
+
 def test_baseline_beats_identity_on_fixture(es_corpus):
     from lemmabench.corpus import SplitSpec, make_splits
     from lemmabench.evaluation import word_accuracy
