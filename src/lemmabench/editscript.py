@@ -62,8 +62,8 @@ class EditScript:
         except (ValueError, TypeError) as exc:
             raise ValueError(f"script {encoded!r} does not decode: {exc}") from exc
         fields = (prefix_drop, prefix_add, suffix_drop, suffix_add)
-        types = tuple(map(type, fields))
-        if case_flag not in _CASE_FLAGS or types != (int, str, int, str) or min(fields[::2]) < 0:
+        typed = tuple(map(type, fields)) == (int, str, int, str)
+        if case_flag not in _CASE_FLAGS or not typed or min(prefix_drop, suffix_drop) < 0:
             raise ValueError(f"script {encoded!r} is not [case flag, int >= 0, str, int >= 0, str]")
         return cls(case_flag, *fields)
 
