@@ -98,27 +98,25 @@ def _common_cores(word: str, lemma: str) -> list[tuple[int, int, int]]:
 
     length runs over contiguous substrings common to both strings; only the
     longest matter because edit size is len(word)+len(lemma)-2*length.
+    Lengths are tried from min(len(word), len(lemma)) down; for each
+    substring of the lemma of that length, every occurrence in the word is
+    collected (str.find from one past the last hit, so overlapping ones
+    count).  The first length with a hit is the maximal one, and its hits
+    are every pair of positions sharing a substring that long: the set a
+    scan of all character pairs finds, in another order.  (0, 0, 0) stands
+    for "no shared character".
     """
-    n, m = len(word), len(lemma)
-    best = 0
-    hits: list[tuple[int, int, int]] = []
-    # run[j] = length of common suffix of word[:i] and lemma[:j]
-    run = [0] * (m + 1)
-    for i in range(1, n + 1):
-        prev_diag = 0
-        for j in range(1, m + 1):
-            current = run[j]
-            if word[i - 1] == lemma[j - 1]:
-                run[j] = prev_diag + 1
-                if run[j] > best:
-                    best = run[j]
-                    hits = [(i - run[j], j - run[j], run[j])]
-                elif run[j] == best and best > 0:
-                    hits.append((i - run[j], j - run[j], run[j]))
-            else:
-                run[j] = 0
-            prev_diag = current
-    return hits if best > 0 else [(0, 0, 0)]
+    for length in range(min(len(word), len(lemma)), 0, -1):
+        hits = []
+        for lemma_start in range(len(lemma) - length + 1):
+            core = lemma[lemma_start : lemma_start + length]
+            word_start = word.find(core)
+            while word_start >= 0:
+                hits.append((word_start, lemma_start, length))
+                word_start = word.find(core, word_start + 1)
+        if hits:
+            return hits
+    return [(0, 0, 0)]
 
 
 def induce(wordform: str, lemma: str) -> EditScript:
@@ -128,39 +126,31 @@ def induce(wordform: str, lemma: str) -> EditScript:
     ties prefer (in order): no casing change, suffix edits over prefix
     edits, shorter replacement strings, and finally the lexicographically
     smallest operation tuple, so equal inputs always yield the same script.
+    The key ends in the full operation tuple, so no two candidates tie and
+    the order in which _common_cores returns its hits cannot matter.
     """
     if not wordform or not lemma:
         raise LemmabenchError("induce requires non-empty wordform and lemma")
 
-    best_key = None
-    best_script = None
-    scanned: list[str] = []
+    # A flag that leaves the word as an earlier flag did (uncased first
+    # character, or already in that case) offers the same candidates with a
+    # worse flag_rank, so it can never win.
+    recasings: dict[str, int] = {}
     for flag_rank, flag in enumerate(_CASE_FLAGS):
-        recased = _recase(flag, wordform)
-        # A flag that leaves the word as an earlier flag did (uncased first
-        # character, or already in that case) offers the same candidates
-        # with a worse flag_rank, so it can never win.
-        if recased in scanned:
-            continue
-        scanned.append(recased)
-        for word_start, lemma_start, length in _common_cores(recased, lemma):
-            prefix_drop = word_start
-            prefix_add = lemma[:lemma_start]
-            suffix_drop = len(recased) - word_start - length
-            suffix_add = lemma[lemma_start + length :]
-            script = EditScript(flag, prefix_drop, prefix_add, suffix_drop, suffix_add)
-            key = (
-                script.edit_size,
-                flag_rank,
-                prefix_drop + len(prefix_add),
-                len(prefix_add) + len(suffix_add),
-                (prefix_drop, prefix_add, suffix_drop, suffix_add),
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best_script = script
-    assert best_script is not None
-    return best_script
+        recasings.setdefault(_recase(flag, wordform), flag_rank)
+    size = len(lemma)
+    _, flag_rank, _, _, operations = min(
+        (
+            len(word) + size - 2 * length,  # edit_size
+            flag_rank,
+            start + at,  # prefix_drop + len(prefix_add)
+            size - length,  # len(prefix_add) + len(suffix_add)
+            (start, lemma[:at], len(word) - start - length, lemma[at + length :]),
+        )
+        for word, flag_rank in recasings.items()
+        for start, at, length in _common_cores(word, lemma)
+    )
+    return EditScript(_CASE_FLAGS[flag_rank], *operations)
 
 
 class LabelInventory:

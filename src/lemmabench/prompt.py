@@ -152,7 +152,11 @@ def select_examples(
     if selection == MANUAL:
         if manual_ids is None or len(manual_ids) != k:
             raise PromptError(f"manual selection needs exactly {k} sentence ids")
-        chosen = [pool.sentence_by_id(sentence_id) for sentence_id in manual_ids]
+        try:
+            chosen = [pool.sentence_by_id(sentence_id) for sentence_id in manual_ids]
+        except KeyError as exc:
+            unknown = exc.args[0]
+            raise PromptError(f"manual example id {unknown!r} is not in pool {pool.name}") from None
     elif selection == RANDOM:
         chosen = Random(seed).sample(list(pool.sentences), k)
     elif selection == MOST_ERRORS:

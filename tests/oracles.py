@@ -7,7 +7,9 @@ Levenshtein DP) — so agreement is real evidence.  The exception is
 oracle_report_text: it is the earlier `report` stage, which re-scored
 every prediction file, kept as a differential oracle for the stage that
 now reads only the tallies `score` and `compare` wrote; likewise
-oracle_parse_output is the parser before it skipped per-field calls, and
+oracle_parse_output is the parser before it skipped per-field calls,
+oracle_common_cores is induce's O(n*m) dynamic-programming scan of every
+character pair from before it searched substrings with str.find, and
 the oracle_read_* / oracle_ingest_* functions are the TSV artifact
 readers as they were before lemmabench.artifact, each with its own loop;
 the corpus ones still build one Token per token, as the reader did before
@@ -83,6 +85,34 @@ def oracle_min_edit_size(word: str, lemma: str) -> int:
                     best = cost if best is None else min(best, cost)
                     pos = lemma.find(core, pos + 1)
     return best
+
+
+def oracle_common_cores(word: str, lemma: str) -> list[tuple[int, int, int]]:
+    """All (word_start, lemma_start, length) with maximal shared-substring length.
+
+    length runs over contiguous substrings common to both strings; only the
+    longest matter because edit size is len(word)+len(lemma)-2*length.
+    """
+    n, m = len(word), len(lemma)
+    best = 0
+    hits: list[tuple[int, int, int]] = []
+    # run[j] = length of common suffix of word[:i] and lemma[:j]
+    run = [0] * (m + 1)
+    for i in range(1, n + 1):
+        prev_diag = 0
+        for j in range(1, m + 1):
+            current = run[j]
+            if word[i - 1] == lemma[j - 1]:
+                run[j] = prev_diag + 1
+                if run[j] > best:
+                    best = run[j]
+                    hits = [(i - run[j], j - run[j], run[j])]
+                elif run[j] == best and best > 0:
+                    hits.append((i - run[j], j - run[j], run[j]))
+            else:
+                run[j] = 0
+            prev_diag = current
+    return hits if best > 0 else [(0, 0, 0)]
 
 
 def oracle_induce(word: str, lemma: str) -> EditScript:

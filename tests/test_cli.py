@@ -162,6 +162,25 @@ def test_ingest_of_a_corpus_that_is_not_utf8_exits_2_naming_the_line(
     assert f"{corpus}:3: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_run_with_an_unknown_manual_example_id_exits_2_naming_it(
+    fixtures_dir, tmp_path, capsys
+):
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    raw["corpus"]["path"] = str(fixtures_dir / "corpora" / "es_fix.conllu")
+    raw["cache_dir"] = str(fixtures_dir / "replay" / "cache")
+    system = next(s for s in raw["systems"] if s["name"] == "llm-basic-4shot")
+    system["prompt"]["selection"] = "manual"
+    system["manual_ids"] = ["es_fix-0041", "typo-id", "es_fix-0042", "es_fix-0043"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), "utf-8")
+    out = tmp_path / "out"
+    for command in ("ingest", "split", "induce", "train-baseline"):
+        assert _run(str(config), out, command) == 0
+    capsys.readouterr()
+    assert _run(str(config), out, "run") == 2
+    assert "manual example id 'typo-id' is not in pool es_fix-dev" in capsys.readouterr().err
+
+
 def _replay_config(fixtures_dir, tmp_path, **changes):
     raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
     raw["corpus"]["path"] = str(fixtures_dir / "corpora" / "es_fix.conllu")

@@ -13,6 +13,7 @@ from lemmabench.editscript import (
     UPPER_FIRST,
     EditScript,
     LabelInventory,
+    _common_cores,
     apply,
     build_inventory,
     induce,
@@ -32,6 +33,7 @@ from lemmabench.errors import (
 from conftest import corpus, sentence
 from oracles import (
     gold_corpora,
+    oracle_common_cores,
     oracle_induce,
     oracle_inventory_items,
     oracle_min_edit_size,
@@ -110,6 +112,43 @@ def test_induce_is_minimal_against_oracle(word, lemma):
 @settings(max_examples=300, deadline=None)
 def test_induce_matches_three_flag_oracle(pair):
     assert induce(*pair) == oracle_induce(*pair)
+
+
+# A two-letter alphabet gives many tied and overlapping hits; the last
+# strategy draws pairs whose alphabets are disjoint, so nothing is shared.
+_CORE_PAIRS = (
+    st.tuples(st.text("ab", max_size=12), st.text("ab", max_size=12))
+    | st.tuples(WORDS, WORDS)
+    | st.tuples(st.text("abcñé", min_size=1, max_size=10), st.text("xyzßİ", min_size=1, max_size=10))
+)
+
+
+@given(pair=_CORE_PAIRS)
+@settings(max_examples=400, deadline=None)
+def test_common_cores_finds_the_hits_of_the_character_pair_scan(pair):
+    assert set(_common_cores(*pair)) == set(oracle_common_cores(*pair))
+
+
+def test_common_cores_hand_cases():
+    assert set(_common_cores("aaaa", "aa")) == {(0, 0, 2), (1, 0, 2), (2, 0, 2)}
+    assert set(_common_cores("aba", "ab")) == {(0, 0, 2)}
+    assert _common_cores("xy", "ab") == [(0, 0, 0)]
+
+
+@pytest.mark.parametrize(
+    "word, lemma, script",
+    [
+        # ß and ŉ upper-case to two code points, İ lower-cases to two.
+        ("ßen", "SSen", EditScript(UPPER_FIRST, 0, "", 0, "")),
+        ("ŉa", "ʼNa", EditScript(UPPER_FIRST, 0, "", 0, "")),
+        ("İstanbul", "i̇stanbul", EditScript(LOWER_FIRST, 0, "", 0, "")),
+        # The title-case digraph ǅ recases to one code point, not to "dž".
+        ("ǅemal", "džemal", EditScript(PRESERVE, 1, "dž", 0, "")),
+    ],
+)
+def test_induce_when_recasing_changes_the_length_of_the_word(word, lemma, script):
+    assert induce(word, lemma) == oracle_induce(word, lemma) == script
+    assert apply(induce(word, lemma), word) == lemma
 
 
 @given(word=WORDS, lemma=WORDS)

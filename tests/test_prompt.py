@@ -148,7 +148,7 @@ def test_select_manual_uses_exact_ids_in_order():
     assert [e.sentence.id for e in picked] == ["dev-0002", "dev-0000"]
     with pytest.raises(PromptError):
         select_examples(MANUAL, 2, _pool(), manual_ids=["dev-0002"])
-    with pytest.raises(KeyError):
+    with pytest.raises(PromptError, match="'dev-9999' is not in pool"):
         select_examples(MANUAL, 1, _pool(), manual_ids=["dev-9999"])
 
 
