@@ -119,7 +119,9 @@ def test_induce_matches_three_flag_oracle(pair):
 _CORE_PAIRS = (
     st.tuples(st.text("ab", max_size=12), st.text("ab", max_size=12))
     | st.tuples(WORDS, WORDS)
-    | st.tuples(st.text("abcñé", min_size=1, max_size=10), st.text("xyzßİ", min_size=1, max_size=10))
+    | st.tuples(
+        st.text("abcñé", min_size=1, max_size=10), st.text("xyzßİ", min_size=1, max_size=10)
+    )
 )
 
 
