@@ -23,8 +23,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Sentence, _read_corpus, _write_blocks
-from .errors import ScoringError
+from .corpus import Sentence, _read_blocks, _write_blocks
+from .errors import FileFormatError, ScoringError
 
 # Tab(s) or runs of 2+ spaces separate fields; a single space never does,
 # since wordforms themselves may contain one.
@@ -241,8 +241,11 @@ def align(parsed: ParsedOutput, sentence: Sentence) -> AlignedPrediction:
 
 @dataclass(frozen=True)
 class PredictionBlock:
+    """One block of a prediction file, in the columns of a Sentence."""
+
     sentence_id: str | None  # None when the file carries no sent_id comments
-    pairs: tuple[tuple[str, str | None], ...]  # (wordform, lemma-or-missing)
+    wordforms: tuple[str, ...]
+    lemmas: tuple[str | None, ...]  # None: no lemma predicted
 
 
 def write_predictions(
@@ -271,8 +274,8 @@ def read_predictions(path: str | Path) -> tuple[dict[str, str], list[PredictionB
     by order), and a row that is not wordform<TAB>lemma, the lemma possibly
     empty, is a ScoringError naming the file and line."""
     metadata: dict[str, str] = {}
-    blocks = _read_corpus(path, _prediction_row, True, metadata)
-    return metadata, [PredictionBlock(block_id, tuple(rows)) for block_id, rows in blocks]
+    blocks = _read_blocks(path, _prediction_row, True, metadata)
+    return metadata, [PredictionBlock(*block) for block in blocks]
 
 
 def write_diagnostics(path: str | Path, metadata: dict, sentences: dict[str, dict]):
@@ -283,5 +286,12 @@ def write_diagnostics(path: str | Path, metadata: dict, sentences: dict[str, dic
 
 
 def read_diagnostics(path: str | Path) -> tuple[dict, dict[str, dict]]:
-    payload = json.loads(Path(path).read_text("utf-8"))
-    return payload.get("metadata", {}), payload.get("sentences", {})
+    """(metadata, per-sentence counts) of a .diag.json file; a FileFormatError
+    names the file when it is not a JSON object with a "sentences" object."""
+    try:
+        payload = json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise FileFormatError(path, None, f"diagnostics are not JSON: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("sentences"), dict):
+        raise FileFormatError(path, None, 'diagnostics are not an object with a "sentences" object')
+    return payload.get("metadata", {}), payload["sentences"]

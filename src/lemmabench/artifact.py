@@ -7,8 +7,19 @@ fields.  A ``#`` line is a header when it holds no tab or starts with
 ``# columns = `` (the inventory and the model list their columns with
 tabs), so a row such as ``#nlp<TAB>nlp`` stays a row.  Reading accepts a
 leading byte-order mark.  Every file is written through write; flat
-tables are read by read, and sentence-block files by corpus._read_corpus
-on top of lines, is_header and header.
+tables are read by read, and sentence-block files by corpus._read_blocks.
+
+A sentence-block file (corpus, split, predictions) is in the canonical
+block shape when its text is NFC and each block (the lines between blank
+lines) is zero or more header lines, ``#`` lines with no tab, then rows of
+exactly one tab that neither start with whitespace nor with
+``# columns = ``.  The block files the pipeline writes have that shape
+unless a sentence id or a field is not NFC or a wordform starts with
+whitespace.  corpus._read_canonical reads a canonical file a piece of about
+64 KiB at a time, in bulk.  If any piece is not canonical, or the file is
+not UTF-8, the whole file falls back to corpus._read_corpus, the line loop
+on top of lines, is_header and header: it reads every file to the same
+result, and it names the line of each fault.
 """
 
 from __future__ import annotations

@@ -94,38 +94,124 @@ class SplitSpec:
 
 
 def _read_corpus(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
-    """The one sentence-block loop, behind ingest_conllu, ingest_tsv and
-    align.read_predictions.
+    """The sentence-block line loop: the reader of CoNLL-U files and of TSV
+    block files that _read_canonical refuses, and the one place that names
+    the line of a fault.
 
-    Yields each block as it ends, a (sent_id or None, rows) pair, and puts
-    the other ``# key = value`` headers into meta.  parse_row(fields, path,
-    line_no) gives a (form, lemma-or-None) row, NFC-normalized here, or
-    None for a line without a token.  A ``# sent_id = X`` header starts a
-    block named X, which may end without rows; a blank line ends a block
-    that has rows.  In CoNLL-U every ``#`` line is a comment.
+    Yields each block as it ends, a (sent_id or None, wordforms, lemmas)
+    triple of tuples, and puts the other ``# key = value`` headers into
+    meta.  parse_row(fields, path, line_no) gives a (form, lemma-or-None)
+    row, NFC-normalized here, or None for a line without a token.  A
+    ``# sent_id = X`` header starts a block named X, which may end without
+    rows; a blank line ends a block that has rows.  In CoNLL-U every ``#``
+    line is a comment.
     """
-    block_id, rows = None, []
+    block_id, forms, lemmas = None, [], []
     normalize = unicodedata.normalize
     for line_no, line in artifact.lines(path):
         if not line.strip():
-            if rows:
-                yield block_id, rows
-                block_id, rows = None, []
+            if forms:
+                yield block_id, tuple(forms), tuple(lemmas)
+                block_id, forms, lemmas = None, [], []
         elif line.startswith("#") and (not tsv or artifact.is_header(line)):
             key, value = (artifact.header(line) if tsv else None) or (None, None)
             if key == "sent_id":
-                if rows or block_id is not None:
-                    yield block_id, rows
-                block_id, rows = value, []
+                if forms or block_id is not None:
+                    yield block_id, tuple(forms), tuple(lemmas)
+                block_id, forms, lemmas = value, [], []
             elif key is not None:
                 meta[key] = value
         else:
             row = parse_row(line.split("\t"), path, line_no)
             if row is not None:
                 form, lemma = row
-                rows.append((normalize("NFC", form), lemma and normalize("NFC", lemma)))
-    if rows or block_id is not None:
-        yield block_id, rows
+                forms.append(normalize("NFC", form))
+                lemmas.append(lemma and normalize("NFC", lemma))
+    if forms or block_id is not None:
+        yield block_id, tuple(forms), tuple(lemmas)
+
+
+_PIECE = 1 << 16  # characters _read_canonical reads at a time
+
+# A canonical block: header lines (``#``, no tab), then rows of exactly one
+# tab that do not start with whitespace.  A row may start with ``#`` (a
+# hashtag), but not with ``# columns = ``, which artifact.is_header reads as
+# a header.  The repeats are possessive, so matching keeps no backtracking
+# state per line.
+_CANONICAL_BLOCK = re.compile(
+    r"((?:#[^\t\n]*+(?:\n|\Z))*+)(?:(?!# columns = )\S[^\t\n]*+\t[^\t\n]*+(?:\n|\Z))*+"
+)
+
+
+def _pieces(handle):
+    """The text of handle in pieces of about _PIECE characters or more, each
+    cut at its last blank line; the last piece is the rest of the text."""
+    rest = ""
+    while chunk := handle.read(_PIECE):
+        text = rest + chunk
+        cut = text.rfind("\n\n")
+        if cut < 0:
+            rest = text
+        else:
+            yield text[:cut]
+            rest = text[cut:]
+    yield rest
+
+
+def _read_canonical(path: str | Path, meta: dict[str, str]):
+    """The blocks of a TSV block file as _read_corpus yields them, read a
+    piece at a time; None if the file is not UTF-8 or a piece is not
+    canonical.
+
+    A piece is canonical when it is NFC and each of its blocks matches
+    _CANONICAL_BLOCK.  On such a piece the line loop would normalize
+    nothing, meet no blank-looking line inside a block and no malformed
+    row, and take every ``#`` line for a header exactly where the pattern
+    does, so splitting the rows at tabs and line breaks gives its columns.
+    meta is updated only when every piece is canonical.
+    """
+    blocks, found = [], {}
+    block_id = None  # a sent_id whose block has no rows yet
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            for piece in _pieces(handle):
+                if not unicodedata.is_normalized("NFC", piece):
+                    return None
+                for block in piece.split("\n\n"):
+                    block = block.strip("\n")
+                    match = _CANONICAL_BLOCK.fullmatch(block)
+                    if match is None:
+                        return None
+                    head = match.end(1)
+                    for line in block[:head].rstrip("\n").split("\n") if head else ():
+                        key, value = artifact.header(line) or (None, None)
+                        if key == "sent_id":
+                            if block_id is not None:
+                                blocks.append((block_id, (), ()))
+                            block_id = value
+                        elif key is not None:
+                            found[key] = value
+                    if head < len(block):
+                        fields = block[head:].replace("\n", "\t").split("\t")
+                        lemmas = fields[1::2]
+                        if "" in lemmas:
+                            lemmas = [lemma or None for lemma in lemmas]
+                        blocks.append((block_id, tuple(fields[::2]), tuple(lemmas)))
+                        block_id = None
+    except UnicodeDecodeError:
+        return None
+    if block_id is not None:
+        blocks.append((block_id, (), ()))
+    meta.update(found)
+    return blocks
+
+
+def _read_blocks(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
+    """The blocks of a sentence-block file, behind ingest_conllu, ingest_tsv
+    and align.read_predictions: a TSV file that _read_canonical accepts is
+    read by it, any other file by the line loop _read_corpus."""
+    blocks = _read_canonical(path, meta) if tsv else None
+    return _read_corpus(path, parse_row, tsv, meta) if blocks is None else blocks
 
 
 def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: bool) -> Corpus:
@@ -133,10 +219,10 @@ def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: b
     block without a sent_id is named by its position."""
     corpus_name = name or Path(path).stem
     sentences: list[Sentence] = []
-    for block_id, rows in _read_corpus(path, parse_row, tsv, {}):
-        if rows:
+    for block_id, forms, lemmas in _read_blocks(path, parse_row, tsv, {}):
+        if forms:
             sentence_id = f"{corpus_name}-{len(sentences):04d}" if block_id is None else block_id
-            sentences.append(Sentence(sentence_id, *zip(*rows)))
+            sentences.append(Sentence(sentence_id, forms, lemmas))
     if not sentences:
         raise EmptyCorpusError(f"{path}: no sentences found")
     return Corpus(name=corpus_name, language=language, sentences=tuple(sentences))

@@ -94,29 +94,34 @@ def apply(script: EditScript, wordform: str) -> str:
 
 
 def _common_cores(word: str, lemma: str) -> list[tuple[int, int, int]]:
-    """All (word_start, lemma_start, length) with maximal shared-substring length.
+    """(word_start, lemma_start, length) for each substring of the lemma of
+    the maximal length the word shares, at its first place in the word;
+    [(0, 0, 0)] when the two share no character.
 
-    length runs over contiguous substrings common to both strings; only the
-    longest matter because edit size is len(word)+len(lemma)-2*length.
-    Lengths are tried from min(len(word), len(lemma)) down; for each
-    substring of the lemma of that length, every occurrence in the word is
-    collected (str.find from one past the last hit, so overlapping ones
-    count).  The first length with a hit is the maximal one, and its hits
-    are every pair of positions sharing a substring that long: the set a
-    scan of all character pairs finds, in another order.  (0, 0, 0) stands
-    for "no shared character".
+    Only the longest shared substrings matter, because edit size is
+    len(word) + len(lemma) - 2 * length, and only the first place of each
+    in the word, because a later one raises induce's third key field and
+    leaves the earlier ones as they are.  Most pairs share a substring
+    within two characters of min(len(word), len(lemma)), so the top three
+    lengths are tried one by one.  Below them the maximal length is found
+    by bisection, as a shared substring of length L holds one of length
+    L - 1: a long pair that shares little costs O(log m) lengths of at most
+    m finds each, not m lengths.
     """
-    for length in range(min(len(word), len(lemma)), 0, -1):
-        hits = []
-        for lemma_start in range(len(lemma) - length + 1):
-            core = lemma[lemma_start : lemma_start + length]
-            word_start = word.find(core)
-            while word_start >= 0:
-                hits.append((word_start, lemma_start, length))
-                word_start = word.find(core, word_start + 1)
-        if hits:
-            return hits
-    return [(0, 0, 0)]
+    top = min(len(word), len(lemma))
+    low, high, best, length = 0, top + 1, [(0, 0, 0)], top  # low is shared, high is not
+    while length > low:
+        found = []
+        for at in range(len(lemma) - length + 1):
+            start = word.find(lemma[at : at + length])
+            if start >= 0:
+                found.append((start, at, length))
+        if found:
+            low, best = length, found
+        else:
+            high = length
+        length = length - 1 if not low and length > top - 2 else (low + high) // 2
+    return best
 
 
 def induce(wordform: str, lemma: str) -> EditScript:

@@ -543,11 +543,11 @@ def blocks_to_slots(
         block = by_id.get(sentence.id)
         if block is None:
             raise ScoringError(f"prediction file has no block for {sentence.id}")
-        if tuple(w for w, _ in block.pairs) != sentence.wordforms:  # a tuple, as wordforms
+        if block.wordforms != sentence.wordforms:
             raise ScoringError(
                 f"prediction block for {sentence.id} does not repeat its gold wordforms"
             )
-    return {sentence_id: tuple(l for _, l in b.pairs) for sentence_id, b in by_id.items()}
+    return {sentence_id: block.lemmas for sentence_id, block in by_id.items()}
 
 
 def _read_slots(path: Path, gold: corpus_mod.Corpus) -> dict[str, tuple[str | None, ...]]:

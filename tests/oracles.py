@@ -9,7 +9,9 @@ every prediction file, kept as a differential oracle for the stage that
 now reads only the tallies `score` and `compare` wrote; likewise
 oracle_parse_output is the parser before it skipped per-field calls,
 oracle_common_cores is induce's O(n*m) dynamic-programming scan of every
-character pair from before it searched substrings with str.find, and
+character pair from before it searched substrings with str.find,
+oracle_induce_from_cores is induce over every hit of that scan, as it was
+before _common_cores kept one place per shared substring, and
 the oracle_read_* / oracle_ingest_* functions are the TSV artifact
 readers as they were before lemmabench.artifact, each with its own loop;
 the corpus ones still build one Token per token, as the reader did before
@@ -139,6 +141,24 @@ def oracle_induce(word: str, lemma: str) -> EditScript:
                     if best_key is None or key < best_key:
                         best_key, best = key, EditScript(flag, p, prefix_add, s, suffix_add)
     return best
+
+
+def oracle_induce_from_cores(word: str, lemma: str) -> EditScript:
+    """induce's tie-break key minimised over every hit oracle_common_cores
+    finds, overlapping ones included, for each of the three case flags:
+    induce as it was while _common_cores returned every hit.  It scales as
+    n*m, so it reaches the long pairs that oracle_induce cannot."""
+    candidates = []
+    for flag_rank, flag in enumerate((PRESERVE, LOWER_FIRST, UPPER_FIRST)):
+        w = _oracle_recase(flag, word)
+        for start, at, length in oracle_common_cores(w, lemma):
+            prefix_add, suffix_add = lemma[:at], lemma[at + length :]
+            operations = (start, prefix_add, len(w) - start - length, suffix_add)
+            size = start + len(prefix_add) + operations[2] + len(suffix_add)
+            key = (size, flag_rank, start + at, len(prefix_add) + len(suffix_add), operations)
+            candidates.append((key, flag))
+    key, flag = min(candidates)
+    return EditScript(flag, *key[-1])
 
 
 def _oracle_token_scripts(c):
@@ -402,7 +422,8 @@ def oracle_read_predictions(path):
     def flush():
         nonlocal current_id, current_pairs, seen_block
         if seen_block and (current_pairs or current_id is not None):
-            blocks.append(PredictionBlock(current_id, tuple(current_pairs)))
+            forms, lemmas = zip(*current_pairs) if current_pairs else ((), ())
+            blocks.append(PredictionBlock(current_id, forms, lemmas))
         current_id, current_pairs, seen_block = None, [], False
 
     with open(path, encoding="utf-8") as fh:

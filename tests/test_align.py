@@ -419,15 +419,16 @@ def test_prediction_file_round_trip(tmp_path):
     assert metadata["system"] == "demo" and metadata["run"] == "0"
     assert metadata["format"] == "lemmabench-predictions/1"
     assert [b.sentence_id for b in read] == ["es-0000", "es-0001"]
-    assert read[0].pairs == (("Los", "el"), ("perros", None))
-    assert read[1].pairs == (("ladran", "ladrar"), (".", "."))
+    assert (read[0].wordforms, read[0].lemmas) == (("Los", "perros"), ("el", None))
+    assert (read[1].wordforms, read[1].lemmas) == (("ladran", "."), ("ladrar", "."))
 
 
 def test_prediction_file_keeps_hash_initial_wordforms(tmp_path):
     path = tmp_path / "run0.tsv"
     write_predictions(path, [("s-0", ["Love", "#nlp", "#", "!"], ["love", "#nlp", None, "!"])])
     _, read = read_predictions(path)
-    assert read[0].pairs == (("Love", "love"), ("#nlp", "#nlp"), ("#", None), ("!", "!"))
+    assert read[0].wordforms == ("Love", "#nlp", "#", "!")
+    assert read[0].lemmas == ("love", "#nlp", None, "!")
 
 
 def test_prediction_missing_lemma_is_empty_field(tmp_path):
@@ -443,8 +444,8 @@ def test_read_predictions_accepts_anonymous_blocks(tmp_path):
     metadata, blocks = read_predictions(path)
     assert metadata == {}
     assert [b.sentence_id for b in blocks] == [None, None]
-    assert blocks[0].pairs == (("Los", "el"), ("perros", "perro"))
-    assert blocks[1].pairs == (("ladran", "ladrar"),)
+    assert (blocks[0].wordforms, blocks[0].lemmas) == (("Los", "perros"), ("el", "perro"))
+    assert (blocks[1].wordforms, blocks[1].lemmas) == (("ladran",), ("ladrar",))
 
 
 @pytest.mark.parametrize("row", ["perro\tperro\tNOUN", "ladra"])

@@ -1,5 +1,7 @@
 """The TSV artifact format: one reader and one writer for every table, and
-one sentence-block loop for corpus and prediction files.
+one sentence-block loop for corpus and prediction files, behind a fast
+path that reads canonical block files a piece at a time and must read
+every file as the loop does.
 
 Each typed reader is checked against its earlier stand-alone version in
 oracles.py on generated files: the same result, or the same exception
@@ -31,15 +33,17 @@ one in test_intended_change:
 """
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lemmabench import artifact
-from lemmabench.align import PredictionBlock, read_predictions
+from lemmabench import corpus as corpus_mod
+from lemmabench.align import PredictionBlock, read_predictions, write_predictions
 from lemmabench.baseline import read_model
-from lemmabench.corpus import ingest_tsv
+from lemmabench.corpus import ingest_tsv, write_tsv
 from lemmabench.editscript import (
     PRESERVE,
     EditScript,
@@ -55,6 +59,7 @@ from lemmabench.errors import (
 )
 from lemmabench.evaluation import read_counts
 
+from conftest import corpus, sentence
 from oracles import (
     oracle_ingest_tsv,
     oracle_read_counts,
@@ -159,6 +164,112 @@ def test_ingest_tsv_matches_the_old_corpus_loop(scratch, lines, crlf, final_newl
 def test_read_predictions_matches_the_old_reader(scratch, lines, crlf, final_newline):
     assume(not _names_rows_across_a_blank(lines))
     _agree(read_predictions, oracle_read_predictions, _file(scratch, lines, crlf, final_newline))
+
+
+# --- the block fast path -------------------------------------------------------------
+
+# Words whose rows the fast path keeps: hashtags, a field that starts with a
+# combining mark, a space, a NEL (a line break for str.splitlines only) and
+# letters outside ASCII, all NFC; "" is an empty (missing) lemma.
+_CANONICAL_WORDS = ["Perros", "perro", "#nlp", "#", "\u0301a", "a b", "x\x85y", "Ça", "ǅemal"]
+
+# Lines that make the piece holding them refuse the fast path when they sit
+# after a row: non-NFC fields, headers inside a block, whitespace-only lines,
+# malformed rows and a byte that is not UTF-8 (_BAD_BYTE, put in after
+# encoding).  "#x<TAB>y" is a hashtag row and keeps the fast path.
+_BAD_BYTE = "@latin-1@"
+_LATE_LINES = [
+    "e\u0301\tx", "x\te\u0301", "# columns = a\tb", "# k = late", "# sent_id = late",
+    "  ", "\t", " \t ", "\u2028", "\x0c", "\tx", " a\tb", "a\tb\tc", "lone",
+    f"caf{_BAD_BYTE}\tcafe", "#x\ty",
+]
+
+
+@st.composite
+def block_files(draw):
+    """(lines, late line or None) of a block file laid out as write_tsv and
+    write_predictions lay it out, with runs of blank lines and empty named
+    blocks, and maybe one of _LATE_LINES put in after a row of the last
+    third, so that it lands in a late piece."""
+    named = draw(st.booleans())
+    lines = draw(st.sampled_from([[], ["# format = lemmabench-predictions/1", "# k = v"]]))
+    row = st.builds(
+        "{}\t{}".format, st.sampled_from(_CANONICAL_WORDS), st.sampled_from(_CANONICAL_WORDS + [""])
+    )
+    rows_at = []
+    for n in range(draw(st.integers(1, 24))):
+        if named:
+            lines.append(f"# sent_id = s-{n}")
+        for line in draw(st.lists(row, min_size=0 if named else 1, max_size=5)):
+            rows_at.append(len(lines))
+            lines.append(line)
+        lines += [""] * draw(st.integers(1, 3))
+    late = draw(st.sampled_from([None, *_LATE_LINES]))
+    if late is not None:
+        late_rows = [at for at in rows_at if at >= len(lines) * 2 // 3] or rows_at
+        lines.insert(draw(st.sampled_from(late_rows)) + 1, late)
+    return lines, late
+
+
+def _line_loop_only():
+    """The readers with the fast path turned off: the line loop reads every file."""
+    return mock.patch.object(corpus_mod, "_read_canonical", lambda path, meta: None)
+
+
+@given(case=block_files(), piece=st.integers(8, 300), crlf=st.booleans(), bom=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_block_fast_path_matches_the_line_loop_and_the_oracles(scratch, case, piece, crlf, bom):
+    lines, late = case
+    path = _file(scratch, lines, crlf, bom=bom)
+    path.write_bytes(path.read_bytes().replace(_BAD_BYTE.encode(), b"\xe9"))
+    corpus_read = lambda p: token_sentences(ingest_tsv(p, "c"))  # noqa: E731
+    with mock.patch.object(corpus_mod, "_PIECE", piece):  # many pieces per file
+        fast = corpus_mod._read_canonical(path, {})
+        new = _outcome(corpus_read, path), _outcome(read_predictions, path)
+    with _line_loop_only():
+        assert new == (_outcome(corpus_read, path), _outcome(read_predictions, path))
+    assert (fast is not None) == (late in (None, "#x\ty"))
+    # The old readers differ on purpose on "# columns = " lines with a tab, on
+    # a byte-order mark (prediction files) and raised UnicodeDecodeError.
+    if late not in ("# columns = a\tb", f"caf{_BAD_BYTE}\tcafe"):
+        assert new[0] == _outcome(lambda p: oracle_ingest_tsv(p, "c"), path)
+        if not bom:
+            assert new[1] == _outcome(oracle_read_predictions, path)
+
+
+def test_pipeline_written_files_take_the_fast_path(scratch):
+    words = ["Los", "#nlp", "\u0301a", "perros", "Ça", "x\x85y", "!"]
+    sentences = [
+        sentence(f"s-{n:04d}", *[(words[(n + k) % 7], words[k % 5] if k % 3 else None)
+                                  for k in range(n % 9 + 1)])
+        for n in range(3000)  # about 60 KiB per 1,000 sentences: several pieces
+    ]
+    gold = corpus("c", *sentences)
+    write_tsv(gold, scratch / "corpus.tsv", {"corpus": "c"})
+    write_predictions(
+        scratch / "run0.tsv",
+        [(s.id, s.wordforms, s.lemmas) for s in gold.sentences],
+        {"system": "baseline"},
+    )
+    assert (scratch / "corpus.tsv").stat().st_size > 2 * corpus_mod._PIECE
+    with mock.patch.object(corpus_mod, "_read_corpus", side_effect=AssertionError("line loop")):
+        assert ingest_tsv(scratch / "corpus.tsv", "c").sentences == gold.sentences
+        meta, blocks = read_predictions(scratch / "run0.tsv")
+    assert meta == {"format": "lemmabench-predictions/1", "system": "baseline"}
+    assert [(b.sentence_id, b.wordforms, b.lemmas) for b in blocks] == [
+        (s.id, s.wordforms, s.lemmas) for s in gold.sentences
+    ]
+
+
+def test_a_late_bad_piece_sends_the_whole_file_to_the_line_loop(scratch):
+    rows = "".join(f"# sent_id = s-{n}\nperros\tperro\n\n" for n in range(6000))
+    path = scratch / "late.tsv"
+    path.write_text(f"# format = x/1\n{rows}# late = header\nperros\tperro\n# k = v\n", "utf-8")
+    assert path.stat().st_size > 2 * corpus_mod._PIECE
+    assert corpus_mod._read_canonical(path, meta := {}) is None and meta == {}
+    meta, blocks = read_predictions(path)
+    assert meta == {"format": "x/1", "late": "header", "k": "v"}
+    assert len(blocks) == 6001 and blocks[-1] == PredictionBlock(None, ("perros",), ("perro",))
 
 
 # --- flat tables ----------------------------------------------------------------------
@@ -335,7 +446,7 @@ def _refused(cls, line):
     ("corpus", ["# columns = wordform\tlemma", "a\tb"],
      lambda new, old: new.sentences[0].wordforms == ("a",) and len(old.sentences[0]) == 2),
     ("predictions", ["# columns = wordform\tlemma", "a\tb"],
-     _ok(({"columns": "wordform\tlemma"}, [PredictionBlock(None, (("a", "b"),))]))),
+     _ok(({"columns": "wordform\tlemma"}, [PredictionBlock(None, ("a",), ("b",))]))),
     ("pairs", [*_PAIRS, "# columns = wordform\tlabel id\ttoken count"],
      lambda new, old: len(new) == 1 and old == (InventoryFormatError, 3)),
     # only the key sent_id names a sentence
@@ -343,7 +454,7 @@ def _refused(cls, line):
      lambda new, old: new.sentences[0].id == "c-0000" and old.sentences[0].id == "3"),
     # a sent_id names the rows after a blank line, in prediction files too
     ("predictions", ["# sent_id = s-0", "", "a\tb"],
-     _ok(({}, [PredictionBlock("s-0", (("a", "b"),))]))),
+     _ok(({}, [PredictionBlock("s-0", ("a",), ("b",))]))),
     # a "#" line with a tab is a row of the inventory and the model
     ("inventory", [*_INVENTORY, "#x\ty\tz"], _refused(InventoryFormatError, 5)),
     ("model", [*_MODEL, "#x\ty"], _refused(ModelFormatError, 5)),

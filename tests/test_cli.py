@@ -228,6 +228,18 @@ def test_score_without_a_diagnostics_file_exits_2(scored_out, capsys):
     assert "es_fix-test.run1.diag.json" in err and "have the earlier stages been run?" in err
 
 
+@pytest.mark.parametrize("text", [None, "[]", "{}"])
+def test_score_with_a_bad_diagnostics_file_exits_2_naming_it(scored_out, capsys, text):
+    config, out = scored_out
+    path = out / "predictions" / "baseline" / "es_fix-test.run0.diag.json"
+    whole = path.read_text("utf-8")
+    path.write_text(whole[: len(whole) // 2] if text is None else text, "utf-8")
+    capsys.readouterr()
+    assert _run(config, out, "score") == 2
+    err = capsys.readouterr().err
+    assert f"{path}: diagnostics are not" in err and "Traceback" not in err
+
+
 def test_report_after_a_config_change_exits_2_naming_the_stage(
     scored_out, fixtures_dir, tmp_path, capsys
 ):

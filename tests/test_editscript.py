@@ -1,5 +1,6 @@
 """Edit-script induction, application, and the label inventory."""
 
+import random
 import re
 
 import pytest
@@ -35,6 +36,7 @@ from oracles import (
     gold_corpora,
     oracle_common_cores,
     oracle_induce,
+    oracle_induce_from_cores,
     oracle_inventory_items,
     oracle_min_edit_size,
     related_pairs,
@@ -117,7 +119,7 @@ def test_induce_matches_three_flag_oracle(pair):
 # A two-letter alphabet gives many tied and overlapping hits; the last
 # strategy draws pairs whose alphabets are disjoint, so nothing is shared.
 _CORE_PAIRS = (
-    st.tuples(st.text("ab", max_size=12), st.text("ab", max_size=12))
+    st.tuples(st.text("ab", min_size=1, max_size=12), st.text("ab", min_size=1, max_size=12))
     | st.tuples(WORDS, WORDS)
     | st.tuples(
         st.text("abcñé", min_size=1, max_size=10), st.text("xyzßİ", min_size=1, max_size=10)
@@ -127,14 +129,47 @@ _CORE_PAIRS = (
 
 @given(pair=_CORE_PAIRS)
 @settings(max_examples=400, deadline=None)
-def test_common_cores_finds_the_hits_of_the_character_pair_scan(pair):
-    assert set(_common_cores(*pair)) == set(oracle_common_cores(*pair))
+def test_common_cores_lead_induce_to_the_oracle_script(pair):
+    # _common_cores keeps only the first place of each shared substring in
+    # the word; the brute-force oracle and induce over every overlapping hit
+    # of the character-pair scan must pick the same script.
+    assert induce(*pair) == oracle_induce(*pair) == oracle_induce_from_cores(*pair)
+    longest = oracle_common_cores(*pair)[0][2]
+    assert {length for _, _, length in _common_cores(*pair)} == {longest}
 
 
 def test_common_cores_hand_cases():
-    assert set(_common_cores("aaaa", "aa")) == {(0, 0, 2), (1, 0, 2), (2, 0, 2)}
-    assert set(_common_cores("aba", "ab")) == {(0, 0, 2)}
+    assert _common_cores("aaaa", "aa") == [(0, 0, 2)]
+    assert _common_cores("aba", "ab") == [(0, 0, 2)]
+    assert set(_common_cores("abab", "bab")) == {(1, 0, 3)}
+    assert set(_common_cores("xaby", "abab")) == {(1, 0, 2), (1, 2, 2)}
     assert _common_cores("xy", "ab") == [(0, 0, 0)]
+
+
+def _long_pair(kind, n, seed):
+    """Two n-character strings: disjoint alphabets, or two URLs that share
+    their scheme and scattered fragments."""
+    rng = random.Random(seed)
+    if kind == "disjoint":
+        return "".join(rng.choices("abcdefgh", k=n)), "".join(rng.choices("stuvwxyz", k=n))
+    text = "abcdefghijklmnopqrstuvwxyz0123456789/.-_?=&"
+    return (
+        "https://www." + "".join(rng.choices(text, k=n - 12)),
+        "http://" + "".join(rng.choices(text, k=n - 7)),
+    )
+
+
+@pytest.mark.parametrize("kind", ["disjoint", "url"])
+@pytest.mark.parametrize("n", [200, 600])
+def test_induce_on_long_tokens_matches_the_oracles(kind, n):
+    word, lemma = _long_pair(kind, n, seed=n)
+    script = induce(word, lemma)
+    assert script == oracle_induce_from_cores(word, lemma)
+    if n == 200:  # the brute-force oracle is cubic: about a second here
+        assert script == oracle_induce(word, lemma)
+    if kind == "disjoint":
+        assert script == EditScript(PRESERVE, 0, "", n, lemma)
+    assert apply(script, word) == lemma
 
 
 @pytest.mark.parametrize(

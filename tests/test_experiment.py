@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -229,8 +230,8 @@ def _two_sentence_gold():
 
 def test_blocks_to_slots_by_id():
     blocks = [
-        PredictionBlock("g-0001", (("c", "x"),)),
-        PredictionBlock("g-0000", (("a", "y"), ("b", None))),
+        PredictionBlock("g-0001", ("c",), ("x",)),
+        PredictionBlock("g-0000", ("a", "b"), ("y", None)),
     ]
     slots = blocks_to_slots(blocks, _two_sentence_gold())
     assert slots == {"g-0001": ("x",), "g-0000": ("y", None)}
@@ -238,8 +239,8 @@ def test_blocks_to_slots_by_id():
 
 def test_blocks_to_slots_anonymous_by_order():
     blocks = [
-        PredictionBlock(None, (("a", "y"), ("b", "z"))),
-        PredictionBlock(None, (("c", "x"),)),
+        PredictionBlock(None, ("a", "b"), ("y", "z")),
+        PredictionBlock(None, ("c",), ("x",)),
     ]
     slots = blocks_to_slots(blocks, _two_sentence_gold())
     assert slots == {"g-0000": ("y", "z"), "g-0001": ("x",)}
@@ -249,31 +250,31 @@ def test_blocks_to_slots_rejects_mixed_and_miscounted():
     gold = _two_sentence_gold()
     with pytest.raises(ScoringError):
         blocks_to_slots(
-            [PredictionBlock("g-0000", ()), PredictionBlock(None, ())], gold
+            [PredictionBlock("g-0000", (), ()), PredictionBlock(None, (), ())], gold
         )
     with pytest.raises(ScoringError):
-        blocks_to_slots([PredictionBlock(None, (("a", "y"),))], gold)
+        blocks_to_slots([PredictionBlock(None, ("a",), ("y",))], gold)
 
 
 @pytest.mark.parametrize("sentence_id", ["d-0000", None])
 def test_blocks_to_slots_rejects_wordforms_that_differ_from_gold(sentence_id):
     gold = corpus("d", sentence("d-0000", ("perro", "perro"), ("ladra", "ladrar")))
-    block = PredictionBlock(sentence_id, (("gato", "gato"), ("come", "comer")))
+    block = PredictionBlock(sentence_id, ("gato", "come"), ("gato", "comer"))
     with pytest.raises(ScoringError, match="d-0000"):
         blocks_to_slots([block], gold)
 
 
 def test_blocks_to_slots_rejects_missing_gold_sentence():
-    blocks = [PredictionBlock("g-0001", (("c", "C"),))]
+    blocks = [PredictionBlock("g-0001", ("c",), ("C",))]
     with pytest.raises(ScoringError, match="g-0000"):
         blocks_to_slots(blocks, _two_sentence_gold())
 
 
 def test_blocks_to_slots_rejects_repeated_sent_id():
     blocks = [
-        PredictionBlock("g-0000", (("a", "A"), ("b", "B"))),
-        PredictionBlock("g-0001", (("c", "C"),)),
-        PredictionBlock("g-0000", (("a", "x"), ("b", "x"))),
+        PredictionBlock("g-0000", ("a", "b"), ("A", "B")),
+        PredictionBlock("g-0001", ("c",), ("C",)),
+        PredictionBlock("g-0000", ("a", "b"), ("x", "x")),
     ]
     with pytest.raises(ScoringError, match="g-0000"):
         blocks_to_slots(blocks, _two_sentence_gold())
@@ -566,6 +567,31 @@ def test_score_refuses_a_run_without_diagnostics(replay_out, tmp_path, capsys):
     assert not Layout(cfg).runs().exists() and not Layout(cfg).scores().exists()
 
 
+# A torn file, a payload that is not an object, and objects without a
+# "sentences" object: each used to end score with a traceback or, for {},
+# to score the run with wrong = random = 0.
+_BAD_DIAGNOSTICS = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "list": lambda text: "[]",
+    "empty object": lambda text: "{}",
+    "sentences a list": lambda text: '{"metadata": {}, "sentences": []}',
+}
+
+
+@pytest.mark.parametrize("damage", list(_BAD_DIAGNOSTICS))
+def test_score_refuses_a_diagnostics_file_that_is_not_a_diagnostics_object(
+    replay_out, tmp_path, damage
+):
+    cfg, layout = replay_out
+    shutil.copytree(layout.root, tmp_path / "out", ignore=shutil.ignore_patterns("reports"))
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
+    path = Layout(cfg).diagnostics("baseline", "es_fix-test", 0)
+    path.write_text(_BAD_DIAGNOSTICS[damage](path.read_text("utf-8")), "utf-8")
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: diagnostics are not"):
+        run_score(cfg)
+    assert not Layout(cfg).runs().exists() and not Layout(cfg).scores().exists()
+
+
 # --- report against the re-scoring oracle on random tallies -----------------------
 
 _SYSTEMS = ("sys-a", "sys-b", "sys-c")
@@ -734,8 +760,9 @@ def test_failed_request_scores_as_all_missing(tiny_experiment):
     )
     assert metadata["failures"] == "1"
     by_id = {b.sentence_id: b for b in blocks}
-    assert by_id["tiny-0004"].pairs == (("failme", None), ("ii", None))
-    assert by_id["tiny-0005"].pairs == (("jj", "jj"), ("kk", "kk"))
+    failed, answered = by_id["tiny-0004"], by_id["tiny-0005"]
+    assert (failed.wordforms, failed.lemmas) == (("failme", "ii"), (None, None))
+    assert (answered.wordforms, answered.lemmas) == (("jj", "kk"), ("jj", "kk"))
 
     from lemmabench.align import read_diagnostics
 
@@ -864,5 +891,5 @@ def test_hash_initial_wordform_survives_ingest_to_score(tmp_path):
     run_train_baseline(cfg)
     run_predictions(cfg, transport=forbidden_transport)
     _, blocks = read_predictions(layout.predictions("baseline", "tweets-test", 0))
-    assert blocks[0].pairs[2] == ("#nlp", "#nlp")
+    assert (blocks[0].wordforms[2], blocks[0].lemmas[2]) == ("#nlp", "#nlp")
     assert run_score(cfg)[0].runs[0].total == 4
