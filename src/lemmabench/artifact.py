@@ -16,10 +16,11 @@ exactly one tab that neither start with whitespace nor with
 ``# columns = ``.  The block files the pipeline writes have that shape
 unless a sentence id or a field is not NFC or a wordform starts with
 whitespace.  corpus._read_canonical reads a canonical file a piece of about
-64 KiB at a time, in bulk.  If any piece is not canonical, or the file is
-not UTF-8, the whole file falls back to corpus._read_corpus, the line loop
-on top of lines, is_header and header: it reads every file to the same
-result, and it names the line of each fault.
+64 KiB at a time, in bulk.  If any piece is not canonical, more than a
+piece passes without a blank line, or the file is not UTF-8, the whole
+file falls back to corpus._read_corpus, the line loop on top of lines,
+is_header and header: it reads every file to the same result, and it
+names the line of each fault.
 """
 
 from __future__ import annotations

@@ -136,32 +136,37 @@ _PIECE = 1 << 16  # characters _read_canonical reads at a time
 # A canonical block: header lines (``#``, no tab), then rows of exactly one
 # tab that do not start with whitespace.  A row may start with ``#`` (a
 # hashtag), but not with ``# columns = ``, which artifact.is_header reads as
-# a header.  The repeats are possessive, so matching keeps no backtracking
-# state per line.
+# a header.  The pattern is matched one block at a time: the backtracking
+# state re keeps grows with each line a match spans.
 _CANONICAL_BLOCK = re.compile(
-    r"((?:#[^\t\n]*+(?:\n|\Z))*+)(?:(?!# columns = )\S[^\t\n]*+\t[^\t\n]*+(?:\n|\Z))*+"
+    r"((?:#[^\t\n]*(?:\n|\Z))*)(?:(?!# columns = )\S[^\t\n]*\t[^\t\n]*(?:\n|\Z))*"
 )
 
 
 def _pieces(handle):
-    """The text of handle in pieces of about _PIECE characters or more, each
-    cut at its last blank line; the last piece is the rest of the text."""
+    """The text of handle in pieces of about _PIECE characters, each cut at
+    its last blank line; the last piece is the rest of the text.  A None
+    piece ends them early: more than _PIECE characters after a cut hold no
+    blank line, so the file is not made of short blocks."""
     rest = ""
     while chunk := handle.read(_PIECE):
         text = rest + chunk
-        cut = text.rfind("\n\n")
-        if cut < 0:
-            rest = text
-        else:
+        cut = text.rfind("\n\n", max(len(rest) - 1, 0))
+        if cut >= 0:
             yield text[:cut]
             rest = text[cut:]
+        elif len(text) > _PIECE:
+            yield None
+            return
+        else:
+            rest = text
     yield rest
 
 
 def _read_canonical(path: str | Path, meta: dict[str, str]):
     """The blocks of a TSV block file as _read_corpus yields them, read a
-    piece at a time; None if the file is not UTF-8 or a piece is not
-    canonical.
+    piece at a time; None if the file is not UTF-8, a piece is not
+    canonical, or more than _PIECE characters pass without a blank line.
 
     A piece is canonical when it is NFC and each of its blocks matches
     _CANONICAL_BLOCK.  On such a piece the line loop would normalize
@@ -175,7 +180,7 @@ def _read_canonical(path: str | Path, meta: dict[str, str]):
     try:
         with open(path, encoding="utf-8-sig") as handle:
             for piece in _pieces(handle):
-                if not unicodedata.is_normalized("NFC", piece):
+                if piece is None or not unicodedata.is_normalized("NFC", piece):
                     return None
                 for block in piece.split("\n\n"):
                     block = block.strip("\n")

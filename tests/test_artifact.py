@@ -32,6 +32,7 @@ one in test_intended_change:
   frequency that is not a positive integer (it read -3 back).
 """
 
+import io
 import re
 from unittest import mock
 
@@ -228,7 +229,13 @@ def test_block_fast_path_matches_the_line_loop_and_the_oracles(scratch, case, pi
         new = _outcome(corpus_read, path), _outcome(read_predictions, path)
     with _line_loop_only():
         assert new == (_outcome(corpus_read, path), _outcome(read_predictions, path))
-    assert (fast is not None) == (late in (None, "#x\ty"))
+    # A bad line refuses the fast path; so may a stretch without a blank line
+    # longer than a piece, and only such a stretch does when no line is bad.
+    stretch = max(map(len, path.read_text("utf-8-sig", "replace").split("\n\n")))
+    if late not in (None, "#x\ty"):
+        assert fast is None
+    elif stretch + 2 < piece:
+        assert fast is not None
     # The old readers differ on purpose on "# columns = " lines with a tab and
     # raised UnicodeDecodeError; the old prediction reader also on a
     # byte-order mark and on a sent_id whose rows follow a blank line.
@@ -271,6 +278,31 @@ def test_a_late_bad_piece_sends_the_whole_file_to_the_line_loop(scratch):
     meta, blocks = read_predictions(path)
     assert meta == {"format": "x/1", "late": "header", "k": "v"}
     assert len(blocks) == 6001 and blocks[-1] == PredictionBlock(None, ("perros",), ("perro",))
+
+
+@pytest.mark.parametrize(
+    "block, blocks",
+    [
+        ("# sent_id = s-{n}\nperros\tperro\n", 20000),  # named, no blank line between
+        ("perros\tperro\nlos\tel\n \n", 20000),  # ended by whitespace-only lines
+        ("perros\tperro\n", 1),  # one anonymous block
+    ],
+    ids=["sent_id only", "whitespace lines", "one block"],
+)
+def test_a_file_without_blank_lines_leaves_the_fast_path_within_two_pieces(scratch, block, blocks):
+    text = "# format = x/1\n" + "".join(block.format(n=n) for n in range(20000))
+    path = scratch / "unbroken.tsv"
+    path.write_text(text, "utf-8")
+    assert path.stat().st_size > 3 * corpus_mod._PIECE
+    handle = io.StringIO(text)
+    assert list(corpus_mod._pieces(handle)) == [None]
+    assert handle.tell() <= 2 * corpus_mod._PIECE
+    assert corpus_mod._read_canonical(path, meta := {}) is None and meta == {}
+    corpus_read = lambda p: token_sentences(ingest_tsv(p, "c"))  # noqa: E731
+    new = _outcome(corpus_read, path), _outcome(read_predictions, path)
+    with _line_loop_only():
+        assert new == (_outcome(corpus_read, path), _outcome(read_predictions, path))
+    assert new[1][0] == {"format": "x/1"} and len(new[1][1]) == blocks
 
 
 # --- flat tables ----------------------------------------------------------------------
