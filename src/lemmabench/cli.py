@@ -20,21 +20,82 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 
 from . import experiment, gateway
 from .corpus import corpus_stats
 from .errors import LemmabenchError
+from .experiment import ExperimentConfig, Layout
+
+# Each stage function runs one stage and yields its summary lines.  It calls
+# experiment.run_* through the module attribute when it runs, so a wrapper
+# patched onto that attribute (a tracer, a test) sees the call.
+
+
+def _ingest(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+    corpus = experiment.run_ingest(cfg)
+    tokens, sentences = corpus_stats(corpus)
+    yield f"{corpus.name}: {sentences} sentences, {tokens} tokens -> {layout.corpus_tsv()}"
+
+
+def _split(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+    for sub_corpus in experiment.run_split(cfg).values():
+        tokens, sentences = corpus_stats(sub_corpus)
+        yield f"{sub_corpus.name}: {sentences} sentences, {tokens} tokens"
+
+
+def _induce(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+    inventory = experiment.run_induce(cfg)
+    yield f"{len(inventory)} edit-script labels -> {layout.inventory()}"
+
+
+def _train_baseline(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+    model = experiment.run_train_baseline(cfg)
+    forms, suffixes = len(model.form_table), len(model.suffix_table)
+    yield f"baseline: {forms} forms, {suffixes} suffixes -> {layout.model()}"
+
+
+def _run(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+    experiment.run_predictions(cfg)
+    for system in cfg.systems:
+        folder = layout.predictions(system.name, layout.split_name("test"), 0).parent
+        yield f"{system.name}: {cfg.runs} run(s) -> {folder}"
+
+
+def _score(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+    for report in experiment.run_score(cfg):
+        mean, std = report.word_stats()
+        yield f"{report.system} on {report.corpus}: word accuracy {mean:.4f} ± {std:.4f}"
+    yield f"-> {layout.runs()}, {layout.scores()}"
+
+
+def _compare(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+    for corpus, sys_a, sys_b, res in experiment.run_compare(cfg):
+        verdict = "significant" if res.significant(cfg.alpha) else "not significant"
+        yield f"{sys_a} vs {sys_b} on {corpus}: p={res.p_value:.6g} ({verdict})"
+    yield f"-> {layout.mcnemar()}"
+
+
+def _report(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+    yield experiment.run_report(cfg).removesuffix("\n")  # the text ends in a line break
+
+
+def _verify_cache(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+    cache = gateway.ResponseCache(cfg.cache_dir)  # loading checks every digest
+    cache.close()
+    yield f"{len(cache)} records sound -> {cache.log_path}"
+
 
 _STAGES = {
-    "ingest": "read the source corpus and write its canonical TSV",
-    "split": "partition the corpus into train/dev/test",
-    "induce": "build the edit-script label inventory from train",
-    "train-baseline": "train the frequency baseline and score it on dev",
-    "run": "produce predictions for every configured system and run",
-    "score": "compute word/sentence accuracy per system and run",
-    "compare": "McNemar's test between system pairs",
-    "report": "render the human-readable report from the score and compare tables",
-    "verify-cache": "re-hash every record of the response cache",
+    "ingest": ("read the source corpus and write its canonical TSV", _ingest),
+    "split": ("partition the corpus into train/dev/test", _split),
+    "induce": ("build the edit-script label inventory from train", _induce),
+    "train-baseline": ("train the frequency baseline and score it on dev", _train_baseline),
+    "run": ("produce predictions for every configured system and run", _run),
+    "score": ("compute word/sentence accuracy per system and run", _score),
+    "compare": ("McNemar's test between system pairs", _compare),
+    "report": ("render the human-readable report from the score and compare tables", _report),
+    "verify-cache": ("re-hash every record of the response cache", _verify_cache),
 }
 
 
@@ -43,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lemmabench", description="Contextual lemmatization experiment pipeline."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _STAGES.items():
+    for name, (help_text, _) in _STAGES.items():
         stage = sub.add_parser(name, help=help_text)
         stage.add_argument("--config", required=True, help="experiment JSON config")
         stage.add_argument("--out", help="override the configured output directory")
@@ -62,47 +123,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = experiment.load_config(
             args.config, out_dir=args.out, cache_mode=getattr(args, "cache_mode", None)
         )
-        layout = experiment.Layout(cfg)
-        if args.command == "ingest":
-            corpus = experiment.run_ingest(cfg)
-            tokens, sentences = corpus_stats(corpus)
-            print(f"{corpus.name}: {sentences} sentences, {tokens} tokens -> {layout.corpus_tsv()}")
-        elif args.command == "split":
-            splits = experiment.run_split(cfg)
-            for part, sub_corpus in splits.items():
-                tokens, sentences = corpus_stats(sub_corpus)
-                print(f"{sub_corpus.name}: {sentences} sentences, {tokens} tokens")
-        elif args.command == "induce":
-            inventory = experiment.run_induce(cfg)
-            print(f"{len(inventory)} edit-script labels -> {layout.inventory()}")
-        elif args.command == "train-baseline":
-            model = experiment.run_train_baseline(cfg)
-            print(
-                f"baseline: {len(model.form_table)} forms, "
-                f"{len(model.suffix_table)} suffixes -> {layout.model()}"
-            )
-        elif args.command == "run":
-            experiment.run_predictions(cfg)
-            for system in cfg.systems:
-                print(f"{system.name}: {cfg.runs} run(s) -> {layout.predictions(system.name, f'{cfg.corpus_name}-test', 0).parent}")
-        elif args.command == "score":
-            reports = experiment.run_score(cfg)
-            for report in reports:
-                mean, std = report.word_stats()
-                print(f"{report.system} on {report.corpus}: word accuracy {mean:.4f} ± {std:.4f}")
-            print(f"-> {layout.runs()}, {layout.scores()}")
-        elif args.command == "compare":
-            rows = experiment.run_compare(cfg)
-            for corpus, sys_a, sys_b, res in rows:
-                verdict = "significant" if res.significant(cfg.alpha) else "not significant"
-                print(f"{sys_a} vs {sys_b} on {corpus}: p={res.p_value:.6g} ({verdict})")
-            print(f"-> {layout.mcnemar()}")
-        elif args.command == "report":
-            print(experiment.run_report(cfg), end="")
-        elif args.command == "verify-cache":
-            cache = gateway.ResponseCache(cfg.cache_dir)  # loading checks every digest
-            cache.close()
-            print(f"{len(cache)} records sound -> {cache.log_path}")
+        for line in _STAGES[args.command][1](cfg, Layout(cfg)):
+            print(line)
     except LemmabenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -299,8 +299,12 @@ class Layout:
     def corpus_tsv(self) -> Path:
         return self.root / "corpora" / f"{self.cfg.corpus_name}.tsv"
 
+    def split_name(self, part: str) -> str:
+        """The corpus name of a split: train, dev or test."""
+        return f"{self.cfg.corpus_name}-{part}"
+
     def split_tsv(self, part: str) -> Path:
-        return self.root / "splits" / f"{self.cfg.corpus_name}-{part}.tsv"
+        return self.root / "splits" / f"{self.split_name(part)}.tsv"
 
     def manifest(self) -> Path:
         return self.root / "splits" / "manifest.tsv"
@@ -347,16 +351,14 @@ def run_ingest(cfg: ExperimentConfig) -> corpus_mod.Corpus:
         corpus = corpus_mod.ingest_tsv(cfg.corpus_path, cfg.corpus_name, cfg.language)
     if cfg.reduce_to is not None:
         corpus = corpus_mod.reduce_corpus(corpus, cfg.reduce_to, cfg.reduce_rule, cfg.reduce_seed)
-    layout = Layout(cfg)
     meta = _meta(cfg, source=Path(cfg.corpus_path).name, language=cfg.language)
-    corpus_mod.write_tsv(corpus, layout.corpus_tsv(), meta)
+    corpus_mod.write_tsv(corpus, Layout(cfg).corpus_tsv(), meta)
     return corpus
 
 
-def _load_split(cfg: ExperimentConfig, part: str) -> corpus_mod.Corpus:
-    return corpus_mod.ingest_tsv(
-        Layout(cfg).split_tsv(part), f"{cfg.corpus_name}-{part}", cfg.language
-    )
+def _load_split(layout: Layout, part: str) -> corpus_mod.Corpus:
+    name, language = layout.split_name(part), layout.cfg.language
+    return corpus_mod.ingest_tsv(layout.split_tsv(part), name, language)
 
 
 def run_split(cfg: ExperimentConfig) -> dict[str, corpus_mod.Corpus]:
@@ -376,7 +378,7 @@ def run_induce(cfg: ExperimentConfig) -> editscript_mod.LabelInventory:
     """Induce each distinct training pair once; write the label inventory and
     each pair's label, which is all train-baseline needs of the train split."""
     layout = Layout(cfg)
-    pairs = editscript_mod.pair_scripts(_load_split(cfg, "train"))
+    pairs = editscript_mod.pair_scripts(_load_split(layout, "train"))
     inventory = editscript_mod.build_inventory(pairs)
     editscript_mod.write_inventory(inventory, layout.inventory())
     editscript_mod.write_pair_labels(pairs, inventory, layout.pair_labels())
@@ -384,7 +386,7 @@ def run_induce(cfg: ExperimentConfig) -> editscript_mod.LabelInventory:
 
 
 def _write_system_run(
-    cfg: ExperimentConfig,
+    layout: Layout,
     system: str,
     gold: corpus_mod.Corpus,
     run: int,
@@ -393,7 +395,6 @@ def _write_system_run(
     extra_meta: dict[str, str] | None = None,
 ):
     """Write one run's prediction file and its diagnostics sidecar."""
-    layout = Layout(cfg)
     blocks = []
     sentences: dict[str, dict[str, int]] = {}
     for sentence in gold.sentences:
@@ -403,7 +404,7 @@ def _write_system_run(
         counts.update(counts_by_id.get(sentence.id, {}))
         counts["incorrect"] = sum(p is not None and p != g for p, g in zip(slots, sentence.lemmas))
         sentences[sentence.id] = counts
-    meta = _meta(cfg, system=system, corpus=gold.name, run=str(run), **(extra_meta or {}))
+    meta = _meta(layout.cfg, system=system, corpus=gold.name, run=str(run), **(extra_meta or {}))
     write_predictions(layout.predictions(system, gold.name, run), blocks, metadata=meta)
     write_diagnostics(layout.diagnostics(system, gold.name, run), meta, sentences)
 
@@ -415,12 +416,10 @@ def run_train_baseline(cfg: ExperimentConfig) -> baseline_mod.BaselineModel:
     inventory = editscript_mod.read_inventory(layout.inventory())
     pairs = editscript_mod.read_pair_labels(layout.pair_labels(), inventory)
     model = baseline_mod.train(pairs, inventory, cfg.max_suffix_len)
-    dev = _load_split(cfg, "dev")
+    dev = _load_split(layout, "dev")
     baseline_mod.write_model(model, layout.model())
-    lemmas = {
-        s.id: tuple(baseline_mod.predict(model, s)) for s in dev.sentences
-    }
-    _write_system_run(cfg, BASELINE, dev, 0, lemmas, {})
+    lemmas = {s.id: tuple(baseline_mod.predict(model, s)) for s in dev.sentences}
+    _write_system_run(layout, BASELINE, dev, 0, lemmas, {})
     return model
 
 
@@ -431,7 +430,8 @@ def select_system_examples(
     spec = system.prompt
     diagnostics = None
     if spec.shots and spec.selection == prompt_mod.MOST_ERRORS:
-        default = Layout(cfg).diagnostics(BASELINE, f"{cfg.corpus_name}-dev", 0)
+        layout = Layout(cfg)
+        default = layout.diagnostics(BASELINE, layout.split_name("dev"), 0)
         _, diagnostics = read_diagnostics(system.dev_diagnostics or default)
     return prompt_mod.select_examples(
         spec.selection,
@@ -444,12 +444,13 @@ def select_system_examples(
 
 
 def _run_llm_system(
-    cfg: ExperimentConfig,
+    layout: Layout,
     system: SystemSpec,
     test: corpus_mod.Corpus,
     dev: corpus_mod.Corpus,
     gateway: gateway_mod.LlmGateway,
 ):
+    cfg = layout.cfg
     examples = select_system_examples(cfg, system, dev)
     prompts = [
         prompt_mod.render_prompt(system.prompt, examples, sentence)
@@ -475,19 +476,13 @@ def _run_llm_system(
             "template_version": prompt_mod.TEMPLATE_VERSION,
             "failures": str(len(failed)),
         }
-        _write_system_run(cfg, system.name, test, run, lemmas_by_id, counts_by_id, extra)
-
-
-def _run_external_system(cfg: ExperimentConfig, system: SystemSpec, test: corpus_mod.Corpus):
-    for run in range(cfg.runs):
-        source = system.predictions[run if len(system.predictions) > 1 else 0]
-        _write_system_run(cfg, system.name, test, run, _read_slots(source, test), {})
+        _write_system_run(layout, system.name, test, run, lemmas_by_id, counts_by_id, extra)
 
 
 def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | None = None) -> None:
     """Produce prediction files for every configured system and run."""
     layout = Layout(cfg)
-    test = _load_split(cfg, "test")
+    test = _load_split(layout, "test")
     gateway = dev = None
     try:
         for system in cfg.systems:
@@ -496,20 +491,20 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
                 lemmas = {s.id: tuple(baseline_mod.predict(model, s)) for s in test.sentences}
                 for run in range(cfg.runs):
                     # Deterministic system: every run is the same honest pass.
-                    _write_system_run(cfg, system.name, test, run, lemmas, {})
+                    _write_system_run(layout, system.name, test, run, lemmas, {})
             elif system.kind == EXTERNAL:
-                _run_external_system(cfg, system, test)
-            elif system.kind == LLM:
+                for run in range(cfg.runs):
+                    source = system.predictions[run if len(system.predictions) > 1 else 0]
+                    _write_system_run(layout, system.name, test, run, _read_slots(source, test), {})
+            else:  # LLM, the one kind left: load_config refuses any other
                 if gateway is None:  # only LLM systems need the cache and the dev split
                     live = cfg.cache_mode == gateway_mod.LIVE  # live mode opens no cache
                     cache = None if live else gateway_mod.ResponseCache(cfg.cache_dir)
                     gateway = gateway_mod.LlmGateway(
                         cfg.provider, cache, cfg.cache_mode, transport=transport
                     )
-                    dev = _load_split(cfg, "dev")
-                _run_llm_system(cfg, system, test, dev, gateway)
-            else:  # pragma: no cover - rejected at config load
-                raise ConfigError(f"unknown system kind {system.kind!r}")
+                    dev = _load_split(layout, "dev")
+                _run_llm_system(layout, system, test, dev, gateway)
     finally:
         if gateway is not None and gateway.cache is not None:
             gateway.cache.close()
@@ -558,7 +553,7 @@ def run_score(cfg: ExperimentConfig) -> list[eval_mod.EvalReport]:
     """Score every run of every system; write each run's exact tallies to
     runs.tsv and their means and stds to scores.tsv."""
     layout = Layout(cfg)
-    test = _load_split(cfg, "test")
+    test = _load_split(layout, "test")
     reports = []
     for system in cfg.systems:
         scores = []
@@ -578,7 +573,7 @@ def run_score(cfg: ExperimentConfig) -> list[eval_mod.EvalReport]:
 def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McNemarResult]]:
     """McNemar's test over configured system pairs, on one agreed run."""
     layout = Layout(cfg)
-    test = _load_split(cfg, "test")
+    test = _load_split(layout, "test")
     vectors = {
         s.name: eval_mod.correctness_vector(
             _read_slots(layout.predictions(s.name, test.name, cfg.mcnemar_run), test), test
@@ -621,7 +616,7 @@ def run_report(cfg: ExperimentConfig) -> str:
     """Write report.txt from the tallies score and compare wrote; reads no
     prediction, diagnostics or split file."""
     layout = Layout(cfg)
-    corpus = f"{cfg.corpus_name}-test"
+    corpus = layout.split_name("test")
     keys = [(s.name, corpus, str(run)) for s in cfg.systems for run in range(cfg.runs)]
     tallies = _read_current(cfg, "score", layout.runs(), eval_mod.RUNS_COLUMNS, keys)
     reports = [

@@ -372,7 +372,7 @@ def oracle_report_text(cfg):
     """report.txt as the earlier `report` stage rendered it: by scoring every
     run again from the prediction files and the test split.  (That stage also
     rewrote scores.tsv and mcnemar.tsv; this oracle writes nothing.)"""
-    test = _load_split(cfg, "test")
+    test = _load_split(Layout(cfg), "test")
     mcnemar_run = cfg.mcnemar_run if cfg.comparisons else None
     scores, vectors = _oracle_evaluate(cfg, test, range(cfg.runs), mcnemar_run)
     reports = [
