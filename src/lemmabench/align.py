@@ -285,13 +285,20 @@ def write_diagnostics(path: str | Path, metadata: dict, sentences: dict[str, dic
     Path(path).write_text(text + "\n", "utf-8")
 
 
-def read_diagnostics(path: str | Path) -> tuple[dict, dict[str, dict]]:
+def read_diagnostics(path: str | Path) -> tuple[dict, dict[str, dict[str, int]]]:
     """(metadata, per-sentence counts) of a .diag.json file; a FileFormatError
-    names the file when it is not a JSON object with a "sentences" object."""
+    names the file when it is not a JSON object with a "sentences" object
+    whose entries are objects of non-negative integers."""
     try:
         payload = json.loads(Path(path).read_text("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise FileFormatError(path, None, f"diagnostics are not JSON: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("sentences"), dict):
         raise FileFormatError(path, None, 'diagnostics are not an object with a "sentences" object')
+    for sentence_id, counts in payload["sentences"].items():
+        if not isinstance(counts, dict) or any(
+            type(n) is not int or n < 0 for n in counts.values()
+        ):
+            message = f"diagnostics are not non-negative integer counts for sentence {sentence_id}"
+            raise FileFormatError(path, None, message)
     return payload.get("metadata", {}), payload["sentences"]

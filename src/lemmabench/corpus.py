@@ -26,6 +26,7 @@ _WORD_ID = re.compile(r"^\d+$")
 
 FIRST_N = "first-n"
 SEEDED_RANDOM = "seeded-random"
+SELECTION_RULES = (FIRST_N, SEEDED_RANDOM)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class SplitSpec:
     def __post_init__(self):
         if min(self.train_count, self.dev_count, self.test_count) < 0:
             raise SplitError("split counts must be non-negative")
-        if self.selection_rule not in (FIRST_N, SEEDED_RANDOM):
+        if self.selection_rule not in SELECTION_RULES:
             raise SplitError(f"unknown selection rule: {self.selection_rule!r}")
 
 

@@ -174,8 +174,8 @@ def score_run(
     correct_sentences = sum(all(o is True for o in row) for row in by_sentence)
     wrong = rand = 0
     if diagnostics:
-        wrong = sum(int(d.get("wrong", 0)) for d in diagnostics.values())
-        rand = sum(int(d.get("random", 0)) for d in diagnostics.values())
+        wrong = sum(d.get("wrong", 0) for d in diagnostics.values())
+        rand = sum(d.get("random", 0) for d in diagnostics.values())
     missing = sum(o is None for o in outcomes)
     return RunScore.from_counts(
         correct, total, correct_sentences, len(gold.sentences), missing, wrong, rand

@@ -103,8 +103,23 @@ def _expect(ok: bool, name: str, what: str, value) -> None:
         raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
 
 
-def _section(value, name: str) -> dict:
+def _section(value, name: str, keys: tuple[str, ...] | None = None) -> dict:
+    """value when it is a JSON object whose keys are all in keys (any key
+    when keys is None)."""
     _expect(isinstance(value, dict), name, "a JSON object", value)
+    for key in value:
+        if keys is not None and key not in keys:
+            raise ConfigError(f"{name}.{key} is not a known key; use one of {', '.join(keys)}")
+    return value
+
+
+def _string(value, name: str) -> str:
+    _expect(isinstance(value, str), name, "a string", value)
+    return value
+
+
+def _choice(value, name: str, choices: tuple[str, ...]) -> str:
+    _expect(value in choices, name, " or ".join(choices), value)
     return value
 
 
@@ -126,9 +141,7 @@ def _build(cls, values, name: str, integers: tuple[str, ...], numbers: tuple[str
     non-integer value of a key in integers (null where the default is None)
     and a non-number value of a key in numbers."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key, value in _section(values, name).items():
-        if key not in fields:
-            raise ConfigError(f"{name}.{key} is not a known key; use one of {', '.join(fields)}")
+    for key, value in _section(values, name, tuple(fields)).items():
         if key in integers:
             _integer(value, f"{name}.{key}", nullable=fields[key].default is None)
         if key in numbers:
@@ -139,18 +152,23 @@ def _build(cls, values, name: str, integers: tuple[str, ...], numbers: tuple[str
 def _parse_system(entry: dict, base: Path, runs: int, language: str) -> SystemSpec:
     entry = _section(entry, "systems entry")
     try:
-        name, kind = entry["name"], entry["kind"]
+        name, kind = _string(entry["name"], "systems entry name"), entry["kind"]
     except KeyError as exc:
         raise ConfigError(f"system entry missing {exc}") from exc
+    label = f"system {name}"
     if kind == BASELINE:
+        _section(entry, label, ("name", "kind"))
         return SystemSpec(name=name, kind=kind)
     if kind == LLM:
+        _section(entry, label, ("name", "kind", "prompt", "manual_ids", "dev_diagnostics"))
         prompt = {"language_name": language, **_section(entry.get("prompt", {}), "prompt")}
         spec = _build(prompt_mod.PromptSpec, prompt, "prompt", integers=("shots", "seed"))
         diag = entry.get("dev_diagnostics")
+        diag_ok = diag is None or isinstance(diag, str)
+        _expect(diag_ok, f"{label}.dev_diagnostics", "a file path", diag)
         manual_ids = entry.get("manual_ids", [])
         ids_ok = isinstance(manual_ids, list) and all(isinstance(i, str) for i in manual_ids)
-        _expect(ids_ok, f"system {name}: manual_ids", "a list of sentence ids", manual_ids)
+        _expect(ids_ok, f"{label}.manual_ids", "a list of sentence ids", manual_ids)
         return SystemSpec(
             name=name,
             kind=kind,
@@ -159,15 +177,18 @@ def _parse_system(entry: dict, base: Path, runs: int, language: str) -> SystemSp
             dev_diagnostics=str(base / diag) if diag else None,
         )
     if kind == EXTERNAL:
+        _section(entry, label, ("name", "kind", "predictions"))
         paths = entry.get("predictions")
         if not paths:
             raise ConfigError(f"external system {name} needs a predictions path list")
         if isinstance(paths, str):
             paths = [paths]
+        paths_ok = isinstance(paths, list) and all(isinstance(p, str) for p in paths)
+        _expect(paths_ok, f"{label}.predictions", "a file path or a list of them", paths)
         if len(paths) not in (1, runs):
             raise ConfigError(f"external system {name}: give 1 or {runs} prediction files")
         return SystemSpec(name=name, kind=kind, predictions=tuple(str(base / p) for p in paths))
-    raise ConfigError(f"system {name}: unknown kind {kind!r}")
+    raise ConfigError(f"{label}: unknown kind {kind!r}")
 
 
 def load_config(
@@ -184,31 +205,40 @@ def load_config(
         raw = json.loads(path.read_text("utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _section(raw, "the config")
+    _section(raw, "config", tuple(
+        "name language corpus split reduce baseline systems provider runs parallelism"
+        " cache_dir cache_mode out_dir scoring comparisons".split()
+    ))
 
     try:
-        corpus_raw = _section(raw["corpus"], "corpus")
-        split_raw = _section(raw["split"], "split")
+        corpus_raw = _section(raw["corpus"], "corpus", ("path", "format", "name"))
+        split_raw = _section(raw["split"], "split", ("train", "dev", "test", "rule", "seed"))
     except KeyError as exc:
         raise ConfigError(f"config missing section {exc}") from exc
 
     corpus_path = corpus_raw.get("path")
     _expect(isinstance(corpus_path, str), "corpus.path", "a file path", corpus_path)
-    corpus_format = corpus_raw.get("format", CONLLU)
-    _expect(corpus_format in (CONLLU, TSV), "corpus.format", f"{CONLLU} or {TSV}", corpus_format)
+    corpus_format = _choice(corpus_raw.get("format", CONLLU), "corpus.format", (CONLLU, TSV))
 
+    rules = corpus_mod.SELECTION_RULES
     split = corpus_mod.SplitSpec(
         train_count=_integer(split_raw.get("train"), "split.train"),
         dev_count=_integer(split_raw.get("dev"), "split.dev"),
         test_count=_integer(split_raw.get("test"), "split.test"),
-        selection_rule=split_raw.get("rule", corpus_mod.FIRST_N),
+        selection_rule=_choice(split_raw.get("rule", corpus_mod.FIRST_N), "split.rule", rules),
         seed=_integer(split_raw.get("seed", 0), "split.seed"),
     )
-    reduce_raw = _section(raw.get("reduce", {}), "reduce")
+    reduce_raw = _section(raw.get("reduce", {}), "reduce", ("max_sentences", "rule", "seed"))
+    reduce_to = _integer(reduce_raw.get("max_sentences"), "reduce.max_sentences", nullable=True)
+    _expect(reduce_to is None or reduce_to >= 1, "reduce.max_sentences", "at least 1", reduce_to)
+    reduce_rule = _choice(reduce_raw.get("rule", corpus_mod.FIRST_N), "reduce.rule", rules)
+    baseline_raw = _section(raw.get("baseline", {}), "baseline", ("max_suffix_len",))
+    max_suffix_len = _integer(baseline_raw.get("max_suffix_len", 5), "baseline.max_suffix_len")
+    _expect(max_suffix_len >= 0, "baseline.max_suffix_len", "at least 0", max_suffix_len)
     runs = _integer(raw.get("runs", 1), "runs")
     _expect(runs >= 1, "runs", "at least 1", runs)
 
-    language = raw.get("language", "English")
+    language = _string(raw.get("language", "English"), "language")
     systems = tuple(_parse_system(e, base, runs, language) for e in raw.get("systems", []))
     if len({s.name for s in systems}) != len(systems):
         raise ConfigError("system names must be unique")
@@ -220,9 +250,8 @@ def load_config(
         integers=("max_tokens", "max_retries"),
         numbers=("temperature", "top_p", "timeout", "retry_backoff"),
     )
-    scoring = _section(raw.get("scoring", {}), "scoring")
-    policy = scoring.get("policy", eval_mod.STRICT)
-    _expect(policy in eval_mod.POLICIES, "scoring.policy", " or ".join(eval_mod.POLICIES), policy)
+    scoring = _section(raw.get("scoring", {}), "scoring", ("policy", "alpha", "mcnemar_run"))
+    policy = _choice(scoring.get("policy", eval_mod.STRICT), "scoring.policy", eval_mod.POLICIES)
     comparisons_raw = raw.get("comparisons", "all-pairs")
     if comparisons_raw == "all-pairs":
         comparisons = tuple(itertools.combinations([s.name for s in systems], 2))
@@ -237,8 +266,8 @@ def load_config(
         if a not in known or b not in known:
             raise ConfigError(f"comparison ({a}, {b}) names an unknown system")
 
-    name = raw.get("name", path.stem)
-    corpus_name = corpus_raw.get("name", Path(corpus_path).stem)
+    name = _string(raw.get("name", path.stem), "name")
+    corpus_name = _string(corpus_raw.get("name", Path(corpus_path).stem), "corpus.name")
     # These values land in "# key = value" artifact headers, where a tab
     # would turn the line into a row and a line break would end it early.
     for label, value in (
@@ -257,9 +286,11 @@ def load_config(
         raise ConfigError(f"scoring.mcnemar_run {mcnemar_run} is not a run in 0..{runs - 1}")
 
     alpha = _number(scoring.get("alpha", 0.05), "scoring.alpha")
-    mode = cache_mode or raw.get("cache_mode", gateway_mod.REPLAY)
+    _expect(0 < alpha < 1, "scoring.alpha", "between 0 and 1, exclusive", alpha)
+    cache_dir = _string(raw.get("cache_dir", "cache"), "cache_dir")
+    configured_out = _string(raw.get("out_dir", "out"), "out_dir")
     modes = gateway_mod.CACHE_MODES
-    _expect(mode in modes, "cache_mode", " or ".join(modes), mode)
+    mode = _choice(cache_mode or raw.get("cache_mode", gateway_mod.REPLAY), "cache_mode", modes)
     return ExperimentConfig(
         name=name,
         language=language,
@@ -267,20 +298,17 @@ def load_config(
         corpus_format=corpus_format,
         corpus_name=corpus_name,
         split=split,
-        reduce_to=_integer(reduce_raw.get("max_sentences"), "reduce.max_sentences", nullable=True),
-        reduce_rule=reduce_raw.get("rule", corpus_mod.FIRST_N),
+        reduce_to=reduce_to,
+        reduce_rule=reduce_rule,
         reduce_seed=_integer(reduce_raw.get("seed", 0), "reduce.seed"),
-        max_suffix_len=_integer(
-            _section(raw.get("baseline", {}), "baseline").get("max_suffix_len", 5),
-            "baseline.max_suffix_len",
-        ),
+        max_suffix_len=max_suffix_len,
         systems=systems,
         provider=provider,
         runs=runs,
         parallelism=_integer(raw.get("parallelism", 4), "parallelism"),
-        cache_dir=str(base / raw.get("cache_dir", "cache")),
+        cache_dir=str(base / cache_dir),
         cache_mode=mode,
-        out_dir=str(Path(out_dir) if out_dir else base / raw.get("out_dir", "out")),
+        out_dir=str(Path(out_dir) if out_dir else base / configured_out),
         policy=policy,
         alpha=float(alpha),
         mcnemar_run=mcnemar_run,

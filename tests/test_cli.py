@@ -254,3 +254,93 @@ def test_report_after_a_config_change_exits_2_naming_the_stage(
     assert _run(changed, out, "compare") == 0
     assert _run(changed, out, "report") == 0
     assert "McNemar's test (alpha = 0.01)" in (out / "reports" / "report.txt").read_text("utf-8")
+
+
+def test_config_with_an_unknown_key_exits_2_naming_it(fixtures_dir, tmp_path, capsys):
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    misspelled = next(s for s in raw["systems"] if s["name"] == "llm-basic-4shot")
+    for key, change in (
+        ("config.rnus", {"rnus": 5}),
+        ("scoring.polciy", {"scoring": {"polciy": "renormalize"}}),
+        ("system llm-basic-4shot.promt", {"systems": [
+            {"name": "llm-basic-4shot", "kind": "llm", "promt": misspelled["prompt"]}]}),
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**raw, **change}), "utf-8")
+        assert main(["score", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {key} is not a known key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["many", -7])
+def test_score_with_a_diagnostics_count_that_is_not_a_count_exits_2(scored_out, capsys, count):
+    config, out = scored_out
+    path = out / "predictions" / "baseline" / "es_fix-test.run0.diag.json"
+    payload = json.loads(path.read_text("utf-8"))
+    payload["sentences"]["es_fix-0060"]["wrong"] = count
+    path.write_text(json.dumps(payload), "utf-8")
+    capsys.readouterr()
+    assert _run(config, out, "score") == 2
+    err = capsys.readouterr().err
+    assert f"{path}: diagnostics are not non-negative integer counts for sentence es_fix-0060" in err
+    assert "Traceback" not in err
+
+
+# The summary each subcommand prints on the replay fixture, in stage order;
+# <out> and <fixtures> stand for the output and fixture directories.
+_STAGE_STDOUT = """\
+es_fix: 80 sentences, 640 tokens -> <out>/corpora/es_fix.tsv
+es_fix-train: 40 sentences, 320 tokens
+es_fix-dev: 15 sentences, 120 tokens
+es_fix-test: 25 sentences, 200 tokens
+17 edit-script labels -> <out>/inventory/es_fix.tsv
+baseline: 56 forms, 162 suffixes -> <out>/models/baseline.tsv
+baseline: 3 run(s) -> <out>/predictions/baseline
+llm-basic-4shot: 3 run(s) -> <out>/predictions/llm-basic-4shot
+llm-full-0shot: 3 run(s) -> <out>/predictions/llm-full-0shot
+baseline on es_fix-test: word accuracy 0.9200 ± 0.0000
+llm-basic-4shot on es_fix-test: word accuracy 0.9533 ± 0.0047
+llm-full-0shot on es_fix-test: word accuracy 0.9550 ± 0.0108
+-> <out>/reports/runs.tsv, <out>/reports/scores.tsv
+baseline vs llm-basic-4shot on es_fix-test: p=0.15159 (not significant)
+baseline vs llm-full-0shot on es_fix-test: p=0.115318 (not significant)
+llm-basic-4shot vs llm-full-0shot on es_fix-test: p=1 (not significant)
+-> <out>/reports/mcnemar.tsv
+{report}\
+150 records sound -> <fixtures>/replay/cache/log.tsv
+"""
+
+
+def test_every_subcommand_prints_its_pinned_summary(fixtures_dir, tmp_path, capsys):
+    config, out = str(fixtures_dir / "replay" / "config.json"), tmp_path / "out"
+    commands = ("ingest", "split", "induce", "train-baseline", "run", "score", "compare",
+                "report", "verify-cache")
+    printed = []
+    for command in commands:
+        assert _run(config, out, command) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed.append(captured.out)
+    text = "".join(printed).replace(str(out), "<out>").replace(str(fixtures_dir), "<fixtures>")
+    report = (fixtures_dir / "replay" / "expected" / "report.txt").read_text("utf-8")
+    assert text == _STAGE_STDOUT.format(report=report)
+
+
+def test_a_stage_calls_the_experiment_function_it_finds_when_it_runs(
+    scored_out, monkeypatch, capsys
+):
+    # Tracers and tests wrap experiment.run_* by replacing the module
+    # attribute; a stage that kept its own reference would bypass them.
+    from lemmabench import experiment
+
+    config, out = scored_out
+    calls = []
+    unwrapped = experiment.run_score
+
+    def wrapper(cfg):
+        calls.append(cfg.name)
+        return unwrapped(cfg)
+
+    monkeypatch.setattr(experiment, "run_score", wrapper)
+    assert _run(config, out, "score") == 0
+    assert calls == ["es-replay"]
+    assert "baseline on es_fix-test: word accuracy 0.9200" in capsys.readouterr().out

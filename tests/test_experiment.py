@@ -141,6 +141,30 @@ _WRONG_VALUES = [
     ("comparisons", lambda raw: raw.update(comparisons="none")),
     ("corpus.path", lambda raw: raw["corpus"].pop("path")),
     ("cache_mode", lambda raw: raw.update(cache_mode="bogus")),
+    # Every section refuses a key it does not know, rather than ignoring it.
+    ("config.rnus", lambda raw: raw.update(rnus=5)),
+    ("corpus.nmae", lambda raw: raw["corpus"].update(nmae="es")),
+    ("split.ruel", lambda raw: raw["split"].update(ruel="first-n")),
+    ("reduce.sede", lambda raw: raw.update(reduce={"max_sentences": 10, "sede": 1})),
+    ("baseline.max_suffix", lambda raw: raw.update(baseline={"max_suffix": 3})),
+    ("scoring.polciy", lambda raw: raw.update(scoring={"polciy": "renormalize"})),
+    ("system llm.promt", lambda raw: raw.update(
+        systems=[{"name": "llm", "kind": "llm", "promt": {"shots": 0}}])),
+    ("system baseline.prompt", lambda raw: raw.update(
+        systems=[{"name": "baseline", "kind": "baseline", "prompt": {}}])),
+    ("system ext.manual_ids", lambda raw: raw.update(
+        systems=[{"name": "ext", "kind": "external", "predictions": "p.tsv", "manual_ids": []}])),
+    # Names and paths must be strings.
+    ("name", lambda raw: raw.update(name=5)),
+    ("language", lambda raw: raw.update(language=["Spanish"])),
+    ("corpus.name", lambda raw: raw["corpus"].update(name=5)),
+    ("cache_dir", lambda raw: raw.update(cache_dir=5)),
+    ("out_dir", lambda raw: raw.update(out_dir=None)),
+    ("systems entry name", lambda raw: raw.update(systems=[{"name": 5, "kind": "baseline"}])),
+    ("system llm.dev_diagnostics", lambda raw: raw.update(
+        systems=[{"name": "llm", "kind": "llm", "dev_diagnostics": 5}])),
+    ("system ext.predictions", lambda raw: raw.update(
+        systems=[{"name": "ext", "kind": "external", "predictions": [5]}])),
 ]
 
 
@@ -187,6 +211,42 @@ def test_load_config_names_the_key_of_a_wrong_value(tmp_path, key, mutate):
     mutate(raw)
     with pytest.raises(ConfigError, match=key):
         load_config(_write_config(tmp_path, raw))
+
+
+# (the key the error must name, a section holding a value out of its range).
+_OUT_OF_RANGE = [
+    # train-baseline used to write this model and run to refuse it.
+    ("baseline.max_suffix_len", {"baseline": {"max_suffix_len": -1}}),
+    ("split.rule", {"split": {"train": 3, "dev": 2, "test": 1, "rule": "first-m"}}),
+    # Checked only once the corpus had more sentences than max_sentences.
+    ("reduce.rule", {"reduce": {"max_sentences": 10, "rule": "first-m"}}),
+    # -1 dropped the last sentence; with seeded-random it ended in a traceback.
+    ("reduce.max_sentences", {"reduce": {"max_sentences": -1}}),
+    ("reduce.max_sentences", {"reduce": {"max_sentences": 0}}),
+    # alpha 2 marked every comparison significant.
+    ("scoring.alpha", {"scoring": {"alpha": 2}}),
+    ("scoring.alpha", {"scoring": {"alpha": 1}}),
+    ("scoring.alpha", {"scoring": {"alpha": 0}}),
+]
+
+
+@pytest.mark.parametrize(
+    "key, change", _OUT_OF_RANGE, ids=[json.dumps(change) for _, change in _OUT_OF_RANGE]
+)
+def test_load_config_refuses_a_value_out_of_range(tmp_path, key, change):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be"):
+        load_config(_write_config(tmp_path, _minimal_raw(**change)))
+
+
+def test_load_config_accepts_the_ends_of_each_range(tmp_path):
+    raw = _minimal_raw(
+        baseline={"max_suffix_len": 0},
+        reduce={"max_sentences": 1, "rule": "seeded-random"},
+        scoring={"alpha": 0.999},
+    )
+    cfg = load_config(_write_config(tmp_path, raw))
+    assert (cfg.max_suffix_len, cfg.reduce_to, cfg.reduce_rule) == (0, 1, "seeded-random")
+    assert cfg.alpha == 0.999
 
 
 def test_load_config_accepts_the_last_run_for_mcnemar(tmp_path):
@@ -570,11 +630,29 @@ def test_score_refuses_a_run_without_diagnostics(replay_out, tmp_path, capsys):
 # A torn file, a payload that is not an object, and objects without a
 # "sentences" object: each used to end score with a traceback or, for {},
 # to score the run with wrong = random = 0.
+def _first_entry(value):
+    """A damage that sets the first sentence entry of a diagnostics file."""
+
+    def damage(text):
+        payload = json.loads(text)
+        payload["sentences"][next(iter(payload["sentences"]))] = value
+        return json.dumps(payload)
+
+    return damage
+
+
 _BAD_DIAGNOSTICS = {
     "truncated": lambda text: text[: len(text) // 2],
     "list": lambda text: "[]",
     "empty object": lambda text: "{}",
     "sentences a list": lambda text: '{"metadata": {}, "sentences": []}',
+    # Counts that are not non-negative integers used to end score with a
+    # ValueError traceback ("many") or to be summed into runs.tsv (-7, true).
+    "count a word": _first_entry({"wrong": "many"}),
+    "count negative": _first_entry({"wrong": -7}),
+    "count a bool": _first_entry({"random": True}),
+    "count a float": _first_entry({"wrong": 1.0}),
+    "entry a number": _first_entry(3),
 }
 
 
