@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lemmabench import experiment
 from lemmabench.cli import main
 
 
@@ -330,8 +331,6 @@ def test_a_stage_calls_the_experiment_function_it_finds_when_it_runs(
 ):
     # Tracers and tests wrap experiment.run_* by replacing the module
     # attribute; a stage that kept its own reference would bypass them.
-    from lemmabench import experiment
-
     config, out = scored_out
     calls = []
     unwrapped = experiment.run_score
