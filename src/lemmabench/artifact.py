@@ -15,9 +15,13 @@ lines) is zero or more header lines, ``#`` lines with no tab, then rows of
 exactly one tab that neither start with whitespace nor with
 ``# columns = ``.  The block files the pipeline writes have that shape
 unless a sentence id or a field is not NFC or a wordform starts with
-whitespace.  corpus._read_canonical reads a canonical file a piece of about
-64 KiB at a time, in bulk.  If any piece is not canonical, more than a
-piece passes without a blank line, or the file is not UTF-8, the whole
+whitespace.  A CoNLL-U corpus, which is not an artifact, is canonical when
+its text is NFC and each line that is neither blank nor a ``#`` comment
+has exactly 10 tab-separated columns, an ID that is a word (decimal
+digits), a multiword range or an empty node, and a FORM if it is a word.
+corpus._read_canonical reads a canonical file of either kind a piece of
+about 64 KiB at a time, in bulk.  If any piece is not canonical, more than
+a piece passes without a blank line, or the file is not UTF-8, the whole
 file falls back to corpus._read_corpus, the line loop on top of lines,
 is_header and header: it reads every file to the same result, and it
 names the line of each fault.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
 from random import Random
 from typing import Iterable
@@ -18,11 +19,10 @@ from typing import Iterable
 from . import artifact
 from .errors import CorpusFormatError, EmptyCorpusError, MissingLemmaError, SplitError
 
-# Syntactic-word IDs are plain integers; "3-4" is a multiword-token range
-# line and "5.1" an empty node, neither of which carries a scorable lemma.
-_RANGE_ID = re.compile(r"^\d+-\d+$")
-_EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
-_WORD_ID = re.compile(r"^\d+$")
+# Syntactic-word IDs are plain integers (str.isdecimal); "3-4" is a
+# multiword-token range line and "5.1" an empty node, neither of which
+# carries a scorable lemma.
+_TOKEN_ID = re.compile(r"\d+(?:[-.]\d+)?")
 
 FIRST_N = "first-n"
 SEEDED_RANDOM = "seeded-random"
@@ -95,9 +95,9 @@ class SplitSpec:
 
 
 def _read_corpus(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
-    """The sentence-block line loop: the reader of CoNLL-U files and of TSV
-    block files that _read_canonical refuses, and the one place that names
-    the line of a fault.
+    """The sentence-block line loop: the reader of the CoNLL-U and TSV block
+    files that _read_canonical refuses, and the one place that names the
+    line of a fault.
 
     Yields each block as it ends, a (sent_id or None, wordforms, lemmas)
     triple of tuples, and puts the other ``# key = value`` headers into
@@ -164,18 +164,52 @@ def _pieces(handle):
     yield rest
 
 
-def _read_canonical(path: str | Path, meta: dict[str, str]):
-    """The blocks of a TSV block file as _read_corpus yields them, read a
-    piece at a time; None if the file is not UTF-8, a piece is not
-    canonical, or more than _PIECE characters pass without a blank line.
+def _tsv_block(block: str):
+    """(header lines, wordforms, lemmas) of a block that matches
+    _CANONICAL_BLOCK, else None.  The line loop would meet no malformed row
+    there and take each ``#`` line for a header where the pattern does."""
+    match = _CANONICAL_BLOCK.fullmatch(block)
+    if match is None:
+        return None
+    head = match.end(1)
+    fields = block[head:].replace("\n", "\t").split("\t") if head < len(block) else []
+    lemmas = fields[1::2]
+    if "" in lemmas:
+        lemmas = [lemma or None for lemma in lemmas]
+    heads = block[:head].rstrip("\n").split("\n") if head else ()
+    return heads, tuple(fields[::2]), tuple(lemmas)
 
-    A piece is canonical when it is NFC and each of its blocks matches
-    _CANONICAL_BLOCK.  On such a piece the line loop would normalize
-    nothing, meet no blank-looking line inside a block and no malformed
-    row, and take every ``#`` line for a header exactly where the pattern
-    does, so splitting the rows at tabs and line breaks gives its columns.
-    meta is updated only when every piece is canonical.
-    """
+
+def _conllu_block(block: str):
+    """((), wordforms, lemmas) of a CoNLL-U block whose lines, ``#``
+    comments aside, each hold 9 tabs (a tab total would pass 9 columns
+    beside 11) and a word, range or empty-node ID, and whose word rows each
+    hold a FORM; else None.  Lines end only at "\n", as in text mode."""
+    rows = [line for line in block.split("\n") if line[:1] != "#"]
+    if not rows:
+        return (), (), ()
+    if {*map(str.count, rows, repeat("\t"))} != {9}:
+        return None
+    ids, forms, lemmas, _ = zip(*map(str.split, rows, repeat("\t"), repeat(3)))
+    if not all(map(str.isdecimal, ids)):  # drop range and empty-node rows, FORM unchecked
+        if not all(map(_TOKEN_ID.fullmatch, ids)):
+            return None
+        words = list(map(str.isdecimal, ids))
+        forms, lemmas = tuple(compress(forms, words)), tuple(compress(lemmas, words))
+    if "" in forms:
+        return None
+    if "_" in lemmas:
+        lemmas = tuple(None if lemma == "_" else lemma for lemma in lemmas)
+    return (), forms, lemmas
+
+
+def _read_canonical(path: str | Path, tsv: bool, meta: dict[str, str]):
+    """The blocks of a sentence-block file as _read_corpus yields them, read
+    a piece at a time; None if the file is not UTF-8, a piece is not NFC
+    (the line loop normalizes fields), more than _PIECE characters pass
+    without a blank line, or the format's block step refuses a block.  meta
+    is updated only when every block is accepted."""
+    read_block = _tsv_block if tsv else _conllu_block
     blocks, found = [], {}
     block_id = None  # a sent_id whose block has no rows yet
     try:
@@ -184,12 +218,12 @@ def _read_canonical(path: str | Path, meta: dict[str, str]):
                 if piece is None or not unicodedata.is_normalized("NFC", piece):
                     return None
                 for block in piece.split("\n\n"):
-                    block = block.strip("\n")
-                    match = _CANONICAL_BLOCK.fullmatch(block)
-                    if match is None:
+                    if not (block := block.strip("\n")):
+                        continue
+                    if (read := read_block(block)) is None:
                         return None
-                    head = match.end(1)
-                    for line in block[:head].rstrip("\n").split("\n") if head else ():
+                    heads, forms, lemmas = read
+                    for line in heads:
                         key, value = artifact.header(line) or (None, None)
                         if key == "sent_id":
                             if block_id is not None:
@@ -197,12 +231,8 @@ def _read_canonical(path: str | Path, meta: dict[str, str]):
                             block_id = value
                         elif key is not None:
                             found[key] = value
-                    if head < len(block):
-                        fields = block[head:].replace("\n", "\t").split("\t")
-                        lemmas = fields[1::2]
-                        if "" in lemmas:
-                            lemmas = [lemma or None for lemma in lemmas]
-                        blocks.append((block_id, tuple(fields[::2]), tuple(lemmas)))
+                    if forms:
+                        blocks.append((block_id, forms, lemmas))
                         block_id = None
     except UnicodeDecodeError:
         return None
@@ -214,9 +244,9 @@ def _read_canonical(path: str | Path, meta: dict[str, str]):
 
 def _read_blocks(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
     """The blocks of a sentence-block file, behind ingest_conllu, ingest_tsv
-    and align.read_predictions: a TSV file that _read_canonical accepts is
-    read by it, any other file by the line loop _read_corpus."""
-    blocks = _read_canonical(path, meta) if tsv else None
+    and align.read_predictions: read by _read_canonical when it accepts the
+    file, else by the line loop _read_corpus."""
+    blocks = _read_canonical(path, tsv, meta)
     return _read_corpus(path, parse_row, tsv, meta) if blocks is None else blocks
 
 
@@ -238,9 +268,9 @@ def _conllu_row(columns: list[str], path: Path, line_no: int) -> tuple[str, str 
     if len(columns) != 10:
         raise CorpusFormatError(path, line_no, f"expected 10 columns, found {len(columns)}")
     token_id = columns[0]
-    if _RANGE_ID.match(token_id) or _EMPTY_NODE_ID.match(token_id):
-        return None
-    if not _WORD_ID.match(token_id):
+    if not token_id.isdecimal():
+        if _TOKEN_ID.fullmatch(token_id):
+            return None
         raise CorpusFormatError(path, line_no, f"unrecognized token ID {token_id!r}")
     if not columns[1]:
         raise CorpusFormatError(path, line_no, "empty FORM column")
@@ -254,7 +284,9 @@ def ingest_conllu(path: str | Path, name: str | None = None, language: str = "un
     Multiword-token range lines and empty-node lines are dropped; comments,
     sent_id included, are ignored, so sentence ids are ordinal.  Raises
     CorpusFormatError on a token line that does not have exactly 10
-    tab-separated columns, EmptyCorpusError if no sentence survives.
+    tab-separated columns, EmptyCorpusError if no sentence survives.  A
+    file in the canonical shape (see artifact) is read in bulk, a piece at
+    a time; any other file line by line, which names the line of a fault.
     """
     return _corpus(path, name, language, _conllu_row, tsv=False)
 

@@ -138,10 +138,13 @@ def _number(value, name: str) -> float:
 
 def _build(cls, values, name: str, integers: tuple[str, ...], numbers: tuple[str, ...] = ()):
     """cls(**values), refusing a key that is not one of cls's fields, a
-    non-integer value of a key in integers (null where the default is None)
-    and a non-number value of a key in numbers."""
+    non-string value of a field whose default is a string, a non-integer
+    value of a key in integers (null where the default is None) and a
+    non-number value of a key in numbers."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, value in _section(values, name, tuple(fields)).items():
+        if isinstance(fields[key].default, str):
+            _string(value, f"{name}.{key}")
         if key in integers:
             _integer(value, f"{name}.{key}", nullable=fields[key].default is None)
         if key in numbers:
@@ -237,6 +240,8 @@ def load_config(
     _expect(max_suffix_len >= 0, "baseline.max_suffix_len", "at least 0", max_suffix_len)
     runs = _integer(raw.get("runs", 1), "runs")
     _expect(runs >= 1, "runs", "at least 1", runs)
+    parallelism = _integer(raw.get("parallelism", 4), "parallelism")
+    _expect(parallelism >= 1, "parallelism", "at least 1", parallelism)
 
     language = _string(raw.get("language", "English"), "language")
     systems = tuple(_parse_system(e, base, runs, language) for e in raw.get("systems", []))
@@ -250,6 +255,13 @@ def load_config(
         integers=("max_tokens", "max_retries"),
         numbers=("temperature", "top_p", "timeout", "retry_backoff"),
     )
+    for key, ok, what in (
+        ("max_retries", provider.max_retries >= 0, "at least 0"),
+        ("retry_backoff", provider.retry_backoff >= 0, "at least 0"),
+        ("timeout", provider.timeout > 0, "above 0"),
+        ("max_tokens", provider.max_tokens is None or provider.max_tokens >= 1, "at least 1"),
+    ):
+        _expect(ok, f"provider.{key}", what, getattr(provider, key))
     scoring = _section(raw.get("scoring", {}), "scoring", ("policy", "alpha", "mcnemar_run"))
     policy = _choice(scoring.get("policy", eval_mod.STRICT), "scoring.policy", eval_mod.POLICIES)
     comparisons_raw = raw.get("comparisons", "all-pairs")
@@ -305,7 +317,7 @@ def load_config(
         systems=systems,
         provider=provider,
         runs=runs,
-        parallelism=_integer(raw.get("parallelism", 4), "parallelism"),
+        parallelism=parallelism,
         cache_dir=str(base / cache_dir),
         cache_mode=mode,
         out_dir=str(Path(out_dir) if out_dir else base / configured_out),

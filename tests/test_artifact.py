@@ -33,6 +33,7 @@ one in test_intended_change:
 """
 
 import io
+import random
 import re
 from unittest import mock
 
@@ -44,7 +45,7 @@ from lemmabench import artifact
 from lemmabench import corpus as corpus_mod
 from lemmabench.align import PredictionBlock, read_predictions, write_predictions
 from lemmabench.baseline import read_model
-from lemmabench.corpus import ingest_tsv, write_tsv
+from lemmabench.corpus import ingest_conllu, ingest_tsv, write_tsv
 from lemmabench.editscript import (
     PRESERVE,
     EditScript,
@@ -53,6 +54,7 @@ from lemmabench.editscript import (
     read_pair_labels,
 )
 from lemmabench.errors import (
+    CorpusFormatError,
     FileFormatError,
     InventoryFormatError,
     LemmabenchError,
@@ -61,7 +63,9 @@ from lemmabench.errors import (
 from lemmabench.evaluation import read_counts
 
 from conftest import corpus, sentence
+from synthgen import make_case
 from oracles import (
+    oracle_ingest_conllu,
     oracle_ingest_tsv,
     oracle_read_counts,
     oracle_read_inventory,
@@ -214,7 +218,7 @@ def block_files(draw):
 
 def _line_loop_only():
     """The readers with the fast path turned off: the line loop reads every file."""
-    return mock.patch.object(corpus_mod, "_read_canonical", lambda path, meta: None)
+    return mock.patch.object(corpus_mod, "_read_canonical", lambda path, tsv, meta: None)
 
 
 @given(case=block_files(), piece=st.integers(8, 300), crlf=st.booleans(), bom=st.booleans())
@@ -225,7 +229,7 @@ def test_block_fast_path_matches_the_line_loop_and_the_oracles(scratch, case, pi
     path.write_bytes(path.read_bytes().replace(_BAD_BYTE.encode(), b"\xe9"))
     corpus_read = lambda p: token_sentences(ingest_tsv(p, "c"))  # noqa: E731
     with mock.patch.object(corpus_mod, "_PIECE", piece):  # many pieces per file
-        fast = corpus_mod._read_canonical(path, {})
+        fast = corpus_mod._read_canonical(path, True, {})
         new = _outcome(corpus_read, path), _outcome(read_predictions, path)
     with _line_loop_only():
         assert new == (_outcome(corpus_read, path), _outcome(read_predictions, path))
@@ -274,7 +278,7 @@ def test_a_late_bad_piece_sends_the_whole_file_to_the_line_loop(scratch):
     path = scratch / "late.tsv"
     path.write_text(f"# format = x/1\n{rows}# late = header\nperros\tperro\n# k = v\n", "utf-8")
     assert path.stat().st_size > 2 * corpus_mod._PIECE
-    assert corpus_mod._read_canonical(path, meta := {}) is None and meta == {}
+    assert corpus_mod._read_canonical(path, True, meta := {}) is None and meta == {}
     meta, blocks = read_predictions(path)
     assert meta == {"format": "x/1", "late": "header", "k": "v"}
     assert len(blocks) == 6001 and blocks[-1] == PredictionBlock(None, ("perros",), ("perro",))
@@ -297,12 +301,121 @@ def test_a_file_without_blank_lines_leaves_the_fast_path_within_two_pieces(scrat
     handle = io.StringIO(text)
     assert list(corpus_mod._pieces(handle)) == [None]
     assert handle.tell() <= 2 * corpus_mod._PIECE
-    assert corpus_mod._read_canonical(path, meta := {}) is None and meta == {}
+    assert corpus_mod._read_canonical(path, True, meta := {}) is None and meta == {}
     corpus_read = lambda p: token_sentences(ingest_tsv(p, "c"))  # noqa: E731
     new = _outcome(corpus_read, path), _outcome(read_predictions, path)
     with _line_loop_only():
         assert new == (_outcome(corpus_read, path), _outcome(read_predictions, path))
     assert new[1][0] == {"format": "x/1"} and len(new[1][1]) == blocks
+
+
+
+# --- the CoNLL-U fast path -----------------------------------------------------------
+
+_TAIL = "\tNOUN\t_\t_\t0\troot\t_\t_"  # UPOS to MISC: seven columns
+
+
+def _conllu_line(token_id, form, lemma="_", tail=_TAIL):
+    return f"{token_id}\t{form}\t{lemma}{tail}"
+
+
+# Rows the fast path keeps: NFC forms with hashtags, spaces, a leading
+# combining mark, and a NEL, a line separator and a form feed (line breaks
+# for str.splitlines, not for text mode); "_" (no lemma) and "" lemmas;
+# decimal IDs in ASCII and in Arabic-Indic digits; multiword ranges and
+# empty nodes, some with an empty FORM; "#" comments anywhere in a block.
+_CONLLU_FORMS = ["Perros", "del", "#nlp", "\u0301a", "a b", "x\x85y", "x\u2028y", "x\x0cy", "Ça"]
+_CONLLU_ROWS = [
+    st.builds(_conllu_line, st.sampled_from(["1", "2", "17", "\u0663", "1\u0661"]),
+              st.sampled_from(_CONLLU_FORMS), st.sampled_from(["perro", "de", "_", ""])),
+    st.builds(_conllu_line, st.sampled_from(["1-2", "3.1", "\u0661-\u0662", "10.2"]),
+              st.sampled_from(["del", ""])),
+    st.sampled_from(["# sent_id = s-1", "# text = Perros del", "#", "#\tx\ty", "# x\x85y"]),
+]
+
+# Lines that refuse the fast path for the piece holding them: text that is
+# not NFC, whitespace-only lines (block ends for the line loop), rows of 9
+# or 11 columns (also a pair whose tab total is right), IDs that are not a
+# word, range or empty node, a word without FORM, a byte that is not UTF-8.
+_LATE_CONLLU = [
+    (_conllu_line("1", "e\u0301"),), (_conllu_line("1", "x", "e\u0301"),), ("# e\u0301",),
+    ("  ",), ("\t" * 9,), ("\x0c",), ("\u2028",), ("\x85",), ("lone",),
+    (_conllu_line("1", "x", tail="\t_" * 6),), (_conllu_line("1", "x", tail=_TAIL + "\t_"),),
+    (_conllu_line("1", "x", tail="\t_" * 6), _conllu_line("2", "y", tail=_TAIL + "\t_")),
+    *((_conllu_line(bad, "x"),) for bad in ("x", "", " 1", "1 ", "1-", "1.2.3", "1-2-3")),
+    (_conllu_line("1", ""),), (_conllu_line("1", f"caf{_BAD_BYTE}"),),
+]
+
+
+@st.composite
+def conllu_files(draw):
+    """(lines, late lines or None) of a CoNLL-U file of blocks drawn from
+    _CONLLU_ROWS with runs of blank lines between them, and maybe one entry
+    of _LATE_CONLLU put in after a row of the last third."""
+    lines, rows_at = [], []
+    row = st.one_of(_CONLLU_ROWS[0], *_CONLLU_ROWS)  # word rows twice as likely
+    for _ in range(draw(st.integers(1, 24))):
+        for line in draw(st.lists(row, min_size=1, max_size=6)):
+            if not line.startswith("#"):
+                rows_at.append(len(lines))
+            lines.append(line)
+        lines += [""] * draw(st.integers(1, 3))
+    late = draw(st.sampled_from([None, *_LATE_CONLLU])) if rows_at else None
+    if late is not None:
+        at = draw(st.sampled_from([at for at in rows_at if at >= len(lines) * 2 // 3] or rows_at))
+        lines[at + 1 : at + 1] = late
+    return lines, late
+
+
+@given(case=conllu_files(), piece=st.integers(8, 300), crlf=st.booleans(), bom=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_conllu_fast_path_matches_the_line_loop_and_the_oracle(scratch, case, piece, crlf, bom):
+    lines, late = case
+    path = _file(scratch, lines, crlf, bom=bom)
+    path.write_bytes(path.read_bytes().replace(_BAD_BYTE.encode(), b"\xe9"))
+    corpus_read = lambda p: token_sentences(ingest_conllu(p, "c"))  # noqa: E731
+    with mock.patch.object(corpus_mod, "_PIECE", piece):  # many pieces per file
+        fast = corpus_mod._read_canonical(path, False, {})
+        new = _outcome(corpus_read, path)
+    with _line_loop_only():
+        assert new == _outcome(corpus_read, path)
+    if fast is not None:
+        assert fast == list(corpus_mod._read_corpus(path, corpus_mod._conllu_row, False, {}))
+    stretch = max(map(len, path.read_text("utf-8-sig", "replace").split("\n\n")))
+    if late is not None:
+        assert fast is None
+    elif stretch + 2 < piece:
+        assert fast is not None
+    if _BAD_BYTE not in "".join(lines):  # the oracle raised UnicodeDecodeError
+        assert new == _outcome(lambda p: oracle_ingest_conllu(p, "c"), path)
+
+
+def test_conllu_fixtures_and_a_synthgen_corpus_take_the_fast_path(scratch, fixtures_dir):
+    rng, lines = random.Random(5), []
+    for n in range(600):
+        s = make_case(rng, f"synth-{n}")[0]
+        lines += [f"# sent_id = {s.id}", "# text = " + " ".join(s.wordforms)]
+        lines.append(_conllu_line("1-2", s.wordforms[0] + s.wordforms[1]))
+        lines += [_conllu_line(str(i), *pair) for i, pair in enumerate(s.gold_pairs(), 1)]
+        lines.append("")
+    path = _file(scratch, lines)
+    assert path.stat().st_size > 2 * corpus_mod._PIECE
+    paths = [fixtures_dir / "corpora" / name for name in ("es_fix.conllu", "en_fix.conllu")]
+    with _line_loop_only():
+        expected = [ingest_conllu(p) for p in [*paths, path]]
+    with mock.patch.object(corpus_mod, "_read_corpus", side_effect=AssertionError("line loop")):
+        assert [ingest_conllu(p) for p in [*paths, path]] == expected
+    assert len(expected[2]) == 600
+
+
+def test_a_bad_conllu_line_in_the_last_piece_gets_the_line_loops_error(scratch):
+    block = ["# text = Perros ladran", _conllu_line("1", "Perros", "perro"),
+             _conllu_line("2", "ladran", "ladrar"), ""]
+    path = _file(scratch, block * 3000 + [_conllu_line("1", "x", tail=_TAIL + "\t_")])
+    assert path.stat().st_size > 2 * corpus_mod._PIECE
+    assert corpus_mod._read_canonical(path, False, {}) is None
+    with pytest.raises(CorpusFormatError, match=":12001: expected 10 columns, found 11"):
+        ingest_conllu(path)
 
 
 # --- flat tables ----------------------------------------------------------------------

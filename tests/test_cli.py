@@ -205,6 +205,7 @@ def test_config_value_of_the_wrong_type_exits_2_naming_the_key(fixtures_dir, tmp
         ("runs", {"runs": "x"}),
         ("split.train", {"split": {**raw["split"], "train": "40"}}),
         ("provider.temprature", {"provider": {**raw["provider"], "temprature": 0.5}}),
+        ("provider.model", {"provider": {**raw["provider"], "model": 5}}),
     ):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**raw, **change}), "utf-8")

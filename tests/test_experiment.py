@@ -135,6 +135,14 @@ _WRONG_VALUES = [
     ("provider.top_p", lambda raw: raw.update(provider={"top_p": None})),
     ("provider.timeout", lambda raw: raw.update(provider={"timeout": "60"})),
     ("provider.retry_backoff", lambda raw: raw.update(provider={"retry_backoff": False})),
+    # A field whose default is a string takes only a string: a model of 5
+    # passed every stage up to run, which then missed the replay cache.
+    ("provider.model", lambda raw: raw.update(provider={"model": 5})),
+    ("provider.base_url", lambda raw: raw.update(provider={"base_url": None})),
+    ("provider.api_key_env", lambda raw: raw.update(provider={"api_key_env": ["KEY"]})),
+    ("prompt.template", lambda raw: raw.update(_llm_system(template=1))),
+    ("prompt.input_mode", lambda raw: raw.update(_llm_system(input_mode=None))),
+    ("prompt.selection", lambda raw: raw.update(_llm_system(selection=True))),
     ("manual_ids", lambda raw: raw.update(
         systems=[{"name": "llm", "kind": "llm", "manual_ids": 5}])),
     ("comparisons", lambda raw: raw.update(comparisons=[["baseline"]])),
@@ -227,6 +235,12 @@ _OUT_OF_RANGE = [
     ("scoring.alpha", {"scoring": {"alpha": 2}}),
     ("scoring.alpha", {"scoring": {"alpha": 1}}),
     ("scoring.alpha", {"scoring": {"alpha": 0}}),
+    # -1 retries never called the transport and raised a TypeError.
+    ("provider.max_retries", {"provider": {"max_retries": -1}}),
+    ("provider.retry_backoff", {"provider": {"retry_backoff": -0.5}}),
+    ("provider.timeout", {"provider": {"timeout": 0}}),
+    ("provider.max_tokens", {"provider": {"max_tokens": 0}}),
+    ("parallelism", {"parallelism": 0}),
 ]
 
 
@@ -243,10 +257,15 @@ def test_load_config_accepts_the_ends_of_each_range(tmp_path):
         baseline={"max_suffix_len": 0},
         reduce={"max_sentences": 1, "rule": "seeded-random"},
         scoring={"alpha": 0.999},
+        provider={"max_retries": 0, "retry_backoff": 0, "timeout": 0.001, "max_tokens": 1},
+        parallelism=1,
     )
     cfg = load_config(_write_config(tmp_path, raw))
     assert (cfg.max_suffix_len, cfg.reduce_to, cfg.reduce_rule) == (0, 1, "seeded-random")
     assert cfg.alpha == 0.999
+    provider = cfg.provider
+    assert (provider.max_retries, provider.retry_backoff, provider.max_tokens) == (0, 0, 1)
+    assert (provider.timeout, cfg.parallelism) == (0.001, 1)
 
 
 def test_load_config_accepts_the_last_run_for_mcnemar(tmp_path):
