@@ -255,11 +255,12 @@ def load_config(
         integers=("max_tokens", "max_retries"),
         numbers=("temperature", "top_p", "timeout", "retry_backoff"),
     )
+    tokens = provider.max_tokens
     for key, ok, what in (
         ("max_retries", provider.max_retries >= 0, "at least 0"),
         ("retry_backoff", provider.retry_backoff >= 0, "at least 0"),
         ("timeout", provider.timeout > 0, "above 0"),
-        ("max_tokens", provider.max_tokens is None or provider.max_tokens >= 1, "at least 1"),
+        ("max_tokens", tokens is None or tokens >= 1, "null or at least 1"),
     ):
         _expect(ok, f"provider.{key}", what, getattr(provider, key))
     scoring = _section(raw.get("scoring", {}), "scoring", ("policy", "alpha", "mcnemar_run"))

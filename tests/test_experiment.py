@@ -135,14 +135,6 @@ _WRONG_VALUES = [
     ("provider.top_p", lambda raw: raw.update(provider={"top_p": None})),
     ("provider.timeout", lambda raw: raw.update(provider={"timeout": "60"})),
     ("provider.retry_backoff", lambda raw: raw.update(provider={"retry_backoff": False})),
-    # A field whose default is a string takes only a string: a model of 5
-    # passed every stage up to run, which then missed the replay cache.
-    ("provider.model", lambda raw: raw.update(provider={"model": 5})),
-    ("provider.base_url", lambda raw: raw.update(provider={"base_url": None})),
-    ("provider.api_key_env", lambda raw: raw.update(provider={"api_key_env": ["KEY"]})),
-    ("prompt.template", lambda raw: raw.update(_llm_system(template=1))),
-    ("prompt.input_mode", lambda raw: raw.update(_llm_system(input_mode=None))),
-    ("prompt.selection", lambda raw: raw.update(_llm_system(selection=True))),
     ("manual_ids", lambda raw: raw.update(
         systems=[{"name": "llm", "kind": "llm", "manual_ids": 5}])),
     ("comparisons", lambda raw: raw.update(comparisons=[["baseline"]])),
@@ -173,6 +165,14 @@ _WRONG_VALUES = [
         systems=[{"name": "llm", "kind": "llm", "dev_diagnostics": 5}])),
     ("system ext.predictions", lambda raw: raw.update(
         systems=[{"name": "ext", "kind": "external", "predictions": [5]}])),
+    # A field whose default is a string takes only a string: a model of 5
+    # passed every stage up to run, which then missed the replay cache.
+    ("provider.model", lambda raw: raw.update(provider={"model": 5})),
+    ("provider.base_url", lambda raw: raw.update(provider={"base_url": None})),
+    ("provider.api_key_env", lambda raw: raw.update(provider={"api_key_env": ["KEY"]})),
+    ("prompt.template", lambda raw: raw.update(_llm_system(template=1))),
+    ("prompt.input_mode", lambda raw: raw.update(_llm_system(input_mode=None))),
+    ("prompt.selection", lambda raw: raw.update(_llm_system(selection=True))),
 ]
 
 
