@@ -8,7 +8,6 @@ on the same corpus gives the same model.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,26 +38,33 @@ def train(
 
     pairs are the (wordform, script, token count) triples of
     editscript.pair_scripts, or the same triples read back with
-    editscript.read_pair_labels.
+    editscript.read_pair_labels.  Each pair's script is looked up in the
+    inventory once, and every form and suffix tallies tokens per label id
+    in a plain dict; the majority label is mapped back to its script.
     """
     if not pairs:
         raise EmptyCorpusError("cannot train on an empty training set")
 
-    form_counts: dict[str, Counter[EditScript]] = defaultdict(Counter)
-    suffix_counts: dict[str, Counter[EditScript]] = defaultdict(Counter)
+    form_counts: dict[str, dict[int, int]] = {}
+    suffix_counts: dict[str, dict[int, int]] = {}
     for wordform, script, count in pairs:
+        label = inventory.id_of(script)
         key = wordform.casefold()
-        form_counts[key][script] += count
+        tally = form_counts.setdefault(key, {})
+        tally[label] = tally.get(label, 0) + count
         for length in range(1, min(max_suffix_len, len(key)) + 1):
-            suffix_counts[key[-length:]][script] += count
+            tally = suffix_counts.setdefault(key[-length:], {})
+            tally[label] = tally.get(label, 0) + count
 
-    def majority(counter: Counter[EditScript]) -> EditScript:
+    def majority(tally: dict[int, int]) -> EditScript:
         # highest count wins; ties go to the lower (more frequent) label id
-        return min(counter.items(), key=lambda item: (-item[1], inventory.id_of(item[0])))[0]
+        if len(tally) == 1:
+            return inventory.script_of(next(iter(tally)))
+        return inventory.script_of(min(tally, key=lambda label: (-tally[label], label)))
 
     return BaselineModel(
-        form_table={form: majority(counts) for form, counts in form_counts.items()},
-        suffix_table={suffix: majority(counts) for suffix, counts in suffix_counts.items()},
+        form_table={form: majority(tally) for form, tally in form_counts.items()},
+        suffix_table={suffix: majority(tally) for suffix, tally in suffix_counts.items()},
         max_suffix_len=max_suffix_len,
     )
 

@@ -252,16 +252,19 @@ def _read_blocks(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
 
 def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: bool) -> Corpus:
     """The sentences of a block file: blocks without rows are dropped, and a
-    block without a sent_id is named by its position."""
+    block without a sent_id is named by its position.  A sentence id that
+    names an earlier sentence, given or generated, is a CorpusFormatError."""
     corpus_name = name or Path(path).stem
-    sentences: list[Sentence] = []
+    sentences: dict[str, Sentence] = {}
     for block_id, forms, lemmas in _read_blocks(path, parse_row, tsv, {}):
         if forms:
             sentence_id = f"{corpus_name}-{len(sentences):04d}" if block_id is None else block_id
-            sentences.append(Sentence(sentence_id, forms, lemmas))
+            if sentence_id in sentences:
+                raise CorpusFormatError(path, None, f"sentence id {sentence_id!r} repeats")
+            sentences[sentence_id] = Sentence(sentence_id, forms, lemmas)
     if not sentences:
         raise EmptyCorpusError(f"{path}: no sentences found")
-    return Corpus(name=corpus_name, language=language, sentences=tuple(sentences))
+    return Corpus(name=corpus_name, language=language, sentences=tuple(sentences.values()))
 
 
 def _conllu_row(columns: list[str], path: Path, line_no: int) -> tuple[str, str | None] | None:
@@ -316,7 +319,7 @@ def _write_blocks(path: str | Path, meta: dict[str, str], blocks: Iterable) -> N
     def rows():
         for sentence_id, forms, lemmas in blocks:
             yield (f"# sent_id = {sentence_id}",)
-            yield from zip(forms, ["" if lemma is None else lemma for lemma in lemmas])
+            yield from zip(forms, ["" if lemma is None else lemma for lemma in lemmas], strict=True)
             yield ()
 
     artifact.write(path, meta, rows())

@@ -288,6 +288,7 @@ def read_pair_labels(path: str | Path, inventory: LabelInventory) -> list[PairSc
     naming the file and line; so is a file whose counts do not sum to each
     label's inventory frequency, which names the first label that disagrees.
     """
+    sums = [0] * len(inventory)  # tokens per label id
 
     def decode(fields: list[str]) -> PairScript:
         wordform, label_field, count_field = fields
@@ -297,14 +298,14 @@ def read_pair_labels(path: str | Path, inventory: LabelInventory) -> list[PairSc
         count = artifact.natural(count_field, "count")
         if not count:
             raise ValueError(f"count {count_field!r} is not a positive integer")
+        sums[label_id] += count
         return wordform, inventory.script_of(label_id), count
 
     _, pairs = artifact.read(path, PAIR_LABELS_COLUMNS, InventoryFormatError, decode)
-    counts = _token_counts(pairs)
-    for label_id, script, frequency in inventory.items():
-        if counts[script] != frequency:
+    for label_id, _, frequency in inventory.items():
+        if sums[label_id] != frequency:
             raise InventoryFormatError(
-                path, None, f"label {label_id} covers {counts[script]} tokens here but "
+                path, None, f"label {label_id} covers {sums[label_id]} tokens here but "
                 f"{frequency} in the inventory: the pairs file is from another induce run"
             )
     return pairs

@@ -443,7 +443,8 @@ def _write_system_run(
         blocks.append((sentence.id, sentence.wordforms, slots))
         counts = {"missing": slots.count(None), "wrong": 0, "random": 0}
         counts.update(counts_by_id.get(sentence.id, {}))
-        counts["incorrect"] = sum(p is not None and p != g for p, g in zip(slots, sentence.lemmas))
+        pairs = zip(slots, sentence.lemmas, strict=True)
+        counts["incorrect"] = sum(p is not None and p != g for p, g in pairs)
         sentences[sentence.id] = counts
     meta = _meta(layout.cfg, system=system, corpus=gold.name, run=str(run), **(extra_meta or {}))
     write_predictions(layout.predictions(system, gold.name, run), blocks, metadata=meta)

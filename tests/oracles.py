@@ -11,17 +11,21 @@ oracle_parse_output is the parser before it skipped per-field calls,
 oracle_common_cores is induce's O(n*m) dynamic-programming scan of every
 character pair from before it searched substrings with str.find,
 oracle_induce_from_cores is induce over every hit of that scan, as it was
-before _common_cores kept one place per shared substring, and
-the oracle_read_* / oracle_ingest_* functions are the TSV artifact
-readers as they were before lemmabench.artifact, each with its own loop;
-the corpus ones still build one Token per token, as the reader did before
-a Sentence stored its wordforms and lemmas as two columns.
+before _common_cores kept one place per shared substring, oracle_train
+is baseline.train as it was before it tallied label ids in plain dicts,
+counting EditScripts in Counters, and the oracle_read_* / oracle_ingest_*
+functions are the TSV artifact readers as they were before
+lemmabench.artifact, each with its own loop; the corpus ones still build
+one Token per token, as the reader did before a Sentence stored its
+wordforms and lemmas as two columns, and refuse a repeated sentence id as
+the reader does now.
 """
 
 import math
 import random
 import re
 import unicodedata
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +40,7 @@ from lemmabench.align import (
     read_diagnostics,
     read_predictions,
 )
-from lemmabench.baseline import BaselineModel
+from lemmabench.baseline import DEFAULT_MAX_SUFFIX, BaselineModel
 from lemmabench.corpus import Corpus, Token
 from lemmabench.editscript import (
     LOWER_FIRST,
@@ -199,6 +203,32 @@ def oracle_train_tables(c, max_suffix_len):
     return (
         {k: majority(v) for k, v in form_counts.items()},
         {k: majority(v) for k, v in suffix_counts.items()},
+    )
+
+
+def oracle_train(
+    pairs: list[PairScript], inventory: LabelInventory, max_suffix_len: int = DEFAULT_MAX_SUFFIX
+) -> BaselineModel:
+    """baseline.train over EditScripts counted in Counters."""
+    if not pairs:
+        raise EmptyCorpusError("cannot train on an empty training set")
+
+    form_counts: dict[str, Counter[EditScript]] = defaultdict(Counter)
+    suffix_counts: dict[str, Counter[EditScript]] = defaultdict(Counter)
+    for wordform, script, count in pairs:
+        key = wordform.casefold()
+        form_counts[key][script] += count
+        for length in range(1, min(max_suffix_len, len(key)) + 1):
+            suffix_counts[key[-length:]][script] += count
+
+    def majority(counter: Counter[EditScript]) -> EditScript:
+        # highest count wins; ties go to the lower (more frequent) label id
+        return min(counter.items(), key=lambda item: (-item[1], inventory.id_of(item[0])))[0]
+
+    return BaselineModel(
+        form_table={form: majority(counts) for form, counts in form_counts.items()},
+        suffix_table={suffix: majority(counts) for suffix, counts in suffix_counts.items()},
+        max_suffix_len=max_suffix_len,
     )
 
 
@@ -494,6 +524,8 @@ def _oracle_read_corpus(path, name, language, parse_row, tsv):
         if tokens:
             if pending_id is None:
                 pending_id = f"{corpus_name}-{len(sentences):04d}"
+            if any(s.id == pending_id for s in sentences):
+                raise CorpusFormatError(path, None, f"sentence id {pending_id!r} repeats")
             sentences.append(TokenSentence(id=pending_id, tokens=tuple(tokens)))
             tokens.clear()
             pending_id = None

@@ -438,6 +438,12 @@ def test_prediction_missing_lemma_is_empty_field(tmp_path):
     assert "a\tx" in lines and "b\t" in lines
 
 
+@pytest.mark.parametrize("slots", [["x"], ["x", None, "y"]])
+def test_write_predictions_refuses_a_slot_count_unlike_the_wordforms(tmp_path, slots):
+    with pytest.raises(ValueError):
+        write_predictions(tmp_path / "run0.tsv", [("s-0", ["a", "b"], slots)])
+
+
 def test_read_predictions_accepts_anonymous_blocks(tmp_path):
     path = tmp_path / "external.tsv"
     path.write_text("Los\tel\nperros\tperro\n\nladran\tladrar\n", "utf-8")

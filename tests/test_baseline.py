@@ -16,6 +16,7 @@ from lemmabench.baseline import (
     write_model,
 )
 from lemmabench.editscript import (
+    _CASE_FLAGS,
     IDENTITY,
     PRESERVE,
     EditScript,
@@ -29,7 +30,7 @@ from lemmabench.editscript import (
 from lemmabench.errors import EmptyCorpusError, MissingLemmaError, ModelFormatError
 
 from conftest import corpus, sentence
-from oracles import gold_corpora, oracle_train_tables
+from oracles import gold_corpora, oracle_train, oracle_train_tables
 
 
 def _fit(c, **kwargs):
@@ -150,6 +151,42 @@ def test_train_from_pair_labels_file_matches_per_token_oracle(c, max_suffix_len)
     assert back == pairs
     model = train(back, inventory, max_suffix_len=max_suffix_len)
     assert (model.form_table, model.suffix_table) == oracle_train_tables(c, max_suffix_len)
+
+
+# Forms whose case folding changes their length or letters (ß, İ) or depends
+# on position (final sigma), drawn from a few letters so suffixes are shared.
+_FOLDING_FORMS = st.text(st.sampled_from("aAsSßİiΣσς"), min_size=1, max_size=5)
+_SCRIPTS = st.builds(
+    EditScript,
+    st.sampled_from(_CASE_FLAGS),
+    st.integers(0, 2),
+    st.sampled_from(["", "a", "ß"]),
+    st.integers(0, 2),
+    st.sampled_from(["", "s", "σ"]),
+)
+
+
+@st.composite
+def pair_triples(draw):
+    """(wordform, script, count) triples over small pools of forms and
+    scripts, so that one form carries several scripts and labels tie."""
+    forms = draw(st.lists(_FOLDING_FORMS, min_size=1, max_size=4))
+    scripts = draw(st.lists(_SCRIPTS, min_size=1, max_size=4))
+    triple = st.tuples(st.sampled_from(forms), st.sampled_from(scripts), st.integers(1, 4))
+    return draw(st.lists(triple, min_size=1, max_size=12))
+
+
+@given(pairs=pair_triples(), max_suffix_len=st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_train_matches_the_counter_oracle(pairs, max_suffix_len):
+    inventory = build_inventory(pairs)
+    model = train(pairs, inventory, max_suffix_len)
+    old = oracle_train(pairs, inventory, max_suffix_len)
+    assert model == old
+    with tempfile.TemporaryDirectory() as tmp:
+        write_model(model, Path(tmp) / "new.tsv")
+        write_model(old, Path(tmp) / "old.tsv")
+        assert (Path(tmp) / "new.tsv").read_bytes() == (Path(tmp) / "old.tsv").read_bytes()
 
 
 def test_predict_identity_copies_forms():

@@ -163,6 +163,19 @@ def test_ingest_of_a_corpus_that_is_not_utf8_exits_2_naming_the_line(
     assert f"{corpus}:3: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_ingest_of_a_corpus_that_repeats_a_sentence_id_exits_2_naming_it(
+    fixtures_dir, tmp_path, capsys
+):
+    corpus = tmp_path / "dup.tsv"
+    corpus.write_text("# sent_id = s-10\na\ta\n\n# sent_id = s-10\nb\tb\n", "utf-8")
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    raw["corpus"].update(path=str(corpus), format="tsv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), "utf-8")
+    assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"{corpus}: sentence id 's-10' repeats" in capsys.readouterr().err
+
+
 def test_run_with_an_unknown_manual_example_id_exits_2_naming_it(
     fixtures_dir, tmp_path, capsys
 ):

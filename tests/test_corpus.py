@@ -144,6 +144,21 @@ def test_tsv_wrong_field_count_names_line(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize("text, repeated", [
+    ("# sent_id = s-10\na\ta\nb\tb\nc\tc\n\n# sent_id = s-10\nd\td\ne\te\n", "s-10"),
+    ("# sent_id = c-0001\na\ta\n\nb\tb\n", "c-0001"),
+    ("a\ta\n\n# sent_id = c-0000\nb\tb\n", "c-0000"),
+], ids=["given twice", "given then generated", "generated then given"])
+# A last block that is not NFC sends the file to the line loop.
+@pytest.mark.parametrize("tail", ["", "\ne\u0301\te\n"], ids=["bulk", "line loop"])
+def test_tsv_repeated_sentence_id_is_refused_naming_it(tmp_path, text, repeated, tail):
+    path = tmp_path / "dup.tsv"
+    path.write_text(text + tail, "utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        ingest_tsv(path, name="c")
+    assert str(err.value) == f"{path}: sentence id '{repeated}' repeats"
+
+
 # Precomposed letters, so drawn words are NFC and several change under NFD.
 _WORD = st.text(st.sampled_from("abnñeéuüAÅcçßö"), min_size=1, max_size=5)
 
