@@ -51,25 +51,48 @@ class ParsedOutput:
 
 
 def parse_output(raw_text: str) -> ParsedOutput:
-    """Extract candidate wordform/lemma rows from a raw completion."""
+    """Extract candidate wordform/lemma rows from a raw completion.
+
+    A clean row, one tab with no whitespace beside it, no double space and
+    no field opening with a quote, is its two fields as they stand; other
+    lines go through the separator split.  Fields are NFC-normalised unless
+    the whole response already is NFC: a field is then cut from it at
+    whitespace, tabs and quotes, none of which composes with a neighbour,
+    so it is NFC too.
+    """
     pairs: list[tuple[str, str]] = []
     rejects: list[str] = []
-    split, normalize = _SEPARATOR.split, unicodedata.normalize
+    split, quotes = _SEPARATOR.split, _OPENING_QUOTES
     for line in raw_text.splitlines():
         line = line.strip()
         if not line:
             continue
+        word, tab, lemma = line.partition("\t")
+        if (
+            tab
+            and "\t" not in lemma
+            and "  " not in line
+            and not word[-1].isspace()
+            and not lemma[0].isspace()
+            and word[0] not in quotes
+            and lemma[0] not in quotes
+        ):
+            pairs.append((word, lemma))
+            continue
         fields = []
         for field in split(line):
             field = field.strip()
-            if field[:1] in _OPENING_QUOTES:  # else _strip_quotes has nothing to strip
+            if field[:1] in quotes:  # else _strip_quotes has nothing to strip
                 field = _strip_quotes(field)
             if field:
                 fields.append(field)
         if len(fields) == 2:
-            pairs.append((normalize("NFC", fields[0]), normalize("NFC", fields[1])))
+            pairs.append((fields[0], fields[1]))
         else:
             rejects.append(line)
+    if not unicodedata.is_normalized("NFC", raw_text):
+        normalize = unicodedata.normalize
+        pairs = [(normalize("NFC", word), normalize("NFC", lemma)) for word, lemma in pairs]
     return ParsedOutput(pairs=tuple(pairs), rejects=tuple(rejects))
 
 

@@ -6,8 +6,9 @@ UTF-8 text: ``# key = value`` header lines, then rows of tab-separated
 fields.  A ``#`` line is a header when it holds no tab or starts with
 ``# columns = `` (the inventory and the model list their columns with
 tabs), so a row such as ``#nlp<TAB>nlp`` stays a row.  Reading accepts a
-leading byte-order mark.  Every file is written through write; flat
-tables are read by read, and sentence-block files by corpus._read_blocks.
+leading byte-order mark.  Every file but the report tables is written
+through write, whole or not at all; flat tables are read by read, and
+sentence-block files by corpus._read_blocks.
 
 A sentence-block file (corpus, split, predictions) is in the canonical
 block shape when its text is NFC and each block (the lines between blank
@@ -29,6 +30,7 @@ names the line of each fault.
 
 from __future__ import annotations
 
+import os
 from itertools import islice
 from pathlib import Path
 
@@ -76,9 +78,20 @@ def text(meta: dict, rows):
 
 
 def write(path: str | Path, meta: dict, rows) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(text(meta, rows))
+    """Write the artifact to a temporary file beside path, then move it onto
+    path; if anything raises, the temporary file goes and an old file at
+    path stays whole.  There is no fsync: this guards against a failed or
+    killed process, not against a power cut."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.writelines(text(meta, rows))
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def read(path: str | Path, columns: tuple[str, ...], error, decode, headers=None):

@@ -22,6 +22,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Callable
 
@@ -81,16 +82,24 @@ class BatchResult:
         return {item for r, item, _ in self.failures if r == run}
 
 
-def request_fingerprint(config: ProviderConfig, prompt: str, run_index: int) -> str:
-    """Stable identity of one request; run index makes repeat runs distinct."""
-    payload = {
-        "model": config.model,
-        "prompt": prompt,
-        "run": run_index,
-        "sampling": config.sampling(),
-    }
-    blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def fingerprint_prefix(config: ProviderConfig, prompt: str):
+    """sha256 state of a fingerprint's JSON up to ``"run": ``; its keys sort
+    as model, prompt, run, sampling, so the prefix is the same for every run."""
+    head = json.dumps({"model": config.model, "prompt": prompt}, ensure_ascii=False, sort_keys=True)
+    return hashlib.sha256(f'{head[:-1]}, "run": '.encode("utf-8"))
+
+
+def request_fingerprint(config: ProviderConfig, prompt: str, run_index: int, prefix=None) -> str:
+    """Stable identity of one request; run index makes repeat runs distinct.
+
+    It is the sha256 of json.dumps({"model", "prompt", "run", "sampling"},
+    ensure_ascii=False, sort_keys=True); prefix, if given, is
+    fingerprint_prefix(config, prompt), which a batch hashes once per prompt.
+    """
+    digest = (prefix or fingerprint_prefix(config, prompt)).copy()
+    sampling = json.dumps(config.sampling(), ensure_ascii=False, sort_keys=True)
+    digest.update(f'{json.dumps(run_index)}, "sampling": {sampling}}}'.encode("utf-8"))
+    return digest.hexdigest()
 
 
 class ResponseCache:
@@ -283,8 +292,9 @@ class LlmGateway:
                 time.sleep(delay + self._rng.uniform(0, delay / 2))
         raise last  # pragma: no cover - loop always returns or raises
 
-    def complete(self, prompt: str, run_index: int = 0) -> LlmResponse:
-        fingerprint = request_fingerprint(self.config, prompt, run_index)
+    def complete(self, prompt: str, run_index: int = 0, prefix=None) -> LlmResponse:
+        """One request; prefix is the prompt's fingerprint_prefix, if known."""
+        fingerprint = request_fingerprint(self.config, prompt, run_index, prefix)
         if self.mode in (RECORD, REPLAY) and fingerprint in self.cache:
             return LlmResponse(self.cache.get(fingerprint), fingerprint, 0.0, "cache")
         if self.mode == REPLAY:
@@ -305,26 +315,42 @@ class LlmGateway:
         rather than raised, so one bad sentence cannot sink a batch.  Every
         other exception propagates: a replay cache miss is a configuration
         error, anything else a bug that must not be scored as missing words.
+        After such an error, jobs later in order make no request (in live and
+        record mode each is a paid call) and jobs not yet started are
+        cancelled; the error raised is still the first in order, as if every
+        job had run.  Each prompt's fingerprint prefix is hashed once.
         """
         if runs < 1:
             raise ConfigError("runs must be >= 1")
         responses: list[list[LlmResponse | None]] = [[None] * len(prompts) for _ in range(runs)]
         failures: list[tuple[int, int, str]] = []
+        prefixes = [fingerprint_prefix(self.config, prompt) for prompt in prompts]
+        fatal: list[int] = []  # order of each job that raised a non-transport error
 
-        def work(run: int, item: int):
-            return self.complete(prompts[item], run_index=run)
+        def work(order: int, run: int, item: int):
+            if fatal and order > min(fatal):
+                return None  # never read: the loop below raises the earlier job's error
+            try:
+                return self.complete(prompts[item], run_index=run, prefix=prefixes[item])
+            except TransportError:
+                raise
+            except BaseException:
+                fatal.append(order)
+                raise
 
         with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
             jobs = {
-                pool.submit(work, run, item): (run, item)
-                for run in range(runs)
-                for item in range(len(prompts))
+                pool.submit(work, order, run, item): (run, item)
+                for order, (run, item) in enumerate(product(range(runs), range(len(prompts))))
             }
-            for job in jobs:
-                run, item = jobs[job]
-                try:
-                    responses[run][item] = job.result()
-                except TransportError as exc:
-                    failures.append((run, item, str(exc)))
+            try:
+                for job, (run, item) in jobs.items():
+                    try:
+                        responses[run][item] = job.result()
+                    except TransportError as exc:
+                        failures.append((run, item, str(exc)))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
         failures.sort()
         return BatchResult(responses=responses, failures=failures)

@@ -11,6 +11,7 @@ each candidate sentence.  Wording lives in versioned text assets under
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from random import Random
 from typing import Mapping
@@ -103,12 +104,20 @@ def _example_lines(example: FewShotExample) -> list[str]:
 def render_prompt(spec: PromptSpec, examples: list[FewShotExample], target: Sentence) -> str:
     """Assemble the final prompt text; deterministic, no trailing newline.
 
-    The first example's lead-in continues the preceding paragraph, further
-    examples start their own block, mirroring the worked-example layout.
+    The head (task, instructions, examples, output format) is the same for
+    every target of a system, so it is rendered once per (spec, examples).
     """
     if len(examples) != spec.shots:
         raise PromptError(f"spec asks for {spec.shots} examples, got {len(examples)}")
+    target_lines = _sentence_block(spec.input_mode, target).splitlines()
+    return "\n".join([_head(spec, tuple(examples)), *target_lines, _CLOSING])
 
+
+@lru_cache(maxsize=8)
+def _head(spec: PromptSpec, examples: tuple[FewShotExample, ...]) -> str:
+    """The prompt up to its output format.  The first example's lead-in
+    continues the preceding paragraph, further examples start their own
+    block, mirroring the worked-example layout."""
     lines = [_TASK_HEADER.format(language_name=spec.language_name)]
     if spec.template == FULL:
         lines.extend(_INSTRUCTIONS.splitlines())
@@ -119,8 +128,6 @@ def render_prompt(spec: PromptSpec, examples: list[FewShotExample], target: Sent
             lines.append(_EXAMPLE_INTRO)
         lines.extend(_example_lines(example))
     lines.extend(_OUTPUT_FORMAT.splitlines())
-    lines.extend(_sentence_block(spec.input_mode, target).splitlines())
-    lines.append(_CLOSING)
     return "\n".join(lines)
 
 

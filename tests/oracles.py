@@ -7,7 +7,11 @@ Levenshtein DP) — so agreement is real evidence.  The exception is
 oracle_report_text: it is the earlier `report` stage, which re-scored
 every prediction file, kept as a differential oracle for the stage that
 now reads only the tallies `score` and `compare` wrote; likewise
-oracle_parse_output is the parser before it skipped per-field calls,
+oracle_parse_output is the parser before it skipped per-field calls and
+took clean rows without the separator split,
+oracle_request_fingerprint is the fingerprint as it was before a batch
+hashed each prompt's JSON prefix once, oracle_render_prompt is the
+renderer before it rendered each system's few-shot head once,
 oracle_common_cores is induce's O(n*m) dynamic-programming scan of every
 character pair from before it searched substrings with str.find,
 oracle_induce_from_cores is induce over every hit of that scan, as it was
@@ -21,6 +25,8 @@ wordforms and lemmas as two columns, and refuse a repeated sentence id as
 the reader does now.
 """
 
+import hashlib
+import json
 import math
 import random
 import re
@@ -33,6 +39,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from lemmabench import evaluation as eval_mod
+from lemmabench import prompt as prompt_mod
 from lemmabench.align import (
     ParsedOutput,
     PredictionBlock,
@@ -57,6 +64,7 @@ from lemmabench.errors import (
     FileFormatError,
     InventoryFormatError,
     ModelFormatError,
+    PromptError,
     ScoringError,
 )
 from lemmabench.experiment import Layout, _load_split, _meta, blocks_to_slots
@@ -306,6 +314,44 @@ def oracle_parse_output(raw_text: str) -> ParsedOutput:
 
 def _oracle_nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
+
+
+def oracle_request_fingerprint(config, prompt: str, run_index: int) -> str:
+    """The sha256 of the whole request JSON, encoded in one piece."""
+    payload = {
+        "model": config.model,
+        "prompt": prompt,
+        "run": run_index,
+        "sampling": config.sampling(),
+    }
+    blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def oracle_render_prompt(spec, examples, target) -> str:
+    """The renderer that built every line of every prompt, examples too."""
+    if len(examples) != spec.shots:
+        raise PromptError(f"spec asks for {spec.shots} examples, got {len(examples)}")
+    lines = [prompt_mod._TASK_HEADER.format(language_name=spec.language_name)]
+    if spec.template == prompt_mod.FULL:
+        lines.extend(prompt_mod._INSTRUCTIONS.splitlines())
+    for i, example in enumerate(examples):
+        if i == 0:
+            lines[-1] = f"{lines[-1]} {prompt_mod._EXAMPLE_INTRO}"
+        else:
+            lines.append(prompt_mod._EXAMPLE_INTRO)
+        lines.extend(w for w, _ in example.gold_pairs)
+        lines.append(prompt_mod._EXAMPLE_OUTPUT_INTRO)
+        lines.extend(f"{w}\t{l}" for w, l in example.gold_pairs)
+    lines.extend(prompt_mod._OUTPUT_FORMAT.splitlines())
+    words = target.wordforms
+    if spec.input_mode == prompt_mod.SENTENCE_STRING:
+        block = f'Sentence: "{" ".join(words)}"'
+    else:
+        block = "Sentence:\n[" + ", ".join("'" + w.replace("'", "\\'") + "'" for w in words) + "]"
+    lines.extend(block.splitlines())
+    lines.append(prompt_mod._CLOSING)
+    return "\n".join(lines)
 
 
 _GAP = -1

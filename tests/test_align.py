@@ -106,10 +106,13 @@ def test_parse_normalizes_to_nfc():
 _NFD = ["cafe\u0301", "n\u0303o", "A\u030a"]
 # Every str.splitlines boundary, "\r\n" included.
 _LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-_FIELD_SEPARATORS = ["\t", "\t\t", "  ", "   ", " \t ", " "]  # a single space separates nothing
+# Whitespace that is not a space: str.strip removes it, the separator split
+# does not; NFC turns U+2000 into U+2002.
+_ODD_SPACES = ["\xa0", "\x1f", "\u3000", "\u2003", "\u2000"]
+_FIELD_SEPARATORS = ["\t", "\t\t", "  ", "   ", " \t ", " ", *[f"{s}\t" for s in _ODD_SPACES], "\t\xa0"]
 _QUOTES = sorted({q for pair in _QUOTE_PAIRS for q in pair})
-_PARSE_WORDS = st.sampled_from(["dogs", "dog", "l'eau", "b a", "Los", "", *_NFD, *_QUOTES]) | st.text(
-    st.sampled_from("ab é'\"`“”‘’\t"), max_size=4
+_PARSE_WORDS = st.sampled_from(["dogs", "dog", "l'eau", "b a", "Los", "", *_NFD, *_QUOTES, *_ODD_SPACES]) | st.text(
+    st.sampled_from("ab é'\"`“”‘’\t" + "".join(_ODD_SPACES)), max_size=4
 )
 
 
@@ -158,6 +161,11 @@ _RESPONSES = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(_RESPONSES)
 @example('""\t\'\n"\t“x”\r\n‘’  ‘a’\x1cb\u2028\t \n')  # only-quote fields, a lone quote
+@example("x\xa0\tb")  # whitespace beside the tab that is not a space
+@example("x\tb\x1f\n")
+@example("x\t\u3000b")
+@example("x\u2003\tb")
+@example("x\u2000\tb\ncafe\u0301\tb")  # NFC turns U+2000 into U+2002; the text is not NFC
 def test_parse_output_matches_the_per_field_parser(raw_text):
     assert parse_output(raw_text) == oracle_parse_output(raw_text)
 

@@ -658,6 +658,26 @@ def test_write_renders_headers_then_tab_joined_rows(scratch):
     )
 
 
+def test_a_write_that_raises_keeps_the_old_file_and_leaves_no_other(tmp_path):
+    path = tmp_path / "run-0.tsv"
+    write_predictions(path, [("s-0", ["a"], ["a"])])
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # the second block has 1 lemma slot for 2 wordforms
+        write_predictions(path, [("s-0", ["a", "b"], ["a", "b"]), ("s-1", ["a", "b"], ["x"])])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_write_that_raises_creates_no_file(tmp_path):
+    def rows():
+        yield ("a", "b")
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        artifact.write(tmp_path / "new" / "table.tsv", {"format": "x/1"}, rows())
+    assert list((tmp_path / "new").iterdir()) == []
+
+
 def test_read_names_the_line_of_a_row_with_the_wrong_field_count(scratch):
     path = _file(scratch, ["# k = v", "a\tb", "", "a\tb\tc"])
     expected = re.escape(f"{path}:4: expected the fields a, b; found 3 fields")

@@ -24,9 +24,12 @@ from lemmabench.gateway import (
     LlmGateway,
     ProviderConfig,
     ResponseCache,
+    fingerprint_prefix,
     http_transport,
     request_fingerprint,
 )
+
+from oracles import oracle_request_fingerprint
 
 
 def _config(**overrides):
@@ -97,6 +100,34 @@ def test_fingerprint_distinguishes_every_input():
     assert request_fingerprint(_config(max_tokens=32), "hello", 0) != base
     # equal configs agree
     assert request_fingerprint(_config(), "hello", 0) == base
+
+
+_FINGERPRINT_PROMPTS = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\U0001f600", "é", "a", " "]),
+    max_size=12,
+) | st.text(max_size=12)
+_FINGERPRINT_CONFIGS = st.builds(
+    _config,
+    model=st.sampled_from(["sim-chat-1", 'm"\\\u2028']),
+    temperature=st.sampled_from([0.0, 0.7, 1.0]),
+    top_p=st.sampled_from([0.9, 1.0]),
+    max_tokens=st.none() | st.integers(1, 4096),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FINGERPRINT_CONFIGS, st.lists(_FINGERPRINT_PROMPTS, min_size=1, max_size=3), st.integers(1, 6))
+def test_fingerprint_matches_the_whole_json_hash_directly_and_in_a_batch(config, prompts, runs):
+    for prompt in prompts:
+        for run in range(runs):
+            expected = oracle_request_fingerprint(config, prompt, run)
+            assert request_fingerprint(config, prompt, run) == expected
+            assert request_fingerprint(config, prompt, run, fingerprint_prefix(config, prompt)) == expected
+    batch = LlmGateway(config, mode=LIVE, transport=lambda c, p: "ok").run_batch(prompts, runs, 2)
+    for run in range(runs):
+        for item, prompt in enumerate(prompts):
+            fingerprint = batch.responses[run][item].request_fingerprint
+            assert fingerprint == oracle_request_fingerprint(config, prompt, run)
 
 
 # --- response cache ---------------------------------------------------------
@@ -481,6 +512,30 @@ def test_run_batch_propagates_programming_errors(tmp_path):
     gateway = LlmGateway(_config(max_retries=0), cache=cache, mode=RECORD, transport=transport)
     with pytest.raises(TypeError, match="transport bug"):
         gateway.run_batch(["one", "two"], runs=1, parallelism=2)
+
+
+def test_run_batch_stops_calling_the_provider_after_a_fatal_error():
+    prompts = [f"prompt-{i}" for i in range(200)]
+    for _ in range(5):  # a fast transport lets a worker run far ahead of the loop that sees the error
+        transport = CountingTransport([ValueError("transport bug")])
+        gateway = LlmGateway(_config(), mode=LIVE, transport=transport)
+        with pytest.raises(ValueError, match="transport bug"):
+            gateway.run_batch(prompts, runs=3, parallelism=2)
+        assert len(transport.calls) < 10
+
+
+def test_run_batch_raises_the_first_fatal_error_in_order(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    gateway = LlmGateway(_config(), cache=cache, mode=REPLAY, transport=forbidden_transport)
+    first = request_fingerprint(_config(), "p0", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that jobs race
+    try:
+        for _ in range(20):
+            with pytest.raises(CacheMissError, match=f"run 0 fingerprint {first}"):
+                gateway.run_batch([f"p{i}" for i in range(8)], runs=2, parallelism=4)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_run_batch_propagates_replay_misses(tmp_path):

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lemmabench.corpus import Sentence
 from lemmabench.errors import MissingLemmaError, PromptError
@@ -21,6 +23,7 @@ from lemmabench.prompt import (
 )
 
 from conftest import corpus, sentence
+from oracles import oracle_render_prompt
 
 
 def _plain_sentence(sid, words):
@@ -109,6 +112,26 @@ def test_render_rejects_example_count_mismatch(golden):
     example = _example("e-0", data["tina"]["words"], data["tina"]["lemmas"])
     with pytest.raises(PromptError):
         render_prompt(spec, [example], _plain_sentence("t-0", ["x"]))
+
+
+_PROMPT_WORDS = st.text(st.sampled_from("aé'\"\\\t\n\r\x85\u2028 "), min_size=1, max_size=4)
+_PROMPT_SENTENCES = st.lists(st.tuples(_PROMPT_WORDS, _PROMPT_WORDS), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([BASIC, FULL]),
+    st.sampled_from([SENTENCE_STRING, WORD_LIST]),
+    st.lists(_PROMPT_SENTENCES, max_size=5),
+    st.lists(_PROMPT_SENTENCES, min_size=1, max_size=3),
+    st.sampled_from(["Spanish", "Basque"]),
+)
+def test_render_matches_the_line_by_line_renderer(template, mode, shots, targets, language):
+    spec = PromptSpec(template, mode, len(shots), RANDOM, language_name=language)
+    examples = [_example(f"e-{i}", *zip(*pairs)) for i, pairs in enumerate(shots)]
+    for i, pairs in enumerate(targets):
+        target = _plain_sentence(f"t-{i}", [w for w, _ in pairs])
+        assert render_prompt(spec, examples, target) == oracle_render_prompt(spec, examples, target)
 
 
 def test_spec_validation():
