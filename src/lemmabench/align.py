@@ -20,9 +20,11 @@ import json
 import re
 import unicodedata
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+from .artifact import publish
 from .corpus import Sentence, _read_blocks, _write_blocks
 from .errors import FileFormatError, ScoringError
 
@@ -125,7 +127,7 @@ def _match_keys(word: str) -> set[str]:
     return {word, word.casefold(), *[word[:k] + word[k + 1 :] for k in range(len(word))]}
 
 
-def _candidate_cells(out_words: list[str], in_words: list[str]) -> list[dict[int, int]]:
+def _candidate_cells(out_words: Sequence[str], in_words: Sequence[str]) -> list[dict[int, int]]:
     """Per output row, {input index: weight} for every input token the row
     can match, in ascending index order; the weight is the pair score + 2.
 
@@ -165,7 +167,20 @@ def _candidate_cells(out_words: list[str], in_words: list[str]) -> list[dict[int
     return [cells[word] for word in out_words]
 
 
-def align_sequences(out_words: list[str], in_words: list[str]) -> list[tuple[int, int]]:
+def _embedding(short: Sequence[str], long: Sequence[str]) -> list[int] | None:
+    """The position in long of each word of short, each at its first exact
+    occurrence after the previous word's; None if short is no subsequence."""
+    positions, start = [], 0
+    for word in short:
+        try:
+            start = long.index(word, start) + 1
+        except ValueError:
+            return None
+        positions.append(start - 1)
+    return positions
+
+
+def align_sequences(out_words: Sequence[str], in_words: Sequence[str]) -> list[tuple[int, int]]:
     """Globally align output words to input words, preserving order.
 
     Returns matched (output_index, input_index) pairs, ascending in both.
@@ -181,15 +196,31 @@ def align_sequences(out_words: list[str], in_words: list[str]) -> list[tuple[int
     DP's preference order on W: skip the output row, else match, else skip
     the input token.
 
-    An output that echoes its input word for word skips all of this: the
-    diagonal scores 2n, an alignment with k < n matches scores at most
-    2k - 2(n - k) < 2n, and the only order-preserving pairing of all n
-    words of two lists of length n is the diagonal.  So the diagonal is the
-    unique optimum, and the traceback would return exactly it.
+    Two exact rules skip all of this; the README gives their proofs.  When
+    the lists have equal length and every diagonal pair scores with at most
+    3 near, the diagonal is the unique optimum.  When one list is an exact
+    subsequence of the other, the optima are exactly its full exact
+    embeddings, and the traceback picks the right-greedy one of a shorter
+    output and the left-greedy one of a shorter input.
     """
-    if out_words == in_words:
-        return [(k, k) for k in range(len(in_words))]
     n, m = len(out_words), len(in_words)
+    if n == m:
+        near = 0
+        for out_word, in_word in zip(out_words, in_words):
+            if out_word != in_word:
+                near += 1
+                if near > 3 or _pair_score(out_word, in_word) is None:
+                    break
+        else:
+            return [(k, k) for k in range(n)]
+    elif n < m:
+        found = _embedding(out_words[::-1], in_words[::-1])
+        if found is not None:
+            return [(i, m - 1 - j) for i, j in enumerate(reversed(found))]
+    else:
+        found = _embedding(in_words, out_words)
+        if found is not None:
+            return [(i, j) for j, i in enumerate(found)]
     candidates = _candidate_cells(out_words, in_words)
     rows = [[0] * (m + 1)]
     for cells in candidates:
@@ -239,7 +270,7 @@ class AlignedPrediction:
 
 def align(parsed: ParsedOutput, sentence: Sentence) -> AlignedPrediction:
     """Assign each parsed row to an input token and classify the errors."""
-    in_words = list(sentence.wordforms)  # a list, as out_words, or the echo shortcut never fires
+    in_words = sentence.wordforms
     out_words = [w for w, _ in parsed.pairs]
     matched = align_sequences(out_words, in_words)
 
@@ -305,7 +336,7 @@ def write_diagnostics(path: str | Path, metadata: dict, sentences: dict[str, dic
     """Persist per-sentence error counts as deterministic JSON."""
     payload = {"metadata": metadata, "sentences": sentences}
     text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", "utf-8")
+    publish(path, [text, "\n"])
 
 
 def read_diagnostics(path: str | Path) -> tuple[dict, dict[str, dict[str, int]]]:

@@ -6,9 +6,11 @@ UTF-8 text: ``# key = value`` header lines, then rows of tab-separated
 fields.  A ``#`` line is a header when it holds no tab or starts with
 ``# columns = `` (the inventory and the model list their columns with
 tabs), so a row such as ``#nlp<TAB>nlp`` stays a row.  Reading accepts a
-leading byte-order mark.  Every file but the report tables is written
-through write, whole or not at all; flat tables are read by read, and
-sentence-block files by corpus._read_blocks.
+leading byte-order mark.  Every file a stage writes but the response
+cache goes through publish, whole or not at all: the artifacts through
+write, the report tables, report.txt and the diagnostics JSON as text;
+flat tables are read by read, and sentence-block files by
+corpus._read_blocks.
 
 A sentence-block file (corpus, split, predictions) is in the canonical
 block shape when its text is NFC and each block (the lines between blank
@@ -77,21 +79,26 @@ def text(meta: dict, rows):
         yield "\n".join(chunk) + "\n"
 
 
-def write(path: str | Path, meta: dict, rows) -> None:
-    """Write the artifact to a temporary file beside path, then move it onto
-    path; if anything raises, the temporary file goes and an old file at
-    path stays whole.  There is no fsync: this guards against a failed or
-    killed process, not against a power cut."""
+def publish(path: str | Path, chunks) -> None:
+    """Write the str chunks to a temporary file beside path, then move it
+    onto path; if anything raises, the temporary file goes and an old file
+    at path stays whole.  There is no fsync: this guards against a failed
+    or killed process, not against a power cut."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as handle:
-            handle.writelines(text(meta, rows))
+            handle.writelines(chunks)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+
+
+def write(path: str | Path, meta: dict, rows) -> None:
+    """Publish the artifact's text (see text) at path."""
+    publish(path, text(meta, rows))
 
 
 def read(path: str | Path, columns: tuple[str, ...], error, decode, headers=None):

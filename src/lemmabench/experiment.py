@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import artifact
 from . import baseline as baseline_mod
 from . import corpus as corpus_mod
 from . import editscript as editscript_mod
@@ -558,17 +559,22 @@ def blocks_to_slots(
     """Map prediction blocks onto gold sentences by id, else by order.
 
     Every gold sentence needs a block that repeats its wordforms, and no
-    sent_id may appear twice; each fault is a ScoringError naming the
-    sentence.
+    sent_id may appear twice or name no gold sentence; each fault is a
+    ScoringError naming the sentence.
     """
     with_ids = [b for b in blocks if b.sentence_id is not None]
     if with_ids and len(with_ids) != len(blocks):
         raise ScoringError("prediction file mixes sent_id blocks with anonymous blocks")
     if with_ids:
+        gold_ids = {sentence.id for sentence in gold.sentences}
         by_id: dict[str, PredictionBlock] = {}
         for block in blocks:
             if block.sentence_id in by_id:
                 raise ScoringError(f"prediction file repeats sent_id {block.sentence_id}")
+            if block.sentence_id not in gold_ids:
+                raise ScoringError(
+                    f"prediction file has a block for {block.sentence_id}, no gold sentence"
+                )
             by_id[block.sentence_id] = block
     elif len(blocks) != len(gold.sentences):
         raise ScoringError(
@@ -604,11 +610,10 @@ def run_score(cfg: ExperimentConfig) -> list[eval_mod.EvalReport]:
             _, diag = read_diagnostics(layout.diagnostics(system.name, test.name, run))
             scores.append(eval_mod.score_run(slots, test, cfg.policy, diag))
         reports.append(eval_mod.EvalReport(system.name, test.name, tuple(scores)))
-    layout.scores().parent.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, policy=cfg.policy)
-    layout.runs().write_text(eval_mod.render_runs_tsv(reports, meta), "utf-8")
+    artifact.publish(layout.runs(), [eval_mod.render_runs_tsv(reports, meta)])
     meta["runs"] = str(cfg.runs)
-    layout.scores().write_text(eval_mod.render_scores_tsv(reports, meta), "utf-8")
+    artifact.publish(layout.scores(), [eval_mod.render_scores_tsv(reports, meta)])
     return reports
 
 
@@ -626,9 +631,8 @@ def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McN
         (test.name, a, b, eval_mod.mcnemar(vectors[a], vectors[b]))
         for a, b in cfg.comparisons
     ]
-    layout.mcnemar().parent.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, run=str(cfg.mcnemar_run), alpha=str(cfg.alpha))
-    layout.mcnemar().write_text(eval_mod.render_mcnemar_tsv(rows, meta, cfg.alpha), "utf-8")
+    artifact.publish(layout.mcnemar(), [eval_mod.render_mcnemar_tsv(rows, meta, cfg.alpha)])
     return rows
 
 
@@ -677,5 +681,5 @@ def run_report(cfg: ExperimentConfig) -> str:
         rows = [(*pair, eval_mod.mcnemar_counts(*counts[pair])) for pair in pairs]
     meta = _meta(cfg, corpus=cfg.corpus_name, language=cfg.language, policy=cfg.policy)
     text = eval_mod.render_report_text(reports, rows, meta, cfg.alpha)
-    layout.report().write_text(text, "utf-8")  # beside runs.tsv
+    artifact.publish(layout.report(), [text])  # beside runs.tsv
     return text

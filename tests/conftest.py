@@ -1,5 +1,6 @@
 """Shared test fixtures and corpus-building helpers."""
 
+import errno
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,39 @@ def en_corpus():
     from lemmabench.corpus import ingest_conllu
 
     return ingest_conllu(FIXTURES / "corpora" / "en_fix.conllu", "en_fix", "English")
+
+
+class _HalfWriter:
+    """A file handle that writes half of the text it is given, then raises
+    as a full disk would."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def writelines(self, chunks):
+        text = "".join(chunks)
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture()
+def disk_full(monkeypatch):
+    """disk_full(name): from then on, lemmabench.artifact's write of a file
+    named name stops halfway with ENOSPC."""
+    from lemmabench import artifact
+
+    def arm(name):
+        def half_open(path, *args, **kwargs):
+            handle = open(path, *args, **kwargs)
+            return _HalfWriter(handle) if Path(path).name.startswith(f".{name}.") else handle
+
+        monkeypatch.setattr(artifact, "open", half_open, raising=False)
+
+    return arm

@@ -323,10 +323,12 @@ def test_align_echo_with_an_explanation_and_a_quoted_field():
 def test_align_takes_the_echo_shortcut_on_sentences_read_from_disk(es_corpus, monkeypatch):
     """A sentence read from disk keeps its wordforms as a tuple and a parsed
     output is a list of rows; align still sees an echo as one, so no echoed
-    sentence reaches the sparse alignment."""
+    sentence reaches the sparse alignment.  Nor does an answer that drops a
+    word, doubles a block or lowercases its initial: each takes one of the
+    exact rules, and each still equals the full DP."""
 
     def refuse(out_words, in_words):
-        raise AssertionError("an echoed sentence reached _candidate_cells")
+        raise AssertionError("an echo-like answer reached _candidate_cells")
 
     # the package binds the name align to the function, so look the module up
     monkeypatch.setattr(importlib.import_module("lemmabench.align"), "_candidate_cells", refuse)
@@ -335,6 +337,16 @@ def test_align_takes_the_echo_shortcut_on_sentences_read_from_disk(es_corpus, mo
         result = align(parse_output(raw), sent)
         assert result.lemmas == sent.lemmas
         assert result.counts() == {"missing": 0, "wrong": 0, "random": 0}
+
+        words, half = list(sent.wordforms), len(sent.wordforms) // 2
+        for out_words in (
+            words[:half] + words[half + 1 :],  # a dropped word
+            words[: half + 1] * 2 + words[half + 1 :],  # a doubled block
+            [words[0].lower(), *words[1:]],  # a lowercased initial
+        ):
+            assert align_sequences(out_words, sent.wordforms) == oracle_align_sequences(
+                out_words, sent.wordforms
+            )
 
 
 # --- sparse alignment against the full DP --------------------------------------
@@ -370,6 +382,64 @@ def test_align_sequences_matches_full_dp_on_long_synthetic_output(seed, n_tokens
     out_words = [w for w, _ in parse_output(raw).pairs] * copies
     in_words = list(sent.wordforms)
     assert align_sequences(out_words, in_words) == oracle_align_sequences(out_words, in_words)
+
+
+# --- the exact rules: near diagonals and exact subsequences ---------------------
+
+# Few words, so that repeats are common and a greedy embedding has choices.
+_FEW_WORDS = st.lists(st.sampled_from(["a", "b", "ab", "la", "de", "B", "el"]), max_size=10)
+
+
+def _variant(word, k):
+    """A case variant or a one-edit neighbour of word."""
+    return [word.upper(), word.lower(), word.swapcase(), word + "s", word[1:], "x" + word[1:]][k]
+
+
+@st.composite
+def echo_like_pairs(draw):
+    """(out_words, in_words) in the shapes the exact rules take: the input
+    with words deleted; with words inserted, or repeated 1-3 times; or of
+    the same length with 1-5 words changed to a case or one-edit variant."""
+    in_words = draw(_FEW_WORDS)
+    shape = draw(st.sampled_from(["deleted", "inserted", "repeated", "changed"]))
+    out_words = list(in_words)
+    if shape == "deleted":
+        for _ in range(draw(st.integers(1, 4))):
+            if out_words:
+                del out_words[draw(st.integers(0, len(out_words) - 1))]
+    elif shape == "inserted":
+        for word in draw(st.lists(st.sampled_from(["a", "b", "ab", "x"]), min_size=1, max_size=4)):
+            out_words.insert(draw(st.integers(0, len(out_words))), word)
+    elif shape == "repeated":
+        out_words *= draw(st.integers(1, 3))
+    elif in_words:
+        for _ in range(draw(st.integers(1, 5))):
+            k = draw(st.integers(0, len(out_words) - 1))
+            out_words[k] = _variant(out_words[k], draw(st.integers(0, 5)))
+    return out_words, in_words
+
+
+@settings(max_examples=500, deadline=None)
+@given(echo_like_pairs())
+@example((["B", "A", "c", "B"], ["d", "B", "A", "c"]))  # 4 near pairs: the diagonal only ties
+@example((["a"], ["a", "a"]))  # a shorter output embeds right-greedily
+@example((["a", "a"], ["a"]))  # a shorter input embeds left-greedily
+def test_align_sequences_matches_full_dp_on_echo_like_answers(words):
+    out_words, in_words = words
+    assert align_sequences(out_words, in_words) == oracle_align_sequences(out_words, in_words)
+
+
+def test_align_four_near_pairs_need_not_be_the_diagonal():
+    out_words, in_words = ["B", "A", "c", "B"], ["d", "B", "A", "c"]
+    assert all(_pair_score(o, i) == 1 for o, i in zip(out_words, in_words))
+    assert align_sequences(out_words, in_words) == [(0, 1), (1, 2), (2, 3)]
+    assert align_sequences(out_words[:3], in_words[:3]) == [(0, 0), (1, 1), (2, 2)]
+
+
+def test_align_exact_embeddings_take_the_tracebacks_copy():
+    assert align_sequences(["a"], ["a", "a"]) == [(0, 1)]  # the later input token
+    assert align_sequences(["a", "b"], ["a", "b", "a", "b"]) == [(0, 2), (1, 3)]
+    assert align_sequences(["a", "b", "a", "b"], ["a", "b"]) == [(0, 0), (1, 1)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -488,6 +558,19 @@ def test_diagnostics_round_trip(tmp_path):
     assert metadata == {"system": "demo"}
     assert read == sentences
     assert path.read_text("utf-8").endswith("\n")
+
+
+def test_a_diagnostics_write_that_fails_keeps_the_old_file_and_leaves_no_other(
+    tmp_path, disk_full
+):
+    path = tmp_path / "run0.diag.json"
+    write_diagnostics(path, {"system": "old"}, {})
+    before = path.read_bytes()
+    disk_full(path.name)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_diagnostics(path, {"system": "new"}, {"s-0": {"missing": 1}})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_counts_shape():

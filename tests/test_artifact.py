@@ -32,9 +32,11 @@ one in test_intended_change:
   frequency that is not a positive integer (it read -3 back).
 """
 
+import ast
 import io
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -676,6 +678,42 @@ def test_a_write_that_raises_creates_no_file(tmp_path):
     with pytest.raises(KeyboardInterrupt):
         artifact.write(tmp_path / "new" / "table.tsv", {"format": "x/1"}, rows())
     assert list((tmp_path / "new").iterdir()) == []
+
+
+def _file_writes(source: str):
+    """Line numbers of write_text/write_bytes calls and of open calls whose
+    mode writes or creates ("w" or "x") in source."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            yield node.lineno
+        elif name == "open":
+            # open(path, mode) or path.open(mode)
+            at = 1 if isinstance(func, ast.Name) else 0
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at : at + 1]
+            if any(
+                isinstance(m, ast.Constant) and isinstance(m.value, str) and set(m.value) & set("wx")
+                for m in modes
+            ):
+                yield node.lineno
+
+
+def test_src_writes_files_only_through_artifact():
+    """Every file a stage writes goes through artifact.publish; the response
+    cache only appends ("ab"), under its own torn-tail rule."""
+    probe = 'open(p, "w")\np.open(mode="x")\np.write_text(t)\nopen(p, "ab")\nopen(p)'
+    assert list(_file_writes(probe)) == [1, 2, 3]
+    package = Path(artifact.__file__).parent
+    writes = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "artifact.py"
+        for line in _file_writes(path.read_text("utf-8"))
+    ]
+    assert writes == []
 
 
 def test_read_names_the_line_of_a_row_with_the_wrong_field_count(scratch):

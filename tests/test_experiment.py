@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lemmabench import baseline, corpus as corpus_mod, editscript, evaluation, experiment
+from lemmabench import artifact, baseline, corpus as corpus_mod, editscript, evaluation, experiment
 from lemmabench.align import PredictionBlock, read_predictions
 from lemmabench.corpus import ingest_tsv, write_tsv
 from lemmabench.errors import (
@@ -349,6 +349,16 @@ def test_blocks_to_slots_rejects_missing_gold_sentence():
         blocks_to_slots(blocks, _two_sentence_gold())
 
 
+def test_blocks_to_slots_rejects_a_block_of_no_gold_sentence():
+    blocks = [
+        PredictionBlock("g-0000", ("a", "b"), ("A", "B")),
+        PredictionBlock("g-0001", ("c",), ("C",)),
+        PredictionBlock("dev-0099", ("zz",), ("q",)),
+    ]
+    with pytest.raises(ScoringError, match="dev-0099"):
+        blocks_to_slots(blocks, _two_sentence_gold())
+
+
 def test_blocks_to_slots_rejects_repeated_sent_id():
     blocks = [
         PredictionBlock("g-0000", ("a", "b"), ("A", "B")),
@@ -543,9 +553,9 @@ def test_each_report_artifact_has_one_writer(replay_out, tmp_path, monkeypatch):
     shutil.copytree(layout.root, tmp_path / "out")
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
     written = []
-    real = Path.write_text
-    spy = lambda path, *a, **k: written.append(path.name) or real(path, *a, **k)  # noqa: E731
-    monkeypatch.setattr(Path, "write_text", spy)
+    real = artifact.publish
+    spy = lambda path, chunks: written.append(Path(path).name) or real(path, chunks)  # noqa: E731
+    monkeypatch.setattr(artifact, "publish", spy)
     for stage, names in (
         (run_score, ["runs.tsv", "scores.tsv"]),
         (run_compare, ["mcnemar.tsv"]),
@@ -554,6 +564,31 @@ def test_each_report_artifact_has_one_writer(replay_out, tmp_path, monkeypatch):
         stage(cfg)
         assert written == names
         written.clear()
+
+
+@pytest.mark.parametrize(
+    "name, stage",
+    [
+        ("runs.tsv", run_score),
+        ("scores.tsv", run_score),
+        ("mcnemar.tsv", run_compare),
+        ("report.txt", run_report),
+    ],
+)
+def test_a_report_writer_that_fails_keeps_the_old_file_and_leaves_no_other(
+    replay_out, tmp_path, disk_full, name, stage
+):
+    cfg, layout = replay_out
+    shutil.copytree(layout.root, tmp_path / "out")
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
+    reports = Layout(cfg).report().parent
+    (reports / name).write_bytes(b"previous bytes\n")
+    before = sorted(path.name for path in reports.iterdir())
+    disk_full(name)
+    with pytest.raises(OSError, match="No space left on device"):
+        stage(cfg)
+    assert (reports / name).read_bytes() == b"previous bytes\n"
+    assert sorted(path.name for path in reports.iterdir()) == before
 
 
 @pytest.fixture()
