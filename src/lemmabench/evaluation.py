@@ -162,7 +162,8 @@ def score_run(
 ) -> RunScore:
     """Score one run: count correct words and sentences against the gold.
 
-    wrong/random tallies come from alignment diagnostics.
+    wrong/random tallies come from alignment diagnostics, whose every entry
+    must name a gold sentence.
     """
     if policy not in POLICIES:
         raise ScoringError(f"unknown missing-word policy {policy!r}")
@@ -173,9 +174,11 @@ def score_run(
     total = len(scored)
     correct_sentences = sum(all(o is True for o in row) for row in by_sentence)
     wrong = rand = 0
-    if diagnostics:
-        wrong = sum(d.get("wrong", 0) for d in diagnostics.values())
-        rand = sum(d.get("random", 0) for d in diagnostics.values())
+    gold_ids = {sentence.id for sentence in gold.sentences}
+    for sentence_id, counts in (diagnostics or {}).items():
+        if sentence_id not in gold_ids:
+            raise ScoringError(f"diagnostics have an entry for {sentence_id}, no gold sentence")
+        wrong, rand = wrong + counts.get("wrong", 0), rand + counts.get("random", 0)
     missing = sum(o is None for o in outcomes)
     return RunScore.from_counts(
         correct, total, correct_sentences, len(gold.sentences), missing, wrong, rand

@@ -23,10 +23,11 @@ experiment from the same inputs reproduces every file byte for byte.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from .align import (
     write_predictions,
 )
 from .errors import ConfigError, ScoringError
+from .prompt import INPUT_MODES, SELECTIONS, TEMPLATES
 
 CONLLU = "conllu"
 TSV = "tsv"
@@ -54,6 +56,8 @@ TSV = "tsv"
 BASELINE = "baseline"
 LLM = "llm"
 EXTERNAL = "external"
+KINDS = (BASELINE, LLM, EXTERNAL)
+ALL_PAIRS = "all-pairs"
 
 
 @dataclass(frozen=True)
@@ -104,230 +108,189 @@ def _expect(ok: bool, name: str, what: str, value) -> None:
         raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
 
 
-def _section(value, name: str, keys: tuple[str, ...] | None = None) -> dict:
-    """value when it is a JSON object whose keys are all in keys (any key
-    when keys is None)."""
-    _expect(isinstance(value, dict), name, "a JSON object", value)
-    for key in value:
-        if keys is not None and key not in keys:
-            raise ConfigError(f"{name}.{key} is not a known key; use one of {', '.join(keys)}")
-    return value
+@dataclass(frozen=True)
+class _Row:
+    """One config key.  type and range are (what the value must be, a test); null skips range.
+    default is ... on a required key, and None on a non-null key load_config derives."""
+
+    type: tuple[str, Callable[[object], bool]]
+    default: object = ...
+    range: tuple[str, Callable[[object], bool]] | None = None
+    null: bool = False
 
 
-def _string(value, name: str) -> str:
-    _expect(isinstance(value, str), name, "a string", value)
-    return value
+def _one_of(*choices: str):
+    return " or ".join(choices), lambda v: v in choices
 
 
-def _choice(value, name: str, choices: tuple[str, ...]) -> str:
-    _expect(value in choices, name, " or ".join(choices), value)
-    return value
+_STRING = ("a string", lambda v: isinstance(v, str))
+_PATH = ("a file path", _STRING[1])
+_INTEGER = ("an integer", lambda v: type(v) is int)  # true and false are not
+_NUMBER = ("a number", lambda v: type(v) is int or type(v) is float and math.isfinite(v))
+_IDS = ("a list of sentence ids", lambda v: isinstance(v, list) and all(type(i) is str for i in v))
+_AT_LEAST_0, _AT_LEAST_1 = ("at least 0", lambda v: v >= 0), ("at least 1", lambda v: v >= 1)
+_PROVIDER, _PROMPT = gateway_mod.ProviderConfig(), prompt_mod.PromptSpec()
+# One row per dotted key, in the order messages list them.  The config, each
+# section and each system entry refuse a key no row names; a section holding a
+# required key is required.  systems.* rows hold for every entry, systems.KIND
+# rows for entries of that kind.  json.loads reads NaN and Infinity; no row does.
+_SCHEMA = {
+    "name": _Row(_STRING, None),  # default: the config file's stem
+    "language": _Row(_STRING, "English"),
+    "corpus.path": _Row(_PATH),
+    "corpus.format": _Row(_one_of(CONLLU, TSV), CONLLU),
+    "corpus.name": _Row(_STRING, None),  # default: the corpus file's stem
+    "split.train": _Row(_INTEGER, range=_AT_LEAST_0),
+    "split.dev": _Row(_INTEGER, range=_AT_LEAST_0),
+    "split.test": _Row(_INTEGER, range=_AT_LEAST_0),
+    "split.rule": _Row(_one_of(*corpus_mod.SELECTION_RULES), corpus_mod.FIRST_N),
+    "split.seed": _Row(_INTEGER, 0),
+    "reduce.max_sentences": _Row(_INTEGER, None, _AT_LEAST_1, null=True),
+    "reduce.rule": _Row(_one_of(*corpus_mod.SELECTION_RULES), corpus_mod.FIRST_N),
+    "reduce.seed": _Row(_INTEGER, 0),
+    "baseline.max_suffix_len": _Row(_INTEGER, 5, _AT_LEAST_0),
+    # A string or an object is iterated too, so that every config accepted before still loads.
+    "systems": _Row(("a list of system entries", lambda v: isinstance(v, (list, str, dict))), ()),
+    "systems.*.name": _Row(_STRING),
+    "systems.*.kind": _Row(_one_of(*KINDS)),
+    "systems.llm.prompt.template": _Row(_STRING, _PROMPT.template, _one_of(*TEMPLATES)),
+    "systems.llm.prompt.input_mode": _Row(_STRING, _PROMPT.input_mode, _one_of(*INPUT_MODES)),
+    "systems.llm.prompt.shots": _Row(_INTEGER, _PROMPT.shots, (
+        f"between 0 and {prompt_mod.MAX_SHOTS}", lambda v: 0 <= v <= prompt_mod.MAX_SHOTS)),
+    "systems.llm.prompt.selection": _Row(_STRING, _PROMPT.selection, _one_of(*SELECTIONS)),
+    "systems.llm.prompt.seed": _Row(_INTEGER, _PROMPT.seed),
+    "systems.llm.prompt.language_name": _Row(_STRING, None),  # default: the config's language
+    "systems.llm.manual_ids": _Row(_IDS, ()),
+    "systems.llm.dev_diagnostics": _Row(_PATH, None, null=True),
+    "systems.external.predictions": _Row(("a file path or a list of them", lambda v: (
+        not v or isinstance(v, str) or _IDS[1](v))), None),  # empty: refused by _parse_system
+    "provider.base_url": _Row(_STRING, _PROVIDER.base_url),
+    "provider.model": _Row(_STRING, _PROVIDER.model),
+    "provider.api_key_env": _Row(_STRING, _PROVIDER.api_key_env),
+    "provider.temperature": _Row(_NUMBER, _PROVIDER.temperature),
+    "provider.top_p": _Row(_NUMBER, _PROVIDER.top_p),
+    "provider.max_tokens": _Row(
+        _INTEGER, _PROVIDER.max_tokens, ("null or at least 1", lambda v: v >= 1), null=True),
+    "provider.timeout": _Row(_NUMBER, _PROVIDER.timeout, ("above 0", lambda v: v > 0)),
+    "provider.max_retries": _Row(_INTEGER, _PROVIDER.max_retries, _AT_LEAST_0),
+    "provider.retry_backoff": _Row(_NUMBER, _PROVIDER.retry_backoff, _AT_LEAST_0),
+    "runs": _Row(_INTEGER, 1, _AT_LEAST_1),
+    "parallelism": _Row(_INTEGER, 4, _AT_LEAST_1),
+    "cache_dir": _Row(_STRING, "cache"),
+    "cache_mode": _Row(_one_of(*gateway_mod.CACHE_MODES), gateway_mod.REPLAY),
+    "out_dir": _Row(_STRING, "out"),
+    "scoring.policy": _Row(_one_of(*eval_mod.POLICIES), eval_mod.STRICT),
+    "scoring.alpha": _Row(_NUMBER, 0.05, ("between 0 and 1, exclusive", lambda v: 0 < v < 1)),
+    "scoring.mcnemar_run": _Row(_INTEGER, 0),  # one of the runs: see load_config
+    "comparisons": _Row(('"all-pairs" or a list of name pairs', lambda v: v == ALL_PAIRS or (
+        isinstance(v, list) and all(isinstance(p, list) and len(p) == 2 for p in v))), ALL_PAIRS),
+}
 
 
-def _integer(value, name: str, nullable: bool = False) -> int | None:
-    """value when it is a JSON integer (true and false are not), or null
-    where that is allowed."""
-    _expect(type(value) is int or (value is None and nullable), name, "an integer", value)
-    return value
+def _walk(section, prefixes: tuple[str, ...], label: str = "") -> dict:
+    """Each key of the rows under prefixes: section's value, checked, or else
+    the row's default; a subsection gives a dict.  label names section in messages."""
+    rows = {k[len(p):]: row for p in prefixes for k, row in _SCHEMA.items() if k.startswith(p)}
+    where = label or "config"
+    _expect(isinstance(section, dict), where, "a JSON object", section)
+    keys = dict.fromkeys(key.partition(".")[0] for key in rows)
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key} is not a known key; use one of {', '.join(keys)}")
+    values = {}
+    for key in keys:
+        row, name = rows.get(key), f"{label}.{key}" if label else key
+        if row is None:  # a subsection
+            required = any(r.default is ... for k, r in rows.items() if k.startswith(key + "."))
+            if key not in section and required:
+                raise ConfigError(f"{where} missing section {key!r}")
+            values[key] = _walk(section.get(key, {}), tuple(f"{p}{key}." for p in prefixes), key)
+        elif key in section or row.default is ...:  # a required key that is missing is null
+            value = values[key] = section.get(key)
+            _expect(row.type[1](value) or (value is None and row.null), name, row.type[0], value)
+            if row.range and value is not None:
+                _expect(row.range[1](value), name, row.range[0], value)
+        elif row.default is not None or row.null:  # else load_config derives the value
+            values[key] = row.default
+    return values
 
 
-def _number(value, name: str) -> float:
-    """value when it is a JSON number, integer or not (true and false are not)."""
-    _expect(type(value) in (int, float), name, "a number", value)
-    return value
-
-
-def _build(cls, values, name: str, integers: tuple[str, ...], numbers: tuple[str, ...] = ()):
-    """cls(**values), refusing a key that is not one of cls's fields, a
-    non-string value of a field whose default is a string, a non-integer
-    value of a key in integers (null where the default is None) and a
-    non-number value of a key in numbers."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key, value in _section(values, name, tuple(fields)).items():
-        if isinstance(fields[key].default, str):
-            _string(value, f"{name}.{key}")
-        if key in integers:
-            _integer(value, f"{name}.{key}", nullable=fields[key].default is None)
-        if key in numbers:
-            _number(value, f"{name}.{key}")
-    return cls(**values)
-
-
-def _parse_system(entry: dict, base: Path, runs: int, language: str) -> SystemSpec:
-    entry = _section(entry, "systems entry")
+def _parse_system(entry, base: Path, runs: int, language: str) -> SystemSpec:
+    _expect(isinstance(entry, dict), "systems entry", "a JSON object", entry)
     try:
-        name, kind = _string(entry["name"], "systems entry name"), entry["kind"]
+        name = entry["name"]
+        _expect(isinstance(name, str), "systems entry name", "a string", name)
+        kind = entry["kind"]
     except KeyError as exc:
         raise ConfigError(f"system entry missing {exc}") from exc
-    label = f"system {name}"
-    if kind == BASELINE:
-        _section(entry, label, ("name", "kind"))
-        return SystemSpec(name=name, kind=kind)
+    if kind not in KINDS:
+        raise ConfigError(f"system {name}: unknown kind {kind!r}")
+    values = _walk(entry, ("systems.*.", f"systems.{kind}."), f"system {name}")
     if kind == LLM:
-        _section(entry, label, ("name", "kind", "prompt", "manual_ids", "dev_diagnostics"))
-        prompt = {"language_name": language, **_section(entry.get("prompt", {}), "prompt")}
-        spec = _build(prompt_mod.PromptSpec, prompt, "prompt", integers=("shots", "seed"))
-        diag = entry.get("dev_diagnostics")
-        diag_ok = diag is None or isinstance(diag, str)
-        _expect(diag_ok, f"{label}.dev_diagnostics", "a file path", diag)
-        manual_ids = entry.get("manual_ids", [])
-        ids_ok = isinstance(manual_ids, list) and all(isinstance(i, str) for i in manual_ids)
-        _expect(ids_ok, f"{label}.manual_ids", "a list of sentence ids", manual_ids)
-        return SystemSpec(
-            name=name,
-            kind=kind,
-            prompt=spec,
-            manual_ids=tuple(manual_ids),
-            dev_diagnostics=str(base / diag) if diag else None,
-        )
+        spec = prompt_mod.PromptSpec(**{"language_name": language, **values["prompt"]})
+        diag = values["dev_diagnostics"]
+        diag = str(base / diag) if diag else None
+        return SystemSpec(name, kind, spec, tuple(values["manual_ids"]), dev_diagnostics=diag)
     if kind == EXTERNAL:
-        _section(entry, label, ("name", "kind", "predictions"))
-        paths = entry.get("predictions")
+        paths = values.get("predictions")
         if not paths:
             raise ConfigError(f"external system {name} needs a predictions path list")
-        if isinstance(paths, str):
-            paths = [paths]
-        paths_ok = isinstance(paths, list) and all(isinstance(p, str) for p in paths)
-        _expect(paths_ok, f"{label}.predictions", "a file path or a list of them", paths)
+        paths = [paths] if isinstance(paths, str) else paths
         if len(paths) not in (1, runs):
             raise ConfigError(f"external system {name}: give 1 or {runs} prediction files")
-        return SystemSpec(name=name, kind=kind, predictions=tuple(str(base / p) for p in paths))
-    raise ConfigError(f"{label}: unknown kind {kind!r}")
+        return SystemSpec(name, kind, predictions=tuple(str(base / p) for p in paths))
+    return SystemSpec(name, kind)
 
 
 def load_config(
     path: str | Path, out_dir: str | None = None, cache_mode: str | None = None
 ) -> ExperimentConfig:
-    """Load and validate a JSON experiment config.
-
-    Relative paths are resolved against the config file's directory;
-    out_dir and cache_mode accept command-line overrides.
-    """
+    """Load a JSON experiment config, checked against _SCHEMA.  Relative paths
+    are resolved against the config file's directory; out_dir and cache_mode
+    accept command-line overrides, and the file's cache_mode goes unchecked under one."""
     path = Path(path)
     base = path.parent
     try:
         raw = json.loads(path.read_text("utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _section(raw, "config", tuple(
-        "name language corpus split reduce baseline systems provider runs parallelism"
-        " cache_dir cache_mode out_dir scoring comparisons".split()
-    ))
-
-    try:
-        corpus_raw = _section(raw["corpus"], "corpus", ("path", "format", "name"))
-        split_raw = _section(raw["split"], "split", ("train", "dev", "test", "rule", "seed"))
-    except KeyError as exc:
-        raise ConfigError(f"config missing section {exc}") from exc
-
-    corpus_path = corpus_raw.get("path")
-    _expect(isinstance(corpus_path, str), "corpus.path", "a file path", corpus_path)
-    corpus_format = _choice(corpus_raw.get("format", CONLLU), "corpus.format", (CONLLU, TSV))
-
-    rules = corpus_mod.SELECTION_RULES
-    split = corpus_mod.SplitSpec(
-        train_count=_integer(split_raw.get("train"), "split.train"),
-        dev_count=_integer(split_raw.get("dev"), "split.dev"),
-        test_count=_integer(split_raw.get("test"), "split.test"),
-        selection_rule=_choice(split_raw.get("rule", corpus_mod.FIRST_N), "split.rule", rules),
-        seed=_integer(split_raw.get("seed", 0), "split.seed"),
-    )
-    reduce_raw = _section(raw.get("reduce", {}), "reduce", ("max_sentences", "rule", "seed"))
-    reduce_to = _integer(reduce_raw.get("max_sentences"), "reduce.max_sentences", nullable=True)
-    _expect(reduce_to is None or reduce_to >= 1, "reduce.max_sentences", "at least 1", reduce_to)
-    reduce_rule = _choice(reduce_raw.get("rule", corpus_mod.FIRST_N), "reduce.rule", rules)
-    baseline_raw = _section(raw.get("baseline", {}), "baseline", ("max_suffix_len",))
-    max_suffix_len = _integer(baseline_raw.get("max_suffix_len", 5), "baseline.max_suffix_len")
-    _expect(max_suffix_len >= 0, "baseline.max_suffix_len", "at least 0", max_suffix_len)
-    runs = _integer(raw.get("runs", 1), "runs")
-    _expect(runs >= 1, "runs", "at least 1", runs)
-    parallelism = _integer(raw.get("parallelism", 4), "parallelism")
-    _expect(parallelism >= 1, "parallelism", "at least 1", parallelism)
-
-    language = _string(raw.get("language", "English"), "language")
-    systems = tuple(_parse_system(e, base, runs, language) for e in raw.get("systems", []))
-    if len({s.name for s in systems}) != len(systems):
+    overridden = {**raw, "cache_mode": cache_mode} if cache_mode and isinstance(raw, dict) else raw
+    top = _walk(overridden, ("",))
+    corpus, split, reduce, scoring = top["corpus"], top["split"], top["reduce"], top["scoring"]
+    runs, language, mcnemar_run = top["runs"], top["language"], scoring["mcnemar_run"]
+    systems = tuple(_parse_system(entry, base, runs, language) for entry in top["systems"])
+    known = [s.name for s in systems]
+    if len(set(known)) != len(known):
         raise ConfigError("system names must be unique")
-
-    provider = _build(
-        gateway_mod.ProviderConfig,
-        raw.get("provider", {}),
-        "provider",
-        integers=("max_tokens", "max_retries"),
-        numbers=("temperature", "top_p", "timeout", "retry_backoff"),
-    )
-    tokens = provider.max_tokens
-    for key, ok, what in (
-        ("max_retries", provider.max_retries >= 0, "at least 0"),
-        ("retry_backoff", provider.retry_backoff >= 0, "at least 0"),
-        ("timeout", provider.timeout > 0, "above 0"),
-        ("max_tokens", tokens is None or tokens >= 1, "null or at least 1"),
-    ):
-        _expect(ok, f"provider.{key}", what, getattr(provider, key))
-    scoring = _section(raw.get("scoring", {}), "scoring", ("policy", "alpha", "mcnemar_run"))
-    policy = _choice(scoring.get("policy", eval_mod.STRICT), "scoring.policy", eval_mod.POLICIES)
-    comparisons_raw = raw.get("comparisons", "all-pairs")
-    if comparisons_raw == "all-pairs":
-        comparisons = tuple(itertools.combinations([s.name for s in systems], 2))
-    else:
-        pairs_ok = isinstance(comparisons_raw, list) and all(
-            isinstance(p, list) and len(p) == 2 for p in comparisons_raw
-        )
-        _expect(pairs_ok, "comparisons", '"all-pairs" or a list of name pairs', comparisons_raw)
-        comparisons = tuple((a, b) for a, b in comparisons_raw)
-    known = [s.name for s in systems]  # a list: a name that is not a string is unknown too
-    for a, b in comparisons:
-        if a not in known or b not in known:
+    pairs = top["comparisons"]
+    pairs = tuple(itertools.combinations(known, 2) if pairs == ALL_PAIRS else map(tuple, pairs))
+    for i, (a, b) in enumerate(pairs):
+        if a not in known or b not in known:  # a list: a name that is not a string is unknown
             raise ConfigError(f"comparison ({a}, {b}) names an unknown system")
-
-    name = _string(raw.get("name", path.stem), "name")
-    corpus_name = _string(corpus_raw.get("name", Path(corpus_path).stem), "corpus.name")
+        if (a, b) in pairs[:i]:
+            raise ConfigError(f"comparison ({a}, {b}) is repeated")
+    name, corpus_file = top.get("name", path.stem), Path(corpus["path"])
+    corpus_name = corpus.get("name", corpus_file.stem)
+    provider = gateway_mod.ProviderConfig(**top["provider"])
     # These values land in "# key = value" artifact headers, where a tab
     # would turn the line into a row and a line break would end it early.
-    for label, value in (
-        ("name", name),
-        ("language", language),
-        ("corpus file name", Path(corpus_path).name),
-        ("corpus name", corpus_name),
-        ("provider model", provider.model),
-        *(("system name", s.name) for s in systems),
-    ):
+    headers = {"name": name, "language": language, "corpus file name": corpus_file.name,
+               "corpus name": corpus_name, "provider model": provider.model}
+    for label, value in [*headers.items(), *(("system name", s) for s in known)]:
         if any(c in str(value) for c in "\t\n\r"):
             raise ConfigError(f"{label} {value!r} holds a tab or a line break")
-
-    mcnemar_run = _integer(scoring.get("mcnemar_run", 0), "scoring.mcnemar_run")
     if not 0 <= mcnemar_run < runs:
         raise ConfigError(f"scoring.mcnemar_run {mcnemar_run} is not a run in 0..{runs - 1}")
-
-    alpha = _number(scoring.get("alpha", 0.05), "scoring.alpha")
-    _expect(0 < alpha < 1, "scoring.alpha", "between 0 and 1, exclusive", alpha)
-    cache_dir = _string(raw.get("cache_dir", "cache"), "cache_dir")
-    configured_out = _string(raw.get("out_dir", "out"), "out_dir")
-    modes = gateway_mod.CACHE_MODES
-    mode = _choice(cache_mode or raw.get("cache_mode", gateway_mod.REPLAY), "cache_mode", modes)
     return ExperimentConfig(
-        name=name,
-        language=language,
-        corpus_path=str(base / corpus_path),
-        corpus_format=corpus_format,
-        corpus_name=corpus_name,
-        split=split,
-        reduce_to=reduce_to,
-        reduce_rule=reduce_rule,
-        reduce_seed=_integer(reduce_raw.get("seed", 0), "reduce.seed"),
-        max_suffix_len=max_suffix_len,
-        systems=systems,
-        provider=provider,
-        runs=runs,
-        parallelism=parallelism,
-        cache_dir=str(base / cache_dir),
-        cache_mode=mode,
-        out_dir=str(Path(out_dir) if out_dir else base / configured_out),
-        policy=policy,
-        alpha=float(alpha),
-        mcnemar_run=mcnemar_run,
-        comparisons=comparisons,
-        config_hash=_hash_config(raw),
+        name=name, language=language, corpus_path=str(base / corpus_file),
+        corpus_format=corpus["format"], corpus_name=corpus_name,
+        split=corpus_mod.SplitSpec(*split.values()),  # the rows' order is the fields' order
+        reduce_to=reduce["max_sentences"], reduce_rule=reduce["rule"], reduce_seed=reduce["seed"],
+        max_suffix_len=top["baseline"]["max_suffix_len"], systems=systems, provider=provider,
+        runs=runs, parallelism=top["parallelism"], cache_dir=str(base / top["cache_dir"]),
+        cache_mode=top["cache_mode"], out_dir=str(Path(out_dir or base / top["out_dir"])),
+        policy=scoring["policy"], alpha=float(scoring["alpha"]), mcnemar_run=mcnemar_run,
+        comparisons=pairs, config_hash=_hash_config(raw),
     )
 
 

@@ -26,6 +26,9 @@ WORD_LIST = "word-list"
 MANUAL = "manual"
 RANDOM = "random"
 MOST_ERRORS = "most-errors"
+TEMPLATES = (BASIC, FULL)
+INPUT_MODES = (SENTENCE_STRING, WORD_LIST)
+SELECTIONS = (MANUAL, RANDOM, MOST_ERRORS)
 
 MAX_SHOTS = 5
 
@@ -55,13 +58,13 @@ class PromptSpec:
     language_name: str = "English"
 
     def __post_init__(self):
-        if self.template not in (BASIC, FULL):
+        if self.template not in TEMPLATES:
             raise PromptError(f"unknown template {self.template!r}")
-        if self.input_mode not in (SENTENCE_STRING, WORD_LIST):
+        if self.input_mode not in INPUT_MODES:
             raise PromptError(f"unknown input mode {self.input_mode!r}")
         if not 0 <= self.shots <= MAX_SHOTS:
             raise PromptError(f"shots must be in [0, {MAX_SHOTS}], got {self.shots}")
-        if self.selection not in (MANUAL, RANDOM, MOST_ERRORS):
+        if self.selection not in SELECTIONS:
             raise PromptError(f"unknown selection strategy {self.selection!r}")
 
 

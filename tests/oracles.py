@@ -22,10 +22,14 @@ functions are the TSV artifact readers as they were before
 lemmabench.artifact, each with its own loop; the corpus ones still build
 one Token per token, as the reader did before a Sentence stored its
 wordforms and lemmas as two columns, and refuse a repeated sentence id as
-the reader does now.
+the reader does now; oracle_load_config is load_config with its per-type
+helpers as they were before one _SCHEMA table and one walker checked every
+key.
 """
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -38,7 +42,9 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from lemmabench import corpus as corpus_mod
 from lemmabench import evaluation as eval_mod
+from lemmabench import gateway as gateway_mod
 from lemmabench import prompt as prompt_mod
 from lemmabench.align import (
     ParsedOutput,
@@ -59,6 +65,7 @@ from lemmabench.editscript import (
     _token_counts,
 )
 from lemmabench.errors import (
+    ConfigError,
     CorpusFormatError,
     EmptyCorpusError,
     FileFormatError,
@@ -67,7 +74,19 @@ from lemmabench.errors import (
     PromptError,
     ScoringError,
 )
-from lemmabench.experiment import Layout, _load_split, _meta, blocks_to_slots
+from lemmabench.experiment import (
+    BASELINE,
+    CONLLU,
+    EXTERNAL,
+    LLM,
+    TSV,
+    ExperimentConfig,
+    Layout,
+    SystemSpec,
+    _load_split,
+    _meta,
+    blocks_to_slots,
+)
 
 from conftest import corpus, sentence
 
@@ -731,3 +750,243 @@ def oracle_read_counts(path, columns, width=None):
             raise FileFormatError(path, line_no, f"repeats the row for {' '.join(parts[:3])}")
         rows[tuple(parts[:3])] = [int(c) for c in counts]
     return meta, rows
+
+
+# --- load_config before the _SCHEMA table, key by key --------------------------
+
+
+def _hash_config(raw: dict) -> str:
+    blob = json.dumps(raw, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+
+
+def _expect(ok: bool, name: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+
+
+def _section(value, name: str, keys: tuple[str, ...] | None = None) -> dict:
+    """value when it is a JSON object whose keys are all in keys (any key
+    when keys is None)."""
+    _expect(isinstance(value, dict), name, "a JSON object", value)
+    for key in value:
+        if keys is not None and key not in keys:
+            raise ConfigError(f"{name}.{key} is not a known key; use one of {', '.join(keys)}")
+    return value
+
+
+def _string(value, name: str) -> str:
+    _expect(isinstance(value, str), name, "a string", value)
+    return value
+
+
+def _choice(value, name: str, choices: tuple[str, ...]) -> str:
+    _expect(value in choices, name, " or ".join(choices), value)
+    return value
+
+
+def _integer(value, name: str, nullable: bool = False) -> int | None:
+    """value when it is a JSON integer (true and false are not), or null
+    where that is allowed."""
+    _expect(type(value) is int or (value is None and nullable), name, "an integer", value)
+    return value
+
+
+def _number(value, name: str) -> float:
+    """value when it is a JSON number, integer or not (true and false are not)."""
+    _expect(type(value) in (int, float), name, "a number", value)
+    return value
+
+
+def _build(cls, values, name: str, integers: tuple[str, ...], numbers: tuple[str, ...] = ()):
+    """cls(**values), refusing a key that is not one of cls's fields, a
+    non-string value of a field whose default is a string, a non-integer
+    value of a key in integers (null where the default is None) and a
+    non-number value of a key in numbers."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key, value in _section(values, name, tuple(fields)).items():
+        if isinstance(fields[key].default, str):
+            _string(value, f"{name}.{key}")
+        if key in integers:
+            _integer(value, f"{name}.{key}", nullable=fields[key].default is None)
+        if key in numbers:
+            _number(value, f"{name}.{key}")
+    return cls(**values)
+
+
+def _parse_system(entry: dict, base: Path, runs: int, language: str) -> SystemSpec:
+    entry = _section(entry, "systems entry")
+    try:
+        name, kind = _string(entry["name"], "systems entry name"), entry["kind"]
+    except KeyError as exc:
+        raise ConfigError(f"system entry missing {exc}") from exc
+    label = f"system {name}"
+    if kind == BASELINE:
+        _section(entry, label, ("name", "kind"))
+        return SystemSpec(name=name, kind=kind)
+    if kind == LLM:
+        _section(entry, label, ("name", "kind", "prompt", "manual_ids", "dev_diagnostics"))
+        prompt = {"language_name": language, **_section(entry.get("prompt", {}), "prompt")}
+        spec = _build(prompt_mod.PromptSpec, prompt, "prompt", integers=("shots", "seed"))
+        diag = entry.get("dev_diagnostics")
+        diag_ok = diag is None or isinstance(diag, str)
+        _expect(diag_ok, f"{label}.dev_diagnostics", "a file path", diag)
+        manual_ids = entry.get("manual_ids", [])
+        ids_ok = isinstance(manual_ids, list) and all(isinstance(i, str) for i in manual_ids)
+        _expect(ids_ok, f"{label}.manual_ids", "a list of sentence ids", manual_ids)
+        return SystemSpec(
+            name=name,
+            kind=kind,
+            prompt=spec,
+            manual_ids=tuple(manual_ids),
+            dev_diagnostics=str(base / diag) if diag else None,
+        )
+    if kind == EXTERNAL:
+        _section(entry, label, ("name", "kind", "predictions"))
+        paths = entry.get("predictions")
+        if not paths:
+            raise ConfigError(f"external system {name} needs a predictions path list")
+        if isinstance(paths, str):
+            paths = [paths]
+        paths_ok = isinstance(paths, list) and all(isinstance(p, str) for p in paths)
+        _expect(paths_ok, f"{label}.predictions", "a file path or a list of them", paths)
+        if len(paths) not in (1, runs):
+            raise ConfigError(f"external system {name}: give 1 or {runs} prediction files")
+        return SystemSpec(name=name, kind=kind, predictions=tuple(str(base / p) for p in paths))
+    raise ConfigError(f"{label}: unknown kind {kind!r}")
+
+
+def oracle_load_config(
+    path: str | Path, out_dir: str | None = None, cache_mode: str | None = None
+) -> ExperimentConfig:
+    """Load and validate a JSON experiment config.
+
+    Relative paths are resolved against the config file's directory;
+    out_dir and cache_mode accept command-line overrides.
+    """
+    path = Path(path)
+    base = path.parent
+    try:
+        raw = json.loads(path.read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    _section(raw, "config", tuple(
+        "name language corpus split reduce baseline systems provider runs parallelism"
+        " cache_dir cache_mode out_dir scoring comparisons".split()
+    ))
+
+    try:
+        corpus_raw = _section(raw["corpus"], "corpus", ("path", "format", "name"))
+        split_raw = _section(raw["split"], "split", ("train", "dev", "test", "rule", "seed"))
+    except KeyError as exc:
+        raise ConfigError(f"config missing section {exc}") from exc
+
+    corpus_path = corpus_raw.get("path")
+    _expect(isinstance(corpus_path, str), "corpus.path", "a file path", corpus_path)
+    corpus_format = _choice(corpus_raw.get("format", CONLLU), "corpus.format", (CONLLU, TSV))
+
+    rules = corpus_mod.SELECTION_RULES
+    split = corpus_mod.SplitSpec(
+        train_count=_integer(split_raw.get("train"), "split.train"),
+        dev_count=_integer(split_raw.get("dev"), "split.dev"),
+        test_count=_integer(split_raw.get("test"), "split.test"),
+        selection_rule=_choice(split_raw.get("rule", corpus_mod.FIRST_N), "split.rule", rules),
+        seed=_integer(split_raw.get("seed", 0), "split.seed"),
+    )
+    reduce_raw = _section(raw.get("reduce", {}), "reduce", ("max_sentences", "rule", "seed"))
+    reduce_to = _integer(reduce_raw.get("max_sentences"), "reduce.max_sentences", nullable=True)
+    _expect(reduce_to is None or reduce_to >= 1, "reduce.max_sentences", "at least 1", reduce_to)
+    reduce_rule = _choice(reduce_raw.get("rule", corpus_mod.FIRST_N), "reduce.rule", rules)
+    baseline_raw = _section(raw.get("baseline", {}), "baseline", ("max_suffix_len",))
+    max_suffix_len = _integer(baseline_raw.get("max_suffix_len", 5), "baseline.max_suffix_len")
+    _expect(max_suffix_len >= 0, "baseline.max_suffix_len", "at least 0", max_suffix_len)
+    runs = _integer(raw.get("runs", 1), "runs")
+    _expect(runs >= 1, "runs", "at least 1", runs)
+    parallelism = _integer(raw.get("parallelism", 4), "parallelism")
+    _expect(parallelism >= 1, "parallelism", "at least 1", parallelism)
+
+    language = _string(raw.get("language", "English"), "language")
+    systems = tuple(_parse_system(e, base, runs, language) for e in raw.get("systems", []))
+    if len({s.name for s in systems}) != len(systems):
+        raise ConfigError("system names must be unique")
+
+    provider = _build(
+        gateway_mod.ProviderConfig,
+        raw.get("provider", {}),
+        "provider",
+        integers=("max_tokens", "max_retries"),
+        numbers=("temperature", "top_p", "timeout", "retry_backoff"),
+    )
+    tokens = provider.max_tokens
+    for key, ok, what in (
+        ("max_retries", provider.max_retries >= 0, "at least 0"),
+        ("retry_backoff", provider.retry_backoff >= 0, "at least 0"),
+        ("timeout", provider.timeout > 0, "above 0"),
+        ("max_tokens", tokens is None or tokens >= 1, "null or at least 1"),
+    ):
+        _expect(ok, f"provider.{key}", what, getattr(provider, key))
+    scoring = _section(raw.get("scoring", {}), "scoring", ("policy", "alpha", "mcnemar_run"))
+    policy = _choice(scoring.get("policy", eval_mod.STRICT), "scoring.policy", eval_mod.POLICIES)
+    comparisons_raw = raw.get("comparisons", "all-pairs")
+    if comparisons_raw == "all-pairs":
+        comparisons = tuple(itertools.combinations([s.name for s in systems], 2))
+    else:
+        pairs_ok = isinstance(comparisons_raw, list) and all(
+            isinstance(p, list) and len(p) == 2 for p in comparisons_raw
+        )
+        _expect(pairs_ok, "comparisons", '"all-pairs" or a list of name pairs', comparisons_raw)
+        comparisons = tuple((a, b) for a, b in comparisons_raw)
+    known = [s.name for s in systems]  # a list: a name that is not a string is unknown too
+    for a, b in comparisons:
+        if a not in known or b not in known:
+            raise ConfigError(f"comparison ({a}, {b}) names an unknown system")
+
+    name = _string(raw.get("name", path.stem), "name")
+    corpus_name = _string(corpus_raw.get("name", Path(corpus_path).stem), "corpus.name")
+    # These values land in "# key = value" artifact headers, where a tab
+    # would turn the line into a row and a line break would end it early.
+    for label, value in (
+        ("name", name),
+        ("language", language),
+        ("corpus file name", Path(corpus_path).name),
+        ("corpus name", corpus_name),
+        ("provider model", provider.model),
+        *(("system name", s.name) for s in systems),
+    ):
+        if any(c in str(value) for c in "\t\n\r"):
+            raise ConfigError(f"{label} {value!r} holds a tab or a line break")
+
+    mcnemar_run = _integer(scoring.get("mcnemar_run", 0), "scoring.mcnemar_run")
+    if not 0 <= mcnemar_run < runs:
+        raise ConfigError(f"scoring.mcnemar_run {mcnemar_run} is not a run in 0..{runs - 1}")
+
+    alpha = _number(scoring.get("alpha", 0.05), "scoring.alpha")
+    _expect(0 < alpha < 1, "scoring.alpha", "between 0 and 1, exclusive", alpha)
+    cache_dir = _string(raw.get("cache_dir", "cache"), "cache_dir")
+    configured_out = _string(raw.get("out_dir", "out"), "out_dir")
+    modes = gateway_mod.CACHE_MODES
+    mode = _choice(cache_mode or raw.get("cache_mode", gateway_mod.REPLAY), "cache_mode", modes)
+    return ExperimentConfig(
+        name=name,
+        language=language,
+        corpus_path=str(base / corpus_path),
+        corpus_format=corpus_format,
+        corpus_name=corpus_name,
+        split=split,
+        reduce_to=reduce_to,
+        reduce_rule=reduce_rule,
+        reduce_seed=_integer(reduce_raw.get("seed", 0), "reduce.seed"),
+        max_suffix_len=max_suffix_len,
+        systems=systems,
+        provider=provider,
+        runs=runs,
+        parallelism=parallelism,
+        cache_dir=str(base / cache_dir),
+        cache_mode=mode,
+        out_dir=str(Path(out_dir) if out_dir else base / configured_out),
+        policy=policy,
+        alpha=float(alpha),
+        mcnemar_run=mcnemar_run,
+        comparisons=comparisons,
+        config_hash=_hash_config(raw),
+    )

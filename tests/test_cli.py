@@ -226,6 +226,17 @@ def test_config_value_of_the_wrong_type_exits_2_naming_the_key(fixtures_dir, tmp
         assert key in capsys.readouterr().err
 
 
+def test_compare_with_a_repeated_comparison_exits_2_naming_it(fixtures_dir, tmp_path, capsys):
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    raw["comparisons"] = [["baseline", "llm-basic-4shot"], ["baseline", "llm-basic-4shot"]]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), "utf-8")
+    assert _run(str(config), tmp_path / "out", "compare") == 2
+    err = capsys.readouterr().err
+    assert "error: comparison (baseline, llm-basic-4shot) is repeated" in err
+    assert not (tmp_path / "out" / "reports").exists()
+
+
 @pytest.fixture()
 def scored_out(fixtures_dir, tmp_path):
     config, out = _replay_config(fixtures_dir, tmp_path), tmp_path / "out"
@@ -298,6 +309,18 @@ def test_score_with_a_diagnostics_count_that_is_not_a_count_exits_2(scored_out, 
     err = capsys.readouterr().err
     assert f"{path}: diagnostics are not non-negative integer counts for sentence es_fix-0060" in err
     assert "Traceback" not in err
+
+
+def test_score_with_diagnostics_of_no_test_sentence_exits_2_naming_it(scored_out, capsys):
+    config, out = scored_out
+    path = out / "predictions" / "baseline" / "es_fix-test.run0.diag.json"
+    payload = json.loads(path.read_text("utf-8"))
+    payload["sentences"]["es_fix-0099"] = {"missing": 0, "wrong": 5, "random": 7, "incorrect": 0}
+    path.write_text(json.dumps(payload), "utf-8")
+    capsys.readouterr()
+    assert _run(config, out, "score") == 2
+    err = capsys.readouterr().err
+    assert "error: diagnostics have an entry for es_fix-0099, no gold sentence" in err
 
 
 # The summary each subcommand prints on the replay fixture, in stage order;

@@ -216,6 +216,14 @@ def test_score_run_counts_and_diagnostics():
     assert renorm.sentence_accuracy == score.sentence_accuracy  # never renormalized
 
 
+def test_score_run_refuses_diagnostics_of_no_gold_sentence():
+    # An all-correct one-sentence run used to score wrong=5, random=7 here.
+    gold = corpus("g", sentence("g-0000", ("a", "A")))
+    diagnostics = {"g-0000": {"wrong": 0, "random": 0}, "dev-0099": {"wrong": 5, "random": 7}}
+    with pytest.raises(ScoringError, match="entry for dev-0099, no gold sentence"):
+        score_run({"g-0000": ("A",)}, gold, "strict", diagnostics)
+
+
 def _report(system="sys", corpus_name="demo", accs=(0.9, 0.95)):
     runs = tuple(
         RunScore(a, a / 2, 0, 0, 0, 0, missing=2, wrong=1, random=4) for a in accs

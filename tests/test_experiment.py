@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -11,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from lemmabench import artifact, baseline, corpus as corpus_mod, editscript, evaluation, experiment
@@ -21,7 +22,9 @@ from lemmabench.errors import (
     ConfigError,
     FileFormatError,
     InventoryFormatError,
+    PromptError,
     ScoringError,
+    SplitError,
     TransportError,
 )
 from lemmabench.experiment import (
@@ -39,7 +42,7 @@ from lemmabench.experiment import (
 )
 
 from conftest import corpus, sentence
-from oracles import oracle_mcnemar, oracle_report_text, oracle_run_score
+from oracles import oracle_load_config, oracle_mcnemar, oracle_report_text, oracle_run_score
 
 
 def forbidden_transport(config, prompt):
@@ -173,6 +176,13 @@ _WRONG_VALUES = [
     ("prompt.template", lambda raw: raw.update(_llm_system(template=1))),
     ("prompt.input_mode", lambda raw: raw.update(_llm_system(input_mode=None))),
     ("prompt.selection", lambda raw: raw.update(_llm_system(selection=True))),
+    # json.loads reads these: an infinite backoff ended in an OverflowError from
+    # time.sleep, and a NaN temperature reached every request fingerprint.
+    ("provider.retry_backoff must be a number", lambda raw: raw.update(
+        provider={"retry_backoff": math.inf})),
+    ("provider.temperature must be a number", lambda raw: raw.update(
+        provider={"temperature": math.nan})),
+    ("provider.timeout must be a number", lambda raw: raw.update(provider={"timeout": math.inf})),
 ]
 
 
@@ -204,6 +214,11 @@ _WRONG_VALUES = [
         lambda raw: raw.update(systems=[{"name": "base\tline", "kind": "baseline"}]),
         lambda raw: raw.update(provider={"model": "stub\r"}),
         *[mutate for _, mutate in _WRONG_VALUES],
+        # compare wrote the pair twice, and report then refused mcnemar.tsv.
+        lambda raw: raw.update(
+            systems=[{"name": "a", "kind": "baseline"}, {"name": "b", "kind": "baseline"}],
+            comparisons=[["a", "b"], ["a", "b"]],
+        ),
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, mutate):
@@ -241,6 +256,14 @@ _OUT_OF_RANGE = [
     ("provider.timeout", {"provider": {"timeout": 0}}),
     ("provider.max_tokens", {"provider": {"max_tokens": 0}}),
     ("parallelism", {"parallelism": 0}),
+    # These escaped as a PromptError or a SplitError that named no key.
+    ("prompt.shots", _llm_system(shots=99)),
+    ("prompt.shots", _llm_system(shots=-1)),
+    ("prompt.template", _llm_system(template="bogus")),
+    ("prompt.input_mode", _llm_system(input_mode="words")),
+    ("prompt.selection", _llm_system(selection="best")),
+    ("split.train", {"split": {"train": -1, "dev": 2, "test": 1}}),
+    ("split.test", {"split": {"train": 3, "dev": 2, "test": -5}}),
 ]
 
 
@@ -294,6 +317,182 @@ def test_external_system_accepts_single_shared_file(tmp_path):
     )
     cfg = load_config(_write_config(tmp_path, raw))
     assert cfg.systems[0].predictions == (str(tmp_path / "preds.tsv"),)
+
+
+def test_load_config_names_a_repeated_comparison(tmp_path):
+    systems = [{"name": "a", "kind": "baseline"}, {"name": "b", "kind": "baseline"}]
+    raw = _minimal_raw(systems=systems, comparisons=[["a", "b"], ["b", "a"], ["a", "b"]])
+    with pytest.raises(ConfigError, match=r"^comparison \(a, b\) is repeated$"):
+        load_config(_write_config(tmp_path, raw))
+    raw["comparisons"].pop()  # the reversed pair is another row of mcnemar.tsv
+    assert load_config(_write_config(tmp_path, raw)).comparisons == (("a", "b"), ("b", "a"))
+
+
+def test_readme_config_table_lists_every_schema_key(fixtures_dir):
+    readme = (fixtures_dir.parent / "README.md").read_text("utf-8")
+    section = readme.split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(keys) == sorted(experiment._SCHEMA) and len(keys) == len(set(keys))
+
+
+# --- the schema against the key-by-key loader it replaced ----------------------
+
+_NAMES = ("base", "llm", "ext")
+# The values a changed key may take: every JSON type, each range's ends and
+# outsides, each choice, the systems' names, and NaN and +-Infinity, which
+# json.loads reads.
+_ANY_VALUES = [
+    None, True, False, 0, 1, 2, 5, 6, 99, -1, 10**30, 0.0, 0.5, 1.0, 1.5, -0.5, 2.0,
+    math.nan, math.inf, -math.inf, "", "x", "tab\tvalue", "p.tsv", "first-m", *_NAMES,
+    *experiment.KINDS, *experiment.TEMPLATES, *experiment.INPUT_MODES, *experiment.SELECTIONS,
+    *corpus_mod.SELECTION_RULES, experiment.CONLLU, experiment.TSV, *evaluation.POLICIES,
+    "live", "record", "replay", experiment.ALL_PAIRS, [], ["x"], [5], ["d-1"], ["p0.tsv", "p1.tsv"],
+    [["base", "llm"]], [["base", "llm"], ["base", "llm"]], [["llm", "ghost"]], [["base"]], ["base"],
+    {}, {"name": "x", "kind": "baseline"}, {"shots": 2},
+]
+# Drawn as often as all of the above: the values next to each range's ends,
+# the ones the schema refuses and the parent did not, and null.
+_EDGE_VALUES = [None, -1, 0, 6, "x", math.nan, math.inf, -math.inf, [["base", "llm"]] * 2]
+# Each row's key, each section, a system entry and the config itself ("").
+_SITES = sorted({*experiment._SCHEMA, "", "corpus", "split", "reduce", "baseline", "provider",
+                 "scoring", "systems.*", "systems.llm.prompt"})
+
+
+def _optional(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+@st.composite
+def _valid_raw(draw):
+    """A config that both loaders accept, with one system of each kind."""
+    runs = draw(st.integers(1, 3))
+    llm = draw(st.fixed_dictionaries({"name": st.just("llm"), "kind": st.just("llm")}, optional={
+        "prompt": _optional(
+            template=st.sampled_from(experiment.TEMPLATES),
+            input_mode=st.sampled_from(experiment.INPUT_MODES),
+            shots=st.integers(0, 5), selection=st.sampled_from(experiment.SELECTIONS),
+            seed=st.integers(0, 3), language_name=st.sampled_from(["Basque", ""])),
+        "manual_ids": st.lists(st.sampled_from(["d-1", "d-2"]), max_size=2),
+        "dev_diagnostics": st.sampled_from([None, "", "diag.json"]),
+    }))
+    paths = st.sampled_from(["p.tsv", ["p.tsv"], [f"p{r}.tsv" for r in range(runs)]])
+    systems = [{"name": "base", "kind": "baseline"}, llm,
+               {"name": "ext", "kind": "external", "predictions": draw(paths)}]
+    pairs = st.lists(st.sampled_from(list(itertools.permutations(_NAMES, 2))), unique=True)
+    rules, numbers = st.sampled_from(corpus_mod.SELECTION_RULES), st.sampled_from([0, 0.5, 1.0, 2])
+    return draw(st.fixed_dictionaries({
+        "corpus": st.fixed_dictionaries(
+            {"path": st.sampled_from(["corpus.tsv", "sub/es.conllu", "/abs/c.tsv"])},
+            optional={"format": st.sampled_from([experiment.CONLLU, experiment.TSV]),
+                      "name": st.sampled_from(["es", ""])}),
+        "split": st.fixed_dictionaries(
+            {"train": st.integers(0, 40), "dev": st.integers(0, 9), "test": st.integers(0, 9)},
+            optional={"rule": rules, "seed": st.integers(0, 9)}),
+        "systems": st.permutations(systems),
+        "runs": st.just(runs),
+    }, optional={
+        "name": st.sampled_from(["exp", ""]),
+        "language": st.sampled_from(["Spanish", "English"]),
+        "reduce": _optional(max_sentences=st.none() | st.integers(1, 99), rule=rules,
+                            seed=st.integers(0, 9)),
+        "baseline": _optional(max_suffix_len=st.integers(0, 6)),
+        "provider": _optional(
+            base_url=st.just("http://replay.invalid/v1"), model=st.sampled_from(["m", "sim"]),
+            api_key_env=st.just("KEY"), temperature=numbers, top_p=numbers,
+            max_tokens=st.none() | st.integers(1, 512), timeout=st.sampled_from([0.001, 30]),
+            max_retries=st.integers(0, 4), retry_backoff=numbers),
+        "parallelism": st.integers(1, 8),
+        "cache_dir": st.just("cache"),
+        "cache_mode": st.sampled_from(["live", "record", "replay"]),
+        "out_dir": st.just("out"),
+        "scoring": _optional(policy=st.sampled_from(evaluation.POLICIES),
+                             alpha=st.sampled_from([0.001, 0.05, 0.999]),
+                             mcnemar_run=st.integers(0, runs - 1)),
+        "comparisons": st.just(experiment.ALL_PAIRS) | pairs.map(lambda ps: [[*p] for p in ps]),
+    }))
+
+
+def _site(raw, key, draw):
+    """The container of a dotted schema key in raw and the key within it; a
+    systems.KIND key picks an entry of that kind, and a missing section is
+    made empty."""
+    container, parts = raw, key.split(".")
+    if parts[0] == "systems" and len(parts) > 1:
+        kinds = [i for i, e in enumerate(raw["systems"]) if parts[1] in ("*", e["kind"])]
+        container, parts = raw["systems"], [draw(st.sampled_from(kinds)), *parts[2:]]
+        if len(parts) > 1:
+            container, parts = container[parts[0]], parts[1:]
+    for part in parts[:-1]:
+        container = container.setdefault(part, {})
+    return container, parts[-1]
+
+
+def _load(loader, path, **overrides):
+    """The config, or the error: a ConfigError as its message."""
+    try:
+        return loader(path, **overrides)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+    except Exception as exc:  # the oracle's PromptError, SplitError or TypeError
+        return exc
+
+
+def _departure(key, value, old, new):
+    """The name of the allowed departure of new from old, or None."""
+    if isinstance(old, experiment.ExperimentConfig) and isinstance(new, str):
+        repeated = [p for i, p in enumerate(old.comparisons) if p in old.comparisons[:i]]
+        if repeated and new == "ConfigError: comparison ({}, {}) is repeated".format(*repeated[0]):
+            return "repeated comparison"
+    non_finite = isinstance(value, float) and not math.isfinite(value)
+    if non_finite and not isinstance(old, Exception) and isinstance(new, str):
+        if re.fullmatch(rf"ConfigError: \S+ must be a number, got {json.dumps(value)}", new):
+            return "non-finite number"
+    if isinstance(old, (PromptError, SplitError)) and isinstance(new, str):
+        if re.match(r"ConfigError: (prompt|split)\.\w+ must be ", new):
+            return "prompt or split value out of range"
+    refused = "ConfigError: systems must be a list of system entries, got "
+    if key == "systems" and isinstance(old, TypeError) and str(new).startswith(refused):
+        return "systems neither a list, a string nor an object: the oracle crashed"
+    return None
+
+
+@pytest.mark.parametrize("key", _SITES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_load_config_matches_the_key_by_key_oracle_on_one_changed_key(key, data):
+    """One key of a valid config takes another value, goes missing or gains
+    an unknown sibling: the schema and the loader it replaced agree on the
+    config or on the error's text, but for the refusals the schema added."""
+    raw = data.draw(_valid_raw())
+    actions = ["set", "set", "delete", "sibling", "override"] if key else ["set"]
+    action = data.draw(st.sampled_from(actions))
+    value = data.draw(st.sampled_from(_EDGE_VALUES) | st.sampled_from(_ANY_VALUES))
+    if not key:
+        raw = value
+    elif action != "override":
+        container, last = _site(raw, key, data.draw)
+        if action == "set":
+            container[last] = value
+        elif action == "delete" and isinstance(container, dict):
+            container.pop(last, None)
+        elif action == "delete":
+            del container[last]
+        elif isinstance(container, dict):
+            container[f"{last}_x"] = 1
+    overrides = data.draw(_optional(out_dir=st.just("elsewhere"),
+                                    cache_mode=st.sampled_from(["", "record"])))
+    if action == "override":
+        overrides["cache_mode"] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw), "utf-8")
+        old = _load(oracle_load_config, path, **overrides)
+        new = _load(load_config, path, **overrides)
+    assert not isinstance(new, Exception), new  # the schema refuses; it does not crash
+    departure = _departure(key, value, old, new)
+    event(departure or ("refused" if isinstance(old, str) else "accepted"))
+    if departure is None:
+        assert new == old and repr(new) == repr(old)
 
 
 # --- blocks_to_slots ------------------------------------------------------------
