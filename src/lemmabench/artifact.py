@@ -8,26 +8,15 @@ fields.  A ``#`` line is a header when it holds no tab or starts with
 tabs), so a row such as ``#nlp<TAB>nlp`` stays a row.  Reading accepts a
 leading byte-order mark.  Every file a stage writes but the response
 cache goes through publish, whole or not at all: the artifacts through
-write, the report tables, report.txt and the diagnostics JSON as text;
-flat tables are read by read, and sentence-block files by
-corpus._read_blocks.
+write, the report tables, report.txt and the diagnostics JSON as text.
+Flat tables are read by read.
 
-A sentence-block file (corpus, split, predictions) is in the canonical
-block shape when its text is NFC and each block (the lines between blank
-lines) is zero or more header lines, ``#`` lines with no tab, then rows of
-exactly one tab that neither start with whitespace nor with
-``# columns = ``.  The block files the pipeline writes have that shape
+A sentence-block file (corpus, split, predictions) is read by
+corpus._read_blocks, once, in pieces of about 64 KiB: each block in the
+canonical shape (see corpus._CANONICAL_BLOCK), which the pipeline writes
 unless a sentence id or a field is not NFC or a wordform starts with
-whitespace.  A CoNLL-U corpus, which is not an artifact, is canonical when
-its text is NFC and each line that is neither blank nor a ``#`` comment
-has exactly 10 tab-separated columns, an ID that is a word (decimal
-digits), a multiword range or an empty node, and a FORM if it is a word.
-corpus._read_canonical reads a canonical file of either kind a piece of
-about 64 KiB at a time, in bulk.  If any piece is not canonical, more than
-a piece passes without a blank line, or the file is not UTF-8, the whole
-file falls back to corpus._read_corpus, the line loop on top of lines,
-is_header and header: it reads every file to the same result, and it
-names the line of each fault.
+whitespace, in bulk, and any other block line by line on top of is_header
+and header, naming the line of each fault.
 """
 
 from __future__ import annotations

@@ -94,79 +94,52 @@ class SplitSpec:
             raise SplitError(f"unknown selection rule: {self.selection_rule!r}")
 
 
-def _read_corpus(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
-    """The sentence-block line loop: the reader of the CoNLL-U and TSV block
-    files that _read_canonical refuses, and the one place that names the
-    line of a fault.
+_PIECE = 1 << 16  # characters _pieces reads at a time
 
-    Yields each block as it ends, a (sent_id or None, wordforms, lemmas)
-    triple of tuples, and puts the other ``# key = value`` headers into
-    meta.  parse_row(fields, path, line_no) gives a (form, lemma-or-None)
-    row, NFC-normalized here, or None for a line without a token.  A
-    ``# sent_id = X`` header starts a block named X, which may end without
-    rows; a blank line ends a block that has rows.  In CoNLL-U every ``#``
-    line is a comment.
-    """
-    block_id, forms, lemmas = None, [], []
-    normalize = unicodedata.normalize
-    for line_no, line in artifact.lines(path):
-        if not line.strip():
-            if forms:
-                yield block_id, tuple(forms), tuple(lemmas)
-                block_id, forms, lemmas = None, [], []
-        elif line.startswith("#") and (not tsv or artifact.is_header(line)):
-            key, value = (artifact.header(line) if tsv else None) or (None, None)
-            if key == "sent_id":
-                if forms or block_id is not None:
-                    yield block_id, tuple(forms), tuple(lemmas)
-                block_id, forms, lemmas = value, [], []
-            elif key is not None:
-                meta[key] = value
-        else:
-            row = parse_row(line.split("\t"), path, line_no)
-            if row is not None:
-                form, lemma = row
-                forms.append(normalize("NFC", form))
-                lemmas.append(lemma and normalize("NFC", lemma))
-    if forms or block_id is not None:
-        yield block_id, tuple(forms), tuple(lemmas)
-
-
-_PIECE = 1 << 16  # characters _read_canonical reads at a time
-
-# A canonical block: header lines (``#``, no tab), then rows of exactly one
-# tab that do not start with whitespace.  A row may start with ``#`` (a
-# hashtag), but not with ``# columns = ``, which artifact.is_header reads as
-# a header.  The pattern is matched one block at a time: the backtracking
-# state re keeps grows with each line a match spans.
+# A canonical block: NFC text, header lines (``#``, no tab), then rows of
+# exactly one tab that do not start with whitespace.  A row may start with
+# ``#`` (a hashtag), but not with ``# columns = ``, which artifact.is_header
+# reads as a header.  The backtracking state re keeps grows with each line a
+# match spans, so the pattern is matched one block at a time, none over _PIECE.
 _CANONICAL_BLOCK = re.compile(
     r"((?:#[^\t\n]*(?:\n|\Z))*)(?:(?!# columns = )\S[^\t\n]*\t[^\t\n]*(?:\n|\Z))*"
 )
 
 
 def _pieces(handle):
-    """The text of handle in pieces of about _PIECE characters, each cut at
-    its last blank line; the last piece is the rest of the text.  A None
-    piece ends them early: more than _PIECE characters after a cut hold no
-    blank line, so the file is not made of short blocks."""
+    """The text of handle in pieces of about _PIECE characters, each up to
+    its last blank line, then the rest; a stretch of more than _PIECE
+    without a blank line comes as lines instead, read before the next piece."""
     rest = ""
     while chunk := handle.read(_PIECE):
         text = rest + chunk
         cut = text.rfind("\n\n", max(len(rest) - 1, 0))
         if cut >= 0:
             yield text[:cut]
-            rest = text[cut:]
+            rest = text[cut + 2 :]
         elif len(text) > _PIECE:
-            yield None
-            return
+            yield _stretch(text, handle)
+            rest = ""
         else:
             rest = text
     yield rest
 
 
+def _stretch(text: str, handle):
+    """The lines of text, then of handle a line at a time up to the next
+    empty line, which comes last ("" at the end of the file)."""
+    *lines, line = text.split("\n")
+    yield from lines
+    line += handle.readline()
+    while line.strip("\n"):
+        yield line.rstrip("\n")
+        line = handle.readline()
+    yield ""
+
+
 def _tsv_block(block: str):
     """(header lines, wordforms, lemmas) of a block that matches
-    _CANONICAL_BLOCK, else None.  The line loop would meet no malformed row
+    _CANONICAL_BLOCK, else None.  The line step would meet no malformed row
     there and take each ``#`` line for a header where the pattern does."""
     match = _CANONICAL_BLOCK.fullmatch(block)
     if match is None:
@@ -203,51 +176,74 @@ def _conllu_block(block: str):
     return (), forms, lemmas
 
 
-def _read_canonical(path: str | Path, tsv: bool, meta: dict[str, str]):
-    """The blocks of a sentence-block file as _read_corpus yields them, read
-    a piece at a time; None if the file is not UTF-8, a piece is not NFC
-    (the line loop normalizes fields), more than _PIECE characters pass
-    without a blank line, or the format's block step refuses a block.  meta
-    is updated only when every block is accepted."""
+def _line_step(lines, line_no: int, path: str | Path, parse_row, tsv: bool):
+    """The (header lines, wordforms, lemmas) parts of a block read a line at
+    a time from line line_no, each ended by a whitespace-only line or a
+    ``# sent_id`` after rows.  parse_row(fields, path, line_no) gives a row,
+    NFC-normalized here, or None, and names the line of a fault.  Returns
+    the number of the line after the block."""
+    heads, forms, lemmas = [], [], []
+    normalize = unicodedata.normalize
+    for line_no, line in enumerate(lines, line_no):
+        head = tsv and artifact.is_header(line)
+        sent_id = head and (artifact.header(line) or ("",))[0] == "sent_id"
+        if forms and (sent_id or not line.strip()):
+            yield heads, tuple(forms), tuple(lemmas)
+            heads, forms, lemmas = [], [], []
+        if head:
+            heads.append(line)
+        elif line.strip() and (row := parse_row(line.split("\t"), path, line_no)):
+            forms.append(normalize("NFC", row[0]))
+            lemmas.append(row[1] and normalize("NFC", row[1]))
+    yield heads, tuple(forms), tuple(lemmas)
+    return line_no + 1
+
+
+def _parts(path: str | Path, parse_row, tsv: bool):
+    """The parts of a sentence-block file, read once: a block (the lines
+    between blank lines) of a piece is one part from the format's bulk step
+    unless that step refuses it, it is not NFC (the line step normalizes
+    fields) or it is longer than _PIECE; then, as a stretch, it takes the line step."""
     read_block = _tsv_block if tsv else _conllu_block
-    blocks, found = [], {}
-    block_id = None  # a sent_id whose block has no rows yet
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
+    line_no = 1  # of the next block's first line
+    with open(path, encoding="utf-8-sig") as handle:
+        try:
             for piece in _pieces(handle):
-                if piece is None or not unicodedata.is_normalized("NFC", piece):
-                    return None
-                for block in piece.split("\n\n"):
-                    if not (block := block.strip("\n")):
-                        continue
-                    if (read := read_block(block)) is None:
-                        return None
-                    heads, forms, lemmas = read
-                    for line in heads:
-                        key, value = artifact.header(line) or (None, None)
-                        if key == "sent_id":
-                            if block_id is not None:
-                                blocks.append((block_id, (), ()))
-                            block_id = value
-                        elif key is not None:
-                            found[key] = value
-                    if forms:
-                        blocks.append((block_id, forms, lemmas))
-                        block_id = None
-    except UnicodeDecodeError:
-        return None
-    if block_id is not None:
-        blocks.append((block_id, (), ()))
-    meta.update(found)
-    return blocks
+                if not isinstance(piece, str):
+                    line_no = yield from _line_step(piece, line_no, path, parse_row, tsv)
+                    continue
+                for raw in piece.split("\n\n"):
+                    if block := raw.strip("\n"):
+                        bulk = len(block) <= _PIECE and unicodedata.is_normalized("NFC", block)
+                        if bulk and (part := read_block(block)):
+                            yield part
+                        else:
+                            yield from _line_step(raw.split("\n"), line_no, path, parse_row, tsv)
+                    line_no += raw.count("\n") + 2
+        except UnicodeDecodeError:
+            for _ in artifact.lines(path):  # raises the error naming the first such line
+                pass
 
 
 def _read_blocks(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
-    """The blocks of a sentence-block file, behind ingest_conllu, ingest_tsv
-    and align.read_predictions: read by _read_canonical when it accepts the
-    file, else by the line loop _read_corpus."""
-    blocks = _read_canonical(path, tsv, meta)
-    return _read_corpus(path, parse_row, tsv, meta) if blocks is None else blocks
+    """The (sent_id or None, wordforms, lemmas) blocks of a block file, each
+    yielded as it ends: ``# sent_id = X`` starts a block named X, which may
+    end without rows, a part with rows ends one, other headers go into meta."""
+    block_id = None  # a sent_id whose block has no rows yet
+    for heads, forms, lemmas in _parts(path, parse_row, tsv):
+        for line in heads:
+            key, value = artifact.header(line) or (None, None)
+            if key == "sent_id":
+                if block_id is not None:
+                    yield block_id, (), ()
+                block_id = value
+            elif key is not None:
+                meta[key] = value
+        if forms:
+            yield block_id, forms, lemmas
+            block_id = None
+    if block_id is not None:
+        yield block_id, (), ()
 
 
 def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: bool) -> Corpus:
@@ -268,6 +264,8 @@ def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: b
 
 
 def _conllu_row(columns: list[str], path: Path, line_no: int) -> tuple[str, str | None] | None:
+    if columns[0][:1] == "#":  # every # line is a comment
+        return None
     if len(columns) != 10:
         raise CorpusFormatError(path, line_no, f"expected 10 columns, found {len(columns)}")
     token_id = columns[0]
@@ -287,9 +285,7 @@ def ingest_conllu(path: str | Path, name: str | None = None, language: str = "un
     Multiword-token range lines and empty-node lines are dropped; comments,
     sent_id included, are ignored, so sentence ids are ordinal.  Raises
     CorpusFormatError on a token line that does not have exactly 10
-    tab-separated columns, EmptyCorpusError if no sentence survives.  A
-    file in the canonical shape (see artifact) is read in bulk, a piece at
-    a time; any other file line by line, which names the line of a fault.
+    tab-separated columns, EmptyCorpusError if no sentence survives.
     """
     return _corpus(path, name, language, _conllu_row, tsv=False)
 

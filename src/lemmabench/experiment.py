@@ -149,8 +149,7 @@ _SCHEMA = {
     "reduce.rule": _Row(_one_of(*corpus_mod.SELECTION_RULES), corpus_mod.FIRST_N),
     "reduce.seed": _Row(_INTEGER, 0),
     "baseline.max_suffix_len": _Row(_INTEGER, 5, _AT_LEAST_0),
-    # A string or an object is iterated too, so that every config accepted before still loads.
-    "systems": _Row(("a list of system entries", lambda v: isinstance(v, (list, str, dict))), ()),
+    "systems": _Row(("a list of system entries", lambda v: isinstance(v, list)), ()),
     "systems.*.name": _Row(_STRING),
     "systems.*.kind": _Row(_one_of(*KINDS)),
     "systems.llm.prompt.template": _Row(_STRING, _PROMPT.template, _one_of(*TEMPLATES)),
@@ -167,8 +166,9 @@ _SCHEMA = {
     "provider.base_url": _Row(_STRING, _PROVIDER.base_url),
     "provider.model": _Row(_STRING, _PROVIDER.model),
     "provider.api_key_env": _Row(_STRING, _PROVIDER.api_key_env),
-    "provider.temperature": _Row(_NUMBER, _PROVIDER.temperature),
-    "provider.top_p": _Row(_NUMBER, _PROVIDER.top_p),
+    "provider.temperature": _Row(_NUMBER, _PROVIDER.temperature, (
+        "between 0 and 2", lambda v: 0 <= v <= 2)),
+    "provider.top_p": _Row(_NUMBER, _PROVIDER.top_p, ("between 0 and 1", lambda v: 0 <= v <= 1)),
     "provider.max_tokens": _Row(
         _INTEGER, _PROVIDER.max_tokens, ("null or at least 1", lambda v: v >= 1), null=True),
     "provider.timeout": _Row(_NUMBER, _PROVIDER.timeout, ("above 0", lambda v: v > 0)),

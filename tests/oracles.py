@@ -24,7 +24,9 @@ one Token per token, as the reader did before a Sentence stored its
 wordforms and lemmas as two columns, and refuse a repeated sentence id as
 the reader does now; oracle_load_config is load_config with its per-type
 helpers as they were before one _SCHEMA table and one walker checked every
-key.
+key; and _read_blocks, with _read_canonical, _pieces and the line loop
+_read_corpus, is the sentence-block reader as it was before it read each
+file once and sent only a refused block line by line.
 """
 
 import dataclasses
@@ -42,6 +44,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from lemmabench import artifact
 from lemmabench import corpus as corpus_mod
 from lemmabench import evaluation as eval_mod
 from lemmabench import gateway as gateway_mod
@@ -54,7 +57,7 @@ from lemmabench.align import (
     read_predictions,
 )
 from lemmabench.baseline import DEFAULT_MAX_SUFFIX, BaselineModel
-from lemmabench.corpus import Corpus, Token
+from lemmabench.corpus import Corpus, Token, _conllu_block, _tsv_block
 from lemmabench.editscript import (
     LOWER_FIRST,
     PRESERVE,
@@ -647,6 +650,120 @@ def _oracle_conllu_row(fields, path, line_no):
 
 def oracle_ingest_conllu(path, name=None, language="und"):
     return _oracle_read_corpus(path, name, language, _oracle_conllu_row, tsv=False)
+
+
+# --- the sentence-block readers before one reader read each block in bulk ---------
+# corpus._read_blocks as it was before it read each file once: _read_canonical
+# read every block of a file in bulk or refused the whole file, and then the
+# line loop _read_corpus read the file again.
+
+
+def _read_corpus(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
+    """The sentence-block line loop: the reader of the CoNLL-U and TSV block
+    files that _read_canonical refuses, and the one place that names the
+    line of a fault.
+
+    Yields each block as it ends, a (sent_id or None, wordforms, lemmas)
+    triple of tuples, and puts the other ``# key = value`` headers into
+    meta.  parse_row(fields, path, line_no) gives a (form, lemma-or-None)
+    row, NFC-normalized here, or None for a line without a token.  A
+    ``# sent_id = X`` header starts a block named X, which may end without
+    rows; a blank line ends a block that has rows.  In CoNLL-U every ``#``
+    line is a comment.
+    """
+    block_id, forms, lemmas = None, [], []
+    normalize = unicodedata.normalize
+    for line_no, line in artifact.lines(path):
+        if not line.strip():
+            if forms:
+                yield block_id, tuple(forms), tuple(lemmas)
+                block_id, forms, lemmas = None, [], []
+        elif line.startswith("#") and (not tsv or artifact.is_header(line)):
+            key, value = (artifact.header(line) if tsv else None) or (None, None)
+            if key == "sent_id":
+                if forms or block_id is not None:
+                    yield block_id, tuple(forms), tuple(lemmas)
+                block_id, forms, lemmas = value, [], []
+            elif key is not None:
+                meta[key] = value
+        else:
+            row = parse_row(line.split("\t"), path, line_no)
+            if row is not None:
+                form, lemma = row
+                forms.append(normalize("NFC", form))
+                lemmas.append(lemma and normalize("NFC", lemma))
+    if forms or block_id is not None:
+        yield block_id, tuple(forms), tuple(lemmas)
+
+
+_PIECE = 1 << 16  # characters _read_canonical reads at a time
+
+
+def _pieces(handle):
+    """The text of handle in pieces of about _PIECE characters, each cut at
+    its last blank line; the last piece is the rest of the text.  A None
+    piece ends them early: more than _PIECE characters after a cut hold no
+    blank line, so the file is not made of short blocks."""
+    rest = ""
+    while chunk := handle.read(_PIECE):
+        text = rest + chunk
+        cut = text.rfind("\n\n", max(len(rest) - 1, 0))
+        if cut >= 0:
+            yield text[:cut]
+            rest = text[cut:]
+        elif len(text) > _PIECE:
+            yield None
+            return
+        else:
+            rest = text
+    yield rest
+
+
+def _read_canonical(path: str | Path, tsv: bool, meta: dict[str, str]):
+    """The blocks of a sentence-block file as _read_corpus yields them, read
+    a piece at a time; None if the file is not UTF-8, a piece is not NFC
+    (the line loop normalizes fields), more than _PIECE characters pass
+    without a blank line, or the format's block step refuses a block.  meta
+    is updated only when every block is accepted."""
+    read_block = _tsv_block if tsv else _conllu_block
+    blocks, found = [], {}
+    block_id = None  # a sent_id whose block has no rows yet
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            for piece in _pieces(handle):
+                if piece is None or not unicodedata.is_normalized("NFC", piece):
+                    return None
+                for block in piece.split("\n\n"):
+                    if not (block := block.strip("\n")):
+                        continue
+                    if (read := read_block(block)) is None:
+                        return None
+                    heads, forms, lemmas = read
+                    for line in heads:
+                        key, value = artifact.header(line) or (None, None)
+                        if key == "sent_id":
+                            if block_id is not None:
+                                blocks.append((block_id, (), ()))
+                            block_id = value
+                        elif key is not None:
+                            found[key] = value
+                    if forms:
+                        blocks.append((block_id, forms, lemmas))
+                        block_id = None
+    except UnicodeDecodeError:
+        return None
+    if block_id is not None:
+        blocks.append((block_id, (), ()))
+    meta.update(found)
+    return blocks
+
+
+def _read_blocks(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
+    """The blocks of a sentence-block file, behind ingest_conllu, ingest_tsv
+    and align.read_predictions: read by _read_canonical when it accepts the
+    file, else by the line loop _read_corpus."""
+    blocks = _read_canonical(path, tsv, meta)
+    return _read_corpus(path, parse_row, tsv, meta) if blocks is None else blocks
 
 
 def oracle_read_inventory(path):

@@ -1,7 +1,7 @@
 """The TSV artifact format: one reader and one writer for every table, and
-one sentence-block loop for corpus and prediction files, behind a fast
-path that reads canonical block files a piece at a time and must read
-every file as the loop does.
+one sentence-block reader for corpus and prediction files, which reads
+each canonical block in bulk and any other block with the line step, and
+must read every file as the reader before it and its line loop did.
 
 Each typed reader is checked against its earlier stand-alone version in
 oracles.py on generated files: the same result, or the same exception
@@ -36,6 +36,8 @@ import ast
 import io
 import random
 import re
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -64,6 +66,7 @@ from lemmabench.errors import (
 )
 from lemmabench.evaluation import read_counts
 
+import oracles
 from conftest import corpus, sentence
 from synthgen import make_case
 from oracles import (
@@ -180,7 +183,7 @@ def test_read_predictions_matches_the_old_reader(scratch, lines, crlf, final_new
 # letters outside ASCII, all NFC; "" is an empty (missing) lemma.
 _CANONICAL_WORDS = ["Perros", "perro", "#nlp", "#", "\u0301a", "a b", "x\x85y", "Ça", "ǅemal"]
 
-# Lines that make the piece holding them refuse the fast path when they sit
+# Lines that send the block holding them to the line step when they sit
 # after a row: non-NFC fields, headers inside a block, whitespace-only lines,
 # malformed rows and a byte that is not UTF-8 (_BAD_BYTE, put in after
 # encoding).  "#x<TAB>y" is a hashtag row and keeps the fast path.
@@ -218,9 +221,63 @@ def block_files(draw):
     return lines, late
 
 
-def _line_loop_only():
-    """The readers with the fast path turned off: the line loop reads every file."""
-    return mock.patch.object(corpus_mod, "_read_canonical", lambda path, tsv, meta: None)
+align_mod = sys.modules["lemmabench.align"]  # lemmabench.align is the function
+
+
+@contextmanager
+def _read_with(read_blocks):
+    """The readers with read_blocks in place of corpus._read_blocks: the
+    reader before this one (oracles._read_blocks) or its line loop alone
+    (oracles._read_corpus)."""
+    with mock.patch.object(corpus_mod, "_read_blocks", read_blocks), mock.patch.object(
+        align_mod, "_read_blocks", read_blocks
+    ):
+        yield
+
+
+@contextmanager
+def _line_steps():
+    """A list that gains (first line number, lines) for each block that
+    takes the line step."""
+    steps, line_step = [], corpus_mod._line_step
+
+    def spy(lines, line_no, *args):
+        steps.append((line_no, lines := list(lines)))
+        return line_step(lines, line_no, *args)
+
+    with mock.patch.object(corpus_mod, "_line_step", spy):
+        yield steps
+
+
+def _texts(steps):
+    return [(line_no, "\n".join(lines).strip("\n")) for line_no, lines in steps]
+
+
+def _result(read, path):
+    """read(path)'s result, or the class and text of the error it raised."""
+    try:
+        return read(path)
+    except LemmabenchError as exc:
+        return type(exc), str(exc)
+
+
+def _results_before(reads, path, piece=oracles._PIECE):
+    """_result of each read with the reader before this one, at piece, which
+    must agree with its line loop alone."""
+    with mock.patch.object(oracles, "_PIECE", piece), _read_with(oracles._read_blocks):
+        old = [_result(read, path) for read in reads]
+    with _read_with(oracles._read_corpus):
+        assert old == [_result(read, path) for read in reads]
+    return old
+
+
+def _stepped(steps, late_lines, piece):
+    """Each block that took the line step holds one of late_lines or is
+    longer than piece (a stretch without a blank line among them)."""
+    return all(
+        any(line in lines for line in late_lines) or len("\n".join(lines)) > piece
+        for _, lines in steps
+    )
 
 
 @given(case=block_files(), piece=st.integers(8, 300), crlf=st.booleans(), bom=st.booleans())
@@ -230,21 +287,21 @@ def test_block_fast_path_matches_the_line_loop_and_the_oracles(scratch, case, pi
     path = _file(scratch, lines, crlf, bom=bom)
     path.write_bytes(path.read_bytes().replace(_BAD_BYTE.encode(), b"\xe9"))
     corpus_read = lambda p: token_sentences(ingest_tsv(p, "c"))  # noqa: E731
-    with mock.patch.object(corpus_mod, "_PIECE", piece):  # many pieces per file
-        fast = corpus_mod._read_canonical(path, True, {})
-        new = _outcome(corpus_read, path), _outcome(read_predictions, path)
-    with _line_loop_only():
-        assert new == (_outcome(corpus_read, path), _outcome(read_predictions, path))
-    # A bad line refuses the fast path; so may a stretch without a blank line
-    # longer than a piece, and only such a stretch does when no line is bad.
-    stretch = max(map(len, path.read_text("utf-8-sig", "replace").split("\n\n")))
-    if late not in (None, "#x\ty"):
-        assert fast is None
-    elif stretch + 2 < piece:
-        assert fast is not None
+    reads = corpus_read, read_predictions
+    with mock.patch.object(corpus_mod, "_PIECE", piece), _line_steps() as steps:  # many pieces
+        new = [_result(read, path) for read in reads]
+    assert new == _results_before(reads, path, piece)
+    # Only a block with a bad line or longer than a piece takes the line step,
+    # and a bad line always does, but for a byte that is not UTF-8: reading
+    # the piece that holds it fails before any of its blocks is read.
+    bad = [] if late in (None, "#x\ty") else [late]
+    assert _stepped(steps, bad, piece)
+    if bad and _BAD_BYTE not in late:
+        assert any(late in lines for _, lines in steps)
     # The old readers differ on purpose on "# columns = " lines with a tab and
     # raised UnicodeDecodeError; the old prediction reader also on a
     # byte-order mark and on a sent_id whose rows follow a blank line.
+    new = _outcome(corpus_read, path), _outcome(read_predictions, path)
     if late not in ("# columns = a\tb", f"caf{_BAD_BYTE}\tcafe"):
         assert new[0] == _outcome(lambda p: oracle_ingest_tsv(p, "c"), path)
         if not bom and not _names_rows_across_a_blank(lines):
@@ -266,24 +323,27 @@ def test_pipeline_written_files_take_the_fast_path(scratch):
         {"system": "baseline"},
     )
     assert (scratch / "corpus.tsv").stat().st_size > 2 * corpus_mod._PIECE
-    with mock.patch.object(corpus_mod, "_read_corpus", side_effect=AssertionError("line loop")):
+    with _line_steps() as steps:
         assert ingest_tsv(scratch / "corpus.tsv", "c").sentences == gold.sentences
         meta, blocks = read_predictions(scratch / "run0.tsv")
+    assert steps == []
     assert meta == {"format": "lemmabench-predictions/1", "system": "baseline"}
     assert [(b.sentence_id, b.wordforms, b.lemmas) for b in blocks] == [
         (s.id, s.wordforms, s.lemmas) for s in gold.sentences
     ]
 
 
-def test_a_late_bad_piece_sends_the_whole_file_to_the_line_loop(scratch):
+def test_a_late_bad_block_alone_takes_the_line_step(scratch):
     rows = "".join(f"# sent_id = s-{n}\nperros\tperro\n\n" for n in range(6000))
     path = scratch / "late.tsv"
     path.write_text(f"# format = x/1\n{rows}# late = header\nperros\tperro\n# k = v\n", "utf-8")
     assert path.stat().st_size > 2 * corpus_mod._PIECE
-    assert corpus_mod._read_canonical(path, True, meta := {}) is None and meta == {}
-    meta, blocks = read_predictions(path)
+    with _line_steps() as steps:
+        meta, blocks = read_predictions(path)
+    assert _texts(steps) == [(18002, "# late = header\nperros\tperro\n# k = v")]
     assert meta == {"format": "x/1", "late": "header", "k": "v"}
     assert len(blocks) == 6001 and blocks[-1] == PredictionBlock(None, ("perros",), ("perro",))
+    assert _result(read_predictions, path) == _results_before([read_predictions], path)[0]
 
 
 @pytest.mark.parametrize(
@@ -300,16 +360,24 @@ def test_a_file_without_blank_lines_leaves_the_fast_path_within_two_pieces(scrat
     path = scratch / "unbroken.tsv"
     path.write_text(text, "utf-8")
     assert path.stat().st_size > 3 * corpus_mod._PIECE
+    # After at most two pieces the stretch comes as lines, read one at a
+    # time: the read-ahead stays bounded, and no string grows with it.
     handle = io.StringIO(text)
-    assert list(corpus_mod._pieces(handle)) == [None]
-    assert handle.tell() <= 2 * corpus_mod._PIECE
-    assert corpus_mod._read_canonical(path, True, meta := {}) is None and meta == {}
+    pieces = corpus_mod._pieces(handle)
+    stretch = next(pieces)
+    assert not isinstance(stretch, str) and handle.tell() <= 2 * corpus_mod._PIECE
+    read = 0
+    for line in stretch:
+        read += len(line) + 1
+        assert handle.tell() <= read + 2 * corpus_mod._PIECE
+    assert handle.tell() == len(text) and list(pieces) == [""]
     corpus_read = lambda p: token_sentences(ingest_tsv(p, "c"))  # noqa: E731
-    new = _outcome(corpus_read, path), _outcome(read_predictions, path)
-    with _line_loop_only():
-        assert new == (_outcome(corpus_read, path), _outcome(read_predictions, path))
+    reads = corpus_read, read_predictions
+    with _line_steps() as steps:
+        new = [_result(read, path) for read in reads]
+    assert [line_no for line_no, _ in steps] == [1, 1]  # the whole file, once per reader
+    assert new == _results_before(reads, path)
     assert new[1][0] == {"format": "x/1"} and len(new[1][1]) == blocks
-
 
 
 # --- the CoNLL-U fast path -----------------------------------------------------------
@@ -335,8 +403,8 @@ _CONLLU_ROWS = [
     st.sampled_from(["# sent_id = s-1", "# text = Perros del", "#", "#\tx\ty", "# x\x85y"]),
 ]
 
-# Lines that refuse the fast path for the piece holding them: text that is
-# not NFC, whitespace-only lines (block ends for the line loop), rows of 9
+# Lines that send the block holding them to the line step: text that is
+# not NFC, whitespace-only lines (part ends for the line step), rows of 9
 # or 11 columns (also a pair whose tab total is right), IDs that are not a
 # word, range or empty node, a word without FORM, a byte that is not UTF-8.
 _LATE_CONLLU = [
@@ -376,20 +444,14 @@ def test_conllu_fast_path_matches_the_line_loop_and_the_oracle(scratch, case, pi
     path = _file(scratch, lines, crlf, bom=bom)
     path.write_bytes(path.read_bytes().replace(_BAD_BYTE.encode(), b"\xe9"))
     corpus_read = lambda p: token_sentences(ingest_conllu(p, "c"))  # noqa: E731
-    with mock.patch.object(corpus_mod, "_PIECE", piece):  # many pieces per file
-        fast = corpus_mod._read_canonical(path, False, {})
-        new = _outcome(corpus_read, path)
-    with _line_loop_only():
-        assert new == _outcome(corpus_read, path)
-    if fast is not None:
-        assert fast == list(corpus_mod._read_corpus(path, corpus_mod._conllu_row, False, {}))
-    stretch = max(map(len, path.read_text("utf-8-sig", "replace").split("\n\n")))
-    if late is not None:
-        assert fast is None
-    elif stretch + 2 < piece:
-        assert fast is not None
+    with mock.patch.object(corpus_mod, "_PIECE", piece), _line_steps() as steps:  # many pieces
+        new = _result(corpus_read, path)
+    assert [new] == _results_before([corpus_read], path, piece)
+    assert _stepped(steps, late or (), piece)
+    if late is not None and _BAD_BYTE not in "".join(late):
+        assert any(set(late) <= set(lines) for _, lines in steps)
     if _BAD_BYTE not in "".join(lines):  # the oracle raised UnicodeDecodeError
-        assert new == _outcome(lambda p: oracle_ingest_conllu(p, "c"), path)
+        assert _outcome(corpus_read, path) == _outcome(lambda p: oracle_ingest_conllu(p, "c"), path)
 
 
 def test_conllu_fixtures_and_a_synthgen_corpus_take_the_fast_path(scratch, fixtures_dir):
@@ -403,21 +465,36 @@ def test_conllu_fixtures_and_a_synthgen_corpus_take_the_fast_path(scratch, fixtu
     path = _file(scratch, lines)
     assert path.stat().st_size > 2 * corpus_mod._PIECE
     paths = [fixtures_dir / "corpora" / name for name in ("es_fix.conllu", "en_fix.conllu")]
-    with _line_loop_only():
-        expected = [ingest_conllu(p) for p in [*paths, path]]
-    with mock.patch.object(corpus_mod, "_read_corpus", side_effect=AssertionError("line loop")):
+    expected = [_results_before([ingest_conllu], p)[0] for p in [*paths, path]]
+    with _line_steps() as steps:
         assert [ingest_conllu(p) for p in [*paths, path]] == expected
-    assert len(expected[2]) == 600
+    assert steps == [] and len(expected[2]) == 600
+
+
+def test_a_non_nfc_comment_sends_only_its_conllu_block_to_the_line_step(scratch):
+    block = ["# text = Perros ladran", _conllu_line("1", "Perros", "perro"),
+             _conllu_line("2", "ladran", "ladrar"), ""]
+    last = ["# text = cafe\u0301", _conllu_line("1", "café", "café"), ""]
+    path = _file(scratch, block * 3000 + last)
+    assert path.stat().st_size > 2 * corpus_mod._PIECE
+    with _line_steps() as steps:
+        read = ingest_conllu(path)
+    assert _texts(steps) == [(12001, "\n".join(last).strip("\n"))]
+    assert read == _results_before([ingest_conllu], path)[0]
+    assert read.sentences[-1].wordforms == ("café",) and len(read) == 3001
 
 
 def test_a_bad_conllu_line_in_the_last_piece_gets_the_line_loops_error(scratch):
     block = ["# text = Perros ladran", _conllu_line("1", "Perros", "perro"),
              _conllu_line("2", "ladran", "ladrar"), ""]
-    path = _file(scratch, block * 3000 + [_conllu_line("1", "x", tail=_TAIL + "\t_")])
+    bad = _conllu_line("1", "x", tail=_TAIL + "\t_")
+    path = _file(scratch, block * 3000 + [bad])
     assert path.stat().st_size > 2 * corpus_mod._PIECE
-    assert corpus_mod._read_canonical(path, False, {}) is None
-    with pytest.raises(CorpusFormatError, match=":12001: expected 10 columns, found 11"):
+    with _line_steps() as steps, pytest.raises(
+        CorpusFormatError, match=":12001: expected 10 columns, found 11"
+    ):
         ingest_conllu(path)
+    assert _texts(steps) == [(12001, bad)]
 
 
 # --- flat tables ----------------------------------------------------------------------

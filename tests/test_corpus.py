@@ -149,8 +149,11 @@ def test_tsv_wrong_field_count_names_line(tmp_path):
     ("# sent_id = c-0001\na\ta\n\nb\tb\n", "c-0001"),
     ("a\ta\n\n# sent_id = c-0000\nb\tb\n", "c-0000"),
 ], ids=["given twice", "given then generated", "generated then given"])
-# A last block that is not NFC sends the file to the line loop.
-@pytest.mark.parametrize("tail", ["", "\ne\u0301\te\n"], ids=["bulk", "line loop"])
+# A last block that is not NFC takes the line step; a malformed last row is
+# reported only after the repeated id, which the reader yields as it ends.
+@pytest.mark.parametrize(
+    "tail", ["", "\ne\u0301\te\n", "\nf\tf\tf\n"], ids=["bulk", "line loop", "malformed row"]
+)
 def test_tsv_repeated_sentence_id_is_refused_naming_it(tmp_path, text, repeated, tail):
     path = tmp_path / "dup.tsv"
     path.write_text(text + tail, "utf-8")

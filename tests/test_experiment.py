@@ -264,6 +264,11 @@ _OUT_OF_RANGE = [
     ("prompt.selection", _llm_system(selection="best")),
     ("split.train", {"split": {"train": -1, "dev": 2, "test": 1}}),
     ("split.test", {"split": {"train": 3, "dev": 2, "test": -5}}),
+    # These reached every request fingerprint.
+    ("provider.temperature", {"provider": {"temperature": 99}}),
+    ("provider.temperature", {"provider": {"temperature": -0.5}}),
+    ("provider.top_p", {"provider": {"top_p": -5}}),
+    ("provider.top_p", {"provider": {"top_p": 1.5}}),
 ]
 
 
@@ -280,7 +285,8 @@ def test_load_config_accepts_the_ends_of_each_range(tmp_path):
         baseline={"max_suffix_len": 0},
         reduce={"max_sentences": 1, "rule": "seeded-random"},
         scoring={"alpha": 0.999},
-        provider={"max_retries": 0, "retry_backoff": 0, "timeout": 0.001, "max_tokens": 1},
+        provider={"max_retries": 0, "retry_backoff": 0, "timeout": 0.001, "max_tokens": 1,
+                  "temperature": 2, "top_p": 0},
         parallelism=1,
     )
     cfg = load_config(_write_config(tmp_path, raw))
@@ -289,6 +295,15 @@ def test_load_config_accepts_the_ends_of_each_range(tmp_path):
     provider = cfg.provider
     assert (provider.max_retries, provider.retry_backoff, provider.max_tokens) == (0, 0, 1)
     assert (provider.timeout, cfg.parallelism) == (0.001, 1)
+    assert (provider.temperature, provider.top_p) == (2, 0)
+
+
+# "" and {} loaded as no systems, and "ab" was refused as its first letter.
+@pytest.mark.parametrize("systems", ["", "ab", {}, {"name": "x", "kind": "baseline"}])
+def test_load_config_refuses_systems_that_are_not_a_list(tmp_path, systems):
+    message = f"systems must be a list of system entries, got {json.dumps(systems)}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(_write_config(tmp_path, _minimal_raw(systems=systems)))
 
 
 def test_load_config_accepts_the_last_run_for_mcnemar(tmp_path):
@@ -398,7 +413,8 @@ def _valid_raw(draw):
         "baseline": _optional(max_suffix_len=st.integers(0, 6)),
         "provider": _optional(
             base_url=st.just("http://replay.invalid/v1"), model=st.sampled_from(["m", "sim"]),
-            api_key_env=st.just("KEY"), temperature=numbers, top_p=numbers,
+            api_key_env=st.just("KEY"), temperature=numbers,
+            top_p=st.sampled_from([0, 0.5, 1.0]),
             max_tokens=st.none() | st.integers(1, 512), timeout=st.sampled_from([0.001, 30]),
             max_retries=st.integers(0, 4), retry_backoff=numbers),
         "parallelism": st.integers(1, 8),
@@ -453,6 +469,12 @@ def _departure(key, value, old, new):
     refused = "ConfigError: systems must be a list of system entries, got "
     if key == "systems" and isinstance(old, TypeError) and str(new).startswith(refused):
         return "systems neither a list, a string nor an object: the oracle crashed"
+    if key == "systems" and isinstance(value, (str, dict)) and new == refused + json.dumps(value):
+        return "systems a string or an object: the oracle iterated it"
+    sampling = key in ("provider.temperature", "provider.top_p")
+    if sampling and isinstance(old, experiment.ExperimentConfig) and isinstance(new, str):
+        if new.startswith(f"ConfigError: {key} must be between 0 and "):
+            return "temperature or top_p out of range"
     return None
 
 
