@@ -18,7 +18,6 @@ from lemmabench.prompt import (
     MOST_ERRORS,
     SENTENCE_STRING,
     WORD_LIST,
-    FewShotExample,
     PromptSpec,
     render_prompt,
     select_examples,
@@ -48,6 +47,6 @@ print(render_prompt(spec, examples, target))
 
 print("\n" + "=" * 72 + "\n")
 
-# Few-shot examples can also be built directly from any annotated sentence.
-example = FewShotExample.from_sentence(dev.sentences[3])
-print(f"example sentence {example.sentence.id} carries {len(example.gold_pairs)} gold pairs")
+# Any annotated sentence can serve as a worked example.
+example = dev.sentences[3]
+print(f"example sentence {example.id} carries {len(example.gold_pairs())} gold pairs")

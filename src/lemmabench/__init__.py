@@ -28,7 +28,7 @@ from .evaluation import (
     word_accuracy,
 )
 from .gateway import LlmGateway, LlmResponse, ProviderConfig, ResponseCache
-from .prompt import FewShotExample, PromptSpec, render_prompt, select_examples
+from .prompt import PromptSpec, render_prompt, select_examples
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "Corpus",
     "EditScript",
     "EvalReport",
-    "FewShotExample",
     "LabelInventory",
     "LemmabenchError",
     "LlmGateway",

@@ -57,7 +57,7 @@ class Sentence:
             i = self.lemmas.index(None)
             form = self.wordforms[i]
             raise MissingLemmaError(f"token {i + 1} ({form!r}) of {self.id} has no lemma")
-        return tuple(zip(self.wordforms, self.lemmas))
+        return tuple(zip(self.wordforms, self.lemmas, strict=True))
 
     def __len__(self) -> int:
         return len(self.wordforms)

@@ -431,8 +431,8 @@ def run_train_baseline(cfg: ExperimentConfig) -> baseline_mod.BaselineModel:
 
 def select_system_examples(
     cfg: ExperimentConfig, system: SystemSpec, dev: corpus_mod.Corpus
-) -> list[prompt_mod.FewShotExample]:
-    """A system's worked examples, so callers can reproduce its exact prompts."""
+) -> list[corpus_mod.Sentence]:
+    """A system's worked example sentences, so callers can reproduce its exact prompts."""
     spec = system.prompt
     diagnostics = None
     if spec.shots and spec.selection == prompt_mod.MOST_ERRORS:
@@ -466,21 +466,19 @@ def _run_llm_system(
     for run in range(cfg.runs):
         lemmas_by_id: dict[str, tuple[str | None, ...]] = {}
         counts_by_id: dict[str, dict[str, int]] = {}
-        failed = batch.failed_items(run)
-        for idx, sentence in enumerate(test.sentences):
-            if idx in failed:
+        for sentence, response in zip(test.sentences, batch.responses[run]):
+            if response is None:
                 # A sentence whose request failed scores as all missing
                 # rather than silently vanishing from the denominator.
                 lemmas_by_id[sentence.id] = (None,) * len(sentence)
                 continue
-            response = batch.responses[run][idx]
             aligned = align_prediction(parse_output(response.raw_text), sentence)
             lemmas_by_id[sentence.id] = aligned.lemmas
             counts_by_id[sentence.id] = aligned.counts()
         extra = {
             "model": cfg.provider.model,
             "template_version": prompt_mod.TEMPLATE_VERSION,
-            "failures": str(len(failed)),
+            "failures": str(batch.responses[run].count(None)),
         }
         _write_system_run(layout, system.name, test, run, lemmas_by_id, counts_by_id, extra)
 

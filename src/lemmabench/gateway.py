@@ -73,13 +73,10 @@ class LlmResponse:
 
 @dataclass
 class BatchResult:
-    """Outcome of a multi-run batch; failures are recorded, not raised."""
+    """Outcome of a multi-run batch; a failed item is None in responses, its reason in failures."""
 
     responses: list[list[LlmResponse | None]]
     failures: list[tuple[int, int, str]] = field(default_factory=list)  # (run, item, reason)
-
-    def failed_items(self, run: int) -> set[int]:
-        return {item for r, item, _ in self.failures if r == run}
 
 
 def fingerprint_prefix(config: ProviderConfig, prompt: str):
@@ -250,9 +247,12 @@ def http_transport(config: ProviderConfig, prompt: str) -> str:
     if resp.status_code != 200:
         raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
     try:
-        return resp.json()["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, ValueError) as exc:
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise TransportError(f"malformed completion payload: {exc}") from exc
+    if not isinstance(content, str):
+        raise TransportError(f"malformed completion payload: content is {content!r}")
+    return content
 
 
 Transport = Callable[[ProviderConfig, str], str]

@@ -68,23 +68,6 @@ class PromptSpec:
             raise PromptError(f"unknown selection strategy {self.selection!r}")
 
 
-@dataclass(frozen=True)
-class FewShotExample:
-    sentence: Sentence
-    gold_pairs: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        if len(self.gold_pairs) != len(self.sentence):
-            raise PromptError(
-                f"example {self.sentence.id}: {len(self.gold_pairs)} pairs "
-                f"for {len(self.sentence)} tokens"
-            )
-
-    @classmethod
-    def from_sentence(cls, sentence: Sentence) -> "FewShotExample":
-        return cls(sentence=sentence, gold_pairs=sentence.gold_pairs())
-
-
 def _quote_word(word: str) -> str:
     return "'" + word.replace("'", "\\'") + "'"
 
@@ -97,14 +80,15 @@ def _sentence_block(mode: str, sentence: Sentence) -> str:
     return f"Sentence:\n[{listed}]"
 
 
-def _example_lines(example: FewShotExample) -> list[str]:
-    lines = [w for w, _ in example.gold_pairs]
+def _example_lines(example: Sentence) -> list[str]:
+    pairs = example.gold_pairs()
+    lines = [w for w, _ in pairs]
     lines.append(_EXAMPLE_OUTPUT_INTRO)
-    lines.extend(f"{w}\t{l}" for w, l in example.gold_pairs)
+    lines.extend(f"{w}\t{l}" for w, l in pairs)
     return lines
 
 
-def render_prompt(spec: PromptSpec, examples: list[FewShotExample], target: Sentence) -> str:
+def render_prompt(spec: PromptSpec, examples: list[Sentence], target: Sentence) -> str:
     """Assemble the final prompt text; deterministic, no trailing newline.
 
     The head (task, instructions, examples, output format) is the same for
@@ -117,7 +101,7 @@ def render_prompt(spec: PromptSpec, examples: list[FewShotExample], target: Sent
 
 
 @lru_cache(maxsize=8)
-def _head(spec: PromptSpec, examples: tuple[FewShotExample, ...]) -> str:
+def _head(spec: PromptSpec, examples: tuple[Sentence, ...]) -> str:
     """The prompt up to its output format.  The first example's lead-in
     continues the preceding paragraph, further examples start their own
     block, mirroring the worked-example layout."""
@@ -147,8 +131,8 @@ def select_examples(
     dev_diagnostics: Mapping[str, object] | None = None,
     seed: int = 0,
     manual_ids: list[str] | None = None,
-) -> list[FewShotExample]:
-    """Pick k worked examples from a pool corpus.
+) -> list[Sentence]:
+    """Pick k worked example sentences from a pool corpus.
 
     most-errors ranks pool sentences by the total error count of a prior
     dev run (ties broken by sentence id); random is reproducible from its
@@ -162,6 +146,9 @@ def select_examples(
     if selection == MANUAL:
         if manual_ids is None or len(manual_ids) != k:
             raise PromptError(f"manual selection needs exactly {k} sentence ids")
+        for n, sentence_id in enumerate(manual_ids):
+            if sentence_id in manual_ids[:n]:
+                raise PromptError(f"manual example id {sentence_id!r} is repeated")
         try:
             chosen = [pool.sentence_by_id(sentence_id) for sentence_id in manual_ids]
         except KeyError as exc:
@@ -181,4 +168,4 @@ def select_examples(
         chosen = ranked[:k]
     else:
         raise PromptError(f"unknown selection strategy {selection!r}")
-    return [FewShotExample.from_sentence(s) for s in chosen]
+    return chosen

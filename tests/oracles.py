@@ -362,9 +362,9 @@ def oracle_render_prompt(spec, examples, target) -> str:
             lines[-1] = f"{lines[-1]} {prompt_mod._EXAMPLE_INTRO}"
         else:
             lines.append(prompt_mod._EXAMPLE_INTRO)
-        lines.extend(w for w, _ in example.gold_pairs)
+        lines.extend(w for w, _ in example.gold_pairs())
         lines.append(prompt_mod._EXAMPLE_OUTPUT_INTRO)
-        lines.extend(f"{w}\t{l}" for w, l in example.gold_pairs)
+        lines.extend(f"{w}\t{l}" for w, l in example.gold_pairs())
     lines.extend(prompt_mod._OUTPUT_FORMAT.splitlines())
     words = target.wordforms
     if spec.input_mode == prompt_mod.SENTENCE_STRING:

@@ -37,7 +37,6 @@ from lemmabench.prompt import (
     RANDOM,
     SENTENCE_STRING,
     WORD_LIST,
-    FewShotExample,
     PromptSpec,
     render_prompt,
 )
@@ -214,12 +213,8 @@ def test_criterion_5_mcnemar_against_enumeration():
 def test_criterion_6_prompt_fidelity(fixtures_dir):
     prompts_dir = fixtures_dir / "prompts"
     data = json.loads((prompts_dir / "examples.json").read_text("utf-8"))
-    tina = FewShotExample.from_sentence(
-        make_sentence("e-0", *zip(data["tina"]["words"], data["tina"]["lemmas"]))
-    )
-    ninos = FewShotExample.from_sentence(
-        make_sentence("e-1", *zip(data["ninos"]["words"], data["ninos"]["lemmas"]))
-    )
+    tina = make_sentence("e-0", *zip(data["tina"]["words"], data["tina"]["lemmas"]))
+    ninos = make_sentence("e-1", *zip(data["ninos"]["words"], data["ninos"]["lemmas"]))
     gate = make_sentence("t-0", *((w, None) for w in data["golden_gate_words"]))
     venice = make_sentence("t-1", *((w, None) for w in data["venice_words"]))
 

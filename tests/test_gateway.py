@@ -499,8 +499,7 @@ def test_run_batch_collects_per_item_failures(tmp_path):
     gateway = LlmGateway(_config(max_retries=0), cache=cache, mode=RECORD, transport=transport)
     result = gateway.run_batch(["good", "bad", "good"], runs=2, parallelism=3)
     assert [(r, i) for r, i, _ in result.failures] == [(0, 1), (1, 1)]
-    assert result.failed_items(0) == {1}
-    assert result.responses[0][1] is None
+    assert [response is None for response in result.responses[0]] == [False, True, False]
     assert result.responses[1][0].raw_text == "fine"
 
 
@@ -573,6 +572,10 @@ def test_run_batch_respects_parallelism_bound():
 # --- real HTTP transport against a local stub -------------------------------
 
 
+def _completion(content):
+    return {"choices": [{"message": {"content": content}}]}
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 - http.server naming
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -583,8 +586,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"stub failure")
             return
-        payload = {"choices": [{"message": {"content": f"lemmas for: {body['model']}"}}]}
-        data = json.dumps(payload).encode("utf-8")
+        data = json.dumps(self.server.payload(body)).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -600,6 +602,7 @@ def http_stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.script = []
     server.requests = []
+    server.payload = lambda body: _completion(f"lemmas for: {body['model']}")
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -646,6 +649,43 @@ def test_http_transport_client_errors_not_retryable(http_stub, monkeypatch):
     with pytest.raises(TransportError) as info:
         http_transport(_stub_config(http_stub), "p")
     assert not info.value.retryable
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        (_completion(None), "content is None"),
+        ({"choices": None}, "not subscriptable"),
+        ({"choices": [{"message": "x"}]}, "string indices must be integers"),
+        ([_completion("lemmas")], "list indices must be integers"),
+    ],
+    ids=["null-content", "null-choices", "message-a-string", "list-body"],
+)
+def test_http_transport_refuses_a_completion_without_string_content(
+    http_stub, monkeypatch, payload, reason
+):
+    monkeypatch.setenv("LEMMABENCH_API_KEY", "sk-test")
+    http_stub.payload = lambda body: payload
+    with pytest.raises(TransportError, match=f"^malformed completion payload: .*{reason}") as info:
+        http_transport(_stub_config(http_stub), "p")
+    assert not info.value.retryable
+
+
+def test_record_batch_records_the_others_when_one_completion_has_null_content(
+    http_stub, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("LEMMABENCH_API_KEY", "sk-test")
+    http_stub.payload = lambda body: _completion(
+        None if body["messages"][0]["content"] == "bad" else "fine"
+    )
+    config = _stub_config(http_stub, max_retries=0)
+    cache = ResponseCache(tmp_path / "cache")
+    result = LlmGateway(config, cache=cache, mode=RECORD).run_batch(["good", "bad", "also good"])
+    assert result.failures == [(0, 1, "malformed completion payload: content is None")]
+    assert [r and r.raw_text for r in result.responses[0]] == ["fine", None, "fine"]
+    assert len(cache) == 2
+    assert request_fingerprint(config, "bad", 0) not in cache
+    cache.close()
 
 
 def test_gateway_retries_through_real_transport(http_stub, monkeypatch):

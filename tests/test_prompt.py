@@ -16,7 +16,6 @@ from lemmabench.prompt import (
     RANDOM,
     SENTENCE_STRING,
     WORD_LIST,
-    FewShotExample,
     PromptSpec,
     render_prompt,
     select_examples,
@@ -31,9 +30,7 @@ def _plain_sentence(sid, words):
 
 
 def _example(sid, words, lemmas):
-    return FewShotExample.from_sentence(
-        Sentence(id=sid, wordforms=tuple(words), lemmas=tuple(lemmas))
-    )
+    return Sentence(id=sid, wordforms=tuple(words), lemmas=tuple(lemmas))
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +145,17 @@ def test_spec_validation():
 
 
 def test_example_requires_gold_lemmas():
-    with pytest.raises(MissingLemmaError):
-        FewShotExample.from_sentence(_plain_sentence("s-0", ["word"]))
+    spec = PromptSpec(BASIC, WORD_LIST, 1, MANUAL)
+    example = _example("s-0", ["word", "two"], ["word", None])
+    with pytest.raises(MissingLemmaError, match=r"token 2 \('two'\) of s-0 has no lemma"):
+        render_prompt(spec, [example], _plain_sentence("t-0", ["x"]))
+
+
+def test_gold_pairs_refuses_columns_of_different_lengths():
+    with pytest.raises(ValueError):
+        _example("s-0", ["a", "b"], ["a"]).gold_pairs()
+    with pytest.raises(ValueError):
+        _example("s-0", ["a"], ["a", "b"]).gold_pairs()
 
 
 def _pool():
@@ -168,17 +174,19 @@ def test_select_zero_shots_is_empty():
 
 def test_select_manual_uses_exact_ids_in_order():
     picked = select_examples(MANUAL, 2, _pool(), manual_ids=["dev-0002", "dev-0000"])
-    assert [e.sentence.id for e in picked] == ["dev-0002", "dev-0000"]
+    assert [e.id for e in picked] == ["dev-0002", "dev-0000"]
     with pytest.raises(PromptError):
         select_examples(MANUAL, 2, _pool(), manual_ids=["dev-0002"])
     with pytest.raises(PromptError, match="'dev-9999' is not in pool"):
         select_examples(MANUAL, 1, _pool(), manual_ids=["dev-9999"])
+    with pytest.raises(PromptError, match="'dev-0001' is repeated"):
+        select_examples(MANUAL, 3, _pool(), manual_ids=["dev-0001", "dev-0002", "dev-0001"])
 
 
 def test_select_random_is_seeded():
     first = select_examples(RANDOM, 2, _pool(), seed=5)
     second = select_examples(RANDOM, 2, _pool(), seed=5)
-    assert [e.sentence.id for e in first] == [e.sentence.id for e in second]
+    assert [e.id for e in first] == [e.id for e in second]
 
 
 def test_select_most_errors_ranks_by_total_then_id():
@@ -190,7 +198,7 @@ def test_select_most_errors_ranks_by_total_then_id():
     }
     picked = select_examples(MOST_ERRORS, 3, _pool(), dev_diagnostics=diagnostics)
     # totals: 4, then the three-way tie at 1 broken by id ascending
-    assert [e.sentence.id for e in picked] == ["dev-0001", "dev-0000", "dev-0002"]
+    assert [e.id for e in picked] == ["dev-0001", "dev-0000", "dev-0002"]
 
 
 def test_select_most_errors_requires_full_coverage():
@@ -213,5 +221,5 @@ def test_select_reads_fixture_diagnostics(fixtures_dir, es_corpus):
     _, diagnostics = read_diagnostics(fixtures_dir / "diagnostics" / "es_fix-dev.diag.json")
     picked = select_examples(MOST_ERRORS, 4, dev, dev_diagnostics=diagnostics)
     assert len(picked) == 4
-    totals = [sum(diagnostics[e.sentence.id].values()) for e in picked]
+    totals = [sum(diagnostics[e.id].values()) for e in picked]
     assert totals == sorted(totals, reverse=True)
