@@ -205,21 +205,24 @@ def _parts(path: str | Path, parse_row, tsv: bool):
     unless that step refuses it, it is not NFC (the line step normalizes
     fields) or it is longer than _PIECE; then, as a stretch, it takes the line step."""
     read_block = _tsv_block if tsv else _conllu_block
-    line_no = 1  # of the next block's first line
+    line_no = 1  # of the next piece's first line
     with open(path, encoding="utf-8-sig") as handle:
         try:
             for piece in _pieces(handle):
                 if not isinstance(piece, str):
                     line_no = yield from _line_step(piece, line_no, path, parse_row, tsv)
                     continue
+                start = 0  # of raw in piece
                 for raw in piece.split("\n\n"):
                     if block := raw.strip("\n"):
                         bulk = len(block) <= _PIECE and unicodedata.is_normalized("NFC", block)
                         if bulk and (part := read_block(block)):
                             yield part
                         else:
-                            yield from _line_step(raw.split("\n"), line_no, path, parse_row, tsv)
-                    line_no += raw.count("\n") + 2
+                            first = line_no + piece.count("\n", 0, start)
+                            yield from _line_step(raw.split("\n"), first, path, parse_row, tsv)
+                    start += len(raw) + 2
+                line_no += piece.count("\n") + 2  # the piece ended at a blank line
         except UnicodeDecodeError:
             for _ in artifact.lines(path):  # raises the error naming the first such line
                 pass

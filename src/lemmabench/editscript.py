@@ -126,6 +126,23 @@ def _common_cores(word: str, lemma: str) -> list[tuple[int, int, int]]:
     return best
 
 
+_SHARED: dict[tuple, EditScript] = {}  # fields: the one script induce returns for them
+_SHARED_MAX = 1 << 16
+
+
+def _shared(*fields) -> EditScript:
+    """The script with these fields, one object for every call that asks:
+    a dict then finds it by identity, without comparing fields.  A pipeline
+    meets few distinct scripts (one per label); the table is emptied when it
+    reaches _SHARED_MAX, so inducing arbitrary text cannot grow it further."""
+    script = _SHARED.get(fields)
+    if script is None:
+        if len(_SHARED) >= _SHARED_MAX:
+            _SHARED.clear()
+        script = _SHARED[fields] = EditScript(*fields)
+    return script
+
+
 def induce(wordform: str, lemma: str) -> EditScript:
     """Find a minimum-edit script transforming wordform into lemma.
 
@@ -135,16 +152,33 @@ def induce(wordform: str, lemma: str) -> EditScript:
     smallest operation tuple, so equal inputs always yield the same script.
     The key ends in the full operation tuple, so no two candidates tie and
     the order in which _common_cores returns its hits cannot matter.
+    Equal scripts are one object.
     """
     if not wordform or not lemma:
         raise LemmabenchError("induce requires non-empty wordform and lemma")
 
-    # A flag that leaves the word as an earlier flag did (uncased first
-    # character, or already in that case) offers the same candidates with a
-    # worse flag_rank, so it can never win.
-    recasings: dict[str, int] = {}
-    for flag_rank, flag in enumerate(_CASE_FLAGS):
-        recasings.setdefault(_recase(flag, wordform), flag_rank)
+    # Half the pairs of a corpus are identical or one is a prefix of the
+    # other.  Every candidate edits at least the length difference of its
+    # recased word and the lemma, and recasing never shortens the word, so
+    # the unrecased word's own prefix wins at the best flag rank.  Only when
+    # the word is the shorter one can a longer recasing (ß -> SS, ŉ -> ʼN,
+    # İ -> i̇) share more of the lemma, so there both case mappings of the
+    # first character must keep it one character.
+    if wordform.startswith(lemma):
+        return _shared(PRESERVE, 0, "", len(wordform) - len(lemma), "")
+    head, rest = wordform[0], wordform[1:]
+    if lemma.startswith(wordform) and len(head.lower()) == len(head.upper()) == 1:
+        return _shared(PRESERVE, 0, "", 0, lemma[len(wordform) :])
+
+    # A recasing equal to an earlier word (uncased first character, or
+    # already in that case) offers the same candidates at a worse flag rank.
+    # So does one whose recased head has no character in the lemma: its
+    # common substrings then lie in rest, which the unrecased word ends with,
+    # and they leave it no fewer characters to delete.
+    recasings = {wordform: 0}
+    for flag_rank, recased in enumerate((head.lower(), head.upper()), 1):
+        if any(c in lemma for c in recased):
+            recasings.setdefault(recased + rest, flag_rank)
     size = len(lemma)
     _, flag_rank, _, _, operations = min(
         (
@@ -157,7 +191,7 @@ def induce(wordform: str, lemma: str) -> EditScript:
         for word, flag_rank in recasings.items()
         for start, at, length in _common_cores(word, lemma)
     )
-    return EditScript(_CASE_FLAGS[flag_rank], *operations)
+    return _shared(_CASE_FLAGS[flag_rank], *operations)
 
 
 class LabelInventory:
@@ -203,7 +237,11 @@ def pair_scripts(train: Corpus) -> list[PairScript]:
     before any induction, and each distinct (wordform, lemma) pair is then
     induced once, in order of first occurrence.
     """
-    pairs = Counter(pair for sentence in train.sentences for pair in sentence.gold_pairs())
+    pairs: Counter[tuple[str, str]] = Counter()
+    for sentence in train.sentences:
+        if None in sentence.lemmas:
+            sentence.gold_pairs()  # raises MissingLemmaError naming the token
+        pairs.update(zip(sentence.wordforms, sentence.lemmas, strict=True))
     return [
         (wordform, induce(wordform, lemma), count) for (wordform, lemma), count in pairs.items()
     ]

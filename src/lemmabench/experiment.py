@@ -47,7 +47,7 @@ from .align import (
     write_diagnostics,
     write_predictions,
 )
-from .errors import ConfigError, ScoringError
+from .errors import ConfigError, PromptError, ScoringError
 from .prompt import INPUT_MODES, SELECTIONS, TEMPLATES
 
 CONLLU = "conllu"
@@ -230,7 +230,13 @@ def _parse_system(entry, base: Path, runs: int, language: str) -> SystemSpec:
         spec = prompt_mod.PromptSpec(**{"language_name": language, **values["prompt"]})
         diag = values["dev_diagnostics"]
         diag = str(base / diag) if diag else None
-        return SystemSpec(name, kind, spec, tuple(values["manual_ids"]), dev_diagnostics=diag)
+        ids = tuple(values["manual_ids"])
+        if spec.selection == prompt_mod.MANUAL and spec.shots:  # ids not in dev: refused by run
+            try:
+                prompt_mod.check_manual_ids(spec.shots, ids)
+            except PromptError as exc:
+                raise ConfigError(f"system {name}: {exc}") from None
+        return SystemSpec(name, kind, spec, ids, dev_diagnostics=diag)
     if kind == EXTERNAL:
         paths = values.get("predictions")
         if not paths:

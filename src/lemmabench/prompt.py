@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from random import Random
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .corpus import Corpus, Sentence
 from .errors import PromptError
@@ -124,6 +124,15 @@ def _error_total(entry) -> int:
     return int(entry)
 
 
+def check_manual_ids(k: int, manual_ids: Sequence[str] | None) -> None:
+    """PromptError unless manual_ids are k ids, none repeated."""
+    if manual_ids is None or len(manual_ids) != k:
+        raise PromptError(f"manual selection needs exactly {k} sentence ids")
+    for n, sentence_id in enumerate(manual_ids):
+        if sentence_id in manual_ids[:n]:
+            raise PromptError(f"manual example id {sentence_id!r} is repeated")
+
+
 def select_examples(
     selection: str,
     k: int,
@@ -144,11 +153,7 @@ def select_examples(
         raise PromptError(f"asked for {k} examples but pool {pool.name} has {len(pool)}")
 
     if selection == MANUAL:
-        if manual_ids is None or len(manual_ids) != k:
-            raise PromptError(f"manual selection needs exactly {k} sentence ids")
-        for n, sentence_id in enumerate(manual_ids):
-            if sentence_id in manual_ids[:n]:
-                raise PromptError(f"manual example id {sentence_id!r} is repeated")
+        check_manual_ids(k, manual_ids)
         try:
             chosen = [pool.sentence_by_id(sentence_id) for sentence_id in manual_ids]
         except KeyError as exc:

@@ -14,8 +14,12 @@ hashed each prompt's JSON prefix once, oracle_render_prompt is the
 renderer before it rendered each system's few-shot head once,
 oracle_common_cores is induce's O(n*m) dynamic-programming scan of every
 character pair from before it searched substrings with str.find,
-oracle_induce_from_cores is induce over every hit of that scan, as it was
-before _common_cores kept one place per shared substring, oracle_train
+oracle_induce_from_cores is induce over every hit of that scan and every
+recasing, as it was before _common_cores kept one place per shared
+substring and before induce returned prefix pairs at once and skipped
+recasings that cannot win,
+oracle_pair_scripts is pair_scripts before it counted each sentence's
+columns with Counter.update (it induces with oracle_induce), oracle_train
 is baseline.train as it was before it tallied label ids in plain dicts,
 counting EditScripts in Counters, and the oracle_read_* / oracle_ingest_*
 functions are the TSV artifact readers as they were before
@@ -202,6 +206,14 @@ def _oracle_token_scripts(c):
         for token in sent.tokens:
             out.append((token.wordform, oracle_induce(token.wordform, token.lemma)))
     return out
+
+
+def oracle_pair_scripts(c):
+    """pair_scripts as it was before it counted each sentence's columns with
+    Counter.update: one Counter over every sentence's gold_pairs(), each
+    distinct pair induced by oracle_induce."""
+    pairs = Counter(pair for sentence in c.sentences for pair in sentence.gold_pairs())
+    return [(form, oracle_induce(form, lemma), count) for (form, lemma), count in pairs.items()]
 
 
 def oracle_inventory_items(c):

@@ -195,6 +195,30 @@ def test_run_with_an_unknown_manual_example_id_exits_2_naming_it(
     assert "manual example id 'typo-id' is not in pool es_fix-dev" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (["es_fix-0040", "es_fix-0040"], "manual selection needs exactly 4 sentence ids"),
+        (["es_fix-0040"] * 4, "manual example id 'es_fix-0040' is repeated"),
+    ],
+)
+def test_ingest_refuses_manual_ids_that_do_not_fit_shots(fixtures_dir, tmp_path, capsys, ids,
+                                                        message):
+    # Before, ingest through train-baseline exited 0 and only run refused them.
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    system = next(s for s in raw["systems"] if s["name"] == "llm-basic-4shot")
+    system["prompt"]["selection"] = "manual"
+    system["manual_ids"] = ids
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), "utf-8")
+    assert _run(str(config), tmp_path / "out", "ingest") == 2
+    assert f"error: system llm-basic-4shot: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    system["manual_ids"] = ["es_fix-0040", "es_fix-0041", "es_fix-0042", "es_fix-0043"]
+    config.write_text(json.dumps(raw), "utf-8")
+    assert experiment.load_config(config).systems[1].manual_ids == tuple(system["manual_ids"])
+
+
 def _replay_config(fixtures_dir, tmp_path, **changes):
     raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
     raw["corpus"]["path"] = str(fixtures_dir / "corpora" / "es_fix.conllu")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmabench import editscript
 from lemmabench.editscript import (
     IDENTITY,
     LOWER_FIRST,
@@ -39,6 +40,7 @@ from oracles import (
     oracle_induce_from_cores,
     oracle_inventory_items,
     oracle_min_edit_size,
+    oracle_pair_scripts,
     related_pairs,
 )
 
@@ -113,14 +115,69 @@ def test_induce_is_minimal_against_oracle(word, lemma):
 @given(pair=related_pairs() | st.tuples(WORDS, WORDS))
 @settings(max_examples=300, deadline=None)
 def test_induce_matches_three_flag_oracle(pair):
-    assert induce(*pair) == oracle_induce(*pair)
+    assert induce(*pair) == oracle_induce(*pair) == oracle_induce_from_cores(*pair)
 
 
-# A two-letter alphabet gives many tied and overlapping hits; the last
-# strategy draws pairs whose alphabets are disjoint, so nothing is shared.
+# Letters whose first-character recasing is longer than one code point (ß,
+# ŉ, İ), what that recasing gives (SS, ʼN, i̇), a title-case digraph and
+# plain letters in both cases.
+_PREFIX_CHARS = "aAbBsSiIßŉİǅǆǄʼN\u0307x"
+
+
+@st.composite
+def prefix_pairs(draw):
+    """(w, w + s) or (w + s, w), s often holding w with its first character
+    recased: identical pairs, each prefix shortcut, and the pairs in which a
+    recasing longer than w shares more of the lemma than w does."""
+    word = draw(st.text(_PREFIX_CHARS, min_size=1, max_size=5))
+    recased = st.sampled_from([word[0].upper() + word[1:], word[0].lower() + word[1:]])
+    tail = "".join(draw(st.lists(recased | st.text(_PREFIX_CHARS, max_size=3), max_size=2)))
+    return draw(st.sampled_from([(word, word + tail), (word + tail, word)]))
+
+
+@given(pair=prefix_pairs())
+@settings(max_examples=300, deadline=None)
+def test_induce_on_prefix_pairs_matches_the_oracles(pair):
+    assert induce(*pair) == oracle_induce(*pair) == oracle_induce_from_cores(*pair)
+
+
+@pytest.mark.parametrize(
+    "word, lemma, script",
+    [
+        ("ŉ", "ŉʼN", EditScript(UPPER_FIRST, 0, "ŉ", 0, "")),
+        ("ß", "ßSS", EditScript(UPPER_FIRST, 0, "ß", 0, "")),
+        ("İ", "İi̇x", EditScript(LOWER_FIRST, 0, "İ", 0, "x")),
+    ],
+)
+def test_induce_recases_a_word_that_is_a_prefix_of_its_lemma(word, lemma, script):
+    # The word is a prefix of the lemma, yet its recasing is longer and
+    # shares more: returning the word's own prefix script would give
+    # PRESERVE, which edits more.
+    assert induce(word, lemma) == oracle_induce(word, lemma) == script
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("dogs", "dog"), ("cats", "cat")),  # the lemma is a prefix of the word
+        (("habl", "hablar"), ("cant", "cantar")),  # the word is a prefix of the lemma
+        (("Casas", "casa"), ("Mesas", "mesa")),  # the substring search
+    ],
+)
+def test_equal_scripts_from_induce_are_one_object(first, second):
+    assert induce(*first) is induce(*second)
+    assert induce(*first) == oracle_induce(*second)
+
+
+# A two-letter alphabet gives many tied and overlapping hits; letters whose
+# first-character recasing is two code points give lemmas that hold part of
+# a recased head (ßa -> Sa); the last strategy draws pairs whose alphabets
+# are disjoint, so nothing is shared.
+_AWKWARD = st.text("aSsßŉʼNİi\u0307", min_size=1, max_size=6)
 _CORE_PAIRS = (
     st.tuples(st.text("ab", min_size=1, max_size=12), st.text("ab", min_size=1, max_size=12))
     | st.tuples(WORDS, WORDS)
+    | st.tuples(_AWKWARD, _AWKWARD)
     | st.tuples(
         st.text("abcñé", min_size=1, max_size=10), st.text("xyzßİ", min_size=1, max_size=10)
     )
@@ -178,6 +235,8 @@ def test_induce_on_long_tokens_matches_the_oracles(kind, n):
         # ß and ŉ upper-case to two code points, İ lower-cases to two.
         ("ßen", "SSen", EditScript(UPPER_FIRST, 0, "", 0, "")),
         ("ŉa", "ʼNa", EditScript(UPPER_FIRST, 0, "", 0, "")),
+        # The lemma holds one of the two characters of the recased head.
+        ("ßa", "Sa", EditScript(UPPER_FIRST, 1, "", 0, "")),
         ("İstanbul", "i̇stanbul", EditScript(LOWER_FIRST, 0, "", 0, "")),
         # The title-case digraph ǅ recases to one code point, not to "dž".
         ("ǅemal", "džemal", EditScript(PRESERVE, 1, "dž", 0, "")),
@@ -228,10 +287,27 @@ def test_inventory_matches_per_token_oracle(c):
     assert build_inventory(pair_scripts(c)).items() == oracle_inventory_items(c)
 
 
-def test_inventory_requires_lemmas():
-    c = corpus("toy", sentence("toy-0000", ("word", None)))
-    with pytest.raises(MissingLemmaError):
+@given(c=gold_corpora())
+@settings(max_examples=100, deadline=None)
+def test_pair_scripts_matches_the_counter_of_gold_pairs(c):
+    pairs = pair_scripts(c)
+    assert pairs == oracle_pair_scripts(c)
+    first = {script: script for _, script, _ in pairs}
+    assert all(script is first[script] for _, script, _ in pairs)
+
+
+def test_inventory_requires_lemmas(monkeypatch):
+    c = corpus(
+        "toy",
+        sentence("toy-0000", ("dogs", "dog")),
+        sentence("toy-0001", ("a", "a"), ("word", None)),
+    )
+    calls = []
+    monkeypatch.setattr(editscript, "induce", lambda *pair: calls.append(pair))
+    message = re.escape("token 2 ('word') of toy-0001 has no lemma")
+    with pytest.raises(MissingLemmaError, match=f"^{message}$"):
         build_inventory(pair_scripts(c))
+    assert calls == []  # refused before any pair is induced
 
 
 def test_inventory_round_trip(tmp_path):

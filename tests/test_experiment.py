@@ -343,6 +343,36 @@ def test_load_config_names_a_repeated_comparison(tmp_path):
     assert load_config(_write_config(tmp_path, raw)).comparisons == (("a", "b"), ("b", "a"))
 
 
+def _manual_system(shots, ids, selection="manual"):
+    prompt = {"shots": shots, "selection": selection}
+    return {"systems": [{"name": "llm", "kind": "llm", "prompt": prompt, "manual_ids": ids}]}
+
+
+@pytest.mark.parametrize(
+    "shots, ids, message",
+    [
+        (4, ["d-1", "d-1"], "manual selection needs exactly 4 sentence ids"),
+        (1, ["d-1", "d-2"], "manual selection needs exactly 1 sentence ids"),
+        (2, [], "manual selection needs exactly 2 sentence ids"),
+        (3, ["d-1", "d-2", "d-1"], "manual example id 'd-1' is repeated"),
+    ],
+)
+def test_load_config_refuses_manual_ids_that_do_not_fit_shots(tmp_path, shots, ids, message):
+    # Before, only the run stage refused them, after four stages had run.
+    raw = _minimal_raw(**_manual_system(shots, ids))
+    with pytest.raises(ConfigError, match=re.escape(f"system llm: {message}")):
+        load_config(_write_config(tmp_path, raw))
+
+
+@pytest.mark.parametrize(
+    "shots, ids, selection",
+    [(2, ["d-2", "d-1"], "manual"), (0, ["d-1", "d-1"], "manual"), (4, ["d-1"], "random")],
+)
+def test_load_config_keeps_manual_ids_that_fit_or_go_unused(tmp_path, shots, ids, selection):
+    raw = _minimal_raw(**_manual_system(shots, ids, selection))
+    assert load_config(_write_config(tmp_path, raw)).systems[0].manual_ids == tuple(ids)
+
+
 def test_readme_config_table_lists_every_schema_key(fixtures_dir):
     readme = (fixtures_dir.parent / "README.md").read_text("utf-8")
     section = readme.split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
@@ -393,6 +423,9 @@ def _valid_raw(draw):
     paths = st.sampled_from(["p.tsv", ["p.tsv"], [f"p{r}.tsv" for r in range(runs)]])
     systems = [{"name": "base", "kind": "baseline"}, llm,
                {"name": "ext", "kind": "external", "predictions": draw(paths)}]
+    prompt = llm.get("prompt", {})
+    if prompt.get("selection", "most-errors") == "manual" and prompt.get("shots", 4):
+        llm["manual_ids"] = [f"d-{n}" for n in range(prompt.get("shots", 4))]  # else refused
     pairs = st.lists(st.sampled_from(list(itertools.permutations(_NAMES, 2))), unique=True)
     rules, numbers = st.sampled_from(corpus_mod.SELECTION_RULES), st.sampled_from([0, 0.5, 1.0, 2])
     return draw(st.fixed_dictionaries({
@@ -471,6 +504,13 @@ def _departure(key, value, old, new):
         return "systems neither a list, a string nor an object: the oracle crashed"
     if key == "systems" and isinstance(value, (str, dict)) and new == refused + json.dumps(value):
         return "systems a string or an object: the oracle iterated it"
+    if isinstance(old, experiment.ExperimentConfig) and isinstance(new, str):
+        for system in old.systems:
+            ids, spec = system.manual_ids, system.prompt
+            if spec and spec.selection == "manual" and spec.shots and (
+                len(ids) != spec.shots or len(set(ids)) < len(ids)
+            ) and new.startswith(f"ConfigError: system {system.name}: manual "):
+                return "manual ids that do not fit shots"
     sampling = key in ("provider.temperature", "provider.top_p")
     if sampling and isinstance(old, experiment.ExperimentConfig) and isinstance(new, str):
         if new.startswith(f"ConfigError: {key} must be between 0 and "):
