@@ -21,7 +21,7 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 # A ten-column treebank file: multiword-token ranges and empty nodes are
 # skipped automatically, and "_" lemmas come back as None.
-corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", name="es_fix", language="es")
+corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", name="es_fix")
 tokens, sentences = corpus_stats(corpus)
 print(f"{corpus.name}: {sentences} sentences, {tokens} tokens")
 
@@ -31,7 +31,7 @@ for token in first.tokens[:6]:
     print(f"  {token.wordform:<12} -> {token.lemma}")
 
 # The same API reads two-column wordform/lemma TSV.
-basque = ingest_tsv(FIXTURES / "corpora" / "eu_fix.tsv", name="eu_fix", language="eu")
+basque = ingest_tsv(FIXTURES / "corpora" / "eu_fix.tsv", name="eu_fix")
 print(f"{basque.name}: {corpus_stats(basque)[1]} sentences, {corpus_stats(basque)[0]} tokens")
 
 # Experiments on a budget: keep only the first 50 sentences (a seeded

@@ -35,7 +35,7 @@ for other in ("gatos", "libros", "caminos"):
 
 # Build the label inventory from a training split.  Frequent scripts get
 # low ids; this ordering also breaks frequency ties downstream.
-corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", name="es_fix", language="es")
+corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", name="es_fix")
 train, _, _ = make_splits(corpus, SplitSpec(40, 15, 25))
 inventory = build_inventory(pair_scripts(train))
 total = sum(freq for _, _, freq in inventory.items())

@@ -17,7 +17,7 @@ from lemmabench.evaluation import word_accuracy
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", name="es_fix", language="es")
+corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", name="es_fix")
 train_part, dev, _ = make_splits(corpus, SplitSpec(40, 15, 25))
 
 # Induce one script per distinct (wordform, lemma) pair; the inventory and

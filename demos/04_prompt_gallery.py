@@ -25,7 +25,7 @@ from lemmabench.prompt import (
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", name="es_fix", language="es")
+corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", name="es_fix")
 _, dev, test = make_splits(corpus, SplitSpec(40, 15, 25))
 target = test.sentences[0]
 

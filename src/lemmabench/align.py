@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .artifact import publish
-from .corpus import Sentence, _read_blocks, _write_blocks
+from .corpus import Block, Sentence, _read_blocks, _write_blocks
 from .errors import FileFormatError, ScoringError
 
 # Tab(s) or runs of 2+ spaces separate fields; a single space never does,
@@ -254,18 +254,12 @@ def align_sequences(out_words: Sequence[str], in_words: Sequence[str]) -> list[t
 class AlignedPrediction:
     """Per-token lemma slots for one sentence plus the error tallies."""
 
-    sentence_id: str
     lemmas: tuple[str | None, ...]  # one slot per input token; None = missing
-    missing_words: tuple[int, ...]  # input indices with no aligned output
-    wrong_words: tuple[int, ...]  # input indices aligned via a near match
-    random_outputs: int  # output rows aligned to nothing + rejected lines
+    wrong: int  # input tokens aligned via a near match
+    random: int  # output rows aligned to nothing + rejected lines
 
     def counts(self) -> dict[str, int]:
-        return {
-            "missing": len(self.missing_words),
-            "wrong": len(self.wrong_words),
-            "random": self.random_outputs,
-        }
+        return {"missing": self.lemmas.count(None), "wrong": self.wrong, "random": self.random}
 
 
 def align(parsed: ParsedOutput, sentence: Sentence) -> AlignedPrediction:
@@ -275,37 +269,16 @@ def align(parsed: ParsedOutput, sentence: Sentence) -> AlignedPrediction:
     matched = align_sequences(out_words, in_words)
 
     lemmas: list[str | None] = [None] * len(in_words)
-    wrong: list[int] = []
-    matched_outputs = set()
+    wrong = 0
     for out_idx, in_idx in matched:
-        matched_outputs.add(out_idx)
         lemmas[in_idx] = parsed.pairs[out_idx][1]
-        if out_words[out_idx] != in_words[in_idx]:
-            wrong.append(in_idx)
-    missing = [idx for idx, lemma in enumerate(lemmas) if lemma is None]
-    random_outputs = (len(out_words) - len(matched_outputs)) + len(parsed.rejects)
-    return AlignedPrediction(
-        sentence_id=sentence.id,
-        lemmas=tuple(lemmas),
-        missing_words=tuple(missing),
-        wrong_words=tuple(wrong),
-        random_outputs=random_outputs,
-    )
-
-
-@dataclass(frozen=True)
-class PredictionBlock:
-    """One block of a prediction file, in the columns of a Sentence."""
-
-    sentence_id: str | None  # None when the file carries no sent_id comments
-    wordforms: tuple[str, ...]
-    lemmas: tuple[str | None, ...]  # None: no lemma predicted
+        wrong += out_words[out_idx] != in_words[in_idx]
+    random = len(out_words) - len(matched) + len(parsed.rejects)
+    return AlignedPrediction(tuple(lemmas), wrong, random)
 
 
 def write_predictions(
-    path: str | Path,
-    blocks: list[tuple[str, list[str], list[str | None]]],
-    metadata: dict[str, str] | None = None,
+    path: str | Path, blocks: list[Block], metadata: dict[str, str] | None = None
 ):
     """Write sentence-per-block prediction TSV; each block is (sentence_id,
     wordforms, lemma slots), and a missing lemma an empty second field."""
@@ -322,14 +295,13 @@ def _prediction_row(fields: list[str], path, line_no: int) -> tuple[str, str | N
     return fields[0], fields[1] or None
 
 
-def read_predictions(path: str | Path) -> tuple[dict[str, str], list[PredictionBlock]]:
+def read_predictions(path: str | Path) -> tuple[dict[str, str], list[Block]]:
     """Metadata plus ordered blocks of a prediction file, external ones too:
     sent_id headers are optional (scoring then matches blocks to sentences
     by order), and a row that is not wordform<TAB>lemma, the lemma possibly
     empty, is a ScoringError naming the file and line."""
     metadata: dict[str, str] = {}
-    blocks = _read_blocks(path, _prediction_row, True, metadata)
-    return metadata, [PredictionBlock(*block) for block in blocks]
+    return metadata, list(_read_blocks(path, _prediction_row, True, metadata))
 
 
 def write_diagnostics(path: str | Path, metadata: dict, sentences: dict[str, dict]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from pathlib import Path
 from random import Random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import artifact
 from .errors import CorpusFormatError, EmptyCorpusError, MissingLemmaError, SplitError
@@ -66,7 +66,6 @@ class Sentence:
 @dataclass(frozen=True)
 class Corpus:
     name: str
-    language: str
     sentences: tuple[Sentence, ...]
 
     def __len__(self) -> int:
@@ -228,7 +227,12 @@ def _parts(path: str | Path, parse_row, tsv: bool):
                 pass
 
 
-def _read_blocks(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
+# A block of a sentence-block file, as its readers yield it and its writer
+# takes it: (sent_id or None, wordforms, lemmas with None for a token without one).
+Block = tuple[str | None, tuple[str, ...], tuple[str | None, ...]]
+
+
+def _read_blocks(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]) -> Iterator[Block]:
     """The (sent_id or None, wordforms, lemmas) blocks of a block file, each
     yielded as it ends: ``# sent_id = X`` starts a block named X, which may
     end without rows, a part with rows ends one, other headers go into meta."""
@@ -249,7 +253,7 @@ def _read_blocks(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
         yield block_id, (), ()
 
 
-def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: bool) -> Corpus:
+def _corpus(path: str | Path, name: str | None, parse_row, tsv: bool) -> Corpus:
     """The sentences of a block file: blocks without rows are dropped, and a
     block without a sent_id is named by its position.  A sentence id that
     names an earlier sentence, given or generated, is a CorpusFormatError."""
@@ -263,7 +267,7 @@ def _corpus(path: str | Path, name: str | None, language: str, parse_row, tsv: b
             sentences[sentence_id] = Sentence(sentence_id, forms, lemmas)
     if not sentences:
         raise EmptyCorpusError(f"{path}: no sentences found")
-    return Corpus(name=corpus_name, language=language, sentences=tuple(sentences.values()))
+    return Corpus(corpus_name, tuple(sentences.values()))
 
 
 def _conllu_row(columns: list[str], path: Path, line_no: int) -> tuple[str, str | None] | None:
@@ -281,7 +285,7 @@ def _conllu_row(columns: list[str], path: Path, line_no: int) -> tuple[str, str 
     return columns[1], None if columns[2] == "_" else columns[2]
 
 
-def ingest_conllu(path: str | Path, name: str | None = None, language: str = "und") -> Corpus:
+def ingest_conllu(path: str | Path, name: str | None = None) -> Corpus:
     """Read a CoNLL-U file into a Corpus.
 
     Keeps FORM as wordform and LEMMA as lemma ("_" maps to no lemma).
@@ -290,7 +294,7 @@ def ingest_conllu(path: str | Path, name: str | None = None, language: str = "un
     CorpusFormatError on a token line that does not have exactly 10
     tab-separated columns, EmptyCorpusError if no sentence survives.
     """
-    return _corpus(path, name, language, _conllu_row, tsv=False)
+    return _corpus(path, name, _conllu_row, tsv=False)
 
 
 def _tsv_row(fields: list[str], path: Path, line_no: int) -> tuple[str, str | None]:
@@ -303,21 +307,22 @@ def _tsv_row(fields: list[str], path: Path, line_no: int) -> tuple[str, str | No
     return fields[0], fields[1] or None
 
 
-def ingest_tsv(path: str | Path, name: str | None = None, language: str = "und") -> Corpus:
+def ingest_tsv(path: str | Path, name: str | None = None) -> Corpus:
     """Read a two-column ``wordform<TAB>lemma`` file, blank line between
     sentences; an empty lemma field means the token is unannotated, and a
     row with another field count is a CorpusFormatError naming the line."""
-    return _corpus(path, name, language, _tsv_row, tsv=True)
+    return _corpus(path, name, _tsv_row, tsv=True)
 
 
-def _write_blocks(path: str | Path, meta: dict[str, str], blocks: Iterable) -> None:
+def _write_blocks(path: str | Path, meta: dict[str, str], blocks: Iterable[Block]) -> None:
     """The one writer of sentence-block files (corpus, splits, predictions):
-    per (sent_id, wordforms, lemmas) block a ``# sent_id`` line, a row per
+    per block a ``# sent_id`` line unless its sent_id is None, a row per
     token (a missing lemma is an empty field), then a blank line."""
 
     def rows():
         for sentence_id, forms, lemmas in blocks:
-            yield (f"# sent_id = {sentence_id}",)
+            if sentence_id is not None:
+                yield (f"# sent_id = {sentence_id}",)
             yield from zip(forms, ["" if lemma is None else lemma for lemma in lemmas], strict=True)
             yield ()
 
@@ -350,7 +355,7 @@ def reduce_corpus(
         kept = tuple(s for i, s in enumerate(corpus.sentences) if i in picked)
     else:
         raise SplitError(f"unknown reduction rule: {rule!r}")
-    return Corpus(name=corpus.name, language=corpus.language, sentences=kept)
+    return Corpus(corpus.name, kept)
 
 
 def make_splits(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
@@ -373,17 +378,12 @@ def make_splits(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus
         order[spec.train_count : spec.train_count + spec.dev_count],
         order[spec.train_count + spec.dev_count : total],
     )
-    parts = []
-    for part_name, indices in zip(("train", "dev", "test"), cuts):
-        indices = sorted(indices)  # keep original document order inside each split
-        parts.append(
-            Corpus(
-                name=f"{corpus.name}-{part_name}",
-                language=corpus.language,
-                sentences=tuple(corpus.sentences[i] for i in indices),
-            )
-        )
-    return parts[0], parts[1], parts[2]
+    # Each split keeps the corpus's own sentence order.
+    train, dev, test = (
+        Corpus(f"{corpus.name}-{part}", tuple(corpus.sentences[i] for i in sorted(indices)))
+        for part, indices in zip(("train", "dev", "test"), cuts)
+    )
+    return train, dev, test
 
 
 def write_split_manifest(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from . import artifact
@@ -42,9 +43,6 @@ class EditScript:
     def edit_size(self) -> int:
         """Total characters deleted or inserted (the minimality measure)."""
         return self.prefix_drop + len(self.prefix_add) + self.suffix_drop + len(self.suffix_add)
-
-    def is_identity(self) -> bool:
-        return self == IDENTITY
 
     def encode(self) -> str:
         """Stable single-field encoding (JSON escapes tabs/newlines)."""
@@ -126,21 +124,13 @@ def _common_cores(word: str, lemma: str) -> list[tuple[int, int, int]]:
     return best
 
 
-_SHARED: dict[tuple, EditScript] = {}  # fields: the one script induce returns for them
-_SHARED_MAX = 1 << 16
-
-
+@lru_cache(maxsize=1 << 16)
 def _shared(*fields) -> EditScript:
     """The script with these fields, one object for every call that asks:
     a dict then finds it by identity, without comparing fields.  A pipeline
-    meets few distinct scripts (one per label); the table is emptied when it
-    reaches _SHARED_MAX, so inducing arbitrary text cannot grow it further."""
-    script = _SHARED.get(fields)
-    if script is None:
-        if len(_SHARED) >= _SHARED_MAX:
-            _SHARED.clear()
-        script = _SHARED[fields] = EditScript(*fields)
-    return script
+    meets few distinct scripts (one per label); the cache is bounded, so
+    inducing arbitrary text cannot grow it without end."""
+    return EditScript(*fields)
 
 
 def induce(wordform: str, lemma: str) -> EditScript:
@@ -202,28 +192,20 @@ class LabelInventory:
     """
 
     def __init__(self, frequencies: dict[EditScript, int]):
-        ordered = sorted(frequencies.items(), key=lambda item: (-item[1], item[0].encode()))
-        self._scripts = [script for script, _ in ordered]
-        self._ids = {script: i for i, script in enumerate(self._scripts)}
-        self._freq = dict(frequencies)
+        self._ordered = sorted(frequencies.items(), key=lambda item: (-item[1], item[0].encode()))
+        self._ids = {script: i for i, (script, _) in enumerate(self._ordered)}
 
     def __len__(self) -> int:
-        return len(self._scripts)
-
-    def __contains__(self, script: EditScript) -> bool:
-        return script in self._ids
+        return len(self._ordered)
 
     def id_of(self, script: EditScript) -> int:
         return self._ids[script]
 
     def script_of(self, label_id: int) -> EditScript:
-        return self._scripts[label_id]
-
-    def frequency(self, script: EditScript) -> int:
-        return self._freq[script]
+        return self._ordered[label_id][0]
 
     def items(self) -> list[tuple[int, EditScript, int]]:
-        return [(i, s, self._freq[s]) for i, s in enumerate(self._scripts)]
+        return [(i, s, f) for i, (s, f) in enumerate(self._ordered)]
 
 
 PairScript = tuple[str, EditScript, int]  # (wordform, induced script, token count)

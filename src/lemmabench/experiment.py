@@ -39,7 +39,6 @@ from . import evaluation as eval_mod
 from . import gateway as gateway_mod
 from . import prompt as prompt_mod
 from .align import (
-    PredictionBlock,
     align as align_prediction,
     parse_output,
     read_diagnostics,
@@ -140,9 +139,9 @@ _SCHEMA = {
     "corpus.path": _Row(_PATH),
     "corpus.format": _Row(_one_of(CONLLU, TSV), CONLLU),
     "corpus.name": _Row(_STRING, None),  # default: the corpus file's stem
-    "split.train": _Row(_INTEGER, range=_AT_LEAST_0),
-    "split.dev": _Row(_INTEGER, range=_AT_LEAST_0),
-    "split.test": _Row(_INTEGER, range=_AT_LEAST_0),
+    "split.train": _Row(_INTEGER, range=_AT_LEAST_1),
+    "split.dev": _Row(_INTEGER, range=_AT_LEAST_1),
+    "split.test": _Row(_INTEGER, range=_AT_LEAST_1),
     "split.rule": _Row(_one_of(*corpus_mod.SELECTION_RULES), corpus_mod.FIRST_N),
     "split.seed": _Row(_INTEGER, 0),
     "reduce.max_sentences": _Row(_INTEGER, None, _AT_LEAST_1, null=True),
@@ -280,11 +279,17 @@ def load_config(
     provider = gateway_mod.ProviderConfig(**top["provider"])
     # These values land in "# key = value" artifact headers, where a tab
     # would turn the line into a row and a line break would end it early.
+    # The corpus and system names also name files and directories in out_dir.
     headers = {"name": name, "language": language, "corpus file name": corpus_file.name,
                "corpus name": corpus_name, "provider model": provider.model}
     for label, value in [*headers.items(), *(("system name", s) for s in known)]:
         if any(c in str(value) for c in "\t\n\r"):
             raise ConfigError(f"{label} {value!r} holds a tab or a line break")
+        if label in ("corpus name", "system name") and (
+            value in ("", ".", "..") or "/" in value or "\0" in value
+        ):
+            raise ConfigError(f"{label} {value!r} cannot name a file: it is empty, . or .., "
+                              "or holds / or NUL")
     if not 0 <= mcnemar_run < runs:
         raise ConfigError(f"scoring.mcnemar_run {mcnemar_run} is not a run in 0..{runs - 1}")
     return ExperimentConfig(
@@ -357,9 +362,9 @@ def _meta(cfg: ExperimentConfig, **extra: str) -> dict[str, str]:
 def run_ingest(cfg: ExperimentConfig) -> corpus_mod.Corpus:
     """Read the source corpus, optionally cap its size, write canonical TSV."""
     if cfg.corpus_format == CONLLU:
-        corpus = corpus_mod.ingest_conllu(cfg.corpus_path, cfg.corpus_name, cfg.language)
+        corpus = corpus_mod.ingest_conllu(cfg.corpus_path, cfg.corpus_name)
     else:
-        corpus = corpus_mod.ingest_tsv(cfg.corpus_path, cfg.corpus_name, cfg.language)
+        corpus = corpus_mod.ingest_tsv(cfg.corpus_path, cfg.corpus_name)
     if cfg.reduce_to is not None:
         corpus = corpus_mod.reduce_corpus(corpus, cfg.reduce_to, cfg.reduce_rule, cfg.reduce_seed)
     meta = _meta(cfg, source=Path(cfg.corpus_path).name, language=cfg.language)
@@ -368,13 +373,12 @@ def run_ingest(cfg: ExperimentConfig) -> corpus_mod.Corpus:
 
 
 def _load_split(layout: Layout, part: str) -> corpus_mod.Corpus:
-    name, language = layout.split_name(part), layout.cfg.language
-    return corpus_mod.ingest_tsv(layout.split_tsv(part), name, language)
+    return corpus_mod.ingest_tsv(layout.split_tsv(part), layout.split_name(part))
 
 
 def run_split(cfg: ExperimentConfig) -> dict[str, corpus_mod.Corpus]:
     layout = Layout(cfg)
-    corpus = corpus_mod.ingest_tsv(layout.corpus_tsv(), cfg.corpus_name, cfg.language)
+    corpus = corpus_mod.ingest_tsv(layout.corpus_tsv(), cfg.corpus_name)
     train, dev, test = corpus_mod.make_splits(corpus, cfg.split)
     splits = {"train": train, "dev": dev, "test": test}
     for part, sub in splits.items():
@@ -521,28 +525,28 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
 
 
 def blocks_to_slots(
-    blocks: list[PredictionBlock], gold: corpus_mod.Corpus
+    blocks: list[corpus_mod.Block], gold: corpus_mod.Corpus
 ) -> dict[str, tuple[str | None, ...]]:
-    """Map prediction blocks onto gold sentences by id, else by order.
+    """Map (sent_id or None, wordforms, lemma slots) prediction blocks onto
+    gold sentences by id, else by order.
 
     Every gold sentence needs a block that repeats its wordforms, and no
     sent_id may appear twice or name no gold sentence; each fault is a
     ScoringError naming the sentence.
     """
-    with_ids = [b for b in blocks if b.sentence_id is not None]
+    with_ids = [b for b in blocks if b[0] is not None]
     if with_ids and len(with_ids) != len(blocks):
         raise ScoringError("prediction file mixes sent_id blocks with anonymous blocks")
     if with_ids:
         gold_ids = {sentence.id for sentence in gold.sentences}
-        by_id: dict[str, PredictionBlock] = {}
+        by_id: dict[str, corpus_mod.Block] = {}
         for block in blocks:
-            if block.sentence_id in by_id:
-                raise ScoringError(f"prediction file repeats sent_id {block.sentence_id}")
-            if block.sentence_id not in gold_ids:
-                raise ScoringError(
-                    f"prediction file has a block for {block.sentence_id}, no gold sentence"
-                )
-            by_id[block.sentence_id] = block
+            block_id = block[0]
+            if block_id in by_id:
+                raise ScoringError(f"prediction file repeats sent_id {block_id}")
+            if block_id not in gold_ids:
+                raise ScoringError(f"prediction file has a block for {block_id}, no gold sentence")
+            by_id[block_id] = block
     elif len(blocks) != len(gold.sentences):
         raise ScoringError(
             f"{len(blocks)} anonymous prediction blocks for {len(gold.sentences)} sentences"
@@ -553,11 +557,11 @@ def blocks_to_slots(
         block = by_id.get(sentence.id)
         if block is None:
             raise ScoringError(f"prediction file has no block for {sentence.id}")
-        if block.wordforms != sentence.wordforms:
+        if block[1] != sentence.wordforms:
             raise ScoringError(
                 f"prediction block for {sentence.id} does not repeat its gold wordforms"
             )
-    return {sentence_id: block.lemmas for sentence_id, block in by_id.items()}
+    return {sentence_id: lemmas for sentence_id, (_, _, lemmas) in by_id.items()}
 
 
 def _read_slots(path: Path, gold: corpus_mod.Corpus) -> dict[str, tuple[str | None, ...]]:

@@ -14,8 +14,8 @@ def sentence(sid: str, *pairs: tuple[str, str | None]) -> Sentence:
     return Sentence(id=sid, wordforms=tuple(w for w, _ in pairs), lemmas=tuple(l for _, l in pairs))
 
 
-def corpus(name: str, *sentences: Sentence, language: str = "und") -> Corpus:
-    return Corpus(name=name, language=language, sentences=tuple(sentences))
+def corpus(name: str, *sentences: Sentence) -> Corpus:
+    return Corpus(name=name, sentences=tuple(sentences))
 
 
 @pytest.fixture(scope="session")
@@ -27,21 +27,21 @@ def fixtures_dir() -> Path:
 def es_corpus():
     from lemmabench.corpus import ingest_conllu
 
-    return ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", "es_fix", "Spanish")
+    return ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", "es_fix")
 
 
 @pytest.fixture(scope="session")
 def eu_corpus():
     from lemmabench.corpus import ingest_tsv
 
-    return ingest_tsv(FIXTURES / "corpora" / "eu_fix.tsv", "eu_fix", "Basque")
+    return ingest_tsv(FIXTURES / "corpora" / "eu_fix.tsv", "eu_fix")
 
 
 @pytest.fixture(scope="session")
 def en_corpus():
     from lemmabench.corpus import ingest_conllu
 
-    return ingest_conllu(FIXTURES / "corpora" / "en_fix.conllu", "en_fix", "English")
+    return ingest_conllu(FIXTURES / "corpora" / "en_fix.conllu", "en_fix")
 
 
 class _HalfWriter:

@@ -55,7 +55,6 @@ from lemmabench import gateway as gateway_mod
 from lemmabench import prompt as prompt_mod
 from lemmabench.align import (
     ParsedOutput,
-    PredictionBlock,
     _pair_score,
     read_diagnostics,
     read_predictions,
@@ -524,7 +523,7 @@ def _nfc(text):
 
 def oracle_read_predictions(path):
     metadata: dict[str, str] = {}
-    blocks: list[PredictionBlock] = []
+    blocks: list[corpus_mod.Block] = []
     current_id: str | None = None
     current_pairs: list[tuple[str, str | None]] = []
     seen_block = False
@@ -533,7 +532,7 @@ def oracle_read_predictions(path):
         nonlocal current_id, current_pairs, seen_block
         if seen_block and (current_pairs or current_id is not None):
             forms, lemmas = zip(*current_pairs) if current_pairs else ((), ())
-            blocks.append(PredictionBlock(current_id, forms, lemmas))
+            blocks.append((current_id, forms, lemmas))
         current_id, current_pairs, seen_block = None, [], False
 
     with open(path, encoding="utf-8") as fh:
@@ -588,10 +587,10 @@ def token_sentences(c: Corpus) -> Corpus:
         assert len(s.wordforms) == len(s.lemmas)
         expected = [Token(i, *pair) for i, pair in enumerate(zip(s.wordforms, s.lemmas), 1)]
         assert list(s.tokens) == expected
-    return Corpus(c.name, c.language, tuple(TokenSentence(s.id, s.tokens) for s in c.sentences))
+    return Corpus(c.name, tuple(TokenSentence(s.id, s.tokens) for s in c.sentences))
 
 
-def _oracle_read_corpus(path, name, language, parse_row, tsv):
+def _oracle_read_corpus(path, name, parse_row, tsv):
     """The corpus reader before columns: a Corpus of TokenSentences."""
     path = Path(path)
     corpus_name = name or path.stem
@@ -631,7 +630,7 @@ def _oracle_read_corpus(path, name, language, parse_row, tsv):
     close_sentence()
     if not sentences:
         raise EmptyCorpusError(f"{path}: no sentences found")
-    return Corpus(name=corpus_name, language=language, sentences=tuple(sentences))
+    return Corpus(name=corpus_name, sentences=tuple(sentences))
 
 
 def _oracle_tsv_row(fields, path, line_no):
@@ -644,8 +643,8 @@ def _oracle_tsv_row(fields, path, line_no):
     return fields[0], fields[1] or None
 
 
-def oracle_ingest_tsv(path, name=None, language="und"):
-    return _oracle_read_corpus(path, name, language, _oracle_tsv_row, tsv=True)
+def oracle_ingest_tsv(path, name=None):
+    return _oracle_read_corpus(path, name, _oracle_tsv_row, tsv=True)
 
 
 def _oracle_conllu_row(fields, path, line_no):
@@ -660,8 +659,8 @@ def _oracle_conllu_row(fields, path, line_no):
     return fields[1], None if fields[2] == "_" else fields[2]
 
 
-def oracle_ingest_conllu(path, name=None, language="und"):
-    return _oracle_read_corpus(path, name, language, _oracle_conllu_row, tsv=False)
+def oracle_ingest_conllu(path, name=None):
+    return _oracle_read_corpus(path, name, _oracle_conllu_row, tsv=False)
 
 
 # --- the sentence-block readers before one reader read each block in bulk ---------

@@ -47,7 +47,7 @@ from hypothesis import strategies as st
 
 from lemmabench import artifact
 from lemmabench import corpus as corpus_mod
-from lemmabench.align import PredictionBlock, read_predictions, write_predictions
+from lemmabench.align import read_predictions, write_predictions
 from lemmabench.baseline import read_model
 from lemmabench.corpus import ingest_conllu, ingest_tsv, write_tsv
 from lemmabench.editscript import (
@@ -328,9 +328,7 @@ def test_pipeline_written_files_take_the_fast_path(scratch):
         meta, blocks = read_predictions(scratch / "run0.tsv")
     assert steps == []
     assert meta == {"format": "lemmabench-predictions/1", "system": "baseline"}
-    assert [(b.sentence_id, b.wordforms, b.lemmas) for b in blocks] == [
-        (s.id, s.wordforms, s.lemmas) for s in gold.sentences
-    ]
+    assert blocks == [(s.id, s.wordforms, s.lemmas) for s in gold.sentences]
 
 
 def test_a_late_bad_block_alone_takes_the_line_step(scratch):
@@ -342,7 +340,7 @@ def test_a_late_bad_block_alone_takes_the_line_step(scratch):
         meta, blocks = read_predictions(path)
     assert _texts(steps) == [(18002, "# late = header\nperros\tperro\n# k = v")]
     assert meta == {"format": "x/1", "late": "header", "k": "v"}
-    assert len(blocks) == 6001 and blocks[-1] == PredictionBlock(None, ("perros",), ("perro",))
+    assert len(blocks) == 6001 and blocks[-1] == (None, ("perros",), ("perro",))
     assert _result(read_predictions, path) == _results_before([read_predictions], path)[0]
 
 
@@ -671,7 +669,7 @@ def _refused(cls, line):
     ("corpus", ["# columns = wordform\tlemma", "a\tb"],
      lambda new, old: new.sentences[0].wordforms == ("a",) and len(old.sentences[0]) == 2),
     ("predictions", ["# columns = wordform\tlemma", "a\tb"],
-     _ok(({"columns": "wordform\tlemma"}, [PredictionBlock(None, ("a",), ("b",))]))),
+     _ok(({"columns": "wordform\tlemma"}, [(None, ("a",), ("b",))]))),
     ("pairs", [*_PAIRS, "# columns = wordform\tlabel id\ttoken count"],
      lambda new, old: len(new) == 1 and old == (InventoryFormatError, 3)),
     # only the key sent_id names a sentence
@@ -679,7 +677,7 @@ def _refused(cls, line):
      lambda new, old: new.sentences[0].id == "c-0000" and old.sentences[0].id == "3"),
     # a sent_id names the rows after a blank line, in prediction files too
     ("predictions", ["# sent_id = s-0", "", "a\tb"],
-     _ok(({}, [PredictionBlock("s-0", ("a",), ("b",))]))),
+     _ok(({}, [("s-0", ("a",), ("b",))]))),
     # a "#" line with a tab is a row of the inventory and the model
     ("inventory", [*_INVENTORY, "#x\ty\tz"], _refused(InventoryFormatError, 5)),
     ("model", [*_MODEL, "#x\ty"], _refused(ModelFormatError, 5)),

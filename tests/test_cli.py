@@ -219,6 +219,46 @@ def test_ingest_refuses_manual_ids_that_do_not_fit_shots(fixtures_dir, tmp_path,
     assert experiment.load_config(config).systems[1].manual_ids == tuple(system["manual_ids"])
 
 
+def _write_replay_config(fixtures_dir, tmp_path, change):
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    change(raw)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), "utf-8")
+    return str(config)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # run wrote escaped/es_fix-test.run{0,1,2}.tsv two levels above --out.
+        (lambda raw: raw["systems"].append({"name": "../../escaped", "kind": "baseline"}),
+         "system name '../../escaped' cannot name a file"),
+        # baseline and baseline/. loaded as two systems and shared one directory.
+        (lambda raw: raw["systems"].append({"name": "baseline/.", "kind": "baseline"}),
+         "system name 'baseline/.' cannot name a file"),
+        # ingest ended in an uncaught ValueError: embedded null byte.
+        (lambda raw: raw["corpus"].update(name="es\0fix"),
+         "corpus name 'es\\x00fix' cannot name a file"),
+    ],
+    ids=["dot-dot", "slash-dot", "nul"],
+)
+def test_ingest_refuses_a_name_that_cannot_name_a_file(fixtures_dir, tmp_path, capsys, change,
+                                                        message):
+    config = _write_replay_config(fixtures_dir, tmp_path, change)
+    assert _run(config, tmp_path / "out", "ingest") == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("part", ["train", "dev", "test"])
+def test_ingest_refuses_a_zero_size_split(fixtures_dir, tmp_path, capsys, part):
+    # Before, ingest and split exited 0 and a later stage found no sentences.
+    config = _write_replay_config(fixtures_dir, tmp_path, lambda raw: raw["split"].update({part: 0}))
+    assert _run(config, tmp_path / "out", "ingest") == 2
+    assert f"error: split.{part} must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _replay_config(fixtures_dir, tmp_path, **changes):
     raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
     raw["corpus"]["path"] = str(fixtures_dir / "corpora" / "es_fix.conllu")

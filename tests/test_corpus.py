@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemmabench import artifact
+from lemmabench.align import PREDICTION_FORMAT, read_predictions, write_predictions
 from lemmabench.corpus import (
     FIRST_N,
     SEEDED_RANDOM,
@@ -206,6 +207,16 @@ def test_readers_round_trip_both_formats(tmp_path_factory, drafts, nfd):
     from_conllu = ingest_conllu(directory / "rt.conllu")
     assert [s.id for s in from_conllu.sentences] == [f"rt-{i:04d}" for i in range(len(drafts))]
     assert [s.tokens for s in from_conllu.sentences] == [s.tokens for s in expected]
+
+    # A prediction file of the same text: one (sent_id or None, wordforms,
+    # lemmas) block per sentence, which the writer takes back as it is.
+    _, blocks = read_predictions(directory / "rt.tsv")
+    assert blocks == [
+        (s.id if with_id else None, s.wordforms, s.lemmas)
+        for (with_id, _), s in zip(drafts, expected)
+    ]
+    write_predictions(directory / "again.tsv", blocks)
+    assert read_predictions(directory / "again.tsv") == ({"format": PREDICTION_FORMAT}, blocks)
 
 
 @pytest.mark.parametrize("file_name, ingest, oracle", [

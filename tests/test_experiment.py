@@ -16,7 +16,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from lemmabench import artifact, baseline, corpus as corpus_mod, editscript, evaluation, experiment
-from lemmabench.align import PredictionBlock, read_predictions
+from lemmabench.align import read_predictions
 from lemmabench.corpus import ingest_tsv, write_tsv
 from lemmabench.errors import (
     ConfigError,
@@ -269,6 +269,11 @@ _OUT_OF_RANGE = [
     ("provider.temperature", {"provider": {"temperature": -0.5}}),
     ("provider.top_p", {"provider": {"top_p": -5}}),
     ("provider.top_p", {"provider": {"top_p": 1.5}}),
+    # A zero-size split loaded, and induce, train-baseline or run then found
+    # no sentences in it.
+    ("split.train", {"split": {"train": 0, "dev": 2, "test": 1}}),
+    ("split.dev", {"split": {"train": 3, "dev": 0, "test": 1}}),
+    ("split.test", {"split": {"train": 3, "dev": 2, "test": 0}}),
 ]
 
 
@@ -432,9 +437,9 @@ def _valid_raw(draw):
         "corpus": st.fixed_dictionaries(
             {"path": st.sampled_from(["corpus.tsv", "sub/es.conllu", "/abs/c.tsv"])},
             optional={"format": st.sampled_from([experiment.CONLLU, experiment.TSV]),
-                      "name": st.sampled_from(["es", ""])}),
+                      "name": st.sampled_from(["es", "es.v2"])}),
         "split": st.fixed_dictionaries(
-            {"train": st.integers(0, 40), "dev": st.integers(0, 9), "test": st.integers(0, 9)},
+            {"train": st.integers(1, 40), "dev": st.integers(1, 9), "test": st.integers(1, 9)},
             optional={"rule": rules, "seed": st.integers(0, 9)}),
         "systems": st.permutations(systems),
         "runs": st.just(runs),
@@ -511,6 +516,16 @@ def _departure(key, value, old, new):
                 len(ids) != spec.shots or len(set(ids)) < len(ids)
             ) and new.startswith(f"ConfigError: system {system.name}: manual "):
                 return "manual ids that do not fit shots"
+        names = [("corpus name", old.corpus_name), *(("system name", s.name) for s in old.systems)]
+        for label, name in names:
+            unusable = name in ("", ".", "..") or "/" in name or "\0" in name
+            if unusable and new.startswith(f"ConfigError: {label} {name!r} cannot name a file"):
+                return "a corpus or system name that cannot name a file"
+        split = old.split
+        counts = {"train": split.train_count, "dev": split.dev_count, "test": split.test_count}
+        if new in (f"ConfigError: split.{part} must be at least 1, got 0"
+                   for part, count in counts.items() if count == 0):
+            return "zero-size split"
     sampling = key in ("provider.temperature", "provider.top_p")
     if sampling and isinstance(old, experiment.ExperimentConfig) and isinstance(new, str):
         if new.startswith(f"ConfigError: {key} must be between 0 and "):
@@ -570,8 +585,8 @@ def _two_sentence_gold():
 
 def test_blocks_to_slots_by_id():
     blocks = [
-        PredictionBlock("g-0001", ("c",), ("x",)),
-        PredictionBlock("g-0000", ("a", "b"), ("y", None)),
+        ("g-0001", ("c",), ("x",)),
+        ("g-0000", ("a", "b"), ("y", None)),
     ]
     slots = blocks_to_slots(blocks, _two_sentence_gold())
     assert slots == {"g-0001": ("x",), "g-0000": ("y", None)}
@@ -579,8 +594,8 @@ def test_blocks_to_slots_by_id():
 
 def test_blocks_to_slots_anonymous_by_order():
     blocks = [
-        PredictionBlock(None, ("a", "b"), ("y", "z")),
-        PredictionBlock(None, ("c",), ("x",)),
+        (None, ("a", "b"), ("y", "z")),
+        (None, ("c",), ("x",)),
     ]
     slots = blocks_to_slots(blocks, _two_sentence_gold())
     assert slots == {"g-0000": ("y", "z"), "g-0001": ("x",)}
@@ -589,32 +604,30 @@ def test_blocks_to_slots_anonymous_by_order():
 def test_blocks_to_slots_rejects_mixed_and_miscounted():
     gold = _two_sentence_gold()
     with pytest.raises(ScoringError):
-        blocks_to_slots(
-            [PredictionBlock("g-0000", (), ()), PredictionBlock(None, (), ())], gold
-        )
+        blocks_to_slots([("g-0000", (), ()), (None, (), ())], gold)
     with pytest.raises(ScoringError):
-        blocks_to_slots([PredictionBlock(None, ("a",), ("y",))], gold)
+        blocks_to_slots([(None, ("a",), ("y",))], gold)
 
 
 @pytest.mark.parametrize("sentence_id", ["d-0000", None])
 def test_blocks_to_slots_rejects_wordforms_that_differ_from_gold(sentence_id):
     gold = corpus("d", sentence("d-0000", ("perro", "perro"), ("ladra", "ladrar")))
-    block = PredictionBlock(sentence_id, ("gato", "come"), ("gato", "comer"))
+    block = (sentence_id, ("gato", "come"), ("gato", "comer"))
     with pytest.raises(ScoringError, match="d-0000"):
         blocks_to_slots([block], gold)
 
 
 def test_blocks_to_slots_rejects_missing_gold_sentence():
-    blocks = [PredictionBlock("g-0001", ("c",), ("C",))]
+    blocks = [("g-0001", ("c",), ("C",))]
     with pytest.raises(ScoringError, match="g-0000"):
         blocks_to_slots(blocks, _two_sentence_gold())
 
 
 def test_blocks_to_slots_rejects_a_block_of_no_gold_sentence():
     blocks = [
-        PredictionBlock("g-0000", ("a", "b"), ("A", "B")),
-        PredictionBlock("g-0001", ("c",), ("C",)),
-        PredictionBlock("dev-0099", ("zz",), ("q",)),
+        ("g-0000", ("a", "b"), ("A", "B")),
+        ("g-0001", ("c",), ("C",)),
+        ("dev-0099", ("zz",), ("q",)),
     ]
     with pytest.raises(ScoringError, match="dev-0099"):
         blocks_to_slots(blocks, _two_sentence_gold())
@@ -622,9 +635,9 @@ def test_blocks_to_slots_rejects_a_block_of_no_gold_sentence():
 
 def test_blocks_to_slots_rejects_repeated_sent_id():
     blocks = [
-        PredictionBlock("g-0000", ("a", "b"), ("A", "B")),
-        PredictionBlock("g-0001", ("c",), ("C",)),
-        PredictionBlock("g-0000", ("a", "b"), ("x", "x")),
+        ("g-0000", ("a", "b"), ("A", "B")),
+        ("g-0001", ("c",), ("C",)),
+        ("g-0000", ("a", "b"), ("x", "x")),
     ]
     with pytest.raises(ScoringError, match="g-0000"):
         blocks_to_slots(blocks, _two_sentence_gold())
@@ -1152,10 +1165,10 @@ def test_failed_request_scores_as_all_missing(tiny_experiment):
         layout.predictions("llm-identity", "tiny-test", 0)
     )
     assert metadata["failures"] == "1"
-    by_id = {b.sentence_id: b for b in blocks}
-    failed, answered = by_id["tiny-0004"], by_id["tiny-0005"]
-    assert (failed.wordforms, failed.lemmas) == (("failme", "ii"), (None, None))
-    assert (answered.wordforms, answered.lemmas) == (("jj", "kk"), ("jj", "kk"))
+    assert blocks == [
+        ("tiny-0004", ("failme", "ii"), (None, None)),
+        ("tiny-0005", ("jj", "kk"), ("jj", "kk")),
+    ]
 
     from lemmabench.align import read_diagnostics
 
@@ -1185,7 +1198,7 @@ def test_external_predictions_are_normalized_with_ids(tiny_experiment):
     from lemmabench.align import read_predictions
 
     _, blocks = read_predictions(layout.predictions("external-ref", "tiny-test", 0))
-    assert [b.sentence_id for b in blocks] == ["tiny-0004", "tiny-0005"]
+    assert [sentence_id for sentence_id, _, _ in blocks] == ["tiny-0004", "tiny-0005"]
 
 
 def test_report_stage_returns_rendered_text(tiny_experiment):
@@ -1284,5 +1297,6 @@ def test_hash_initial_wordform_survives_ingest_to_score(tmp_path):
     run_train_baseline(cfg)
     run_predictions(cfg, transport=forbidden_transport)
     _, blocks = read_predictions(layout.predictions("baseline", "tweets-test", 0))
-    assert (blocks[0].wordforms[2], blocks[0].lemmas[2]) == ("#nlp", "#nlp")
+    _, wordforms, lemmas = blocks[0]
+    assert (wordforms[2], lemmas[2]) == ("#nlp", "#nlp")
     assert run_score(cfg)[0].runs[0].total == 4

@@ -3,11 +3,12 @@
 
     python3 tools/loc.py [DIR]
 
-Prints two numbers for the ``*.py`` files under DIR (default: ``src/`` of
-this checkout): physical lines, and lines that hold code, which are those
+Prints two numbers for each ``*.py`` file under DIR (default: ``src/`` of
+this checkout), one ``file: physical, code`` line per file, then their sums
+on a last line: physical lines, and lines that hold code, which are those
 that are not blank, not only a comment and not part of a docstring (the
 string that opens a module, class or function body).  A line holding code
-and a trailing comment counts as code.  These are the two sizes each change
+and a trailing comment counts as code.  These are the sizes each change
 reports in CHANGES.md.
 """
 
@@ -46,7 +47,11 @@ def count(text: str) -> tuple[int, int]:
 
 def main(argv: list[str]) -> int:
     top = Path(argv[0]) if argv else ROOT / "src"
-    sizes = [count(path.read_text("utf-8")) for path in sorted(top.rglob("*.py"))]
+    sizes = []
+    for path in sorted(top.rglob("*.py")):
+        physical, code = count(path.read_text("utf-8"))
+        print(f"{path.relative_to(top)}: {physical}, {code}")
+        sizes.append((physical, code))
     print(f"{top}: {sum(p for p, _ in sizes)} physical lines, {sum(c for _, c in sizes)} of code")
     return 0
 

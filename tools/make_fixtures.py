@@ -437,7 +437,7 @@ def make_replay_fixture():
     config_path.write_text(json.dumps(REPLAY_CONFIG, indent=2, ensure_ascii=False) + "\n",
                            "utf-8")
 
-    gold_corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", "es_fix", "Spanish")
+    gold_corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", "es_fix")
     gold_map = {s.wordforms: s.lemmas for s in gold_corpus.sentences}
     sim = SimulatedChatModel(gold_map)
 
@@ -448,8 +448,8 @@ def make_replay_fixture():
         experiment.run_induce(cfg)
         experiment.run_train_baseline(cfg)
 
-        dev = ingest_tsv(Path(tmp) / "splits" / "es_fix-dev.tsv", "es_fix-dev", "Spanish")
-        test = ingest_tsv(Path(tmp) / "splits" / "es_fix-test.tsv", "es_fix-test", "Spanish")
+        dev = ingest_tsv(Path(tmp) / "splits" / "es_fix-dev.tsv", "es_fix-dev")
+        test = ingest_tsv(Path(tmp) / "splits" / "es_fix-test.tsv", "es_fix-test")
         cache = ResponseCache(replay_dir / "cache")
         recorder = LlmGateway(cfg.provider, cache, mode=RECORD, transport=sim)
         for system in cfg.systems:
