@@ -39,6 +39,7 @@ from . import evaluation as eval_mod
 from . import gateway as gateway_mod
 from . import prompt as prompt_mod
 from .align import (
+    AlignedPrediction,
     align as align_prediction,
     parse_output,
     read_diagnostics,
@@ -123,7 +124,7 @@ def _one_of(*choices: str):
 
 
 _STRING = ("a string", lambda v: isinstance(v, str))
-_PATH = ("a file path", _STRING[1])
+_PATH = ("a file path", lambda v: isinstance(v, str) and "\0" not in v)  # open() refuses NUL
 _INTEGER = ("an integer", lambda v: type(v) is int)  # true and false are not
 _NUMBER = ("a number", lambda v: type(v) is int or type(v) is float and math.isfinite(v))
 _IDS = ("a list of sentence ids", lambda v: isinstance(v, list) and all(type(i) is str for i in v))
@@ -160,8 +161,9 @@ _SCHEMA = {
     "systems.llm.prompt.language_name": _Row(_STRING, None),  # default: the config's language
     "systems.llm.manual_ids": _Row(_IDS, ()),
     "systems.llm.dev_diagnostics": _Row(_PATH, None, null=True),
+    # An empty predictions value passes its row and _parse_system refuses it.
     "systems.external.predictions": _Row(("a file path or a list of them", lambda v: (
-        not v or isinstance(v, str) or _IDS[1](v))), None),  # empty: refused by _parse_system
+        not v or _PATH[1](v) or isinstance(v, list) and all(map(_PATH[1], v)))), None),
     "provider.base_url": _Row(_STRING, _PROVIDER.base_url),
     "provider.model": _Row(_STRING, _PROVIDER.model),
     "provider.api_key_env": _Row(_STRING, _PROVIDER.api_key_env),
@@ -175,9 +177,9 @@ _SCHEMA = {
     "provider.retry_backoff": _Row(_NUMBER, _PROVIDER.retry_backoff, _AT_LEAST_0),
     "runs": _Row(_INTEGER, 1, _AT_LEAST_1),
     "parallelism": _Row(_INTEGER, 4, _AT_LEAST_1),
-    "cache_dir": _Row(_STRING, "cache"),
+    "cache_dir": _Row(_PATH, "cache"),
     "cache_mode": _Row(_one_of(*gateway_mod.CACHE_MODES), gateway_mod.REPLAY),
-    "out_dir": _Row(_STRING, "out"),
+    "out_dir": _Row(_PATH, "out"),
     "scoring.policy": _Row(_one_of(*eval_mod.POLICIES), eval_mod.STRICT),
     "scoring.alpha": _Row(_NUMBER, 0.05, ("between 0 and 1, exclusive", lambda v: 0 < v < 1)),
     "scoring.mcnemar_run": _Row(_INTEGER, 0),  # one of the runs: see load_config
@@ -253,6 +255,7 @@ def load_config(
     """Load a JSON experiment config, checked against _SCHEMA.  Relative paths
     are resolved against the config file's directory; out_dir and cache_mode
     accept command-line overrides, and the file's cache_mode goes unchecked under one."""
+    _expect(_PATH[1](str(out_dir)), "--out", _PATH[0], str(out_dir))  # out_dir may be a Path
     path = Path(path)
     base = path.parent
     try:
@@ -400,26 +403,28 @@ def run_induce(cfg: ExperimentConfig) -> editscript_mod.LabelInventory:
     return inventory
 
 
+def _unaligned(lemmas) -> AlignedPrediction:
+    """Lemma slots that came from no LLM output: no wrong or random rows."""
+    return AlignedPrediction(tuple(lemmas), 0, 0)
+
+
 def _write_system_run(
     layout: Layout,
     system: str,
     gold: corpus_mod.Corpus,
     run: int,
-    lemmas_by_id: dict[str, tuple[str | None, ...]],
-    counts_by_id: dict[str, dict[str, int]],
+    predicted: list[AlignedPrediction],
     extra_meta: dict[str, str] | None = None,
 ):
-    """Write one run's prediction file and its diagnostics sidecar."""
+    """Write one run's prediction file and its diagnostics sidecar from one
+    prediction per gold sentence, in gold order."""
     blocks = []
     sentences: dict[str, dict[str, int]] = {}
-    for sentence in gold.sentences:
-        slots = lemmas_by_id[sentence.id]
-        blocks.append((sentence.id, sentence.wordforms, slots))
-        counts = {"missing": slots.count(None), "wrong": 0, "random": 0}
-        counts.update(counts_by_id.get(sentence.id, {}))
-        pairs = zip(slots, sentence.lemmas, strict=True)
-        counts["incorrect"] = sum(p is not None and p != g for p, g in pairs)
-        sentences[sentence.id] = counts
+    for sentence, prediction in zip(gold.sentences, predicted, strict=True):
+        blocks.append((sentence.id, sentence.wordforms, prediction.lemmas))
+        pairs = zip(prediction.lemmas, sentence.lemmas, strict=True)
+        incorrect = sum(p is not None and p != g for p, g in pairs)
+        sentences[sentence.id] = {**prediction.counts(), "incorrect": incorrect}
     meta = _meta(layout.cfg, system=system, corpus=gold.name, run=str(run), **(extra_meta or {}))
     write_predictions(layout.predictions(system, gold.name, run), blocks, metadata=meta)
     write_diagnostics(layout.diagnostics(system, gold.name, run), meta, sentences)
@@ -434,8 +439,8 @@ def run_train_baseline(cfg: ExperimentConfig) -> baseline_mod.BaselineModel:
     model = baseline_mod.train(pairs, inventory, cfg.max_suffix_len)
     dev = _load_split(layout, "dev")
     baseline_mod.write_model(model, layout.model())
-    lemmas = {s.id: tuple(baseline_mod.predict(model, s)) for s in dev.sentences}
-    _write_system_run(layout, BASELINE, dev, 0, lemmas, {})
+    predicted = [_unaligned(baseline_mod.predict(model, s)) for s in dev.sentences]
+    _write_system_run(layout, BASELINE, dev, 0, predicted)
     return model
 
 
@@ -455,7 +460,7 @@ def select_system_examples(
         dev,
         dev_diagnostics=diagnostics,
         seed=spec.seed,
-        manual_ids=list(system.manual_ids) or None,
+        manual_ids=list(system.manual_ids),
     )
 
 
@@ -473,24 +478,19 @@ def _run_llm_system(
         for sentence in test.sentences
     ]
     batch = gateway.run_batch(prompts, runs=cfg.runs, parallelism=cfg.parallelism)
-    for run in range(cfg.runs):
-        lemmas_by_id: dict[str, tuple[str | None, ...]] = {}
-        counts_by_id: dict[str, dict[str, int]] = {}
-        for sentence, response in zip(test.sentences, batch.responses[run]):
-            if response is None:
-                # A sentence whose request failed scores as all missing
-                # rather than silently vanishing from the denominator.
-                lemmas_by_id[sentence.id] = (None,) * len(sentence)
-                continue
-            aligned = align_prediction(parse_output(response.raw_text), sentence)
-            lemmas_by_id[sentence.id] = aligned.lemmas
-            counts_by_id[sentence.id] = aligned.counts()
+    for run, responses in enumerate(batch.responses):
+        # A sentence whose request failed (its response is None) scores as
+        # all missing rather than silently vanishing from the denominator.
+        predicted = [
+            align_prediction(parse_output(r.raw_text), s) if r else _unaligned((None,) * len(s))
+            for s, r in zip(test.sentences, responses)
+        ]
         extra = {
             "model": cfg.provider.model,
             "template_version": prompt_mod.TEMPLATE_VERSION,
-            "failures": str(batch.responses[run].count(None)),
+            "failures": str(responses.count(None)),
         }
-        _write_system_run(layout, system.name, test, run, lemmas_by_id, counts_by_id, extra)
+        _write_system_run(layout, system.name, test, run, predicted, extra)
 
 
 def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | None = None) -> None:
@@ -502,14 +502,16 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
         for system in cfg.systems:
             if system.kind == BASELINE:
                 model = baseline_mod.read_model(layout.model())
-                lemmas = {s.id: tuple(baseline_mod.predict(model, s)) for s in test.sentences}
+                predicted = [_unaligned(baseline_mod.predict(model, s)) for s in test.sentences]
                 for run in range(cfg.runs):
                     # Deterministic system: every run is the same honest pass.
-                    _write_system_run(layout, system.name, test, run, lemmas, {})
+                    _write_system_run(layout, system.name, test, run, predicted)
             elif system.kind == EXTERNAL:
                 for run in range(cfg.runs):
                     source = system.predictions[run if len(system.predictions) > 1 else 0]
-                    _write_system_run(layout, system.name, test, run, _read_slots(source, test), {})
+                    slots = _read_slots(source, test)
+                    predicted = [_unaligned(slots[s.id]) for s in test.sentences]
+                    _write_system_run(layout, system.name, test, run, predicted)
             else:  # LLM, the one kind left: load_config refuses any other
                 if gateway is None:  # only LLM systems need the cache and the dev split
                     live = cfg.cache_mode == gateway_mod.LIVE  # live mode opens no cache

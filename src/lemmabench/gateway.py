@@ -22,7 +22,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 from typing import Callable
 
@@ -73,7 +73,8 @@ class LlmResponse:
 
 @dataclass
 class BatchResult:
-    """Outcome of a multi-run batch; a failed item is None in responses, its reason in failures."""
+    """Outcome of a multi-run batch; a failed item is None in responses, its
+    reason in failures, which are in (run, item) order."""
 
     responses: list[list[LlmResponse | None]]
     failures: list[tuple[int, int, str]] = field(default_factory=list)  # (run, item, reason)
@@ -280,17 +281,14 @@ class LlmGateway:
         self._rng = rng or random.Random()
 
     def _call_with_retries(self, prompt: str) -> str:
-        last: Exception | None = None
-        for attempt in range(self.config.max_retries + 1):
+        for attempt in count():
             try:
                 return self.transport(self.config, prompt)
             except TransportError as exc:
-                last = exc
-                if not exc.retryable or attempt == self.config.max_retries:
+                if not exc.retryable or attempt >= self.config.max_retries:
                     raise
                 delay = self.config.retry_backoff * (2**attempt)
                 time.sleep(delay + self._rng.uniform(0, delay / 2))
-        raise last  # pragma: no cover - loop always returns or raises
 
     def complete(self, prompt: str, run_index: int = 0, prefix=None) -> LlmResponse:
         """One request; prefix is the prompt's fingerprint_prefix, if known."""
@@ -352,5 +350,4 @@ class LlmGateway:
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
-        failures.sort()
         return BatchResult(responses=responses, failures=failures)

@@ -118,12 +118,6 @@ def _head(spec: PromptSpec, examples: tuple[Sentence, ...]) -> str:
     return "\n".join(lines)
 
 
-def _error_total(entry) -> int:
-    if isinstance(entry, Mapping):
-        return sum(int(v) for v in entry.values())
-    return int(entry)
-
-
 def check_manual_ids(k: int, manual_ids: Sequence[str] | None) -> None:
     """PromptError unless manual_ids are k ids, none repeated."""
     if manual_ids is None or len(manual_ids) != k:
@@ -137,20 +131,26 @@ def select_examples(
     selection: str,
     k: int,
     pool: Corpus,
-    dev_diagnostics: Mapping[str, object] | None = None,
+    dev_diagnostics: Mapping[str, Mapping[str, int]] | None = None,
     seed: int = 0,
     manual_ids: list[str] | None = None,
 ) -> list[Sentence]:
     """Pick k worked example sentences from a pool corpus.
 
-    most-errors ranks pool sentences by the total error count of a prior
-    dev run (ties broken by sentence id); random is reproducible from its
-    seed; manual takes an explicit id list.
+    random and most-errors draw only from the pool sentences whose every
+    token has a gold lemma, as only those can be worked examples.
+    most-errors ranks them by the total error count of a prior dev run
+    (ties broken by sentence id); random is reproducible from its seed;
+    manual takes an explicit id list, and render_prompt refuses an id
+    whose sentence lacks a lemma, naming the token.
     """
     if k == 0:
         return []
-    if k > len(pool):
-        raise PromptError(f"asked for {k} examples but pool {pool.name} has {len(pool)}")
+    candidates = [s for s in pool.sentences if selection == MANUAL or None not in s.lemmas]
+    if k > len(candidates):
+        raise PromptError(
+            f"asked for {k} examples but pool {pool.name} has {len(candidates)} to choose from"
+        )
 
     if selection == MANUAL:
         check_manual_ids(k, manual_ids)
@@ -160,16 +160,14 @@ def select_examples(
             unknown = exc.args[0]
             raise PromptError(f"manual example id {unknown!r} is not in pool {pool.name}") from None
     elif selection == RANDOM:
-        chosen = Random(seed).sample(list(pool.sentences), k)
+        chosen = Random(seed).sample(candidates, k)
     elif selection == MOST_ERRORS:
         if dev_diagnostics is None:
             raise PromptError("most-errors selection requires dev diagnostics")
-        missing = [s.id for s in pool.sentences if s.id not in dev_diagnostics]
+        missing = [s.id for s in candidates if s.id not in dev_diagnostics]
         if missing:
             raise PromptError(f"diagnostics do not cover pool sentences: {missing[:5]}")
-        ranked = sorted(
-            pool.sentences, key=lambda s: (-_error_total(dev_diagnostics[s.id]), s.id)
-        )
+        ranked = sorted(candidates, key=lambda s: (-sum(dev_diagnostics[s.id].values()), s.id))
         chosen = ranked[:k]
     else:
         raise PromptError(f"unknown selection strategy {selection!r}")

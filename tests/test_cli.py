@@ -5,7 +5,10 @@ import json
 import pytest
 
 from lemmabench import experiment
+from lemmabench import prompt as prompt_mod
+from lemmabench.align import read_diagnostics
 from lemmabench.cli import main
+from lemmabench.corpus import ingest_tsv
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +262,38 @@ def test_ingest_refuses_a_zero_size_split(fixtures_dir, tmp_path, capsys, part):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        # ingest ended in an uncaught ValueError: embedded null byte.
+        (lambda raw: raw["corpus"].update(path="../corpora/es_fix.con\0llu"), "corpus.path"),
+        # ingest through train-baseline exited 0; run then read the cache as
+        # empty and named a missing response.
+        (lambda raw: raw.update(cache_dir="ca\0che"), "cache_dir"),
+        (lambda raw: raw.update(out_dir="o\0ut"), "out_dir"),
+        (lambda raw: raw["systems"][1].update(dev_diagnostics="dev\0.diag.json"),
+         "system llm-basic-4shot.dev_diagnostics"),
+        (lambda raw: raw["systems"].append(
+            {"name": "ext", "kind": "external", "predictions": ["p0.tsv", "p\0.tsv", "p2.tsv"]}),
+         "system ext.predictions"),
+    ],
+    ids=["corpus-path", "cache-dir", "out-dir", "dev-diagnostics", "predictions"],
+)
+def test_ingest_refuses_a_nul_in_a_path(fixtures_dir, tmp_path, capsys, change, key):
+    config = _write_replay_config(fixtures_dir, tmp_path, change)
+    assert _run(config, tmp_path / "out", "ingest") == 2
+    assert f"error: {key} must be a file path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_refuses_a_nul_in_out(fixtures_dir, tmp_path, capsys):
+    # ingest ended in an uncaught ValueError: embedded null byte.
+    config = _write_replay_config(fixtures_dir, tmp_path, lambda raw: None)
+    assert _run(config, tmp_path / "o\0ut", "ingest") == 2
+    assert 'error: --out must be a file path, got "' in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def _replay_config(fixtures_dir, tmp_path, **changes):
     raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
     raw["corpus"]["path"] = str(fixtures_dir / "corpora" / "es_fix.conllu")
@@ -444,3 +479,64 @@ def test_a_stage_calls_the_experiment_function_it_finds_when_it_runs(
     assert _run(config, out, "score") == 0
     assert calls == ["es-replay"]
     assert "baseline on es_fix-test: word accuracy 0.9200" in capsys.readouterr().out
+
+
+def test_run_draws_no_worked_example_that_lacks_a_lemma(
+    fixtures_dir, tmp_path, capsys, monkeypatch
+):
+    # es_fix-0050, a dev sentence, loses the lemmas of its first two tokens.
+    # Before, the baseline's dev run counted both as incorrect, most-errors
+    # ranked it first, and run exited 2: token 1 ('Las') has no lemma.
+    text = (fixtures_dir / "corpora" / "es_fix.conllu").read_text("utf-8")
+    head, sep, tail = text.partition("# sent_id = es-fix-51\n")
+    for row, lemma in (("1\tLas\t", "la"), ("2\tcasa\t", "casa")):
+        tail = tail.replace(f"{row}{lemma}\t", f"{row}_\t", 1)
+    corpus = tmp_path / "es_fix.conllu"
+    corpus.write_text(head + sep + tail, "utf-8")
+
+    def change(raw):
+        raw["corpus"]["path"] = str(corpus)
+        raw["cache_dir"] = str(fixtures_dir / "replay" / "cache")
+
+    config, out = _write_replay_config(fixtures_dir, tmp_path, change), tmp_path / "out"
+    for command in ("ingest", "split", "induce", "train-baseline"):
+        assert _run(config, out, command) == 0
+    _, diag = read_diagnostics(out / "predictions" / "baseline" / "es_fix-dev.run0.diag.json")
+    assert diag["es_fix-0050"]["incorrect"] == 2
+    assert max(diag, key=lambda i: (sum(diag[i].values()), i)) == "es_fix-0050"
+    examples = []
+    render_prompt = prompt_mod.render_prompt
+
+    def recording(spec, chosen, target):
+        examples.extend(e.id for e in chosen)
+        return render_prompt(spec, chosen, target)
+
+    monkeypatch.setattr(prompt_mod, "render_prompt", recording)
+    assert _run(config, out, "run") == 0
+    assert examples and "es_fix-0050" not in examples
+    assert capsys.readouterr().err == ""
+
+
+def test_ingest_reduces_the_corpus_by_the_reduce_section(fixtures_dir, tmp_path, capsys):
+    def ingest(out, **reduce):
+        def change(raw):
+            raw["corpus"]["path"] = str(fixtures_dir / "corpora" / "es_fix.conllu")
+            raw["split"]["test"] = 5
+            raw["reduce"] = reduce
+
+        config = _write_replay_config(fixtures_dir, tmp_path, change)
+        assert _run(config, tmp_path / out, "ingest") == 0
+        corpus = ingest_tsv(tmp_path / out / "corpora" / "es_fix.tsv", "es_fix")
+        return config, [s.id for s in corpus.sentences]
+
+    _, first = ingest("first", max_sentences=60, rule="first-n")
+    assert first == [f"es_fix-{i:04d}" for i in range(60)]
+    drawn = [ingest(f"drawn{n}", max_sentences=60, rule="seeded-random", seed=seed)[1]
+             for n, seed in enumerate((3, 3, 4))]
+    assert len(drawn[0]) == 60 and drawn[0] == sorted(drawn[0])  # in corpus order
+    assert drawn[0] == drawn[1] != drawn[2]
+    small, _ = ingest("small", max_sentences=50)
+    capsys.readouterr()
+    assert _run(small, tmp_path / "small", "split") == 2
+    err = capsys.readouterr().err
+    assert "error: split sizes sum to 60 but corpus es_fix has 50 sentences" in err

@@ -526,6 +526,10 @@ def _departure(key, value, old, new):
         if new in (f"ConfigError: split.{part} must be at least 1, got 0"
                    for part, count in counts.items() if count == 0):
             return "zero-size split"
+    if key in ("cache_dir", "out_dir") and isinstance(old, str) and new == old.replace(
+        f"{key} must be a string, got ", f"{key} must be a file path, got "
+    ) != old:
+        return "cache_dir or out_dir named a file path, as corpus.path is"
     sampling = key in ("provider.temperature", "provider.top_p")
     if sampling and isinstance(old, experiment.ExperimentConfig) and isinstance(new, str):
         if new.startswith(f"ConfigError: {key} must be between 0 and "):

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import io
 import json
+import socket
 import sys
 import tempfile
 import threading
@@ -304,6 +305,14 @@ def test_two_caches_on_one_directory_share_the_log(tmp_path):
     reloaded = ResponseCache(tmp_path / "cache")
     assert {fp: reloaded.get(fp) for fp in expected} == expected and len(reloaded) == 7
     assert first.get(_fp(5)) == "text 5"  # read in when first appended after it
+
+
+def test_a_put_finds_the_fingerprint_another_cache_logged_since_it_loaded(tmp_path):
+    first, second = ResponseCache(tmp_path / "cache"), ResponseCache(tmp_path / "cache")
+    first.put(_fp(0), "m", "first text")
+    second.put(_fp(0), "m", "second text")  # found on the rescan under the lock
+    assert second.log_path.read_bytes() == LOG_HEADER + _record(_fp(0), "m", "first text")
+    assert second.get(_fp(0)) == "first text" and len(second) == 1
 
 
 def test_cache_stress_many_threads_on_two_instances(tmp_path):
@@ -686,6 +695,21 @@ def test_record_batch_records_the_others_when_one_completion_has_null_content(
     assert len(cache) == 2
     assert request_fingerprint(config, "bad", 0) not in cache
     cache.close()
+
+
+def test_live_batch_to_a_port_with_no_listener_fails_each_item(monkeypatch):
+    monkeypatch.setenv("LEMMABENCH_API_KEY", "sk-test")
+    with socket.socket() as bound:  # bound but not listening: connections are refused
+        bound.bind(("127.0.0.1", 0))
+        host, port = bound.getsockname()
+        config = _config(base_url=f"http://{host}:{port}/v1", timeout=5.0)
+        with pytest.raises(TransportError) as info:
+            http_transport(config, "p")
+        assert not info.value.retryable
+        result = LlmGateway(config, mode=LIVE).run_batch(["a", "b"], runs=2, parallelism=2)
+    assert result.responses == [[None, None], [None, None]]
+    assert [(run, item) for run, item, _ in result.failures] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(f"port={port}" in reason for _, _, reason in result.failures)
 
 
 def test_gateway_retries_through_real_transport(http_stub, monkeypatch):

@@ -189,6 +189,32 @@ def test_select_random_is_seeded():
     assert [e.id for e in first] == [e.id for e in second]
 
 
+def test_select_random_draws_only_fully_annotated_sentences():
+    pool = corpus(
+        "dev",
+        sentence("dev-0000", ("a", "a")),
+        sentence("dev-0001", ("b", None), ("c", "c")),
+        sentence("dev-0002", ("d", "d")),
+        sentence("dev-0003", ("e", "e")),
+    )
+    # Seed 0 drew dev-0003 and dev-0001 from all four; dev-0001 cannot be a worked example.
+    picked = select_examples(RANDOM, 2, pool, seed=0)
+    assert [e.id for e in picked] == ["dev-0002", "dev-0003"]
+    with pytest.raises(PromptError, match="pool dev has 3 to choose from"):
+        select_examples(RANDOM, 4, pool)
+    assert len(select_examples(MANUAL, 4, pool, manual_ids=[f"dev-000{i}" for i in range(4)])) == 4
+
+
+def test_select_most_errors_ranks_only_fully_annotated_sentences():
+    pool = corpus("dev", sentence("dev-0000", ("a", "a")), sentence("dev-0001", ("b", None)))
+    diagnostics = {"dev-0000": {"incorrect": 0}, "dev-0001": {"incorrect": 1}}
+    picked = select_examples(MOST_ERRORS, 1, pool, dev_diagnostics=diagnostics)
+    assert [e.id for e in picked] == ["dev-0000"]
+    # Coverage counts only the sentences it may rank.
+    picked = select_examples(MOST_ERRORS, 1, pool, dev_diagnostics={"dev-0000": {"incorrect": 0}})
+    assert [e.id for e in picked] == ["dev-0000"]
+
+
 def test_select_most_errors_ranks_by_total_then_id():
     diagnostics = {
         "dev-0000": {"missing": 1, "wrong": 0, "random": 0, "incorrect": 0},
