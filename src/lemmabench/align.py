@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .artifact import publish
 from .corpus import Block, Sentence, _read_blocks, _write_blocks
-from .errors import FileFormatError, ScoringError
+from .errors import FileFormatError
 
 # Tab(s) or runs of 2+ spaces separate fields; a single space never does,
 # since wordforms themselves may contain one.
@@ -286,22 +286,14 @@ def write_predictions(
     _write_blocks(path, meta, blocks)
 
 
-def _prediction_row(fields: list[str], path, line_no: int) -> tuple[str, str | None]:
-    if len(fields) != 2:
-        raise ScoringError(
-            f"{path}:{line_no}: prediction row has {len(fields)} tab-separated "
-            "fields, expected wordform<TAB>lemma"
-        )
-    return fields[0], fields[1] or None
-
-
 def read_predictions(path: str | Path) -> tuple[dict[str, str], list[Block]]:
     """Metadata plus ordered blocks of a prediction file, external ones too:
     sent_id headers are optional (scoring then matches blocks to sentences
-    by order), and a row that is not wordform<TAB>lemma, the lemma possibly
-    empty, is a ScoringError naming the file and line."""
+    by order), and rows follow the corpus TSV rule: a row that is not
+    wordform<TAB>lemma, or has an empty wordform, is a CorpusFormatError
+    naming the file and line; an empty lemma is a missing one."""
     metadata: dict[str, str] = {}
-    return metadata, list(_read_blocks(path, _prediction_row, True, metadata))
+    return metadata, list(_read_blocks(path, True, metadata))
 
 
 def write_diagnostics(path: str | Path, metadata: dict, sentences: dict[str, dict]):

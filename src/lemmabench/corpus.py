@@ -175,12 +175,13 @@ def _conllu_block(block: str):
     return (), forms, lemmas
 
 
-def _line_step(lines, line_no: int, path: str | Path, parse_row, tsv: bool):
+def _line_step(lines, line_no: int, path: str | Path, tsv: bool):
     """The (header lines, wordforms, lemmas) parts of a block read a line at
     a time from line line_no, each ended by a whitespace-only line or a
-    ``# sent_id`` after rows.  parse_row(fields, path, line_no) gives a row,
-    NFC-normalized here, or None, and names the line of a fault.  Returns
-    the number of the line after the block."""
+    ``# sent_id`` after rows.  The row rule tsv picks, _tsv_row or
+    _conllu_row, gives a row, NFC-normalized here, or None, and names the
+    line of a fault.  Returns the number of the line after the block."""
+    parse_row = _tsv_row if tsv else _conllu_row
     heads, forms, lemmas = [], [], []
     normalize = unicodedata.normalize
     for line_no, line in enumerate(lines, line_no):
@@ -198,9 +199,9 @@ def _line_step(lines, line_no: int, path: str | Path, parse_row, tsv: bool):
     return line_no + 1
 
 
-def _parts(path: str | Path, parse_row, tsv: bool):
+def _parts(path: str | Path, tsv: bool):
     """The parts of a sentence-block file, read once: a block (the lines
-    between blank lines) of a piece is one part from the format's bulk step
+    between blank lines) of a piece is one part from the bulk step tsv picks
     unless that step refuses it, it is not NFC (the line step normalizes
     fields) or it is longer than _PIECE; then, as a stretch, it takes the line step."""
     read_block = _tsv_block if tsv else _conllu_block
@@ -209,7 +210,7 @@ def _parts(path: str | Path, parse_row, tsv: bool):
         try:
             for piece in _pieces(handle):
                 if not isinstance(piece, str):
-                    line_no = yield from _line_step(piece, line_no, path, parse_row, tsv)
+                    line_no = yield from _line_step(piece, line_no, path, tsv)
                     continue
                 start = 0  # of raw in piece
                 for raw in piece.split("\n\n"):
@@ -219,7 +220,7 @@ def _parts(path: str | Path, parse_row, tsv: bool):
                             yield part
                         else:
                             first = line_no + piece.count("\n", 0, start)
-                            yield from _line_step(raw.split("\n"), first, path, parse_row, tsv)
+                            yield from _line_step(raw.split("\n"), first, path, tsv)
                     start += len(raw) + 2
                 line_no += piece.count("\n") + 2  # the piece ended at a blank line
         except UnicodeDecodeError:
@@ -232,12 +233,12 @@ def _parts(path: str | Path, parse_row, tsv: bool):
 Block = tuple[str | None, tuple[str, ...], tuple[str | None, ...]]
 
 
-def _read_blocks(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]) -> Iterator[Block]:
+def _read_blocks(path: str | Path, tsv: bool, meta: dict[str, str]) -> Iterator[Block]:
     """The (sent_id or None, wordforms, lemmas) blocks of a block file, each
     yielded as it ends: ``# sent_id = X`` starts a block named X, which may
     end without rows, a part with rows ends one, other headers go into meta."""
     block_id = None  # a sent_id whose block has no rows yet
-    for heads, forms, lemmas in _parts(path, parse_row, tsv):
+    for heads, forms, lemmas in _parts(path, tsv):
         for line in heads:
             key, value = artifact.header(line) or (None, None)
             if key == "sent_id":
@@ -253,13 +254,13 @@ def _read_blocks(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]) -
         yield block_id, (), ()
 
 
-def _corpus(path: str | Path, name: str | None, parse_row, tsv: bool) -> Corpus:
+def _corpus(path: str | Path, name: str | None, tsv: bool) -> Corpus:
     """The sentences of a block file: blocks without rows are dropped, and a
     block without a sent_id is named by its position.  A sentence id that
     names an earlier sentence, given or generated, is a CorpusFormatError."""
     corpus_name = name or Path(path).stem
     sentences: dict[str, Sentence] = {}
-    for block_id, forms, lemmas in _read_blocks(path, parse_row, tsv, {}):
+    for block_id, forms, lemmas in _read_blocks(path, tsv, {}):
         if forms:
             sentence_id = f"{corpus_name}-{len(sentences):04d}" if block_id is None else block_id
             if sentence_id in sentences:
@@ -294,7 +295,7 @@ def ingest_conllu(path: str | Path, name: str | None = None) -> Corpus:
     CorpusFormatError on a token line that does not have exactly 10
     tab-separated columns, EmptyCorpusError if no sentence survives.
     """
-    return _corpus(path, name, _conllu_row, tsv=False)
+    return _corpus(path, name, tsv=False)
 
 
 def _tsv_row(fields: list[str], path: Path, line_no: int) -> tuple[str, str | None]:
@@ -311,7 +312,7 @@ def ingest_tsv(path: str | Path, name: str | None = None) -> Corpus:
     """Read a two-column ``wordform<TAB>lemma`` file, blank line between
     sentences; an empty lemma field means the token is unannotated, and a
     row with another field count is a CorpusFormatError naming the line."""
-    return _corpus(path, name, _tsv_row, tsv=True)
+    return _corpus(path, name, tsv=True)
 
 
 def _write_blocks(path: str | Path, meta: dict[str, str], blocks: Iterable[Block]) -> None:

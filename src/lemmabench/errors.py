@@ -17,7 +17,7 @@ class FileFormatError(LemmabenchError):
 
 
 class CorpusFormatError(FileFormatError):
-    """A corpus file violates its format."""
+    """A sentence-block file (corpus, split or predictions) violates its format."""
 
 
 class InventoryFormatError(FileFormatError):

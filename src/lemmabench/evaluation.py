@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import artifact
-from .corpus import Corpus
+from .corpus import Corpus, Sentence
 from .errors import FileFormatError, ScoringError
 
 STRICT = "strict"
@@ -29,6 +29,13 @@ POLICIES = (STRICT, RENORMALIZE)
 EXACT_THRESHOLD = 25  # discordant pairs below this use the exact binomial
 
 LemmaSlots = Mapping[str, Sequence[str | None]]
+
+
+def require_lemmas(sentence: Sentence) -> None:
+    """ScoringError naming the first token of a gold sentence without a lemma."""
+    if None in sentence.lemmas:
+        form = sentence.wordforms[sentence.lemmas.index(None)]
+        raise ScoringError(f"gold token {form!r} in {sentence.id} has no lemma")
 
 
 def _token_outcomes(predictions: LemmaSlots, gold: Corpus) -> list[list[bool | None]]:
@@ -42,9 +49,7 @@ def _token_outcomes(predictions: LemmaSlots, gold: Corpus) -> list[list[bool | N
             raise ScoringError(
                 f"{sentence.id}: {len(slots)} lemma slots for {len(sentence)} tokens"
             )
-        if None in sentence.lemmas:
-            form = sentence.wordforms[sentence.lemmas.index(None)]
-            raise ScoringError(f"gold token {form!r} in {sentence.id} has no lemma")
+        require_lemmas(sentence)
         outcomes.append([None if p is None else p == g for p, g in zip(slots, sentence.lemmas)])
     return outcomes
 

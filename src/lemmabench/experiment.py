@@ -423,7 +423,7 @@ def _write_system_run(
     for sentence, prediction in zip(gold.sentences, predicted, strict=True):
         blocks.append((sentence.id, sentence.wordforms, prediction.lemmas))
         pairs = zip(prediction.lemmas, sentence.lemmas, strict=True)
-        incorrect = sum(p is not None and p != g for p, g in pairs)
+        incorrect = sum(p != g and None not in (p, g) for p, g in pairs)
         sentences[sentence.id] = {**prediction.counts(), "incorrect": incorrect}
     meta = _meta(layout.cfg, system=system, corpus=gold.name, run=str(run), **(extra_meta or {}))
     write_predictions(layout.predictions(system, gold.name, run), blocks, metadata=meta)
@@ -494,9 +494,12 @@ def _run_llm_system(
 
 
 def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | None = None) -> None:
-    """Produce prediction files for every configured system and run."""
+    """Produce prediction files for every configured system and run, once
+    every test sentence has the gold lemmas score needs."""
     layout = Layout(cfg)
     test = _load_split(layout, "test")
+    for sentence in test.sentences:  # before any cache is opened or request sent
+        eval_mod.require_lemmas(sentence)
     gateway = dev = None
     try:
         for system in cfg.systems:
@@ -534,36 +537,32 @@ def blocks_to_slots(
 
     Every gold sentence needs a block that repeats its wordforms, and no
     sent_id may appear twice or name no gold sentence; each fault is a
-    ScoringError naming the sentence.
+    ScoringError naming the sentence.  Anonymous blocks take the gold ids
+    in gold order, then go through the same checks as named ones.
     """
-    with_ids = [b for b in blocks if b[0] is not None]
-    if with_ids and len(with_ids) != len(blocks):
+    anonymous = sum(block[0] is None for block in blocks)  # a sent_id of "" is a name
+    if anonymous == len(blocks):  # an empty file too
+        if anonymous != len(gold):
+            raise ScoringError(f"{anonymous} anonymous prediction blocks for {len(gold)} sentences")
+        blocks = [(s.id, *block[1:]) for s, block in zip(gold.sentences, blocks)]
+    elif anonymous:
         raise ScoringError("prediction file mixes sent_id blocks with anonymous blocks")
-    if with_ids:
-        gold_ids = {sentence.id for sentence in gold.sentences}
-        by_id: dict[str, corpus_mod.Block] = {}
-        for block in blocks:
-            block_id = block[0]
-            if block_id in by_id:
-                raise ScoringError(f"prediction file repeats sent_id {block_id}")
-            if block_id not in gold_ids:
-                raise ScoringError(f"prediction file has a block for {block_id}, no gold sentence")
-            by_id[block_id] = block
-    elif len(blocks) != len(gold.sentences):
-        raise ScoringError(
-            f"{len(blocks)} anonymous prediction blocks for {len(gold.sentences)} sentences"
-        )
-    else:
-        by_id = {s.id: b for s, b in zip(gold.sentences, blocks)}
+    gold_ids = {sentence.id for sentence in gold.sentences}
+    by_id: dict[str, tuple] = {}
+    for block_id, forms, lemmas in blocks:
+        if block_id in by_id:
+            raise ScoringError(f"prediction file repeats sent_id {block_id}")
+        if block_id not in gold_ids:
+            raise ScoringError(f"prediction file has a block for {block_id}, no gold sentence")
+        by_id[block_id] = forms, lemmas
     for sentence in gold.sentences:
-        block = by_id.get(sentence.id)
-        if block is None:
+        if sentence.id not in by_id:
             raise ScoringError(f"prediction file has no block for {sentence.id}")
-        if block[1] != sentence.wordforms:
+        if by_id[sentence.id][0] != sentence.wordforms:
             raise ScoringError(
                 f"prediction block for {sentence.id} does not repeat its gold wordforms"
             )
-    return {sentence_id: lemmas for sentence_id, (_, _, lemmas) in by_id.items()}
+    return {sentence_id: lemmas for sentence_id, (_, lemmas) in by_id.items()}
 
 
 def _read_slots(path: Path, gold: corpus_mod.Corpus) -> dict[str, tuple[str | None, ...]]:

@@ -28,9 +28,12 @@ one Token per token, as the reader did before a Sentence stored its
 wordforms and lemmas as two columns, and refuse a repeated sentence id as
 the reader does now; oracle_load_config is load_config with its per-type
 helpers as they were before one _SCHEMA table and one walker checked every
-key; and _read_blocks, with _read_canonical, _pieces and the line loop
+key; _read_blocks, with _read_canonical, _pieces and the line loop
 _read_corpus, is the sentence-block reader as it was before it read each
-file once and sent only a refused block line by line.
+file once and sent only a refused block line by line; and
+oracle_read_prediction_blocks and oracle_blocks_to_slots are the
+prediction read path before its rows followed the corpus TSV rule and
+anonymous blocks went through the loop that checks named ones.
 """
 
 import dataclasses
@@ -775,6 +778,59 @@ def _read_blocks(path: str | Path, parse_row, tsv: bool, meta: dict[str, str]):
     file, else by the line loop _read_corpus."""
     blocks = _read_canonical(path, tsv, meta)
     return _read_corpus(path, parse_row, tsv, meta) if blocks is None else blocks
+
+
+# --- the prediction read path before it took the corpus TSV row rule -------------
+# align.read_predictions read rows with a third row rule, and
+# experiment.blocks_to_slots matched anonymous blocks on a branch of their own.
+
+
+def _prediction_row(fields, path, line_no):
+    if len(fields) != 2:
+        raise ScoringError(
+            f"{path}:{line_no}: prediction row has {len(fields)} tab-separated "
+            "fields, expected wordform<TAB>lemma"
+        )
+    return fields[0], fields[1] or None
+
+
+def oracle_read_prediction_blocks(path):
+    """align.read_predictions with its own row rule: a row that is not
+    wordform<TAB>lemma is a ScoringError, and an empty wordform is read."""
+    metadata: dict[str, str] = {}
+    return metadata, list(_read_blocks(path, _prediction_row, True, metadata))
+
+
+def oracle_blocks_to_slots(blocks, gold):
+    """blocks_to_slots with a branch for named blocks and one for anonymous ones."""
+    with_ids = [b for b in blocks if b[0] is not None]
+    if with_ids and len(with_ids) != len(blocks):
+        raise ScoringError("prediction file mixes sent_id blocks with anonymous blocks")
+    if with_ids:
+        gold_ids = {sentence.id for sentence in gold.sentences}
+        by_id: dict[str, corpus_mod.Block] = {}
+        for block in blocks:
+            block_id = block[0]
+            if block_id in by_id:
+                raise ScoringError(f"prediction file repeats sent_id {block_id}")
+            if block_id not in gold_ids:
+                raise ScoringError(f"prediction file has a block for {block_id}, no gold sentence")
+            by_id[block_id] = block
+    elif len(blocks) != len(gold.sentences):
+        raise ScoringError(
+            f"{len(blocks)} anonymous prediction blocks for {len(gold.sentences)} sentences"
+        )
+    else:
+        by_id = {s.id: b for s, b in zip(gold.sentences, blocks)}
+    for sentence in gold.sentences:
+        block = by_id.get(sentence.id)
+        if block is None:
+            raise ScoringError(f"prediction file has no block for {sentence.id}")
+        if block[1] != sentence.wordforms:
+            raise ScoringError(
+                f"prediction block for {sentence.id} does not repeat its gold wordforms"
+            )
+    return {sentence_id: lemmas for sentence_id, (_, _, lemmas) in by_id.items()}
 
 
 def oracle_read_inventory(path):

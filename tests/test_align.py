@@ -23,7 +23,7 @@ from lemmabench.align import (
     write_diagnostics,
     write_predictions,
 )
-from lemmabench.errors import ScoringError
+from lemmabench.errors import CorpusFormatError
 
 from conftest import sentence
 from oracles import oracle_align_sequences, oracle_levenshtein, oracle_parse_output
@@ -531,11 +531,17 @@ def test_read_predictions_accepts_anonymous_blocks(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("row", ["perro\tperro\tNOUN", "ladra"])
-def test_read_predictions_rejects_malformed_rows(tmp_path, row):
+@pytest.mark.parametrize("row, message", [
+    ("perro\tperro\tNOUN", "expected 2 tab-separated fields, found 3"),
+    ("ladra", "expected 2 tab-separated fields, found 1"),
+    ("\tel", "empty wordform field"),
+])
+def test_read_predictions_rejects_malformed_rows(tmp_path, row, message):
+    """A prediction row follows the corpus TSV rule, so a bad one is the
+    CorpusFormatError a split row gets, naming the file and line."""
     path = tmp_path / "external.tsv"
     path.write_text(f"# sent_id = s-0\nLos\tel\n{row}\nmuy\t\n", "utf-8")
-    with pytest.raises(ScoringError, match=r"external\.tsv:3:"):
+    with pytest.raises(CorpusFormatError, match=rf"external\.tsv:3: {message}$"):
         read_predictions(path)
 
 

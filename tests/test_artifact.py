@@ -18,6 +18,9 @@ one in test_intended_change:
 - in a prediction file, a ``# sent_id`` header followed by a blank line
   names the rows after the blank, as in a corpus file (it made an empty
   named block plus an anonymous one, which scoring refused as mixed);
+- a prediction row follows the corpus TSV rule: a field count other than
+  2 is a CorpusFormatError (it was a ScoringError), and so is an empty
+  wordform (it was read, and scoring refused it as a wordform mismatch);
 - in the inventory and the model, a ``#`` line with a tab other than
   ``# columns = `` is a row, so it is refused rather than skipped;
 - the model's ``max_suffix_len`` header is read by the ``# key = value``
@@ -63,6 +66,7 @@ from lemmabench.errors import (
     InventoryFormatError,
     LemmabenchError,
     ModelFormatError,
+    ScoringError,
 )
 from lemmabench.evaluation import read_counts
 
@@ -169,11 +173,27 @@ def test_ingest_tsv_matches_the_old_corpus_loop(scratch, lines, crlf, final_newl
     )
 
 
+def _by_corpus_rows(outcome, lines):
+    """The old prediction reader's outcome on lines as it is now that a
+    prediction row follows the corpus TSV rule: the first row with a field
+    count other than 2 or an empty wordform is a CorpusFormatError at its
+    line (the old reader raised ScoringError at the first of the former and
+    took the latter)."""
+    for line_no, line in enumerate(lines, 1):
+        fields = line.split("\t")
+        row = line.strip() and not (line.startswith("#") and len(fields) == 1)
+        if row and (len(fields) != 2 or not fields[0]):
+            return CorpusFormatError, line_no
+    return outcome
+
+
 @given(lines=_block_lines(), **_layout)
 @settings(max_examples=400, deadline=None)
 def test_read_predictions_matches_the_old_reader(scratch, lines, crlf, final_newline):
     assume(not _names_rows_across_a_blank(lines))
-    _agree(read_predictions, oracle_read_predictions, _file(scratch, lines, crlf, final_newline))
+    path = _file(scratch, lines, crlf, final_newline)
+    old = _by_corpus_rows(_outcome(oracle_read_predictions, path), lines)
+    assert _outcome(read_predictions, path) == old
 
 
 # --- the block fast path -------------------------------------------------------------
@@ -228,9 +248,14 @@ align_mod = sys.modules["lemmabench.align"]  # lemmabench.align is the function
 def _read_with(read_blocks):
     """The readers with read_blocks in place of corpus._read_blocks: the
     reader before this one (oracles._read_blocks) or its line loop alone
-    (oracles._read_corpus)."""
-    with mock.patch.object(corpus_mod, "_read_blocks", read_blocks), mock.patch.object(
-        align_mod, "_read_blocks", read_blocks
+    (oracles._read_corpus), given the row rule the tsv flag picks."""
+
+    def with_rows(path, tsv, meta):
+        parse_row = corpus_mod._tsv_row if tsv else corpus_mod._conllu_row
+        return read_blocks(path, parse_row, tsv, meta)
+
+    with mock.patch.object(corpus_mod, "_read_blocks", with_rows), mock.patch.object(
+        align_mod, "_read_blocks", with_rows
     ):
         yield
 
@@ -300,12 +325,13 @@ def test_block_fast_path_matches_the_line_loop_and_the_oracles(scratch, case, pi
         assert any(late in lines for _, lines in steps)
     # The old readers differ on purpose on "# columns = " lines with a tab and
     # raised UnicodeDecodeError; the old prediction reader also on a
-    # byte-order mark and on a sent_id whose rows follow a blank line.
+    # byte-order mark, on a sent_id whose rows follow a blank line and on
+    # the rows the corpus TSV rule refuses.
     new = _outcome(corpus_read, path), _outcome(read_predictions, path)
     if late not in ("# columns = a\tb", f"caf{_BAD_BYTE}\tcafe"):
         assert new[0] == _outcome(lambda p: oracle_ingest_tsv(p, "c"), path)
         if not bom and not _names_rows_across_a_blank(lines):
-            assert new[1] == _outcome(oracle_read_predictions, path)
+            assert new[1] == _by_corpus_rows(_outcome(oracle_read_predictions, path), lines)
 
 
 def test_pipeline_written_files_take_the_fast_path(scratch):
@@ -678,6 +704,11 @@ def _refused(cls, line):
     # a sent_id names the rows after a blank line, in prediction files too
     ("predictions", ["# sent_id = s-0", "", "a\tb"],
      _ok(({}, [("s-0", ("a",), ("b",))]))),
+    # a prediction row follows the corpus TSV rule
+    ("predictions", ["a\tb", "a\tb\tc"],
+     lambda new, old: new == (CorpusFormatError, 2) and old == (ScoringError, 2)),
+    ("predictions", ["a\tb", "\tb"],
+     lambda new, old: new == (CorpusFormatError, 2) and old[1][0][1] == ("a", "")),
     # a "#" line with a tab is a row of the inventory and the model
     ("inventory", [*_INVENTORY, "#x\ty\tz"], _refused(InventoryFormatError, 5)),
     ("model", [*_MODEL, "#x\ty"], _refused(ModelFormatError, 5)),

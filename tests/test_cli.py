@@ -6,7 +6,7 @@ import pytest
 
 from lemmabench import experiment
 from lemmabench import prompt as prompt_mod
-from lemmabench.align import read_diagnostics
+from lemmabench.align import read_diagnostics, write_diagnostics
 from lemmabench.cli import main
 from lemmabench.corpus import ingest_tsv
 
@@ -484,9 +484,9 @@ def test_a_stage_calls_the_experiment_function_it_finds_when_it_runs(
 def test_run_draws_no_worked_example_that_lacks_a_lemma(
     fixtures_dir, tmp_path, capsys, monkeypatch
 ):
-    # es_fix-0050, a dev sentence, loses the lemmas of its first two tokens.
-    # Before, the baseline's dev run counted both as incorrect, most-errors
-    # ranked it first, and run exited 2: token 1 ('Las') has no lemma.
+    # es_fix-0050, a dev sentence, loses the lemmas of its first two tokens,
+    # and the dev diagnostics that most-errors reads rank it first; run still
+    # draws no worked example from it (token 1, 'Las', has no lemma).
     text = (fixtures_dir / "corpora" / "es_fix.conllu").read_text("utf-8")
     head, sep, tail = text.partition("# sent_id = es-fix-51\n")
     for row, lemma in (("1\tLas\t", "la"), ("2\tcasa\t", "casa")):
@@ -494,15 +494,19 @@ def test_run_draws_no_worked_example_that_lacks_a_lemma(
     corpus = tmp_path / "es_fix.conllu"
     corpus.write_text(head + sep + tail, "utf-8")
 
+    ranking = tmp_path / "ranking.diag.json"
+
     def change(raw):
         raw["corpus"]["path"] = str(corpus)
         raw["cache_dir"] = str(fixtures_dir / "replay" / "cache")
+        raw["systems"][1]["dev_diagnostics"] = str(ranking)  # llm-basic-4shot, most-errors
 
     config, out = _write_replay_config(fixtures_dir, tmp_path, change), tmp_path / "out"
     for command in ("ingest", "split", "induce", "train-baseline"):
         assert _run(config, out, command) == 0
-    _, diag = read_diagnostics(out / "predictions" / "baseline" / "es_fix-dev.run0.diag.json")
-    assert diag["es_fix-0050"]["incorrect"] == 2
+    meta, diag = read_diagnostics(out / "predictions" / "baseline" / "es_fix-dev.run0.diag.json")
+    diag["es_fix-0050"]["incorrect"] = 99
+    write_diagnostics(ranking, meta, diag)
     assert max(diag, key=lambda i: (sum(diag[i].values()), i)) == "es_fix-0050"
     examples = []
     render_prompt = prompt_mod.render_prompt

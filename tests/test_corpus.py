@@ -266,6 +266,11 @@ def test_split_spec_rejects_negative_counts():
         SplitSpec(-1, 2, 3)
 
 
+def test_split_spec_rejects_an_unknown_rule():
+    with pytest.raises(SplitError, match="^unknown selection rule: 'last-n'$"):
+        SplitSpec(3, 1, 1, selection_rule="last-n")
+
+
 @given(
     n=st.integers(min_value=3, max_value=60),
     data=st.data(),
@@ -293,6 +298,11 @@ def test_reduce_corpus_first_n_and_seeded():
     assert [s.id for s in r1.sentences] == [s.id for s in r2.sentences]
     assert len(r1) == 4
     assert reduce_corpus(c, 99) is c  # already small enough
+
+
+def test_reduce_corpus_rejects_an_unknown_rule():
+    with pytest.raises(SplitError, match="^unknown reduction rule: 'last-n'$"):
+        reduce_corpus(_toy(10), 4, rule="last-n")
 
 
 def test_corpus_stats_counts_tokens_and_sentences():

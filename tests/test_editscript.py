@@ -309,6 +309,11 @@ def test_inventory_requires_lemmas(monkeypatch):
     assert calls == []  # refused before any pair is induced
 
 
+def test_inventory_refuses_no_training_tokens():
+    with pytest.raises(MissingLemmaError, match="^no training tokens to induce labels from$"):
+        build_inventory([])
+
+
 def test_inventory_round_trip(tmp_path):
     c = corpus(
         "toy",

@@ -12,11 +12,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from lemmabench import artifact, baseline, corpus as corpus_mod, editscript, evaluation, experiment
-from lemmabench.align import read_predictions
+from lemmabench.align import read_diagnostics, read_predictions, write_predictions
 from lemmabench.corpus import ingest_tsv, write_tsv
 from lemmabench.errors import (
     ConfigError,
@@ -42,7 +42,14 @@ from lemmabench.experiment import (
 )
 
 from conftest import corpus, sentence
-from oracles import oracle_load_config, oracle_mcnemar, oracle_report_text, oracle_run_score
+from oracles import (
+    oracle_blocks_to_slots,
+    oracle_load_config,
+    oracle_mcnemar,
+    oracle_read_prediction_blocks,
+    oracle_report_text,
+    oracle_run_score,
+)
 
 
 def forbidden_transport(config, prompt):
@@ -645,6 +652,97 @@ def test_blocks_to_slots_rejects_repeated_sent_id():
     ]
     with pytest.raises(ScoringError, match="g-0000"):
         blocks_to_slots(blocks, _two_sentence_gold())
+
+
+_GOLD_FORMS = (("Los", "perros"), ("ladran",), ("muy", "fuerte"))
+
+
+def _slot_gold(middle):
+    """Three gold sentences, the middle one named middle."""
+    ids = ("g-0", middle, "g-2")
+    return corpus("g", *(
+        sentence(i, *[(w, w.lower()) for w in forms]) for i, forms in zip(ids, _GOLD_FORMS)
+    ))
+
+
+@st.composite
+def slot_cases(draw):
+    """(gold, blocks): _slot_gold, its middle sentence maybe named "", and
+    0 to 4 prediction blocks, all named, all anonymous or mixed, that take
+    the gold sentences in a drawn order; now and then a block names another
+    sentence (repeated, unknown or "") or holds other wordforms."""
+    gold = _slot_gold(draw(st.sampled_from(["g-1", ""])))
+    ids = [s.id for s in gold.sentences]
+    style = draw(st.sampled_from(["named", "anonymous", "mixed"]))
+    order = draw(st.permutations(range(3)))
+    blocks = []
+    for k in range(draw(st.sampled_from([0, 1, 2, 3, 3, 3, 4]))):
+        block_id, forms = ids[order[k % 3]], _GOLD_FORMS[order[k % 3]]
+        if draw(st.integers(0, 5)) == 0:
+            block_id = draw(st.sampled_from([*ids, "", "x-9"]))
+        if draw(st.integers(0, 5)) == 0:
+            forms = ("gatos",)
+        if style == "anonymous" or style == "mixed" and draw(st.booleans()):
+            block_id = None
+        lemmas = tuple(draw(st.sampled_from([w.lower(), "x", None])) for w in forms)
+        blocks.append((block_id, forms, lemmas))
+    return gold, blocks
+
+
+def _slots_or_message(to_slots, blocks, gold):
+    try:
+        return list(to_slots(blocks, gold).items())
+    except ScoringError as exc:
+        return str(exc)
+
+
+@given(case=slot_cases())
+@example(case=(_slot_gold(""), [  # "" names a gold sentence, in any order
+    ("g-2", ("muy", "fuerte"), ("x", None)), ("", ("ladran",), ("x",)),
+    ("g-0", ("Los", "perros"), ("el", "x")),
+]))
+@example(case=(_slot_gold(""), [("", ("ladran",), ("x",)), ("", ("ladran",), ("x",))]))
+@example(case=(_slot_gold("g-1"), [("", ("ladran",), ("x",))]))  # "" names no gold sentence
+@settings(max_examples=300, deadline=None)
+def test_blocks_to_slots_matches_the_two_branch_oracle(tmp_path_factory, case):
+    """One loop for named and anonymous blocks gives the oracle's slots, in
+    its order, or raises its message; so does the whole read path on the
+    file the blocks make, against the reader with its own row rule."""
+    gold, blocks = case
+    expected = _slots_or_message(oracle_blocks_to_slots, blocks, gold)
+    assert _slots_or_message(blocks_to_slots, blocks, gold) == expected
+    event("slots" if isinstance(expected, list) else expected.split(" for ")[0])
+    path = tmp_path_factory.mktemp("slots") / "run0.tsv"
+    write_predictions(path, blocks)
+    new = _slots_or_message(blocks_to_slots, read_predictions(path)[1], gold)
+    old = _slots_or_message(oracle_blocks_to_slots, oracle_read_prediction_blocks(path)[1], gold)
+    assert new == old == expected
+
+
+def test_run_refuses_an_unannotated_test_token_before_any_request(fixtures_dir, tmp_path):
+    # score refuses a gold token without a lemma; run refuses it first, so a
+    # record or live run sends, and pays for, no request it cannot score.
+    text = (fixtures_dir / "corpora" / "es_fix.conllu").read_text("utf-8")
+    head, sep, tail = text.partition("# sent_id = es-fix-61\n")  # es_fix-0060, in test
+    (tmp_path / "es_fix.conllu").write_text(
+        head + sep + tail.replace("1\tMadrid\tMadrid\t", "1\tMadrid\t_\t", 1), "utf-8"
+    )
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    raw["corpus"]["path"] = "es_fix.conllu"
+    cfg = load_config(_write_config(tmp_path, raw), cache_mode="record")
+    for stage in (run_ingest, run_split, run_induce, run_train_baseline):
+        stage(cfg)
+    calls = []
+
+    def counting_transport(config, prompt):
+        calls.append(prompt)
+        return identity_transport(config, prompt)
+
+    with pytest.raises(ScoringError, match="^gold token 'Madrid' in es_fix-0060 has no lemma$"):
+        run_predictions(cfg, transport=counting_transport)
+    assert calls == []
+    assert not Path(cfg.cache_dir).exists()
+    assert list(Path(cfg.out_dir).glob("predictions/*/es_fix-test.*")) == []
 
 
 # --- full pipeline on the replay fixture ----------------------------------------
@@ -1267,6 +1365,29 @@ def test_baseline_only_run_leaves_the_dev_split_unread(baseline_experiment):
     Layout(cfg).split_tsv("dev").unlink()
     run_predictions(cfg, transport=forbidden_transport)
     assert run_score(cfg)[0].runs[0].total == 2
+
+
+def test_dev_diagnostics_count_only_annotated_tokens_as_incorrect(tmp_path):
+    # The dev sentence's "gatos" has no gold lemma: the baseline's lemma for it
+    # is neither right nor wrong, so it is not counted as incorrect.
+    toy = corpus(
+        "toy",
+        sentence("toy-0000", ("Perros", "perro"), ("perros", "perro"), ("1", "1")),
+        sentence("toy-0001", ("perros", "perro"), ("ladran", "ladrar"), ("1", "1")),
+        sentence("toy-0002", ("gatos", None), ("perros", "perrito"), ("1", "1")),
+        sentence("toy-0003", ("perros", "perro"), ("comen", "comer")),
+    )
+    write_tsv(toy, tmp_path / "corpus.tsv")
+    raw = _minimal_raw(split={"train": 2, "dev": 1, "test": 1})
+    cfg = load_config(_write_config(tmp_path, raw))
+    for stage in (run_ingest, run_split, run_induce, run_train_baseline):
+        stage(cfg)
+    layout = Layout(cfg)
+    dev = layout.split_name("dev")
+    _, blocks = read_predictions(layout.predictions("baseline", dev, 0))
+    assert blocks == [("toy-0002", ("gatos", "perros", "1"), ("gato", "perro", "1"))]
+    _, diag = read_diagnostics(layout.diagnostics("baseline", dev, 0))
+    assert diag == {"toy-0002": {"missing": 0, "wrong": 0, "random": 0, "incorrect": 1}}
 
 
 def test_hash_initial_wordform_survives_ingest_to_score(tmp_path):

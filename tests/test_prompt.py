@@ -239,6 +239,11 @@ def test_select_rejects_oversized_k():
         select_examples(RANDOM, 5, _pool())
 
 
+def test_select_rejects_an_unknown_selection():
+    with pytest.raises(PromptError, match="^unknown selection strategy 'best'$"):
+        select_examples("best", 1, _pool())
+
+
 def test_select_reads_fixture_diagnostics(fixtures_dir, es_corpus):
     from lemmabench.align import read_diagnostics
     from lemmabench.corpus import SplitSpec, make_splits

@@ -9,8 +9,9 @@ sys.settrace hook that traces only frames whose code comes from
 src/lemmabench, in every thread.  Then prints each executable line, one
 that a code object of a module lists in co_lines, that no traced frame
 reached, as ``file:line: source``, and exits with pytest's status.
-Tracing about doubles the suite's time, so this is a tool to run by hand,
-not a CI step.  Code run in a subprocess is not traced.
+Tracing about doubles the suite's time, so CI runs it in a job of its own
+beside tier-1, which fails when it prints any line but the ``__main__``
+line of cli.py.  Code run in a subprocess is not traced.
 """
 
 from __future__ import annotations
