@@ -51,12 +51,16 @@ class Sentence:
         """The columns as Tokens, built on each call."""
         return tuple(Token(i, *pair) for i, pair in enumerate(zip(self.wordforms, self.lemmas), 1))
 
-    def gold_pairs(self) -> tuple[tuple[str, str], ...]:
-        """(wordform, lemma) per token; MissingLemmaError if any token lacks a lemma."""
+    def require_lemmas(self) -> None:
+        """MissingLemmaError naming the first token without a gold lemma, if any."""
         if None in self.lemmas:
             i = self.lemmas.index(None)
             form = self.wordforms[i]
             raise MissingLemmaError(f"token {i + 1} ({form!r}) of {self.id} has no lemma")
+
+    def gold_pairs(self) -> tuple[tuple[str, str], ...]:
+        """(wordform, lemma) per token; MissingLemmaError if any token lacks a lemma."""
+        self.require_lemmas()
         return tuple(zip(self.wordforms, self.lemmas, strict=True))
 
     def __len__(self) -> int:

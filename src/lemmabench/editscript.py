@@ -221,8 +221,7 @@ def pair_scripts(train: Corpus) -> list[PairScript]:
     """
     pairs: Counter[tuple[str, str]] = Counter()
     for sentence in train.sentences:
-        if None in sentence.lemmas:
-            sentence.gold_pairs()  # raises MissingLemmaError naming the token
+        sentence.require_lemmas()
         pairs.update(zip(sentence.wordforms, sentence.lemmas, strict=True))
     return [
         (wordform, induce(wordform, lemma), count) for (wordform, lemma), count in pairs.items()

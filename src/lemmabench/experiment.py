@@ -499,7 +499,7 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
     layout = Layout(cfg)
     test = _load_split(layout, "test")
     for sentence in test.sentences:  # before any cache is opened or request sent
-        eval_mod.require_lemmas(sentence)
+        sentence.require_lemmas()
     gateway = dev = None
     try:
         for system in cfg.systems:

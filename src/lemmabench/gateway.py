@@ -8,6 +8,12 @@ experiments reproducible offline.  ``live`` bypasses the cache entirely.
 
 The HTTP layer is a plain callable ``(config, prompt) -> str`` so tests
 can substitute a stub without any network or monkeypatching.
+
+A batch gives threads only the work that may call the provider: its
+worker threads run ``complete``, which then appends nothing, and the thread
+that called ``run_batch`` appends every provider response to the cache.  A
+replay batch calls no provider, so it reads every response on the calling
+thread and starts no thread.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from itertools import count, product
 from pathlib import Path
@@ -110,7 +116,9 @@ class ResponseCache:
     and checks its digest.  The first record of a fingerprint wins, and a
     last record cut short (by its length or its digest) is skipped on load
     and cut off by the next put().  put() appends under an advisory flock,
-    so several processes can record into one cache.
+    so several processes can record into one cache.  In a batch, only the
+    thread that called LlmGateway.run_batch appends; its worker threads at
+    most read a response logged before the batch began.
     """
 
     def __init__(self, root: str | Path):
@@ -290,8 +298,15 @@ class LlmGateway:
                 delay = self.config.retry_backoff * (2**attempt)
                 time.sleep(delay + self._rng.uniform(0, delay / 2))
 
-    def complete(self, prompt: str, run_index: int = 0, prefix=None) -> LlmResponse:
-        """One request; prefix is the prompt's fingerprint_prefix, if known."""
+    def complete(
+        self, prompt: str, run_index: int = 0, prefix=None, *, log: bool = True
+    ) -> LlmResponse:
+        """One request; prefix is the prompt's fingerprint_prefix, if known.
+
+        In record mode a provider response is appended to the cache, unless
+        log is False: a batch's worker threads leave that to the batch's
+        calling thread.
+        """
         fingerprint = request_fingerprint(self.config, prompt, run_index, prefix)
         if self.mode in (RECORD, REPLAY) and fingerprint in self.cache:
             return LlmResponse(self.cache.get(fingerprint), fingerprint, 0.0, "cache")
@@ -302,7 +317,7 @@ class LlmGateway:
         start = time.monotonic()
         text = self._call_with_retries(prompt)
         latency = time.monotonic() - start
-        if self.mode == RECORD:
+        if self.mode == RECORD and log:
             self.cache.put(fingerprint, self.config.model, text)
         return LlmResponse(text, fingerprint, latency, "provider")
 
@@ -313,23 +328,59 @@ class LlmGateway:
         rather than raised, so one bad sentence cannot sink a batch.  Every
         other exception propagates: a replay cache miss is a configuration
         error, anything else a bug that must not be scored as missing words.
-        After such an error, jobs later in order make no request (in live and
-        record mode each is a paid call) and jobs not yet started are
-        cancelled; the error raised is still the first in order, as if every
-        job had run.  Each prompt's fingerprint prefix is hashed once.
+        The error raised is the first in (run, item) order, as if every job
+        had run in that order, and a job later in order than the failing one
+        makes no request unless it started before the error.
+
+        Replay reads every response on the calling thread, in order, and
+        starts no thread.  Record and live send requests from up to
+        parallelism worker threads (see _send); a prompt repeated within a
+        run is sent once in record mode, and its copies are read back from
+        the cache here, as they would be if the jobs ran one by one.  Each
+        prompt's fingerprint prefix is hashed once.
         """
         if runs < 1:
             raise ConfigError("runs must be >= 1")
+        prefixes = [fingerprint_prefix(self.config, prompt) for prompt in prompts]
+        jobs = list(product(range(runs), range(len(prompts))))
+        sent = {} if self.mode == REPLAY else self._send(prompts, prefixes, jobs, parallelism)
         responses: list[list[LlmResponse | None]] = [[None] * len(prompts) for _ in range(runs)]
         failures: list[tuple[int, int, str]] = []
-        prefixes = [fingerprint_prefix(self.config, prompt) for prompt in prompts]
+        for run, item in jobs:
+            try:
+                if (run, item) in sent:
+                    responses[run][item] = sent[run, item].result()
+                else:  # a cache read; a repeat whose first copy failed is sent again
+                    responses[run][item] = self.complete(
+                        prompts[item], run_index=run, prefix=prefixes[item]
+                    )
+            except TransportError as exc:
+                failures.append((run, item, str(exc)))
+        return BatchResult(responses=responses, failures=failures)
+
+    def _send(self, prompts, prefixes, jobs, parallelism) -> dict[tuple[int, int], Future]:
+        """Run the jobs that may need the provider on a thread pool; in record
+        mode, that is the first job of each (run, prompt).
+
+        The workers only call complete, which appends nothing; the calling
+        thread appends each provider response as its job returns, so a slow
+        early request holds no later response back.  On an interrupt, or an
+        append that fails, it cancels the jobs not yet started and appends
+        what the running ones return before it re-raises.  A job later in
+        order than one that raised a non-transport error makes no request
+        (in live and record mode each is a paid call).
+        """
         fatal: list[int] = []  # order of each job that raised a non-transport error
+        firsts: dict[tuple, tuple[int, int, int]] = {}
+        for order, (run, item) in enumerate(jobs):
+            key = (run, prompts[item]) if self.mode == RECORD else (run, item)
+            firsts.setdefault(key, (order, run, item))
 
         def work(order: int, run: int, item: int):
             if fatal and order > min(fatal):
-                return None  # never read: the loop below raises the earlier job's error
+                return None  # never read: run_batch raises the earlier job's error
             try:
-                return self.complete(prompts[item], run_index=run, prefix=prefixes[item])
+                return self.complete(prompts[item], run_index=run, prefix=prefixes[item], log=False)
             except TransportError:
                 raise
             except BaseException:
@@ -337,17 +388,21 @@ class LlmGateway:
                 raise
 
         with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-            jobs = {
-                pool.submit(work, order, run, item): (run, item)
-                for order, (run, item) in enumerate(product(range(runs), range(len(prompts))))
-            }
+            sent = {(run, item): pool.submit(work, order, run, item)
+                    for order, run, item in firsts.values()}
             try:
-                for job, (run, item) in jobs.items():
-                    try:
-                        responses[run][item] = job.result()
-                    except TransportError as exc:
-                        failures.append((run, item, str(exc)))
+                for job in as_completed(sent.values()):
+                    self._log(job)
             except BaseException:
-                pool.shutdown(cancel_futures=True)
+                pool.shutdown(cancel_futures=True)  # waits for the running jobs
+                for job in sent.values():
+                    self._log(job)
                 raise
-        return BatchResult(responses=responses, failures=failures)
+        return sent
+
+    def _log(self, job: Future):
+        """Append a finished job's provider response to the cache, in record mode."""
+        if self.mode == RECORD and not job.cancelled() and job.exception() is None:
+            response = job.result()
+            if response is not None and response.origin == "provider":
+                self.cache.put(response.request_fingerprint, self.config.model, response.raw_text)

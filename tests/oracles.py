@@ -33,7 +33,10 @@ _read_corpus, is the sentence-block reader as it was before it read each
 file once and sent only a refused block line by line; and
 oracle_read_prediction_blocks and oracle_blocks_to_slots are the
 prediction read path before its rows followed the corpus TSV rule and
-anonymous blocks went through the loop that checks named ones.
+anonymous blocks went through the loop that checks named ones;
+oracle_complete and oracle_run_batch are the gateway's batch as it was
+before its worker threads left the cache appends to the calling thread
+and replay ran without a pool.
 """
 
 import dataclasses
@@ -43,8 +46,10 @@ import json
 import math
 import random
 import re
+import time
 import unicodedata
 from collections import Counter, defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -74,6 +79,7 @@ from lemmabench.editscript import (
     _token_counts,
 )
 from lemmabench.errors import (
+    CacheMissError,
     ConfigError,
     CorpusFormatError,
     EmptyCorpusError,
@@ -82,6 +88,7 @@ from lemmabench.errors import (
     ModelFormatError,
     PromptError,
     ScoringError,
+    TransportError,
 )
 from lemmabench.experiment import (
     BASELINE,
@@ -1174,3 +1181,58 @@ def oracle_load_config(
         comparisons=comparisons,
         config_hash=_hash_config(raw),
     )
+
+
+def oracle_complete(gateway, prompt: str, run_index: int = 0, prefix=None):
+    """LlmGateway.complete as it was: a provider response is logged at once."""
+    fingerprint = gateway_mod.request_fingerprint(gateway.config, prompt, run_index, prefix)
+    if gateway.mode in (gateway_mod.RECORD, gateway_mod.REPLAY) and fingerprint in gateway.cache:
+        return gateway_mod.LlmResponse(gateway.cache.get(fingerprint), fingerprint, 0.0, "cache")
+    if gateway.mode == gateway_mod.REPLAY:
+        raise CacheMissError(
+            f"replay cache has no response for run {run_index} fingerprint {fingerprint}"
+        )
+    start = time.monotonic()
+    text = gateway._call_with_retries(prompt)
+    latency = time.monotonic() - start
+    if gateway.mode == gateway_mod.RECORD:
+        gateway.cache.put(fingerprint, gateway.config.model, text)
+    return gateway_mod.LlmResponse(text, fingerprint, latency, "provider")
+
+
+def oracle_run_batch(gateway, prompts, runs=1, parallelism=4):
+    """LlmGateway.run_batch as it was: every job, replay too, runs oracle_complete
+    on a pool of worker threads, and the results are read in (run, item) order."""
+    if runs < 1:
+        raise ConfigError("runs must be >= 1")
+    responses = [[None] * len(prompts) for _ in range(runs)]
+    failures = []
+    prefixes = [gateway_mod.fingerprint_prefix(gateway.config, prompt) for prompt in prompts]
+    fatal = []
+
+    def work(order, run, item):
+        if fatal and order > min(fatal):
+            return None
+        try:
+            return oracle_complete(gateway, prompts[item], run_index=run, prefix=prefixes[item])
+        except TransportError:
+            raise
+        except BaseException:
+            fatal.append(order)
+            raise
+
+    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+        jobs = {
+            pool.submit(work, order, run, item): (run, item)
+            for order, (run, item) in enumerate(itertools.product(range(runs), range(len(prompts))))
+        }
+        try:
+            for job, (run, item) in jobs.items():
+                try:
+                    responses[run][item] = job.result()
+                except TransportError as exc:
+                    failures.append((run, item, str(exc)))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return gateway_mod.BatchResult(responses=responses, failures=failures)

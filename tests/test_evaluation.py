@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lemmabench.errors import ScoringError
+from lemmabench.errors import MissingLemmaError, ScoringError
 from lemmabench.evaluation import (
     EXACT_THRESHOLD,
     RENORMALIZE,
@@ -99,9 +99,10 @@ def test_scoring_errors():
     with pytest.raises(ScoringError):
         word_accuracy({"toy-0000": ["el", "perro"], "toy-0001": ["ladrar", "."]}, gold, "lenient")
     unannotated = corpus("u", sentence("u-0000", ("word", None)))
-    with pytest.raises(ScoringError):
+    message = r"^token 1 \('word'\) of u-0000 has no lemma$"
+    with pytest.raises(MissingLemmaError, match=message):
         word_accuracy({"u-0000": ["word"]}, unannotated)
-    with pytest.raises(ScoringError):
+    with pytest.raises(MissingLemmaError, match=message):
         sentence_accuracy({"u-0000": ["word"]}, unannotated)
 
 

@@ -22,6 +22,7 @@ from lemmabench.errors import (
     ConfigError,
     FileFormatError,
     InventoryFormatError,
+    MissingLemmaError,
     PromptError,
     ScoringError,
     SplitError,
@@ -720,8 +721,8 @@ def test_blocks_to_slots_matches_the_two_branch_oracle(tmp_path_factory, case):
 
 
 def test_run_refuses_an_unannotated_test_token_before_any_request(fixtures_dir, tmp_path):
-    # score refuses a gold token without a lemma; run refuses it first, so a
-    # record or live run sends, and pays for, no request it cannot score.
+    # score refuses a gold token without a lemma, as induce does; run refuses it
+    # first, so a record or live run sends, and pays for, no request it cannot score.
     text = (fixtures_dir / "corpora" / "es_fix.conllu").read_text("utf-8")
     head, sep, tail = text.partition("# sent_id = es-fix-61\n")  # es_fix-0060, in test
     (tmp_path / "es_fix.conllu").write_text(
@@ -738,7 +739,7 @@ def test_run_refuses_an_unannotated_test_token_before_any_request(fixtures_dir, 
         calls.append(prompt)
         return identity_transport(config, prompt)
 
-    with pytest.raises(ScoringError, match="^gold token 'Madrid' in es_fix-0060 has no lemma$"):
+    with pytest.raises(MissingLemmaError, match=r"^token 1 \('Madrid'\) of es_fix-0060 has no lemma$"):
         run_predictions(cfg, transport=counting_transport)
     assert calls == []
     assert not Path(cfg.cache_dir).exists()

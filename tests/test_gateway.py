@@ -2,13 +2,16 @@
 
 import ast
 import hashlib
+import inspect
 import io
 import json
 import socket
 import sys
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import ExitStack, closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lemmabench import gateway as gateway_mod
 from lemmabench.errors import CacheFormatError, CacheMissError, ConfigError, TransportError
 from lemmabench.gateway import (
     LIVE,
@@ -30,7 +34,7 @@ from lemmabench.gateway import (
     request_fingerprint,
 )
 
-from oracles import oracle_request_fingerprint
+from oracles import oracle_request_fingerprint, oracle_run_batch
 
 
 def _config(**overrides):
@@ -560,8 +564,6 @@ def test_run_batch_validates_runs(tmp_path):
 
 
 def test_run_batch_respects_parallelism_bound():
-    import time
-
     class SlowTransport(CountingTransport):
         def __call__(self, config, prompt):
             with self._lock:
@@ -576,6 +578,202 @@ def test_run_batch_respects_parallelism_bound():
     gateway = LlmGateway(_config(), mode=LIVE, transport=transport)
     gateway.run_batch(["a", "b", "c", "d", "e", "f"], runs=2, parallelism=3)
     assert 1 <= transport.max_active <= 3
+
+
+def _log_records(root) -> Counter:
+    """The (fingerprint, model, text) records of a cache's log.tsv."""
+    path = Path(root) / "log.tsv"
+    if not path.exists():
+        return Counter()
+    data = path.read_bytes()
+    assert data.startswith(LOG_HEADER)
+    records, at = Counter(), len(LOG_HEADER)
+    while at < len(data):
+        end = data.index(b"\n", at)
+        fingerprint, model, _, length = data[at:end].decode("utf-8").split("\t")
+        start, stop = end + 1, end + 1 + int(length)
+        records[fingerprint, model, data[start:stop].decode("utf-8")] += 1
+        at = stop + 1
+    return records
+
+
+def test_record_batch_appends_every_response_on_the_calling_thread(tmp_path, monkeypatch):
+    put_threads, transport_threads = [], []
+    put = ResponseCache.put
+    monkeypatch.setattr(
+        ResponseCache, "put", lambda self, *a: put_threads.append(threading.get_ident()) or put(self, *a)
+    )
+
+    def transport(config, prompt):
+        transport_threads.append(threading.get_ident())
+        return f"answer {prompt}"
+
+    gateway = LlmGateway(_config(), ResponseCache(tmp_path / "cache"), RECORD, transport)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that jobs race
+    try:
+        result = gateway.run_batch([f"p{i}" for i in range(100)], runs=2, parallelism=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.failures == [] and len(put_threads) == len(transport_threads) == 200
+    assert set(put_threads) == {threading.get_ident()}
+    assert threading.get_ident() not in transport_threads  # the provider calls stay on workers
+    records = _log_records(tmp_path / "cache")
+    assert sorted(records) == sorted(
+        (r.request_fingerprint, "sim-chat-1", r.raw_text) for run in result.responses for r in run
+    )
+
+
+def test_replay_batch_starts_no_thread(tmp_path, monkeypatch):
+    config, cache = _config(), ResponseCache(tmp_path / "cache")
+    prompts = [f"p{i}" for i in range(6)]
+    for run in range(2):
+        for prompt in prompts:
+            cache.put(request_fingerprint(config, prompt, run), config.model, f"{prompt} {run}")
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    result = LlmGateway(config, cache, REPLAY, forbidden_transport).run_batch(prompts, runs=2)
+    assert started == []
+    assert [[(r.raw_text, r.origin) for r in run] for run in result.responses] == [
+        [(f"{prompt} {run}", "cache") for prompt in prompts] for run in range(2)
+    ]
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_record_batch_logs_every_response_returned_before_a_programming_error(
+    tmp_path, parallelism
+):
+    returned = []
+
+    def transport(config, prompt):
+        if prompt == "p7":
+            raise ValueError("transport bug")
+        returned.append(f"answer {prompt}")
+        return returned[-1]
+
+    gateway = LlmGateway(_config(), ResponseCache(tmp_path / "cache"), RECORD, transport)
+    with pytest.raises(ValueError, match="transport bug"):
+        gateway.run_batch([f"p{i}" for i in range(30)], runs=2, parallelism=parallelism)
+    assert {f"answer p{i}" for i in range(7)} <= set(returned)  # every job before the bug ran
+    assert Counter(text for _, _, text in _log_records(tmp_path / "cache")) == Counter(returned)
+
+
+def test_interrupted_record_batch_logs_what_returned_and_sends_no_more(tmp_path, monkeypatch):
+    returned = []
+
+    def transport(config, prompt):
+        time.sleep(0.01)
+        returned.append(f"answer {prompt}")
+        return returned[-1]
+
+    def interrupted(jobs):  # Ctrl-C on the calling thread once the first job is in
+        yield next(as_completed(jobs))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(gateway_mod, "as_completed", interrupted)
+    gateway = LlmGateway(_config(), ResponseCache(tmp_path / "cache"), RECORD, transport)
+    with pytest.raises(KeyboardInterrupt):
+        gateway.run_batch([f"p{i}" for i in range(40)], runs=1, parallelism=2)
+    assert 2 <= len(returned) < 40  # the jobs still queued were cancelled
+    assert Counter(text for _, _, text in _log_records(tmp_path / "cache")) == Counter(returned)
+
+
+def test_run_batch_calls_the_transport_inside_complete_with_its_run_index(tmp_path, monkeypatch):
+    """perfbench's simulated model learns a request's run index from a
+    thread-local set around LlmGateway.complete, which its run_index_hook
+    wraps by name, binding run_index through complete's signature.  So every
+    provider call of a batch must be made inside complete, on its thread."""
+    current = threading.local()
+    original = LlmGateway.complete
+    signature = inspect.signature(original)
+
+    def complete(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        current.run = bound.arguments["run_index"]
+        try:
+            return original(*args, **kwargs)
+        finally:
+            current.run = None
+
+    monkeypatch.setattr(LlmGateway, "complete", complete)
+    prompts = ["p0", "p0", "bad", "bad"]
+    for mode, sends in ((RECORD, [1, 2]), (LIVE, [2, 2])):  # record sends "p0" once a run
+        seen = []
+
+        def transport(config, prompt):
+            seen.append((prompt, getattr(current, "run", None)))
+            if prompt == "bad":
+                raise TransportError("refused")
+            return f"answer {prompt}"
+
+        gateway = LlmGateway(_config(), ResponseCache(tmp_path / mode), mode, transport)
+        result = gateway.run_batch(prompts, runs=2, parallelism=3)
+        assert [(run, item) for run, item, _ in result.failures] == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert Counter(seen) == {
+            (prompt, run): n for run in range(2) for prompt, n in zip(("p0", "bad"), sends)
+        }
+
+
+# The earlier batch (oracle_run_batch) ran every job, replay too, on the pool
+# and read the results in order; run one job at a time, its outcome is the one
+# the batch promises at any parallelism (with a prompt repeated within a run,
+# its outcome at higher parallelism depends on thread timing).
+_PROMPT_IDS = st.integers(0, 4)
+
+
+@settings(max_examples=150, **_EACH_EXAMPLE_CLOSES)
+@given(
+    mode=st.sampled_from([LIVE, RECORD, REPLAY]),
+    runs=st.integers(1, 3),
+    parallelism=st.integers(1, 4),
+    items=st.lists(_PROMPT_IDS, max_size=8),
+    behaviour=st.dictionaries(_PROMPT_IDS, st.sampled_from(["refused", "bug"])),
+    prelogged=st.sets(st.tuples(st.integers(0, 2), _PROMPT_IDS)),
+)
+def test_run_batch_matches_the_batch_it_replaced(mode, runs, parallelism, items, behaviour, prelogged):
+    config, prompts = _config(max_retries=0), [f"prompt {i}" for i in items]
+    outcomes, logs, calls = [], [], []
+    for batch, workers in ((oracle_run_batch, 1), (LlmGateway.run_batch, parallelism)):
+        sent = []
+
+        def transport(config, prompt):
+            sent.append(prompt)
+            time.sleep(0.001)  # let other jobs run meanwhile, as a provider call does
+            kind = behaviour.get(int(prompt.split()[1]))
+            if kind == "refused":
+                raise TransportError(f"{prompt} refused")
+            if kind == "bug":
+                raise ValueError(f"bug on {prompt}")
+            return f"answer to {prompt}"
+
+        with tempfile.TemporaryDirectory() as tmp, closing(ResponseCache(tmp)) as cache:
+            for run, i in sorted(prelogged):
+                cache.put(request_fingerprint(config, f"prompt {i}", run), config.model, f"logged {i}")
+            gateway = LlmGateway(config, cache, mode, transport)
+            try:
+                result = batch(gateway, prompts, runs, workers)
+            except Exception as exc:  # noqa: BLE001 - the raised error is compared
+                outcomes.append(("raised", type(exc), str(exc)))
+            else:
+                outcomes.append((
+                    "returned",
+                    [[r and (r.raw_text, r.request_fingerprint, r.origin) for r in run]
+                     for run in result.responses],
+                    result.failures,
+                ))
+            logs.append(_log_records(tmp))
+        calls.append(Counter(sent))
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0][0] == "raised":
+        # Jobs later in order than the error may have started before it was
+        # seen; what they returned is logged too, and nothing else is.
+        assert logs[0] <= logs[1]
+        assert all(text.startswith("answer") for _, _, text in logs[1] - logs[0])
+    else:
+        assert logs[0] == logs[1]
+        assert calls[0] == calls[1]
 
 
 # --- real HTTP transport against a local stub -------------------------------
