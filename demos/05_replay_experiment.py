@@ -41,7 +41,6 @@ with tempfile.TemporaryDirectory(prefix="lemmabench-demo-") as out_dir:
     experiment.run_compare(cfg)
     report = experiment.run_report(cfg)
 
-    layout = experiment.Layout(cfg)
     produced = sorted(p.relative_to(out_dir) for p in Path(out_dir).rglob("*") if p.is_file())
     print(f"{len(produced)} artifacts under {out_dir}:")
     for path in produced[:8]:

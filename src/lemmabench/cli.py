@@ -1,18 +1,8 @@
 """Command-line entry point: staged experiment pipeline.
 
 Every subcommand takes the same JSON config and reads/writes the shared
-output directory, so a full experiment is just the stages in order:
-
-    lemmabench ingest --config exp.json
-    lemmabench split --config exp.json
-    lemmabench induce --config exp.json
-    lemmabench train-baseline --config exp.json
-    lemmabench run --config exp.json --cache-mode replay
-    lemmabench score --config exp.json
-    lemmabench compare --config exp.json
-    lemmabench report --config exp.json
-
-``lemmabench verify-cache --config exp.json`` re-hashes every record of the
+output directory, so a full experiment is the stages of _STAGES that write
+files, run in table order.  ``verify-cache`` re-hashes every record of the
 configured response cache.
 """
 
@@ -35,7 +25,7 @@ from .experiment import ExperimentConfig, Layout
 def _ingest(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
     corpus = experiment.run_ingest(cfg)
     tokens, sentences = corpus_stats(corpus)
-    yield f"{corpus.name}: {sentences} sentences, {tokens} tokens -> {layout.corpus_tsv()}"
+    yield f"{corpus.name}: {sentences} sentences, {tokens} tokens -> {layout.path('corpus')}"
 
 
 def _split(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
@@ -46,19 +36,20 @@ def _split(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
 
 def _induce(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
     inventory = experiment.run_induce(cfg)
-    yield f"{len(inventory)} edit-script labels -> {layout.inventory()}"
+    yield f"{len(inventory)} edit-script labels -> {layout.path('inventory')}"
 
 
 def _train_baseline(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
     model = experiment.run_train_baseline(cfg)
     forms, suffixes = len(model.form_table), len(model.suffix_table)
-    yield f"baseline: {forms} forms, {suffixes} suffixes -> {layout.model()}"
+    yield f"baseline: {forms} forms, {suffixes} suffixes -> {layout.path('model')}"
 
 
 def _run(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
     experiment.run_predictions(cfg)
     for system in cfg.systems:
-        folder = layout.predictions(system.name, layout.split_name("test"), 0).parent
+        keys = {"system": system.name, "split": layout.split_name("test"), "run": 0}
+        folder = layout.path("predictions", **keys).parent
         yield f"{system.name}: {cfg.runs} run(s) -> {folder}"
 
 
@@ -66,14 +57,14 @@ def _score(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
     for report in experiment.run_score(cfg):
         mean, std = report.word_stats()
         yield f"{report.system} on {report.corpus}: word accuracy {mean:.4f} ± {std:.4f}"
-    yield f"-> {layout.runs()}, {layout.scores()}"
+    yield f"-> {layout.path('runs')}, {layout.path('scores')}"
 
 
 def _compare(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
     for corpus, sys_a, sys_b, res in experiment.run_compare(cfg):
         verdict = "significant" if res.significant(cfg.alpha) else "not significant"
         yield f"{sys_a} vs {sys_b} on {corpus}: p={res.p_value:.6g} ({verdict})"
-    yield f"-> {layout.mcnemar()}"
+    yield f"-> {layout.path('mcnemar')}"
 
 
 def _report(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
@@ -86,16 +77,28 @@ def _verify_cache(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
     yield f"{len(cache)} records sound -> {cache.log_path}"
 
 
+# Each stage: its help text, its function, and the experiment.PATHS names of
+# the files under --out it may read and of those it writes; predictions and
+# diagnostics stand for the file of any system, split and run.  A test holds
+# each row to the files the stage opens.
 _STAGES = {
-    "ingest": ("read the source corpus and write its canonical TSV", _ingest),
-    "split": ("partition the corpus into train/dev/test", _split),
-    "induce": ("build the edit-script label inventory from train", _induce),
-    "train-baseline": ("train the frequency baseline and score it on dev", _train_baseline),
-    "run": ("produce predictions for every configured system and run", _run),
-    "score": ("compute word/sentence accuracy per system and run", _score),
-    "compare": ("McNemar's test between system pairs", _compare),
-    "report": ("render the human-readable report from the score and compare tables", _report),
-    "verify-cache": ("re-hash every record of the response cache", _verify_cache),
+    "ingest": ("read the source corpus and write its canonical TSV", _ingest, (), ("corpus",)),
+    "split": ("partition the corpus into train/dev/test", _split,
+              ("corpus",), ("train", "dev", "test", "manifest")),
+    "induce": ("build the edit-script label inventory from train", _induce,
+               ("train",), ("inventory", "pair_labels")),
+    "train-baseline": ("train the frequency baseline and score it on dev", _train_baseline,
+                       ("inventory", "pair_labels", "dev"),
+                       ("model", "predictions", "diagnostics")),
+    "run": ("produce predictions for every configured system and run", _run,
+            ("test", "dev", "model", "diagnostics"), ("predictions", "diagnostics")),
+    "score": ("compute word/sentence accuracy per system and run", _score,
+              ("test", "predictions", "diagnostics"), ("runs", "scores")),
+    "compare": ("McNemar's test between system pairs", _compare,
+                ("test", "predictions"), ("mcnemar",)),
+    "report": ("render the human-readable report from the score and compare tables", _report,
+               ("runs", "mcnemar"), ("report",)),
+    "verify-cache": ("re-hash every record of the response cache", _verify_cache, (), ()),
 }
 
 
@@ -104,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lemmabench", description="Contextual lemmatization experiment pipeline."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _STAGES.items():
+    for name, (help_text, *_) in _STAGES.items():
         stage = sub.add_parser(name, help=help_text)
         stage.add_argument("--config", required=True, help="experiment JSON config")
         stage.add_argument("--out", help="override the configured output directory")

@@ -1,24 +1,11 @@
 """Experiment orchestration: staged pipeline over a JSON configuration.
 
 Stages mirror the CLI subcommands and communicate only through files in
-the output directory, so any stage can be rerun in isolation.  Every .tsv
-file is in lemmabench.artifact's format:
-
-    corpora/      {corpus}.tsv: the ingested corpus, one block per sentence
-    splits/       {corpus}-{train,dev,test}.tsv, and manifest.tsv: split<TAB>id
-    inventory/    {corpus}.tsv: the edit-script labels induced from train, and
-                  {corpus}.pairs.tsv: the label id and token count of each
-                  distinct training pair, which train-baseline learns from
-    models/       baseline.tsv: the frequency-table baseline model
-    predictions/  {system}/{corpus}.run{r}.tsv and .diag.json per run; the
-                  baseline's run on dev ({corpus}-dev.run0) ranks few-shot
-                  examples for the most-errors selection
-    reports/      runs.tsv (each run's exact tallies) and scores.tsv, both
-                  written by score; mcnemar.tsv, written by compare; and
-                  report.txt, which report renders from those two alone
-
-No artifact embeds a timestamp or an absolute path, so rerunning an
-experiment from the same inputs reproduces every file byte for byte.
+the output directory, so any stage can be rerun in isolation.  PATHS names
+each file and cli._STAGES which stage reads and writes it; every .tsv file
+is in lemmabench.artifact's format.  No artifact embeds a timestamp or an
+absolute path, so rerunning an experiment from the same inputs reproduces
+every file byte for byte.
 """
 
 from __future__ import annotations
@@ -308,87 +295,72 @@ def load_config(
     )
 
 
+# Each artifact's path under the output directory.  {corpus} is the config's
+# corpus name and {split} a split's (Layout.split_name).  The baseline's run 0
+# on dev ranks few-shot examples for the most-errors selection.
+PATHS = {
+    "corpus": "corpora/{corpus}.tsv",
+    "train": "splits/{corpus}-train.tsv",
+    "dev": "splits/{corpus}-dev.tsv",
+    "test": "splits/{corpus}-test.tsv",
+    "manifest": "splits/manifest.tsv",  # split<TAB>id
+    "inventory": "inventory/{corpus}.tsv",  # the edit-script labels induced from train
+    "pair_labels": "inventory/{corpus}.pairs.tsv",  # each distinct training pair's label
+    "model": "models/baseline.tsv",
+    "predictions": "predictions/{system}/{split}.run{run}.tsv",
+    "diagnostics": "predictions/{system}/{split}.run{run}.diag.json",
+    "runs": "reports/runs.tsv",  # each run's exact tallies
+    "scores": "reports/scores.tsv",
+    "mcnemar": "reports/mcnemar.tsv",
+    "report": "reports/report.txt",  # rendered from runs and mcnemar alone
+}
+
+
 class Layout:
-    """All output paths in one place, derived from the experiment config."""
+    """The config's output paths: PATHS under its out_dir."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.root = Path(cfg.out_dir)
 
-    def corpus_tsv(self) -> Path:
-        return self.root / "corpora" / f"{self.cfg.corpus_name}.tsv"
-
     def split_name(self, part: str) -> str:
         """The corpus name of a split: train, dev or test."""
         return f"{self.cfg.corpus_name}-{part}"
 
-    def split_tsv(self, part: str) -> Path:
-        return self.root / "splits" / f"{self.split_name(part)}.tsv"
-
-    def manifest(self) -> Path:
-        return self.root / "splits" / "manifest.tsv"
-
-    def inventory(self) -> Path:
-        return self.root / "inventory" / f"{self.cfg.corpus_name}.tsv"
-
-    def pair_labels(self) -> Path:
-        return self.root / "inventory" / f"{self.cfg.corpus_name}.pairs.tsv"
-
-    def model(self) -> Path:
-        return self.root / "models" / "baseline.tsv"
-
-    def predictions(self, system: str, corpus: str, run: int) -> Path:
-        return self.root / "predictions" / system / f"{corpus}.run{run}.tsv"
-
-    def diagnostics(self, system: str, corpus: str, run: int) -> Path:
-        return self.root / "predictions" / system / f"{corpus}.run{run}.diag.json"
-
-    def runs(self) -> Path:
-        return self.root / "reports" / "runs.tsv"
-
-    def scores(self) -> Path:
-        return self.root / "reports" / "scores.tsv"
-
-    def mcnemar(self) -> Path:
-        return self.root / "reports" / "mcnemar.tsv"
-
-    def report(self) -> Path:
-        return self.root / "reports" / "report.txt"
+    def path(self, name: str, **keys) -> Path:
+        """Artifact name's path; keys fill the {split}, {system} and {run} of PATHS[name]."""
+        return self.root / PATHS[name].format(corpus=self.cfg.corpus_name, **keys)
 
 
 def _meta(cfg: ExperimentConfig, **extra: str) -> dict[str, str]:
-    meta = {"experiment": cfg.name, "config_hash": cfg.config_hash}
-    meta.update(extra)
-    return meta
+    return {"experiment": cfg.name, "config_hash": cfg.config_hash, **extra}
 
 
 def run_ingest(cfg: ExperimentConfig) -> corpus_mod.Corpus:
     """Read the source corpus, optionally cap its size, write canonical TSV."""
-    if cfg.corpus_format == CONLLU:
-        corpus = corpus_mod.ingest_conllu(cfg.corpus_path, cfg.corpus_name)
-    else:
-        corpus = corpus_mod.ingest_tsv(cfg.corpus_path, cfg.corpus_name)
+    read = corpus_mod.ingest_conllu if cfg.corpus_format == CONLLU else corpus_mod.ingest_tsv
+    corpus = read(cfg.corpus_path, cfg.corpus_name)
     if cfg.reduce_to is not None:
         corpus = corpus_mod.reduce_corpus(corpus, cfg.reduce_to, cfg.reduce_rule, cfg.reduce_seed)
     meta = _meta(cfg, source=Path(cfg.corpus_path).name, language=cfg.language)
-    corpus_mod.write_tsv(corpus, Layout(cfg).corpus_tsv(), meta)
+    corpus_mod.write_tsv(corpus, Layout(cfg).path("corpus"), meta)
     return corpus
 
 
 def _load_split(layout: Layout, part: str) -> corpus_mod.Corpus:
-    return corpus_mod.ingest_tsv(layout.split_tsv(part), layout.split_name(part))
+    return corpus_mod.ingest_tsv(layout.path(part), layout.split_name(part))
 
 
 def run_split(cfg: ExperimentConfig) -> dict[str, corpus_mod.Corpus]:
     layout = Layout(cfg)
-    corpus = corpus_mod.ingest_tsv(layout.corpus_tsv(), cfg.corpus_name)
+    corpus = corpus_mod.ingest_tsv(layout.path("corpus"), cfg.corpus_name)
     train, dev, test = corpus_mod.make_splits(corpus, cfg.split)
     splits = {"train": train, "dev": dev, "test": test}
     for part, sub in splits.items():
         meta = _meta(cfg, split=part, rule=cfg.split.selection_rule, seed=str(cfg.split.seed))
-        corpus_mod.write_tsv(sub, layout.split_tsv(part), meta)
+        corpus_mod.write_tsv(sub, layout.path(part), meta)
     manifest = {s.name: s for s in (train, dev, test)}
-    corpus_mod.write_split_manifest(manifest, layout.manifest(), _meta(cfg))
+    corpus_mod.write_split_manifest(manifest, layout.path("manifest"), _meta(cfg))
     return splits
 
 
@@ -398,8 +370,8 @@ def run_induce(cfg: ExperimentConfig) -> editscript_mod.LabelInventory:
     layout = Layout(cfg)
     pairs = editscript_mod.pair_scripts(_load_split(layout, "train"))
     inventory = editscript_mod.build_inventory(pairs)
-    editscript_mod.write_inventory(inventory, layout.inventory())
-    editscript_mod.write_pair_labels(pairs, inventory, layout.pair_labels())
+    editscript_mod.write_inventory(inventory, layout.path("inventory"))
+    editscript_mod.write_pair_labels(pairs, inventory, layout.path("pair_labels"))
     return inventory
 
 
@@ -426,19 +398,20 @@ def _write_system_run(
         incorrect = sum(p != g and None not in (p, g) for p, g in pairs)
         sentences[sentence.id] = {**prediction.counts(), "incorrect": incorrect}
     meta = _meta(layout.cfg, system=system, corpus=gold.name, run=str(run), **(extra_meta or {}))
-    write_predictions(layout.predictions(system, gold.name, run), blocks, metadata=meta)
-    write_diagnostics(layout.diagnostics(system, gold.name, run), meta, sentences)
+    keys = {"system": system, "split": gold.name, "run": run}
+    write_predictions(layout.path("predictions", **keys), blocks, metadata=meta)
+    write_diagnostics(layout.path("diagnostics", **keys), meta, sentences)
 
 
 def run_train_baseline(cfg: ExperimentConfig) -> baseline_mod.BaselineModel:
     """Train the baseline from the induce stage's pair labels and score it on
     dev for later example selection."""
     layout = Layout(cfg)
-    inventory = editscript_mod.read_inventory(layout.inventory())
-    pairs = editscript_mod.read_pair_labels(layout.pair_labels(), inventory)
+    inventory = editscript_mod.read_inventory(layout.path("inventory"))
+    pairs = editscript_mod.read_pair_labels(layout.path("pair_labels"), inventory)
     model = baseline_mod.train(pairs, inventory, cfg.max_suffix_len)
     dev = _load_split(layout, "dev")
-    baseline_mod.write_model(model, layout.model())
+    baseline_mod.write_model(model, layout.path("model"))
     predicted = [_unaligned(baseline_mod.predict(model, s)) for s in dev.sentences]
     _write_system_run(layout, BASELINE, dev, 0, predicted)
     return model
@@ -452,7 +425,7 @@ def select_system_examples(
     diagnostics = None
     if spec.shots and spec.selection == prompt_mod.MOST_ERRORS:
         layout = Layout(cfg)
-        default = layout.diagnostics(BASELINE, layout.split_name("dev"), 0)
+        default = layout.path("diagnostics", system=BASELINE, split=layout.split_name("dev"), run=0)
         _, diagnostics = read_diagnostics(system.dev_diagnostics or default)
     return prompt_mod.select_examples(
         spec.selection,
@@ -473,10 +446,7 @@ def _run_llm_system(
 ):
     cfg = layout.cfg
     examples = select_system_examples(cfg, system, dev)
-    prompts = [
-        prompt_mod.render_prompt(system.prompt, examples, sentence)
-        for sentence in test.sentences
-    ]
+    prompts = [prompt_mod.render_prompt(system.prompt, examples, s) for s in test.sentences]
     batch = gateway.run_batch(prompts, runs=cfg.runs, parallelism=cfg.parallelism)
     for run, responses in enumerate(batch.responses):
         # A sentence whose request failed (its response is None) scores as
@@ -504,7 +474,7 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
     try:
         for system in cfg.systems:
             if system.kind == BASELINE:
-                model = baseline_mod.read_model(layout.model())
+                model = baseline_mod.read_model(layout.path("model"))
                 predicted = [_unaligned(baseline_mod.predict(model, s)) for s in test.sentences]
                 for run in range(cfg.runs):
                     # Deterministic system: every run is the same honest pass.
@@ -578,14 +548,15 @@ def run_score(cfg: ExperimentConfig) -> list[eval_mod.EvalReport]:
     for system in cfg.systems:
         scores = []
         for run in range(cfg.runs):
-            slots = _read_slots(layout.predictions(system.name, test.name, run), test)
-            _, diag = read_diagnostics(layout.diagnostics(system.name, test.name, run))
+            keys = {"system": system.name, "split": test.name, "run": run}
+            slots = _read_slots(layout.path("predictions", **keys), test)
+            _, diag = read_diagnostics(layout.path("diagnostics", **keys))
             scores.append(eval_mod.score_run(slots, test, cfg.policy, diag))
         reports.append(eval_mod.EvalReport(system.name, test.name, tuple(scores)))
     meta = _meta(cfg, policy=cfg.policy)
-    artifact.publish(layout.runs(), [eval_mod.render_runs_tsv(reports, meta)])
+    artifact.publish(layout.path("runs"), [eval_mod.render_runs_tsv(reports, meta)])
     meta["runs"] = str(cfg.runs)
-    artifact.publish(layout.scores(), [eval_mod.render_scores_tsv(reports, meta)])
+    artifact.publish(layout.path("scores"), [eval_mod.render_scores_tsv(reports, meta)])
     return reports
 
 
@@ -593,9 +564,10 @@ def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McN
     """McNemar's test over configured system pairs, on one agreed run."""
     layout = Layout(cfg)
     test = _load_split(layout, "test")
+    keys = {"split": test.name, "run": cfg.mcnemar_run}
     vectors = {
         s.name: eval_mod.correctness_vector(
-            _read_slots(layout.predictions(s.name, test.name, cfg.mcnemar_run), test), test
+            _read_slots(layout.path("predictions", system=s.name, **keys), test), test
         )
         for s in cfg.systems
     }
@@ -604,7 +576,7 @@ def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McN
         for a, b in cfg.comparisons
     ]
     meta = _meta(cfg, run=str(cfg.mcnemar_run), alpha=str(cfg.alpha))
-    artifact.publish(layout.mcnemar(), [eval_mod.render_mcnemar_tsv(rows, meta, cfg.alpha)])
+    artifact.publish(layout.path("mcnemar"), [eval_mod.render_mcnemar_tsv(rows, meta, cfg.alpha)])
     return rows
 
 
@@ -636,7 +608,7 @@ def run_report(cfg: ExperimentConfig) -> str:
     layout = Layout(cfg)
     corpus = layout.split_name("test")
     keys = [(s.name, corpus, str(run)) for s in cfg.systems for run in range(cfg.runs)]
-    tallies = _read_current(cfg, "score", layout.runs(), eval_mod.RUNS_COLUMNS, keys)
+    tallies = _read_current(cfg, "score", layout.path("runs"), eval_mod.RUNS_COLUMNS, keys)
     reports = [
         eval_mod.EvalReport(s.name, corpus, tuple(
             eval_mod.RunScore.from_counts(*tallies[s.name, corpus, str(run)])
@@ -648,10 +620,10 @@ def run_report(cfg: ExperimentConfig) -> str:
     if cfg.comparisons:
         pairs = [(corpus, a, b) for a, b in cfg.comparisons]
         counts = _read_current(
-            cfg, "compare", layout.mcnemar(), eval_mod.MCNEMAR_COLUMNS, pairs, width=2
+            cfg, "compare", layout.path("mcnemar"), eval_mod.MCNEMAR_COLUMNS, pairs, width=2
         )
         rows = [(*pair, eval_mod.mcnemar_counts(*counts[pair])) for pair in pairs]
     meta = _meta(cfg, corpus=cfg.corpus_name, language=cfg.language, policy=cfg.policy)
     text = eval_mod.render_report_text(reports, rows, meta, cfg.alpha)
-    artifact.publish(layout.report(), [text])  # beside runs.tsv
+    artifact.publish(layout.path("report"), [text])  # beside runs.tsv
     return text

@@ -476,10 +476,11 @@ def _oracle_evaluate(cfg, test, score_runs, mcnemar_run):
     for system in cfg.systems:
         scores[system.name] = []
         for run in runs:
-            _, blocks = read_predictions(layout.predictions(system.name, test.name, run))
+            keys = {"system": system.name, "split": test.name, "run": run}
+            _, blocks = read_predictions(layout.path("predictions", **keys))
             slots = blocks_to_slots(blocks, test)
             if run in score_runs:
-                diag_path = layout.diagnostics(system.name, test.name, run)
+                diag_path = layout.path("diagnostics", system=system.name, split=test.name, run=run)
                 diag = read_diagnostics(diag_path)[1] if diag_path.exists() else {}
                 scores[system.name].append(eval_mod.score_run(slots, test, cfg.policy, diag))
             if run == mcnemar_run:

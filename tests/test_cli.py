@@ -1,13 +1,14 @@
 """CLI smoke: the full stage sequence on the replay fixture, and exits."""
 
 import json
+import re
 
 import pytest
 
 from lemmabench import experiment
 from lemmabench import prompt as prompt_mod
 from lemmabench.align import read_diagnostics, write_diagnostics
-from lemmabench.cli import main
+from lemmabench.cli import _STAGES, main
 from lemmabench.corpus import ingest_tsv
 
 
@@ -460,6 +461,17 @@ def test_every_subcommand_prints_its_pinned_summary(fixtures_dir, tmp_path, caps
     text = "".join(printed).replace(str(out), "<out>").replace(str(fixtures_dir), "<fixtures>")
     report = (fixtures_dir / "replay" / "expected" / "report.txt").read_text("utf-8")
     assert text == _STAGE_STDOUT.format(report=report)
+
+
+def test_readme_and_ci_quick_starts_run_the_pipeline_stages_in_table_order(fixtures_dir):
+    # The pipeline stages are the rows that write files; verify-cache writes none.
+    stages = [name for name, (*_, writes) in _STAGES.items() if writes]
+    root = fixtures_dir.parent
+    readme = (root / "README.md").read_text("utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    ci = (root / ".github" / "workflows" / "tests.yml").read_text("utf-8")
+    for text in (quick_start, ci):
+        assert re.findall(r'lemmabench"? +(\S+) +--config \$CFG', text) == stages
 
 
 def test_a_stage_calls_the_experiment_function_it_finds_when_it_runs(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from lemmabench import artifact, baseline, corpus as corpus_mod, editscript, evaluation, experiment
+from lemmabench import artifact, baseline, cli, corpus as corpus_mod, editscript, evaluation, experiment
 from lemmabench.align import read_diagnostics, read_predictions, write_predictions
 from lemmabench.corpus import ingest_tsv, write_tsv
 from lemmabench.errors import (
@@ -774,41 +774,42 @@ def test_train_baseline_refuses_pairs_file_of_another_induce_run(fixtures_dir, t
         run_ingest(cfg)
         run_split(cfg)
         run_induce(cfg)
-    assert len(editscript.read_inventory(Layout(small).inventory())) == len(
-        editscript.read_inventory(Layout(full).inventory())
+    assert len(editscript.read_inventory(Layout(small).path("inventory"))) == len(
+        editscript.read_inventory(Layout(full).path("inventory"))
     )  # every label id of the copied file is in range: only the counts tell
-    Layout(full).pair_labels().write_bytes(Layout(small).pair_labels().read_bytes())
+    Layout(full).path("pair_labels").write_bytes(Layout(small).path("pair_labels").read_bytes())
     with pytest.raises(InventoryFormatError, match=r"es_fix\.pairs\.tsv: label \d+ covers"):
         run_train_baseline(full)
-    assert not Layout(full).model().exists()
+    assert not Layout(full).path("model").exists()
 
 
 def test_pipeline_writes_every_artifact(replay_out):
     cfg, layout = replay_out
-    assert layout.corpus_tsv().exists()
+    assert layout.path("corpus").exists()
     for part in ("train", "dev", "test"):
-        assert layout.split_tsv(part).exists()
-    assert layout.manifest().exists()
-    assert layout.inventory().exists()
-    assert layout.pair_labels().exists()
-    assert layout.model().exists()
+        assert layout.path(part).exists()
+    assert layout.path("manifest").exists()
+    assert layout.path("inventory").exists()
+    assert layout.path("pair_labels").exists()
+    assert layout.path("model").exists()
     for system in cfg.systems:
         for run in range(cfg.runs):
-            assert layout.predictions(system.name, "es_fix-test", run).exists()
-            assert layout.diagnostics(system.name, "es_fix-test", run).exists()
-    assert layout.runs().exists()
-    assert layout.scores().exists()
-    assert layout.mcnemar().exists()
-    assert layout.report().exists()
+            keys = {"system": system.name, "split": "es_fix-test", "run": run}
+            assert layout.path("predictions", **keys).exists()
+            assert layout.path("diagnostics", **keys).exists()
+    assert layout.path("runs").exists()
+    assert layout.path("scores").exists()
+    assert layout.path("mcnemar").exists()
+    assert layout.path("report").exists()
 
 
 def test_pipeline_reports_match_frozen_expectations(replay_out, fixtures_dir):
     _, layout = replay_out
     expected = fixtures_dir / "replay" / "expected"
-    assert layout.runs().read_bytes() == (expected / "runs.tsv").read_bytes()
-    assert layout.scores().read_bytes() == (expected / "scores.tsv").read_bytes()
-    assert layout.mcnemar().read_bytes() == (expected / "mcnemar.tsv").read_bytes()
-    assert layout.report().read_bytes() == (expected / "report.txt").read_bytes()
+    assert layout.path("runs").read_bytes() == (expected / "runs.tsv").read_bytes()
+    assert layout.path("scores").read_bytes() == (expected / "scores.tsv").read_bytes()
+    assert layout.path("mcnemar").read_bytes() == (expected / "mcnemar.tsv").read_bytes()
+    assert layout.path("report").read_bytes() == (expected / "report.txt").read_bytes()
 
 
 # The sha256 of every file the replay pipeline writes.  The frozen reports
@@ -859,6 +860,11 @@ def _replay_digests(fixtures_dir, out_dir):
     run_predictions(cfg, transport=forbidden_transport)
     for stage in (run_score, run_compare, run_report):
         stage(cfg)
+    return _digests(out_dir)
+
+
+def _digests(out_dir):
+    """The sha256 of every file under out_dir, by its path there."""
     return {
         path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out_dir.rglob("*")) if path.is_file()
@@ -880,22 +886,26 @@ def test_no_stage_builds_tokens(fixtures_dir, tmp_path, monkeypatch):
     assert _replay_digests(fixtures_dir, tmp_path / "out") == PINNED_ARTIFACTS
 
 
-def test_artifacts_carry_no_absolute_paths_or_timestamps(replay_out):
-    cfg, layout = replay_out
-    reports = (layout.runs(), layout.scores(), layout.mcnemar(), layout.report())
-    for path in (layout.corpus_tsv(), *reports):
+def test_artifacts_carry_no_absolute_paths_or_timestamps(replay_out, fixtures_dir):
+    _, layout = replay_out
+    files = sorted(path for path in layout.root.rglob("*") if path.is_file())
+    assert len(files) == len(PINNED_ARTIFACTS)
+    for path in files:
         text = path.read_text("utf-8")
-        assert str(layout.root) not in text
-        assert "20" + "26-" not in text  # no dates sneak into headers
+        assert str(layout.root) not in text and str(fixtures_dir) not in text, path
+        # no date (ISO 8601) or clock time sneaks into a header
+        assert not re.search(r"\d{4}-\d{2}-\d{2}|\d{1,2}:\d{2}(:\d{2})?\b", text), path
 
 
-def test_scoring_stages_are_deterministic(replay_out):
-    cfg, layout = replay_out
-    artifacts = (layout.runs(), layout.scores(), layout.mcnemar())
-    before = [path.read_bytes() for path in artifacts]
-    run_score(cfg)
-    run_compare(cfg)
-    assert [path.read_bytes() for path in artifacts] == before
+@pytest.mark.parametrize("stage", list(cli._STAGES))
+def test_rerunning_a_stage_after_a_clean_build_changes_no_file(
+    replay_out, fixtures_dir, tmp_path, stage
+):
+    _, layout = replay_out
+    shutil.copytree(layout.root, tmp_path / "out")
+    config = str(fixtures_dir / "replay" / "config.json")
+    assert cli.main([stage, "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert _digests(tmp_path / "out") == PINNED_ARTIFACTS
 
 
 def test_report_reads_each_run_once(replay_out, fixtures_dir, monkeypatch):
@@ -914,13 +924,13 @@ def test_report_reads_each_run_once(replay_out, fixtures_dir, monkeypatch):
     run_report(cfg)
     assert reads == []
     expected = fixtures_dir / "replay" / "expected"
-    assert layout.report().read_bytes() == (expected / "report.txt").read_bytes()
+    assert layout.path("report").read_bytes() == (expected / "report.txt").read_bytes()
 
 
 def test_report_matches_the_rescoring_oracle(replay_out, fixtures_dir):
     cfg, layout = replay_out
     text = oracle_report_text(cfg)
-    assert text == layout.report().read_text("utf-8")
+    assert text == layout.path("report").read_text("utf-8")
     expected = fixtures_dir / "replay" / "expected" / "report.txt"
     assert text.encode("utf-8") == expected.read_bytes()
 
@@ -958,7 +968,7 @@ def test_a_report_writer_that_fails_keeps_the_old_file_and_leaves_no_other(
     cfg, layout = replay_out
     shutil.copytree(layout.root, tmp_path / "out")
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
-    reports = Layout(cfg).report().parent
+    reports = Layout(cfg).path("report").parent
     (reports / name).write_bytes(b"previous bytes\n")
     before = sorted(path.name for path in reports.iterdir())
     disk_full(name)
@@ -974,7 +984,7 @@ def report_inputs(replay_out, tmp_path):
     cfg, layout = replay_out
     shutil.copytree(layout.root / "reports", tmp_path / "reports")
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path))
-    Layout(cfg).report().unlink()
+    Layout(cfg).path("report").unlink()
     return cfg, Layout(cfg)
 
 
@@ -992,7 +1002,7 @@ def test_report_refuses_a_table_of_another_config(report_inputs, table, stage):
     stale = f"957dc2e0216e, not {cfg.config_hash}: re-run `{stage}`"
     with pytest.raises(ConfigError, match=stale):
         run_report(cfg)
-    assert not layout.report().exists()
+    assert not layout.path("report").exists()
 
 
 def test_report_refuses_tallies_when_the_config_changed(report_inputs):
@@ -1004,9 +1014,9 @@ def test_report_refuses_tallies_when_the_config_changed(report_inputs):
 
 def test_report_refuses_runs_without_a_configured_run(report_inputs):
     cfg, layout = report_inputs
-    lines = layout.runs().read_text("utf-8").splitlines(keepends=True)
+    lines = layout.path("runs").read_text("utf-8").splitlines(keepends=True)
     assert lines[-1].startswith("llm-full-0shot\tes_fix-test\t2\t")
-    layout.runs().write_text("".join(lines[:-1]), "utf-8")
+    layout.path("runs").write_text("".join(lines[:-1]), "utf-8")
     missing = "no row for llm-full-0shot es_fix-test 2: re-run `score`"
     with pytest.raises(ConfigError, match=missing):
         run_report(cfg)
@@ -1014,9 +1024,9 @@ def test_report_refuses_runs_without_a_configured_run(report_inputs):
 
 def test_report_refuses_mcnemar_without_a_configured_comparison(report_inputs):
     cfg, layout = report_inputs
-    lines = layout.mcnemar().read_text("utf-8").splitlines(keepends=True)
+    lines = layout.path("mcnemar").read_text("utf-8").splitlines(keepends=True)
     assert lines[-2].startswith("es_fix-test\tbaseline\tllm-full-0shot\t")
-    layout.mcnemar().write_text("".join(lines[:-2] + lines[-1:]), "utf-8")
+    layout.path("mcnemar").write_text("".join(lines[:-2] + lines[-1:]), "utf-8")
     with pytest.raises(
         ConfigError, match="no row for es_fix-test baseline llm-full-0shot: re-run `compare`"
     ):
@@ -1052,10 +1062,10 @@ def test_score_refuses_a_run_without_diagnostics(replay_out, tmp_path, capsys):
     cfg, layout = replay_out
     shutil.copytree(layout.root, tmp_path / "out", ignore=shutil.ignore_patterns("reports"))
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
-    Layout(cfg).diagnostics("llm-basic-4shot", "es_fix-test", 1).unlink()
+    Layout(cfg).path("diagnostics", system="llm-basic-4shot", split="es_fix-test", run=1).unlink()
     with pytest.raises(FileNotFoundError, match=r"llm-basic-4shot/es_fix-test\.run1\.diag"):
         run_score(cfg)
-    assert not Layout(cfg).runs().exists() and not Layout(cfg).scores().exists()
+    assert not Layout(cfg).path("runs").exists() and not Layout(cfg).path("scores").exists()
 
 
 # A torn file, a payload that is not an object, and objects without a
@@ -1094,11 +1104,11 @@ def test_score_refuses_a_diagnostics_file_that_is_not_a_diagnostics_object(
     cfg, layout = replay_out
     shutil.copytree(layout.root, tmp_path / "out", ignore=shutil.ignore_patterns("reports"))
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
-    path = Layout(cfg).diagnostics("baseline", "es_fix-test", 0)
+    path = Layout(cfg).path("diagnostics", system="baseline", split="es_fix-test", run=0)
     path.write_text(_BAD_DIAGNOSTICS[damage](path.read_text("utf-8")), "utf-8")
     with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: diagnostics are not"):
         run_score(cfg)
-    assert not Layout(cfg).runs().exists() and not Layout(cfg).scores().exists()
+    assert not Layout(cfg).path("runs").exists() and not Layout(cfg).path("scores").exists()
 
 
 # --- report against the re-scoring oracle on random tallies -----------------------
@@ -1135,10 +1145,10 @@ def _report_from_tallies(tallies, tests):
         ]
         rows = [(test_name, a, b, oracle_mcnemar(*counts)) for (a, b), counts in tests.items()]
         layout = Layout(cfg)
-        layout.runs().parent.mkdir(parents=True)
+        layout.path("runs").parent.mkdir(parents=True)
         meta = {"experiment": cfg.name, "config_hash": cfg.config_hash}
-        layout.runs().write_text(evaluation.render_runs_tsv(reports, meta), "utf-8")
-        layout.mcnemar().write_text(evaluation.render_mcnemar_tsv(rows, meta, cfg.alpha), "utf-8")
+        layout.path("runs").write_text(evaluation.render_runs_tsv(reports, meta), "utf-8")
+        layout.path("mcnemar").write_text(evaluation.render_mcnemar_tsv(rows, meta, cfg.alpha), "utf-8")
         text = run_report(cfg)
     meta.update(corpus=cfg.corpus_name, language=cfg.language, policy=cfg.policy)
     return text, evaluation.render_report_text(reports, rows, meta, cfg.alpha)
@@ -1195,14 +1205,15 @@ def test_baseline_runs_are_identical(replay_out):
     from lemmabench.align import read_predictions
 
     cfg, layout = replay_out
-    _, run0 = read_predictions(layout.predictions("baseline", "es_fix-test", 0))
-    _, run1 = read_predictions(layout.predictions("baseline", "es_fix-test", 1))
+    keys = {"system": "baseline", "split": "es_fix-test"}
+    _, run0 = read_predictions(layout.path("predictions", **keys, run=0))
+    _, run1 = read_predictions(layout.path("predictions", **keys, run=1))
     assert run0 == run1
 
 
 def test_report_text_names_all_systems(replay_out):
     cfg, layout = replay_out
-    text = layout.report().read_text("utf-8")
+    text = layout.path("report").read_text("utf-8")
     for system in cfg.systems:
         assert system.name in text
     assert "McNemar's test" in text
@@ -1265,7 +1276,7 @@ def test_failed_request_scores_as_all_missing(tiny_experiment):
     run_predictions(cfg, transport=flaky)
     layout = Layout(cfg)
     metadata, blocks = __import__("lemmabench.align", fromlist=["read_predictions"]).read_predictions(
-        layout.predictions("llm-identity", "tiny-test", 0)
+        layout.path("predictions", system="llm-identity", split="tiny-test", run=0)
     )
     assert metadata["failures"] == "1"
     assert blocks == [
@@ -1275,7 +1286,8 @@ def test_failed_request_scores_as_all_missing(tiny_experiment):
 
     from lemmabench.align import read_diagnostics
 
-    _, diag = read_diagnostics(layout.diagnostics("llm-identity", "tiny-test", 0))
+    keys = {"system": "llm-identity", "split": "tiny-test", "run": 0}
+    _, diag = read_diagnostics(layout.path("diagnostics", **keys))
     assert diag["tiny-0004"] == {"missing": 2, "wrong": 0, "random": 0, "incorrect": 0}
 
     reports = run_score(cfg)
@@ -1290,7 +1302,7 @@ def test_live_mode_opens_no_cache(tiny_experiment):
     cache_dir.mkdir()
     (cache_dir / "index.tsv").write_text("# cache-format = lemmabench-cache/1\n", "utf-8")  # refused if opened
     run_predictions(cfg, transport=identity_transport)
-    assert Layout(cfg).predictions("llm-identity", "tiny-test", 0).exists()
+    assert Layout(cfg).path("predictions", system="llm-identity", split="tiny-test", run=0).exists()
     assert [p.name for p in cache_dir.iterdir()] == ["index.tsv"]
 
 
@@ -1300,7 +1312,8 @@ def test_external_predictions_are_normalized_with_ids(tiny_experiment):
     layout = Layout(cfg)
     from lemmabench.align import read_predictions
 
-    _, blocks = read_predictions(layout.predictions("external-ref", "tiny-test", 0))
+    keys = {"system": "external-ref", "split": "tiny-test", "run": 0}
+    _, blocks = read_predictions(layout.path("predictions", **keys))
     assert [sentence_id for sentence_id, _, _ in blocks] == ["tiny-0004", "tiny-0005"]
 
 
@@ -1311,7 +1324,7 @@ def test_report_stage_returns_rendered_text(tiny_experiment):
     run_compare(cfg)
     text = run_report(cfg)
     assert "llm-identity" in text and "external-ref" in text
-    assert Layout(cfg).report().read_text("utf-8") == text
+    assert Layout(cfg).path("report").read_text("utf-8") == text
 
 
 # --- the baseline path: induce once, train from the pair labels -----------------
@@ -1337,7 +1350,7 @@ def baseline_experiment(tmp_path):
 def test_pipeline_induces_each_distinct_pair_once(baseline_experiment, monkeypatch):
     cfg = baseline_experiment
     layout = Layout(cfg)
-    train = ingest_tsv(layout.split_tsv("train"))
+    train = ingest_tsv(layout.path("train"))
     calls = []
     real_induce = editscript.induce
 
@@ -1352,7 +1365,7 @@ def test_pipeline_induces_each_distinct_pair_once(baseline_experiment, monkeypat
     )
     calls.clear()
     # train-baseline neither reads the train split nor induces anything.
-    layout.split_tsv("train").unlink()
+    layout.path("train").unlink()
     model = run_train_baseline(cfg)
     assert calls == []
     pairs = editscript.pair_scripts(train)
@@ -1363,7 +1376,7 @@ def test_baseline_only_run_leaves_the_dev_split_unread(baseline_experiment):
     cfg = baseline_experiment
     run_induce(cfg)
     run_train_baseline(cfg)
-    Layout(cfg).split_tsv("dev").unlink()
+    Layout(cfg).path("dev").unlink()
     run_predictions(cfg, transport=forbidden_transport)
     assert run_score(cfg)[0].runs[0].total == 2
 
@@ -1385,9 +1398,9 @@ def test_dev_diagnostics_count_only_annotated_tokens_as_incorrect(tmp_path):
         stage(cfg)
     layout = Layout(cfg)
     dev = layout.split_name("dev")
-    _, blocks = read_predictions(layout.predictions("baseline", dev, 0))
+    _, blocks = read_predictions(layout.path("predictions", system="baseline", split=dev, run=0))
     assert blocks == [("toy-0002", ("gatos", "perros", "1"), ("gato", "perro", "1"))]
-    _, diag = read_diagnostics(layout.diagnostics("baseline", dev, 0))
+    _, diag = read_diagnostics(layout.path("diagnostics", system="baseline", split=dev, run=0))
     assert diag == {"toy-0002": {"missing": 0, "wrong": 0, "random": 0, "incorrect": 1}}
 
 
@@ -1416,13 +1429,14 @@ def test_hash_initial_wordform_survives_ingest_to_score(tmp_path):
     run_ingest(cfg)
     splits = run_split(cfg)
     layout = Layout(cfg)
-    test = ingest_tsv(layout.split_tsv("test"))
+    test = ingest_tsv(layout.path("test"))
     assert test.sentences[0].wordforms == ("We", "love", "#nlp", "!")
     assert test.sentences == splits["test"].sentences
     run_induce(cfg)
     run_train_baseline(cfg)
     run_predictions(cfg, transport=forbidden_transport)
-    _, blocks = read_predictions(layout.predictions("baseline", "tweets-test", 0))
+    keys = {"system": "baseline", "split": "tweets-test", "run": 0}
+    _, blocks = read_predictions(layout.path("predictions", **keys))
     _, wordforms, lemmas = blocks[0]
     assert (wordforms[2], lemmas[2]) == ("#nlp", "#nlp")
     assert run_score(cfg)[0].runs[0].total == 4
