@@ -14,66 +14,68 @@ from collections.abc import Iterator
 
 from . import experiment, gateway
 from .corpus import corpus_stats
-from .errors import LemmabenchError
-from .experiment import ExperimentConfig, Layout
+from .errors import ConfigError, LemmabenchError
+from .experiment import ExperimentConfig
 
 # Each stage function runs one stage and yields its summary lines.  It calls
 # experiment.run_* through the module attribute when it runs, so a wrapper
 # patched onto that attribute (a tracer, a test) sees the call.
 
 
-def _ingest(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+def _ingest(cfg: ExperimentConfig) -> Iterator[str]:
     corpus = experiment.run_ingest(cfg)
     tokens, sentences = corpus_stats(corpus)
-    yield f"{corpus.name}: {sentences} sentences, {tokens} tokens -> {layout.path('corpus')}"
+    yield f"{corpus.name}: {sentences} sentences, {tokens} tokens -> {cfg.path('corpus')}"
 
 
-def _split(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+def _split(cfg: ExperimentConfig) -> Iterator[str]:
     for sub_corpus in experiment.run_split(cfg).values():
         tokens, sentences = corpus_stats(sub_corpus)
         yield f"{sub_corpus.name}: {sentences} sentences, {tokens} tokens"
 
 
-def _induce(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+def _induce(cfg: ExperimentConfig) -> Iterator[str]:
     inventory = experiment.run_induce(cfg)
-    yield f"{len(inventory)} edit-script labels -> {layout.path('inventory')}"
+    yield f"{len(inventory)} edit-script labels -> {cfg.path('inventory')}"
 
 
-def _train_baseline(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+def _train_baseline(cfg: ExperimentConfig) -> Iterator[str]:
     model = experiment.run_train_baseline(cfg)
     forms, suffixes = len(model.form_table), len(model.suffix_table)
-    yield f"baseline: {forms} forms, {suffixes} suffixes -> {layout.path('model')}"
+    yield f"baseline: {forms} forms, {suffixes} suffixes -> {cfg.path('model')}"
 
 
-def _run(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+def _run(cfg: ExperimentConfig) -> Iterator[str]:
     experiment.run_predictions(cfg)
     for system in cfg.systems:
-        keys = {"system": system.name, "split": layout.split_name("test"), "run": 0}
-        folder = layout.path("predictions", **keys).parent
+        keys = {"system": system.name, "split": cfg.split_name("test"), "run": 0}
+        folder = cfg.path("predictions", **keys).parent
         yield f"{system.name}: {cfg.runs} run(s) -> {folder}"
 
 
-def _score(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+def _score(cfg: ExperimentConfig) -> Iterator[str]:
     for report in experiment.run_score(cfg):
         mean, std = report.word_stats()
         yield f"{report.system} on {report.corpus}: word accuracy {mean:.4f} ± {std:.4f}"
-    yield f"-> {layout.path('runs')}, {layout.path('scores')}"
+    yield f"-> {cfg.path('runs')}, {cfg.path('scores')}"
 
 
-def _compare(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+def _compare(cfg: ExperimentConfig) -> Iterator[str]:
     for corpus, sys_a, sys_b, res in experiment.run_compare(cfg):
         verdict = "significant" if res.significant(cfg.alpha) else "not significant"
         yield f"{sys_a} vs {sys_b} on {corpus}: p={res.p_value:.6g} ({verdict})"
-    yield f"-> {layout.path('mcnemar')}"
+    yield f"-> {cfg.path('mcnemar')}"
 
 
-def _report(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+def _report(cfg: ExperimentConfig) -> Iterator[str]:
     yield experiment.run_report(cfg).removesuffix("\n")  # the text ends in a line break
 
 
-def _verify_cache(cfg: ExperimentConfig, layout: Layout) -> Iterator[str]:
+def _verify_cache(cfg: ExperimentConfig) -> Iterator[str]:
     cache = gateway.ResponseCache(cfg.cache_dir)  # loading checks every digest
     cache.close()
+    if not cache.log_path.exists():  # a cache_dir that names no cache, say a typo
+        raise ConfigError(f"no response cache at {cache.log_path}: check cache_dir")
     yield f"{len(cache)} records sound -> {cache.log_path}"
 
 
@@ -126,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = experiment.load_config(
             args.config, out_dir=args.out, cache_mode=getattr(args, "cache_mode", None)
         )
-        for line in _STAGES[args.command][1](cfg, Layout(cfg)):
+        for line in _STAGES[args.command][1](cfg):
             print(line)
     except LemmabenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,6 +59,28 @@ class SystemSpec:
     predictions: tuple[str, ...] = ()  # external files, one per run or one shared
 
 
+# Each artifact's path under the output directory (ExperimentConfig.path).
+# {corpus} is the config's corpus name and {split} a split's
+# (ExperimentConfig.split_name).  The baseline's run 0 on dev ranks few-shot
+# examples for the most-errors selection.
+PATHS = {
+    "corpus": "corpora/{corpus}.tsv",
+    "train": "splits/{corpus}-train.tsv",
+    "dev": "splits/{corpus}-dev.tsv",
+    "test": "splits/{corpus}-test.tsv",
+    "manifest": "splits/manifest.tsv",  # split<TAB>id
+    "inventory": "inventory/{corpus}.tsv",  # the edit-script labels induced from train
+    "pair_labels": "inventory/{corpus}.pairs.tsv",  # each distinct training pair's label
+    "model": "models/baseline.tsv",
+    "predictions": "predictions/{system}/{split}.run{run}.tsv",
+    "diagnostics": "predictions/{system}/{split}.run{run}.diag.json",
+    "runs": "reports/runs.tsv",  # each run's exact tallies
+    "scores": "reports/scores.tsv",
+    "mcnemar": "reports/mcnemar.tsv",
+    "report": "reports/report.txt",  # rendered from runs and mcnemar alone
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -83,6 +105,14 @@ class ExperimentConfig:
     mcnemar_run: int
     comparisons: tuple[tuple[str, str], ...]
     config_hash: str
+
+    def split_name(self, part: str) -> str:
+        """The corpus name of a split: train, dev or test."""
+        return f"{self.corpus_name}-{part}"
+
+    def path(self, name: str, **keys) -> Path:
+        """Artifact name's path; keys fill the {split}, {system} and {run} of PATHS[name]."""
+        return Path(self.out_dir) / PATHS[name].format(corpus=self.corpus_name, **keys)
 
 
 def _hash_config(raw: dict) -> str:
@@ -295,43 +325,6 @@ def load_config(
     )
 
 
-# Each artifact's path under the output directory.  {corpus} is the config's
-# corpus name and {split} a split's (Layout.split_name).  The baseline's run 0
-# on dev ranks few-shot examples for the most-errors selection.
-PATHS = {
-    "corpus": "corpora/{corpus}.tsv",
-    "train": "splits/{corpus}-train.tsv",
-    "dev": "splits/{corpus}-dev.tsv",
-    "test": "splits/{corpus}-test.tsv",
-    "manifest": "splits/manifest.tsv",  # split<TAB>id
-    "inventory": "inventory/{corpus}.tsv",  # the edit-script labels induced from train
-    "pair_labels": "inventory/{corpus}.pairs.tsv",  # each distinct training pair's label
-    "model": "models/baseline.tsv",
-    "predictions": "predictions/{system}/{split}.run{run}.tsv",
-    "diagnostics": "predictions/{system}/{split}.run{run}.diag.json",
-    "runs": "reports/runs.tsv",  # each run's exact tallies
-    "scores": "reports/scores.tsv",
-    "mcnemar": "reports/mcnemar.tsv",
-    "report": "reports/report.txt",  # rendered from runs and mcnemar alone
-}
-
-
-class Layout:
-    """The config's output paths: PATHS under its out_dir."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self.root = Path(cfg.out_dir)
-
-    def split_name(self, part: str) -> str:
-        """The corpus name of a split: train, dev or test."""
-        return f"{self.cfg.corpus_name}-{part}"
-
-    def path(self, name: str, **keys) -> Path:
-        """Artifact name's path; keys fill the {split}, {system} and {run} of PATHS[name]."""
-        return self.root / PATHS[name].format(corpus=self.cfg.corpus_name, **keys)
-
-
 def _meta(cfg: ExperimentConfig, **extra: str) -> dict[str, str]:
     return {"experiment": cfg.name, "config_hash": cfg.config_hash, **extra}
 
@@ -343,35 +336,33 @@ def run_ingest(cfg: ExperimentConfig) -> corpus_mod.Corpus:
     if cfg.reduce_to is not None:
         corpus = corpus_mod.reduce_corpus(corpus, cfg.reduce_to, cfg.reduce_rule, cfg.reduce_seed)
     meta = _meta(cfg, source=Path(cfg.corpus_path).name, language=cfg.language)
-    corpus_mod.write_tsv(corpus, Layout(cfg).path("corpus"), meta)
+    corpus_mod.write_tsv(corpus, cfg.path("corpus"), meta)
     return corpus
 
 
-def _load_split(layout: Layout, part: str) -> corpus_mod.Corpus:
-    return corpus_mod.ingest_tsv(layout.path(part), layout.split_name(part))
+def _load_split(cfg: ExperimentConfig, part: str) -> corpus_mod.Corpus:
+    return corpus_mod.ingest_tsv(cfg.path(part), cfg.split_name(part))
 
 
 def run_split(cfg: ExperimentConfig) -> dict[str, corpus_mod.Corpus]:
-    layout = Layout(cfg)
-    corpus = corpus_mod.ingest_tsv(layout.path("corpus"), cfg.corpus_name)
+    corpus = corpus_mod.ingest_tsv(cfg.path("corpus"), cfg.corpus_name)
     train, dev, test = corpus_mod.make_splits(corpus, cfg.split)
     splits = {"train": train, "dev": dev, "test": test}
     for part, sub in splits.items():
         meta = _meta(cfg, split=part, rule=cfg.split.selection_rule, seed=str(cfg.split.seed))
-        corpus_mod.write_tsv(sub, layout.path(part), meta)
+        corpus_mod.write_tsv(sub, cfg.path(part), meta)
     manifest = {s.name: s for s in (train, dev, test)}
-    corpus_mod.write_split_manifest(manifest, layout.path("manifest"), _meta(cfg))
+    corpus_mod.write_split_manifest(manifest, cfg.path("manifest"), _meta(cfg))
     return splits
 
 
 def run_induce(cfg: ExperimentConfig) -> editscript_mod.LabelInventory:
     """Induce each distinct training pair once; write the label inventory and
     each pair's label, which is all train-baseline needs of the train split."""
-    layout = Layout(cfg)
-    pairs = editscript_mod.pair_scripts(_load_split(layout, "train"))
+    pairs = editscript_mod.pair_scripts(_load_split(cfg, "train"))
     inventory = editscript_mod.build_inventory(pairs)
-    editscript_mod.write_inventory(inventory, layout.path("inventory"))
-    editscript_mod.write_pair_labels(pairs, inventory, layout.path("pair_labels"))
+    editscript_mod.write_inventory(inventory, cfg.path("inventory"))
+    editscript_mod.write_pair_labels(pairs, inventory, cfg.path("pair_labels"))
     return inventory
 
 
@@ -381,7 +372,7 @@ def _unaligned(lemmas) -> AlignedPrediction:
 
 
 def _write_system_run(
-    layout: Layout,
+    cfg: ExperimentConfig,
     system: str,
     gold: corpus_mod.Corpus,
     run: int,
@@ -397,23 +388,22 @@ def _write_system_run(
         pairs = zip(prediction.lemmas, sentence.lemmas, strict=True)
         incorrect = sum(p != g and None not in (p, g) for p, g in pairs)
         sentences[sentence.id] = {**prediction.counts(), "incorrect": incorrect}
-    meta = _meta(layout.cfg, system=system, corpus=gold.name, run=str(run), **(extra_meta or {}))
+    meta = _meta(cfg, system=system, corpus=gold.name, run=str(run), **(extra_meta or {}))
     keys = {"system": system, "split": gold.name, "run": run}
-    write_predictions(layout.path("predictions", **keys), blocks, metadata=meta)
-    write_diagnostics(layout.path("diagnostics", **keys), meta, sentences)
+    write_predictions(cfg.path("predictions", **keys), blocks, metadata=meta)
+    write_diagnostics(cfg.path("diagnostics", **keys), meta, sentences)
 
 
 def run_train_baseline(cfg: ExperimentConfig) -> baseline_mod.BaselineModel:
     """Train the baseline from the induce stage's pair labels and score it on
     dev for later example selection."""
-    layout = Layout(cfg)
-    inventory = editscript_mod.read_inventory(layout.path("inventory"))
-    pairs = editscript_mod.read_pair_labels(layout.path("pair_labels"), inventory)
+    inventory = editscript_mod.read_inventory(cfg.path("inventory"))
+    pairs = editscript_mod.read_pair_labels(cfg.path("pair_labels"), inventory)
     model = baseline_mod.train(pairs, inventory, cfg.max_suffix_len)
-    dev = _load_split(layout, "dev")
-    baseline_mod.write_model(model, layout.path("model"))
+    dev = _load_split(cfg, "dev")
+    baseline_mod.write_model(model, cfg.path("model"))
     predicted = [_unaligned(baseline_mod.predict(model, s)) for s in dev.sentences]
-    _write_system_run(layout, BASELINE, dev, 0, predicted)
+    _write_system_run(cfg, BASELINE, dev, 0, predicted)
     return model
 
 
@@ -424,8 +414,7 @@ def select_system_examples(
     spec = system.prompt
     diagnostics = None
     if spec.shots and spec.selection == prompt_mod.MOST_ERRORS:
-        layout = Layout(cfg)
-        default = layout.path("diagnostics", system=BASELINE, split=layout.split_name("dev"), run=0)
+        default = cfg.path("diagnostics", system=BASELINE, split=cfg.split_name("dev"), run=0)
         _, diagnostics = read_diagnostics(system.dev_diagnostics or default)
     return prompt_mod.select_examples(
         spec.selection,
@@ -438,13 +427,12 @@ def select_system_examples(
 
 
 def _run_llm_system(
-    layout: Layout,
+    cfg: ExperimentConfig,
     system: SystemSpec,
     test: corpus_mod.Corpus,
     dev: corpus_mod.Corpus,
     gateway: gateway_mod.LlmGateway,
 ):
-    cfg = layout.cfg
     examples = select_system_examples(cfg, system, dev)
     prompts = [prompt_mod.render_prompt(system.prompt, examples, s) for s in test.sentences]
     batch = gateway.run_batch(prompts, runs=cfg.runs, parallelism=cfg.parallelism)
@@ -460,31 +448,30 @@ def _run_llm_system(
             "template_version": prompt_mod.TEMPLATE_VERSION,
             "failures": str(responses.count(None)),
         }
-        _write_system_run(layout, system.name, test, run, predicted, extra)
+        _write_system_run(cfg, system.name, test, run, predicted, extra)
 
 
 def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | None = None) -> None:
     """Produce prediction files for every configured system and run, once
     every test sentence has the gold lemmas score needs."""
-    layout = Layout(cfg)
-    test = _load_split(layout, "test")
+    test = _load_split(cfg, "test")
     for sentence in test.sentences:  # before any cache is opened or request sent
         sentence.require_lemmas()
     gateway = dev = None
     try:
         for system in cfg.systems:
             if system.kind == BASELINE:
-                model = baseline_mod.read_model(layout.path("model"))
+                model = baseline_mod.read_model(cfg.path("model"))
                 predicted = [_unaligned(baseline_mod.predict(model, s)) for s in test.sentences]
                 for run in range(cfg.runs):
                     # Deterministic system: every run is the same honest pass.
-                    _write_system_run(layout, system.name, test, run, predicted)
+                    _write_system_run(cfg, system.name, test, run, predicted)
             elif system.kind == EXTERNAL:
                 for run in range(cfg.runs):
                     source = system.predictions[run if len(system.predictions) > 1 else 0]
                     slots = _read_slots(source, test)
                     predicted = [_unaligned(slots[s.id]) for s in test.sentences]
-                    _write_system_run(layout, system.name, test, run, predicted)
+                    _write_system_run(cfg, system.name, test, run, predicted)
             else:  # LLM, the one kind left: load_config refuses any other
                 if gateway is None:  # only LLM systems need the cache and the dev split
                     live = cfg.cache_mode == gateway_mod.LIVE  # live mode opens no cache
@@ -492,8 +479,8 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
                     gateway = gateway_mod.LlmGateway(
                         cfg.provider, cache, cfg.cache_mode, transport=transport
                     )
-                    dev = _load_split(layout, "dev")
-                _run_llm_system(layout, system, test, dev, gateway)
+                    dev = _load_split(cfg, "dev")
+                _run_llm_system(cfg, system, test, dev, gateway)
     finally:
         if gateway is not None and gateway.cache is not None:
             gateway.cache.close()
@@ -542,32 +529,30 @@ def _read_slots(path: Path, gold: corpus_mod.Corpus) -> dict[str, tuple[str | No
 def run_score(cfg: ExperimentConfig) -> list[eval_mod.EvalReport]:
     """Score every run of every system; write each run's exact tallies to
     runs.tsv and their means and stds to scores.tsv."""
-    layout = Layout(cfg)
-    test = _load_split(layout, "test")
+    test = _load_split(cfg, "test")
     reports = []
     for system in cfg.systems:
         scores = []
         for run in range(cfg.runs):
             keys = {"system": system.name, "split": test.name, "run": run}
-            slots = _read_slots(layout.path("predictions", **keys), test)
-            _, diag = read_diagnostics(layout.path("diagnostics", **keys))
+            slots = _read_slots(cfg.path("predictions", **keys), test)
+            _, diag = read_diagnostics(cfg.path("diagnostics", **keys))
             scores.append(eval_mod.score_run(slots, test, cfg.policy, diag))
         reports.append(eval_mod.EvalReport(system.name, test.name, tuple(scores)))
     meta = _meta(cfg, policy=cfg.policy)
-    artifact.publish(layout.path("runs"), [eval_mod.render_runs_tsv(reports, meta)])
+    artifact.publish(cfg.path("runs"), [eval_mod.render_runs_tsv(reports, meta)])
     meta["runs"] = str(cfg.runs)
-    artifact.publish(layout.path("scores"), [eval_mod.render_scores_tsv(reports, meta)])
+    artifact.publish(cfg.path("scores"), [eval_mod.render_scores_tsv(reports, meta)])
     return reports
 
 
 def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McNemarResult]]:
     """McNemar's test over configured system pairs, on one agreed run."""
-    layout = Layout(cfg)
-    test = _load_split(layout, "test")
+    test = _load_split(cfg, "test")
     keys = {"split": test.name, "run": cfg.mcnemar_run}
     vectors = {
         s.name: eval_mod.correctness_vector(
-            _read_slots(layout.path("predictions", system=s.name, **keys), test), test
+            _read_slots(cfg.path("predictions", system=s.name, **keys), test), test
         )
         for s in cfg.systems
     }
@@ -576,7 +561,7 @@ def run_compare(cfg: ExperimentConfig) -> list[tuple[str, str, str, eval_mod.McN
         for a, b in cfg.comparisons
     ]
     meta = _meta(cfg, run=str(cfg.mcnemar_run), alpha=str(cfg.alpha))
-    artifact.publish(layout.path("mcnemar"), [eval_mod.render_mcnemar_tsv(rows, meta, cfg.alpha)])
+    artifact.publish(cfg.path("mcnemar"), [eval_mod.render_mcnemar_tsv(rows, meta, cfg.alpha)])
     return rows
 
 
@@ -605,10 +590,9 @@ def _read_current(
 def run_report(cfg: ExperimentConfig) -> str:
     """Write report.txt from the tallies score and compare wrote; reads no
     prediction, diagnostics or split file."""
-    layout = Layout(cfg)
-    corpus = layout.split_name("test")
+    corpus = cfg.split_name("test")
     keys = [(s.name, corpus, str(run)) for s in cfg.systems for run in range(cfg.runs)]
-    tallies = _read_current(cfg, "score", layout.path("runs"), eval_mod.RUNS_COLUMNS, keys)
+    tallies = _read_current(cfg, "score", cfg.path("runs"), eval_mod.RUNS_COLUMNS, keys)
     reports = [
         eval_mod.EvalReport(s.name, corpus, tuple(
             eval_mod.RunScore.from_counts(*tallies[s.name, corpus, str(run)])
@@ -620,10 +604,10 @@ def run_report(cfg: ExperimentConfig) -> str:
     if cfg.comparisons:
         pairs = [(corpus, a, b) for a, b in cfg.comparisons]
         counts = _read_current(
-            cfg, "compare", layout.path("mcnemar"), eval_mod.MCNEMAR_COLUMNS, pairs, width=2
+            cfg, "compare", cfg.path("mcnemar"), eval_mod.MCNEMAR_COLUMNS, pairs, width=2
         )
         rows = [(*pair, eval_mod.mcnemar_counts(*counts[pair])) for pair in pairs]
     meta = _meta(cfg, corpus=cfg.corpus_name, language=cfg.language, policy=cfg.policy)
     text = eval_mod.render_report_text(reports, rows, meta, cfg.alpha)
-    artifact.publish(layout.path("report"), [text])  # beside runs.tsv
+    artifact.publish(cfg.path("report"), [text])  # beside runs.tsv
     return text

@@ -97,7 +97,6 @@ from lemmabench.experiment import (
     LLM,
     TSV,
     ExperimentConfig,
-    Layout,
     SystemSpec,
     _load_split,
     _meta,
@@ -469,7 +468,6 @@ def _oracle_evaluate(cfg, test, score_runs, mcnemar_run):
     """Each system's scores on score_runs and its McNemar correctness vector
     on mcnemar_run (None for none).  Each prediction file is read once, and
     only what is derived from it is kept."""
-    layout = Layout(cfg)
     runs = sorted({*score_runs, *([] if mcnemar_run is None else [mcnemar_run])})
     scores = {}
     vectors = {}
@@ -477,10 +475,10 @@ def _oracle_evaluate(cfg, test, score_runs, mcnemar_run):
         scores[system.name] = []
         for run in runs:
             keys = {"system": system.name, "split": test.name, "run": run}
-            _, blocks = read_predictions(layout.path("predictions", **keys))
+            _, blocks = read_predictions(cfg.path("predictions", **keys))
             slots = blocks_to_slots(blocks, test)
             if run in score_runs:
-                diag_path = layout.path("diagnostics", system=system.name, split=test.name, run=run)
+                diag_path = cfg.path("diagnostics", system=system.name, split=test.name, run=run)
                 diag = read_diagnostics(diag_path)[1] if diag_path.exists() else {}
                 scores[system.name].append(eval_mod.score_run(slots, test, cfg.policy, diag))
             if run == mcnemar_run:
@@ -492,7 +490,7 @@ def oracle_report_text(cfg):
     """report.txt as the earlier `report` stage rendered it: by scoring every
     run again from the prediction files and the test split.  (That stage also
     rewrote scores.tsv and mcnemar.tsv; this oracle writes nothing.)"""
-    test = _load_split(Layout(cfg), "test")
+    test = _load_split(cfg, "test")
     mcnemar_run = cfg.mcnemar_run if cfg.comparisons else None
     scores, vectors = _oracle_evaluate(cfg, test, range(cfg.runs), mcnemar_run)
     reports = [

@@ -19,7 +19,6 @@ from lemmabench.corpus import SplitSpec, corpus_stats, ingest_conllu, make_split
 from lemmabench.editscript import apply, build_inventory, induce, pair_scripts
 from lemmabench.evaluation import mcnemar, sentence_accuracy, word_accuracy
 from lemmabench.experiment import (
-    Layout,
     load_config,
     run_compare,
     run_induce,
@@ -323,24 +322,24 @@ def _run_replay_pipeline(config_path, out_dir):
     run_score(cfg)
     run_compare(cfg)
     run_report(cfg)
-    return Layout(cfg), transport.calls
+    return cfg, transport.calls
 
 
 def test_criterion_8_replay_reproducibility(fixtures_dir, tmp_path):
     config_path = fixtures_dir / "replay" / "config.json"
     start = time.perf_counter()
-    first_layout, first_calls = _run_replay_pipeline(config_path, tmp_path / "first")
-    second_layout, second_calls = _run_replay_pipeline(config_path, tmp_path / "second")
+    first_cfg, first_calls = _run_replay_pipeline(config_path, tmp_path / "first")
+    second_cfg, second_calls = _run_replay_pipeline(config_path, tmp_path / "second")
     elapsed = time.perf_counter() - start
 
     reports = ["scores.tsv", "mcnemar.tsv", "report.txt"]
     identical = all(
-        (first_layout.root / "reports" / name).read_bytes()
-        == (second_layout.root / "reports" / name).read_bytes()
+        (Path(first_cfg.out_dir) / "reports" / name).read_bytes()
+        == (Path(second_cfg.out_dir) / "reports" / name).read_bytes()
         for name in reports
     )
     frozen = all(
-        (first_layout.root / "reports" / name).read_bytes()
+        (Path(first_cfg.out_dir) / "reports" / name).read_bytes()
         == (fixtures_dir / "replay" / "expected" / name).read_bytes()
         for name in reports
     )

@@ -139,6 +139,18 @@ def test_verify_cache_exits_2_on_a_damaged_record(fixtures_dir, tmp_path, capsys
     assert "record does not match its sha256" in capsys.readouterr().err
 
 
+def test_verify_cache_exits_2_when_the_cache_dir_holds_no_log(fixtures_dir, tmp_path, capsys):
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    raw["cache_dir"] = str(tmp_path / "cahce")  # a typo
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), "utf-8")
+    assert main(["verify-cache", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: no response cache at {tmp_path / 'cahce' / 'log.tsv'}" in captured.err
+    assert not (tmp_path / "cahce").exists()
+
+
 def test_run_names_a_model_row_whose_script_has_a_field_of_the_wrong_type(
     cli_out, tmp_path, capsys
 ):

@@ -29,7 +29,6 @@ from lemmabench.errors import (
     TransportError,
 )
 from lemmabench.experiment import (
-    Layout,
     blocks_to_slots,
     load_config,
     run_compare,
@@ -761,7 +760,7 @@ def replay_out(fixtures_dir, tmp_path_factory):
     run_score(cfg)
     run_compare(cfg)
     run_report(cfg)
-    return cfg, Layout(cfg)
+    return cfg
 
 
 def test_train_baseline_refuses_pairs_file_of_another_induce_run(fixtures_dir, tmp_path):
@@ -774,42 +773,42 @@ def test_train_baseline_refuses_pairs_file_of_another_induce_run(fixtures_dir, t
         run_ingest(cfg)
         run_split(cfg)
         run_induce(cfg)
-    assert len(editscript.read_inventory(Layout(small).path("inventory"))) == len(
-        editscript.read_inventory(Layout(full).path("inventory"))
+    assert len(editscript.read_inventory(small.path("inventory"))) == len(
+        editscript.read_inventory(full.path("inventory"))
     )  # every label id of the copied file is in range: only the counts tell
-    Layout(full).path("pair_labels").write_bytes(Layout(small).path("pair_labels").read_bytes())
+    full.path("pair_labels").write_bytes(small.path("pair_labels").read_bytes())
     with pytest.raises(InventoryFormatError, match=r"es_fix\.pairs\.tsv: label \d+ covers"):
         run_train_baseline(full)
-    assert not Layout(full).path("model").exists()
+    assert not full.path("model").exists()
 
 
 def test_pipeline_writes_every_artifact(replay_out):
-    cfg, layout = replay_out
-    assert layout.path("corpus").exists()
+    cfg = replay_out
+    assert cfg.path("corpus").exists()
     for part in ("train", "dev", "test"):
-        assert layout.path(part).exists()
-    assert layout.path("manifest").exists()
-    assert layout.path("inventory").exists()
-    assert layout.path("pair_labels").exists()
-    assert layout.path("model").exists()
+        assert cfg.path(part).exists()
+    assert cfg.path("manifest").exists()
+    assert cfg.path("inventory").exists()
+    assert cfg.path("pair_labels").exists()
+    assert cfg.path("model").exists()
     for system in cfg.systems:
         for run in range(cfg.runs):
             keys = {"system": system.name, "split": "es_fix-test", "run": run}
-            assert layout.path("predictions", **keys).exists()
-            assert layout.path("diagnostics", **keys).exists()
-    assert layout.path("runs").exists()
-    assert layout.path("scores").exists()
-    assert layout.path("mcnemar").exists()
-    assert layout.path("report").exists()
+            assert cfg.path("predictions", **keys).exists()
+            assert cfg.path("diagnostics", **keys).exists()
+    assert cfg.path("runs").exists()
+    assert cfg.path("scores").exists()
+    assert cfg.path("mcnemar").exists()
+    assert cfg.path("report").exists()
 
 
 def test_pipeline_reports_match_frozen_expectations(replay_out, fixtures_dir):
-    _, layout = replay_out
+    cfg = replay_out
     expected = fixtures_dir / "replay" / "expected"
-    assert layout.path("runs").read_bytes() == (expected / "runs.tsv").read_bytes()
-    assert layout.path("scores").read_bytes() == (expected / "scores.tsv").read_bytes()
-    assert layout.path("mcnemar").read_bytes() == (expected / "mcnemar.tsv").read_bytes()
-    assert layout.path("report").read_bytes() == (expected / "report.txt").read_bytes()
+    assert cfg.path("runs").read_bytes() == (expected / "runs.tsv").read_bytes()
+    assert cfg.path("scores").read_bytes() == (expected / "scores.tsv").read_bytes()
+    assert cfg.path("mcnemar").read_bytes() == (expected / "mcnemar.tsv").read_bytes()
+    assert cfg.path("report").read_bytes() == (expected / "report.txt").read_bytes()
 
 
 # The sha256 of every file the replay pipeline writes.  The frozen reports
@@ -887,12 +886,12 @@ def test_no_stage_builds_tokens(fixtures_dir, tmp_path, monkeypatch):
 
 
 def test_artifacts_carry_no_absolute_paths_or_timestamps(replay_out, fixtures_dir):
-    _, layout = replay_out
-    files = sorted(path for path in layout.root.rglob("*") if path.is_file())
+    cfg = replay_out
+    files = sorted(path for path in Path(cfg.out_dir).rglob("*") if path.is_file())
     assert len(files) == len(PINNED_ARTIFACTS)
     for path in files:
         text = path.read_text("utf-8")
-        assert str(layout.root) not in text and str(fixtures_dir) not in text, path
+        assert cfg.out_dir not in text and str(fixtures_dir) not in text, path
         # no date (ISO 8601) or clock time sneaks into a header
         assert not re.search(r"\d{4}-\d{2}-\d{2}|\d{1,2}:\d{2}(:\d{2})?\b", text), path
 
@@ -901,8 +900,8 @@ def test_artifacts_carry_no_absolute_paths_or_timestamps(replay_out, fixtures_di
 def test_rerunning_a_stage_after_a_clean_build_changes_no_file(
     replay_out, fixtures_dir, tmp_path, stage
 ):
-    _, layout = replay_out
-    shutil.copytree(layout.root, tmp_path / "out")
+    cfg = replay_out
+    shutil.copytree(cfg.out_dir, tmp_path / "out")
     config = str(fixtures_dir / "replay" / "config.json")
     assert cli.main([stage, "--config", config, "--out", str(tmp_path / "out")]) == 0
     assert _digests(tmp_path / "out") == PINNED_ARTIFACTS
@@ -911,7 +910,7 @@ def test_rerunning_a_stage_after_a_clean_build_changes_no_file(
 def test_report_reads_each_run_once(replay_out, fixtures_dir, monkeypatch):
     # report renders from runs.tsv and mcnemar.tsv alone: it reads no
     # prediction, diagnostics or split file.
-    cfg, layout = replay_out
+    cfg = replay_out
     reads = []
     for module, name in (
         (experiment, "read_predictions"),
@@ -924,20 +923,20 @@ def test_report_reads_each_run_once(replay_out, fixtures_dir, monkeypatch):
     run_report(cfg)
     assert reads == []
     expected = fixtures_dir / "replay" / "expected"
-    assert layout.path("report").read_bytes() == (expected / "report.txt").read_bytes()
+    assert cfg.path("report").read_bytes() == (expected / "report.txt").read_bytes()
 
 
 def test_report_matches_the_rescoring_oracle(replay_out, fixtures_dir):
-    cfg, layout = replay_out
+    cfg = replay_out
     text = oracle_report_text(cfg)
-    assert text == layout.path("report").read_text("utf-8")
+    assert text == cfg.path("report").read_text("utf-8")
     expected = fixtures_dir / "replay" / "expected" / "report.txt"
     assert text.encode("utf-8") == expected.read_bytes()
 
 
 def test_each_report_artifact_has_one_writer(replay_out, tmp_path, monkeypatch):
-    cfg, layout = replay_out
-    shutil.copytree(layout.root, tmp_path / "out")
+    cfg = replay_out
+    shutil.copytree(cfg.out_dir, tmp_path / "out")
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
     written = []
     real = artifact.publish
@@ -965,10 +964,10 @@ def test_each_report_artifact_has_one_writer(replay_out, tmp_path, monkeypatch):
 def test_a_report_writer_that_fails_keeps_the_old_file_and_leaves_no_other(
     replay_out, tmp_path, disk_full, name, stage
 ):
-    cfg, layout = replay_out
-    shutil.copytree(layout.root, tmp_path / "out")
+    cfg = replay_out
+    shutil.copytree(cfg.out_dir, tmp_path / "out")
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
-    reports = Layout(cfg).path("report").parent
+    reports = cfg.path("report").parent
     (reports / name).write_bytes(b"previous bytes\n")
     before = sorted(path.name for path in reports.iterdir())
     disk_full(name)
@@ -981,11 +980,11 @@ def test_a_report_writer_that_fails_keeps_the_old_file_and_leaves_no_other(
 @pytest.fixture()
 def report_inputs(replay_out, tmp_path):
     """A copy of the replay fixture's reports/, for report to read."""
-    cfg, layout = replay_out
-    shutil.copytree(layout.root / "reports", tmp_path / "reports")
+    cfg = replay_out
+    shutil.copytree(Path(cfg.out_dir) / "reports", tmp_path / "reports")
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path))
-    Layout(cfg).path("report").unlink()
-    return cfg, Layout(cfg)
+    cfg.path("report").unlink()
+    return cfg
 
 
 def _edit(path, old, new):
@@ -996,37 +995,37 @@ def _edit(path, old, new):
 
 @pytest.mark.parametrize("table, stage", [("runs.tsv", "score"), ("mcnemar.tsv", "compare")])
 def test_report_refuses_a_table_of_another_config(report_inputs, table, stage):
-    cfg, layout = report_inputs
-    path = layout.root / "reports" / table
+    cfg = report_inputs
+    path = Path(cfg.out_dir) / "reports" / table
     _edit(path, f"# config_hash = {cfg.config_hash}\n", "# config_hash = 957dc2e0216e\n")
     stale = f"957dc2e0216e, not {cfg.config_hash}: re-run `{stage}`"
     with pytest.raises(ConfigError, match=stale):
         run_report(cfg)
-    assert not layout.path("report").exists()
+    assert not cfg.path("report").exists()
 
 
 def test_report_refuses_tallies_when_the_config_changed(report_inputs):
-    cfg, layout = report_inputs
+    cfg = report_inputs
     changed = dataclasses.replace(cfg, alpha=0.01, config_hash="0123456789ab")
     with pytest.raises(ConfigError, match=r"runs\.tsv .*: re-run `score`"):
         run_report(changed)
 
 
 def test_report_refuses_runs_without_a_configured_run(report_inputs):
-    cfg, layout = report_inputs
-    lines = layout.path("runs").read_text("utf-8").splitlines(keepends=True)
+    cfg = report_inputs
+    lines = cfg.path("runs").read_text("utf-8").splitlines(keepends=True)
     assert lines[-1].startswith("llm-full-0shot\tes_fix-test\t2\t")
-    layout.path("runs").write_text("".join(lines[:-1]), "utf-8")
+    cfg.path("runs").write_text("".join(lines[:-1]), "utf-8")
     missing = "no row for llm-full-0shot es_fix-test 2: re-run `score`"
     with pytest.raises(ConfigError, match=missing):
         run_report(cfg)
 
 
 def test_report_refuses_mcnemar_without_a_configured_comparison(report_inputs):
-    cfg, layout = report_inputs
-    lines = layout.path("mcnemar").read_text("utf-8").splitlines(keepends=True)
+    cfg = report_inputs
+    lines = cfg.path("mcnemar").read_text("utf-8").splitlines(keepends=True)
     assert lines[-2].startswith("es_fix-test\tbaseline\tllm-full-0shot\t")
-    layout.path("mcnemar").write_text("".join(lines[:-2] + lines[-1:]), "utf-8")
+    cfg.path("mcnemar").write_text("".join(lines[:-2] + lines[-1:]), "utf-8")
     with pytest.raises(
         ConfigError, match="no row for es_fix-test baseline llm-full-0shot: re-run `compare`"
     ):
@@ -1050,8 +1049,8 @@ _LAST_TEST = "es_fix-test\tllm-basic-4shot\tllm-full-0shot\t7\t7\texact\t7.00000
     ],
 )
 def test_report_names_a_bad_line(report_inputs, table, old, new, error):
-    cfg, layout = report_inputs
-    _edit(layout.root / "reports" / table, old, new)
+    cfg = report_inputs
+    _edit(Path(cfg.out_dir) / "reports" / table, old, new)
     with pytest.raises(FileFormatError, match=error):
         run_report(cfg)
 
@@ -1059,13 +1058,13 @@ def test_report_names_a_bad_line(report_inputs, table, old, new, error):
 def test_score_refuses_a_run_without_diagnostics(replay_out, tmp_path, capsys):
     # run always writes a .diag.json beside each prediction file; a run
     # without one is an error, not a run with no wrong or random words.
-    cfg, layout = replay_out
-    shutil.copytree(layout.root, tmp_path / "out", ignore=shutil.ignore_patterns("reports"))
+    cfg = replay_out
+    shutil.copytree(cfg.out_dir, tmp_path / "out", ignore=shutil.ignore_patterns("reports"))
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
-    Layout(cfg).path("diagnostics", system="llm-basic-4shot", split="es_fix-test", run=1).unlink()
+    cfg.path("diagnostics", system="llm-basic-4shot", split="es_fix-test", run=1).unlink()
     with pytest.raises(FileNotFoundError, match=r"llm-basic-4shot/es_fix-test\.run1\.diag"):
         run_score(cfg)
-    assert not Layout(cfg).path("runs").exists() and not Layout(cfg).path("scores").exists()
+    assert not cfg.path("runs").exists() and not cfg.path("scores").exists()
 
 
 # A torn file, a payload that is not an object, and objects without a
@@ -1101,14 +1100,14 @@ _BAD_DIAGNOSTICS = {
 def test_score_refuses_a_diagnostics_file_that_is_not_a_diagnostics_object(
     replay_out, tmp_path, damage
 ):
-    cfg, layout = replay_out
-    shutil.copytree(layout.root, tmp_path / "out", ignore=shutil.ignore_patterns("reports"))
+    cfg = replay_out
+    shutil.copytree(cfg.out_dir, tmp_path / "out", ignore=shutil.ignore_patterns("reports"))
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
-    path = Layout(cfg).path("diagnostics", system="baseline", split="es_fix-test", run=0)
+    path = cfg.path("diagnostics", system="baseline", split="es_fix-test", run=0)
     path.write_text(_BAD_DIAGNOSTICS[damage](path.read_text("utf-8")), "utf-8")
     with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: diagnostics are not"):
         run_score(cfg)
-    assert not Layout(cfg).path("runs").exists() and not Layout(cfg).path("scores").exists()
+    assert not cfg.path("runs").exists() and not cfg.path("scores").exists()
 
 
 # --- report against the re-scoring oracle on random tallies -----------------------
@@ -1144,11 +1143,10 @@ def _report_from_tallies(tallies, tests):
             for name, runs in tallies.items()
         ]
         rows = [(test_name, a, b, oracle_mcnemar(*counts)) for (a, b), counts in tests.items()]
-        layout = Layout(cfg)
-        layout.path("runs").parent.mkdir(parents=True)
+        cfg.path("runs").parent.mkdir(parents=True)
         meta = {"experiment": cfg.name, "config_hash": cfg.config_hash}
-        layout.path("runs").write_text(evaluation.render_runs_tsv(reports, meta), "utf-8")
-        layout.path("mcnemar").write_text(evaluation.render_mcnemar_tsv(rows, meta, cfg.alpha), "utf-8")
+        cfg.path("runs").write_text(evaluation.render_runs_tsv(reports, meta), "utf-8")
+        cfg.path("mcnemar").write_text(evaluation.render_mcnemar_tsv(rows, meta, cfg.alpha), "utf-8")
         text = run_report(cfg)
     meta.update(corpus=cfg.corpus_name, language=cfg.language, policy=cfg.policy)
     return text, evaluation.render_report_text(reports, rows, meta, cfg.alpha)
@@ -1204,16 +1202,16 @@ def test_report_stars_one_of_two_means_equal_to_four_decimals(total, share, swap
 def test_baseline_runs_are_identical(replay_out):
     from lemmabench.align import read_predictions
 
-    cfg, layout = replay_out
+    cfg = replay_out
     keys = {"system": "baseline", "split": "es_fix-test"}
-    _, run0 = read_predictions(layout.path("predictions", **keys, run=0))
-    _, run1 = read_predictions(layout.path("predictions", **keys, run=1))
+    _, run0 = read_predictions(cfg.path("predictions", **keys, run=0))
+    _, run1 = read_predictions(cfg.path("predictions", **keys, run=1))
     assert run0 == run1
 
 
 def test_report_text_names_all_systems(replay_out):
-    cfg, layout = replay_out
-    text = layout.path("report").read_text("utf-8")
+    cfg = replay_out
+    text = cfg.path("report").read_text("utf-8")
     for system in cfg.systems:
         assert system.name in text
     assert "McNemar's test" in text
@@ -1274,9 +1272,8 @@ def test_failed_request_scores_as_all_missing(tiny_experiment):
         return identity_transport(config, prompt)
 
     run_predictions(cfg, transport=flaky)
-    layout = Layout(cfg)
     metadata, blocks = __import__("lemmabench.align", fromlist=["read_predictions"]).read_predictions(
-        layout.path("predictions", system="llm-identity", split="tiny-test", run=0)
+        cfg.path("predictions", system="llm-identity", split="tiny-test", run=0)
     )
     assert metadata["failures"] == "1"
     assert blocks == [
@@ -1287,7 +1284,7 @@ def test_failed_request_scores_as_all_missing(tiny_experiment):
     from lemmabench.align import read_diagnostics
 
     keys = {"system": "llm-identity", "split": "tiny-test", "run": 0}
-    _, diag = read_diagnostics(layout.path("diagnostics", **keys))
+    _, diag = read_diagnostics(cfg.path("diagnostics", **keys))
     assert diag["tiny-0004"] == {"missing": 2, "wrong": 0, "random": 0, "incorrect": 0}
 
     reports = run_score(cfg)
@@ -1302,18 +1299,17 @@ def test_live_mode_opens_no_cache(tiny_experiment):
     cache_dir.mkdir()
     (cache_dir / "index.tsv").write_text("# cache-format = lemmabench-cache/1\n", "utf-8")  # refused if opened
     run_predictions(cfg, transport=identity_transport)
-    assert Layout(cfg).path("predictions", system="llm-identity", split="tiny-test", run=0).exists()
+    assert cfg.path("predictions", system="llm-identity", split="tiny-test", run=0).exists()
     assert [p.name for p in cache_dir.iterdir()] == ["index.tsv"]
 
 
 def test_external_predictions_are_normalized_with_ids(tiny_experiment):
     cfg = tiny_experiment
     run_predictions(cfg, transport=identity_transport)
-    layout = Layout(cfg)
     from lemmabench.align import read_predictions
 
     keys = {"system": "external-ref", "split": "tiny-test", "run": 0}
-    _, blocks = read_predictions(layout.path("predictions", **keys))
+    _, blocks = read_predictions(cfg.path("predictions", **keys))
     assert [sentence_id for sentence_id, _, _ in blocks] == ["tiny-0004", "tiny-0005"]
 
 
@@ -1324,7 +1320,7 @@ def test_report_stage_returns_rendered_text(tiny_experiment):
     run_compare(cfg)
     text = run_report(cfg)
     assert "llm-identity" in text and "external-ref" in text
-    assert Layout(cfg).path("report").read_text("utf-8") == text
+    assert cfg.path("report").read_text("utf-8") == text
 
 
 # --- the baseline path: induce once, train from the pair labels -----------------
@@ -1349,8 +1345,7 @@ def baseline_experiment(tmp_path):
 
 def test_pipeline_induces_each_distinct_pair_once(baseline_experiment, monkeypatch):
     cfg = baseline_experiment
-    layout = Layout(cfg)
-    train = ingest_tsv(layout.path("train"))
+    train = ingest_tsv(cfg.path("train"))
     calls = []
     real_induce = editscript.induce
 
@@ -1365,7 +1360,7 @@ def test_pipeline_induces_each_distinct_pair_once(baseline_experiment, monkeypat
     )
     calls.clear()
     # train-baseline neither reads the train split nor induces anything.
-    layout.path("train").unlink()
+    cfg.path("train").unlink()
     model = run_train_baseline(cfg)
     assert calls == []
     pairs = editscript.pair_scripts(train)
@@ -1376,7 +1371,7 @@ def test_baseline_only_run_leaves_the_dev_split_unread(baseline_experiment):
     cfg = baseline_experiment
     run_induce(cfg)
     run_train_baseline(cfg)
-    Layout(cfg).path("dev").unlink()
+    cfg.path("dev").unlink()
     run_predictions(cfg, transport=forbidden_transport)
     assert run_score(cfg)[0].runs[0].total == 2
 
@@ -1396,11 +1391,10 @@ def test_dev_diagnostics_count_only_annotated_tokens_as_incorrect(tmp_path):
     cfg = load_config(_write_config(tmp_path, raw))
     for stage in (run_ingest, run_split, run_induce, run_train_baseline):
         stage(cfg)
-    layout = Layout(cfg)
-    dev = layout.split_name("dev")
-    _, blocks = read_predictions(layout.path("predictions", system="baseline", split=dev, run=0))
+    dev = cfg.split_name("dev")
+    _, blocks = read_predictions(cfg.path("predictions", system="baseline", split=dev, run=0))
     assert blocks == [("toy-0002", ("gatos", "perros", "1"), ("gato", "perro", "1"))]
-    _, diag = read_diagnostics(layout.path("diagnostics", system="baseline", split=dev, run=0))
+    _, diag = read_diagnostics(cfg.path("diagnostics", system="baseline", split=dev, run=0))
     assert diag == {"toy-0002": {"missing": 0, "wrong": 0, "random": 0, "incorrect": 1}}
 
 
@@ -1428,15 +1422,14 @@ def test_hash_initial_wordform_survives_ingest_to_score(tmp_path):
     cfg = load_config(_write_config(tmp_path, raw))
     run_ingest(cfg)
     splits = run_split(cfg)
-    layout = Layout(cfg)
-    test = ingest_tsv(layout.path("test"))
+    test = ingest_tsv(cfg.path("test"))
     assert test.sentences[0].wordforms == ("We", "love", "#nlp", "!")
     assert test.sentences == splits["test"].sentences
     run_induce(cfg)
     run_train_baseline(cfg)
     run_predictions(cfg, transport=forbidden_transport)
     keys = {"system": "baseline", "split": "tweets-test", "run": 0}
-    _, blocks = read_predictions(layout.path("predictions", **keys))
+    _, blocks = read_predictions(cfg.path("predictions", **keys))
     _, wordforms, lemmas = blocks[0]
     assert (wordforms[2], lemmas[2]) == ("#nlp", "#nlp")
     assert run_score(cfg)[0].runs[0].total == 4

@@ -10,7 +10,8 @@ stage must:
 - open for reading under --out only the files its row reads;
 - open for writing under --out only publish's temporary files (.NAME.PID.tmp)
   beside the files its row writes, and rename only onto those files;
-- put in place each file name its row writes, at least once;
+- put in place each file name its row writes, first in the row's order
+  (score writes runs before scores), and no file twice;
 - open outside --out only the config, the source corpus, the response cache,
   external prediction or diagnostics files, the package's own files and
   files of the Python installation (a stage may import a module lazily).
@@ -59,11 +60,11 @@ def traced_build(fixtures_dir, tmp_path_factory):
     return config.resolve(), experiment.load_config(config, out_dir=out), events
 
 
-def _expand(layout, names) -> set[Path]:
-    """The paths of names for every system, split and run of the config."""
-    cfg = layout.cfg
+def _expand(cfg, names) -> dict[Path, str]:
+    """The paths of names for every system, split and run of the config, each
+    mapped to its name."""
     return {
-        layout.path(name, system=system.name, split=layout.split_name(part), run=run).resolve()
+        cfg.path(name, system=system.name, split=cfg.split_name(part), run=run).resolve(): name
         for name in names for system in cfg.systems
         for part in ("train", "dev", "test") for run in range(cfg.runs)
     }
@@ -88,9 +89,8 @@ def _outside(config: Path, cfg):
 def test_a_stage_opens_and_writes_only_the_files_its_row_declares(traced_build, stage):
     config, cfg, events = traced_build
     _, _, reads, writes = cli._STAGES[stage]
-    layout = experiment.Layout(cfg)
-    out = layout.root.resolve()
-    may_read, may_write = _expand(layout, reads), _expand(layout, writes)
+    out = Path(cfg.out_dir).resolve()
+    may_read, may_write = _expand(cfg, reads), _expand(cfg, writes)
     files, folders = _outside(config, cfg)
     for path, writing in _opens(events[stage]):
         if not path.is_relative_to(out):
@@ -104,8 +104,10 @@ def test_a_stage_opens_and_writes_only_the_files_its_row_declares(traced_build, 
             )
         else:
             assert path in may_read, f"{stage} read {path}, which its row does not name"
-    placed = {Path(os.fsdecode(args[1])).resolve() for event, args in events[stage]
-              if event == "os.rename"}
-    assert placed <= may_write, f"{stage} put {sorted(placed - may_write)} in place"
-    for name in writes:
-        assert placed & _expand(layout, [name]), f"{stage} never wrote its {name}"
+    placed = [Path(os.fsdecode(args[1])).resolve() for event, args in events[stage]
+              if event == "os.rename"]
+    stray = [path for path in placed if path not in may_write]
+    assert not stray, f"{stage} put {stray} in place"
+    assert len(set(placed)) == len(placed), f"{stage} put a file in place twice"
+    first_placed = list(dict.fromkeys(may_write[path] for path in placed))
+    assert first_placed == list(writes), f"{stage} first put in place {first_placed}"

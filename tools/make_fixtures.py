@@ -448,8 +448,8 @@ def make_replay_fixture():
         experiment.run_induce(cfg)
         experiment.run_train_baseline(cfg)
 
-        dev = ingest_tsv(Path(tmp) / "splits" / "es_fix-dev.tsv", "es_fix-dev")
-        test = ingest_tsv(Path(tmp) / "splits" / "es_fix-test.tsv", "es_fix-test")
+        dev = ingest_tsv(cfg.path("dev"), cfg.split_name("dev"))
+        test = ingest_tsv(cfg.path("test"), cfg.split_name("test"))
         cache = ResponseCache(replay_dir / "cache")
         recorder = LlmGateway(cfg.provider, cache, mode=RECORD, transport=sim)
         for system in cfg.systems:
@@ -473,15 +473,13 @@ def make_replay_fixture():
 
         expected = replay_dir / "expected"
         expected.mkdir()
-        for name in ("runs.tsv", "scores.tsv", "mcnemar.tsv", "report.txt"):
-            shutil.copyfile(Path(tmp) / "reports" / name, expected / name)
+        for name in ("runs", "scores", "mcnemar", "report"):
+            shutil.copyfile(cfg.path(name), expected / cfg.path(name).name)
 
         diag_dir = FIXTURES / "diagnostics"
         diag_dir.mkdir(exist_ok=True)
-        shutil.copyfile(
-            Path(tmp) / "predictions" / "baseline" / "es_fix-dev.run0.diag.json",
-            diag_dir / "es_fix-dev.diag.json",
-        )
+        keys = {"system": experiment.BASELINE, "split": cfg.split_name("dev"), "run": 0}
+        shutil.copyfile(cfg.path("diagnostics", **keys), diag_dir / "es_fix-dev.diag.json")
 
 
 def main():
