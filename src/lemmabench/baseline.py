@@ -116,9 +116,9 @@ def write_model(model: BaselineModel, path: str | Path) -> None:
 
 
 def read_model(path: str | Path) -> BaselineModel:
-    """A row that is not form|suffix<TAB>key<TAB>script, or a
-    max_suffix_len header that is not an integer, is a ModelFormatError
-    naming the file and line."""
+    """A row that is not form|suffix<TAB>key<TAB>script, a second row for
+    the same table and key, or a max_suffix_len header that is not an
+    integer, is a ModelFormatError naming the file and line."""
     model = BaselineModel()
     tables = {"form": model.form_table, "suffix": model.suffix_table}
     scripts: dict[str, EditScript] = {}  # each distinct script is decoded once
@@ -129,6 +129,8 @@ def read_model(path: str | Path) -> BaselineModel:
             raise ValueError(f"table {table!r} is not form or suffix")
         if encoded not in scripts:
             scripts[encoded] = EditScript.decode(encoded)
+        if key in tables[table]:
+            raise ValueError(f"repeats the {table} row for {key!r}")
         tables[table][key] = scripts[encoded]
 
     headers = {"max_suffix_len": lambda value: artifact.natural(value, "max_suffix_len")}

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import astuple, dataclass, fields
+from operator import eq
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,20 +32,18 @@ EXACT_THRESHOLD = 25  # discordant pairs below this use the exact binomial
 LemmaSlots = Mapping[str, Sequence[str | None]]
 
 
-def _token_outcomes(predictions: LemmaSlots, gold: Corpus) -> list[list[bool | None]]:
-    """Per gold sentence, one entry per token: True/False, None = missing."""
-    outcomes: list[list[bool | None]] = []
+def _checked(predictions: LemmaSlots, gold: Corpus):
+    """(sentence, slots) per gold sentence, in corpus order, once the
+    sentence has a prediction with one slot per token and gold lemmas."""
     for sentence in gold.sentences:
         if sentence.id not in predictions:
             raise ScoringError(f"no prediction for sentence {sentence.id}")
         slots = predictions[sentence.id]
         if len(slots) != len(sentence):
-            raise ScoringError(
-                f"{sentence.id}: {len(slots)} lemma slots for {len(sentence)} tokens"
-            )
+            message = f"{sentence.id}: {len(slots)} lemma slots for {len(sentence)} tokens"
+            raise ScoringError(message)
         sentence.require_lemmas()
-        outcomes.append([None if p is None else p == g for p, g in zip(slots, sentence.lemmas)])
-    return outcomes
+        yield sentence, slots
 
 
 def word_accuracy(predictions: LemmaSlots, gold: Corpus, policy: str = STRICT) -> float:
@@ -59,7 +58,8 @@ def sentence_accuracy(predictions: LemmaSlots, gold: Corpus) -> float:
 
 def correctness_vector(predictions: LemmaSlots, gold: Corpus) -> list[bool]:
     """Strict per-word correctness in corpus order (missing counts as wrong)."""
-    return [o is True for row in _token_outcomes(predictions, gold) for o in row]
+    return [hit for sentence, slots in _checked(predictions, gold)
+            for hit in map(eq, slots, sentence.lemmas)]
 
 
 def aggregate_runs(values: Sequence[float]) -> tuple[float, float]:
@@ -109,10 +109,9 @@ def mcnemar_counts(b01: int, b10: int) -> McNemarResult:
 
 @dataclass(frozen=True)
 class RunScore:
-    """Scores plus error tallies for one system on one corpus, one run."""
+    """One system's exact tallies on one corpus, one run: the count columns
+    of runs.tsv.  Both accuracies are derived from them."""
 
-    word_accuracy: float
-    sentence_accuracy: float
     correct: int
     total: int
     correct_sentences: int
@@ -121,16 +120,13 @@ class RunScore:
     wrong: int
     random: int
 
-    @classmethod
-    def from_counts(cls, *counts: int) -> RunScore:
-        """A run from its tallies, in field order from correct to random; the
-        only place word and sentence accuracy are derived."""
-        correct, total, correct_sentences, sentences = counts[:4]
-        return cls(
-            correct / total if total else 0.0,
-            correct_sentences / sentences if sentences else 0.0,
-            *counts,
-        )
+    @property
+    def word_accuracy(self) -> float:
+        return self.correct / self.total if self.total else 0.0
+
+    @property
+    def sentence_accuracy(self) -> float:
+        return self.correct_sentences / self.sentences if self.sentences else 0.0
 
 
 @dataclass(frozen=True)
@@ -160,34 +156,36 @@ def score_run(
 ) -> RunScore:
     """Score one run: count correct words and sentences against the gold.
 
-    wrong/random tallies come from alignment diagnostics, whose every entry
-    must name a gold sentence.
+    wrong/random tallies come from alignment diagnostics, which need an
+    entry of integer wrong and random counts for every gold sentence and
+    none for another id; without diagnostics both are 0.
     """
     if policy not in POLICIES:
         raise ScoringError(f"unknown missing-word policy {policy!r}")
-    by_sentence = _token_outcomes(predictions, gold)
-    outcomes = [o for row in by_sentence for o in row]
-    scored = [o for o in outcomes if o is not None] if policy == RENORMALIZE else outcomes
-    correct = sum(o is True for o in scored)
-    total = len(scored)
-    correct_sentences = sum(all(o is True for o in row) for row in by_sentence)
-    wrong = rand = 0
+    correct = total = correct_sentences = missing = wrong = rand = 0
+    for sentence, slots in _checked(predictions, gold):
+        hits, holes = sum(map(eq, slots, sentence.lemmas)), slots.count(None)
+        correct += hits
+        total += len(slots) - holes if policy == RENORMALIZE else len(slots)
+        correct_sentences += hits == len(slots)
+        missing += holes
+        if diagnostics is not None:
+            counts = diagnostics.get(sentence.id, {})
+            if not all(type(counts.get(key)) is int for key in ("wrong", "random")):
+                raise ScoringError(f"diagnostics have no wrong and random counts for {sentence.id}")
+            wrong, rand = wrong + counts["wrong"], rand + counts["random"]
     gold_ids = {sentence.id for sentence in gold.sentences}
-    for sentence_id, counts in (diagnostics or {}).items():
+    for sentence_id in diagnostics or {}:
         if sentence_id not in gold_ids:
             raise ScoringError(f"diagnostics have an entry for {sentence_id}, no gold sentence")
-        wrong, rand = wrong + counts.get("wrong", 0), rand + counts.get("random", 0)
-    missing = sum(o is None for o in outcomes)
-    return RunScore.from_counts(
-        correct, total, correct_sentences, len(gold.sentences), missing, wrong, rand
-    )
+    return RunScore(correct, total, correct_sentences, len(gold.sentences), missing, wrong, rand)
 
 
 SCORES_COLUMNS = tuple(
     "system corpus runs word_acc_mean word_acc_std sent_acc_mean sent_acc_std"
     " missing_mean wrong_mean random_mean".split()
 )
-RUNS_COLUMNS = ("system", "corpus", "run", *(f.name for f in fields(RunScore)[2:]))
+RUNS_COLUMNS = ("system", "corpus", "run", *(f.name for f in fields(RunScore)))
 MCNEMAR_COLUMNS = tuple(
     "corpus system_a system_b b01 b10 method statistic p_value significant".split()
 )
@@ -210,7 +208,7 @@ def render_runs_tsv(reports: Sequence[EvalReport], metadata: Mapping[str, str]) 
     """One row of exact tallies per (system, run), correct to random; every
     mean and std of scores.tsv and report.txt is a function of them."""
     return _render_table(metadata, RUNS_COLUMNS, (
-        (r.system, r.corpus, run, *astuple(score)[2:])
+        (r.system, r.corpus, run, *astuple(score))
         for r in reports for run, score in enumerate(r.runs)
     ))
 
@@ -264,23 +262,17 @@ def render_report_text(
     metadata: Mapping[str, str],
     alpha: float = 0.05,
 ) -> str:
-    """Human-readable summary; '*' marks the best word accuracy per corpus."""
-    lines = ["Lemmatization report", "=" * 20, ""]
-    for key, value in metadata.items():
-        lines.append(f"{key}: {value}")
+    """Human-readable summary of the reports of one test split; '*' marks
+    the best word accuracy."""
+    lines = ["Lemmatization report", "=" * 20, "", *(f"{k}: {v}" for k, v in metadata.items())]
     if metadata:
         lines.append("")
 
-    by_corpus: dict[str, list[EvalReport]] = {}
-    for report in reports:
-        by_corpus.setdefault(report.corpus, []).append(report)
-
-    for corpus in sorted(by_corpus):
-        group = by_corpus[corpus]
-        best = max(r.word_stats()[0] for r in group)
-        lines.append(f"Corpus: {corpus}")
+    if reports:  # all of one test split
+        best = max(r.word_stats()[0] for r in reports)
+        lines.append(f"Corpus: {reports[0].corpus}")
         lines.append(f"{'system':<28}{'word acc':>18}{'sent acc':>18}{'runs':>6}")
-        for report in group:
+        for report in reports:
             w_mean, w_std = report.word_stats()
             s_mean, s_std = report.sentence_stats()
             marker = " *" if w_mean == best else ""

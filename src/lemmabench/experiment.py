@@ -595,7 +595,7 @@ def run_report(cfg: ExperimentConfig) -> str:
     tallies = _read_current(cfg, "score", cfg.path("runs"), eval_mod.RUNS_COLUMNS, keys)
     reports = [
         eval_mod.EvalReport(s.name, corpus, tuple(
-            eval_mod.RunScore.from_counts(*tallies[s.name, corpus, str(run)])
+            eval_mod.RunScore(*tallies[s.name, corpus, str(run)])
             for run in range(cfg.runs)
         ))
         for s in cfg.systems

@@ -276,7 +276,6 @@ class LlmGateway:
         cache: ResponseCache | None = None,
         mode: str = RECORD,
         transport: Transport | None = None,
-        rng: random.Random | None = None,
     ):
         if mode not in CACHE_MODES:
             raise ConfigError(f"unknown gateway mode {mode!r}")
@@ -286,7 +285,6 @@ class LlmGateway:
         self.cache = cache
         self.mode = mode
         self.transport = transport if transport is not None else http_transport
-        self._rng = rng or random.Random()
 
     def _call_with_retries(self, prompt: str) -> str:
         for attempt in count():
@@ -296,7 +294,7 @@ class LlmGateway:
                 if not exc.retryable or attempt >= self.config.max_retries:
                     raise
                 delay = self.config.retry_backoff * (2**attempt)
-                time.sleep(delay + self._rng.uniform(0, delay / 2))
+                time.sleep(delay + random.uniform(0, delay / 2))
 
     def complete(
         self, prompt: str, run_index: int = 0, prefix=None, *, log: bool = True

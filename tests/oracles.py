@@ -26,9 +26,10 @@ functions are the TSV artifact readers as they were before
 lemmabench.artifact, each with its own loop; the corpus ones still build
 one Token per token, as the reader did before a Sentence stored its
 wordforms and lemmas as two columns, and refuse a repeated sentence id as
-the reader does now; oracle_load_config is load_config with its per-type
-helpers as they were before one _SCHEMA table and one walker checked every
-key; _read_blocks, with _read_canonical, _pieces and the line loop
+the reader does now, as oracle_read_model refuses a repeated (table, key)
+row as read_model does now; oracle_load_config is load_config with its
+per-type helpers as they were before one _SCHEMA table and one walker
+checked every key; _read_blocks, with _read_canonical, _pieces and the line loop
 _read_corpus, is the sentence-block reader as it was before it read each
 file once and sent only a refused block line by line; and
 oracle_read_prediction_blocks and oracle_blocks_to_slots are the
@@ -36,7 +37,10 @@ prediction read path before its rows followed the corpus TSV rule and
 anonymous blocks went through the loop that checks named ones;
 oracle_complete and oracle_run_batch are the gateway's batch as it was
 before its worker threads left the cache appends to the calling thread
-and replay ran without a pool.
+and replay ran without a pool; and oracle_score_run is score_run as it
+was before it counted each sentence's slots in place of building a
+True/False/None outcome per token, and before it required diagnostics
+to cover every gold sentence.
 """
 
 import dataclasses
@@ -505,13 +509,55 @@ def oracle_report_text(cfg):
     return eval_mod.render_report_text(reports, rows, meta, cfg.alpha)
 
 
-def oracle_run_score(correct, total, correct_sentences, sentences, missing, wrong, random):
-    """A RunScore whose accuracies are the exact ratios of its tallies, each
-    rounded once to the nearest float."""
-    return eval_mod.RunScore(
+def oracle_accuracies(correct, total, correct_sentences, sentences, missing, wrong, random):
+    """Word and sentence accuracy as the exact ratios of a run's tallies,
+    each rounded once to the nearest float."""
+    return (
         float(Fraction(correct, total)) if total else 0.0,
         float(Fraction(correct_sentences, sentences)) if sentences else 0.0,
-        correct, total, correct_sentences, sentences, missing, wrong, random,
+    )
+
+
+def _oracle_token_outcomes(predictions, gold: Corpus) -> list[list[bool | None]]:
+    """Per gold sentence, one entry per token: True/False, None = missing."""
+    outcomes: list[list[bool | None]] = []
+    for sentence in gold.sentences:
+        if sentence.id not in predictions:
+            raise ScoringError(f"no prediction for sentence {sentence.id}")
+        slots = predictions[sentence.id]
+        if len(slots) != len(sentence):
+            raise ScoringError(
+                f"{sentence.id}: {len(slots)} lemma slots for {len(sentence)} tokens"
+            )
+        sentence.require_lemmas()
+        outcomes.append([None if p is None else p == g for p, g in zip(slots, sentence.lemmas)])
+    return outcomes
+
+
+def oracle_score_run(predictions, gold: Corpus, policy=eval_mod.STRICT, diagnostics=None):
+    """(word accuracy, sentence accuracy, correct, total, correct sentences,
+    sentences, missing, wrong, random) of one run, scored by per-token
+    outcome lists."""
+    if policy not in eval_mod.POLICIES:
+        raise ScoringError(f"unknown missing-word policy {policy!r}")
+    by_sentence = _oracle_token_outcomes(predictions, gold)
+    outcomes = [o for row in by_sentence for o in row]
+    scored = [o for o in outcomes if o is not None] if policy == eval_mod.RENORMALIZE else outcomes
+    correct = sum(o is True for o in scored)
+    total = len(scored)
+    correct_sentences = sum(all(o is True for o in row) for row in by_sentence)
+    wrong = rand = 0
+    gold_ids = {sentence.id for sentence in gold.sentences}
+    for sentence_id, counts in (diagnostics or {}).items():
+        if sentence_id not in gold_ids:
+            raise ScoringError(f"diagnostics have an entry for {sentence_id}, no gold sentence")
+        wrong, rand = wrong + counts.get("wrong", 0), rand + counts.get("random", 0)
+    missing = sum(o is None for o in outcomes)
+    sentences = len(gold.sentences)
+    return (
+        correct / total if total else 0.0,
+        correct_sentences / sentences if sentences else 0.0,
+        correct, total, correct_sentences, sentences, missing, wrong, rand,
     )
 
 
@@ -912,9 +958,12 @@ def oracle_read_model(path):
                 raise ModelFormatError(path, line_no, "expected form|suffix<TAB>key<TAB>script")
             table_name, key, encoded = fields
             try:
-                tables[table_name][key] = EditScript.decode(encoded)
+                script = EditScript.decode(encoded)
             except (ValueError, TypeError) as exc:
                 raise ModelFormatError(path, line_no, f"script does not decode: {exc}") from exc
+            if key in tables[table_name]:
+                raise ModelFormatError(path, line_no, f"repeats the {table_name} row for {key!r}")
+            tables[table_name][key] = script
     return model
 
 

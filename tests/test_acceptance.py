@@ -10,11 +10,9 @@ import random
 import time
 from pathlib import Path
 
-import pytest
-
 import lemmabench.evaluation as eval_mod
 from lemmabench.align import align, parse_output
-from lemmabench.baseline import predict, predict_identity, read_model, train
+from lemmabench.baseline import predict, predict_identity, train
 from lemmabench.corpus import SplitSpec, corpus_stats, ingest_conllu, make_splits, reduce_corpus
 from lemmabench.editscript import apply, build_inventory, induce, pair_scripts
 from lemmabench.evaluation import mcnemar, sentence_accuracy, word_accuracy

@@ -245,6 +245,18 @@ def test_read_model_names_a_bad_row(tmp_path, row):
         read_model(path)
 
 
+def test_read_model_refuses_a_repeated_row(tmp_path):
+    # A second form row for "," used to replace the first row's script.
+    path = tmp_path / "model.tsv"
+    write_model(BaselineModel({",": IDENTITY}, {",": IDENTITY}), path)
+    assert read_model(path).form_table == {",": IDENTITY}  # one key in two tables reads
+    line_no = len(path.read_text("utf-8").splitlines()) + 1
+    path.write_text(path.read_text("utf-8") + 'form\t,\t["preserve",0,"",0,"r"]\n', "utf-8")
+    message = rf"model\.tsv:{line_no}: repeats the form row for ','$"
+    with pytest.raises(ModelFormatError, match=message):
+        read_model(path)
+
+
 def test_read_model_names_a_bad_max_suffix_len(tmp_path):
     path = tmp_path / "model.tsv"
     write_model(_fit(_train_corpus()), path)

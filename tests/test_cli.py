@@ -435,6 +435,28 @@ def test_score_with_diagnostics_of_no_test_sentence_exits_2_naming_it(scored_out
     assert "error: diagnostics have an entry for es_fix-0099, no gold sentence" in err
 
 
+@pytest.mark.parametrize("drop", ["all", "random"])
+def test_score_with_diagnostics_that_miss_a_test_sentence_exits_2_naming_it(
+    scored_out, capsys, drop
+):
+    # With "sentences" emptied, score used to exit 0 and write wrong_mean 2.3
+    # and random_mean 10.0 for llm-basic-4shot in place of 3.7 and 18.7.
+    config, out = scored_out
+    path = out / "predictions" / "llm-basic-4shot" / "es_fix-test.run0.diag.json"
+    payload = json.loads(path.read_text("utf-8"))
+    if drop == "all":
+        payload["sentences"] = {}
+        first = ingest_tsv(out / "splits" / "es_fix-test.tsv", "es_fix-test").sentences[0].id
+    else:
+        first = "es_fix-0060"
+        del payload["sentences"][first]["random"]
+    path.write_text(json.dumps(payload), "utf-8")
+    capsys.readouterr()
+    assert _run(config, out, "score") == 2
+    err = capsys.readouterr().err
+    assert f"error: diagnostics have no wrong and random counts for {first}\n" in err
+
+
 # The summary each subcommand prints on the replay fixture, in stage order;
 # <out> and <fixtures> stand for the output and fixture directories.
 _STAGE_STDOUT = """\

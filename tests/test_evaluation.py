@@ -1,7 +1,9 @@
 """Metrics against brute-force oracles; McNemar against exact enumeration."""
 
+import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 from lemmabench.errors import MissingLemmaError, ScoringError
 from lemmabench.evaluation import (
     EXACT_THRESHOLD,
+    POLICIES,
     RENORMALIZE,
+    RUNS_COLUMNS,
     STRICT,
     EvalReport,
     RunScore,
@@ -27,6 +31,7 @@ from lemmabench.evaluation import (
 
 from conftest import corpus, sentence
 from oracles import exact_mcnemar_p as exact_oracle_p
+from oracles import oracle_score_run
 from oracles import random_eval_case as random_case
 
 
@@ -225,18 +230,111 @@ def test_score_run_refuses_diagnostics_of_no_gold_sentence():
         score_run({"g-0000": ("A",)}, gold, "strict", diagnostics)
 
 
-def _report(system="sys", corpus_name="demo", accs=(0.9, 0.95)):
-    runs = tuple(
-        RunScore(a, a / 2, 0, 0, 0, 0, missing=2, wrong=1, random=4) for a in accs
-    )
+def test_score_run_refuses_diagnostics_that_miss_a_gold_sentence():
+    # Summing the entries present used to score the first case wrong=0, random=2.
+    gold = _gold()
+    predictions = {"toy-0000": ["el", None], "toy-0001": ["wrong", "."]}
+    complete = {"toy-0000": {"wrong": 0, "random": 2}, "toy-0001": {"wrong": 1, "random": 0}}
+    for sentence_id, diagnostics in [
+        ("toy-0001", {"toy-0000": complete["toy-0000"]}),
+        ("toy-0000", {**complete, "toy-0000": {"wrong": 0}}),
+        ("toy-0001", {**complete, "toy-0001": {"wrong": 1, "random": True}}),
+    ]:
+        message = f"^diagnostics have no wrong and random counts for {sentence_id}$"
+        with pytest.raises(ScoringError, match=message):
+            score_run(predictions, gold, STRICT, diagnostics)
+    score = score_run(predictions, gold, STRICT, complete)
+    assert (score.missing, score.wrong, score.random) == (1, 1, 2)
+    score = score_run(predictions, gold, STRICT)  # no diagnostics: no wrong or random rows
+    assert (score.missing, score.wrong, score.random) == (1, 0, 0)
+
+
+@st.composite
+def _scoring_cases(draw):
+    """A small gold corpus (now and then a token without a lemma), slots
+    that are None, the gold lemma or another lemma (now and then a sentence
+    without a prediction or with a slot too many), a policy, and
+    diagnostics that are absent, complete, missing a count or an entry, or
+    complete plus an entry for an unknown id."""
+    sentences, predictions = [], {}
+    for i in range(draw(st.integers(0, 4))):
+        lemmas = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=5))
+        if draw(st.sampled_from([False] * 19 + [True])):
+            lemmas[draw(st.integers(0, len(lemmas) - 1))] = None
+        sid = f"g-{i:04d}"
+        sentences.append(sentence(sid, *((f"w{t}", lemma) for t, lemma in enumerate(lemmas))))
+        slots = [draw(st.sampled_from([None, lemma, f"{lemma}x"])) for lemma in lemmas]
+        shape = draw(st.sampled_from(["slots"] * 18 + ["absent", "one too many"]))
+        if shape != "absent":
+            predictions[sid] = slots + ["a"] if shape == "one too many" else slots
+    gold = corpus("g", *sentences)
+    diagnostics = None
+    kind = draw(st.sampled_from(["absent", "complete", "unknown id", "short"]))
+    if kind != "absent":
+        count = st.integers(0, 3)
+        diagnostics = {s.id: {"wrong": draw(count), "random": draw(count)} for s in sentences}
+    if kind == "unknown id":
+        diagnostics["dev-0099"] = {"wrong": 5, "random": 7}
+    if kind == "short" and sentences:
+        sid = draw(st.sampled_from([s.id for s in sentences]))
+        del diagnostics[sid][draw(st.sampled_from(["wrong", "random"]))]
+        if draw(st.booleans()):
+            del diagnostics[sid]
+    return gold, predictions, draw(st.sampled_from(POLICIES)), diagnostics
+
+
+def _outcome(score, *args):
+    try:
+        return score(*args)
+    except (ScoringError, MissingLemmaError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scoring_cases())
+def test_score_run_matches_the_per_token_oracle(case):
+    gold, predictions, policy, diagnostics = case
+    new = _outcome(score_run, predictions, gold, policy, diagnostics)
+    if isinstance(new, RunScore):
+        new = (new.word_accuracy, new.sentence_accuracy, *dataclasses.astuple(new))
+    old = _outcome(oracle_score_run, predictions, gold, policy, diagnostics)
+    uncovered = [
+        s.id for s in gold.sentences
+        if diagnostics is not None and {"wrong", "random"} - set(diagnostics.get(s.id, {}))
+    ]
+    if new != old:  # the one departure: diagnostics that miss a gold sentence
+        assert uncovered
+        message = f"diagnostics have no wrong and random counts for {uncovered[0]}"
+        assert new == (ScoringError, message)
+    else:  # and such diagnostics never give a score
+        assert not uncovered or isinstance(old[0], type)
+
+
+def _report(system="sys", corpus_name="demo", correct=(90, 95)):
+    """Runs of 100 words and 10 sentences, with missing=2, wrong=1, random=4."""
+    runs = tuple(RunScore(c, 100, c // 20, 10, missing=2, wrong=1, random=4) for c in correct)
     return EvalReport(system, corpus_name, runs)
 
 
 def test_report_stats():
-    report = _report(accs=(0.9, 0.95))
+    report = _report(correct=(90, 95))
+    for run in report.runs:
+        assert run.word_accuracy == float(Fraction(run.correct, run.total))
+        assert run.sentence_accuracy == float(Fraction(run.correct_sentences, run.sentences))
     mean, std = report.word_stats()
     assert math.isclose(mean, 0.925) and math.isclose(std, 0.025)
     assert report.mean_errors() == (2.0, 1.0, 4.0)
+
+
+def test_run_score_is_the_count_columns_of_runs_tsv():
+    score = RunScore(3, 4, 1, 2, 1, 0, 5)
+    assert tuple(f.name for f in dataclasses.fields(RunScore)) == RUNS_COLUMNS[3:]
+    assert (score.word_accuracy, score.sentence_accuracy) == (0.75, 0.5)
+    empty = RunScore(0, 0, 0, 0, 0, 0, 0)
+    assert (empty.word_accuracy, empty.sentence_accuracy) == (0.0, 0.0)
+    for name in ("word_accuracy", "sentence_accuracy"):
+        with pytest.raises(AttributeError):
+            setattr(score, name, 1.0)
 
 
 def test_render_scores_tsv_shape():
@@ -261,7 +359,7 @@ def test_render_mcnemar_tsv_shape():
 
 
 def test_render_report_marks_best_system():
-    reports = [_report("weak", accs=(0.8, 0.8)), _report("strong", accs=(0.99, 0.99))]
+    reports = [_report("weak", correct=(80, 80)), _report("strong", correct=(99, 99))]
     text = render_report_text(reports, [], {"experiment": "demo"})
     assert "strong *" in text
     assert "weak *" not in text

@@ -43,12 +43,12 @@ from lemmabench.experiment import (
 
 from conftest import corpus, sentence
 from oracles import (
+    oracle_accuracies,
     oracle_blocks_to_slots,
     oracle_load_config,
     oracle_mcnemar,
     oracle_read_prediction_blocks,
     oracle_report_text,
-    oracle_run_score,
 )
 
 
@@ -1139,9 +1139,12 @@ def _report_from_tallies(tallies, tests):
         cfg = load_config(_write_config(Path(tmp), raw))
         test_name = f"{cfg.corpus_name}-test"
         reports = [
-            evaluation.EvalReport(name, test_name, tuple(oracle_run_score(*t) for t in runs))
+            evaluation.EvalReport(name, test_name, tuple(evaluation.RunScore(*t) for t in runs))
             for name, runs in tallies.items()
         ]
+        for report in reports:  # each accuracy is its exact ratio, rounded once
+            for score, counts in zip(report.runs, tallies[report.system]):
+                assert (score.word_accuracy, score.sentence_accuracy) == oracle_accuracies(*counts)
         rows = [(test_name, a, b, oracle_mcnemar(*counts)) for (a, b), counts in tests.items()]
         cfg.path("runs").parent.mkdir(parents=True)
         meta = {"experiment": cfg.name, "config_hash": cfg.config_hash}
