@@ -13,7 +13,7 @@ import sys
 from collections.abc import Iterator
 
 from . import experiment, gateway
-from .errors import ConfigError, LemmabenchError
+from .errors import LemmabenchError
 from .experiment import ExperimentConfig
 
 # Each stage function runs one stage and yields its summary lines.  It calls
@@ -69,10 +69,8 @@ def _report(cfg: ExperimentConfig) -> Iterator[str]:
 
 
 def _verify_cache(cfg: ExperimentConfig) -> Iterator[str]:
-    cache = gateway.ResponseCache(cfg.cache_dir)  # loading checks every digest
+    cache = experiment.open_cache(cfg, must_hold_log=True)
     cache.close()
-    if not cache.log_path.exists():  # a cache_dir that names no cache, say a typo
-        raise ConfigError(f"no response cache at {cache.log_path}: check cache_dir")
     yield f"{len(cache)} records sound -> {cache.log_path}"
 
 

@@ -505,6 +505,15 @@ def _run_llm_system(
         _write_system_run(cfg, system.name, test, run, predicted, extra)
 
 
+def open_cache(cfg: ExperimentConfig, must_hold_log: bool) -> gateway_mod.ResponseCache:
+    """Load the response cache, checking every record's digest; with
+    must_hold_log, a cache_dir that holds no log, say a typo, is refused."""
+    cache = gateway_mod.ResponseCache(cfg.cache_dir)
+    if must_hold_log and not cache.log_path.exists():
+        raise ConfigError(f"no response cache at {cache.log_path}: check cache_dir")
+    return cache
+
+
 def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | None = None) -> None:
     """Produce prediction files for every configured system and run, once
     every test sentence has the gold lemmas score needs."""
@@ -513,6 +522,15 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
         sentence.require_lemmas()
     gateway = dev = None
     try:
+        # Only LLM systems need the cache and the dev split.  A replay cache is
+        # refused before any file is written if its cache_dir holds no log.
+        if any(system.kind == LLM for system in cfg.systems):
+            live = cfg.cache_mode == gateway_mod.LIVE  # live mode opens no cache
+            cache = None if live else open_cache(cfg, cfg.cache_mode == gateway_mod.REPLAY)
+            gateway = gateway_mod.LlmGateway(
+                cfg.provider, cache, cfg.cache_mode, transport=transport
+            )
+            dev = _load_split(cfg, "dev")
         for system in cfg.systems:
             if system.kind == BASELINE:
                 model = baseline_mod.read_model(cfg.path("model"))
@@ -527,13 +545,6 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
                     predicted = [_unaligned(slots[s.id]) for s in test.sentences]
                     _write_system_run(cfg, system.name, test, run, predicted)
             else:  # LLM, the one kind left: load_config refuses any other
-                if gateway is None:  # only LLM systems need the cache and the dev split
-                    live = cfg.cache_mode == gateway_mod.LIVE  # live mode opens no cache
-                    cache = None if live else gateway_mod.ResponseCache(cfg.cache_dir)
-                    gateway = gateway_mod.LlmGateway(
-                        cfg.provider, cache, cfg.cache_mode, transport=transport
-                    )
-                    dev = _load_split(cfg, "dev")
                 _run_llm_system(cfg, system, test, dev, gateway)
     finally:
         if gateway is not None and gateway.cache is not None:

@@ -151,6 +151,32 @@ def test_verify_cache_exits_2_when_the_cache_dir_holds_no_log(fixtures_dir, tmp_
     assert not (tmp_path / "cahce").exists()
 
 
+@pytest.mark.parametrize("llm", [True, False], ids=["with LLM systems", "baseline only"])
+def test_replay_run_exits_2_before_any_prediction_when_the_cache_dir_holds_no_log(
+    fixtures_dir, tmp_path, capsys, llm
+):
+    raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
+    raw["corpus"]["path"] = str(fixtures_dir / "corpora" / "es_fix.conllu")
+    raw["cache_dir"] = str(tmp_path / "cahce")  # a typo
+    if not llm:  # a cache is only refused where a system would read it
+        raw["systems"], raw["comparisons"] = raw["systems"][:1], []
+    config, out = str(tmp_path / "config.json"), tmp_path / "out"
+    (tmp_path / "config.json").write_text(json.dumps(raw), "utf-8")
+    for command in ("ingest", "split", "induce", "train-baseline"):
+        assert _run(config, out, command) == 0
+    before = sorted((out / "predictions").rglob("*"))
+    capsys.readouterr()
+    if llm:
+        assert _run(config, out, "run") == 2
+        log = tmp_path / "cahce" / "log.tsv"
+        assert capsys.readouterr().err == f"error: no response cache at {log}: check cache_dir\n"
+        assert sorted((out / "predictions").rglob("*")) == before
+    else:
+        assert _run(config, out, "run") == 0
+        assert sorted((out / "predictions").rglob("*")) != before
+    assert not (tmp_path / "cahce").exists()
+
+
 def test_run_names_a_model_row_whose_script_has_a_field_of_the_wrong_type(
     cli_out, tmp_path, capsys
 ):

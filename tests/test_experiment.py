@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from lemmabench import artifact, baseline, cli, corpus as corpus_mod, editscript, evaluation, experiment
+from lemmabench import baseline, cli, corpus as corpus_mod, editscript, evaluation, experiment
 from lemmabench.align import read_diagnostics, read_predictions, write_predictions
 from lemmabench.corpus import ingest_tsv, write_tsv
 from lemmabench.errors import (
@@ -920,49 +920,12 @@ def test_rerunning_a_stage_after_a_clean_build_changes_no_file(
     assert _digests(tmp_path / "out") == PINNED_ARTIFACTS
 
 
-def test_report_reads_each_run_once(replay_out, fixtures_dir, monkeypatch):
-    # report renders from runs.tsv and mcnemar.tsv alone: it reads no
-    # prediction, diagnostics or split file.
-    cfg = replay_out
-    reads = []
-    for module, name in (
-        (experiment, "read_predictions"),
-        (experiment, "read_diagnostics"),
-        (corpus_mod, "ingest_tsv"),
-    ):
-        real = getattr(module, name)
-        spy = lambda *a, real=real, **k: reads.append(a) or real(*a, **k)  # noqa: E731
-        monkeypatch.setattr(module, name, spy)
-    run_report(cfg)
-    assert reads == []
-    expected = fixtures_dir / "replay" / "expected"
-    assert cfg.path("report").read_bytes() == (expected / "report.txt").read_bytes()
-
-
 def test_report_matches_the_rescoring_oracle(replay_out, fixtures_dir):
     cfg = replay_out
     text = oracle_report_text(cfg)
     assert text == cfg.path("report").read_text("utf-8")
     expected = fixtures_dir / "replay" / "expected" / "report.txt"
     assert text.encode("utf-8") == expected.read_bytes()
-
-
-def test_each_report_artifact_has_one_writer(replay_out, tmp_path, monkeypatch):
-    cfg = replay_out
-    shutil.copytree(cfg.out_dir, tmp_path / "out")
-    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
-    written = []
-    real = artifact.publish
-    spy = lambda path, chunks: written.append(Path(path).name) or real(path, chunks)  # noqa: E731
-    monkeypatch.setattr(artifact, "publish", spy)
-    for stage, names in (
-        (run_score, ["runs.tsv", "scores.tsv"]),
-        (run_compare, ["mcnemar.tsv"]),
-        (run_report, ["report.txt"]),
-    ):
-        stage(cfg)
-        assert written == names
-        written.clear()
 
 
 @pytest.mark.parametrize(

@@ -12,14 +12,15 @@ scratch:
   renderer, plus the example data needed to re-render them
 - pinned request fingerprints
 - a fully recorded response cache for the replay experiment, produced by
-  a deterministic simulated chat model run through the real gateway, and
-  the expected report files a replay of that experiment must reproduce
+  perfbench/synth.SimulatedChatModel (the seeded simulated chat model
+  that also records the benchmark's LLM caches) run through the real
+  gateway, and the expected report files a replay of that experiment
+  must reproduce; a change to that model's draws changes the cache, so
+  the fixtures must then be regenerated
 """
 
 from __future__ import annotations
 
-import ast
-import hashlib
 import json
 import random
 import shutil
@@ -30,7 +31,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))  # synth: the benchmark's simulated chat model
 
+import synth  # noqa: E402
 from lemmabench import experiment, prompt  # noqa: E402
 from lemmabench.corpus import ingest_conllu, ingest_tsv  # noqa: E402
 from lemmabench.gateway import (  # noqa: E402
@@ -332,66 +335,6 @@ def build_goldens() -> dict[str, str]:
     return goldens
 
 
-# ---------------------------------------------------------------------------
-# Deterministic simulated chat model for recording the replay cache.
-# ---------------------------------------------------------------------------
-
-
-class SimulatedChatModel:
-    """Produces gold lemmas with seeded, run-dependent imperfections.
-
-    Error kinds mirror what real models do: skipped words, wordforms with
-    a changed initial or a dropped letter, corrupted lemmas, quoted
-    fields, leading explanation lines, and duplicated answer blocks.
-    """
-
-    def __init__(self, gold_by_words: dict[tuple[str, ...], tuple[str, ...]]):
-        self.gold = gold_by_words
-        self.run = 0
-        self.calls = 0
-
-    def _target_words(self, prompt_text: str) -> list[str]:
-        lines = prompt_text.splitlines()
-        for idx, line in enumerate(lines):
-            if line == "Sentence:":
-                return [str(w) for w in ast.literal_eval(lines[idx + 1])]
-            if line.startswith('Sentence: "'):
-                return line[len('Sentence: "'):-1].split(" ")
-        raise ValueError("no sentence block found in prompt")
-
-    def __call__(self, config, prompt_text: str) -> str:
-        self.calls += 1
-        words = self._target_words(prompt_text)
-        lemmas = list(self.gold[tuple(words)])
-        words = list(words)
-        digest = hashlib.sha256(prompt_text.encode("utf-8")).hexdigest()[:16]
-        rng = random.Random(f"run{self.run}|{digest}")
-
-        if rng.random() < 0.20:  # wrong lemma for one word
-            i = rng.randrange(len(words))
-            lemmas[i] = words[i] + "o"
-        if rng.random() < 0.18:  # modified wordform (near match)
-            i = rng.randrange(len(words))
-            if words[i][0].isupper():
-                words[i] = words[i][0].lower() + words[i][1:]
-            elif len(words[i]) >= 4:
-                words[i] = words[i][:-1]
-        if rng.random() < 0.18:  # skipped word
-            i = rng.randrange(len(words))
-            del words[i], lemmas[i]
-
-        rows = [f"{w}\t{l}" for w, l in zip(words, lemmas)]
-        if rng.random() < 0.10:  # one quoted field, harmless after stripping
-            i = rng.randrange(len(rows))
-            w, l = rows[i].split("\t")
-            rows[i] = f'"{w}"\t{l}'
-        if rng.random() < 0.12:  # leading explanation line
-            rows.insert(0, "Here are the lemmas for each word:")
-        if rng.random() < 0.08:  # duplicated answer block
-            rows = rows + rows
-        return "\n".join(rows)
-
-
 REPLAY_CONFIG = {
     "name": "es-replay",
     "language": "Spanish",
@@ -426,6 +369,38 @@ def forbidden_transport(config, prompt_text):
     raise AssertionError("replay run attempted a network call")
 
 
+def record_replay_cache(cfg: experiment.ExperimentConfig, cache_dir: Path) -> int:
+    """Run ingest through train-baseline of cfg, then record every LLM
+    request of it into cache_dir; returns the number of responses logged.
+
+    The simulated model answers with the test split's gold lemmas.  Requests
+    go one at a time, system by system and run by run, so the log's record
+    order is fixed.
+    """
+    experiment.run_ingest(cfg)
+    splits = experiment.run_split(cfg)
+    experiment.run_induce(cfg)
+    experiment.run_train_baseline(cfg)
+
+    dev, test = splits["dev"], splits["test"]
+    sim = synth.SimulatedChatModel({s.wordforms: s.lemmas for s in test.sentences})
+    cache = ResponseCache(cache_dir)
+    recorder = LlmGateway(cfg.provider, cache, mode=RECORD, transport=sim)
+    with synth.run_index_hook(LlmGateway):
+        for system in cfg.systems:
+            if system.kind != "llm":
+                continue
+            examples = experiment.select_system_examples(cfg, system, dev)
+            prompts = [prompt.render_prompt(system.prompt, examples, s)
+                       for s in test.sentences]
+            for run in range(cfg.runs):
+                for p in prompts:
+                    recorder.complete(p, run_index=run)
+    cache.close()
+    sim.check_hooked()
+    return len(cache)
+
+
 def make_replay_fixture():
     replay_dir = FIXTURES / "replay"
     if (replay_dir / "cache").exists():
@@ -437,33 +412,9 @@ def make_replay_fixture():
     config_path.write_text(json.dumps(REPLAY_CONFIG, indent=2, ensure_ascii=False) + "\n",
                            "utf-8")
 
-    gold_corpus = ingest_conllu(FIXTURES / "corpora" / "es_fix.conllu", "es_fix")
-    gold_map = {s.wordforms: s.lemmas for s in gold_corpus.sentences}
-    sim = SimulatedChatModel(gold_map)
-
     with tempfile.TemporaryDirectory() as tmp:
         cfg = experiment.load_config(config_path, out_dir=tmp)
-        experiment.run_ingest(cfg)
-        experiment.run_split(cfg)
-        experiment.run_induce(cfg)
-        experiment.run_train_baseline(cfg)
-
-        dev = ingest_tsv(cfg.path("dev"), cfg.split_name("dev"))
-        test = ingest_tsv(cfg.path("test"), cfg.split_name("test"))
-        cache = ResponseCache(replay_dir / "cache")
-        recorder = LlmGateway(cfg.provider, cache, mode=RECORD, transport=sim)
-        for system in cfg.systems:
-            if system.kind != "llm":
-                continue
-            examples = experiment.select_system_examples(cfg, system, dev)
-            prompts = [prompt.render_prompt(system.prompt, examples, s)
-                       for s in test.sentences]
-            for run in range(cfg.runs):
-                sim.run = run
-                for p in prompts:
-                    recorder.complete(p, run_index=run)
-        cache.close()
-        print(f"recorded {len(cache)} responses ({sim.calls} simulated calls)")
+        print(f"recorded {record_replay_cache(cfg, replay_dir / 'cache')} responses")
 
         # Replay through the real pipeline to freeze the expected reports.
         experiment.run_predictions(cfg, transport=forbidden_transport)
