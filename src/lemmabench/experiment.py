@@ -294,6 +294,8 @@ def load_config(
     for i, (a, b) in enumerate(pairs):
         if a not in known or b not in known:  # a list: a name that is not a string is unknown
             raise ConfigError(f"comparison ({a}, {b}) names an unknown system")
+        if a == b:
+            raise ConfigError(f"comparison ({a}, {b}) compares a system with itself")
         if (a, b) in pairs[:i]:
             raise ConfigError(f"comparison ({a}, {b}) is repeated")
     name, corpus_file = top.get("name", path.stem), Path(corpus["path"])

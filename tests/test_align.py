@@ -1,6 +1,5 @@
 """Output parsing, alignment taxonomy, and prediction file round trips."""
 
-import importlib
 import random
 import unicodedata
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lemmabench import align as align_mod
 from lemmabench.align import (
     _QUOTE_PAIRS,
     AlignedPrediction,
@@ -328,8 +328,7 @@ def test_align_takes_the_echo_shortcut_on_sentences_read_from_disk(es_corpus, mo
     def refuse(out_words, in_words):
         raise AssertionError("an echo-like answer reached _candidate_cells")
 
-    # the package binds the name align to the function, so look the module up
-    monkeypatch.setattr(importlib.import_module("lemmabench.align"), "_candidate_cells", refuse)
+    monkeypatch.setattr(align_mod, "_candidate_cells", refuse)
     for sent in es_corpus.sentences:
         raw = "\n".join(f"{w}\t{l}" for w, l in zip(sent.wordforms, sent.lemmas))
         result = align(parse_output(raw), sent)

@@ -39,7 +39,6 @@ import ast
 import io
 import random
 import re
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -48,6 +47,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lemmabench import align as align_mod
 from lemmabench import artifact
 from lemmabench import corpus as corpus_mod
 from lemmabench.align import read_predictions, write_predictions
@@ -239,9 +239,6 @@ def block_files(draw):
         late_rows = [at for at in rows_at if at >= len(lines) * 2 // 3] or rows_at
         lines.insert(draw(st.sampled_from(late_rows)) + 1, late)
     return lines, late
-
-
-align_mod = sys.modules["lemmabench.align"]  # lemmabench.align is the function
 
 
 @contextmanager

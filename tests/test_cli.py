@@ -364,14 +364,19 @@ def test_config_value_of_the_wrong_type_exits_2_naming_the_key(fixtures_dir, tmp
         assert key in capsys.readouterr().err
 
 
-def test_compare_with_a_repeated_comparison_exits_2_naming_it(fixtures_dir, tmp_path, capsys):
+@pytest.mark.parametrize("pairs, refusal", [
+    ([["baseline", "llm-basic-4shot"]] * 2, "comparison (baseline, llm-basic-4shot) is repeated"),
+    ([["baseline", "baseline"]], "comparison (baseline, baseline) compares a system with itself"),
+], ids=["repeated", "self"])
+def test_compare_with_a_refused_comparison_exits_2_naming_it(
+    fixtures_dir, tmp_path, capsys, pairs, refusal
+):
     raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
-    raw["comparisons"] = [["baseline", "llm-basic-4shot"], ["baseline", "llm-basic-4shot"]]
+    raw["comparisons"] = pairs
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw), "utf-8")
     assert _run(str(config), tmp_path / "out", "compare") == 2
-    err = capsys.readouterr().err
-    assert "error: comparison (baseline, llm-basic-4shot) is repeated" in err
+    assert f"error: {refusal}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "reports").exists()
 
 

@@ -368,6 +368,14 @@ def test_load_config_names_a_repeated_comparison(tmp_path):
     assert load_config(_write_config(tmp_path, raw)).comparisons == (("a", "b"), ("b", "a"))
 
 
+def test_load_config_refuses_a_comparison_of_a_system_with_itself(tmp_path):
+    # Let through, such a pair reaches mcnemar.tsv as "b vs b: b01=0 b10=0 ... p=1".
+    systems = [{"name": "a", "kind": "baseline"}, {"name": "b", "kind": "baseline"}]
+    raw = _minimal_raw(systems=systems, comparisons=[["a", "b"], ["b", "b"]])
+    with pytest.raises(ConfigError, match=r"^comparison \(b, b\) compares a system with itself$"):
+        load_config(_write_config(tmp_path, raw))
+
+
 def _manual_system(shots, ids, selection="manual"):
     prompt = {"shots": shots, "selection": selection}
     return {"systems": [{"name": "llm", "kind": "llm", "prompt": prompt, "manual_ids": ids}]}
@@ -417,12 +425,13 @@ _ANY_VALUES = [
     *experiment.KINDS, *experiment.TEMPLATES, *experiment.INPUT_MODES, *experiment.SELECTIONS,
     *corpus_mod.SELECTION_RULES, experiment.CONLLU, experiment.TSV, *evaluation.POLICIES,
     "live", "record", "replay", experiment.ALL_PAIRS, [], ["x"], [5], ["d-1"], ["p0.tsv", "p1.tsv"],
-    [["base", "llm"]], [["base", "llm"], ["base", "llm"]], [["llm", "ghost"]], [["base"]], ["base"],
-    {}, {"name": "x", "kind": "baseline"}, {"shots": 2},
+    [["base", "llm"]], [["base", "llm"], ["base", "llm"]], [["base", "base"]], [["llm", "ghost"]],
+    [["base"]], ["base"], {}, {"name": "x", "kind": "baseline"}, {"shots": 2},
 ]
 # Drawn as often as all of the above: the values next to each range's ends,
 # the ones the schema refuses and the parent did not, and null.
-_EDGE_VALUES = [None, -1, 0, 6, "x", math.nan, math.inf, -math.inf, [["base", "llm"]] * 2]
+_EDGE_VALUES = [None, -1, 0, 6, "x", math.nan, math.inf, -math.inf, [["base", "llm"]] * 2,
+                [["base", "base"]]]
 # Each row's key, each section, a system entry and the config itself ("").
 _SITES = sorted({*experiment._SCHEMA, "", "corpus", "split", "reduce", "baseline", "provider",
                  "scoring", "systems.*", "systems.llm.prompt"})
@@ -517,6 +526,11 @@ def _departure(key, value, old, new):
         repeated = [p for i, p in enumerate(old.comparisons) if p in old.comparisons[:i]]
         if repeated and new == "ConfigError: comparison ({}, {}) is repeated".format(*repeated[0]):
             return "repeated comparison"
+        selves = [p for p in old.comparisons if p[0] == p[1]]
+        if selves and new == "ConfigError: comparison ({}, {}) compares a system with itself".format(
+            *selves[0]
+        ):
+            return "self comparison"
     non_finite = isinstance(value, float) and not math.isfinite(value)
     if non_finite and not isinstance(old, Exception) and isinstance(new, str):
         if re.fullmatch(rf"ConfigError: \S+ must be a number, got {json.dumps(value)}", new):
@@ -1179,8 +1193,6 @@ def test_report_stars_one_of_two_means_equal_to_four_decimals(total, share, swap
 
 
 def test_baseline_runs_are_identical(replay_out):
-    from lemmabench.align import read_predictions
-
     cfg = replay_out
     keys = {"system": "baseline", "split": "es_fix-test"}
     _, run0 = read_predictions(cfg.path("predictions", **keys, run=0))
@@ -1251,7 +1263,7 @@ def test_failed_request_scores_as_all_missing(tiny_experiment):
         return identity_transport(config, prompt)
 
     run_predictions(cfg, transport=flaky)
-    metadata, blocks = __import__("lemmabench.align", fromlist=["read_predictions"]).read_predictions(
+    metadata, blocks = read_predictions(
         cfg.path("predictions", system="llm-identity", split="tiny-test", run=0)
     )
     assert metadata["failures"] == "1"
@@ -1259,8 +1271,6 @@ def test_failed_request_scores_as_all_missing(tiny_experiment):
         ("tiny-0004", ("failme", "ii"), (None, None)),
         ("tiny-0005", ("jj", "kk"), ("jj", "kk")),
     ]
-
-    from lemmabench.align import read_diagnostics
 
     keys = {"system": "llm-identity", "split": "tiny-test", "run": 0}
     _, diag = read_diagnostics(cfg.path("diagnostics", **keys))
@@ -1285,8 +1295,6 @@ def test_live_mode_opens_no_cache(tiny_experiment):
 def test_external_predictions_are_normalized_with_ids(tiny_experiment):
     cfg = tiny_experiment
     run_predictions(cfg, transport=identity_transport)
-    from lemmabench.align import read_predictions
-
     keys = {"system": "external-ref", "split": "tiny-test", "run": 0}
     _, blocks = read_predictions(cfg.path("predictions", **keys))
     assert [sentence_id for sentence_id, _, _ in blocks] == ["tiny-0004", "tiny-0005"]

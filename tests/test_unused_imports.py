@@ -1,14 +1,17 @@
-"""No module imports a name it never reads.
+"""No module imports a name it never reads, and the package re-exports none.
 
 No linter runs in CI, so this is the project's unused-import check: it
 parses every ``.py`` file under src/, tests/, tools/ and demos/ with ast.
-A name counts as read where the module loads it or lists it in
-``__all__``.  An import kept on purpose carries ``# noqa: F401`` on its
-line.
+A name counts as read where the module loads it.  An import kept on
+purpose carries ``# noqa: F401`` on its line.
 """
 
 import ast
+import sys
+import types
 from pathlib import Path
+
+import lemmabench
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "tools", "demos")
@@ -18,10 +21,6 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     """(line, name) of each name an import binds and the module never reads."""
     nodes = list(ast.walk(ast.parse(source)))
     read = {n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
-    for node in nodes:  # a name __all__ lists is read by `import *`
-        targets = [getattr(t, "id", "") for t in getattr(node, "targets", ())]
-        if targets == ["__all__"]:
-            read.update(item.value for item in node.value.elts)
     imported = [
         alias for node in nodes
         if isinstance(node, ast.Import)
@@ -46,10 +45,9 @@ def test_the_scan_finds_a_name_never_read_and_honours_noqa():
         "    loads as parse,\n"
         ")\n"
         "import csv\n"
-        "__all__ = ['csv']\n"
         "print(os.path.sep, dumps)\n"
     )
-    assert unused_imports(source) == [(6, "parse")]
+    assert unused_imports(source) == [(6, "parse"), (8, "csv")]
 
 
 def test_no_module_imports_a_name_it_never_reads():
@@ -60,3 +58,13 @@ def test_no_module_imports_a_name_it_never_reads():
         for line, name in unused_imports(path.read_text("utf-8"))
     }
     assert found == {}
+
+
+def test_the_package_binds_its_modules_and_re_exports_no_name():
+    import lemmabench.align as align_mod
+    from lemmabench import align
+
+    assert align_mod is sys.modules.get("lemmabench.align") is align
+    assert isinstance(align, types.ModuleType)
+    public = {name: value for name, value in vars(lemmabench).items() if not name.startswith("_")}
+    assert public and all(isinstance(value, types.ModuleType) for value in public.values())
