@@ -13,7 +13,7 @@ from pathlib import Path
 from lemmabench.baseline import predict, predict_identity, train
 from lemmabench.corpus import SplitSpec, ingest_conllu, make_splits
 from lemmabench.editscript import build_inventory, pair_scripts
-from lemmabench.evaluation import word_accuracy
+from lemmabench.evaluation import score_run
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -39,5 +39,5 @@ for token, lemma in zip(example.tokens, predicted):
 # Against the do-nothing lemmatizer on the whole dev split:
 baseline_slots = {s.id: predict(model, s) for s in dev.sentences}
 identity_slots = {s.id: predict_identity(s) for s in dev.sentences}
-print(f"\nbaseline dev word accuracy: {word_accuracy(baseline_slots, dev):.4f}")
-print(f"identity dev word accuracy: {word_accuracy(identity_slots, dev):.4f}")
+print(f"\nbaseline dev word accuracy: {score_run(baseline_slots, dev).word_accuracy:.4f}")
+print(f"identity dev word accuracy: {score_run(identity_slots, dev).word_accuracy:.4f}")

@@ -82,12 +82,6 @@ class Corpus(Generic[S]):
     def __len__(self) -> int:
         return len(self.sentences)
 
-    def sentence_by_id(self, sentence_id: str) -> S:
-        for sentence in self.sentences:
-            if sentence.id == sentence_id:
-                return sentence
-        raise KeyError(sentence_id)
-
 
 @dataclass(frozen=True)
 class SplitSpec:

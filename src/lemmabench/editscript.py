@@ -230,17 +230,12 @@ def pair_scripts(train: Iterable[Sentence]) -> list[PairScript]:
     ]
 
 
-def _token_counts(pairs: list[PairScript]) -> Counter[EditScript]:
-    counts: Counter[EditScript] = Counter()
-    for _, script, count in pairs:
-        counts[script] += count
-    return counts
-
-
 def build_inventory(pairs: list[PairScript]) -> LabelInventory:
     """Tabulate the label set of pair_scripts' triples, each script weighted
     by the tokens that carry it."""
-    counts = _token_counts(pairs)
+    counts: Counter[EditScript] = Counter()
+    for _, script, count in pairs:
+        counts[script] += count
     if not counts:
         raise MissingLemmaError("no training tokens to induce labels from")
     return LabelInventory(counts)

@@ -60,9 +60,9 @@ class CacheMissError(LemmabenchError):
     """Replay-only mode found no cached response for a fingerprint."""
 
 
-class CacheFormatError(LemmabenchError):
+class CacheFormatError(FileFormatError):
     """A response-cache log is malformed or was written in another format
-    (message names the file and byte offset)."""
+    (message names the byte offset)."""
 
 
 class ScoringError(LemmabenchError):

@@ -46,16 +46,6 @@ def _checked(predictions: LemmaSlots, gold: Corpus):
         yield sentence, slots
 
 
-def word_accuracy(predictions: LemmaSlots, gold: Corpus, policy: str = STRICT) -> float:
-    """Fraction of gold tokens whose predicted lemma matches exactly."""
-    return score_run(predictions, gold, policy).word_accuracy
-
-
-def sentence_accuracy(predictions: LemmaSlots, gold: Corpus) -> float:
-    """Fraction of sentences with every token lemma correct (all-or-nothing)."""
-    return score_run(predictions, gold).sentence_accuracy
-
-
 def correctness_vector(predictions: LemmaSlots, gold: Corpus) -> list[bool]:
     """Strict per-word correctness in corpus order (missing counts as wrong)."""
     return [hit for sentence, slots in _checked(predictions, gold)

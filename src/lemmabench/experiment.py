@@ -538,12 +538,13 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
                 model = baseline_mod.read_model(cfg.path("model"))
                 predicted = [_unaligned(baseline_mod.predict(model, s)) for s in test.sentences]
                 for run in range(cfg.runs):
-                    # Deterministic system: every run is the same honest pass.
+                    # Deterministic: a second pass would predict the same list.
                     _write_system_run(cfg, system.name, test, run, predicted)
             elif system.kind == EXTERNAL:
+                # Every file is read and checked once, before any run is written.
+                sources = [_read_slots(path, test) for path in system.predictions]
                 for run in range(cfg.runs):
-                    source = system.predictions[run if len(system.predictions) > 1 else 0]
-                    slots = _read_slots(source, test)
+                    slots = sources[run if len(sources) > 1 else 0]
                     predicted = [_unaligned(slots[s.id]) for s in test.sentences]
                     _write_system_run(cfg, system.name, test, run, predicted)
             else:  # LLM, the one kind left: load_config refuses any other
@@ -590,7 +591,10 @@ def blocks_to_slots(
 
 
 def _read_slots(path: Path, gold: corpus_mod.Corpus) -> dict[str, tuple[str | None, ...]]:
-    return blocks_to_slots(read_predictions(path)[1], gold)
+    try:
+        return blocks_to_slots(read_predictions(path)[1], gold)
+    except ScoringError as exc:
+        raise ScoringError(f"{path}: {exc}") from None
 
 
 def run_score(cfg: ExperimentConfig) -> list[eval_mod.EvalReport]:

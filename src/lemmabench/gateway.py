@@ -132,10 +132,8 @@ class ResponseCache:
             self._scan(self.log_path.stat().st_size)
             self._reader = open(self.log_path, "rb", buffering=0)
         elif (self.root / "index.tsv").exists():
-            raise CacheFormatError(
-                f"{self.root}: holds a lemmabench-cache/1 index.tsv; re-record it "
-                f"into a {CACHE_FORMAT} log"
-            )
+            why = f"holds a lemmabench-cache/1 index.tsv; re-record it into a {CACHE_FORMAT} log"
+            raise CacheFormatError(self.root, None, why)
 
     @property
     def log_path(self) -> Path:
@@ -150,7 +148,7 @@ class ResponseCache:
                 if len(line) < len(_LOG_HEADER) and _LOG_HEADER.startswith(line):
                     return  # a format line cut short: the log holds nothing yet
                 if line != _LOG_HEADER:
-                    raise CacheFormatError(f"{self.log_path}: byte 0: not a {CACHE_FORMAT} log")
+                    raise CacheFormatError(self.log_path, None, f"byte 0: not a {CACHE_FORMAT} log")
                 self._end = len(line)
             while self._end < stop:
                 offset = self._end
@@ -159,7 +157,7 @@ class ResponseCache:
                     return  # torn inside a header line
                 match = _RECORD_HEADER.fullmatch(line)
                 if match is None:
-                    raise CacheFormatError(f"{self.log_path}: byte {offset}: bad record header")
+                    raise CacheFormatError(self.log_path, None, f"byte {offset}: bad record header")
                 fingerprint, digest, length = match[1].decode(), match[2].decode(), int(match[3])
                 start, end = offset + len(line), offset + len(line) + length + 1
                 if end > stop:
@@ -169,7 +167,7 @@ class ResponseCache:
                     if end == stop:
                         return  # the last record, torn
                     raise CacheFormatError(
-                        f"{self.log_path}: byte {offset}: record does not match its sha256"
+                        self.log_path, None, f"byte {offset}: record does not match its sha256"
                     )
                 self._index.setdefault(fingerprint, (start, length, digest))
                 self._end = end
@@ -192,7 +190,7 @@ class ResponseCache:
         offset, length, digest = self._index[fingerprint]
         data = os.pread(self._reader.fileno(), length, offset)
         if hashlib.sha256(data).hexdigest() != digest:
-            raise CacheFormatError(f"{self.log_path}: byte {offset}: record changed since load")
+            raise CacheFormatError(self.log_path, None, f"byte {offset}: record changed since load")
         return data.decode("utf-8")
 
     def put(self, fingerprint: str, model: str, raw_text: str):

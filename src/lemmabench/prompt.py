@@ -154,11 +154,11 @@ def select_examples(
 
     if selection == MANUAL:
         check_manual_ids(k, manual_ids)
-        try:
-            chosen = [pool.sentence_by_id(sentence_id) for sentence_id in manual_ids]
-        except KeyError as exc:
-            unknown = exc.args[0]
-            raise PromptError(f"manual example id {unknown!r} is not in pool {pool.name}") from None
+        by_id = {s.id: s for s in pool.sentences}
+        unknown = [sentence_id for sentence_id in manual_ids if sentence_id not in by_id]
+        if unknown:
+            raise PromptError(f"manual example id {unknown[0]!r} is not in pool {pool.name}")
+        chosen = [by_id[sentence_id] for sentence_id in manual_ids]
     elif selection == RANDOM:
         chosen = Random(seed).sample(candidates, k)
     elif selection == MOST_ERRORS:

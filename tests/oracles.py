@@ -86,7 +86,6 @@ from lemmabench.editscript import (
     EditScript,
     LabelInventory,
     PairScript,
-    _token_counts,
 )
 from lemmabench.errors import (
     CacheMissError,
@@ -935,7 +934,9 @@ def oracle_read_pair_labels(path, inventory):
                     path, line_no, f"count {count_field!r} is not a positive integer"
                 )
             pairs.append((wordform, inventory.script_of(label_id), count))
-    counts = _token_counts(pairs)
+    counts: Counter[EditScript] = Counter()
+    for _, script, count in pairs:
+        counts[script] += count
     for label_id, script, frequency in inventory.items():
         if counts[script] != frequency:
             raise InventoryFormatError(

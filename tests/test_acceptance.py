@@ -15,7 +15,7 @@ from lemmabench.align import align, parse_output
 from lemmabench.baseline import predict, predict_identity, train
 from lemmabench.corpus import SplitSpec, corpus_stats, ingest_conllu, make_splits, reduce_corpus
 from lemmabench.editscript import apply, build_inventory, induce, pair_scripts
-from lemmabench.evaluation import mcnemar, sentence_accuracy, word_accuracy
+from lemmabench.evaluation import mcnemar, score_run
 from lemmabench.experiment import (
     load_config,
     run_compare,
@@ -155,10 +155,11 @@ def test_criterion_4_metrics_oracle():
                     ok = False
             correct_sentences += ok
         expected_renorm = renorm_hits / attempted if attempted else 0.0
+        expected_sentences = correct_sentences / len(gold.sentences)
         if (
-            word_accuracy(predictions, gold, "strict") != strict_hits / total
-            or word_accuracy(predictions, gold, "renormalize") != expected_renorm
-            or sentence_accuracy(predictions, gold) != correct_sentences / len(gold.sentences)
+            score_run(predictions, gold, "strict").word_accuracy != strict_hits / total
+            or score_run(predictions, gold, "renormalize").word_accuracy != expected_renorm
+            or score_run(predictions, gold).sentence_accuracy != expected_sentences
         ):
             failures += 1
     _verdict(
@@ -364,8 +365,8 @@ def test_criterion_9_baseline_sanity(es_corpus, en_corpus, eu_corpus):
             length_ok &= len(predicted) == len(sent.tokens)
             baseline_slots[sent.id] = predicted
             identity_slots[sent.id] = predict_identity(sent)
-        base_acc = word_accuracy(baseline_slots, dev)
-        ident_acc = word_accuracy(identity_slots, dev)
+        base_acc = score_run(baseline_slots, dev).word_accuracy
+        ident_acc = score_run(identity_slots, dev).word_accuracy
         ok &= length_ok and base_acc >= ident_acc
         notes.append(
             f"{corpus.name}: baseline {base_acc:.4f} vs identity {ident_acc:.4f}, "

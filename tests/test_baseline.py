@@ -289,11 +289,12 @@ def test_read_model_decodes_each_script_once(tmp_path, es_corpus, monkeypatch):
 
 def test_baseline_beats_identity_on_fixture(es_corpus):
     from lemmabench.corpus import SplitSpec, make_splits
-    from lemmabench.evaluation import word_accuracy
+    from lemmabench.evaluation import score_run
 
     train_c, dev_c, _ = make_splits(es_corpus, SplitSpec(40, 15, 25))
     model = _fit(train_c)
     learned = {s.id: predict(model, s) for s in dev_c.sentences}
     identity = {s.id: predict_identity(s) for s in dev_c.sentences}
-    assert word_accuracy(learned, dev_c) >= word_accuracy(identity, dev_c)
-    assert word_accuracy(learned, dev_c) > 0.5
+    learned_accuracy = score_run(learned, dev_c).word_accuracy
+    assert learned_accuracy >= score_run(identity, dev_c).word_accuracy
+    assert learned_accuracy > 0.5

@@ -409,6 +409,16 @@ def test_score_with_a_bad_diagnostics_file_exits_2_naming_it(scored_out, capsys,
     assert f"{path}: diagnostics are not" in err and "Traceback" not in err
 
 
+def test_score_with_a_prediction_file_short_of_a_block_exits_2_naming_it(scored_out, capsys):
+    config, out = scored_out
+    path = out / "predictions" / "llm-basic-4shot" / "es_fix-test.run1.tsv"
+    path.write_text(path.read_text("utf-8").rsplit("# sent_id = ", 1)[0], "utf-8")
+    capsys.readouterr()
+    assert _run(config, out, "score") == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: prediction file has no block for es_fix-0079" in err
+
+
 def test_report_after_a_config_change_exits_2_naming_the_stage(
     scored_out, fixtures_dir, tmp_path, capsys
 ):
@@ -530,6 +540,7 @@ def test_every_subcommand_prints_its_pinned_summary(fixtures_dir, tmp_path, caps
 
 def test_readme_and_ci_quick_starts_run_the_pipeline_stages_in_table_order(fixtures_dir):
     # The pipeline stages are the rows that write files; verify-cache writes none.
+    # Demo 05's docstring lists them too.
     stages = [name for name, (*_, writes) in _STAGES.items() if writes]
     root = fixtures_dir.parent
     readme = (root / "README.md").read_text("utf-8")
@@ -537,6 +548,8 @@ def test_readme_and_ci_quick_starts_run_the_pipeline_stages_in_table_order(fixtu
     ci = (root / ".github" / "workflows" / "tests.yml").read_text("utf-8")
     for text in (quick_start, ci):
         assert re.findall(r'lemmabench"? +(\S+) +--config \$CFG', text) == stages
+    demo = (root / "demos" / "05_replay_experiment.py").read_text("utf-8")
+    assert re.findall(r"^ +lemmabench +(\S+) +--config ", demo, flags=re.MULTILINE) == stages
 
 
 def test_a_stage_calls_the_experiment_function_it_finds_when_it_runs(

@@ -66,7 +66,7 @@ def test_conllu_sentence_ids_are_ordinal(tmp_path):
     path.write_text(CONLLU_SAMPLE, "utf-8")
     c = ingest_conllu(path, name="demo")
     assert [s.id for s in c.sentences] == ["demo-0000", "demo-0001"]
-    assert c.sentence_by_id("demo-0001").wordforms == ("Unknown", ".")
+    assert c.sentences[1].wordforms == ("Unknown", ".")
 
 
 def test_conllu_bad_column_count_names_line(tmp_path):

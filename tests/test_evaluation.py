@@ -25,8 +25,6 @@ from lemmabench.evaluation import (
     render_report_text,
     render_scores_tsv,
     score_run,
-    sentence_accuracy,
-    word_accuracy,
 )
 
 from conftest import corpus, sentence
@@ -68,25 +66,26 @@ def test_accuracies_match_brute_force_oracle():
                     sentence_ok = False
             if sentence_ok:
                 correct_sentences += 1
-        assert word_accuracy(predictions, gold, STRICT) == strict_hits / total
+        assert score_run(predictions, gold, STRICT).word_accuracy == strict_hits / total
         expected_renorm = renorm_hits / attempted if attempted else 0.0
-        assert word_accuracy(predictions, gold, RENORMALIZE) == expected_renorm
-        assert sentence_accuracy(predictions, gold) == correct_sentences / len(gold.sentences)
+        assert score_run(predictions, gold, RENORMALIZE).word_accuracy == expected_renorm
+        expected_sentences = correct_sentences / len(gold.sentences)
+        assert score_run(predictions, gold).sentence_accuracy == expected_sentences
 
 
 def test_policies_differ_only_in_denominator():
     gold = _gold()
     predictions = {"toy-0000": ["el", None], "toy-0001": ["ladrar", "."]}
-    assert word_accuracy(predictions, gold, STRICT) == 3 / 4
-    assert word_accuracy(predictions, gold, RENORMALIZE) == 3 / 3
+    assert score_run(predictions, gold, STRICT).word_accuracy == 3 / 4
+    assert score_run(predictions, gold, RENORMALIZE).word_accuracy == 3 / 3
 
 
 def test_sentence_accuracy_is_all_or_nothing():
     gold = _gold()
     one_miss = {"toy-0000": ["el", None], "toy-0001": ["ladrar", "."]}
-    assert sentence_accuracy(one_miss, gold) == 0.5
+    assert score_run(one_miss, gold).sentence_accuracy == 0.5
     one_wrong = {"toy-0000": ["el", "gato"], "toy-0001": ["ladrar", "."]}
-    assert sentence_accuracy(one_wrong, gold) == 0.5
+    assert score_run(one_wrong, gold).sentence_accuracy == 0.5
 
 
 def test_correctness_vector_is_strict_and_ordered():
@@ -98,17 +97,15 @@ def test_correctness_vector_is_strict_and_ordered():
 def test_scoring_errors():
     gold = _gold()
     with pytest.raises(ScoringError):
-        word_accuracy({"toy-0000": ["el", "perro"]}, gold)  # missing sentence
+        score_run({"toy-0000": ["el", "perro"]}, gold)  # missing sentence
     with pytest.raises(ScoringError):
-        word_accuracy({"toy-0000": ["el"], "toy-0001": ["ladrar", "."]}, gold)
+        score_run({"toy-0000": ["el"], "toy-0001": ["ladrar", "."]}, gold)
     with pytest.raises(ScoringError):
-        word_accuracy({"toy-0000": ["el", "perro"], "toy-0001": ["ladrar", "."]}, gold, "lenient")
+        score_run({"toy-0000": ["el", "perro"], "toy-0001": ["ladrar", "."]}, gold, "lenient")
     unannotated = corpus("u", sentence("u-0000", ("word", None)))
     message = r"^token 1 \('word'\) of u-0000 has no lemma$"
     with pytest.raises(MissingLemmaError, match=message):
-        word_accuracy({"u-0000": ["word"]}, unannotated)
-    with pytest.raises(MissingLemmaError, match=message):
-        sentence_accuracy({"u-0000": ["word"]}, unannotated)
+        score_run({"u-0000": ["word"]}, unannotated)
 
 
 # --- aggregation --------------------------------------------------------------

@@ -1300,6 +1300,42 @@ def test_external_predictions_are_normalized_with_ids(tiny_experiment):
     assert [sentence_id for sentence_id, _, _ in blocks] == ["tiny-0004", "tiny-0005"]
 
 
+def _external_only(cfg, directory, files):
+    """cfg with one external system, ext, over these files, and 3 runs."""
+    for name, text in files.items():
+        (directory / name).write_text(text, "utf-8")
+    system = experiment.SystemSpec(
+        "ext", "external", predictions=tuple(str(directory / name) for name in files)
+    )
+    return dataclasses.replace(cfg, systems=(system,), runs=3, comparisons=())
+
+
+def test_a_shared_external_file_is_read_once_for_every_run(tiny_experiment, tmp_path, monkeypatch):
+    files = {"shared.tsv": "failme\tfailme\nii\tii\n\njj\tjj\nkk\tkk\n"}
+    cfg = _external_only(tiny_experiment, tmp_path, files)
+    reads = []
+    monkeypatch.setattr(
+        experiment, "read_predictions", lambda path: reads.append(path) or read_predictions(path)
+    )
+    run_predictions(cfg)
+    assert len(reads) == 1
+    for run in range(3):
+        path = cfg.path("predictions", system="ext", split="tiny-test", run=run)
+        _, blocks = read_predictions(path)
+        assert [lemmas for _, _, lemmas in blocks] == [("failme", "ii"), ("jj", "kk")]
+
+
+def test_a_faulty_last_external_file_leaves_no_run_written(tiny_experiment, tmp_path):
+    good = "failme\tfailme\nii\tii\n\njj\tjj\nkk\tkk\n"
+    files = {"run0.tsv": good, "run1.tsv": good, "run2.tsv": "failme\tfailme\nii\tii\n"}
+    cfg = _external_only(tiny_experiment, tmp_path, files)
+    last = cfg.systems[0].predictions[2]
+    with pytest.raises(ScoringError, match=rf"^{re.escape(last)}: 1 anonymous prediction blocks"):
+        run_predictions(cfg)
+    system_dir = cfg.path("predictions", system="ext", split="tiny-test", run=0).parent
+    assert not system_dir.exists() or not any(system_dir.iterdir())
+
+
 def test_report_stage_returns_rendered_text(tiny_experiment):
     cfg = tiny_experiment
     run_predictions(cfg, transport=identity_transport)

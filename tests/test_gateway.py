@@ -21,7 +21,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lemmabench import gateway as gateway_mod
-from lemmabench.errors import CacheFormatError, CacheMissError, ConfigError, TransportError
+from lemmabench.errors import (
+    CacheFormatError,
+    CacheMissError,
+    ConfigError,
+    FileFormatError,
+    TransportError,
+)
 from lemmabench.gateway import (
     LIVE,
     RECORD,
@@ -260,6 +266,16 @@ def test_cache_rejects_a_log_in_another_format(tmp_path):
     (tmp_path / "cache" / "log.tsv").write_bytes(LOG_HEADER.replace(b"/2", b"/3"))
     with pytest.raises(CacheFormatError, match=r"byte 0: not a lemmabench-cache/2 log"):
         ResponseCache(tmp_path / "cache")
+
+
+def test_a_malformed_cache_log_is_a_file_format_error_naming_the_log(tmp_path):
+    log = tmp_path / "cache" / "log.tsv"
+    log.parent.mkdir()
+    log.write_bytes(b"a" * 64 + b"\tm\n")
+    with pytest.raises(FileFormatError) as caught:
+        ResponseCache(tmp_path / "cache")
+    assert (caught.value.path, caught.value.line_no) == (str(log), None)
+    assert str(caught.value) == f"{log}: byte 0: not a lemmabench-cache/2 log"
 
 
 def test_cache_refuses_a_v1_directory(tmp_path):
