@@ -27,8 +27,8 @@ print(f"{corpus.name}: {sentences} sentences, {tokens} tokens")
 
 first = corpus.sentences[0]
 print(f"first sentence ({first.id}):")
-for token in first.tokens[:6]:
-    print(f"  {token.wordform:<12} -> {token.lemma}")
+for form, lemma in zip(first.wordforms[:6], first.lemmas):
+    print(f"  {form:<12} -> {lemma}")
 
 # The same API reads two-column wordform/lemma TSV.
 basque = ingest_tsv(FIXTURES / "corpora" / "eu_fix.tsv", name="eu_fix")

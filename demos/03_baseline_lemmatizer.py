@@ -32,9 +32,9 @@ print(f"learned {len(model.form_table)} forms and {len(model.suffix_table)} suff
 example = dev.sentences[0]
 predicted = predict(model, example)
 print(f"\n{example.id}:")
-for token, lemma in zip(example.tokens, predicted):
-    marker = "" if lemma == token.lemma else f"   (gold: {token.lemma})"
-    print(f"  {token.wordform:<14} -> {lemma:<14}{marker}")
+for form, gold, lemma in zip(example.wordforms, example.lemmas, predicted):
+    marker = "" if lemma == gold else f"   (gold: {gold})"
+    print(f"  {form:<14} -> {lemma:<14}{marker}")
 
 # Against the do-nothing lemmatizer on the whole dev split:
 baseline_slots = {s.id: predict(model, s) for s in dev.sentences}

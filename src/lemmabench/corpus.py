@@ -30,15 +30,6 @@ SELECTION_RULES = (FIRST_N, SEEDED_RANDOM)
 
 
 @dataclass(frozen=True)
-class Token:
-    """One surface wordform with its gold lemma and 1-based position."""
-
-    index: int
-    wordform: str
-    lemma: str | None = None
-
-
-@dataclass(frozen=True)
 class Sentence:
     """Two columns with an entry per token: wordforms and gold lemmas (None: unannotated)."""
 
@@ -47,9 +38,10 @@ class Sentence:
     lemmas: tuple[str | None, ...]
 
     @property
-    def tokens(self) -> tuple[Token, ...]:
-        """The columns as Tokens, built on each call."""
-        return tuple(Token(i, *pair) for i, pair in enumerate(zip(self.wordforms, self.lemmas), 1))
+    def tokens(self) -> tuple[tuple[str, str | None], ...]:
+        """(wordform, lemma) per token; its one program reader is perfbench's
+        baseline.predict_tokens counter."""
+        return tuple(zip(self.wordforms, self.lemmas))
 
     def require_lemmas(self) -> None:
         """MissingLemmaError naming the first token without a gold lemma, if any."""

@@ -518,10 +518,13 @@ def open_cache(cfg: ExperimentConfig, must_hold_log: bool) -> gateway_mod.Respon
 
 def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | None = None) -> None:
     """Produce prediction files for every configured system and run, once
-    every test sentence has the gold lemmas score needs."""
+    every test sentence has the gold lemmas score needs and every external
+    system's files have been read and checked."""
     test = _load_split(cfg, "test")
     for sentence in test.sentences:  # before any cache is opened or request sent
         sentence.require_lemmas()
+    # Every external file is read and checked once, before any system writes.
+    sources = {s.name: [_read_slots(p, test) for p in s.predictions] for s in cfg.systems}
     gateway = dev = None
     try:
         # Only LLM systems need the cache and the dev split.  A replay cache is
@@ -541,10 +544,9 @@ def run_predictions(cfg: ExperimentConfig, transport: gateway_mod.Transport | No
                     # Deterministic: a second pass would predict the same list.
                     _write_system_run(cfg, system.name, test, run, predicted)
             elif system.kind == EXTERNAL:
-                # Every file is read and checked once, before any run is written.
-                sources = [_read_slots(path, test) for path in system.predictions]
+                files = sources[system.name]
                 for run in range(cfg.runs):
-                    slots = sources[run if len(sources) > 1 else 0]
+                    slots = files[run if len(files) > 1 else 0]
                     predicted = [_unaligned(slots[s.id]) for s in test.sentences]
                     _write_system_run(cfg, system.name, test, run, predicted)
             else:  # LLM, the one kind left: load_config refuses any other

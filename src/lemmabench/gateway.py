@@ -233,8 +233,8 @@ def http_transport(config: ProviderConfig, prompt: str) -> str:
     import requests
 
     api_key = os.environ.get(config.api_key_env)
-    if not api_key:
-        raise TransportError(f"environment variable {config.api_key_env} is not set")
+    if not api_key:  # a config fault: a TransportError would score as missing words
+        raise ConfigError(f"{config.api_key_env}, named by provider.api_key_env, is not set")
     payload = {
         "model": config.model,
         "messages": [{"role": "user", "content": prompt}],

@@ -23,10 +23,9 @@ columns with Counter.update (it induces with oracle_induce), oracle_train
 is baseline.train as it was before it tallied label ids in plain dicts,
 counting EditScripts in Counters, and the oracle_read_* / oracle_ingest_*
 functions are the TSV artifact readers as they were before
-lemmabench.artifact, each with its own loop; the corpus ones still build
-one Token per token, as the reader did before a Sentence stored its
-wordforms and lemmas as two columns, and refuse a repeated sentence id as
-the reader does now, as oracle_read_model refuses a repeated (table, key)
+lemmabench.artifact, each with its own loop; the corpus ones read a line
+at a time into Sentences and refuse a repeated sentence id as the reader
+does now, as oracle_read_model refuses a repeated (table, key)
 row as read_model does now; oracle_load_config is load_config with its
 per-type helpers as they were before one _SCHEMA table and one walker
 checked every key; _read_blocks, with _read_canonical, _pieces and the line loop
@@ -59,7 +58,6 @@ import time
 import unicodedata
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,7 +76,7 @@ from lemmabench.align import (
     read_predictions,
 )
 from lemmabench.baseline import DEFAULT_MAX_SUFFIX, BaselineModel
-from lemmabench.corpus import Corpus, Token, _conllu_block, _tsv_block
+from lemmabench.corpus import Corpus, _conllu_block, _tsv_block
 from lemmabench.editscript import (
     LOWER_FIRST,
     PRESERVE,
@@ -220,8 +218,8 @@ def _oracle_token_scripts(c):
     """One (wordform, script) per training token, inducing every token anew."""
     out = []
     for sent in c.sentences:
-        for token in sent.tokens:
-            out.append((token.wordform, oracle_induce(token.wordform, token.lemma)))
+        for form, lemma in zip(sent.wordforms, sent.lemmas):
+            out.append((form, oracle_induce(form, lemma)))
     return out
 
 
@@ -627,46 +625,25 @@ def oracle_read_predictions(path):
     return metadata, blocks
 
 
-@dataclass(frozen=True)
-class TokenSentence:
-    """A sentence as the corpus reader built it before it stored columns:
-    one frozen Token per token."""
-
-    id: str
-    tokens: tuple[Token, ...]
-
-    def __len__(self):
-        return len(self.tokens)
-
-
-def token_sentences(c: Corpus) -> Corpus:
-    """c with each Sentence as the TokenSentence of its tokens property,
-    once the property has been checked against both columns token by token,
-    so that it compares equal to what _oracle_read_corpus reads."""
-    for s in c.sentences:
-        assert len(s.wordforms) == len(s.lemmas)
-        expected = [Token(i, *pair) for i, pair in enumerate(zip(s.wordforms, s.lemmas), 1)]
-        assert list(s.tokens) == expected
-    return Corpus(c.name, tuple(TokenSentence(s.id, s.tokens) for s in c.sentences))
-
-
 def _oracle_read_corpus(path, name, parse_row, tsv):
-    """The corpus reader before columns: a Corpus of TokenSentences."""
+    """The corpus reader as one plain line loop: a Corpus of Sentences."""
     path = Path(path)
     corpus_name = name or path.stem
-    sentences: list[TokenSentence] = []
-    tokens: list[Token] = []
+    sentences: list[corpus_mod.Sentence] = []
+    forms: list[str] = []
+    lemmas: list[str | None] = []
     pending_id: str | None = None  # explicit id from a "# sent_id = ..." comment
 
     def close_sentence():
         nonlocal pending_id
-        if tokens:
+        if forms:
             if pending_id is None:
                 pending_id = f"{corpus_name}-{len(sentences):04d}"
             if any(s.id == pending_id for s in sentences):
                 raise CorpusFormatError(path, None, f"sentence id {pending_id!r} repeats")
-            sentences.append(TokenSentence(id=pending_id, tokens=tuple(tokens)))
-            tokens.clear()
+            sentences.append(corpus_mod.Sentence(pending_id, tuple(forms), tuple(lemmas)))
+            forms.clear()
+            lemmas.clear()
             pending_id = None
 
     with open(path, encoding="utf-8-sig") as handle:
@@ -685,8 +662,8 @@ def _oracle_read_corpus(path, name, parse_row, tsv):
             if row is None:
                 continue
             form, lemma = row
-            lemma = None if lemma is None else _nfc(lemma)
-            tokens.append(Token(index=len(tokens) + 1, wordform=_nfc(form), lemma=lemma))
+            forms.append(_nfc(form))
+            lemmas.append(None if lemma is None else _nfc(lemma))
     close_sentence()
     if not sentences:
         raise EmptyCorpusError(f"{path}: no sentences found")

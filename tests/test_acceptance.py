@@ -7,6 +7,7 @@ single ``[PASS]``/``[FAIL]`` line naming the guarantee it checked.
 import json
 import os
 import random
+import shutil
 import time
 from pathlib import Path
 
@@ -55,9 +56,9 @@ def _fixture_pairs(*corpora):
     pairs = []
     for corpus in corpora:
         for sent in corpus.sentences:
-            for token in sent.tokens:
-                if token.lemma is not None:
-                    pairs.append((token.wordform, token.lemma))
+            for form, lemma in zip(sent.wordforms, sent.lemmas):
+                if lemma is not None:
+                    pairs.append((form, lemma))
     return pairs
 
 
@@ -142,13 +143,13 @@ def test_criterion_4_metrics_oracle():
         for sent in gold.sentences:
             slots = predictions[sent.id]
             ok = True
-            for token, predicted in zip(sent.tokens, slots):
+            for lemma, predicted in zip(sent.lemmas, slots):
                 total += 1
                 if predicted is None:
                     ok = False
                     continue
                 attempted += 1
-                if predicted == token.lemma:
+                if predicted == lemma:
                     strict_hits += 1
                     renorm_hits += 1
                 else:
@@ -251,6 +252,38 @@ def test_criterion_6_prompt_fidelity(fixtures_dir):
     )
 
 
+def _official_ud_check(ud_dir: Path) -> tuple[bool, str]:
+    """(ok, note): whether the official tr_pud and cs_pud test files under
+    ud_dir, whole or cut to their first 100 sentences, give the paper's
+    (token count, sentence count)."""
+    ok, notes = True, []
+    for stem, want in (("tr_pud", (1795, 100)), ("cs_pud", (1930, 100))):
+        matches = sorted(ud_dir.rglob(f"*{stem.replace('_pud', '')}*pud*.conllu"))
+        if not matches:
+            notes.append(f"{stem}: no file found")
+            ok = False
+            continue
+        corpus = ingest_conllu(matches[0], stem)
+        stats = corpus_stats(corpus)
+        if stats == want:
+            notes.append(f"{stem}: full file matches {want}")
+            continue
+        reduced = corpus_stats(reduce_corpus(corpus, want[1], "first-n", 0))
+        if reduced == want:
+            notes.append(f"{stem}: first-{want[1]} reduction matches {want}")
+        else:
+            notes.append(f"{stem}: got full={stats} first-{want[1]}={reduced}, want {want}")
+            ok = False
+    return ok, "; ".join(notes)
+
+
+def test_official_ud_check_reads_each_file_it_finds(fixtures_dir, tmp_path):
+    shutil.copy(fixtures_dir / "corpora" / "es_fix.conllu", tmp_path / "tr_pud-ud-test.conllu")
+    ok, note = _official_ud_check(tmp_path)
+    assert not ok
+    assert "tr_pud: got full=" in note and "cs_pud: no file found" in note
+
+
 def test_criterion_7_pinned_corpus_statistics(fixtures_dir, es_corpus, en_corpus, eu_corpus):
     pinned = {}
     for line in (fixtures_dir / "pinned_stats.tsv").read_text("utf-8").splitlines():
@@ -271,28 +304,9 @@ def test_criterion_7_pinned_corpus_statistics(fixtures_dir, es_corpus, en_corpus
     snapshot_ok = observed == pinned
 
     ud_dir = os.environ.get("LEMMABENCH_UD_DIR")
-    official_note = "official UD check skipped: LEMMABENCH_UD_DIR not set"
-    official_ok = True
+    official_ok, official_note = True, "official UD check skipped: LEMMABENCH_UD_DIR not set"
     if ud_dir:
-        notes = []
-        for stem, want in (("tr_pud", (1795, 100)), ("cs_pud", (1930, 100))):
-            matches = sorted(Path(ud_dir).rglob(f"*{stem.replace('_pud', '')}*pud*.conllu"))
-            if not matches:
-                notes.append(f"{stem}: no file found")
-                official_ok = False
-                continue
-            corpus = ingest_conllu(matches[0], stem, stem[:2])
-            stats = corpus_stats(corpus)
-            if stats == want:
-                notes.append(f"{stem}: full file matches {want}")
-                continue
-            reduced = corpus_stats(reduce_corpus(corpus, want[1], "first-n", 0))
-            if reduced == want:
-                notes.append(f"{stem}: first-{want[1]} reduction matches {want}")
-            else:
-                notes.append(f"{stem}: got full={stats} first-{want[1]}={reduced}, want {want}")
-                official_ok = False
-        official_note = "; ".join(notes)
+        official_ok, official_note = _official_ud_check(Path(ud_dir))
 
     _verdict(
         "pinned corpus statistics reproduced exactly",
@@ -362,7 +376,7 @@ def test_criterion_9_baseline_sanity(es_corpus, en_corpus, eu_corpus):
         baseline_slots, identity_slots = {}, {}
         for sent in dev.sentences:
             predicted = predict(model, sent)
-            length_ok &= len(predicted) == len(sent.tokens)
+            length_ok &= len(predicted) == len(sent.wordforms)
             baseline_slots[sent.id] = predicted
             identity_slots[sent.id] = predict_identity(sent)
         base_acc = score_run(baseline_slots, dev).word_accuracy

@@ -81,7 +81,6 @@ from oracles import (
     oracle_read_model,
     oracle_read_pair_labels,
     oracle_read_predictions,
-    token_sentences,
 )
 
 
@@ -168,9 +167,7 @@ def _names_rows_across_a_blank(lines):
 @settings(max_examples=400, deadline=None)
 def test_ingest_tsv_matches_the_old_corpus_loop(scratch, lines, crlf, final_newline):
     path = _file(scratch, lines, crlf, final_newline)
-    _agree(
-        lambda p: token_sentences(ingest_tsv(p, "c")), lambda p: oracle_ingest_tsv(p, "c"), path
-    )
+    _agree(lambda p: ingest_tsv(p, "c"), lambda p: oracle_ingest_tsv(p, "c"), path)
 
 
 def _by_corpus_rows(outcome, lines):
@@ -308,7 +305,7 @@ def test_block_fast_path_matches_the_line_loop_and_the_oracles(scratch, case, pi
     lines, late = case
     path = _file(scratch, lines, crlf, bom=bom)
     path.write_bytes(path.read_bytes().replace(_BAD_BYTE.encode(), b"\xe9"))
-    corpus_read = lambda p: token_sentences(ingest_tsv(p, "c"))  # noqa: E731
+    corpus_read = lambda p: ingest_tsv(p, "c")  # noqa: E731
     reads = corpus_read, read_predictions
     with mock.patch.object(corpus_mod, "_PIECE", piece), _line_steps() as steps:  # many pieces
         new = [_result(read, path) for read in reads]
@@ -392,7 +389,7 @@ def test_a_file_without_blank_lines_leaves_the_fast_path_within_two_pieces(scrat
         read += len(line) + 1
         assert handle.tell() <= read + 2 * corpus_mod._PIECE
     assert handle.tell() == len(text) and list(pieces) == [""]
-    corpus_read = lambda p: token_sentences(ingest_tsv(p, "c"))  # noqa: E731
+    corpus_read = lambda p: ingest_tsv(p, "c")  # noqa: E731
     reads = corpus_read, read_predictions
     with _line_steps() as steps:
         new = [_result(read, path) for read in reads]
@@ -464,7 +461,7 @@ def test_conllu_fast_path_matches_the_line_loop_and_the_oracle(scratch, case, pi
     lines, late = case
     path = _file(scratch, lines, crlf, bom=bom)
     path.write_bytes(path.read_bytes().replace(_BAD_BYTE.encode(), b"\xe9"))
-    corpus_read = lambda p: token_sentences(ingest_conllu(p, "c"))  # noqa: E731
+    corpus_read = lambda p: ingest_conllu(p, "c")  # noqa: E731
     with mock.patch.object(corpus_mod, "_PIECE", piece), _line_steps() as steps:  # many pieces
         new = _result(corpus_read, path)
     assert [new] == _results_before([corpus_read], path, piece)

@@ -151,19 +151,29 @@ def test_verify_cache_exits_2_when_the_cache_dir_holds_no_log(fixtures_dir, tmp_
     assert not (tmp_path / "cahce").exists()
 
 
-@pytest.mark.parametrize("llm", [True, False], ids=["with LLM systems", "baseline only"])
-def test_replay_run_exits_2_before_any_prediction_when_the_cache_dir_holds_no_log(
-    fixtures_dir, tmp_path, capsys, llm
-):
+def _trained_replay_out(fixtures_dir, tmp_path, change):
+    """The replay config with change applied, and an out dir after train-baseline."""
     raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))
     raw["corpus"]["path"] = str(fixtures_dir / "corpora" / "es_fix.conllu")
-    raw["cache_dir"] = str(tmp_path / "cahce")  # a typo
-    if not llm:  # a cache is only refused where a system would read it
-        raw["systems"], raw["comparisons"] = raw["systems"][:1], []
+    raw["cache_dir"] = str(fixtures_dir / "replay" / "cache")
+    change(raw)
     config, out = str(tmp_path / "config.json"), tmp_path / "out"
     (tmp_path / "config.json").write_text(json.dumps(raw), "utf-8")
     for command in ("ingest", "split", "induce", "train-baseline"):
         assert _run(config, out, command) == 0
+    return config, out
+
+
+@pytest.mark.parametrize("llm", [True, False], ids=["with LLM systems", "baseline only"])
+def test_replay_run_exits_2_before_any_prediction_when_the_cache_dir_holds_no_log(
+    fixtures_dir, tmp_path, capsys, llm
+):
+    def change(raw):
+        raw["cache_dir"] = str(tmp_path / "cahce")  # a typo
+        if not llm:  # a cache is only refused where a system would read it
+            raw["systems"], raw["comparisons"] = raw["systems"][:1], []
+
+    config, out = _trained_replay_out(fixtures_dir, tmp_path, change)
     before = sorted((out / "predictions").rglob("*"))
     capsys.readouterr()
     if llm:
@@ -175,6 +185,38 @@ def test_replay_run_exits_2_before_any_prediction_when_the_cache_dir_holds_no_lo
         assert _run(config, out, "run") == 0
         assert sorted((out / "predictions").rglob("*")) != before
     assert not (tmp_path / "cahce").exists()
+
+
+def test_run_refuses_a_faulty_external_file_before_any_system_writes(
+    fixtures_dir, tmp_path, capsys
+):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("# sent_id = es_fix-0055\nnot\tno\nthese\teste\n\n", "utf-8")
+    external = {"name": "ext", "kind": "external", "predictions": str(bad)}
+    config, out = _trained_replay_out(
+        fixtures_dir, tmp_path, lambda raw: raw["systems"].append(external)
+    )
+    before = sorted((out / "predictions").rglob("*"))  # the dev run train-baseline wrote
+    capsys.readouterr()
+    assert _run(config, out, "run") == 2
+    err = capsys.readouterr().err
+    assert "bad.tsv: prediction block for es_fix-0055 does not repeat its gold wordforms" in err
+    assert sorted((out / "predictions").rglob("*")) == before
+
+
+@pytest.mark.parametrize("mode", ["live", "record"])
+def test_run_without_the_api_key_exits_2_naming_it(fixtures_dir, tmp_path, capsys, monkeypatch,
+                                                   mode):
+    def change(raw):
+        raw["provider"]["base_url"] = "http://127.0.0.1:9/v1"  # any request stays on localhost
+        raw["cache_dir"] = str(tmp_path / "cache")
+
+    config, out = _trained_replay_out(fixtures_dir, tmp_path, change)
+    monkeypatch.delenv("LEMMABENCH_API_KEY", raising=False)
+    capsys.readouterr()
+    assert _run(config, out, "run", "--cache-mode", mode) == 2
+    assert "LEMMABENCH_API_KEY, named by provider.api_key_env, is not set" in capsys.readouterr().err
+    assert not list((out / "predictions").glob("llm-*"))
 
 
 def test_run_names_a_model_row_whose_script_has_a_field_of_the_wrong_type(

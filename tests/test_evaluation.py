@@ -53,13 +53,13 @@ def test_accuracies_match_brute_force_oracle():
         for sent in gold.sentences:
             slots = predictions[sent.id]
             sentence_ok = True
-            for token, predicted in zip(sent.tokens, slots):
+            for lemma, predicted in zip(sent.lemmas, slots):
                 total += 1
                 if predicted is None:
                     sentence_ok = False
                     continue
                 attempted += 1
-                if predicted == token.lemma:
+                if predicted == lemma:
                     strict_hits += 1
                     renorm_hits += 1
                 else:

@@ -902,8 +902,8 @@ def test_replay_pipeline_writes_the_pinned_bytes_of_every_artifact(fixtures_dir,
 
 
 def test_no_stage_builds_tokens(fixtures_dir, tmp_path, monkeypatch):
-    """Every stage reads a sentence's two columns; Sentence.tokens, which
-    builds one Token per token, is there for demos and tools only."""
+    """Every stage reads a sentence's two columns; Sentence.tokens is there
+    for perfbench's baseline.predict_tokens counter only."""
 
     def refuse(sentence):
         raise AssertionError(f"a stage built the tokens of {sentence.id}")

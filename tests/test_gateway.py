@@ -853,7 +853,7 @@ def test_http_transport_round_trip(http_stub, monkeypatch):
 
 def test_http_transport_requires_api_key(http_stub, monkeypatch):
     monkeypatch.delenv("LEMMABENCH_API_KEY", raising=False)
-    with pytest.raises(TransportError):
+    with pytest.raises(ConfigError, match="LEMMABENCH_API_KEY.*provider.api_key_env"):
         http_transport(_stub_config(http_stub), "p")
     assert http_stub.requests == []  # failed before any request
 
