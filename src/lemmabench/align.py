@@ -290,7 +290,7 @@ def read_predictions(path: str | Path) -> tuple[dict[str, str], list[Block]]:
     """Metadata plus ordered blocks of a prediction file, external ones too:
     sent_id headers are optional (scoring then matches blocks to sentences
     by order), and rows follow the corpus TSV rule: a row that is not
-    wordform<TAB>lemma, or has an empty wordform, is a CorpusFormatError
+    wordform<TAB>lemma, or has an empty wordform, is a FileFormatError
     naming the file and line; an empty lemma is a missing one."""
     metadata: dict[str, str] = {}
     blocks = _read_blocks(path, True, metadata)
@@ -305,11 +305,12 @@ def write_diagnostics(path: str | Path, metadata: dict, sentences: dict[str, dic
 
 
 def read_diagnostics(path: str | Path) -> tuple[dict, dict[str, dict[str, int]]]:
-    """(metadata, per-sentence counts) of a .diag.json file; a FileFormatError
-    names the file when it is not a JSON object with a "sentences" object
-    whose entries are objects of non-negative integers."""
+    """(metadata, per-sentence counts) of a .diag.json file, which may start
+    with a byte-order mark; a FileFormatError names the file when it is not a
+    JSON object with a "sentences" object whose entries are objects of
+    non-negative integers."""
     try:
-        payload = json.loads(Path(path).read_text("utf-8"))
+        payload = json.loads(Path(path).read_text("utf-8-sig"))
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise FileFormatError(path, None, f"diagnostics are not JSON: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("sentences"), dict):

@@ -61,8 +61,7 @@ def natural(field: str, name: str) -> int:
 
 def text(meta: dict, rows):
     """An artifact's text in pieces: a ``# key = value`` line per meta item,
-    then a line per row of tab-joined str fields (a block file's ``# sent_id``
-    line is a one-field row, its blank line a row of no fields)."""
+    then a line per row of tab-joined str fields."""
     yield "".join(f"# {key} = {value}\n" for key, value in meta.items())
     lines = map("\t".join, rows)
     while chunk := list(islice(lines, 4096)):  # a piece per 4096 rows bounds memory
@@ -91,12 +90,12 @@ def write(path: str | Path, meta: dict, rows) -> None:
     publish(path, text(meta, rows))
 
 
-def read(path: str | Path, columns: tuple[str, ...], error, decode, headers=None):
+def read(path: str | Path, columns: tuple[str, ...], decode, headers=None):
     """(meta, rows) of a flat table: each header's value by key, passed
     through headers[key] where given, and decode(fields) of each row, in
     file order; empty lines are skipped.  A row without one field per
-    column, or a ValueError from decode or a header function, is
-    error(path, line number, message)."""
+    column, or a ValueError from decode or a header function, is a
+    FileFormatError naming path and the line."""
     meta, rows = {}, []
     for line_no, line in lines(path):
         try:
@@ -112,5 +111,5 @@ def read(path: str | Path, columns: tuple[str, ...], error, decode, headers=None
                     )
                 rows.append(decode(fields))
         except ValueError as exc:
-            raise error(path, line_no, str(exc)) from exc
+            raise FileFormatError(path, line_no, str(exc)) from exc
     return meta, rows

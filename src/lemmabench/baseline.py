@@ -17,7 +17,7 @@ from .editscript import IDENTITY, EditScript, LabelInventory, PairScript, apply
 # Not called here: baseline.induce stays bound because perfbench's tracer
 # test checks that binding site.
 from .editscript import induce  # noqa: F401
-from .errors import EmptyCorpusError, InapplicableScriptError, ModelFormatError
+from .errors import EmptyCorpusError, InapplicableScriptError
 
 DEFAULT_MAX_SUFFIX = 5
 
@@ -118,7 +118,7 @@ def write_model(model: BaselineModel, path: str | Path) -> None:
 def read_model(path: str | Path) -> BaselineModel:
     """A row that is not form|suffix<TAB>key<TAB>script, a second row for
     the same table and key, or a max_suffix_len header that is not an
-    integer, is a ModelFormatError naming the file and line."""
+    integer, is a FileFormatError naming the file and line."""
     model = BaselineModel()
     tables = {"form": model.form_table, "suffix": model.suffix_table}
     scripts: dict[str, EditScript] = {}  # each distinct script is decoded once
@@ -134,6 +134,6 @@ def read_model(path: str | Path) -> BaselineModel:
         tables[table][key] = scripts[encoded]
 
     headers = {"max_suffix_len": lambda value: artifact.natural(value, "max_suffix_len")}
-    meta, _ = artifact.read(path, MODEL_COLUMNS, ModelFormatError, decode, headers)
+    meta, _ = artifact.read(path, MODEL_COLUMNS, decode, headers)
     model.max_suffix_len = meta.get("max_suffix_len", model.max_suffix_len)
     return model

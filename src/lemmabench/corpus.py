@@ -17,7 +17,7 @@ from random import Random
 from typing import Generic, Iterable, Iterator, TypeVar
 
 from . import artifact
-from .errors import CorpusFormatError, EmptyCorpusError, MissingLemmaError, SplitError
+from .errors import EmptyCorpusError, FileFormatError, MissingLemmaError, SplitError
 
 # Syntactic-word IDs are plain integers (str.isdecimal); "3-4" is a
 # multiword-token range line and "5.1" an empty node, neither of which
@@ -264,7 +264,7 @@ def _sentences(path: str | Path, name: str | None, tsv: bool) -> Iterator[tuple]
     Blocks without rows are dropped, and a block without a sent_id is named
     by its position in name (by default the file's stem).  A sentence id
     that names an earlier sentence, given or generated, is a
-    CorpusFormatError, and a file without sentences an EmptyCorpusError,
+    FileFormatError, and a file without sentences an EmptyCorpusError,
     each raised when the reader meets it."""
     corpus_name = name or Path(path).stem
     seen: set[str] = set()
@@ -272,7 +272,7 @@ def _sentences(path: str | Path, name: str | None, tsv: bool) -> Iterator[tuple]
         if forms:
             sentence_id = f"{corpus_name}-{len(seen):04d}" if block_id is None else block_id
             if sentence_id in seen:
-                raise CorpusFormatError(path, None, f"sentence id {sentence_id!r} repeats")
+                raise FileFormatError(path, None, f"sentence id {sentence_id!r} repeats")
             seen.add(sentence_id)
             yield sentence_id, forms, lemmas, _rows(forms, lemmas) if rows is None else rows
     if not seen:
@@ -289,14 +289,14 @@ def _conllu_row(columns: list[str], path: Path, line_no: int) -> tuple[str, str 
     if columns[0][:1] == "#":  # every # line is a comment
         return None
     if len(columns) != 10:
-        raise CorpusFormatError(path, line_no, f"expected 10 columns, found {len(columns)}")
+        raise FileFormatError(path, line_no, f"expected 10 columns, found {len(columns)}")
     token_id = columns[0]
     if not token_id.isdecimal():
         if _TOKEN_ID.fullmatch(token_id):
             return None
-        raise CorpusFormatError(path, line_no, f"unrecognized token ID {token_id!r}")
+        raise FileFormatError(path, line_no, f"unrecognized token ID {token_id!r}")
     if not columns[1]:
-        raise CorpusFormatError(path, line_no, "empty FORM column")
+        raise FileFormatError(path, line_no, "empty FORM column")
     return columns[1], None if columns[2] == "_" else columns[2]
 
 
@@ -306,7 +306,7 @@ def ingest_conllu(path: str | Path, name: str | None = None) -> Corpus:
     Keeps FORM as wordform and LEMMA as lemma ("_" maps to no lemma).
     Multiword-token range lines and empty-node lines are dropped; comments,
     sent_id included, are ignored, so sentence ids are ordinal.  Raises
-    CorpusFormatError on a token line that does not have exactly 10
+    FileFormatError on a token line that does not have exactly 10
     tab-separated columns, EmptyCorpusError if no sentence survives.
     """
     return _corpus(path, name, tsv=False)
@@ -314,18 +314,18 @@ def ingest_conllu(path: str | Path, name: str | None = None) -> Corpus:
 
 def _tsv_row(fields: list[str], path: Path, line_no: int) -> tuple[str, str | None]:
     if len(fields) != 2:
-        raise CorpusFormatError(
+        raise FileFormatError(
             path, line_no, f"expected 2 tab-separated fields, found {len(fields)}"
         )
     if not fields[0]:
-        raise CorpusFormatError(path, line_no, "empty wordform field")
+        raise FileFormatError(path, line_no, "empty wordform field")
     return fields[0], fields[1] or None
 
 
 def ingest_tsv(path: str | Path, name: str | None = None) -> Corpus:
     """Read a two-column ``wordform<TAB>lemma`` file, blank line between
     sentences; an empty lemma field means the token is unannotated, and a
-    row with another field count is a CorpusFormatError naming the line."""
+    row with another field count is a FileFormatError naming the line."""
     return _corpus(path, name, tsv=True)
 
 

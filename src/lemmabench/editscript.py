@@ -19,8 +19,8 @@ from typing import Iterable
 from . import artifact
 from .corpus import Sentence
 from .errors import (
+    FileFormatError,
     InapplicableScriptError,
-    InventoryFormatError,
     LemmabenchError,
     MissingLemmaError,
 )
@@ -255,7 +255,7 @@ def read_inventory(path: str | Path) -> LabelInventory:
     id<TAB>script<TAB>positive frequency, whose id is not its 0-based
     position, whose script repeats an earlier row's, or which breaks the
     inventory's order (frequency descending, then script) and so would be
-    renumbered, is an InventoryFormatError naming the file and line."""
+    renumbered, is a FileFormatError naming the file and line."""
     frequencies: dict[EditScript, int] = {}
     last_key = None
 
@@ -276,7 +276,7 @@ def read_inventory(path: str | Path) -> LabelInventory:
         frequencies[script] = count
         last_key = key
 
-    artifact.read(path, INVENTORY_COLUMNS, InventoryFormatError, decode)
+    artifact.read(path, INVENTORY_COLUMNS, decode)
     return LabelInventory(frequencies)
 
 
@@ -300,7 +300,7 @@ def read_pair_labels(path: str | Path, inventory: LabelInventory) -> list[PairSc
     inventory the same stage wrote.
 
     A row without three fields, with a label id outside the inventory or
-    with a count that is not a positive integer is an InventoryFormatError
+    with a count that is not a positive integer is a FileFormatError
     naming the file and line; so is a file whose counts do not sum to each
     label's inventory frequency, which names the first label that disagrees.
     """
@@ -317,10 +317,10 @@ def read_pair_labels(path: str | Path, inventory: LabelInventory) -> list[PairSc
         sums[label_id] += count
         return wordform, inventory.script_of(label_id), count
 
-    _, pairs = artifact.read(path, PAIR_LABELS_COLUMNS, InventoryFormatError, decode)
+    _, pairs = artifact.read(path, PAIR_LABELS_COLUMNS, decode)
     for label_id, _, frequency in inventory.items():
         if sums[label_id] != frequency:
-            raise InventoryFormatError(
+            raise FileFormatError(
                 path, None, f"label {label_id} covers {sums[label_id]} tokens here but "
                 f"{frequency} in the inventory: the pairs file is from another induce run"
             )

@@ -6,26 +6,15 @@ class LemmabenchError(Exception):
 
 
 class FileFormatError(LemmabenchError):
-    """A file violates its format; carries path and 1-based line number
-    (None when the fault is the file as a whole)."""
+    """Any file the pipeline reads violates its format; carries path and
+    1-based line number (None when the fault is the file as a whole, as in
+    the response-cache log, whose message names the byte offset)."""
 
     def __init__(self, path, line_no, message):
         self.path = str(path)
         self.line_no = line_no
         where = self.path if line_no is None else f"{self.path}:{line_no}"
         super().__init__(f"{where}: {message}")
-
-
-class CorpusFormatError(FileFormatError):
-    """A sentence-block file (corpus, split or predictions) violates its format."""
-
-
-class InventoryFormatError(FileFormatError):
-    """An induce-stage artifact violates its format or disagrees with its inventory."""
-
-
-class ModelFormatError(FileFormatError):
-    """A baseline model file violates its format."""
 
 
 class EmptyCorpusError(LemmabenchError):
@@ -58,11 +47,6 @@ class TransportError(LemmabenchError):
 
 class CacheMissError(LemmabenchError):
     """Replay-only mode found no cached response for a fingerprint."""
-
-
-class CacheFormatError(FileFormatError):
-    """A response-cache log is malformed or was written in another format
-    (message names the byte offset)."""
 
 
 class ScoringError(LemmabenchError):

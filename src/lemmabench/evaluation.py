@@ -240,7 +240,7 @@ def read_counts(
             raise ValueError(f"repeats the row for {' '.join(fields[:3])}")
         rows[tuple(fields[:3])] = [int(c) for c in counts]
 
-    meta, _ = artifact.read(path, columns, FileFormatError, decode)
+    meta, _ = artifact.read(path, columns, decode)
     if rows is None:
         raise FileFormatError(path, None, f"has no column line {column_line!r}")
     return meta, rows

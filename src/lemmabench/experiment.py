@@ -268,17 +268,27 @@ def _parse_system(entry, base: Path, runs: int, language: str) -> SystemSpec:
     return SystemSpec(name, kind)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json.loads' object hook: an object that repeats a key is a ValueError,
+    not its last value."""
+    keys = [key for key, _ in pairs]
+    if repeated := [key for i, key in enumerate(keys) if key in keys[:i]]:
+        raise ValueError(f"key {repeated[0]!r} appears twice in one object")
+    return dict(pairs)
+
+
 def load_config(
     path: str | Path, out_dir: str | None = None, cache_mode: str | None = None
 ) -> ExperimentConfig:
-    """Load a JSON experiment config, checked against _SCHEMA.  Relative paths
-    are resolved against the config file's directory; out_dir and cache_mode
-    accept command-line overrides, and the file's cache_mode goes unchecked under one."""
+    """Load a JSON experiment config, checked against _SCHEMA; a leading
+    byte-order mark is skipped, and an object that repeats a key is refused.
+    Relative paths are resolved against the config file's directory; out_dir and
+    cache_mode accept command-line overrides, and the file's cache_mode goes unchecked under one."""
     _expect(_PATH[1](str(out_dir)), "--out", _PATH[0], str(out_dir))  # out_dir may be a Path
     path = Path(path)
     base = path.parent
     try:
-        raw = json.loads(path.read_text("utf-8"))
+        raw = json.loads(path.read_text("utf-8-sig"), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     overridden = {**raw, "cache_mode": cache_mode} if cache_mode and isinstance(raw, dict) else raw

@@ -32,7 +32,7 @@ from itertools import count, product
 from pathlib import Path
 from typing import Callable
 
-from .errors import CacheFormatError, CacheMissError, ConfigError, TransportError
+from .errors import CacheMissError, ConfigError, FileFormatError, TransportError
 
 LIVE = "live"
 RECORD = "record"
@@ -133,7 +133,7 @@ class ResponseCache:
             self._reader = open(self.log_path, "rb", buffering=0)
         elif (self.root / "index.tsv").exists():
             why = f"holds a lemmabench-cache/1 index.tsv; re-record it into a {CACHE_FORMAT} log"
-            raise CacheFormatError(self.root, None, why)
+            raise FileFormatError(self.root, None, why)
 
     @property
     def log_path(self) -> Path:
@@ -148,7 +148,7 @@ class ResponseCache:
                 if len(line) < len(_LOG_HEADER) and _LOG_HEADER.startswith(line):
                     return  # a format line cut short: the log holds nothing yet
                 if line != _LOG_HEADER:
-                    raise CacheFormatError(self.log_path, None, f"byte 0: not a {CACHE_FORMAT} log")
+                    raise FileFormatError(self.log_path, None, f"byte 0: not a {CACHE_FORMAT} log")
                 self._end = len(line)
             while self._end < stop:
                 offset = self._end
@@ -157,7 +157,7 @@ class ResponseCache:
                     return  # torn inside a header line
                 match = _RECORD_HEADER.fullmatch(line)
                 if match is None:
-                    raise CacheFormatError(self.log_path, None, f"byte {offset}: bad record header")
+                    raise FileFormatError(self.log_path, None, f"byte {offset}: bad record header")
                 fingerprint, digest, length = match[1].decode(), match[2].decode(), int(match[3])
                 start, end = offset + len(line), offset + len(line) + length + 1
                 if end > stop:
@@ -166,7 +166,7 @@ class ResponseCache:
                 if body[-1:] != b"\n" or hashlib.sha256(body[:-1]).hexdigest() != digest:
                     if end == stop:
                         return  # the last record, torn
-                    raise CacheFormatError(
+                    raise FileFormatError(
                         self.log_path, None, f"byte {offset}: record does not match its sha256"
                     )
                 self._index.setdefault(fingerprint, (start, length, digest))
@@ -190,7 +190,7 @@ class ResponseCache:
         offset, length, digest = self._index[fingerprint]
         data = os.pread(self._reader.fileno(), length, offset)
         if hashlib.sha256(data).hexdigest() != digest:
-            raise CacheFormatError(self.log_path, None, f"byte {offset}: record changed since load")
+            raise FileFormatError(self.log_path, None, f"byte {offset}: record changed since load")
         return data.decode("utf-8")
 
     def put(self, fingerprint: str, model: str, raw_text: str):
@@ -255,6 +255,8 @@ def http_transport(config: ProviderConfig, prompt: str) -> str:
         raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
     try:
         content = resp.json()["choices"][0]["message"]["content"]
+        if isinstance(content, str):  # a cut-off completion may end in half a surrogate pair
+            content.encode("utf-8")  # UnicodeEncodeError is a ValueError
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise TransportError(f"malformed completion payload: {exc}") from exc
     if not isinstance(content, str):

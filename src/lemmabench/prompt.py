@@ -69,7 +69,7 @@ class PromptSpec:
 
 
 def _quote_word(word: str) -> str:
-    return "'" + word.replace("'", "\\'") + "'"
+    return "'" + word.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
 def _sentence_block(mode: str, sentence: Sentence) -> str:

@@ -88,11 +88,8 @@ from lemmabench.editscript import (
 from lemmabench.errors import (
     CacheMissError,
     ConfigError,
-    CorpusFormatError,
     EmptyCorpusError,
     FileFormatError,
-    InventoryFormatError,
-    ModelFormatError,
     PromptError,
     ScoringError,
     TransportError,
@@ -397,7 +394,8 @@ def oracle_render_prompt(spec, examples, target) -> str:
     if spec.input_mode == prompt_mod.SENTENCE_STRING:
         block = f'Sentence: "{" ".join(words)}"'
     else:
-        block = "Sentence:\n[" + ", ".join("'" + w.replace("'", "\\'") + "'" for w in words) + "]"
+        quoted = ("'" + re.sub(r"([\\'])", r"\\\1", w) + "'" for w in words)  # \ and ' escaped
+        block = "Sentence:\n[" + ", ".join(quoted) + "]"
     lines.extend(block.splitlines())
     lines.append(prompt_mod._CLOSING)
     return "\n".join(lines)
@@ -640,7 +638,7 @@ def _oracle_read_corpus(path, name, parse_row, tsv):
             if pending_id is None:
                 pending_id = f"{corpus_name}-{len(sentences):04d}"
             if any(s.id == pending_id for s in sentences):
-                raise CorpusFormatError(path, None, f"sentence id {pending_id!r} repeats")
+                raise FileFormatError(path, None, f"sentence id {pending_id!r} repeats")
             sentences.append(corpus_mod.Sentence(pending_id, tuple(forms), tuple(lemmas)))
             forms.clear()
             lemmas.clear()
@@ -672,11 +670,11 @@ def _oracle_read_corpus(path, name, parse_row, tsv):
 
 def _oracle_tsv_row(fields, path, line_no):
     if len(fields) != 2:
-        raise CorpusFormatError(
+        raise FileFormatError(
             path, line_no, f"expected 2 tab-separated fields, found {len(fields)}"
         )
     if not fields[0]:
-        raise CorpusFormatError(path, line_no, "empty wordform field")
+        raise FileFormatError(path, line_no, "empty wordform field")
     return fields[0], fields[1] or None
 
 
@@ -686,13 +684,13 @@ def oracle_ingest_tsv(path, name=None):
 
 def _oracle_conllu_row(fields, path, line_no):
     if len(fields) != 10:
-        raise CorpusFormatError(path, line_no, f"expected 10 columns, found {len(fields)}")
+        raise FileFormatError(path, line_no, f"expected 10 columns, found {len(fields)}")
     if re.fullmatch(r"\d+[-.]\d+", fields[0]):  # a multiword range or an empty node
         return None
     if not re.fullmatch(r"\d+", fields[0]):
-        raise CorpusFormatError(path, line_no, f"unrecognized token ID {fields[0]!r}")
+        raise FileFormatError(path, line_no, f"unrecognized token ID {fields[0]!r}")
     if not fields[1]:
-        raise CorpusFormatError(path, line_no, "empty FORM column")
+        raise FileFormatError(path, line_no, "empty FORM column")
     return fields[1], None if fields[2] == "_" else fields[2]
 
 
@@ -878,7 +876,7 @@ def oracle_read_inventory(path):
                 _, encoded, freq = line.split("\t")
                 frequencies[EditScript.decode(encoded)] = int(freq)
             except (ValueError, TypeError) as exc:
-                raise InventoryFormatError(
+                raise FileFormatError(
                     path, line_no, f"expected id<TAB>script<TAB>frequency: {exc}"
                 ) from exc
     return LabelInventory(frequencies)
@@ -897,17 +895,17 @@ def oracle_read_pair_labels(path, inventory):
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
-                raise InventoryFormatError(
+                raise FileFormatError(
                     path, line_no, f"expected wordform, label id, count; found {len(fields)} fields"
                 )
             wordform, label_field, count_field = fields
             label_id, count = _oracle_natural(label_field), _oracle_natural(count_field)
             if label_id is None or label_id >= len(inventory):
-                raise InventoryFormatError(
+                raise FileFormatError(
                     path, line_no, f"label id {label_field!r} is not one of {len(inventory)} labels"
                 )
             if not count:
-                raise InventoryFormatError(
+                raise FileFormatError(
                     path, line_no, f"count {count_field!r} is not a positive integer"
                 )
             pairs.append((wordform, inventory.script_of(label_id), count))
@@ -916,7 +914,7 @@ def oracle_read_pair_labels(path, inventory):
         counts[script] += count
     for label_id, script, frequency in inventory.items():
         if counts[script] != frequency:
-            raise InventoryFormatError(
+            raise FileFormatError(
                 path, None, f"label {label_id} covers {counts[script]} tokens here but "
                 f"{frequency} in the inventory: the pairs file is from another induce run"
             )
@@ -932,21 +930,21 @@ def oracle_read_model(path):
             if line.startswith("# max_suffix_len = "):
                 value = line.rsplit(" ", 1)[1]
                 if not (value.isascii() and value.isdigit()):
-                    raise ModelFormatError(path, line_no, f"max_suffix_len {value!r} is not an integer")
+                    raise FileFormatError(path, line_no, f"max_suffix_len {value!r} is not an integer")
                 model.max_suffix_len = int(value)
                 continue
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) != 3 or fields[0] not in tables:
-                raise ModelFormatError(path, line_no, "expected form|suffix<TAB>key<TAB>script")
+                raise FileFormatError(path, line_no, "expected form|suffix<TAB>key<TAB>script")
             table_name, key, encoded = fields
             try:
                 script = EditScript.decode(encoded)
             except (ValueError, TypeError) as exc:
-                raise ModelFormatError(path, line_no, f"script does not decode: {exc}") from exc
+                raise FileFormatError(path, line_no, f"script does not decode: {exc}") from exc
             if key in tables[table_name]:
-                raise ModelFormatError(path, line_no, f"repeats the {table_name} row for {key!r}")
+                raise FileFormatError(path, line_no, f"repeats the {table_name} row for {key!r}")
             tables[table_name][key] = script
     return model
 

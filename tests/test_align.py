@@ -23,7 +23,7 @@ from lemmabench.align import (
     write_diagnostics,
     write_predictions,
 )
-from lemmabench.errors import CorpusFormatError
+from lemmabench.errors import FileFormatError
 
 from conftest import sentence
 from oracles import oracle_align_sequences, oracle_levenshtein, oracle_parse_output
@@ -537,10 +537,10 @@ def test_read_predictions_accepts_anonymous_blocks(tmp_path):
 ])
 def test_read_predictions_rejects_malformed_rows(tmp_path, row, message):
     """A prediction row follows the corpus TSV rule, so a bad one is the
-    CorpusFormatError a split row gets, naming the file and line."""
+    FileFormatError a split row gets, naming the file and line."""
     path = tmp_path / "external.tsv"
     path.write_text(f"# sent_id = s-0\nLos\tel\n{row}\nmuy\t\n", "utf-8")
-    with pytest.raises(CorpusFormatError, match=rf"external\.tsv:3: {message}$"):
+    with pytest.raises(FileFormatError, match=rf"external\.tsv:3: {message}$"):
         read_predictions(path)
 
 
@@ -562,6 +562,13 @@ def test_diagnostics_round_trip(tmp_path):
     assert metadata == {"system": "demo"}
     assert read == sentences
     assert path.read_text("utf-8").endswith("\n")
+
+
+def test_read_diagnostics_skips_a_byte_order_mark(fixtures_dir, tmp_path):
+    plain = fixtures_dir / "diagnostics" / "es_fix-dev.diag.json"
+    bom = tmp_path / "bom.diag.json"
+    bom.write_text("\ufeff" + plain.read_text("utf-8"), "utf-8")
+    assert read_diagnostics(bom) == read_diagnostics(plain)
 
 
 def test_a_diagnostics_write_that_fails_keeps_the_old_file_and_leaves_no_other(

@@ -19,7 +19,7 @@ one in test_intended_change:
   names the rows after the blank, as in a corpus file (it made an empty
   named block plus an anonymous one, which scoring refused as mixed);
 - a prediction row follows the corpus TSV rule: a field count other than
-  2 is a CorpusFormatError (it was a ScoringError), and so is an empty
+  2 is a FileFormatError (it was a ScoringError), and so is an empty
   wordform (it was read, and scoring refused it as a wordform mismatch);
 - in the inventory and the model, a ``#`` line with a tab other than
   ``# columns = `` is a row, so it is refused rather than skipped;
@@ -61,11 +61,8 @@ from lemmabench.editscript import (
     read_pair_labels,
 )
 from lemmabench.errors import (
-    CorpusFormatError,
     FileFormatError,
-    InventoryFormatError,
     LemmabenchError,
-    ModelFormatError,
     ScoringError,
 )
 from lemmabench.evaluation import read_counts
@@ -173,14 +170,14 @@ def test_ingest_tsv_matches_the_old_corpus_loop(scratch, lines, crlf, final_newl
 def _by_corpus_rows(outcome, lines):
     """The old prediction reader's outcome on lines as it is now that a
     prediction row follows the corpus TSV rule: the first row with a field
-    count other than 2 or an empty wordform is a CorpusFormatError at its
+    count other than 2 or an empty wordform is a FileFormatError at its
     line (the old reader raised ScoringError at the first of the former and
     took the latter)."""
     for line_no, line in enumerate(lines, 1):
         fields = line.split("\t")
         row = line.strip() and not (line.startswith("#") and len(fields) == 1)
         if row and (len(fields) != 2 or not fields[0]):
-            return CorpusFormatError, line_no
+            return FileFormatError, line_no
     return outcome
 
 
@@ -509,7 +506,7 @@ def test_a_bad_conllu_line_in_the_last_piece_gets_the_line_loops_error(scratch):
     path = _file(scratch, block * 3000 + [bad])
     assert path.stat().st_size > 2 * corpus_mod._PIECE
     with _line_steps() as steps, pytest.raises(
-        CorpusFormatError, match=":12001: expected 10 columns, found 11"
+        FileFormatError, match=":12001: expected 10 columns, found 11"
     ):
         ingest_conllu(path)
     assert _texts(steps) == [(12001, bad)]
@@ -691,7 +688,7 @@ def _refused(cls, line):
     ("predictions", ["# columns = wordform\tlemma", "a\tb"],
      _ok(({"columns": "wordform\tlemma"}, [(None, ("a",), ("b",))]))),
     ("pairs", [*_PAIRS, "# columns = wordform\tlabel id\ttoken count"],
-     lambda new, old: len(new) == 1 and old == (InventoryFormatError, 3)),
+     lambda new, old: len(new) == 1 and old == (FileFormatError, 3)),
     # only the key sent_id names a sentence
     ("corpus", ["# sent_id_x = 3", "a\tb"],
      lambda new, old: new.sentences[0].id == "c-0000" and old.sentences[0].id == "3"),
@@ -700,16 +697,16 @@ def _refused(cls, line):
      _ok(({}, [("s-0", ("a",), ("b",))]))),
     # a prediction row follows the corpus TSV rule
     ("predictions", ["a\tb", "a\tb\tc"],
-     lambda new, old: new == (CorpusFormatError, 2) and old == (ScoringError, 2)),
+     lambda new, old: new == (FileFormatError, 2) and old == (ScoringError, 2)),
     ("predictions", ["a\tb", "\tb"],
-     lambda new, old: new == (CorpusFormatError, 2) and old[1][0][1] == ("a", "")),
+     lambda new, old: new == (FileFormatError, 2) and old[1][0][1] == ("a", "")),
     # a "#" line with a tab is a row of the inventory and the model
-    ("inventory", [*_INVENTORY, "#x\ty\tz"], _refused(InventoryFormatError, 5)),
-    ("model", [*_MODEL, "#x\ty"], _refused(ModelFormatError, 5)),
+    ("inventory", [*_INVENTORY, "#x\ty\tz"], _refused(FileFormatError, 5)),
+    ("model", [*_MODEL, "#x\ty"], _refused(FileFormatError, 5)),
     # max_suffix_len is a "# key = value" header like any other
     ("model", [*_MODEL, "#max_suffix_len=7"], lambda new, old: new[2] == 7 and old[2] == 3),
     ("model", [*_MODEL, "# max_suffix_len = 5 6"],
-     lambda new, old: new == (ModelFormatError, 5) and old[2] == 6),
+     lambda new, old: new == (FileFormatError, 5) and old[2] == 6),
     # report tables: empty lines, late headers, no column line, line breaks
     ("counts", [*_TABLE, "", "b\tc\t0\t3\t4", ""],
      lambda new, old: len(new[1]) == 2 and old == (FileFormatError, 4)),
@@ -723,16 +720,16 @@ def _refused(cls, line):
      lambda new, old: ("a\u2028b", "c", "0") in new[1] and old == (FileFormatError, 4)),
     # the inventory's ids are its row positions, in frequency order
     ("inventory", [*_INVENTORY[:3], f"2\t{_SCRIPTS[1].encode()}\t2"],
-     _refused(InventoryFormatError, 4)),
+     _refused(FileFormatError, 4)),
     ("inventory", [*_INVENTORY, f"2\t{_SCRIPTS[0].encode()}\t1"],
-     _refused(InventoryFormatError, 5)),
+     _refused(FileFormatError, 5)),
     ("inventory", [*_INVENTORY[:3], f"1\t{_SCRIPTS[1].encode()}\t9"],
-     _refused(InventoryFormatError, 4)),
+     _refused(FileFormatError, 4)),
     # a frequency is a positive integer
     ("inventory", [*_INVENTORY, f"2\t{_SCRIPTS[2].encode()}\t-3"],
-     _refused(InventoryFormatError, 5)),
+     _refused(FileFormatError, 5)),
     ("inventory", [*_INVENTORY, f"2\t{_SCRIPTS[2].encode()}\t0"],
-     _refused(InventoryFormatError, 5)),
+     _refused(FileFormatError, 5)),
 ])
 def test_intended_change(scratch, reader, lines, check):
     path = _file(scratch, lines)
@@ -755,7 +752,7 @@ def test_write_renders_headers_then_tab_joined_rows(scratch):
     rows = [("#nlp", "1"), (), ("# sent_id = s",)]
     artifact.write(path, {"format": "x/1", "columns": "a\tb"}, rows)
     assert path.read_bytes() == b"# format = x/1\n# columns = a\tb\n#nlp\t1\n\n# sent_id = s\n"
-    assert artifact.read(path, ("a", "b"), FileFormatError, list) == (
+    assert artifact.read(path, ("a", "b"), list) == (
         {"format": "x/1", "columns": "a\tb", "sent_id": "s"}, [["#nlp", "1"]]
     )
 
@@ -820,4 +817,4 @@ def test_read_names_the_line_of_a_row_with_the_wrong_field_count(scratch):
     path = _file(scratch, ["# k = v", "a\tb", "", "a\tb\tc"])
     expected = re.escape(f"{path}:4: expected the fields a, b; found 3 fields")
     with pytest.raises(FileFormatError, match=expected):
-        artifact.read(path, ("a", "b"), FileFormatError, list)
+        artifact.read(path, ("a", "b"), list)

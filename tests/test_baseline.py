@@ -27,7 +27,7 @@ from lemmabench.editscript import (
     write_inventory,
     write_pair_labels,
 )
-from lemmabench.errors import EmptyCorpusError, MissingLemmaError, ModelFormatError
+from lemmabench.errors import EmptyCorpusError, FileFormatError, MissingLemmaError
 
 from conftest import corpus, sentence
 from oracles import gold_corpora, oracle_train, oracle_train_tables
@@ -241,7 +241,7 @@ def test_read_model_names_a_bad_row(tmp_path, row):
     write_model(_fit(_train_corpus()), path)
     line_no = len(path.read_text("utf-8").splitlines()) + 1
     path.write_text(path.read_text("utf-8") + row + "\n", "utf-8")
-    with pytest.raises(ModelFormatError, match=rf"model\.tsv:{line_no}: "):
+    with pytest.raises(FileFormatError, match=rf"model\.tsv:{line_no}: "):
         read_model(path)
 
 
@@ -253,7 +253,7 @@ def test_read_model_refuses_a_repeated_row(tmp_path):
     line_no = len(path.read_text("utf-8").splitlines()) + 1
     path.write_text(path.read_text("utf-8") + 'form\t,\t["preserve",0,"",0,"r"]\n', "utf-8")
     message = rf"model\.tsv:{line_no}: repeats the form row for ','$"
-    with pytest.raises(ModelFormatError, match=message):
+    with pytest.raises(FileFormatError, match=message):
         read_model(path)
 
 
@@ -261,7 +261,7 @@ def test_read_model_names_a_bad_max_suffix_len(tmp_path):
     path = tmp_path / "model.tsv"
     write_model(_fit(_train_corpus()), path)
     path.write_text(path.read_text("utf-8").replace("max_suffix_len = 5", "max_suffix_len = five"), "utf-8")
-    with pytest.raises(ModelFormatError, match=r"model\.tsv:2: max_suffix_len 'five'"):
+    with pytest.raises(FileFormatError, match=r"model\.tsv:2: max_suffix_len 'five'"):
         read_model(path)
 
 

@@ -59,6 +59,14 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "config missing section" in capsys.readouterr().err
 
 
+def test_config_with_a_repeated_key_exits_2_naming_it(fixtures_dir, tmp_path, capsys):
+    text = (fixtures_dir / "replay" / "config.json").read_text("utf-8")
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(text.replace('"runs": 3,', '"runs": 3, "runs": 1,'), "utf-8")
+    assert main(["ingest", "--config", str(repeated)]) == 2
+    assert "key 'runs' appears twice in one object" in capsys.readouterr().err
+
+
 def test_replay_cache_miss_exits_2(fixtures_dir, tmp_path, capsys):
     # a config whose fingerprints are absent from the cache must fail loudly
     raw = json.loads((fixtures_dir / "replay" / "config.json").read_text("utf-8"))

@@ -20,7 +20,7 @@ from lemmabench.corpus import (
     write_split_manifest,
     write_tsv,
 )
-from lemmabench.errors import CorpusFormatError, EmptyCorpusError, FileFormatError, SplitError
+from lemmabench.errors import EmptyCorpusError, FileFormatError, SplitError
 
 from conftest import corpus, sentence
 from oracles import oracle_ingest_conllu, oracle_ingest_tsv
@@ -71,7 +71,7 @@ def test_conllu_sentence_ids_are_ordinal(tmp_path):
 def test_conllu_bad_column_count_names_line(tmp_path):
     path = tmp_path / "bad.conllu"
     path.write_text("1\tword\tlemma\n", "utf-8")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(FileFormatError) as err:
         ingest_conllu(path)
     assert ":1:" in str(err.value)
 
@@ -139,7 +139,7 @@ def test_tsv_empty_lemma_field_means_unannotated(tmp_path):
 def test_tsv_wrong_field_count_names_line(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("a\tb\nc\tb\tX\n", "utf-8")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(FileFormatError) as err:
         ingest_tsv(path)
     assert ":2:" in str(err.value)
 
@@ -157,7 +157,7 @@ def test_tsv_wrong_field_count_names_line(tmp_path):
 def test_tsv_repeated_sentence_id_is_refused_naming_it(tmp_path, text, repeated, tail):
     path = tmp_path / "dup.tsv"
     path.write_text(text + tail, "utf-8")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(FileFormatError) as err:
         ingest_tsv(path, name="c")
     assert str(err.value) == f"{path}: sentence id '{repeated}' repeats"
 
@@ -313,7 +313,7 @@ def test_split_manifest_round_trip(tmp_path):
     train, dev, test = make_splits(_toy(6), SplitSpec(3, 2, 1))
     path = tmp_path / "manifest.tsv"
     write_split_manifest({p.name: p for p in (train, dev, test)}, path, {"experiment": "toy"})
-    meta, rows = artifact.read(path, ("split", "sentence id"), FileFormatError, list)
+    meta, rows = artifact.read(path, ("split", "sentence id"), list)
     assert meta == {"experiment": "toy"}
     assert rows == [
         ["toy-train", "toy-0000"], ["toy-train", "toy-0001"], ["toy-train", "toy-0002"],

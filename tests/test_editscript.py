@@ -26,8 +26,8 @@ from lemmabench.editscript import (
     write_pair_labels,
 )
 from lemmabench.errors import (
+    FileFormatError,
     InapplicableScriptError,
-    InventoryFormatError,
     LemmabenchError,
     MissingLemmaError,
 )
@@ -345,7 +345,7 @@ def test_read_inventory_names_a_malformed_row(tmp_path, row):
     write_inventory(LabelInventory({IDENTITY: 5}), path)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(row + "\n")
-    with pytest.raises(InventoryFormatError, match=re.escape(f"{path}:4: ")):
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}:4: ")):
         read_inventory(path)
 
 
@@ -386,7 +386,7 @@ def test_read_pair_labels_rejects_bad_rows(tmp_path, row, problem):
     path = tmp_path / "toy.pairs.tsv"
     path.write_text(f"# format = lemmabench-pair-labels/1\nperro\t0\t3\n{row}\n", "utf-8")
     where = re.escape(f"{path}:3: ")
-    with pytest.raises(InventoryFormatError, match=where + ".*" + re.escape(problem)) as info:
+    with pytest.raises(FileFormatError, match=where + ".*" + re.escape(problem)) as info:
         read_pair_labels(path, inventory)
     assert info.value.line_no == 3
 

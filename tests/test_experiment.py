@@ -21,7 +21,6 @@ from lemmabench.corpus import ingest_tsv, write_tsv
 from lemmabench.errors import (
     ConfigError,
     FileFormatError,
-    InventoryFormatError,
     MissingLemmaError,
     PromptError,
     ScoringError,
@@ -93,6 +92,31 @@ def test_load_config_overrides(fixtures_dir, tmp_path):
     )
     assert cfg.out_dir == str(tmp_path / "elsewhere")
     assert cfg.cache_mode == "record"
+
+
+def test_load_config_skips_a_byte_order_mark(fixtures_dir, tmp_path):
+    text = (fixtures_dir / "replay" / "config.json").read_text("utf-8")
+    (tmp_path / "plain.json").write_text(text, "utf-8")
+    (tmp_path / "bom.json").write_text("\ufeff" + text, "utf-8")
+    bom = load_config(tmp_path / "bom.json")
+    assert bom == load_config(tmp_path / "plain.json")
+    assert bom.config_hash == "2d54beb5c1ef"
+
+
+@pytest.mark.parametrize("given, repeated", [
+    ('"runs": 3,', '"runs": 3, "runs": 1,'),
+    ('"shots": 4,', '"shots": 4, "shots": 0,'),
+], ids=["runs", "shots"])
+def test_load_config_refuses_a_repeated_key(fixtures_dir, tmp_path, given, repeated):
+    """json.loads alone keeps the last value: 1 run, or a 0-shot system
+    still named llm-basic-4shot."""
+    text = (fixtures_dir / "replay" / "config.json").read_text("utf-8")
+    assert text.count(given) == 1
+    path = tmp_path / "config.json"
+    path.write_text(text.replace(given, repeated), "utf-8")
+    key = given.split('"')[1]
+    with pytest.raises(ConfigError, match=f"^cannot read config .*: key '{key}' appears twice"):
+        load_config(path)
 
 
 def _write_config(tmp_path, raw):
@@ -804,7 +828,7 @@ def test_train_baseline_refuses_pairs_file_of_another_induce_run(fixtures_dir, t
         editscript.read_inventory(full.path("inventory"))
     )  # every label id of the copied file is in range: only the counts tell
     full.path("pair_labels").write_bytes(small.path("pair_labels").read_bytes())
-    with pytest.raises(InventoryFormatError, match=r"es_fix\.pairs\.tsv: label \d+ covers"):
+    with pytest.raises(FileFormatError, match=r"es_fix\.pairs\.tsv: label \d+ covers"):
         run_train_baseline(full)
     assert not full.path("model").exists()
 

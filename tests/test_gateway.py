@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from lemmabench import gateway as gateway_mod
 from lemmabench.errors import (
-    CacheFormatError,
     CacheMissError,
     ConfigError,
     FileFormatError,
@@ -234,7 +233,7 @@ def test_cache_rejects_bad_record_header_before_the_end(tmp_path):
     offset = cache.log_path.stat().st_size
     with open(cache.log_path, "ab") as fh:
         fh.write(b"b" * 20 + b"\n" + _record("c" * 64, "m", "third"))
-    with pytest.raises(CacheFormatError, match=rf"log\.tsv: byte {offset}: bad record header"):
+    with pytest.raises(FileFormatError, match=rf"log\.tsv: byte {offset}: bad record header"):
         ResponseCache(tmp_path / "cache")
 
 
@@ -245,7 +244,7 @@ def test_cache_rejects_bad_final_record_header(tmp_path):
     offset = cache.log_path.stat().st_size
     with open(cache.log_path, "ab") as fh:
         fh.write(_record("b" * 64, "m", "x").replace(b"\t1\n", b"\tone\n"))
-    with pytest.raises(CacheFormatError, match=rf"byte {offset}: bad record header"):
+    with pytest.raises(FileFormatError, match=rf"byte {offset}: bad record header"):
         ResponseCache(tmp_path / "cache")
 
 
@@ -257,14 +256,14 @@ def test_cache_rejects_flipped_byte_in_middle_record(tmp_path):
     offset = len(LOG_HEADER) + len(_record(_fp(0), "m", "first"))
     data[data.index(b"second")] ^= 0x01
     cache.log_path.write_bytes(bytes(data))
-    with pytest.raises(CacheFormatError, match=rf"log\.tsv: byte {offset}: record does not match its sha256"):
+    with pytest.raises(FileFormatError, match=rf"log\.tsv: byte {offset}: record does not match its sha256"):
         ResponseCache(tmp_path / "cache")
 
 
 def test_cache_rejects_a_log_in_another_format(tmp_path):
     (tmp_path / "cache").mkdir()
     (tmp_path / "cache" / "log.tsv").write_bytes(LOG_HEADER.replace(b"/2", b"/3"))
-    with pytest.raises(CacheFormatError, match=r"byte 0: not a lemmabench-cache/2 log"):
+    with pytest.raises(FileFormatError, match=r"byte 0: not a lemmabench-cache/2 log"):
         ResponseCache(tmp_path / "cache")
 
 
@@ -283,7 +282,7 @@ def test_cache_refuses_a_v1_directory(tmp_path):
     (root / "records").mkdir(parents=True)
     (root / "index.tsv").write_text("# cache-format = lemmabench-cache/1\n" + "a" * 64 + "\tm\n", "utf-8")
     (root / "records" / ("a" * 64 + ".txt")).write_text("first", "utf-8")
-    with pytest.raises(CacheFormatError, match="lemmabench-cache/1.*re-record"):
+    with pytest.raises(FileFormatError, match="lemmabench-cache/1.*re-record"):
         ResponseCache(root)
     assert sorted(p.name for p in root.iterdir()) == ["index.tsv", "records"]
 
@@ -293,7 +292,7 @@ def test_cache_get_checks_the_digest(tmp_path):
     cache.put("a" * 64, "m", "first")
     data = cache.log_path.read_bytes()
     cache.log_path.write_bytes(data.replace(b"first", b"fIrst"))
-    with pytest.raises(CacheFormatError, match="changed since load"):
+    with pytest.raises(FileFormatError, match="changed since load"):
         cache.get("a" * 64)
 
 
@@ -881,8 +880,9 @@ def test_http_transport_client_errors_not_retryable(http_stub, monkeypatch):
         ({"choices": None}, "not subscriptable"),
         ({"choices": [{"message": "x"}]}, "string indices must be integers"),
         ([_completion("lemmas")], "list indices must be integers"),
+        (_completion("El\tel\ud83d"), "surrogates not allowed"),
     ],
-    ids=["null-content", "null-choices", "message-a-string", "list-body"],
+    ids=["null-content", "null-choices", "message-a-string", "list-body", "lone-surrogate"],
 )
 def test_http_transport_refuses_a_completion_without_string_content(
     http_stub, monkeypatch, payload, reason
@@ -894,21 +894,42 @@ def test_http_transport_refuses_a_completion_without_string_content(
     assert not info.value.retryable
 
 
-def test_record_batch_records_the_others_when_one_completion_has_null_content(
-    http_stub, monkeypatch, tmp_path
-):
+def _record_batch_with_one_bad_completion(http_stub, monkeypatch, tmp_path, bad_content):
+    """The failures of a record batch whose item 1 gets bad_content and
+    whose other items get "fine", after checking that the others are logged."""
     monkeypatch.setenv("LEMMABENCH_API_KEY", "sk-test")
     http_stub.payload = lambda body: _completion(
-        None if body["messages"][0]["content"] == "bad" else "fine"
+        bad_content if body["messages"][0]["content"] == "bad" else "fine"
     )
     config = _stub_config(http_stub, max_retries=0)
     cache = ResponseCache(tmp_path / "cache")
     result = LlmGateway(config, cache=cache, mode=RECORD).run_batch(["good", "bad", "also good"])
-    assert result.failures == [(0, 1, "malformed completion payload: content is None")]
     assert [r and r.raw_text for r in result.responses[0]] == ["fine", None, "fine"]
     assert len(cache) == 2
     assert request_fingerprint(config, "bad", 0) not in cache
     cache.close()
+    return result.failures
+
+
+def test_record_batch_records_the_others_when_one_completion_has_null_content(
+    http_stub, monkeypatch, tmp_path
+):
+    failures = _record_batch_with_one_bad_completion(http_stub, monkeypatch, tmp_path, None)
+    assert failures == [(0, 1, "malformed completion payload: content is None")]
+
+
+def test_record_batch_records_the_others_when_one_completion_is_not_unicode(
+    http_stub, monkeypatch, tmp_path
+):
+    """Half an emoji's surrogate pair, as a cut-off completion can end, is
+    not UTF-8 and cannot be logged: it fails its item, and the batch's other
+    responses are logged."""
+    failures = _record_batch_with_one_bad_completion(
+        http_stub, monkeypatch, tmp_path, "El\tel\ud83d"
+    )
+    assert [(run, item) for run, item, _ in failures] == [(0, 1)]
+    assert failures[0][2].startswith("malformed completion payload: ")
+    assert "surrogates not allowed" in failures[0][2]
 
 
 def test_live_batch_to_a_port_with_no_listener_fails_each_item(monkeypatch):

@@ -1,9 +1,10 @@
 """Prompt rendering against golden texts, and example selection."""
 
+import ast
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lemmabench.corpus import Sentence
@@ -101,6 +102,23 @@ def test_word_list_quoting_escapes_apostrophes():
     spec = PromptSpec(BASIC, WORD_LIST, 0, RANDOM, language_name="English")
     text = render_prompt(spec, [], _plain_sentence("t-0", ["n't", "l'eau"]))
     assert "['n\\'t', 'l\\'eau']" in text
+
+
+# any UTF-8 text but a tab, NUL and what ends a line for str.splitlines
+_LISTABLE = st.characters(
+    blacklist_categories=("Cs",),
+    blacklist_characters="\x00\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(_LISTABLE, min_size=1, max_size=6), min_size=1, max_size=6))
+@example(["C:\\", "dir", "don't", "a\\"])
+def test_word_list_line_reads_back_as_its_words(words):
+    """A word ending in a backslash must not escape its closing quote."""
+    spec = PromptSpec(BASIC, WORD_LIST, 0, RANDOM, language_name="English")
+    lines = render_prompt(spec, [], _plain_sentence("t-0", words)).splitlines()
+    assert ast.literal_eval(lines[lines.index("Sentence:") + 1]) == words
 
 
 def test_render_rejects_example_count_mismatch(golden):
