@@ -10,10 +10,12 @@ The HTTP layer is a plain callable ``(config, prompt) -> str`` so tests
 can substitute a stub without any network or monkeypatching.
 
 A batch gives threads only the work that may call the provider: its
-worker threads run ``complete``, which then appends nothing, and the thread
-that called ``run_batch`` appends every provider response to the cache.  A
-replay batch calls no provider, so it reads every response on the calling
-thread and starts no thread.
+worker threads take those jobs in order from a queue and run ``complete``,
+which then appends nothing, and the thread that called ``run_batch``
+appends every provider response to the cache.  An interrupt at any point,
+while the workers start too, appends every response already returned
+before it is passed on.  A replay batch calls no provider, so it reads
+every response on the calling thread and starts no thread.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import fcntl
 import hashlib
 import json
 import os
+import queue
 import random
 import re
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count, product
 from pathlib import Path
 from typing import Callable
@@ -68,6 +71,13 @@ class ProviderConfig:
             params["max_tokens"] = self.max_tokens
         return params
 
+    @cached_property
+    def sampling_json(self) -> str:
+        """sampling() as a fingerprint spells it, built once per config; a
+        cache keyed by config would mix up equal configs (1 == 1.0) whose
+        JSON differs."""
+        return json.dumps(self.sampling(), ensure_ascii=False, sort_keys=True)
+
 
 @dataclass(frozen=True)
 class LlmResponse:
@@ -101,8 +111,7 @@ def request_fingerprint(config: ProviderConfig, prompt: str, run_index: int, pre
     fingerprint_prefix(config, prompt), which a batch hashes once per prompt.
     """
     digest = (prefix or fingerprint_prefix(config, prompt)).copy()
-    sampling = json.dumps(config.sampling(), ensure_ascii=False, sort_keys=True)
-    digest.update(f'{json.dumps(run_index)}, "sampling": {sampling}}}'.encode("utf-8"))
+    digest.update(f'{json.dumps(run_index)}, "sampling": {config.sampling_json}}}'.encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -347,7 +356,9 @@ class LlmGateway:
         for run, item in jobs:
             try:
                 if (run, item) in sent:
-                    responses[run][item] = sent[run, item].result()
+                    responses[run][item], error = sent[run, item]
+                    if error is not None:
+                        raise error
                 else:  # a cache read; a repeat whose first copy failed is sent again
                     responses[run][item] = self.complete(
                         prompts[item], run_index=run, prefix=prefixes[item]
@@ -356,51 +367,66 @@ class LlmGateway:
                 failures.append((run, item, str(exc)))
         return BatchResult(responses=responses, failures=failures)
 
-    def _send(self, prompts, prefixes, jobs, parallelism) -> dict[tuple[int, int], Future]:
-        """Run the jobs that may need the provider on a thread pool; in record
-        mode, that is the first job of each (run, prompt).
+    def _send(self, prompts, prefixes, jobs, parallelism) -> dict[tuple[int, int], tuple]:
+        """Run the jobs that may need the provider on worker threads; in
+        record mode, that is the first job of each (run, prompt).  Returns
+        {(run, item): (response, error)}; one of the two is None.
 
-        The workers only call complete, which appends nothing; the calling
-        thread appends each provider response as its job returns, so a slow
-        early request holds no later response back.  On an interrupt, or an
-        append that fails, it cancels the jobs not yet started and appends
-        what the running ones return before it re-raises.  A job later in
-        order than one that raised a non-transport error makes no request
-        (in live and record mode each is a paid call).
+        The workers take the jobs in order from a queue and only call
+        complete, which appends nothing; the calling thread appends each
+        provider response as its job returns, so a slow early request holds
+        no later response back.  On an interrupt, or an append that fails,
+        at any point, while the workers start too, no job starts a request
+        any more, and the calling thread appends what the running ones
+        return before it re-raises.  A job later in order than one that
+        raised a non-transport error makes no request (in live and record
+        mode each is a paid call).  No worker outlives the call.
         """
         fatal: list[int] = []  # order of each job that raised a non-transport error
         firsts: dict[tuple, tuple[int, int, int]] = {}
         for order, (run, item) in enumerate(jobs):
             key = (run, prompts[item]) if self.mode == RECORD else (run, item)
             firsts.setdefault(key, (order, run, item))
+        todo, done = queue.SimpleQueue(), queue.SimpleQueue()
 
-        def work(order: int, run: int, item: int):
-            if fatal and order > min(fatal):
-                return None  # never read: run_batch raises the earlier job's error
-            try:
-                return self.complete(prompts[item], run_index=run, prefix=prefixes[item], log=False)
-            except TransportError:
-                raise
-            except BaseException:
-                fatal.append(order)
-                raise
+        def work():
+            for order, run, item in iter(todo.get, None):
+                response = error = None  # a skipped job's; run_batch raises an earlier error
+                if not fatal or order < min(fatal):
+                    try:
+                        response = self.complete(
+                            prompts[item], run_index=run, prefix=prefixes[item], log=False
+                        )
+                    except BaseException as exc:
+                        error = exc
+                        if not isinstance(exc, TransportError):
+                            fatal.append(order)
+                done.put((run, item, response, error))
 
-        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-            sent = {(run, item): pool.submit(work, order, run, item)
-                    for order, run, item in firsts.values()}
-            try:
-                for job in as_completed(sent.values()):
-                    self._log(job)
-            except BaseException:
-                pool.shutdown(cancel_futures=True)  # waits for the running jobs
-                for job in sent.values():
-                    self._log(job)
-                raise
+        size = min(max(1, parallelism), len(firsts))
+        workers = [threading.Thread(target=work) for _ in range(size)]
+        for job in [*firsts.values(), *[None] * len(workers)]:  # each worker stops at a None
+            todo.put(job)
+        sent = {}
+        try:
+            for worker in workers:
+                worker.start()
+            while len(sent) < len(firsts):
+                run, item, response, error = done.get()
+                sent[run, item] = response, error
+                self._log(response)
+        except BaseException:
+            fatal.append(-1)  # no job still queued starts a request
+            raise
+        finally:
+            for worker in workers:
+                if worker.is_alive():
+                    worker.join()
+            while not done.empty():  # what returned after an interrupt or a failed append
+                self._log(done.get()[2])
         return sent
 
-    def _log(self, job: Future):
-        """Append a finished job's provider response to the cache, in record mode."""
-        if self.mode == RECORD and not job.cancelled() and job.exception() is None:
-            response = job.result()
-            if response is not None and response.origin == "provider":
-                self.cache.put(response.request_fingerprint, self.config.model, response.raw_text)
+    def _log(self, response: LlmResponse | None):
+        """Append a provider response to the cache, in record mode."""
+        if self.mode == RECORD and response is not None and response.origin == "provider":
+            self.cache.put(response.request_fingerprint, self.config.model, response.raw_text)

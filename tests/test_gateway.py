@@ -11,8 +11,8 @@ import tempfile
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import ExitStack, closing
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing, nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -20,7 +20,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lemmabench import gateway as gateway_mod
 from lemmabench.errors import (
     CacheMissError,
     ConfigError,
@@ -119,8 +118,8 @@ _FINGERPRINT_PROMPTS = st.text(
 _FINGERPRINT_CONFIGS = st.builds(
     _config,
     model=st.sampled_from(["sim-chat-1", 'm"\\\u2028']),
-    temperature=st.sampled_from([0.0, 0.7, 1.0]),
-    top_p=st.sampled_from([0.9, 1.0]),
+    temperature=st.sampled_from([0.0, 0, 0.7, 1.0, 1]),  # 1 == 1.0, but json.dumps tells them apart
+    top_p=st.sampled_from([0.9, 1.0, 1]),
     max_tokens=st.none() | st.integers(1, 4096),
 )
 
@@ -675,6 +674,44 @@ def test_record_batch_logs_every_response_returned_before_a_programming_error(
 
 
 def test_interrupted_record_batch_logs_what_returned_and_sends_no_more(tmp_path, monkeypatch):
+    returned, put = [], ResponseCache.put
+
+    def transport(config, prompt):
+        time.sleep(0.01)
+        returned.append(f"answer {prompt}")
+        return returned[-1]
+
+    def interrupted(self, *args):  # Ctrl-C on the calling thread once the first job is in
+        put(self, *args)
+        monkeypatch.setattr(ResponseCache, "put", put)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ResponseCache, "put", interrupted)
+    with closing(ResponseCache(tmp_path / "cache")) as cache:
+        with pytest.raises(KeyboardInterrupt):
+            LlmGateway(_config(), cache, RECORD, transport).run_batch(
+                [f"p{i}" for i in range(40)], runs=1, parallelism=2
+            )
+    assert 2 <= len(returned) < 40  # the jobs still queued were skipped
+    assert Counter(text for _, _, text in _log_records(tmp_path / "cache")) == Counter(returned)
+
+
+def _start_interrupted_at(monkeypatch, call):
+    """Patch Thread.start to raise KeyboardInterrupt at its call-th call (0:
+    never), before it starts the thread; returns the threads start was called on."""
+    calls, start = [], threading.Thread.start
+
+    def interrupted(self):
+        calls.append(self)
+        if len(calls) == call:
+            raise KeyboardInterrupt
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", interrupted)
+    return calls
+
+
+def test_record_batch_interrupted_while_its_workers_start_logs_what_returned(tmp_path, monkeypatch):
     returned = []
 
     def transport(config, prompt):
@@ -682,16 +719,42 @@ def test_interrupted_record_batch_logs_what_returned_and_sends_no_more(tmp_path,
         returned.append(f"answer {prompt}")
         return returned[-1]
 
-    def interrupted(jobs):  # Ctrl-C on the calling thread once the first job is in
-        yield next(as_completed(jobs))
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(gateway_mod, "as_completed", interrupted)
-    gateway = LlmGateway(_config(), ResponseCache(tmp_path / "cache"), RECORD, transport)
-    with pytest.raises(KeyboardInterrupt):
-        gateway.run_batch([f"p{i}" for i in range(40)], runs=1, parallelism=2)
-    assert 2 <= len(returned) < 40  # the jobs still queued were cancelled
+    _start_interrupted_at(monkeypatch, 2)
+    with closing(ResponseCache(tmp_path / "cache")) as cache:
+        with pytest.raises(KeyboardInterrupt):
+            LlmGateway(_config(), cache, RECORD, transport).run_batch(
+                [f"p{i}" for i in range(40)], runs=1, parallelism=2
+            )
+    assert len(returned) < 40
     assert Counter(text for _, _, text in _log_records(tmp_path / "cache")) == Counter(returned)
+
+
+@pytest.mark.parametrize("parallelism", [2, 8])
+@pytest.mark.parametrize("outcome", ["returns", "refused", "bug", "interrupted"])
+@pytest.mark.parametrize("mode", [RECORD, LIVE])
+def test_no_thread_outlives_a_batch(tmp_path, monkeypatch, mode, outcome, parallelism):
+    prompts = ["p0", "p1", "p0"]  # record sends p0 once a run: 4 distinct jobs, live sends 6
+    distinct = 4 if mode == RECORD else 6
+
+    def transport(config, prompt):
+        time.sleep(0.001)
+        if prompt == "p1" and outcome == "refused":
+            raise TransportError("refused")
+        if prompt == "p1" and outcome == "bug":
+            raise ValueError("transport bug")
+        return f"answer {prompt}"
+
+    before = threading.enumerate()
+    calls = _start_interrupted_at(monkeypatch, 2 if outcome == "interrupted" else 0)
+    raised = {"bug": ValueError, "interrupted": KeyboardInterrupt}.get(outcome)
+    with closing(ResponseCache(tmp_path / "cache")) as cache:
+        gateway = LlmGateway(_config(max_retries=0), cache, mode, transport)
+        with pytest.raises(raised) if raised else nullcontext():
+            result = gateway.run_batch(prompts, runs=2, parallelism=parallelism)
+    assert threading.enumerate() == before
+    assert 1 <= len(calls) <= min(parallelism, distinct)
+    if outcome == "refused":
+        assert [(run, item) for run, item, _ in result.failures] == [(0, 1), (1, 1)]
 
 
 def test_run_batch_calls_the_transport_inside_complete_with_its_run_index(tmp_path, monkeypatch):
